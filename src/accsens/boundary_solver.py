@@ -37,6 +37,9 @@ DEFAULT_GRID = 4096
 SCALE_SPAN = 8.0
 BISECTION_WIDTH = 1e-12
 
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
 
 class RootMethod(str, Enum):
     GAUSSIAN_QUADRATIC = "gaussian_quadratic"
@@ -124,31 +127,86 @@ def default_search_interval(pair: HypothesisPair) -> tuple[float, float]:
     return (lo, hi)
 
 
-def gaussian_quadratic_coefficients(
-    pair: HypothesisPair, eta: float
+def _phi_cdf(z: float) -> float:
+    """Standard normal cdf of a Python float, for scalar inner loops."""
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def _phi_pdf(z: float) -> float:
+    """Standard normal pdf of a Python float, for scalar inner loops."""
+    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+
+
+def _ratio_quadratic(
+    mu0: float, sig0: float, mu1: float, sig1: float, log_k: float
 ) -> tuple[float, float, float]:
-    """Coefficients (a, b, c) of the quadratic the Gaussian boundaries satisfy."""
-    mu0, sig0 = pair.h0.params
-    mu1, sig1 = pair.h1.params
+    """(a, b, c) of a y^2 + b y + c, the log ratio gap of two Gaussians with
+    log_k = log(p1 / (eta p0))."""
     a = 0.5 * (1.0 / sig0**2 - 1.0 / sig1**2)
     b = mu1 / sig1**2 - mu0 / sig0**2
     c = (
         math.log(sig0 / sig1)
-        + math.log(pair.p1 / pair.p0)
+        + log_k
         + mu0**2 / (2.0 * sig0**2)
         - mu1**2 / (2.0 * sig1**2)
-        - math.log(eta)
     )
     return a, b, c
 
 
-def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> LikelihoodRootReport:
-    """Closed-form boundaries for a Gaussian pair.
+def _gaussian_ratio_roots(
+    mu0: float, sig0: float, mu1: float, sig1: float, log_k: float
+) -> tuple[tuple[float, ...], bool]:
+    """Sorted roots of the Gaussian ratio equation and whether H0 wins left of
+    the first root (everywhere, when there is none).
 
-    Root cases: two simple roots, a single root when the widths coincide,
-    and zero roots when the parabola never crosses (including the tangential
-    double root, which is dropped as zero-measure).
+    Scalar math only: the design solver calls this in its innermost loop.
+    Root cases: two simple roots, a single root when the widths coincide
+    within EQUAL_SIGMA_RTOL, and no root when the parabola never crosses
+    (including the tangential double root, which is dropped as zero-measure).
     """
+    if abs(sig0 - sig1) <= EQUAL_SIGMA_RTOL * max(sig0, sig1):
+        # Equal widths: the quadratic term vanishes and the gap is linear,
+        #   (mu1 - mu0) (y - midpoint) / (sig0 sig1) + log(sig0 / sig1) + log_k,
+        # written in the mean difference so that close means do not cancel.
+        # Left of the root the gap has the sign opposite to mu1 - mu0.
+        delta = mu1 - mu0
+        level = math.log(sig0 / sig1) + log_k
+        root = 0.5 * (mu0 + mu1) - sig0 * sig1 * level / delta if delta != 0.0 else math.inf
+        if math.isfinite((root - mu0) / sig0):
+            return (root,), delta > 0
+        # No root, or one past the float range of the standard score: a
+        # single region, won as at the mean mu0.
+        return (), level - 0.5 * delta * delta / (sig0 * sig1) < 0
+    a, b, c = _ratio_quadratic(mu0, sig0, mu1, sig1, log_k)
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        # A non-crossing parabola carries the sign of its leading coefficient.
+        return (), a < 0
+    sq = math.sqrt(disc)
+    q = -(b + sq) / 2.0 if b >= 0.0 else -(b - sq) / 2.0
+    roots = []
+    for r in sorted((q / a, c / q)):
+        slope = 2.0 * a * r + b
+        if slope != 0.0:  # one Newton polish pass against float rounding
+            r = r - (a * r * r + b * r + c) / slope
+        roots.append(r)
+    # Outside the outer roots the parabola carries the sign of a.
+    return tuple(roots), a < 0
+
+
+def _log_k(pair: HypothesisPair, eta: float) -> float:
+    return math.log(pair.p1 / pair.p0) - math.log(eta)
+
+
+def gaussian_quadratic_coefficients(
+    pair: HypothesisPair, eta: float
+) -> tuple[float, float, float]:
+    """Coefficients (a, b, c) of the quadratic the Gaussian boundaries satisfy."""
+    return _ratio_quadratic(*pair.h0.params, *pair.h1.params, _log_k(pair, eta))
+
+
+def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> LikelihoodRootReport:
+    """Closed-form boundaries for a Gaussian pair (see ``_gaussian_ratio_roots``)."""
     if pair.h0.family is not Family.GAUSSIAN or pair.h1.family is not Family.GAUSSIAN:
         raise InvalidParameterError("ml_boundaries_gaussian requires two Gaussian models")
     if not eta > 0:
@@ -157,49 +215,8 @@ def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> Likelihood
         orient = Orientation.H1_FIRST if pair.p0 == 0.0 else Orientation.H0_FIRST
         return LikelihoodRootReport((), RootMethod.GAUSSIAN_QUADRATIC, orient, (), eta)
 
-    a, b, c = gaussian_quadratic_coefficients(pair, eta)
-    sig0, sig1 = pair.h0.params[1], pair.h1.params[1]
-
-    def orient_from_sign(value: float) -> Orientation:
-        return Orientation.H0_FIRST if value < 0 else Orientation.H1_FIRST
-
-    if abs(sig0 - sig1) <= EQUAL_SIGMA_RTOL * max(sig0, sig1):
-        # Equal widths: the quadratic term vanishes; treat exactly as linear.
-        if b == 0.0:
-            return LikelihoodRootReport(
-                (), RootMethod.GAUSSIAN_QUADRATIC, orient_from_sign(c), (), eta
-            )
-        root = -c / b
-        # Left of the root the gap has the sign opposite to b.
-        orient = Orientation.H0_FIRST if b > 0 else Orientation.H1_FIRST
-        residuals = _check_residuals(pair, eta, (root,))
-        return LikelihoodRootReport(
-            (root,), RootMethod.GAUSSIAN_QUADRATIC, orient, residuals, eta
-        )
-
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        # No crossing (or a zero-measure tangency): a single region.  A
-        # non-crossing parabola carries the sign of its leading coefficient.
-        return LikelihoodRootReport(
-            (), RootMethod.GAUSSIAN_QUADRATIC, orient_from_sign(a), (), eta
-        )
-
-    sq = math.sqrt(disc)
-    if b >= 0.0:
-        q = -(b + sq) / 2.0
-    else:
-        q = -(b - sq) / 2.0
-    r1, r2 = q / a, c / q
-    roots = []
-    for r in sorted((r1, r2)):
-        slope = 2.0 * a * r + b
-        if slope != 0.0:  # one Newton polish pass against float rounding
-            r = r - (a * r * r + b * r + c) / slope
-        roots.append(r)
-    roots = tuple(roots)
-    # Outside the outer roots the parabola carries the sign of a.
-    orient = orient_from_sign(a)
+    roots, h0_first = _gaussian_ratio_roots(*pair.h0.params, *pair.h1.params, _log_k(pair, eta))
+    orient = Orientation.H0_FIRST if h0_first else Orientation.H1_FIRST
     residuals = _check_residuals(pair, eta, roots)
     return LikelihoodRootReport(roots, RootMethod.GAUSSIAN_QUADRATIC, orient, residuals, eta)
 

@@ -329,14 +329,12 @@ def _cmd_design(args) -> int:
     else:
         raise SchemaError("design needs --gamma or --gamma-grid")
     box = ParamDesignProblem.from_dict(box_obj, gamma=float(gammas[0]), norm=norm)
-    results = gamma_sweep(box, gammas, restarts=args.restarts, seed=args.seed)
+    results = gamma_sweep(box, gammas)
     config = {
         "command": "design",
         "box": box.to_dict(),
         "gammas": [float(g) for g in gammas],
         "norm": args.norm,
-        "restarts": args.restarts,
-        "seed": args.seed,
     }
     for r in results:
         print(
@@ -466,18 +464,16 @@ def _reproduce_table1(pair: HypothesisPair, out: Path, seed: int) -> dict:
     return {"config": config, "rows": rows}
 
 
-def _reproduce_fig3(out: Path, seed: int) -> dict:
+def _reproduce_fig3(out: Path) -> dict:
     from .param_designer import fig3_box
 
     gammas = np.linspace(0.55, 0.99, 20)
     box = fig3_box(float(gammas[0]))
-    results = gamma_sweep(box, gammas, seed=seed)
+    results = gamma_sweep(box, gammas)
     config = {
         "target": "fig3",
         "box": box.to_dict(),
         "gammas": [float(g) for g in gammas],
-        "restarts": 30,
-        "seed": seed,
     }
     _write_text(out / "fig3.csv", _csv_with_config(sweep_csv_text(results), config))
     svg = _svg.render_polylines(
@@ -513,7 +509,7 @@ def _cmd_reproduce(args) -> int:
         pair = _load_problem("table1.json")
         meta = _reproduce_table1(pair, out, args.seed)
     else:  # fig3
-        meta = _reproduce_fig3(out, args.seed)
+        meta = _reproduce_fig3(out)
     meta["wall_time_s"] = time.perf_counter() - started
     meta["version"] = __version__
     _emit_json(meta, out, "metadata.json")
@@ -597,8 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None, help="single target accuracy")
     p.add_argument("--gamma-grid", default=None, help="lo:hi:n sweep")
     p.add_argument("--norm", choices=[n.value for n in Norm], default="inf")
-    p.add_argument("--restarts", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_design)
 
     p = sub.add_parser("reproduce", help="regenerate a bundled reference artifact",

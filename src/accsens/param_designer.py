@@ -1,12 +1,18 @@
 """Distribution-parameter design: minimum sensitivity at prescribed accuracy.
 
 Given a box of admissible Gaussian parameters and a target accuracy gamma,
-``design_params`` searches for the parameter vector whose maximum-accuracy
-classifier attains exactly gamma with the smallest sensitivity.  The inner
-boundaries move with the parameters, which makes the objective nonsmooth; the
-search is a derivative-free simplex method under a quadratic penalty with a
-stiffening continuation, multistarted from a fixed-seed low-discrepancy
-sequence, with a final one-dimensional restoration of the accuracy equality.
+``design_params`` finds the parameter vector whose maximum-accuracy
+classifier attains exactly gamma with the smallest sensitivity.
+
+The solver is exact and deterministic.  The accuracy of the maximum-accuracy
+classifier depends only on the shape (d, r) = ((mu1 - mu0) / sigma0,
+sigma1 / sigma0): it is invariant under translation and positive scaling,
+even in d, and nondecreasing in |d|.  Every sensitivity component scales as
+1 / sigma0 at a fixed shape.  So for each width ratio r the separation |d| is
+the root of A(|d|, r) = gamma, the best design of that shape takes the
+largest sigma0 the box allows (a closed-form linear program in
+(mu0, sigma0)), and the design is a one-dimensional minimization over r: a
+geometric scan of r polished by bounded Brent.
 
 The module also provides the closed-form accuracy/sensitivity laws for two
 analytically solvable families (equal-variance Gaussian and exponential),
@@ -15,32 +21,24 @@ used as oracles for the generic pipeline.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
-from scipy.stats import qmc
+from scipy.optimize import brentq, minimize_scalar
 
+from .boundary_solver import _gaussian_ratio_roots, _phi_cdf, _phi_pdf
 from .classifier import Norm, Orientation
 from .densities import DensityModel, HypothesisPair
 from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-FEASIBILITY_TOL = 1e-5
-RHO_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
-DEFAULT_RESTARTS = 30
-EQUAL_SIGMA_RTOL = 1e-9
-
-
-def _phi_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def _phi_pdf(z: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+#: Width ratios scanned per design, geometric over the box's range (r = 1 and
+#: the maximum-accuracy ratio are added as exact grid points).
+SCAN_POINTS = 400
+#: Absolute tolerance of the separation root and of the Brent polish in r.
+D_XTOL = 1e-13
+R_XATOL = 1e-12
 
 
 # ---- closed-form laws ----
@@ -106,37 +104,14 @@ def exponential_law(r: float, lambda0: float) -> ExponentialLaw:
 def _gaussian_ml_eval(theta, p0: float, norm: Norm) -> tuple[float, float, tuple[float, ...]]:
     """(accuracy, sensitivity, boundaries) of the unit-threshold classifier.
 
-    Scalar math only: this sits in the innermost loop of the design search.
-    Widths within EQUAL_SIGMA_RTOL are routed to the single-boundary branch;
-    the quadratic's a -> 0 limit is numerically unstable if unguarded.
+    Scalar math only: this sits in the innermost loop of the design solver.
     """
     mu0, s0, mu1, s1 = theta
     p1 = 1.0 - p0
-    a = 0.5 * (1.0 / (s0 * s0) - 1.0 / (s1 * s1))
-    b = mu1 / (s1 * s1) - mu0 / (s0 * s0)
-    c = (
-        math.log(s0 / s1)
-        + math.log(p1 / p0)
-        + mu0 * mu0 / (2.0 * s0 * s0)
-        - mu1 * mu1 / (2.0 * s1 * s1)
-    )
-
-    if abs(s0 - s1) <= EQUAL_SIGMA_RTOL * max(s0, s1):
-        if b == 0.0:
-            return 0.5, 0.0, ()
-        y = -c / b
-        h0_first = b > 0
-        roots = (y,)
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc <= 0.0:
-            # single region: the ratio never crosses one; H0 wins iff a < 0
-            return (p0 if a < 0 else p1), 0.0, ()
-        sq = math.sqrt(disc)
-        q = -(b + sq) / 2.0 if b >= 0 else -(b - sq) / 2.0
-        y1, y2 = sorted((q / a, c / q))
-        h0_first = a < 0
-        roots = (y1, y2)
+    roots, h0_first = _gaussian_ratio_roots(mu0, s0, mu1, s1, math.log(p1 / p0))
+    if not roots:
+        # single region: the ratio never crosses one
+        return (p0 if h0_first else p1), 0.0, ()
 
     if len(roots) == 1:
         (y,) = roots
@@ -171,12 +146,11 @@ def _gaussian_ml_eval(theta, p0: float, norm: Norm) -> tuple[float, float, tuple
 
 @dataclass(frozen=True)
 class ParamDesignProblem:
-    """Search box for a Gaussian pair design.
+    """Box of admissible Gaussian parameters and the target accuracy.
 
     ``bounds`` are per-component (lo, hi) for (mu0, sigma0, mu1, sigma1).
     ``mean_gap_max`` optionally caps |mu0 - mu1|; ``ordered_sigmas`` demands
-    sigma1 <= sigma0.  Violations of the coupled constraints are projected
-    out and penalized on activation.
+    sigma1 <= sigma0.  ``p0`` is the prior probability of H0.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -189,24 +163,63 @@ class ParamDesignProblem:
     def __post_init__(self) -> None:
         if len(self.bounds) != 4:
             raise InvalidParameterError("bounds must cover (mu0, sigma0, mu1, sigma1)")
-        for lo, hi in self.bounds:
+        for bound in self.bounds:
+            if len(bound) != 2:
+                raise InvalidParameterError(f"bound {bound} is not a (lo, hi) pair")
+            lo, hi = bound
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidParameterError(f"bound ({lo}, {hi}) is not finite")
             if not lo <= hi:
                 raise InvalidParameterError(f"empty bound ({lo}, {hi})")
         if not (self.bounds[1][0] > 0 and self.bounds[3][0] > 0):
             raise InvalidParameterError("sigma bounds must be positive")
         if not 0.5 <= self.gamma <= 1.0:
             raise InvalidParameterError(f"gamma must lie in [0.5, 1], got {self.gamma}")
+        if not 0.0 < self.p0 < 1.0:
+            raise InvalidParameterError(f"p0 must lie in (0, 1), got {self.p0}")
+        if self.mean_gap_max is not None and not self.mean_gap_max >= 0.0:
+            raise InvalidParameterError(f"mean_gap_max must be >= 0, got {self.mean_gap_max}")
+        r_lo, r_hi = self._ratio_range()
+        if r_lo > r_hi:
+            raise InvalidParameterError("no sigma1 <= sigma0 lies inside the width bounds")
+        gap_lo, gap_hi = self._gap_range()
+        if gap_lo > gap_hi:
+            raise InvalidParameterError("mean_gap_max excludes every mean pair inside the bounds")
 
-    def project(self, theta: np.ndarray) -> np.ndarray:
-        out = theta.copy()
-        for i, (lo, hi) in enumerate(self.bounds):
-            out[i] = min(max(out[i], lo), hi)
+    def _ratio_range(self) -> tuple[float, float]:
+        """Range of the width ratio sigma1 / sigma0 over the box."""
+        (s0_lo, s0_hi), (s1_lo, s1_hi) = self.bounds[1], self.bounds[3]
+        hi = s1_hi / s0_lo
+        if self.ordered_sigmas:
+            hi = min(hi, 1.0)
+        return s1_lo / s0_hi, hi
+
+    def _gap_range(self) -> tuple[float, float]:
+        """Range of the mean difference mu1 - mu0 over the box."""
+        (m0_lo, m0_hi), (m1_lo, m1_hi) = self.bounds[0], self.bounds[2]
+        lo, hi = m1_lo - m0_hi, m1_hi - m0_lo
         if self.mean_gap_max is not None:
-            lo, hi = out[0] - self.mean_gap_max, out[0] + self.mean_gap_max
-            out[2] = min(max(out[2], lo), hi)
-        if self.ordered_sigmas and out[3] > out[1]:
-            out[3] = out[1]
-        return out
+            lo, hi = max(lo, -self.mean_gap_max), min(hi, self.mean_gap_max)
+        return lo, hi
+
+    def _width_range(self, r: float) -> tuple[float, float]:
+        """Range of sigma0 with sigma0 and r * sigma0 inside their bounds."""
+        (s0_lo, s0_hi), (s1_lo, s1_hi) = self.bounds[1], self.bounds[3]
+        return max(s0_lo, s1_lo / r), min(s0_hi, s1_hi / r)
+
+    def _place(self, d: float, r: float, sigma0: float) -> tuple[float, float, float, float]:
+        """The design of shape (d, r) and width sigma0, at the lowest
+        admissible mu0; mu1 and sigma1 are clamped against float rounding."""
+        (m0_lo, _), (m1_lo, m1_hi), (s1_lo, s1_hi) = self.bounds[0], self.bounds[2], self.bounds[3]
+        gap = d * sigma0
+        mu0 = max(m0_lo, m1_lo - gap)
+        mu1 = min(max(mu0 + gap, m1_lo), m1_hi)
+        if self.mean_gap_max is not None:
+            mu1 = min(max(mu1, mu0 - self.mean_gap_max), mu0 + self.mean_gap_max)
+        sigma1 = min(max(r * sigma0, s1_lo), s1_hi)
+        if self.ordered_sigmas:
+            sigma1 = min(sigma1, sigma0)
+        return (mu0, sigma0, mu1, sigma1)
 
     def to_dict(self) -> dict:
         return {
@@ -228,14 +241,32 @@ class ParamDesignProblem:
             raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in design box spec")
         if "bounds" not in obj:
             raise SchemaError("design box spec missing key 'bounds'")
-        bounds = tuple(tuple(float(v) for v in b) for b in obj["bounds"])
+        if gamma is None and "gamma" not in obj:
+            raise SchemaError("design box spec missing key 'gamma'")
+        if not isinstance(obj.get("ordered_sigmas", False), bool):
+            raise SchemaError("design box key 'ordered_sigmas' must be true or false")
+
+        def number(key: str, value) -> float:
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                raise SchemaError(f"design box key {key!r} holds a non-numeric value {value!r}") from None
+
+        raw = obj["bounds"]
+        if not isinstance(raw, list) or not all(isinstance(b, list) and len(b) == 2 for b in raw):
+            raise SchemaError("design box key 'bounds' must be a list of [lo, hi] pairs")
+        try:
+            box_norm = Norm(obj["norm"]) if "norm" in obj and gamma is None else norm
+        except ValueError:
+            raise SchemaError(f"design box key 'norm' holds an unknown norm {obj['norm']!r}") from None
+        gap = obj.get("mean_gap_max")
         return ParamDesignProblem(
-            bounds=bounds,
-            gamma=float(obj["gamma"]) if gamma is None else float(gamma),
-            norm=Norm(obj["norm"]) if "norm" in obj and gamma is None else norm,
-            mean_gap_max=obj.get("mean_gap_max"),
-            ordered_sigmas=bool(obj.get("ordered_sigmas", False)),
-            p0=float(obj.get("p0", 0.5)),
+            bounds=tuple(tuple(number("bounds", v) for v in b) for b in raw),
+            gamma=number("gamma", obj["gamma"]) if gamma is None else float(gamma),
+            norm=box_norm,
+            mean_gap_max=None if gap is None else number("mean_gap_max", gap),
+            ordered_sigmas=obj.get("ordered_sigmas", False),
+            p0=number("p0", obj.get("p0", 0.5)),
         )
 
 
@@ -253,23 +284,18 @@ def fig3_box(gamma: float, norm: Norm = Norm.INF) -> ParamDesignProblem:
 
 
 @dataclass(frozen=True)
-class RestartOutcome:
-    start: tuple[float, ...]
-    theta: tuple[float, ...]
-    accuracy: float
-    sensitivity: float
-    feasible: bool
-    box_active: bool
+class DesignScan:
+    """How the width-ratio scan found a design: the optimum's shape
+    (d, r) = ((mu1 - mu0) / sigma0, sigma1 / sigma0), the number of scanned
+    ratios, and how many of them reach gamma inside the box."""
+
+    d: float
+    r: float
+    points: int
+    feasible: int
 
     def to_dict(self) -> dict:
-        return {
-            "start": list(self.start),
-            "theta": list(self.theta),
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "feasible": self.feasible,
-            "box_active": self.box_active,
-        }
+        return {"d": self.d, "r": self.r, "points": self.points, "feasible": self.feasible}
 
 
 @dataclass(frozen=True)
@@ -280,13 +306,15 @@ class DesignResult:
     boundaries: tuple[float, ...]
     gamma: float
     norm: Norm
-    restarts: tuple[RestartOutcome, ...] = field(default=(), repr=False)
+    p0: float
+    scan: DesignScan
 
     @property
     def pair(self) -> HypothesisPair:
         return HypothesisPair(
             DensityModel.gaussian(self.theta[0], self.theta[1]),
             DensityModel.gaussian(self.theta[2], self.theta[3]),
+            self.p0,
         )
 
     def to_dict(self) -> dict:
@@ -297,179 +325,148 @@ class DesignResult:
             "boundaries": list(self.boundaries),
             "gamma": self.gamma,
             "norm": self.norm.value,
-            "restarts": [r.to_dict() for r in self.restarts],
+            "scan": self.scan.to_dict(),
         }
 
 
-def _sobol_starts(n: int, seed: int) -> np.ndarray:
-    """First n points of a scrambled Sobol sequence (drawn as a full 2^m block
-    to keep the sampler quiet about balance)."""
-    sampler = qmc.Sobol(d=4, scramble=True, seed=seed)
-    m = max(1, math.ceil(math.log2(max(n, 2))))
-    return sampler.random_base2(m)[:n]
+# ---- the exact solver: a scan over the width ratio ----
 
 
-def max_accuracy(problem: ParamDesignProblem, starts: int = 12, seed: int = 1) -> float:
-    """Largest attainable accuracy over the box (feasibility certificate)."""
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
-    pts = lo + _sobol_starts(starts, seed) * (hi - lo)
-
-    def neg_acc(raw: np.ndarray) -> float:
-        theta = problem.project(raw)
-        acc, _, _ = _gaussian_ml_eval(theta, problem.p0, problem.norm)
-        return -acc + 1e2 * float(np.sum((raw - theta) ** 2))
-
-    best = 0.5
-    for x0 in pts:
-        res = minimize(neg_acc, problem.project(x0), method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12})
-        acc, _, _ = _gaussian_ml_eval(problem.project(res.x), problem.p0, problem.norm)
-        best = max(best, acc)
-    return best
+def _shape_eval(problem: ParamDesignProblem, d: float, r: float) -> tuple[float, float, tuple[float, ...]]:
+    """Accuracy, sensitivity and boundaries of the unit-width design of shape (d, r)."""
+    return _gaussian_ml_eval((0.0, 1.0, d, r), problem.p0, problem.norm)
 
 
-def _restore_accuracy(problem: ParamDesignProblem, theta: np.ndarray) -> np.ndarray | None:
-    """One-dimensional polish of the accuracy equality.
+def _reach(problem: ParamDesignProblem, r: float) -> float:
+    """Largest |d| the box allows at width ratio r (narrowest sigma0)."""
+    gap_lo, gap_hi = problem._gap_range()
+    return max(gap_hi, -gap_lo, 0.0) / problem._width_range(r)[0]
 
-    Accuracy grows with mean separation and shrinks as the widths close in on
-    each other, so two monotone paths cover both defect signs: scale the mean
-    gap, then (if bound-blocked) slide sigma1 toward sigma0.
+
+def _ratio_grid(problem: ParamDesignProblem, extra: tuple[float, ...] = ()) -> list[float]:
+    lo, hi = problem._ratio_range()
+    grid = np.geomspace(lo, hi, SCAN_POINTS).tolist() if lo < hi else []
+    points = {lo, hi, *grid, *extra}
+    if lo <= 1.0 <= hi:
+        points.add(1.0)
+    return sorted(points)
+
+
+def _scan_min(fn, grid: list[float]) -> tuple[float, float, int]:
+    """Minimum of ``fn`` over the ratio grid, polished by bounded Brent
+    between the best point's neighbours: (value, r, finite grid values).
+
+    The minimum can sit on a kink where the binding box constraint switches,
+    so the better of the grid point and the Brent result is kept.  Brent runs
+    on the offset from the grid point: its tolerance has a term relative to
+    the variable, which would otherwise stop it about 1e-8 r short of a kink.
     """
+    values = [fn(r) for r in grid]
+    i = min(range(len(grid)), key=values.__getitem__)
+    best, r_best = values[i], grid[i]
+    if math.isfinite(best) and len(grid) > 1:
+        lo, hi = grid[max(i - 1, 0)] - r_best, grid[min(i + 1, len(grid) - 1)] - r_best
+        # An infeasible neighbour reads inf; Brent then takes golden-section
+        # steps, after numpy warns about the inf - inf in its parabola.
+        with np.errstate(invalid="ignore"):
+            res = minimize_scalar(
+                lambda t: fn(r_best + t), bounds=(lo, hi), method="bounded",
+                options={"xatol": R_XATOL},
+            )
+        if res.fun < best:
+            best, r_best = float(res.fun), r_best + float(res.x)
+    return best, r_best, sum(math.isfinite(v) for v in values)
+
+
+def _max_accuracy_shape(problem: ParamDesignProblem) -> tuple[float, float]:
+    """(max accuracy, its width ratio): max over r of A(reach(r), r)."""
+    neg, r, _ = _scan_min(lambda r: -_shape_eval(problem, _reach(problem, r), r)[0], _ratio_grid(problem))
+    return -neg, r
+
+
+def max_accuracy(problem: ParamDesignProblem) -> float:
+    """Largest accuracy any design inside the box attains (feasibility
+    certificate)."""
+    return _max_accuracy_shape(problem)[0]
+
+
+def _design_at_ratio(problem: ParamDesignProblem, r: float) -> tuple[float, float, float] | None:
+    """(sensitivity, d, sigma0) of the least sensitive design with width
+    ratio r, or None when no design of that ratio reaches gamma in the box."""
     gamma = problem.gamma
 
-    def acc_at(t: np.ndarray) -> float:
-        return _gaussian_ml_eval(problem.project(t), problem.p0, problem.norm)[0]
+    def defect(d: float) -> float:
+        return _shape_eval(problem, d, r)[0] - gamma
 
-    # path 1: scale the separation mu1 - mu0
-    delta = theta[2] - theta[0]
-    if delta != 0.0:
-        lo_s, hi_s = 0.0, 1.0
-        cap = problem.bounds[2][1] - problem.bounds[2][0]
-        if problem.mean_gap_max is not None:
-            cap = min(cap if cap > 0 else math.inf, problem.mean_gap_max)
-        if abs(delta) > 0:
-            hi_s = min(4.0, cap / abs(delta)) if cap > 0 else 1.0
-
-        def path(s: float) -> np.ndarray:
-            t = theta.copy()
-            t[2] = theta[0] + s * delta
-            return t
-
-        f_lo = acc_at(path(lo_s)) - gamma
-        f_hi = acc_at(path(hi_s)) - gamma
-        f_cur = acc_at(theta) - gamma
-        try:
-            if f_cur == 0.0:
-                return theta
-            if f_lo * f_cur < 0:
-                s = brentq(lambda s: acc_at(path(s)) - gamma, lo_s, 1.0, xtol=1e-13)
-                return problem.project(path(s))
-            if f_cur * f_hi < 0:
-                s = brentq(lambda s: acc_at(path(s)) - gamma, 1.0, hi_s, xtol=1e-13)
-                return problem.project(path(s))
-        except ValueError:
-            pass
-    # path 2: slide sigma1 toward sigma0 (less discriminable) or to its floor
-    s1_lo, s1_hi = problem.bounds[3]
-    if problem.ordered_sigmas:
-        s1_hi = min(s1_hi, theta[1])
-
-    def path2(v: float) -> np.ndarray:
-        t = theta.copy()
-        t[3] = v
-        return t
-
-    f_a = acc_at(path2(s1_lo)) - gamma
-    f_b = acc_at(path2(s1_hi)) - gamma
-    if f_a * f_b <= 0:
-        try:
-            v = brentq(lambda v: acc_at(path2(v)) - gamma, s1_lo, s1_hi, xtol=1e-13)
-            return problem.project(path2(v))
-        except ValueError:
+    at_zero = defect(0.0)
+    if at_zero > 0.0:
+        return None
+    reach = _reach(problem, r)
+    if at_zero == 0.0:
+        d = 0.0
+    else:
+        at_reach = defect(reach)
+        if at_reach < 0.0:
             return None
-    return None
+        d = reach if at_reach == 0.0 else brentq(defect, 0.0, reach, xtol=D_XTOL)
+
+    # Largest sigma0 with sigma0, r sigma0 and the mean gap d sigma0 inside
+    # the box, over both signs of d (accuracy and sensitivity are even in d).
+    s_lo, s_hi = problem._width_range(r)
+    gap_lo, gap_hi = problem._gap_range()
+    best: tuple[float, float] | None = None
+    for signed in ((d, -d) if d > 0.0 else (d,)):
+        if signed > 0.0:
+            lo, hi = max(s_lo, gap_lo / signed), min(s_hi, gap_hi / signed)
+        elif signed < 0.0:
+            lo, hi = max(s_lo, gap_hi / signed), min(s_hi, gap_lo / signed)
+        elif gap_lo <= 0.0 <= gap_hi:
+            lo, hi = s_lo, s_hi
+        else:
+            continue
+        if lo <= hi and (best is None or hi > best[1]):
+            best = (signed, hi)
+    if best is None:
+        return None
+    d, sigma0 = best
+    return _shape_eval(problem, d, r)[1] / sigma0, d, sigma0
 
 
-def design_params(
-    problem: ParamDesignProblem,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-    nm_maxiter: int = 160,
-) -> DesignResult:
-    """Best-of-multistart minimum-sensitivity design at accuracy gamma."""
-    attainable = max_accuracy(problem)
-    if problem.gamma > attainable + 1e-9:
+def design_params(problem: ParamDesignProblem) -> DesignResult:
+    """Minimum-sensitivity design at accuracy gamma (see the module docstring).
+
+    Deterministic: the same problem gives bit-identical results.  Raises
+    ``InfeasibleTargetError`` when no design inside the box reaches gamma.
+    """
+    attainable, r_top = _max_accuracy_shape(problem)
+    if problem.gamma > attainable:
         raise InfeasibleTargetError(
             f"gamma={problem.gamma!r} exceeds the box's attainable accuracy {attainable!r}"
         )
+    grid = _ratio_grid(problem, (r_top,))
 
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
-    starts = lo + _sobol_starts(restarts, seed) * (hi - lo)
+    def sens_at(r: float) -> float:
+        found = _design_at_ratio(problem, r)
+        return math.inf if found is None else found[0]
 
-    outcomes: list[RestartOutcome] = []
-    best_idx = -1
-    best_key: tuple[float, int] | None = None
-    for k, raw0 in enumerate(starts):
-        x = problem.project(raw0)
-        for rho in RHO_SCHEDULE:
-
-            def objective(raw: np.ndarray, rho=rho) -> float:
-                theta = problem.project(raw)
-                acc, sens, _ = _gaussian_ml_eval(theta, problem.p0, problem.norm)
-                excess = float(np.sum((raw - theta) ** 2))
-                return sens + rho * (acc - problem.gamma) ** 2 + (1e2 + rho) * excess
-
-            res = minimize(
-                objective, x, method="Nelder-Mead",
-                options={"maxiter": nm_maxiter, "xatol": 1e-10, "fatol": 1e-14},
-            )
-            x = res.x
-        theta = problem.project(x)
-        polished = _restore_accuracy(problem, theta)
-        if polished is not None:
-            theta = polished
-        acc, sens, roots = _gaussian_ml_eval(theta, problem.p0, problem.norm)
-        feasible = abs(acc - problem.gamma) <= FEASIBILITY_TOL
-        box_active = bool(np.any(np.abs(x - theta) > 1e-12))
-        outcomes.append(
-            RestartOutcome(
-                tuple(float(v) for v in raw0),
-                tuple(float(v) for v in theta),
-                float(acc), float(sens), feasible, box_active,
-            )
-        )
-        if feasible and (best_key is None or (sens, k) < best_key):
-            best_key = (sens, k)
-            best_idx = k
-    if best_idx < 0:
+    _, r, feasible = _scan_min(sens_at, grid)
+    found = _design_at_ratio(problem, r)
+    if found is None:
         raise InfeasibleTargetError(
-            f"no restart reached accuracy {problem.gamma!r} within {FEASIBILITY_TOL}"
+            f"no design inside the box reaches accuracy {problem.gamma!r}"
         )
-    chosen = outcomes[best_idx]
-    _, _, roots = _gaussian_ml_eval(np.asarray(chosen.theta), problem.p0, problem.norm)
+    _, d, sigma0 = found
+    theta = problem._place(d, r, sigma0)
+    acc, sens, roots = _gaussian_ml_eval(theta, problem.p0, problem.norm)
     return DesignResult(
-        chosen.theta, chosen.sensitivity, chosen.accuracy, tuple(roots),
-        problem.gamma, problem.norm, tuple(outcomes),
+        theta, sens, acc, roots, problem.gamma, problem.norm, problem.p0,
+        DesignScan(d, r, len(grid), feasible),
     )
 
 
-def gamma_sweep(
-    box: ParamDesignProblem,
-    gammas,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-) -> list[DesignResult]:
+def gamma_sweep(box: ParamDesignProblem, gammas) -> list[DesignResult]:
     """Design at each accuracy level of a sweep, sharing the box."""
-    results = []
-    for gamma in gammas:
-        problem = ParamDesignProblem(
-            bounds=box.bounds, gamma=float(gamma), norm=box.norm,
-            mean_gap_max=box.mean_gap_max, ordered_sigmas=box.ordered_sigmas, p0=box.p0,
-        )
-        results.append(design_params(problem, restarts=restarts, seed=seed))
-    return results
+    return [design_params(dataclasses.replace(box, gamma=float(g))) for g in gammas]
 
 
 def sweep_csv_text(results: list[DesignResult]) -> str:

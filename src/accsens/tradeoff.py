@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .boundary_solver import default_search_interval, ml_boundaries
+from .boundary_solver import _phi_cdf, _phi_pdf, default_search_interval, ml_boundaries
 from .classifier import (
     Norm,
     Orientation,
@@ -57,17 +57,6 @@ DEFAULT_STAGE1 = (600, 600)
 REFINE_CANDIDATES = 5
 DESCENT_MAX_ITERS = 200
 DESCENT_MIN_STEP = 1e-10
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _phi_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def _phi_pdf(z: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
 @dataclass(frozen=True)

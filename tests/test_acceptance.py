@@ -359,7 +359,7 @@ def test_criterion_10_design_sweep_properties():
     # rises there; see the design module tests for that regime.
     t0 = time.perf_counter()
     gammas = np.linspace(0.65, 0.99, 20)
-    results = gamma_sweep(fig3_box(float(gammas[0])), gammas, restarts=30, seed=0)
+    results = gamma_sweep(fig3_box(float(gammas[0])), gammas)
     elapsed = time.perf_counter() - t0
     sens = np.array([r.sensitivity for r in results])
     dmu = np.array([abs(r.theta[2] - r.theta[0]) for r in results])
@@ -389,8 +389,7 @@ def test_criterion_11_seeded_commands_are_reproducible(tmp_path):
         ("simulate", ["simulate", "--problem", "table1.json", "--scenario", "s1",
                       "--classifier", "ml:1.0", "--n-obs", "1000", "--n-trials", "5",
                       "--seed", "11"]),
-        ("design", ["design", "--box", "fig3.json", "--gamma", "0.8", "--restarts", "4",
-                    "--seed", "2"]),
+        ("design", ["design", "--box", "fig3.json", "--gamma", "0.8"]),
         ("reproduce", ["reproduce", "table1", "--seed", "13"]),
     ]
     for name, argv in jobs:

@@ -128,8 +128,7 @@ class TestSimulateCommand:
 class TestDesignCommand:
     def test_single_gamma(self, tmp_path, capsys):
         assert run_cli(
-            "design", "--box", "fig3.json", "--gamma", "0.8",
-            "--restarts", "6", "--out", str(tmp_path),
+            "design", "--box", "fig3.json", "--gamma", "0.8", "--out", str(tmp_path),
         ) == 0
         assert "gamma=0.8000" in capsys.readouterr().out
         text = (tmp_path / "design.csv").read_text()
@@ -141,7 +140,20 @@ class TestDesignCommand:
         box.write_text(
             '{"bounds": [[0.0, 0.0], [3.0, 4.0], [0.0, 1.0], [3.0, 4.0]], "gamma": 0.5}'
         )
-        assert run_cli("design", "--box", str(box), "--gamma", "0.99", "--restarts", "4") == 3
+        assert run_cli("design", "--box", str(box), "--gamma", "0.99") == 3
+
+    @pytest.mark.parametrize(
+        "change", [{"p0": 0}, {"bounds": [[0, 0], [0.1, "wide"], [0, 40], [0.1, 15]]}]
+    )
+    def test_invalid_box_exits_2(self, tmp_path, capsys, change):
+        box = tmp_path / "box.json"
+        spec = {
+            "bounds": [[0.0, 0.0], [0.1, 15.0], [0.0, 40.0], [0.1, 15.0]],
+            "gamma": 0.9, "mean_gap_max": 40.0, "ordered_sigmas": True, "p0": 0.5,
+        }
+        box.write_text(json.dumps({**spec, **change}))
+        assert run_cli("design", "--box", str(box), "--gamma", "0.8") == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestReproduce:

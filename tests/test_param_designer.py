@@ -1,20 +1,28 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from accsens.boundary_solver import ml_boundaries
 from accsens.classifier import (
     GeneralSpec,
     BoundarySet,
+    MLSpec,
+    Norm,
     Orientation,
     accuracy,
     region_accuracy,
+    sensitivity,
 )
 from accsens.densities import DensityModel, HypothesisPair
-from accsens.errors import InfeasibleTargetError, InvalidParameterError
+from accsens.errors import InfeasibleTargetError, InvalidParameterError, SchemaError
 from accsens.param_designer import (
     ParamDesignProblem,
+    _gaussian_ml_eval,
     design_params,
     exponential_law,
     fig3_box,
@@ -141,6 +149,27 @@ class TestDesign:
             ParamDesignProblem(bounds=((0, 0), (0, 1), (0, 1), (0.1, 1)), gamma=0.8)
         with pytest.raises(InvalidParameterError):
             fig3_box(0.4)
+        for p0 in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(InvalidParameterError):
+                dataclasses.replace(fig3_box(0.8), p0=p0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"bounds": [[0, 0], [0.1, "wide"], [0, 40], [0.1, 15]]},
+            {"bounds": [[0, 0], [0.1, 15], [0, 40]] + [[0.1]]},
+            {"bounds": "fig3"},
+            {"gamma": "high"},
+            {"mean_gap_max": [40]},
+            {"p0": None},
+            {"norm": "l7"},
+            {"ordered_sigmas": "yes"},
+        ],
+    )
+    def test_from_dict_rejects_malformed_values(self, change):
+        spec = {**fig3_box(0.8).to_dict(), **change}
+        with pytest.raises(SchemaError):
+            ParamDesignProblem.from_dict(spec)
 
     def test_feasibility_guard(self):
         # a cramped box cannot reach accuracy 0.99
@@ -149,11 +178,11 @@ class TestDesign:
         )
         assert max_accuracy(box) < 0.95
         with pytest.raises(InfeasibleTargetError):
-            design_params(box, restarts=4)
+            design_params(box)
 
     def test_single_design_is_feasible_and_consistent(self):
         problem = fig3_box(0.9)
-        result = design_params(problem, restarts=10, seed=0)
+        result = design_params(problem)
         assert abs(result.accuracy - 0.9) <= 1e-5
         # verify against the library pipeline on the designed pair
         assert accuracy(
@@ -164,15 +193,25 @@ class TestDesign:
         assert np.all(np.asarray(result.theta) >= lo - 1e-12)
         assert np.all(np.asarray(result.theta) <= hi + 1e-12)
         assert result.theta[3] <= result.theta[1] + 1e-12
+        # the scan record names the optimum's shape
+        assert result.scan.feasible > 0
+        assert result.scan.d == pytest.approx((result.theta[2] - result.theta[0]) / result.theta[1])
+        assert result.scan.r == pytest.approx(result.theta[3] / result.theta[1])
+
+    def test_pair_carries_the_prior(self):
+        result = design_params(dataclasses.replace(fig3_box(0.8), p0=0.3))
+        assert result.pair.p0 == 0.3
+        assert accuracy(MLSpec(1.0), result.pair) == pytest.approx(result.accuracy, abs=1e-9)
+        assert abs(result.accuracy - 0.8) <= 1e-9
 
     def test_chance_target_trivial(self):
         problem = fig3_box(0.5)
-        result = design_params(problem, restarts=6, seed=0)
+        result = design_params(problem)
         assert result.sensitivity <= 1e-6
 
     def test_sweep_monotonicity_small(self):
         gammas = [0.6, 0.75, 0.9]
-        results = gamma_sweep(fig3_box(gammas[0]), gammas, restarts=8, seed=0)
+        results = gamma_sweep(fig3_box(gammas[0]), gammas)
         sens = [r.sensitivity for r in results]
         assert sens[0] >= sens[1] - 1e-4 and sens[1] >= sens[2] - 1e-4
         text = sweep_csv_text(results)
@@ -181,9 +220,10 @@ class TestDesign:
 
     def test_determinism(self):
         problem = fig3_box(0.8)
-        a = design_params(problem, restarts=6, seed=3)
-        b = design_params(problem, restarts=6, seed=3)
+        a = design_params(problem)
+        b = design_params(problem)
         assert a.theta == b.theta and a.sensitivity == b.sensitivity
+        assert a.to_dict() == b.to_dict()
 
     def test_low_gamma_optimum_uses_unequal_widths(self):
         # Below accuracy ~0.64 the true optimum leaves the equal-width family:
@@ -192,11 +232,102 @@ class TestDesign:
         # scans over (sigma0, sigma1) with the separation root-solved per cell;
         # the designed minimum therefore rises with gamma on this stretch
         # before the equal-width branch takes over and falls monotonically.
-        low = design_params(fig3_box(0.55), restarts=16, seed=0)
-        mid = design_params(fig3_box(0.6426), restarts=16, seed=0)
+        low = design_params(fig3_box(0.55))
+        mid = design_params(fig3_box(0.6426))
         assert low.theta[3] < low.theta[1] - 0.5  # strictly unequal widths
         assert low.sensitivity < mid.sensitivity - 5e-4
         # equal-width law value at the cap width; the unequal design beats it
         z = 0.12566134685507405  # standard normal quantile of 0.55
         law = math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi) / 30.0
         assert low.sensitivity < law - 1e-3
+
+
+def _grid_designs(box: ParamDesignProblem, n: int):
+    """Brute force without the shape argument: for each (sigma0, sigma1) cell
+    of a coarse grid, root-solve mu1 (mu0 pinned at its bound) so that the
+    maximum-accuracy classifier reaches gamma; yields (sensitivity, theta)."""
+    mu0 = box.bounds[0][0]
+    mu1_lo, mu1_hi = box.bounds[2]
+    for s0 in np.linspace(*box.bounds[1], n):
+        for s1 in np.linspace(*box.bounds[3], n):
+            if box.ordered_sigmas and s1 > s0:
+                continue
+
+            def defect(mu1):
+                return _gaussian_ml_eval((mu0, s0, mu1, s1), box.p0, box.norm)[0] - box.gamma
+
+            lo, hi = max(mu1_lo, mu0), min(mu1_hi, mu0 + box.mean_gap_max)
+            if defect(lo) > 0 or defect(hi) < 0:
+                continue
+            mu1 = brentq(defect, lo, hi, xtol=1e-13)
+            yield _gaussian_ml_eval((mu0, s0, mu1, s1), box.p0, box.norm)[1], (mu0, s0, mu1, s1)
+
+
+class TestShapeReduction:
+    """The invariances the exact design solver rests on, as properties over
+    random Gaussian pairs and priors, plus brute-force references."""
+
+    widths = st.floats(0.2, 6.0)
+    means = st.floats(-6.0, 6.0)
+    priors = st.floats(0.2, 0.8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(means, widths, means, widths, priors, st.floats(-20.0, 20.0), st.floats(0.05, 20.0))
+    def test_translation_and_scaling(self, mu0, s0, mu1, s1, p0, shift, scale):
+        moved = (scale * mu0 + shift, scale * s0, scale * mu1 + shift, scale * s1)
+        # Float rounding may merge two means a few ulps apart; an identical
+        # pair has no boundary and so no sensitivity, a distinct one has both.
+        assume((moved[0] == moved[2]) == (mu0 == mu1))
+        acc, _, _ = _gaussian_ml_eval((mu0, s0, mu1, s1), p0, Norm.INF)
+        assert _gaussian_ml_eval(moved, p0, Norm.INF)[0] == pytest.approx(acc, abs=1e-9)
+        # Near a tangential double root the two roots are fixed only to
+        # sqrt(eps) and the sensitivity is of the order of their gap.
+        for norm in Norm:
+            sens = _gaussian_ml_eval((mu0, s0, mu1, s1), p0, norm)[1]
+            assert _gaussian_ml_eval(moved, p0, norm)[1] * scale == pytest.approx(
+                sens, rel=1e-8, abs=1e-8
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.0, 8.0), st.floats(0.0, 8.0), st.floats(0.05, 5.0), priors)
+    def test_accuracy_even_and_monotone_in_separation(self, d1, d2, r, p0):
+        def acc(d):
+            return _gaussian_ml_eval((0.0, 1.0, d, r), p0, Norm.INF)[0]
+
+        assert acc(-d1) == pytest.approx(acc(d1), abs=1e-12)
+        near, far = sorted((d1, d2))
+        assert acc(near) <= acc(far) + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(means, widths, means, widths, priors)
+    def test_kernel_matches_public_pipeline(self, mu0, s0, mu1, s1, p0):
+        acc, _, roots = _gaussian_ml_eval((mu0, s0, mu1, s1), p0, Norm.INF)
+        pair = HypothesisPair(DensityModel.gaussian(mu0, s0), DensityModel.gaussian(mu1, s1), p0)
+        report = ml_boundaries(pair, 1.0)
+        assert roots == report.roots
+        if not roots:  # a single region: the larger prior wins everywhere
+            assert acc == max(p0, 1.0 - p0)
+            return
+        assert accuracy(MLSpec(1.0), pair) == pytest.approx(acc, abs=1e-12)
+        for norm in Norm:
+            sens = _gaussian_ml_eval((mu0, s0, mu1, s1), p0, norm)[1]
+            assert sensitivity(MLSpec(1.0), pair, norm) == pytest.approx(sens, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma,norm", [(0.55, Norm.INF), (0.9, Norm.TWO)])
+    def test_design_not_beaten_by_brute_force_grid(self, gamma, norm):
+        box = fig3_box(gamma, norm)
+        best_grid = min(_grid_designs(box, 31))[0]
+        result = design_params(box)
+        assert result.sensitivity <= best_grid * (1.0 + 1e-9)
+
+    def test_max_accuracy_not_below_brute_force_grid(self):
+        box = ParamDesignProblem(
+            bounds=((0.0, 0.0), (3.0, 4.0), (0.0, 1.0), (3.0, 4.0)), gamma=0.99
+        )
+        best_grid = max(
+            _gaussian_ml_eval((0.0, s0, mu1, s1), box.p0, box.norm)[0]
+            for s0 in np.linspace(3.0, 4.0, 21)
+            for s1 in np.linspace(3.0, 4.0, 21)
+            for mu1 in np.linspace(0.0, 1.0, 21)
+        )
+        assert max_accuracy(box) >= best_grid - 1e-12
