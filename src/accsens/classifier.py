@@ -25,7 +25,12 @@ from typing import Sequence, Union
 import numpy as np
 
 from .densities import HypothesisPair
-from .errors import InvalidParameterError, SchemaError, UnresolvedClassifierError
+from .errors import (
+    InvalidParameterError,
+    SchemaError,
+    SolverFailureError,
+    UnresolvedClassifierError,
+)
 
 
 class Label(IntEnum):
@@ -122,6 +127,23 @@ def spec_to_dict(spec: ClassifierSpec) -> dict:
     return {"kind": "linear", "y": spec.y, "orientation": spec.orientation.value}
 
 
+def _orientation(obj: dict) -> Orientation:
+    value = obj.get("orientation", "h0_first")
+    try:
+        return Orientation(value)
+    except ValueError:
+        raise SchemaError(
+            f"unknown orientation {value!r} in classifier spec (expected h0_first|h1_first)"
+        ) from None
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"non-numeric {what} {value!r} in classifier spec") from None
+
+
 def spec_from_dict(obj: dict) -> ClassifierSpec:
     if not isinstance(obj, dict):
         raise SchemaError("classifier spec must be an object")
@@ -130,24 +152,23 @@ def spec_from_dict(obj: dict) -> ClassifierSpec:
         unknown = set(obj) - {"kind", "boundaries", "orientation"}
         if unknown:
             raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in classifier spec")
-        return GeneralSpec(
-            BoundarySet(
-                tuple(float(b) for b in obj.get("boundaries", ())),
-                Orientation(obj.get("orientation", "h0_first")),
-            )
-        )
+        raw = obj.get("boundaries", ())
+        if not isinstance(raw, (list, tuple)):
+            raise SchemaError("classifier spec key 'boundaries' must be a list")
+        boundaries = tuple(_number(b, "boundary") for b in raw)
+        return GeneralSpec(BoundarySet(boundaries, _orientation(obj)))
     if kind == "ml":
         unknown = set(obj) - {"kind", "eta"}
         if unknown:
             raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in classifier spec")
-        return MLSpec(float(obj.get("eta", 1.0)))
+        return MLSpec(_number(obj.get("eta", 1.0), "threshold"))
     if kind == "linear":
         unknown = set(obj) - {"kind", "y", "orientation"}
         if unknown:
             raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in classifier spec")
         if "y" not in obj:
             raise SchemaError("linear classifier spec missing key 'y'")
-        return LinearSpec(float(obj["y"]), Orientation(obj.get("orientation", "h0_first")))
+        return LinearSpec(_number(obj["y"], "boundary"), _orientation(obj))
     raise SchemaError(f"unknown classifier kind {kind!r}")
 
 
@@ -187,7 +208,10 @@ def region_accuracy(pair: HypothesisPair, boundaries: Sequence[float], orientati
     acc = pair.p0 * float(np.sum(mass0[start0::2])) + pair.p1 * float(
         np.sum(mass1[1 - start0 :: 2])
     )
-    assert -1e-12 <= acc <= 1.0 + 1e-12, f"accuracy {acc} escaped [0, 1]"
+    if not -1e-12 <= acc <= 1.0 + 1e-12:
+        raise SolverFailureError(
+            f"accuracy {acc!r} escaped [0, 1]; the model cdfs are inconsistent"
+        )
     return acc
 
 

@@ -212,10 +212,7 @@ def _curve_for(kind: str, pair: HypothesisPair, args):
 
     acc_max = region_accuracy(pair, base.roots, base.orientation)
     zetas = np.linspace(0.5, acc_max, args.zeta_steps)
-    return general_curve(
-        pair, zetas, n_boundaries=args.n_boundaries, norm=norm,
-        stage1_shape=(args.stage1, args.stage1),
-    )
+    return general_curve(pair, zetas, n_boundaries=args.n_boundaries, norm=norm)
 
 
 def _cmd_curve(args) -> int:
@@ -229,7 +226,6 @@ def _cmd_curve(args) -> int:
             "eta": [args.eta_min, args.eta_max, args.eta_steps],
             "y_steps": args.y_steps,
             "zeta_steps": args.zeta_steps,
-            "stage1": args.stage1,
             "n_boundaries": args.n_boundaries,
         },
         "metadata": curve.metadata,
@@ -281,11 +277,21 @@ def _cmd_simulate(args) -> int:
         perturbation = SCENARIOS[args.scenario]
     elif args.perturbation:
         obj = _load_json_file(args.perturbation)
+        if not isinstance(obj, dict):
+            raise SchemaError("perturbation spec must be an object")
         known = {"mu_bar_0", "sigma_bar_0", "mu_bar_1", "sigma_bar_1"}
         unknown = set(obj) - known
         if unknown:
             raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in perturbation spec")
-        perturbation = PerturbationSpec(**{k: float(v) for k, v in obj.items()})
+        shifts = {}
+        for key, value in obj.items():
+            try:
+                shifts[key] = float(value)
+            except (TypeError, ValueError):
+                raise SchemaError(
+                    f"perturbation key {key!r} holds a non-numeric value {value!r}"
+                ) from None
+        perturbation = PerturbationSpec(**shifts)
     else:
         raise SchemaError("simulate needs --scenario or --perturbation")
     report = run_experiment(
@@ -384,7 +390,7 @@ def _reproduce_curves(pair: HypothesisPair, norm: Norm, out: Path, tag: str, see
         "problem": pair.to_dict(),
         "norm": norm.value,
         "seed": seed,
-        "grids": {"eta_steps": 400, "y_steps": 2001, "zeta_steps": 60, "stage1": 600},
+        "grids": {"eta_steps": 400, "y_steps": 2001, "zeta_steps": 60},
     }
     for kind, curve in curves.items():
         _write_text(
@@ -564,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-steps", type=int, default=400)
     p.add_argument("--y-steps", type=int, default=2001)
     p.add_argument("--zeta-steps", type=int, default=60)
-    p.add_argument("--stage1", type=int, default=600, help="stage-1 grid resolution per axis")
     p.add_argument("--n-boundaries", type=int, default=2)
     p.add_argument("--format", default="csv", help="comma list of csv,json,svg")
     p.set_defaults(fn=_cmd_curve)

@@ -365,8 +365,16 @@ class DensityModel:
         missing = set(names) - set(params)
         if missing:
             raise SchemaError(f"missing parameter {sorted(missing)[0]!r} for family {family.value!r}")
-        values = tuple(float(params[n]) for n in names)
-        return DensityModel(family, values, spec)
+        values = []
+        for n in names:
+            try:
+                values.append(float(params[n]))
+            except (TypeError, ValueError):
+                raise SchemaError(
+                    f"parameter {n!r} for family {family.value!r} holds a non-numeric "
+                    f"value {params[n]!r}"
+                ) from None
+        return DensityModel(family, tuple(values), spec)
 
 
 @dataclass(frozen=True)

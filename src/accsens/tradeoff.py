@@ -7,15 +7,19 @@ Three sweeps produce comparable curves for one hypothesis pair:
 * ``general_curve`` - for each accuracy level zeta, the boundary set of the
   requested size with the smallest sensitivity subject to accuracy == zeta.
 
-The constrained minimum is nonconvex.  For two boundaries it is solved
-deterministically in two stages: a dense accuracy grid over (y1, y2) whose
-level set is extracted by marching-squares edge interpolation, then projected
-coordinate descent from the best contour vertices (perturb one boundary,
-restore the accuracy equality by one-dimensional root finding on the other,
-accept on sensitivity decrease).  Matched-accuracy candidates from the ratio
-and single-boundary families are seeded in as well, so their curves can never
-undercut the general one.  For more than two boundaries a multistart penalty
-simplex search is used instead and the result is flagged best-effort.
+The constrained minimum is nonconvex.  For two boundaries it is solved by an
+exact, deterministic scan of the accuracy level set's one-dimensional
+branches.  With the orientation fixed, accuracy separates as G(y1) - G(y2),
+and G is monotone between consecutive unit-threshold ratio roots; so for each
+grid value of one boundary the other has at most one solution per segment.
+Every branch is bisected at every grid point at once, in both
+parametrizations (grid in y1 solving y2, grid in y2 solving y1), sensitivity
+is evaluated on all branch points, and each branch's grid minimum is polished
+by bounded Brent.  The grid reaches out to the saturation points where both
+cdfs read exactly 0 and 1, so every single-boundary classifier and every
+matched ratio classifier lies on a scanned branch: neither curve can undercut
+the general one.  For more than two boundaries a multistart penalty simplex
+search is used instead and the result is flagged best-effort.
 
 Every point on a returned curve satisfies its accuracy target to 1e-6;
 points whose refinement misses the target are dropped and counted in the
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .boundary_solver import _phi_cdf, _phi_pdf, default_search_interval, ml_boundaries
 from .classifier import (
@@ -53,10 +57,13 @@ RESTORE_XTOL = 1e-13
 DEFAULT_ETA_GRID = (1e-3, 1e3, 400)
 DEFAULT_Y_POINTS = 2001
 DEFAULT_ZETA_POINTS = 60
-DEFAULT_STAGE1 = (600, 600)
-REFINE_CANDIDATES = 5
-DESCENT_MAX_ITERS = 200
-DESCENT_MIN_STEP = 1e-10
+#: Doubling steps of the outward walk to the saturation points.
+SATURATION_STEPS = 64
+#: Brent polish along a branch: tolerance of the first run relative to the
+#: polished cells, and absolute tolerance of the second run (in the offset).
+COARSE_XTOL = 1e-6
+POLISH_XATOL = 1e-12
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -220,261 +227,218 @@ def linear_curve(
 
 
 # ---- constrained minimum for two boundaries ----
+#
+# For a fixed orientation the two-boundary accuracy separates:
+#
+#     acc(y1, y2) = base + s (G(y1) - G(y2)),    G(y) = p0 F0(y) - p1 F1(y),
+#
+# with s = +1, base = p0 for H0_FIRST and s = -1, base = p1 for H1_FIRST.
+# G' = p0 f0 - p1 f1 changes sign only at the unit-threshold ratio roots, so G
+# is monotone between consecutive roots: for a fixed partner, the level set
+# G(y1) - G(y2) = d has at most one point per such segment.  Sensitivity is
+# the norm of the parameter gradient, which the orientation only negates.
 
 
-class _PairGrid:
-    """Precomputed axis cdfs and the accuracy surface over (y1, y2).
+def _gap(pair: HypothesisPair, y: np.ndarray) -> np.ndarray:
+    """G(y) = p0 F0(y) - p1 F1(y) on an array, one cdf call per density."""
+    return pair.p0 * np.asarray(pair.h0.cdf(y)) - pair.p1 * np.asarray(pair.h1.cdf(y))
 
-    For Gaussian pairs the scalar accuracy/sensitivity evaluations used by
-    the inner descent loop bypass the array machinery; the formulas are the
-    same ones the generic path evaluates, so the fast path never changes the
-    result beyond float rounding.
-    """
 
-    def __init__(self, pair: HypothesisPair, orientation: Orientation, lo: float, hi: float, shape):
-        self.pair = pair
-        self.orientation = orientation
-        self.lo, self.hi = lo, hi
-        nx = shape[0]
-        self.axis = np.linspace(lo, hi, nx)
-        f0 = np.atleast_1d(pair.h0.cdf(self.axis))
-        f1 = np.atleast_1d(pair.h1.cdf(self.axis))
-        acc = pair.p0 * (f0[:, None] - f0[None, :] + 1.0) + pair.p1 * (f1[None, :] - f1[:, None])
-        if orientation is Orientation.H1_FIRST:
-            acc = 1.0 - acc
-        self.acc = acc  # acc[i, j] for y1 = axis[i] <= y2 = axis[j]
-        self.valid = np.triu(np.ones_like(acc, dtype=bool))
-        self._gauss = (
-            pair.h0.family is Family.GAUSSIAN and pair.h1.family is Family.GAUSSIAN
+def _sens_many(pair: HypothesisPair, y1: np.ndarray, y2: np.ndarray, norm: Norm) -> np.ndarray:
+    """Sensitivity of the boundary pairs (y1, y2), either orientation."""
+    g0 = np.atleast_2d(pair.h0.grad_cdf_params(y1)) - np.atleast_2d(pair.h0.grad_cdf_params(y2))
+    g1 = np.atleast_2d(pair.h1.grad_cdf_params(y1)) - np.atleast_2d(pair.h1.grad_cdf_params(y2))
+    grad = np.concatenate([pair.p0 * g0, pair.p1 * g1], axis=0)
+    if norm is Norm.INF:
+        return np.max(np.abs(grad), axis=0)
+    return np.sqrt(np.sum(grad * grad, axis=0))
+
+
+def _scalar_kernels(pair: HypothesisPair, norm: Norm):
+    """Scalar G(y) and sensitivity(y1, y2) for the polish.  Gaussian pairs use
+    plain float math with the formulas of the array path."""
+    if not (pair.h0.family is Family.GAUSSIAN and pair.h1.family is Family.GAUSSIAN):
+        return (
+            lambda y: float(_gap(pair, y)),
+            lambda y1, y2: float(_sens_many(pair, np.asarray([y1]), np.asarray([y2]), norm)[0]),
         )
+    p0, p1 = pair.p0, pair.p1
+    mu0, s0 = pair.h0.params
+    mu1, s1 = pair.h1.params
 
-    def accuracy(self, y1: float, y2: float) -> float:
-        if self._gauss:
-            mu0, s0 = self.pair.h0.params
-            mu1, s1 = self.pair.h1.params
-            c0 = _phi_cdf((y1 - mu0) / s0) - _phi_cdf((y2 - mu0) / s0) + 1.0
-            c1 = _phi_cdf((y2 - mu1) / s1) - _phi_cdf((y1 - mu1) / s1)
-            acc = self.pair.p0 * c0 + self.pair.p1 * c1
-            return acc if self.orientation is Orientation.H0_FIRST else 1.0 - acc
-        return region_accuracy(self.pair, (y1, y2), self.orientation)
+    def gap(y: float) -> float:
+        return p0 * _phi_cdf((y - mu0) / s0) - p1 * _phi_cdf((y - mu1) / s1)
 
-    def sens_many(self, y1: np.ndarray, y2: np.ndarray, norm: Norm) -> np.ndarray:
-        g0a = np.atleast_2d(self.pair.h0.grad_cdf_params(y1))
-        g0b = np.atleast_2d(self.pair.h0.grad_cdf_params(y2))
-        g1a = np.atleast_2d(self.pair.h1.grad_cdf_params(y1))
-        g1b = np.atleast_2d(self.pair.h1.grad_cdf_params(y2))
-        grad = np.concatenate(
-            [self.pair.p0 * (g0a - g0b), -self.pair.p1 * (g1a - g1b)], axis=0
+    def sens(y1: float, y2: float) -> float:
+        z01, z02 = (y1 - mu0) / s0, (y2 - mu0) / s0
+        z11, z12 = (y1 - mu1) / s1, (y2 - mu1) / s1
+        f01, f02 = _phi_pdf(z01) / s0, _phi_pdf(z02) / s0
+        f11, f12 = _phi_pdf(z11) / s1, _phi_pdf(z12) / s1
+        g = (
+            p0 * (f02 - f01),
+            p0 * (z02 * f02 - z01 * f01),
+            p1 * (f11 - f12),
+            p1 * (z11 * f11 - z12 * f12),
         )
-        if self.orientation is Orientation.H1_FIRST:
-            grad = -grad
         if norm is Norm.INF:
-            return np.max(np.abs(grad), axis=0)
-        return np.sqrt(np.sum(grad * grad, axis=0))
+            return max(abs(v) for v in g)
+        return math.sqrt(sum(v * v for v in g))
 
-    def sensitivity(self, y1: float, y2: float, norm: Norm) -> float:
-        if self._gauss:
-            p0, p1 = self.pair.p0, self.pair.p1
-            mu0, s0 = self.pair.h0.params
-            mu1, s1 = self.pair.h1.params
-            z01, z02 = (y1 - mu0) / s0, (y2 - mu0) / s0
-            z11, z12 = (y1 - mu1) / s1, (y2 - mu1) / s1
-            f01, f02 = _phi_pdf(z01) / s0, _phi_pdf(z02) / s0
-            f11, f12 = _phi_pdf(z11) / s1, _phi_pdf(z12) / s1
-            g = (
-                p0 * (f02 - f01),
-                p0 * (z02 * f02 - z01 * f01),
-                p1 * (f11 - f12),
-                p1 * (z11 * f11 - z12 * f12),
-            )
-            if norm is Norm.INF:
-                return max(abs(v) for v in g)
-            return math.sqrt(sum(v * v for v in g))
-        return float(self.sens_many(np.asarray([y1]), np.asarray([y2]), norm)[0])
-
-    def level_vertices(self, zeta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Marching-squares edge crossings of the accuracy level set."""
-        d = self.acc - zeta
-        y1s: list[np.ndarray] = []
-        y2s: list[np.ndarray] = []
-        dx = self.axis[1] - self.axis[0]
-        # horizontal edges: (i, j) -> (i, j+1)
-        cross = (d[:, :-1] * d[:, 1:] < 0) & self.valid[:, :-1] & self.valid[:, 1:]
-        ii, jj = np.nonzero(cross)
-        if ii.size:
-            t = d[ii, jj] / (d[ii, jj] - d[ii, jj + 1])
-            y1s.append(self.axis[ii])
-            y2s.append(self.axis[jj] + t * dx)
-        # vertical edges: (i, j) -> (i+1, j)
-        cross = (d[:-1, :] * d[1:, :] < 0) & self.valid[:-1, :] & self.valid[1:, :]
-        ii, jj = np.nonzero(cross)
-        if ii.size:
-            t = d[ii, jj] / (d[ii, jj] - d[ii + 1, jj])
-            y1s.append(self.axis[ii] + t * dx)
-            y2s.append(self.axis[jj])
-        if not y1s:
-            return np.empty(0), np.empty(0)
-        y1 = np.concatenate(y1s)
-        y2 = np.concatenate(y2s)
-        keep = y1 <= y2
-        return y1[keep], y2[keep]
-
-    def restore(self, zeta: float, y1: float, y2_init: float, fix_y1: bool = True):
-        """Re-solve the accuracy equality in one coordinate near the start.
-
-        Returns the restored (y1, y2) or None when no bracket exists within
-        the grid interval.
-        """
-        if fix_y1:
-            fn = lambda t: self.accuracy(y1, t) - zeta
-            t0, t_lo, t_hi = y2_init, y1, self.hi
-        else:
-            fn = lambda t: self.accuracy(t, y2_init) - zeta
-            t0, t_lo, t_hi = y1, self.lo, y2_init
-        f0 = fn(t0)
-        if f0 == 0.0:
-            root = t0
-        else:
-            root = None
-            step = max(1e-9, (self.hi - self.lo) * 1e-6)
-            a = b = t0
-            fa = fb = f0
-            while step <= (self.hi - self.lo):
-                moved = False
-                if b < t_hi:
-                    nb = min(b + step, t_hi)
-                    fnb = fn(nb)
-                    if fnb == 0.0 or fnb * fb < 0:
-                        root = brentq(fn, b, nb, xtol=RESTORE_XTOL)
-                        break
-                    b, fb, moved = nb, fnb, True
-                if a > t_lo:
-                    na = max(a - step, t_lo)
-                    fna = fn(na)
-                    if fna == 0.0 or fna * fa < 0:
-                        root = brentq(fn, na, a, xtol=RESTORE_XTOL)
-                        break
-                    a, fa, moved = na, fna, True
-                step *= 2.0
-                if not moved and (a <= t_lo and b >= t_hi):
-                    break
-            if root is None:
-                return None
-        pt = (y1, float(root)) if fix_y1 else (float(root), y2_init)
-        if pt[0] > pt[1]:
-            return None
-        return pt
+    return gap, sens
 
 
-def _matched_eta_candidates(pair: HypothesisPair, zeta: float, orientation: Orientation):
-    """Boundary pairs of the ratio classifier whose accuracy equals zeta.
+def _saturation_points(pair: HypothesisPair, lo: float, hi: float) -> tuple[float, float]:
+    """(L*, H*) outside [lo, hi] where both cdfs read exactly 0 and exactly 1.
 
-    Accuracy rises toward the unit threshold from either side, so each branch
-    is bisected independently on log-eta.
+    The walk doubles its step outward from the interval and stops at a finite
+    support edge.  A boundary pinned there adds no mass, so the pairs (y, H*)
+    and (L*, y) are the single-boundary classifiers of both orientations.
     """
-    out = []
+    span = hi - lo
 
-    def acc_of(log_eta: float) -> float | None:
-        report = ml_boundaries(pair, math.exp(log_eta))
-        if len(report.roots) != 2 or report.orientation is not orientation:
-            return None
-        return region_accuracy(pair, report.roots, report.orientation)
-
-    for side in (-1.0, 1.0):
-        lo_l, hi_l = 0.0, 0.0
-        value = acc_of(0.0)
-        if value is None or value < zeta:
-            continue
-        # walk outward until accuracy drops below zeta or the roots vanish
-        step = 0.5
-        edge = None
-        while abs(hi_l) < 60.0:
-            hi_l = hi_l + side * step
-            value = acc_of(hi_l)
-            if value is None or value < zeta:
-                edge = hi_l
+    def walk(y: float, direction: float, level: float, edge: float) -> float:
+        step = span
+        for _ in range(SATURATION_STEPS):
+            if pair.h0.cdf(y) == level and pair.h1.cdf(y) == level:
                 break
-            lo_l = hi_l
-        if edge is None:
-            continue
+            y += direction * step
+            step *= 2.0
+            if direction * (y - edge) >= 0.0:
+                return edge
+        return y
 
-        def gap(log_eta: float) -> float:
-            value = acc_of(log_eta)
-            return (value - zeta) if value is not None else -1.0
-
-        try:
-            root = brentq(gap, min(lo_l, edge), max(lo_l, edge), xtol=1e-12)
-        except ValueError:
-            continue
-        report = ml_boundaries(pair, math.exp(root))
-        if len(report.roots) == 2 and report.orientation is orientation:
-            out.append(report.roots)
-    return out
+    edge_lo = min(pair.h0.support[0], pair.h1.support[0])
+    edge_hi = max(pair.h0.support[1], pair.h1.support[1])
+    return walk(lo, -1.0, 0.0, edge_lo), walk(hi, 1.0, 1.0, edge_hi)
 
 
-def _matched_linear_candidates(grid: _PairGrid, zeta: float) -> list[tuple[float, float]]:
-    """Near-single-boundary pairs at accuracy zeta: one boundary pinned at an
-    interval edge, where the other interval's density mass is negligible."""
-    out = []
-    axis = grid.axis
-    for pinned_hi in (True, False):
-        if pinned_hi:
-            acc_line = grid.acc[:, -1]  # y2 at hi, sweep y1
-        else:
-            acc_line = grid.acc[0, :]  # y1 at lo, sweep y2
-        d = acc_line - zeta
-        for i in np.nonzero(d[:-1] * d[1:] < 0)[0]:
-            if pinned_hi:
-                fn = lambda t: grid.accuracy(t, grid.hi) - zeta
-            else:
-                fn = lambda t: grid.accuracy(grid.lo, t) - zeta
+def _bisect_level(pair, lo, hi, g_lo, g_hi, target, scale):
+    """Bisect G(x) = target on all brackets at once; G is monotone on each."""
+    rising = g_hi >= g_lo
+    tol = 2.0 * np.finfo(float).eps
+    while np.any(hi - lo > tol * (np.abs(lo) + np.abs(hi) + scale)):
+        mid = 0.5 * (lo + hi)
+        right = (_gap(pair, mid) < target) == rising  # the root lies right of mid
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _branch_points(pair, ys, gs, cuts, d, scale):
+    """Level-set points G(y1) - G(y2) = d over the grid, both parametrizations.
+
+    Side 0 fixes y1 = ys[i] and solves y2 >= y1 on segment k; side 1 fixes
+    y2 = ys[i] and solves y1 <= y2.  Returns the boundary pairs and their
+    mask, each of shape (2, len(ys), segments).
+    """
+    i = np.arange(ys.size)[:, None]
+    seg_lo, seg_hi = cuts[None, :-1], cuts[None, 1:]
+    shape = (ys.size, cuts.size - 1)
+    a = np.stack([np.maximum(i, seg_lo), np.broadcast_to(seg_lo, shape)])
+    b = np.stack([np.broadcast_to(seg_hi, shape), np.minimum(i, seg_hi)])
+    target = np.broadcast_to(gs[None, :, None] + np.array([-d, d])[:, None, None], a.shape)
+    ok = (a < b) & ((gs[a] - target) * (gs[b] - target) <= 0.0)
+    x = np.zeros(a.shape)
+    x[ok] = _bisect_level(pair, ys[a[ok]], ys[b[ok]], gs[a[ok]], gs[b[ok]], target[ok], scale)
+    fixed = np.broadcast_to(ys[:, None], shape)
+    return np.stack([fixed, x[1]]), np.stack([x[0], fixed]), ok
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Half-open index ranges of the consecutive True entries."""
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    return list(zip(np.nonzero(edges == 1)[0].tolist(), np.nonzero(edges == -1)[0].tolist()))
+
+
+def _polish_branch(kernels, ys, partners, run, i, side, segment, d):
+    """Bounded Brent along one branch over the grid cells beside point i.
+
+    ``partners`` holds the branch's solved coordinate at each grid point of
+    the run.  Past the run's last grid point the branch goes on until its
+    partner reaches a segment end; the polish covers that part of the cell
+    too, so a branch shorter than one cell is polished as well.  Within a
+    cell the partner is monotone, so brentq brackets it by its values at the
+    ends of the polished part, else by the whole segment.  Returns
+    (sensitivity, y1, y2), or None when the branch is a single point.
+    """
+    gap, sens = kernels
+    start, stop = run
+    y0, x0 = ys[i], partners[i]
+    seg_lo, seg_hi = segment
+    sign = 1.0 if side else -1.0  # the partner's G is G(fixed) + sign * d
+
+    def reach(nb: int) -> tuple[float, float]:
+        """Offset towards grid point nb where the branch ends, and the
+        partner there."""
+        if start <= nb < stop:
+            return ys[nb] - y0, partners[nb]
+        if 0 <= nb < ys.size:
+            for end in segment:
+                level = gap(end) - sign * d
+                cell = sorted((y0, ys[nb]))
+                try:
+                    fixed = brentq(lambda v: gap(v) - level, *cell, xtol=RESTORE_XTOL)
+                except ValueError:
+                    continue
+                return fixed - y0, end
+        return 0.0, x0
+
+    (t_lo, x_lo), (t_hi, x_hi) = reach(i - 1), reach(i + 1)
+    if t_lo == t_hi:
+        return None
+
+    def ordered(fixed: float, v: float) -> tuple[float, float]:
+        return (fixed, v) if side == 0 else (v, fixed)
+
+    def solve(t: float) -> tuple[float, float] | None:
+        fixed = y0 + t
+        level = gap(fixed) + sign * d
+        end = x_lo if t < 0 else x_hi
+        whole = (max(fixed, seg_lo), seg_hi) if side == 0 else (seg_lo, min(fixed, seg_hi))
+        for a, b in ((min(x0, end), max(x0, end)), whole):
             try:
-                root = brentq(fn, axis[i], axis[i + 1], xtol=RESTORE_XTOL)
+                return ordered(fixed, brentq(lambda v: gap(v) - level, a, b, xtol=RESTORE_XTOL))
             except ValueError:
                 continue
-            out.append((float(root), grid.hi) if pinned_hi else (grid.lo, float(root)))
-    return out
+        return None
 
+    def objective(t: float) -> float:
+        pt = solve(t)
+        return math.inf if pt is None else sens(*pt)
 
-def _coordinate_descent(
-    grid: _PairGrid, zeta: float, start: tuple[float, float], norm: Norm
-) -> tuple[float, float, float]:
-    """Projected descent along the accuracy level set."""
-    y1, y2 = start
-    best = grid.sensitivity(y1, y2, norm)
-    h = 0.02 * (grid.hi - grid.lo)
-    iters = 0
-    while h > DESCENT_MIN_STEP and iters < DESCENT_MAX_ITERS:
-        iters += 1
-        improved = False
-        for move_y1, delta in ((True, h), (True, -h), (False, h), (False, -h)):
-            if move_y1:
-                cand = grid.restore(zeta, min(max(y1 + delta, grid.lo), grid.hi), y2, fix_y1=True)
-            else:
-                cand = grid.restore(zeta, y1, min(max(y2 + delta, grid.lo), grid.hi), fix_y1=False)
-            if cand is None:
-                continue
-            s = grid.sensitivity(cand[0], cand[1], norm)
-            if s < best - 1e-16:
-                y1, y2 = cand
-                best = s
-                improved = True
-                break
-        if not improved:
-            h *= 0.5
-    return y1, y2, best
+    # Brent runs on the offset from a reference point, because its tolerance
+    # has a term relative to the variable: a coarse run over the cells from
+    # the grid point, then a fine one from the coarse result (the fine
+    # tolerance matters at the kinks of the inf norm).  An unsolvable offset
+    # reads inf; Brent then takes golden-section steps, after numpy warns
+    # about the inf - inf in its parabola.
+    t, value = 0.0, math.inf
+    bounds, xatol = (t_lo, t_hi), COARSE_XTOL * (t_hi - t_lo)
+    for _ in range(2):
+        center = t
+        with np.errstate(invalid="ignore"):
+            res = minimize_scalar(
+                lambda u: objective(center + u), bounds=(bounds[0] - center, bounds[1] - center),
+                method="bounded", options={"xatol": xatol},
+            )
+        if res.fun < value:
+            t, value = center + float(res.x), float(res.fun)
+        width = 4.0 * (_SQRT_EPS * abs(t - center) + xatol / 3.0)
+        bounds, xatol = (max(t_lo, t - width), min(t_hi, t + width)), POLISH_XATOL
+    pt = solve(t)
+    return None if pt is None else (value, *pt)
 
 
 def constrained_min_sensitivity(
-    pair: HypothesisPair,
-    zeta: float,
-    norm: Norm = Norm.INF,
-    grid: _PairGrid | None = None,
-    stage1_shape=DEFAULT_STAGE1,
-    refine_k: int = REFINE_CANDIDATES,
-    extra_seeds: list[tuple[float, float]] | None = None,
+    pair: HypothesisPair, zeta: float, norm: Norm = Norm.INF
 ) -> TradeoffPoint:
-    """Minimum-sensitivity two-boundary classifier with accuracy == zeta."""
+    """Minimum-sensitivity two-boundary classifier with accuracy == zeta.
+
+    The level set is solved on every branch at every grid point, in both
+    parametrizations (each misses the points where its branches turn
+    vertical); each branch's grid minimum is polished by bounded Brent and
+    the better of the two is kept.
+    """
     base = ml_boundaries(pair, 1.0)
     if not base.roots:
         raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")
@@ -484,59 +448,61 @@ def constrained_min_sensitivity(
         raise InfeasibleTargetError(
             f"accuracy target {zeta!r} exceeds the attainable maximum {acc_max!r}"
         )
-    if grid is None:
-        lo, hi = default_search_interval(pair)
-        grid = _PairGrid(pair, orientation, lo, hi, stage1_shape)
+    lo, hi = default_search_interval(pair)
+    l_sat, h_sat = _saturation_points(pair, lo, hi)
 
-    # Saturated targets have exact closed answers: the maximum-accuracy point
-    # itself, and (at the single-region accuracy) a coincident pair whose
-    # gradient cancels identically.
-    if len(base.roots) == 2 and abs(zeta - acc_max) <= 1e-9:
-        y1, y2 = base.roots
-        return TradeoffPoint(
-            acc_max, grid.sensitivity(y1, y2, norm), (y1, y2), orientation, "constrained", zeta
-        )
+    def point(y1: float, y2: float) -> TradeoffPoint:
+        bounds = (float(y1), float(y2))
+        acc = region_accuracy(pair, bounds, orientation)
+        if abs(acc - zeta) > ACCURACY_TOL:
+            raise SolverFailureError(
+                f"refined point misses accuracy target: |{acc!r} - {zeta!r}| > {ACCURACY_TOL}"
+            )
+        sens = apply_norm(region_accuracy_gradient(pair, bounds, orientation), norm)
+        return TradeoffPoint(acc, sens, bounds, orientation, "constrained", zeta)
+
+    # Saturated targets have exact closed answers: at or above the maximum
+    # accuracy (within the feasibility slack), the maximum-accuracy point
+    # itself (a single root keeps its orientation with its partner at H*);
+    # at the single-region accuracy, a coincident pair whose gradient cancels
+    # identically.  Just below the maximum the level set is a small loop whose
+    # minimum moves like the square root of the accuracy gap, so those
+    # targets are solved.
+    if len(base.roots) <= 2 and zeta >= acc_max:
+        return point(*base.roots) if len(base.roots) == 2 else point(base.roots[0], h_sat)
     degenerate_acc = pair.p0 if orientation is Orientation.H0_FIRST else pair.p1
     if abs(zeta - degenerate_acc) <= 1e-12:
-        mid = 0.5 * (grid.lo + grid.hi)
+        mid = 0.5 * (lo + hi)
         return TradeoffPoint(
             degenerate_acc, 0.0, (mid, mid), orientation, "constrained", zeta
         )
 
-    y1v, y2v = grid.level_vertices(zeta)
-    cand1 = [(float(a), float(b)) for a, b in zip(y1v, y2v)]
-    seeds = list(extra_seeds or [])
-    if len(base.roots) == 2:
-        seeds += [tuple(r) for r in _matched_eta_candidates(pair, zeta, orientation)]
-    seeds += _matched_linear_candidates(grid, zeta)
-    restored = []
-    for c in cand1 + seeds:
-        fixed = grid.restore(zeta, c[0], c[1], fix_y1=True)
-        if fixed is None:
-            fixed = grid.restore(zeta, c[0], c[1], fix_y1=False)
-        if fixed is not None:
-            restored.append(fixed)
-    if not restored:
-        raise SolverFailureError(f"no feasible candidate found for accuracy target {zeta!r}")
+    grid = default_y_grid(pair)
+    ys = np.unique(np.concatenate([grid[(grid > l_sat) & (grid < h_sat)], [l_sat, h_sat]]))
+    gs = _gap(pair, ys)
+    cuts = np.searchsorted(ys, [l_sat, *(r for r in base.roots if l_sat < r < h_sat), h_sat])
+    d = (zeta - degenerate_acc) * (1.0 if orientation is Orientation.H0_FIRST else -1.0)
+    y1, y2, ok = _branch_points(pair, ys, gs, cuts, d, hi - lo)
+    if not ok.any():
+        raise SolverFailureError(f"no point of the accuracy level set found for target {zeta!r}")
+    s = np.full(ok.shape, math.inf)
+    s[ok] = _sens_many(pair, y1[ok], y2[ok], norm)
 
-    ys = np.asarray(restored)
-    sens = grid.sens_many(ys[:, 0], ys[:, 1], norm)
-    order = np.argsort(sens, kind="stable")[: max(1, refine_k)]
-    best_pt = None
-    best_s = math.inf
-    for idx in order:
-        y1, y2, s = _coordinate_descent(grid, zeta, (ys[idx, 0], ys[idx, 1]), norm)
-        if s < best_s:
-            best_s = s
-            best_pt = (y1, y2)
-    acc = float(grid.accuracy(best_pt[0], best_pt[1]))
-    if abs(acc - zeta) > ACCURACY_TOL:
-        raise SolverFailureError(
-            f"refined point misses accuracy target: |{acc!r} - {zeta!r}| > {ACCURACY_TOL}"
-        )
-    return TradeoffPoint(
-        acc, float(best_s), (float(best_pt[0]), float(best_pt[1])), orientation, "constrained", zeta
-    )
+    kernels = _scalar_kernels(pair, norm)
+    best = (math.inf, 0.0, 0.0)
+    for side, partners in ((0, y2), (1, y1)):
+        for k in range(cuts.size - 1):
+            for run in _runs(ok[side, :, k]):
+                i = run[0] + int(np.argmin(s[side, run[0]:run[1], k]))
+                grid_pt = (s[side, i, k], y1[side, i, k], y2[side, i, k])
+                segment = (ys[cuts[k]], ys[cuts[k + 1]])
+                polished = _polish_branch(
+                    kernels, ys, partners[side, :, k], run, i, side, segment, d
+                )
+                for cand in (grid_pt, polished):
+                    if cand is not None and cand[0] < best[0]:
+                        best = cand
+    return point(best[1], best[2])
 
 
 def _penalty_min_sensitivity(
@@ -616,8 +582,6 @@ def general_curve(
     zeta_grid: np.ndarray | None = None,
     n_boundaries: int = 2,
     norm: Norm = Norm.INF,
-    stage1_shape=DEFAULT_STAGE1,
-    interval: tuple[float, float] | None = None,
 ) -> TradeoffCurve:
     """Fundamental frontier: minimum sensitivity at each accuracy target."""
     base = ml_boundaries(pair, 1.0)
@@ -637,23 +601,13 @@ def general_curve(
     }
     points: list[TradeoffPoint] = []
     if n_boundaries == 2:
-        if interval is None:
-            interval = default_search_interval(pair)
-        grid = _PairGrid(pair, base.orientation, interval[0], interval[1], stage1_shape)
-        metadata["stage1_shape"] = list(stage1_shape)
-        carry: tuple[float, float] | None = None
-        for zeta in sorted(zeta_grid, reverse=True):  # warm-start downward in accuracy
+        for zeta in sorted(zeta_grid, reverse=True):
             try:
-                pt = constrained_min_sensitivity(
-                    pair, float(zeta), norm, grid=grid,
-                    extra_seeds=[carry] if carry else None,
-                )
+                pt = constrained_min_sensitivity(pair, float(zeta), norm)
             except (SolverFailureError, InfeasibleTargetError) as exc:
                 metadata["failed_zetas"].append({"zeta": float(zeta), "error": str(exc)})
                 continue
             points.append(pt)
-            if len(pt.boundaries) == 2:
-                carry = (pt.boundaries[0], pt.boundaries[1])
     else:
         metadata["best_effort"] = True
         for zeta in sorted(zeta_grid, reverse=True):

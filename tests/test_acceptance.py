@@ -212,16 +212,11 @@ def test_criterion_07_curve_dominance_and_kinks(table1_pair, inf_curves):
 
     # dominance at matched accuracies: re-solve the constrained minimum at
     # the exact accuracy of sampled ratio/linear points
-    from accsens.tradeoff import _PairGrid, default_search_interval
-    from accsens.classifier import Orientation
-
-    lo, hi = default_search_interval(table1_pair)
-    grid = _PairGrid(table1_pair, Orientation.H0_FIRST, lo, hi, (600, 600))
     checked = 0
     for point in list(ml.points[::8]) + list(lin.points[::64]):
         if not (0.5 < point.accuracy <= acc_max):
             continue
-        opt = constrained_min_sensitivity(table1_pair, point.accuracy, Norm.INF, grid=grid)
+        opt = constrained_min_sensitivity(table1_pair, point.accuracy, Norm.INF)
         assert opt.sensitivity <= point.sensitivity + 1e-6, (
             f"general optimum {opt.sensitivity} above {point.kind} point "
             f"{point.sensitivity} at accuracy {point.accuracy}"

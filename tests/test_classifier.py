@@ -19,7 +19,8 @@ from accsens.classifier import (
     spec_to_dict,
 )
 from accsens.densities import DensityModel, HypothesisPair
-from accsens.errors import InvalidParameterError, SchemaError
+from accsens.densities import CustomDensity
+from accsens.errors import InvalidParameterError, SchemaError, SolverFailureError
 from conftest import random_gaussian_pair
 
 C1 = BoundarySet((3.65, 18.78))
@@ -205,3 +206,34 @@ class TestSpecsAndValidation:
             spec_from_dict({"kind": "ml", "eta": 1.0, "gamma": 2.0})
         with pytest.raises(SchemaError):
             spec_from_dict({"kind": "quadratic"})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "general", "boundaries": [1.0, 2.0], "orientation": "sideways"},
+            {"kind": "general", "boundaries": ["left"]},
+            {"kind": "general", "boundaries": 3.0},
+            {"kind": "linear", "y": None},
+            {"kind": "linear", "y": 1.0, "orientation": 3},
+            {"kind": "ml", "eta": "one"},
+        ],
+    )
+    def test_malformed_spec_values_raise_schema_error(self, obj):
+        with pytest.raises(SchemaError):
+            spec_from_dict(obj)
+
+    def test_accuracy_outside_unit_interval_is_a_solver_failure(self):
+        # a custom family whose cdf overshoots 1: the range check must raise
+        # (under python -O too), not return a probability above one
+        broken = CustomDensity(
+            name="overshoot",
+            param_names=("a",),
+            pdf=lambda x, p: np.zeros_like(x),
+            cdf=lambda x, p: np.full_like(x, 5.0),
+            sampler=lambda rng, n, p: np.zeros(n),
+        )
+        pair = HypothesisPair(
+            DensityModel.from_custom(broken, (1.0,)), DensityModel.gaussian(0.0, 1.0)
+        )
+        with pytest.raises(SolverFailureError):
+            region_accuracy(pair, (0.0,), Orientation.H0_FIRST)

@@ -88,13 +88,38 @@ class TestCurveCommand:
     def test_small_general_curve(self, tmp_path):
         assert run_cli(
             "curve", "general", "--problem", TABLE1, "--zeta-steps", "4",
-            "--stage1", "200", "--out", str(tmp_path),
+            "--out", str(tmp_path),
         ) == 0
         lines = (tmp_path / "curve_general.csv").read_text().splitlines()
         assert len(lines) == 2 + 4  # comment + header + 4 points
 
     def test_empty_grid_exits_2(self):
         assert run_cli("curve", "ml", "--problem", TABLE1, "--eta-steps", "0") == 2
+
+    def test_exponential_general_curve_keeps_its_top_point(self, tmp_path, capsys):
+        problem = tmp_path / "exp.json"
+        problem.write_text(json.dumps({
+            "h0": {"family": "exponential", "params": {"rate": 1.0}},
+            "h1": {"family": "exponential", "params": {"rate": 2.0}},
+        }))
+        assert run_cli(
+            "curve", "general", "--problem", str(problem), "--zeta-steps", "3",
+            "--format", "json", "--out", str(tmp_path),
+        ) == 0
+        assert "3 points" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "curve_general.json").read_text())
+        assert payload["config"]["metadata"]["failed_zetas"] == []
+        top = payload["result"]["points"][-1]
+        assert top["accuracy"] == pytest.approx(0.625, abs=1e-9)
+
+    def test_non_numeric_density_parameter_exits_2(self, tmp_path, capsys):
+        problem = tmp_path / "bad.json"
+        problem.write_text(json.dumps({
+            "h0": {"family": "gaussian", "params": {"mu": 0.0, "sigma": "wide"}},
+            "h1": {"family": "gaussian", "params": {"mu": 9.0, "sigma": 4.0}},
+        }))
+        assert run_cli("curve", "ml", "--problem", str(problem)) == 2
+        assert "'sigma'" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -118,6 +143,13 @@ class TestSimulateCommand:
 
     def test_unknown_scenario_exits_2(self):
         assert run_cli("simulate", "--problem", TABLE1, "--scenario", "s9") == 2
+
+    @pytest.mark.parametrize("text", ['{"mu_bar_0": "far"}', '{"sigma_bar_1": null}', "5"])
+    def test_malformed_perturbation_file_exits_2(self, tmp_path, capsys, text):
+        f = tmp_path / "pert.json"
+        f.write_text(text)
+        assert run_cli("simulate", "--problem", TABLE1, "--perturbation", str(f)) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_invalid_perturbation_exits_2(self, tmp_path):
         f = tmp_path / "pert.json"

@@ -1,8 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from accsens.boundary_solver import ml_boundaries
-from accsens.classifier import Norm, region_accuracy
+from accsens.boundary_solver import default_search_interval, ml_boundaries
+from accsens.classifier import (
+    BoundarySet,
+    GeneralSpec,
+    MLSpec,
+    Norm,
+    Orientation,
+    accuracy,
+    apply_norm,
+    region_accuracy,
+    region_accuracy_gradient,
+    sensitivity,
+)
 from accsens.densities import DensityModel, HypothesisPair
 from accsens.errors import InfeasibleTargetError, InvalidParameterError
 from accsens.tradeoff import (
@@ -182,3 +198,112 @@ class TestPenaltyPath:
         for p in curve.points:
             two = constrained_min_sensitivity(table1_pair, p.parameter)
             assert p.sensitivity <= two.sensitivity + 1e-3
+
+
+class TestOneRootTopPoint:
+    @pytest.mark.parametrize("norm", [Norm.INF, Norm.TWO])
+    def test_exponential_curve_keeps_its_maximum_accuracy_point(self, exp_pair, norm):
+        acc_max = _acc_max(exp_pair)
+        curve = general_curve(exp_pair, zeta_grid=np.linspace(0.5, acc_max, 5), norm=norm)
+        assert curve.metadata["failed_zetas"] == []
+        top = curve.points[-1]
+        spec = GeneralSpec(BoundarySet(top.boundaries, top.orientation))
+        assert accuracy(spec, exp_pair) == pytest.approx(acc_max, abs=1e-9)
+        assert top.sensitivity == pytest.approx(sensitivity(MLSpec(1.0), exp_pair, norm), abs=1e-12)
+
+
+# ---- properties of the frontier over random pairs ----
+
+
+def _level_roots(fn, grid):
+    """Roots of fn bracketed by sign changes over a grid."""
+    values = [fn(t) for t in grid]
+    return [
+        brentq(fn, a, b, xtol=1e-14)
+        for a, b, fa, fb in zip(grid, grid[1:], values, values[1:])
+        if fa * fb < 0
+    ]
+
+
+def _matched_sensitivities(pair, zeta, norm):
+    """Sensitivities of every ratio classifier and every single-boundary
+    classifier whose accuracy is zeta."""
+    out = []
+    log_etas = np.linspace(-12.0, 12.0, 241)
+
+    def ratio_gap(t):
+        report = ml_boundaries(pair, math.exp(t))
+        return region_accuracy(pair, report.roots, report.orientation) - zeta
+
+    for t in _level_roots(ratio_gap, log_etas):
+        report = ml_boundaries(pair, math.exp(t))
+        if report.roots:
+            grad = region_accuracy_gradient(pair, report.roots, report.orientation)
+            out.append(apply_norm(grad, norm))
+    lo, hi = default_search_interval(pair)
+    ys = np.unique(np.append(np.linspace(lo, hi, 401), ml_boundaries(pair, 1.0).roots))
+    for orientation in Orientation:
+        for y in _level_roots(lambda y: region_accuracy(pair, (y,), orientation) - zeta, ys):
+            out.append(apply_norm(region_accuracy_gradient(pair, (y,), orientation), norm))
+    return out
+
+
+@st.composite
+def two_root_gaussian_pairs(draw):
+    mu0, mu1 = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    s0, s1 = draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0))
+    assume(abs(s0 - s1) >= 0.2)
+    pair = HypothesisPair(
+        DensityModel.gaussian(mu0, s0), DensityModel.gaussian(mu1, s1), draw(st.floats(0.3, 0.7))
+    )
+    assume(len(ml_boundaries(pair, 1.0).roots) == 2)
+    return pair
+
+
+@st.composite
+def exponential_pairs(draw):
+    rate, ratio = draw(st.floats(0.5, 3.0)), draw(st.floats(1.2, 4.0))
+    return HypothesisPair(DensityModel.exponential(rate), DensityModel.exponential(rate * ratio))
+
+
+#: Where on the attainable accuracy range a target sits: anywhere inside, or
+#: within 1e-3 to 1e-8 of the top, where a two-root pair's level set is a
+#: loop only a few grid cells across.
+positions = st.one_of(st.floats(0.02, 0.98), st.floats(3.0, 8.0).map(lambda k: 1.0 - 10.0**-k))
+
+
+class TestFrontierProperties:
+    def _check_point(self, pair, u, norm):
+        acc_max = _acc_max(pair)
+        floor = max(pair.p0, pair.p1)
+        assume(acc_max - floor > 1e-3)
+        zeta = floor + u * (acc_max - floor)
+        pt = constrained_min_sensitivity(pair, zeta, norm)
+        spec = GeneralSpec(BoundarySet(pt.boundaries, pt.orientation))
+        assert abs(accuracy(spec, pair) - zeta) <= 1e-6
+        assert abs(sensitivity(spec, pair, norm) - pt.sensitivity) <= 1e-9
+        matched = _matched_sensitivities(pair, zeta, norm)
+        assert matched, "no matched ratio or single-boundary classifier found"
+        assert pt.sensitivity <= min(matched) + 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(two_root_gaussian_pairs(), positions, st.sampled_from(list(Norm)))
+    def test_gaussian_point_is_feasible_and_dominates(self, pair, u, norm):
+        self._check_point(pair, u, norm)
+
+    @settings(max_examples=15, deadline=None)
+    @given(exponential_pairs(), positions, st.sampled_from(list(Norm)))
+    def test_exponential_point_is_feasible_and_dominates(self, pair, u, norm):
+        self._check_point(pair, u, norm)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.one_of(two_root_gaussian_pairs(), exponential_pairs()), st.sampled_from(list(Norm)))
+    def test_curve_top_is_the_maximum_accuracy_point(self, pair, norm):
+        acc_max = _acc_max(pair)
+        zetas = np.asarray([0.5 * (0.5 + acc_max), acc_max])
+        curve = general_curve(pair, zeta_grid=zetas, norm=norm)
+        assert curve.metadata["failed_zetas"] == []
+        top = curve.points[-1]
+        spec = GeneralSpec(BoundarySet(top.boundaries, top.orientation))
+        assert accuracy(spec, pair) == pytest.approx(acc_max, abs=1e-9)
+        assert top.sensitivity == pytest.approx(sensitivity(MLSpec(1.0), pair, norm), abs=1e-9)
