@@ -296,6 +296,25 @@ def classify_boundaries(bset: BoundarySet, x: np.ndarray) -> np.ndarray:
     return np.where(even == (bset.orientation is Orientation.H0_FIRST), 0, 1)
 
 
+def count_h0_labels(bset: BoundarySet, x: np.ndarray) -> int:
+    """Number of samples ``classify_boundaries`` labels H0, without labelling.
+
+    Region j holds the samples left of boundary j but not of boundary j - 1,
+    so one ``count_nonzero(x < b)`` per boundary gives every region's size.
+    A sample on a boundary goes right and NaN past the last boundary, as with
+    ``searchsorted(side="right")``.
+    """
+    x = np.asarray(x, dtype=float)
+    left = [int(np.count_nonzero(x < b)) for b in bset.boundaries] + [x.size]
+    h0_first = bset.orientation is Orientation.H0_FIRST
+    count = prev = 0
+    for j, n_left in enumerate(left):
+        if (j % 2 == 0) == h0_first:
+            count += n_left - prev
+        prev = n_left
+    return count
+
+
 def accuracy(spec: ClassifierSpec, pair: HypothesisPair) -> float:
     bset = resolve(spec, pair)
     return region_accuracy(pair, bset.boundaries, bset.orientation)

@@ -263,6 +263,8 @@ def _cmd_check(args) -> int:
     print(f"A2: {'PASS' if report.a2.holds else 'FAIL'} (witness boundary {report.a2.witness_index}, value {report.a2.witness_value:.3g})")
     print(f"A3: {'PASS' if report.a3.holds else 'FAIL'} (inner product {report.a3.inner_product:.3g})")
     print(f"sensitivity slope at optimum: {report.witness.verdict.value} (|grad|={report.witness.gradient_norm:.3g})")
+    for warning in report.warnings:
+        print(f"solver warning: {warning}")
     if args.out:
         _emit_json({"config": config, "result": report.to_dict()}, Path(args.out), "check.json")
     return EXIT_OK

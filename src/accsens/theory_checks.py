@@ -83,8 +83,11 @@ class A1Result:
 
 def check_a1(pair: HypothesisPair, tol: float = A1_GAP_TOL) -> A1Result:
     """Uniqueness of the largest absolute accuracy-gradient component."""
-    report = _ml_optimum(pair)
-    grad = region_accuracy_gradient(pair, report.roots, report.orientation)
+    return _check_a1(pair, _ml_optimum(pair), tol)
+
+
+def _check_a1(pair: HypothesisPair, base: LikelihoodRootReport, tol: float) -> A1Result:
+    grad = region_accuracy_gradient(pair, base.roots, base.orientation)
     mags = np.abs(grad)
     order = np.argsort(mags)[::-1]
     gap = float(mags[order[0]] - mags[order[1]]) if len(mags) > 1 else float(mags[order[0]])
@@ -101,13 +104,34 @@ def boundary_theta_response(
     survives on one side only falls back to a one-sided difference.
     """
     base = _ml_optimum(pair)
-    theta = pair.theta
+    return _theta_response(base, _theta_resolves(pair, j, h), j, h)
+
+
+def _theta_resolves(pair: HypothesisPair, j: int, h: float) -> tuple[LikelihoodRootReport, ...]:
+    """The unit-threshold boundaries at theta + h e_j and theta - h e_j."""
     reports = []
     for sign in (+1.0, -1.0):
-        shifted = theta.copy()
+        shifted = pair.theta.copy()
         shifted[j] += sign * h
         reports.append(ml_boundaries(pair.with_theta(shifted), 1.0))
+    return tuple(reports)
 
+
+def _theta_responses(
+    pair: HypothesisPair, base: LikelihoodRootReport, h: float
+) -> tuple[list[np.ndarray], list[LikelihoodRootReport]]:
+    """Every response row d y*/d theta_j, plus the 2m re-solves behind them."""
+    rows, solves = [], []
+    for j in range(pair.theta.size):
+        reports = _theta_resolves(pair, j, h)
+        rows.append(_theta_response(base, reports, j, h))
+        solves.extend(reports)
+    return rows, solves
+
+
+def _theta_response(
+    base: LikelihoodRootReport, reports: tuple[LikelihoodRootReport, ...], j: int, h: float
+) -> np.ndarray:
     def nearest(roots: tuple[float, ...], r: float) -> float | None:
         if not roots:
             return None
@@ -171,11 +195,22 @@ def check_a2(
     tol: float = A2_PRODUCT_TOL,
 ) -> A2Result:
     """Nonvanishing boundary response: any |w_i(y_i*) dy_i*/dtheta_j| > tol."""
-    report = _ml_optimum(pair)
+    base = _ml_optimum(pair)
     if j is None:
-        j = check_a1(pair).index
-    w = curvature_weights(pair, report.roots, report.orientation)
-    dy = boundary_theta_response(pair, j, h)
+        j = _check_a1(pair, base, A1_GAP_TOL).index
+    dy = _theta_response(base, _theta_resolves(pair, j, h), j, h)
+    return _check_a2(pair, base, j, dy, h, tol)
+
+
+def _check_a2(
+    pair: HypothesisPair,
+    base: LikelihoodRootReport,
+    j: int,
+    dy: np.ndarray,
+    h: float,
+    tol: float,
+) -> A2Result:
+    w = curvature_weights(pair, base.roots, base.orientation)
     products = w * dy
     witness = int(np.argmax(np.abs(products)))
     return A2Result(
@@ -258,8 +293,23 @@ def check_a3(
 ) -> A3Result:
     """Non-orthogonality of the threshold response and the sensitivity slope."""
     base = _ml_optimum(pair)
-    plus = ml_boundaries(pair, 1.0 + h_eta)
-    minus = ml_boundaries(pair, 1.0 - h_eta)
+    return _check_a3(pair, base, _eta_resolves(pair, h_eta), norm, h_eta, tol)
+
+
+def _eta_resolves(pair: HypothesisPair, h_eta: float) -> tuple[LikelihoodRootReport, ...]:
+    """The boundaries at thresholds 1 + h_eta and 1 - h_eta."""
+    return ml_boundaries(pair, 1.0 + h_eta), ml_boundaries(pair, 1.0 - h_eta)
+
+
+def _check_a3(
+    pair: HypothesisPair,
+    base: LikelihoodRootReport,
+    stencil: tuple[LikelihoodRootReport, ...],
+    norm: Norm,
+    h_eta: float,
+    tol: float,
+) -> A3Result:
+    plus, minus = stencil
     if len(plus.roots) != len(base.roots) or len(minus.roots) != len(base.roots):
         raise SolverFailureError("boundary count changed inside the eta stencil")
     dy_deta = (np.asarray(plus.roots) - np.asarray(minus.roots)) / (2.0 * h_eta)
@@ -307,6 +357,12 @@ def mixed_derivative_identity_defect(
     The left side is analytic (parameter gradients of the pdfs with the
     alternating interval signs); the right side uses the re-solve response.
     """
+    dy, _ = _theta_responses(pair, _ml_optimum(pair), h)
+    return _identity_defect(pair, report, dy)
+
+
+def _identity_defect(pair: HypothesisPair, report: LikelihoodRootReport, dy) -> float:
+    """The identity defect, given the response rows dy[j] = d y*/d theta_j."""
     y = np.asarray(report.roots, dtype=float)
     signs = boundary_signs(y.size, report.orientation)
     g0 = np.atleast_2d(pair.h0.grad_pdf_params(y))  # (m0, n)
@@ -317,8 +373,7 @@ def mixed_derivative_identity_defect(
     w = curvature_weights(pair, y, report.orientation)
     defect = 0.0
     for j in range(lhs.shape[0]):
-        dy = boundary_theta_response(pair, j, h)
-        rhs = -w * dy
+        rhs = -w * dy[j]
         defect = max(defect, float(np.max(np.abs(lhs[j] - rhs))))
     return defect
 
@@ -340,11 +395,33 @@ def sensitivity_slope_witness(
     With the inf norm the verdict is withheld when A1 fails: the norm is not
     differentiable at a tied maximum.
     """
-    report = _ml_optimum(pair)
-    a1 = check_a1(pair)
-    grad = sensitivity_boundary_gradient(pair, report, norm)
+    base = _ml_optimum(pair)
+    dy, _ = _theta_responses(pair, base, THETA_FD_STEP)
+    return _witness(
+        pair,
+        base,
+        _check_a1(pair, base, A1_GAP_TOL),
+        sensitivity_boundary_gradient(pair, base, norm),
+        _identity_defect(pair, base, dy),
+        norm,
+        grad_tol,
+        identity_tol,
+        descent_step,
+    )
+
+
+def _witness(
+    pair: HypothesisPair,
+    report: LikelihoodRootReport,
+    a1: A1Result,
+    grad: np.ndarray,
+    defect: float,
+    norm: Norm,
+    grad_tol: float,
+    identity_tol: float,
+    descent_step: float,
+) -> WitnessResult:
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    defect = mixed_derivative_identity_defect(pair, report)
 
     if norm is Norm.INF and not a1.holds:
         verdict = Verdict.WITHHELD
@@ -382,7 +459,12 @@ def sensitivity_slope_witness(
 @dataclass(frozen=True)
 class AssumptionReport:
     """Bundle of all assumption checks for one pair, with the steps and
-    tolerances that produced the verdicts."""
+    tolerances that produced the verdicts.
+
+    ``warnings`` holds the distinct warnings of the boundary solves behind
+    the checks, in first-seen order; ``to_dict`` lists them only when a
+    solve warned, so the report of a clean pair keeps its plain form.
+    """
 
     a1: A1Result
     a2: A2Result
@@ -390,9 +472,10 @@ class AssumptionReport:
     witness: WitnessResult
     steps: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
+    warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "a1": self.a1.to_dict(),
             "a2": self.a2.to_dict(),
             "a3": self.a3.to_dict(),
@@ -400,13 +483,37 @@ class AssumptionReport:
             "steps": self.steps,
             "tolerances": self.tolerances,
         }
+        if self.warnings:
+            out["warnings"] = list(self.warnings)
+        return out
 
 
 def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionReport:
-    a1 = check_a1(pair)
-    a2 = check_a2(pair, a1.index)
-    a3 = check_a3(pair, norm)
-    witness = sensitivity_slope_witness(pair, norm)
+    """All checks with the default steps and tolerances.
+
+    Each boundary problem is solved once and shared: the base solve, the
+    theta re-solves (A2 and the identity audit) and the eta stencil (A3),
+    1 + 2m + 2 solves for m distribution parameters.  The witness reuses
+    A1 and A3's sensitivity slope, which it would compute identically.
+    """
+    base = _ml_optimum(pair)
+    dy, theta_solves = _theta_responses(pair, base, THETA_FD_STEP)
+    stencil = _eta_resolves(pair, ETA_FD_STEP)
+    a1 = _check_a1(pair, base, A1_GAP_TOL)
+    a2 = _check_a2(pair, base, a1.index, dy[a1.index], THETA_FD_STEP, A2_PRODUCT_TOL)
+    a3 = _check_a3(pair, base, stencil, norm, ETA_FD_STEP, A3_INNER_TOL)
+    witness = _witness(
+        pair,
+        base,
+        a1,
+        np.asarray(a3.sens_gradient),
+        _identity_defect(pair, base, dy),
+        norm,
+        WITNESS_TOL,
+        IDENTITY_TOL,
+        DESCENT_STEP,
+    )
+    solves = (base, *theta_solves, *stencil)
     return AssumptionReport(
         a1,
         a2,
@@ -425,4 +532,5 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
             "witness": WITNESS_TOL,
             "identity": IDENTITY_TOL,
         },
+        warnings=tuple(dict.fromkeys(w for report in solves for w in report.warnings)),
     )

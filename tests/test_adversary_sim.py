@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from accsens.adversary_sim import (
     SCENARIOS,
@@ -8,9 +10,13 @@ from accsens.adversary_sim import (
     run_experiment,
     standard_error,
 )
-from accsens.classifier import MLSpec, accuracy
+from accsens.classifier import MLSpec, accuracy, classify_boundaries, resolve
 from accsens.densities import DensityModel, HypothesisPair
-from accsens.errors import InvalidParameterError, InvalidPerturbationError
+from accsens.errors import (
+    InvalidParameterError,
+    InvalidPerturbationError,
+    UnresolvedClassifierError,
+)
 
 SEED = 20240801
 
@@ -104,8 +110,65 @@ class TestExperiment:
         with pytest.raises(InvalidParameterError):
             run_experiment(table1_pair, MLSpec(1.0), SCENARIOS["s1"], n_trials=0)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3", True, None])
+    def test_rejects_negative_or_non_integer_seed(self, table1_pair, seed):
+        with pytest.raises(InvalidParameterError):
+            run_experiment(table1_pair, MLSpec(1.0), SCENARIOS["s1"], n_obs=10, base_seed=seed)
+
+    def test_accepts_numpy_integer_seed(self, table1_pair):
+        a = run_experiment(table1_pair, MLSpec(1.0), SCENARIOS["s1"], n_obs=50, n_trials=2, base_seed=np.int64(9))
+        b = run_experiment(table1_pair, MLSpec(1.0), SCENARIOS["s1"], n_obs=50, n_trials=2, base_seed=9)
+        assert a.per_trial_accuracy == b.per_trial_accuracy
+
     def test_unequal_priors_label_frequencies(self):
         pair = HypothesisPair(DensityModel.gaussian(0, 2), DensityModel.gaussian(5, 1), 0.8)
         report = run_experiment(pair, MLSpec(1.0), PerturbationSpec(), n_obs=20000, n_trials=3, base_seed=1)
         nominal = accuracy(MLSpec(1.0), pair)
         assert report.mean_accuracy == pytest.approx(nominal, abs=0.01)
+
+
+def _labelled_accuracies(pair, spec, perturbation, n_obs, n_trials, base_seed):
+    """Reference Monte Carlo that labels every observation: draw the labels,
+    scatter each class's samples into one array, classify it and compare."""
+    bset = resolve(spec, pair)
+    shifted = perturbation.apply(pair)
+    out = []
+    for t in range(n_trials):
+        rng = np.random.default_rng(base_seed + t)
+        labels = (rng.random(n_obs) < shifted.p1).astype(np.int8)
+        x = np.empty(n_obs)
+        n1 = int(labels.sum())
+        n0 = n_obs - n1
+        if n0:
+            x[labels == 0] = shifted.h0.sample(rng, n0)
+        if n1:
+            x[labels == 1] = shifted.h1.sample(rng, n1)
+        out.append(float(np.mean(classify_boundaries(bset, x) == labels)))
+    return tuple(out)
+
+
+shifts = st.builds(
+    PerturbationSpec,
+    st.floats(-3.0, 3.0), st.floats(-0.4, 3.0), st.floats(-3.0, 3.0), st.floats(-0.4, 3.0),
+)
+
+
+class TestCountingMatchesLabelling:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(-5.0, 5.0), st.floats(0.5, 6.0), st.floats(-5.0, 5.0), st.floats(0.5, 6.0),
+        st.floats(0.2, 0.8), st.floats(-2.0, 2.0),
+        st.one_of(st.sampled_from(list(SCENARIOS.values())), shifts),
+        st.integers(1, 2000), st.integers(1, 3), st.integers(0, 2**32),
+    )
+    def test_bit_identical_to_labelling(self, mu0, s0, mu1, s1, p0, log_eta, perturbation, n_obs, n_trials, seed):
+        pair = HypothesisPair(DensityModel.gaussian(mu0, s0), DensityModel.gaussian(mu1, s1), p0)
+        spec = MLSpec(float(np.exp(log_eta)))
+        try:
+            resolve(spec, pair)
+        except UnresolvedClassifierError:
+            assume(False)
+        report = run_experiment(pair, spec, perturbation, n_obs=n_obs, n_trials=n_trials, base_seed=seed)
+        assert report.per_trial_accuracy == _labelled_accuracies(
+            pair, spec, perturbation, n_obs, n_trials, seed
+        )

@@ -13,6 +13,7 @@ from accsens.classifier import (
     accuracy_gradient,
     classify,
     classify_boundaries,
+    count_h0_labels,
     region_accuracy,
     sensitivity,
     spec_from_dict,
@@ -237,3 +238,22 @@ class TestSpecsAndValidation:
         )
         with pytest.raises(SolverFailureError):
             region_accuracy(pair, (0.0,), Orientation.H0_FIRST)
+
+
+class TestCountH0Labels:
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize(
+        "boundaries", [(0.5,), (-1.0, 2.0), (-1.0, -1.0), (-1.0, 0.5, 2.0), (0.5, 0.5, 2.0)]
+    )
+    def test_matches_labelling(self, boundaries, orientation):
+        # samples exactly on every boundary, just beside them, at +-inf and NaN
+        bset = BoundarySet(boundaries, orientation)
+        b = np.asarray(boundaries)
+        x = np.concatenate([
+            b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+            [-np.inf, np.inf, np.nan, np.nan, 0.0, -5.0, 7.0],
+        ])
+        rng = np.random.default_rng(len(boundaries))
+        for sample in (x, rng.permutation(x), x[:1], x[-3:], np.empty(0)):
+            expected = int(np.count_nonzero(classify_boundaries(bset, sample) == 0))
+            assert count_h0_labels(bset, sample) == expected

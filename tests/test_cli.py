@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import accsens
 from accsens.cli import main
 
 TABLE1 = "table1.json"  # packaged preset
@@ -69,6 +72,21 @@ class TestCheckCommand:
         assert run_cli("check", "--problem", TABLE1) == 0
         out = capsys.readouterr().out
         assert "A1: PASS" in out and "A2: PASS" in out and "A3: PASS" in out
+        assert "solver warning" not in out
+
+    def test_solver_warnings_are_printed_and_saved(self, tmp_path, capsys):
+        # the eta stencil of this one-root pair puts a root exactly on the
+        # support edge, and that grid solve warns about the root parity
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "h0": {"family": "exponential", "params": {"rate": 1.0}},
+            "h1": {"family": "exponential", "params": {"rate": 1.00001}},
+            "p0": 0.5,
+        }))
+        assert run_cli("check", "--problem", str(problem), "--out", str(tmp_path)) == 0
+        assert "solver warning: root count parity" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "check.json").read_text())
+        assert len(payload["result"]["warnings"]) == 1
 
 
 class TestCurveCommand:
@@ -141,6 +159,12 @@ class TestSimulateCommand:
             "--n-obs", "1000", "--n-trials", "3",
         ) == 0
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert run_cli(
+            "simulate", "--problem", TABLE1, "--scenario", "s1", "--n-obs", "100", "--seed", "-1",
+        ) == 2
+        assert "base_seed" in capsys.readouterr().err
+
     def test_unknown_scenario_exits_2(self):
         assert run_cli("simulate", "--problem", TABLE1, "--scenario", "s9") == 2
 
@@ -205,6 +229,10 @@ class TestReproduce:
             else:
                 assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    def test_table1_negative_seed_exits_2(self, tmp_path, capsys):
+        assert run_cli("reproduce", "table1", "--out", str(tmp_path), "--seed", "-1") == 2
+        assert "base_seed" in capsys.readouterr().err
+
     def test_table1_rows_match_reference(self, tmp_path):
         assert run_cli("reproduce", "table1", "--out", str(tmp_path)) == 0
         lines = (tmp_path / "table1" / "table1.csv").read_text().splitlines()
@@ -219,8 +247,11 @@ class TestReproduce:
 
 
 def test_console_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(accsens.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "accsens.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "accsens.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "accsens" in proc.stdout

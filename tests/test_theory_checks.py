@@ -1,12 +1,19 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import accsens.theory_checks as theory_checks
 from accsens.classifier import Norm, region_accuracy
 from accsens.boundary_solver import ml_boundaries
 from accsens.densities import CustomDensity, DensityModel, HypothesisPair
+from accsens.errors import AccsensError
 from accsens.theory_checks import (
+    ETA_FD_STEP,
     Verdict,
     boundary_theta_response,
     check_a1,
@@ -183,3 +190,84 @@ class TestFullReport:
         payload = report.to_dict()
         assert payload["tolerances"]["a1_gap"] == 1e-6
         assert payload["steps"]["theta_fd"] == 1e-5
+
+
+def _one_by_one(pair: HypothesisPair, norm: Norm) -> str:
+    """The verdicts of the public checks, each solving for itself."""
+    a1 = check_a1(pair)
+    parts = {
+        "a1": a1.to_dict(),
+        "a2": check_a2(pair, a1.index).to_dict(),
+        "a3": check_a3(pair, norm).to_dict(),
+        "witness": sensitivity_slope_witness(pair, norm).to_dict(),
+    }
+    return json.dumps(parts, sort_keys=True)
+
+
+@st.composite
+def audit_pairs(draw):
+    if draw(st.booleans()):
+        mu0, mu1 = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+        s0, s1 = draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0))
+        return HypothesisPair(
+            DensityModel.gaussian(mu0, s0), DensityModel.gaussian(mu1, s1), draw(st.floats(0.3, 0.7))
+        )
+    rate, ratio = draw(st.floats(0.5, 3.0)), draw(st.floats(1.2, 4.0))
+    return HypothesisPair(DensityModel.exponential(rate), DensityModel.exponential(rate * ratio))
+
+
+class TestSolveOnce:
+    @settings(max_examples=40, deadline=None)
+    @given(audit_pairs(), st.sampled_from(list(Norm)))
+    def test_report_equals_public_checks(self, pair, norm):
+        try:
+            report = run_all_checks(pair, norm)
+        except AccsensError:
+            # a pair the audit refuses is refused by the public checks too
+            with pytest.raises(AccsensError):
+                _one_by_one(pair, norm)
+            return
+        payload = report.to_dict()
+        assert json.dumps({k: payload[k] for k in ("a1", "a2", "a3", "witness")}, sort_keys=True) == (
+            _one_by_one(pair, norm)
+        )
+
+    @pytest.mark.parametrize("fixture", ["table1_pair", "fig2c_pair", "exp_pair"])
+    def test_each_boundary_problem_is_solved_once(self, request, monkeypatch, fixture):
+        pair = request.getfixturevalue(fixture)
+        calls = []
+        solve = theory_checks.ml_boundaries
+        monkeypatch.setattr(
+            theory_checks, "ml_boundaries", lambda *a, **k: calls.append(a) or solve(*a, **k)
+        )
+        run_all_checks(pair)
+        m = pair.theta.size
+        assert len(calls) <= 1 + 2 * m + 2
+        assert len({(p.theta.tobytes(), eta) for p, eta in calls}) == len(calls)
+
+
+class TestSolverWarnings:
+    # exp(1) against exp(1 + 1e-5): at threshold 1 + ETA_FD_STEP the ratio
+    # root sits exactly on the support edge, a grid point, so that solve of
+    # the eta stencil reports a root-parity warning
+    PAIR = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0 + 1e-5))
+
+    def test_stencil_warning_reaches_the_report(self):
+        expected = ml_boundaries(self.PAIR, 1.0 + ETA_FD_STEP).warnings
+        assert expected and "parity" in expected[0]
+        report = run_all_checks(self.PAIR)
+        assert report.warnings == expected
+        assert report.to_dict()["warnings"] == list(expected)
+
+    def test_warnings_are_deduplicated(self, table1_pair, monkeypatch):
+        solve = theory_checks.ml_boundaries
+        monkeypatch.setattr(
+            theory_checks, "ml_boundaries",
+            lambda *a, **k: dataclasses.replace(solve(*a, **k), warnings=("grid too coarse",)),
+        )
+        assert run_all_checks(table1_pair).warnings == ("grid too coarse",)
+
+    def test_clean_report_has_no_warnings_key(self, table1_pair):
+        report = run_all_checks(table1_pair)
+        assert report.warnings == ()
+        assert "warnings" not in report.to_dict()
