@@ -7,7 +7,8 @@ The boundaries of the ratio classifier at threshold eta are the roots of
 For a pair of Gaussians this reduces to a quadratic with known coefficients
 and is solved in closed form.  For arbitrary families the equation is scanned
 on a grid in the log domain (underflow-proof) and every bracketed sign change
-is refined by bisection.
+is refined by bisection; ``_ml_boundaries_many`` solves many thresholds at
+once, bisecting all their sign changes together with the same steps.
 
 Tangential (double) roots are excluded: they bound regions of zero measure,
 change no probability, and destabilize downstream derivatives.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -36,6 +38,7 @@ EQUAL_SIGMA_RTOL = 1e-9
 DEFAULT_GRID = 4096
 SCALE_SPAN = 8.0
 BISECTION_WIDTH = 1e-12
+BISECTION_STEPS = 200
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -205,6 +208,12 @@ def gaussian_quadratic_coefficients(
     return _ratio_quadratic(*pair.h0.params, *pair.h1.params, _log_k(pair, eta))
 
 
+def _prior_only_report(pair: HypothesisPair, eta: float, method: RootMethod) -> LikelihoodRootReport:
+    """A zero prior leaves one hypothesis: a single region at any threshold."""
+    orient = Orientation.H1_FIRST if pair.p0 == 0.0 else Orientation.H0_FIRST
+    return LikelihoodRootReport((), method, orient, (), eta)
+
+
 def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> LikelihoodRootReport:
     """Closed-form boundaries for a Gaussian pair (see ``_gaussian_ratio_roots``)."""
     if pair.h0.family is not Family.GAUSSIAN or pair.h1.family is not Family.GAUSSIAN:
@@ -212,8 +221,7 @@ def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> Likelihood
     if not eta > 0:
         raise InvalidParameterError(f"eta must be > 0, got {eta}")
     if pair.p0 in (0.0, 1.0):
-        orient = Orientation.H1_FIRST if pair.p0 == 0.0 else Orientation.H0_FIRST
-        return LikelihoodRootReport((), RootMethod.GAUSSIAN_QUADRATIC, orient, (), eta)
+        return _prior_only_report(pair, eta, RootMethod.GAUSSIAN_QUADRATIC)
 
     roots, h0_first = _gaussian_ratio_roots(*pair.h0.params, *pair.h1.params, _log_k(pair, eta))
     orient = Orientation.H0_FIRST if h0_first else Orientation.H1_FIRST
@@ -221,9 +229,9 @@ def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> Likelihood
     return LikelihoodRootReport(roots, RootMethod.GAUSSIAN_QUADRATIC, orient, residuals, eta)
 
 
-def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
     """Plain bisection to BISECTION_WIDTH interval width."""
-    for _ in range(200):
+    for _ in range(BISECTION_STEPS):
         if hi - lo <= BISECTION_WIDTH:
             break
         mid = 0.5 * (lo + hi)
@@ -233,8 +241,104 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
+            hi = mid
     return 0.5 * (lo + hi)
+
+
+def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray) -> np.ndarray:
+    """``_bisect`` on every bracket at once, step for step.
+
+    ``fn(idx, x)`` evaluates the gap of brackets ``idx`` at points ``x``.
+    Each bracket takes the midpoints, the width stop and the exact-zero
+    return of the scalar loop, so every root is bit-identical to it.
+    """
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    roots = np.empty_like(lo)
+    active = np.arange(lo.size)
+    for _ in range(BISECTION_STEPS):
+        narrow = hi[active] - lo[active] <= BISECTION_WIDTH
+        roots[active[narrow]] = 0.5 * (lo[active[narrow]] + hi[active[narrow]])
+        active = active[~narrow]
+        if not active.size:
+            return roots
+        mid = 0.5 * (lo[active] + hi[active])
+        f_mid = fn(active, mid)
+        zero = f_mid == 0.0
+        roots[active[zero]] = mid[zero]
+        active, mid, f_mid = active[~zero], mid[~zero], f_mid[~zero]
+        left = (f_mid > 0) == (f_lo[active] > 0)
+        lo[active[left]] = mid[left]
+        f_lo[active[left]] = f_mid[left]
+        hi[active[~left]] = mid[~left]
+    roots[active] = 0.5 * (lo[active] + hi[active])
+    return roots
+
+
+def _search_grid(
+    pair: HypothesisPair, interval: tuple[float, float] | None, grid: int
+) -> np.ndarray:
+    lo, hi = interval if interval is not None else default_search_interval(pair)
+    if not lo < hi:
+        raise EmptyIntervalError(f"empty search interval [{lo}, {hi}]")
+    return np.linspace(lo, hi, grid)
+
+
+@dataclass(frozen=True)
+class _GridScan:
+    """Sign pattern of one threshold's log ratio gap on the search grid:
+    the bracketed sign changes, the exact grid hits and the end signs."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    f_lo: np.ndarray
+    hits: tuple[float, ...]
+    ends_differ: bool
+    first_sign: float
+
+
+def _scan(xs: np.ndarray, gap: np.ndarray) -> _GridScan | None:
+    """Scan one gap row; None when the ratio is undefined on the whole grid."""
+    defined = ~np.isnan(gap)
+    if not defined.any():
+        return None
+    xs_d = xs[defined]
+    gap_d = gap[defined]
+    signs = np.sign(gap_d)
+    i = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    nonzero = signs[signs != 0]
+    return _GridScan(
+        xs_d[i],
+        xs_d[i + 1],
+        gap_d[i],
+        tuple(float(x) for x in xs_d[signs == 0]),
+        bool(nonzero[0] != nonzero[-1]) if nonzero.size else False,
+        nonzero[0] if nonzero.size else -1.0,
+    )
+
+
+def _undefined_report(eta: float) -> LikelihoodRootReport:
+    return LikelihoodRootReport(
+        (), RootMethod.GRID_BISECTION, Orientation.H0_FIRST, (), eta,
+        ("log ratio undefined on the whole interval",),
+    )
+
+
+def _grid_report(
+    pair: HypothesisPair, eta: float, scan: _GridScan, bisected
+) -> LikelihoodRootReport:
+    """Report of one scanned threshold from its bisected bracket roots."""
+    roots = sorted([float(r) for r in bisected] + list(scan.hits))
+    warnings: list[str] = []
+    if len(roots) % 2 != (1 if scan.ends_differ else 0):
+        warnings.append(
+            "root count parity disagrees with the interval end signs; "
+            "the grid may be too coarse for this pair"
+        )
+    orient = Orientation.H0_FIRST if scan.first_sign < 0 else Orientation.H1_FIRST
+    residuals = _check_residuals(pair, eta, roots)
+    return LikelihoodRootReport(
+        tuple(roots), RootMethod.GRID_BISECTION, orient, residuals, eta, tuple(warnings)
+    )
 
 
 def ml_boundaries_generic(
@@ -254,45 +358,65 @@ def ml_boundaries_generic(
     if grid < 2:
         raise InvalidParameterError(f"grid resolution must be >= 2, got {grid}")
     if pair.p0 in (0.0, 1.0):
-        orient = Orientation.H1_FIRST if pair.p0 == 0.0 else Orientation.H0_FIRST
-        return LikelihoodRootReport((), RootMethod.GRID_BISECTION, orient, (), eta)
-    lo, hi = interval if interval is not None else default_search_interval(pair)
-    if not lo < hi:
-        raise EmptyIntervalError(f"empty search interval [{lo}, {hi}]")
-
-    xs = np.linspace(lo, hi, grid)
-    gap = np.asarray(log_ratio_gap(pair, eta, xs))
-    defined = ~np.isnan(gap)
-    warnings: list[str] = []
-    if not defined.any():
-        warnings.append("log ratio undefined on the whole interval")
-        return LikelihoodRootReport(
-            (), RootMethod.GRID_BISECTION, Orientation.H0_FIRST, (), eta, tuple(warnings)
-        )
-
-    xs_d = xs[defined]
-    gap_d = gap[defined]
-    signs = np.sign(gap_d)
-    roots: list[float] = []
+        return _prior_only_report(pair, eta, RootMethod.GRID_BISECTION)
+    xs = _search_grid(pair, interval, grid)
+    scan = _scan(xs, np.asarray(log_ratio_gap(pair, eta, xs)))
+    if scan is None:
+        return _undefined_report(eta)
     scalar_gap = lambda t: float(log_ratio_gap(pair, eta, t))
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        roots.append(float(_bisect(scalar_gap, xs_d[i], xs_d[i + 1], gap_d[i], gap_d[i + 1])))
-    for i in np.nonzero(signs == 0)[0]:  # exact grid hits
-        roots.append(float(xs_d[i]))
-    roots = sorted(roots)
+    bisected = [_bisect(scalar_gap, *bracket) for bracket in zip(scan.lo, scan.hi, scan.f_lo)]
+    return _grid_report(pair, eta, scan, bisected)
 
-    ends_differ = signs[signs != 0][0] != signs[signs != 0][-1] if (signs != 0).any() else False
-    if len(roots) % 2 != (1 if ends_differ else 0):
-        warnings.append(
-            "root count parity disagrees with the interval end signs; "
-            "the grid may be too coarse for this pair"
-        )
 
-    first_sign = signs[signs != 0][0] if (signs != 0).any() else -1.0
-    orient = Orientation.H0_FIRST if first_sign < 0 else Orientation.H1_FIRST
-    residuals = _check_residuals(pair, eta, roots)
-    return LikelihoodRootReport(
-        tuple(roots), RootMethod.GRID_BISECTION, orient, residuals, eta, tuple(warnings)
+def _ml_boundaries_many(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, ...]:
+    """``ml_boundaries`` at every threshold of ``etas``, with the same reports.
+
+    Gaussian pairs use the closed form per threshold.  Otherwise, with more
+    than one threshold, both log densities are evaluated on the grid once,
+    each threshold's gap row is formed with the operation order of
+    ``log_ratio_gap`` and scanned, and the sign changes of all thresholds are
+    bisected together with one array ``log_pdf`` call per density per step.
+    A single threshold keeps the scalar bisection, which is faster for it.
+    """
+    etas = [float(eta) for eta in etas]
+    if len(etas) == 1 or (
+        pair.h0.family is Family.GAUSSIAN and pair.h1.family is Family.GAUSSIAN
+    ):
+        return tuple(ml_boundaries(pair, eta) for eta in etas)
+    for eta in etas:
+        if not eta > 0:
+            raise InvalidParameterError(f"eta must be > 0, got {eta}")
+    if pair.p0 in (0.0, 1.0):
+        return tuple(_prior_only_report(pair, eta, RootMethod.GRID_BISECTION) for eta in etas)
+    xs = _search_grid(pair, None, DEFAULT_GRID)
+    log_p1, log_p0 = float(np.log(pair.p1)), float(np.log(pair.p0))
+    log_etas = np.asarray([math.log(eta) for eta in etas])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = log_p1 + np.asarray(pair.h1.log_pdf(xs))
+        log_f0 = np.asarray(pair.h0.log_pdf(xs))
+        scans = [_scan(xs, head - log_eta - log_p0 - log_f0) for log_eta in log_etas]
+
+    bracket_log_eta = np.repeat(log_etas, [0 if s is None else s.lo.size for s in scans])
+
+    def gap(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (
+                log_p1
+                + np.asarray(pair.h1.log_pdf(x))
+                - bracket_log_eta[idx]
+                - log_p0
+                - np.asarray(pair.h0.log_pdf(x))
+            )
+
+    found = [s for s in scans if s is not None]
+    brackets = (
+        np.concatenate([np.zeros(0)] + [getattr(s, f) for s in found]) for f in ("lo", "hi", "f_lo")
+    )
+    roots = iter(_bisect_many(gap, *brackets))
+    return tuple(
+        _undefined_report(eta) if scan is None
+        else _grid_report(pair, eta, scan, list(islice(roots, scan.lo.size)))
+        for eta, scan in zip(etas, scans)
     )
 
 

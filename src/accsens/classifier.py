@@ -208,11 +208,17 @@ def region_accuracy(pair: HypothesisPair, boundaries: Sequence[float], orientati
     acc = pair.p0 * float(np.sum(mass0[start0::2])) + pair.p1 * float(
         np.sum(mass1[1 - start0 :: 2])
     )
-    if not -1e-12 <= acc <= 1.0 + 1e-12:
-        raise SolverFailureError(
-            f"accuracy {acc!r} escaped [0, 1]; the model cdfs are inconsistent"
-        )
+    _check_accuracy_range((acc,))
     return acc
+
+
+def _check_accuracy_range(accs: Sequence[float]) -> None:
+    """Refuse accuracies outside [0, 1] beyond rounding."""
+    for acc in accs:
+        if not -1e-12 <= acc <= 1.0 + 1e-12:
+            raise SolverFailureError(
+                f"accuracy {acc!r} escaped [0, 1]; the model cdfs are inconsistent"
+            )
 
 
 def region_accuracy_gradient(
@@ -280,10 +286,7 @@ def classify(spec: ClassifierSpec, pair: HypothesisPair, x):
             )
         labels = np.where(np.isnan(s), 0, (s >= 0).astype(int))
     else:
-        bset = resolve(spec, pair)
-        idx = np.searchsorted(np.asarray(bset.boundaries), x_arr, side="right")
-        even = idx % 2 == 0
-        labels = np.where(even == (bset.orientation is Orientation.H0_FIRST), 0, 1)
+        labels = classify_boundaries(resolve(spec, pair), x_arr)
     if np.ndim(x) == 0:
         return Label(int(labels))
     return labels

@@ -233,6 +233,8 @@ def _cmd_curve(args) -> int:
     formats = args.format.split(",")
     out = Path(args.out) if args.out else None
     print(f"curve {args.kind}: {len(curve.points)} points ({args.norm} norm)")
+    for warning in curve.metadata.get("warnings", ()):
+        print(f"solver warning: {warning}")
     if out is None:
         if "csv" in formats:
             sys.stdout.write(_csv_with_config(curve.to_csv_text(), config))

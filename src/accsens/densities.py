@@ -192,8 +192,9 @@ class DensityModel:
         x = np.asarray(x, dtype=float)
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
-            z = (x - mu) / sigma
-            out = np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
+            with np.errstate(over="ignore"):  # far out z * z is inf: pdf 0
+                z = (x - mu) / sigma
+                out = np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
         elif self.family is Family.EXPONENTIAL:
             lam = self.params[0]
             with np.errstate(over="ignore"):
@@ -209,8 +210,9 @@ class DensityModel:
         x = np.asarray(x, dtype=float)
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
-            z = (x - mu) / sigma
-            out = -0.5 * z * z - math.log(sigma * _SQRT_2PI)
+            with np.errstate(over="ignore"):  # far out z * z is inf: log pdf -inf
+                z = (x - mu) / sigma
+                out = -0.5 * z * z - math.log(sigma * _SQRT_2PI)
         elif self.family is Family.EXPONENTIAL:
             lam = self.params[0]
             out = np.where(x >= 0.0, math.log(lam) - lam * x, -np.inf)
@@ -261,9 +263,10 @@ class DensityModel:
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
             f = np.asarray(self.pdf(x))
-            z = np.where(np.isinf(x), 0.0, (x - mu) / sigma)
-            d_mu = z / sigma * f
-            d_sigma = (z * z - 1.0) / sigma * f
+            with np.errstate(over="ignore", invalid="ignore"):  # far out: inf * 0
+                z = np.where(np.isinf(x), 0.0, (x - mu) / sigma)
+                d_mu = np.where(f == 0.0, 0.0, z / sigma * f)
+                d_sigma = np.where(f == 0.0, 0.0, (z * z - 1.0) / sigma * f)
             return np.stack([d_mu, d_sigma], axis=0)
         if self.family is Family.EXPONENTIAL:
             lam = self.params[0]

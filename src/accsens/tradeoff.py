@@ -2,8 +2,11 @@
 
 Three sweeps produce comparable curves for one hypothesis pair:
 
-* ``ml_curve``    - threshold sweep of the likelihood-ratio classifier;
-* ``linear_curve`` - sweep of a single boundary, best orientation per point;
+* ``ml_curve``    - threshold sweep of the likelihood-ratio classifier; for
+  non-Gaussian pairs the roots of every threshold are bisected together
+  (``_ml_boundaries_many``), and the solver warnings go to the metadata;
+* ``linear_curve`` - sweep of a single boundary, best orientation per point,
+  evaluated on the whole grid with one cdf and one gradient call per density;
 * ``general_curve`` - for each accuracy level zeta, the boundary set of the
   requested size with the smallest sensitivity subject to accuracy == zeta.
 
@@ -36,10 +39,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .boundary_solver import _phi_cdf, _phi_pdf, default_search_interval, ml_boundaries
+from .boundary_solver import (
+    _ml_boundaries_many,
+    _phi_cdf,
+    _phi_pdf,
+    default_search_interval,
+    ml_boundaries,
+)
 from .classifier import (
     Norm,
     Orientation,
+    _check_accuracy_range,
     apply_norm,
     region_accuracy,
     region_accuracy_gradient,
@@ -180,8 +190,8 @@ def ml_curve(
         raise InvalidParameterError("eta grid must be positive")
     points: list[TradeoffPoint] = []
     degenerate = 0
-    for eta in grid:
-        report = ml_boundaries(pair, float(eta))
+    reports = _ml_boundaries_many(pair, grid)
+    for report in reports:
         if not report.roots:
             degenerate += 1
             continue
@@ -193,10 +203,14 @@ def ml_curve(
                 report.roots,
                 report.orientation,
                 "ml",
-                float(eta),
+                report.eta,
             )
         )
-    return _assemble(points, norm, "ml", pair, {"eta_points": int(grid.size), "degenerate_etas": degenerate})
+    metadata = {"eta_points": int(grid.size), "degenerate_etas": degenerate}
+    warnings = list(dict.fromkeys(w for report in reports for w in report.warnings))
+    if warnings:
+        metadata["warnings"] = warnings
+    return _assemble(points, norm, "ml", pair, metadata)
 
 
 def default_y_grid(pair: HypothesisPair, n: int = DEFAULT_Y_POINTS) -> np.ndarray:
@@ -216,13 +230,17 @@ def linear_curve(
     grid = default_y_grid(pair) if y_grid is None else np.asarray(y_grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("boundary grid is empty")
-    points: list[TradeoffPoint] = []
-    for y in grid:
-        acc0 = region_accuracy(pair, (y,), Orientation.H0_FIRST)
-        orientation = Orientation.H0_FIRST if acc0 >= 0.5 else Orientation.H1_FIRST
-        acc = acc0 if acc0 >= 0.5 else 1.0 - acc0
-        grad = region_accuracy_gradient(pair, (y,), orientation)
-        points.append(TradeoffPoint(acc, apply_norm(grad, norm), (float(y),), orientation, "linear", float(y)))
+    # region_accuracy(pair, (y,), H0_FIRST) on the whole grid, in its operation order
+    acc0 = pair.p0 * np.asarray(pair.h0.cdf(grid)) + pair.p1 * (1.0 - np.asarray(pair.h1.cdf(grid)))
+    _check_accuracy_range(acc0.tolist())
+    h0_first = acc0 >= 0.5
+    acc = np.where(h0_first, acc0, 1.0 - acc0)
+    # the cdf gradients vanish at +inf, so the pair (y, inf) has the gradient of (y,)
+    sens = _sens_many(pair, grid, np.full_like(grid, np.inf), norm)
+    points = [
+        TradeoffPoint(a, s, (y,), Orientation.H0_FIRST if first else Orientation.H1_FIRST, "linear", y)
+        for a, s, y, first in zip(acc.tolist(), sens.tolist(), grid.tolist(), h0_first.tolist())
+    ]
     return _assemble(points, norm, "linear", pair, {"y_points": int(grid.size)})
 
 

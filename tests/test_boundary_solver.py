@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from accsens.boundary_solver import (
+    _ml_boundaries_many,
+    DEFAULT_GRID,
     RESIDUAL_RTOL,
     RootMethod,
     default_search_interval,
@@ -127,6 +131,80 @@ class TestGridBisection:
     def test_dispatch(self, table1_pair, exp_pair):
         assert ml_boundaries(table1_pair, 1.0).method is RootMethod.GAUSSIAN_QUADRATIC
         assert ml_boundaries(exp_pair, 1.0).method is RootMethod.GRID_BISECTION
+
+
+@st.composite
+def exponential_pairs(draw):
+    rate0, rate1 = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    if draw(st.booleans()):  # nearly equal rates cross the ratio near the support edge
+        rate1 = rate0 * draw(st.sampled_from([1.00001, 0.99999]))
+    return HypothesisPair(
+        DensityModel.exponential(rate0), DensityModel.exponential(rate1), draw(st.floats(0.05, 0.95))
+    )
+
+
+#: Thresholds from far below to far above every crossing of the ratio.
+eta_grids = st.lists(st.floats(-20.0, 20.0).map(math.exp), min_size=2, max_size=12)
+
+
+class TestManyThresholds:
+    @settings(max_examples=60, deadline=None)
+    @given(exponential_pairs(), eta_grids)
+    def test_matches_one_solve_per_threshold(self, pair, etas):
+        # repr spells out every float, so equal text is equal bits
+        assert repr(_ml_boundaries_many(pair, etas)) == repr(
+            tuple(ml_boundaries(pair, eta) for eta in etas)
+        )
+
+    def test_parity_warning_is_kept(self):
+        # the ratio root of this pair sits exactly on the support edge at
+        # eta = 1 + 1e-5, a grid point; that solve warns about the parity
+        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0 + 1e-5))
+        many = _ml_boundaries_many(pair, [1.0, 1.0 + 1e-5])
+        assert many[1].warnings and "parity" in many[1].warnings[0]
+        assert many == (ml_boundaries(pair, 1.0), ml_boundaries(pair, 1.0 + 1e-5))
+
+    @pytest.mark.parametrize("p0", [0.0, 1.0])
+    def test_single_hypothesis_priors(self, p0):
+        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(2.0), p0)
+        assert _ml_boundaries_many(pair, [0.5, 2.0]) == tuple(ml_boundaries(pair, e) for e in (0.5, 2.0))
+
+    def test_gaussian_pairs_use_the_closed_form(self, table1_pair):
+        many = _ml_boundaries_many(table1_pair, [0.5, 1.0, 1e9])
+        assert many == tuple(ml_boundaries_gaussian(table1_pair, e) for e in (0.5, 1.0, 1e9))
+
+    def test_invalid_threshold_rejected(self, exp_pair):
+        with pytest.raises(InvalidParameterError):
+            _ml_boundaries_many(exp_pair, [1.0, 0.0])
+
+
+@st.composite
+def separated_two_root_gaussian_pairs(draw):
+    """Two-root Gaussian pairs whose roots lie inside the search interval,
+    at least 4 grid cells apart."""
+    mu0, mu1 = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    s0, s1 = draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0))
+    assume(abs(s0 - s1) >= 0.2)
+    pair = HypothesisPair(
+        DensityModel.gaussian(mu0, s0), DensityModel.gaussian(mu1, s1), draw(st.floats(0.3, 0.7))
+    )
+    roots = ml_boundaries_gaussian(pair, 1.0).roots
+    lo, hi = default_search_interval(pair)
+    cell = (hi - lo) / (DEFAULT_GRID - 1)
+    assume(len(roots) == 2 and lo < roots[0] and roots[1] < hi and roots[1] - roots[0] >= 4 * cell)
+    return pair
+
+
+class TestClosedFormAgreesWithGrid:
+    @settings(max_examples=50, deadline=None)
+    @given(separated_two_root_gaussian_pairs())
+    def test_roots_and_orientation(self, pair):
+        closed = ml_boundaries_gaussian(pair, 1.0)
+        grid = ml_boundaries_generic(pair, 1.0)
+        assert len(grid.roots) == len(closed.roots)
+        assert grid.orientation is closed.orientation
+        for r_grid, r in zip(grid.roots, closed.roots):
+            assert abs(r_grid - r) <= 1e-10 * max(1.0, abs(r))
 
 
 class TestOptimalLinear:

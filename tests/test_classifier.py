@@ -48,6 +48,25 @@ class TestClassify:
             assert classify(GeneralSpec(bset), table1_pair, float(x)) == v
 
 
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("boundaries", [(0.5,), (-1.0, 2.0), (-1.0, -1.0), (-1.0, 0.5, 2.0)])
+    def test_general_and_linear_specs_label_as_classify_boundaries(
+        self, table1_pair, boundaries, orientation
+    ):
+        # samples exactly on every boundary, just beside them and between
+        bset = BoundarySet(boundaries, orientation)
+        b = np.asarray(boundaries)
+        x = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), [-5.0, 0.0, 7.0]])
+        expected = classify_boundaries(bset, x)
+        specs = [GeneralSpec(bset)]
+        if len(boundaries) == 1:
+            specs.append(LinearSpec(boundaries[0], orientation))
+        for spec in specs:
+            np.testing.assert_array_equal(classify(spec, table1_pair, x), expected)
+            for xi, label in zip(x, expected):
+                assert classify(spec, table1_pair, float(xi)) is Label(int(label))
+
+
 class TestAccuracy:
     def test_reference_values(self, table1_pair):
         assert accuracy(GeneralSpec(C1), table1_pair) == pytest.approx(0.7891, abs=5e-4)

@@ -90,6 +90,23 @@ class TestCheckCommand:
 
 
 class TestCurveCommand:
+    def test_ml_solver_warnings_are_printed_and_saved(self, tmp_path, capsys):
+        # at eta = 1.00001 the ratio root of this pair sits exactly on the
+        # support edge, and that solve warns about the root parity
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "h0": {"family": "exponential", "params": {"rate": 1.0}},
+            "h1": {"family": "exponential", "params": {"rate": 1.00001}},
+            "p0": 0.5,
+        }))
+        assert run_cli(
+            "curve", "ml", "--problem", str(problem), "--eta-min", "1.00001",
+            "--eta-max", "1.00001", "--eta-steps", "1", "--out", str(tmp_path), "--format", "json",
+        ) == 0
+        assert "solver warning: root count parity" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "curve_ml.json").read_text())
+        assert len(payload["result"]["metadata"]["warnings"]) == 1
+
     def test_small_ml_curve_csv(self, tmp_path):
         assert run_cli(
             "curve", "ml", "--problem", TABLE1, "--eta-steps", "25",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestPdf:
             DensityModel.gaussian(0.0, 1.0)  # proper models still construct
         finally:
             dens.NORMALIZATION_CHECKS = False
+
+    @pytest.mark.parametrize("x", [1e200, -1e200, 8e307, 1e308])
+    def test_gaussian_far_out_points_do_not_warn(self, x):
+        model = DensityModel.gaussian(1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.pdf(x) == 0.0
+            assert model.log_pdf(x) == -np.inf
+            np.testing.assert_array_equal(model.grad_pdf_params(x), [0.0, 0.0])
+            np.testing.assert_array_equal(model.pdf(np.asarray([x, 1.0])), [0.0, model.pdf(1.0)])
 
 
 class TestCdf:

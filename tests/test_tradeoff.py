@@ -19,8 +19,8 @@ from accsens.classifier import (
     region_accuracy_gradient,
     sensitivity,
 )
-from accsens.densities import DensityModel, HypothesisPair
-from accsens.errors import InfeasibleTargetError, InvalidParameterError
+from accsens.densities import CustomDensity, DensityModel, HypothesisPair
+from accsens.errors import InfeasibleTargetError, InvalidParameterError, SolverFailureError
 from accsens.tradeoff import (
     TradeoffCurve,
     constrained_min_sensitivity,
@@ -76,6 +76,18 @@ class TestMlCurve:
         )
         assert found
 
+    @pytest.mark.parametrize("eta_grid", [[1.0 + 1e-5], [1.0, 1.0 + 1e-5]])
+    def test_solver_warnings_are_kept(self, eta_grid):
+        # at eta = 1 + 1e-5 the ratio root of this pair sits exactly on the
+        # support edge, and that solve warns about the root parity
+        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0 + 1e-5))
+        curve = ml_curve(pair, np.asarray(eta_grid))
+        assert curve.metadata["warnings"] == list(ml_boundaries(pair, 1.0 + 1e-5).warnings)
+        assert "parity" in curve.metadata["warnings"][0]
+
+    def test_clean_curve_has_no_warnings_key(self, exp_pair):
+        assert "warnings" not in ml_curve(exp_pair).metadata
+
     def test_empty_and_invalid_grids(self, table1_pair):
         with pytest.raises(InvalidParameterError):
             ml_curve(table1_pair, np.asarray([]))
@@ -107,6 +119,58 @@ class TestLinearCurve:
     def test_kept_orientation_never_below_chance(self, table1_pair):
         curve = linear_curve(table1_pair)
         assert np.all(curve.accuracies >= 0.5)
+
+    def test_accuracy_outside_unit_interval_is_a_solver_failure(self):
+        # a custom family whose cdf overshoots 1, as region_accuracy refuses it
+        broken = CustomDensity(
+            name="overshoot",
+            param_names=("a",),
+            pdf=lambda x, p: np.zeros_like(x),
+            cdf=lambda x, p: np.full_like(x, 5.0),
+            sampler=lambda rng, n, p: np.zeros(n),
+        )
+        pair = HypothesisPair(DensityModel.from_custom(broken, (1.0,)), DensityModel.gaussian(0.0, 1.0))
+        with pytest.raises(SolverFailureError, match="escaped"):
+            linear_curve(pair, np.asarray([-1.0, 0.0]))
+
+
+@st.composite
+def linear_sweeps(draw):
+    """A random Gaussian or exponential pair and boundary positions reaching
+    half the search interval past either end."""
+    if draw(st.booleans()):
+        h0 = DensityModel.gaussian(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.5, 6.0)))
+        h1 = DensityModel.gaussian(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.5, 6.0)))
+    else:
+        h0 = DensityModel.exponential(draw(st.floats(0.2, 5.0)))
+        h1 = DensityModel.exponential(draw(st.floats(0.2, 5.0)))
+    pair = HypothesisPair(h0, h1, draw(st.floats(0.05, 0.95)))
+    lo, hi = default_search_interval(pair)
+    u = draw(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=40))
+    return pair, lo + np.asarray(u) * (hi - lo)
+
+
+class TestLinearCurveProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(linear_sweeps(), st.sampled_from(list(Norm)))
+    def test_points_reproduce_the_public_functions(self, sweep, norm):
+        pair, ys = sweep
+        curve = linear_curve(pair, ys, norm)
+        for p in curve.points:
+            (y,) = p.boundaries
+            # the point-by-point sweep: the orientation at or above chance
+            acc0 = accuracy(GeneralSpec(BoundarySet((y,), Orientation.H0_FIRST)), pair)
+            assert p.orientation is (Orientation.H0_FIRST if acc0 >= 0.5 else Orientation.H1_FIRST)
+            assert p.accuracy == (acc0 if acc0 >= 0.5 else 1.0 - acc0)
+            spec = GeneralSpec(BoundarySet((y,), p.orientation))
+            # 1 - acc0 may differ from the swapped sum in the last bit
+            tol = 0.0 if p.orientation is Orientation.H0_FIRST else np.finfo(float).eps
+            assert abs(accuracy(spec, pair) - p.accuracy) <= tol
+            public = sensitivity(spec, pair, norm)
+            if norm is Norm.INF:
+                assert p.sensitivity == public
+            else:
+                assert abs(p.sensitivity - public) <= 1e-15 * public
 
 
 class TestConstrainedMin:
