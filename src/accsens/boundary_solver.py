@@ -95,19 +95,14 @@ def log_ratio_gap(pair: HypothesisPair, eta: float, x):
     return out if out.ndim else float(out)
 
 
-def _residual(pair: HypothesisPair, eta: float, r: float) -> float:
-    t1 = pair.p1 * float(pair.h1.pdf(r))
-    t0 = eta * pair.p0 * float(pair.h0.pdf(r))
-    return abs(t1 - t0)
-
-
 def _check_residuals(pair, eta, roots) -> tuple[float, ...]:
+    """|p1 f1(r) - eta p0 f0(r)| at each root, checked against a bound
+    relative to the larger weighted density; one pdf call per density."""
     residuals = []
     for r in roots:
-        res = _residual(pair, eta, r)
-        bound = RESIDUAL_RTOL * max(
-            pair.p0 * float(pair.h0.pdf(r)), pair.p1 * float(pair.h1.pdf(r)), _RESIDUAL_FLOOR
-        )
+        f0, f1 = float(pair.h0.pdf(r)), float(pair.h1.pdf(r))
+        res = abs(pair.p1 * f1 - eta * pair.p0 * f0)
+        bound = RESIDUAL_RTOL * max(pair.p0 * f0, pair.p1 * f1, _RESIDUAL_FLOOR)
         if res > bound:
             raise InvalidParameterError(
                 f"root {r!r} fails the residual bound ({res:.3e} > {bound:.3e})"

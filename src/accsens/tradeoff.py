@@ -17,8 +17,10 @@ and G is monotone between consecutive unit-threshold ratio roots; so for each
 grid value of one boundary the other has at most one solution per segment.
 Every branch is bisected at every grid point at once, in both
 parametrizations (grid in y1 solving y2, grid in y2 solving y1), sensitivity
-is evaluated on all branch points, and each branch's grid minimum is polished
-by bounded Brent.  The grid reaches out to the saturation points where both
+is evaluated on all branch points, and the grid minima of all branches are
+refined together by a zoom: each round samples every branch around its best
+point, solves all the partners in one array bisection, and shrinks each
+window to the neighbouring samples of the best one.  The grid reaches out to the saturation points where both
 cdfs read exactly 0 and 1, so every single-boundary classifier and every
 matched ratio classifier lies on a scanned branch: neither curve can undercut
 the general one.  For more than two boundaries a multistart penalty simplex
@@ -35,14 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .boundary_solver import (
     _ml_boundaries_many,
-    _phi_cdf,
-    _phi_pdf,
     default_search_interval,
     ml_boundaries,
 )
@@ -54,7 +55,7 @@ from .classifier import (
     region_accuracy,
     region_accuracy_gradient,
 )
-from .densities import Family, HypothesisPair
+from .densities import HypothesisPair
 from .errors import (
     InfeasibleTargetError,
     InvalidParameterError,
@@ -69,11 +70,11 @@ DEFAULT_Y_POINTS = 2001
 DEFAULT_ZETA_POINTS = 60
 #: Doubling steps of the outward walk to the saturation points.
 SATURATION_STEPS = 64
-#: Brent polish along a branch: tolerance of the first run relative to the
-#: polished cells, and absolute tolerance of the second run (in the offset).
-COARSE_XTOL = 1e-6
-POLISH_XATOL = 1e-12
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+#: Branch zoom: samples per branch and round, and rounds.  Each round
+#: shrinks the window by ZOOM_POINTS // 2, from the two grid cells beside the
+#: grid minimum down to about 1e-9 of a cell.
+ZOOM_POINTS = 65
+ZOOM_ROUNDS = 6
 
 
 @dataclass(frozen=True)
@@ -230,11 +231,12 @@ def linear_curve(
     grid = default_y_grid(pair) if y_grid is None else np.asarray(y_grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("boundary grid is empty")
-    # region_accuracy(pair, (y,), H0_FIRST) on the whole grid, in its operation order
-    acc0 = pair.p0 * np.asarray(pair.h0.cdf(grid)) + pair.p1 * (1.0 - np.asarray(pair.h1.cdf(grid)))
+    # region_accuracy(pair, (y,), orientation) on the whole grid, in its operation order
+    f0, f1 = np.asarray(pair.h0.cdf(grid)), np.asarray(pair.h1.cdf(grid))
+    acc0 = pair.p0 * f0 + pair.p1 * (1.0 - f1)
     _check_accuracy_range(acc0.tolist())
     h0_first = acc0 >= 0.5
-    acc = np.where(h0_first, acc0, 1.0 - acc0)
+    acc = np.where(h0_first, acc0, pair.p0 * (1.0 - f0) + pair.p1 * f1)
     # the cdf gradients vanish at +inf, so the pair (y, inf) has the gradient of (y,)
     sens = _sens_many(pair, grid, np.full_like(grid, np.inf), norm)
     points = [
@@ -272,39 +274,6 @@ def _sens_many(pair: HypothesisPair, y1: np.ndarray, y2: np.ndarray, norm: Norm)
     return np.sqrt(np.sum(grad * grad, axis=0))
 
 
-def _scalar_kernels(pair: HypothesisPair, norm: Norm):
-    """Scalar G(y) and sensitivity(y1, y2) for the polish.  Gaussian pairs use
-    plain float math with the formulas of the array path."""
-    if not (pair.h0.family is Family.GAUSSIAN and pair.h1.family is Family.GAUSSIAN):
-        return (
-            lambda y: float(_gap(pair, y)),
-            lambda y1, y2: float(_sens_many(pair, np.asarray([y1]), np.asarray([y2]), norm)[0]),
-        )
-    p0, p1 = pair.p0, pair.p1
-    mu0, s0 = pair.h0.params
-    mu1, s1 = pair.h1.params
-
-    def gap(y: float) -> float:
-        return p0 * _phi_cdf((y - mu0) / s0) - p1 * _phi_cdf((y - mu1) / s1)
-
-    def sens(y1: float, y2: float) -> float:
-        z01, z02 = (y1 - mu0) / s0, (y2 - mu0) / s0
-        z11, z12 = (y1 - mu1) / s1, (y2 - mu1) / s1
-        f01, f02 = _phi_pdf(z01) / s0, _phi_pdf(z02) / s0
-        f11, f12 = _phi_pdf(z11) / s1, _phi_pdf(z12) / s1
-        g = (
-            p0 * (f02 - f01),
-            p0 * (z02 * f02 - z01 * f01),
-            p1 * (f11 - f12),
-            p1 * (z11 * f11 - z12 * f12),
-        )
-        if norm is Norm.INF:
-            return max(abs(v) for v in g)
-        return math.sqrt(sum(v * v for v in g))
-
-    return gap, sens
-
-
 def _saturation_points(pair: HypothesisPair, lo: float, hi: float) -> tuple[float, float]:
     """(L*, H*) outside [lo, hi] where both cdfs read exactly 0 and exactly 1.
 
@@ -331,35 +300,49 @@ def _saturation_points(pair: HypothesisPair, lo: float, hi: float) -> tuple[floa
 
 
 def _bisect_level(pair, lo, hi, g_lo, g_hi, target, scale):
-    """Bisect G(x) = target on all brackets at once; G is monotone on each."""
-    rising = g_hi >= g_lo
-    tol = 2.0 * np.finfo(float).eps
-    while np.any(hi - lo > tol * (np.abs(lo) + np.abs(hi) + scale)):
-        mid = 0.5 * (lo + hi)
-        right = (_gap(pair, mid) < target) == rising  # the root lies right of mid
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    return 0.5 * (lo + hi)
+    """Solve G(x) = target on every bracket [lo, hi] at once, G monotone on each.
 
-
-def _branch_points(pair, ys, gs, cuts, d, scale):
-    """Level-set points G(y1) - G(y2) = d over the grid, both parametrizations.
-
-    Side 0 fixes y1 = ys[i] and solves y2 >= y1 on segment k; side 1 fixes
-    y2 = ys[i] and solves y1 <= y2.  Returns the boundary pairs and their
-    mask, each of shape (2, len(ys), segments).
+    The arguments broadcast together.  Every bracket takes the number of
+    halvings that brings the widest one below 2 eps * scale.  NaN where the
+    bracket is empty or G does not cross the target on it.
     """
-    i = np.arange(ys.size)[:, None]
-    seg_lo, seg_hi = cuts[None, :-1], cuts[None, 1:]
-    shape = (ys.size, cuts.size - 1)
-    a = np.stack([np.maximum(i, seg_lo), np.broadcast_to(seg_lo, shape)])
-    b = np.stack([np.broadcast_to(seg_hi, shape), np.minimum(i, seg_hi)])
-    target = np.broadcast_to(gs[None, :, None] + np.array([-d, d])[:, None, None], a.shape)
-    ok = (a < b) & ((gs[a] - target) * (gs[b] - target) <= 0.0)
-    x = np.zeros(a.shape)
-    x[ok] = _bisect_level(pair, ys[a[ok]], ys[b[ok]], gs[a[ok]], gs[b[ok]], target[ok], scale)
-    fixed = np.broadcast_to(ys[:, None], shape)
-    return np.stack([fixed, x[1]]), np.stack([x[0], fixed]), ok
+    lo, hi, g_lo, g_hi, target = np.broadcast_arrays(lo, hi, g_lo, g_hi, target)
+    ok = (lo < hi) & ((g_lo - target) * (g_hi - target) <= 0.0)
+    a, b, rising, level = lo[ok], hi[ok], g_hi[ok] >= g_lo[ok], target[ok]
+    tol = 2.0 * np.finfo(float).eps * scale
+    width = float(np.max(b - a, initial=0.0))
+    for _ in range(math.ceil(math.log2(width / tol)) if width > tol else 0):
+        mid = 0.5 * (a + b)
+        right = (_gap(pair, mid) < level) == rising  # the root lies right of mid
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    x = np.full(ok.shape, np.nan)
+    x[ok] = 0.5 * (a + b)
+    return x
+
+
+def _level_set(pair, d, scale, norm, fixed, side, seg_lo, seg_hi):
+    """Level-set points G(y1) - G(y2) = d with one boundary fixed.
+
+    Side 0 fixes y1 and solves y2 >= y1, side 1 fixes y2 and solves y1 <= y2,
+    on the segment [seg_lo, seg_hi] of G.  The array arguments broadcast
+    together; G is evaluated on them unbroadcast, so the bracket check costs
+    one evaluation per fixed value and per segment end.
+    Returns y1, y2 and the sensitivity, which reads inf where the segment
+    holds no level-set point.
+    """
+    g = _gap(pair, fixed)
+    first = side == 0
+    lo = np.where(first, np.maximum(fixed, seg_lo), seg_lo)
+    hi = np.where(first, seg_hi, np.minimum(fixed, seg_hi))
+    g_lo = np.where(first & (fixed > seg_lo), g, _gap(pair, seg_lo))
+    g_hi = np.where(~first & (fixed < seg_hi), g, _gap(pair, seg_hi))
+    x = _bisect_level(pair, lo, hi, g_lo, g_hi, g + np.where(first, -d, d), scale)
+    y1, y2 = np.where(first, fixed, x), np.where(first, x, fixed)
+    ok = ~np.isnan(x)
+    s = np.full(x.shape, math.inf)
+    s[ok] = _sens_many(pair, y1[ok], y2[ok], norm)
+    return y1, y2, s
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -368,83 +351,34 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(np.nonzero(edges == 1)[0].tolist(), np.nonzero(edges == -1)[0].tolist()))
 
 
-def _polish_branch(kernels, ys, partners, run, i, side, segment, d):
-    """Bounded Brent along one branch over the grid cells beside point i.
+def _zoom(solve, ys, i, side, seg_lo, seg_hi):
+    """Refine the branch minima found at the grid points ys[i], all at once.
 
-    ``partners`` holds the branch's solved coordinate at each grid point of
-    the run.  Past the run's last grid point the branch goes on until its
-    partner reaches a segment end; the polish covers that part of the cell
-    too, so a branch shorter than one cell is polished as well.  Within a
-    cell the partner is monotone, so brentq brackets it by its values at the
-    ends of the polished part, else by the whole segment.  Returns
-    (sensitivity, y1, y2), or None when the branch is a single point.
+    Each round samples every branch at ZOOM_POINTS values of its fixed
+    boundary, offset 0 at the current best point and each half spanning its
+    own window side (the grid is not uniform where ratio roots are inserted).
+    The window starts at the neighbouring grid points and then shrinks to the
+    neighbouring samples of the best one.  A sample whose partner leaves the
+    segment reads inf, so a branch that ends inside a cell is refined up to
+    its end.  Returns the sensitivity, y1 and y2 of each branch's best sample.
     """
-    gap, sens = kernels
-    start, stop = run
-    y0, x0 = ys[i], partners[i]
-    seg_lo, seg_hi = segment
-    sign = 1.0 if side else -1.0  # the partner's G is G(fixed) + sign * d
-
-    def reach(nb: int) -> tuple[float, float]:
-        """Offset towards grid point nb where the branch ends, and the
-        partner there."""
-        if start <= nb < stop:
-            return ys[nb] - y0, partners[nb]
-        if 0 <= nb < ys.size:
-            for end in segment:
-                level = gap(end) - sign * d
-                cell = sorted((y0, ys[nb]))
-                try:
-                    fixed = brentq(lambda v: gap(v) - level, *cell, xtol=RESTORE_XTOL)
-                except ValueError:
-                    continue
-                return fixed - y0, end
-        return 0.0, x0
-
-    (t_lo, x_lo), (t_hi, x_hi) = reach(i - 1), reach(i + 1)
-    if t_lo == t_hi:
-        return None
-
-    def ordered(fixed: float, v: float) -> tuple[float, float]:
-        return (fixed, v) if side == 0 else (v, fixed)
-
-    def solve(t: float) -> tuple[float, float] | None:
-        fixed = y0 + t
-        level = gap(fixed) + sign * d
-        end = x_lo if t < 0 else x_hi
-        whole = (max(fixed, seg_lo), seg_hi) if side == 0 else (seg_lo, min(fixed, seg_hi))
-        for a, b in ((min(x0, end), max(x0, end)), whole):
-            try:
-                return ordered(fixed, brentq(lambda v: gap(v) - level, a, b, xtol=RESTORE_XTOL))
-            except ValueError:
-                continue
-        return None
-
-    def objective(t: float) -> float:
-        pt = solve(t)
-        return math.inf if pt is None else sens(*pt)
-
-    # Brent runs on the offset from a reference point, because its tolerance
-    # has a term relative to the variable: a coarse run over the cells from
-    # the grid point, then a fine one from the coarse result (the fine
-    # tolerance matters at the kinks of the inf norm).  An unsolvable offset
-    # reads inf; Brent then takes golden-section steps, after numpy warns
-    # about the inf - inf in its parabola.
-    t, value = 0.0, math.inf
-    bounds, xatol = (t_lo, t_hi), COARSE_XTOL * (t_hi - t_lo)
-    for _ in range(2):
-        center = t
-        with np.errstate(invalid="ignore"):
-            res = minimize_scalar(
-                lambda u: objective(center + u), bounds=(bounds[0] - center, bounds[1] - center),
-                method="bounded", options={"xatol": xatol},
-            )
-        if res.fun < value:
-            t, value = center + float(res.x), float(res.fun)
-        width = 4.0 * (_SQRT_EPS * abs(t - center) + xatol / 3.0)
-        bounds, xatol = (max(t_lo, t - width), min(t_hi, t + width)), POLISH_XATOL
-    pt = solve(t)
-    return None if pt is None else (value, *pt)
+    lo_end = ys[np.maximum(i - 1, 0)][:, None]
+    hi_end = ys[np.minimum(i + 1, ys.size - 1)][:, None]
+    centre = ys[i][:, None]
+    below, above = centre - lo_end, hi_end - centre
+    u = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    half = ZOOM_POINTS // 2
+    for _ in range(ZOOM_ROUNDS):
+        fixed = np.clip(centre + u * np.where(u < 0.0, below, above), lo_end, hi_end)
+        y1, y2, s = solve(fixed, side[:, None], seg_lo[:, None], seg_hi[:, None])
+        j = np.argmin(s, axis=1, keepdims=True)
+        centre = np.take_along_axis(fixed, j, axis=1)
+        # the sample spacings on either side of the best sample
+        below, above = (
+            np.where(j <= half, below, above) / half,
+            np.where(j >= half, above, below) / half,
+        )
+    return tuple(np.take_along_axis(v, j, axis=1)[:, 0] for v in (s, y1, y2))
 
 
 def constrained_min_sensitivity(
@@ -454,8 +388,8 @@ def constrained_min_sensitivity(
 
     The level set is solved on every branch at every grid point, in both
     parametrizations (each misses the points where its branches turn
-    vertical); each branch's grid minimum is polished by bounded Brent and
-    the better of the two is kept.
+    vertical); the grid minima of all branches are refined together by a
+    shrinking-window zoom, and the better of grid point and zoom is kept.
     """
     base = ml_boundaries(pair, 1.0)
     if not base.roots:
@@ -497,30 +431,26 @@ def constrained_min_sensitivity(
 
     grid = default_y_grid(pair)
     ys = np.unique(np.concatenate([grid[(grid > l_sat) & (grid < h_sat)], [l_sat, h_sat]]))
-    gs = _gap(pair, ys)
     cuts = np.searchsorted(ys, [l_sat, *(r for r in base.roots if l_sat < r < h_sat), h_sat])
     d = (zeta - degenerate_acc) * (1.0 if orientation is Orientation.H0_FIRST else -1.0)
-    y1, y2, ok = _branch_points(pair, ys, gs, cuts, d, hi - lo)
-    if not ok.any():
+    solve = partial(_level_set, pair, d, hi - lo, norm)
+    # shape (side, grid point, segment)
+    y1, y2, s = solve(ys[:, None], np.arange(2)[:, None, None], ys[cuts[:-1]], ys[cuts[1:]])
+    found = np.isfinite(s)
+    if not found.any():
         raise SolverFailureError(f"no point of the accuracy level set found for target {zeta!r}")
-    s = np.full(ok.shape, math.inf)
-    s[ok] = _sens_many(pair, y1[ok], y2[ok], norm)
-
-    kernels = _scalar_kernels(pair, norm)
-    best = (math.inf, 0.0, 0.0)
-    for side, partners in ((0, y2), (1, y1)):
-        for k in range(cuts.size - 1):
-            for run in _runs(ok[side, :, k]):
-                i = run[0] + int(np.argmin(s[side, run[0]:run[1], k]))
-                grid_pt = (s[side, i, k], y1[side, i, k], y2[side, i, k])
-                segment = (ys[cuts[k]], ys[cuts[k + 1]])
-                polished = _polish_branch(
-                    kernels, ys, partners[side, :, k], run, i, side, segment, d
-                )
-                for cand in (grid_pt, polished):
-                    if cand is not None and cand[0] < best[0]:
-                        best = cand
-    return point(best[1], best[2])
+    minima = [
+        (side, start + int(np.argmin(s[side, start:stop, k])), k)
+        for side in range(2)
+        for k in range(cuts.size - 1)
+        for start, stop in _runs(found[side, :, k])
+    ]
+    side, i, k = np.asarray(minima).T
+    grid_minima = (s[side, i, k], y1[side, i, k], y2[side, i, k])
+    zoomed = _zoom(solve, ys, i, side, ys[cuts[k]], ys[cuts[k + 1]])
+    sens, b1, b2 = (np.concatenate(c) for c in zip(grid_minima, zoomed))
+    best = int(np.argmin(sens))
+    return point(b1[best], b2[best])
 
 
 def _penalty_min_sensitivity(
@@ -602,6 +532,8 @@ def general_curve(
     norm: Norm = Norm.INF,
 ) -> TradeoffCurve:
     """Fundamental frontier: minimum sensitivity at each accuracy target."""
+    if n_boundaries < 1:
+        raise InvalidParameterError(f"n_boundaries must be >= 1, got {n_boundaries}")
     base = ml_boundaries(pair, 1.0)
     if not base.roots:
         raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")

@@ -178,6 +178,23 @@ class TestManyThresholds:
             _ml_boundaries_many(exp_pair, [1.0, 0.0])
 
 
+class TestResidualCheck:
+    @pytest.mark.parametrize("name", ["table1_pair", "exp_pair"])
+    def test_one_pdf_call_per_density_per_root(self, name, request, monkeypatch):
+        pair = request.getfixturevalue(name)
+        calls = {id(pair.h0): 0, id(pair.h1): 0}
+        pdf = DensityModel.pdf
+
+        def counted(self, x):
+            calls[id(self)] += 1
+            return pdf(self, x)
+
+        monkeypatch.setattr(DensityModel, "pdf", counted)
+        report = ml_boundaries(pair, 0.7)
+        assert report.roots
+        assert calls == {id(pair.h0): len(report.roots), id(pair.h1): len(report.roots)}
+
+
 @st.composite
 def separated_two_root_gaussian_pairs(draw):
     """Two-root Gaussian pairs whose roots lie inside the search interval,

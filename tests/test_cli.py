@@ -131,6 +131,13 @@ class TestCurveCommand:
     def test_empty_grid_exits_2(self):
         assert run_cli("curve", "ml", "--problem", TABLE1, "--eta-steps", "0") == 2
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_boundary_count_exits_2(self, count, capsys):
+        assert run_cli(
+            "curve", "general", "--problem", TABLE1, "--zeta-steps", "2", "--n-boundaries", count
+        ) == 2
+        assert "n_boundaries must be >= 1" in capsys.readouterr().err
+
     def test_exponential_general_curve_keeps_its_top_point(self, tmp_path, capsys):
         problem = tmp_path / "exp.json"
         problem.write_text(json.dumps({
