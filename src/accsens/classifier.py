@@ -277,13 +277,9 @@ def classify(spec: ClassifierSpec, pair: HypothesisPair, x):
     """Label observations.  Scalar in, Label out; array in, int array out."""
     x_arr = np.asarray(x, dtype=float)
     if isinstance(spec, MLSpec):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = (
-                float(np.log(pair.p1)) + np.asarray(pair.h1.log_pdf(x_arr))
-                - math.log(spec.eta)
-                - float(np.log(pair.p0))
-                - np.asarray(pair.h0.log_pdf(x_arr))
-            )
+        from .boundary_solver import log_ratio_gap
+
+        s = np.asarray(log_ratio_gap(pair, spec.eta, x_arr))
         labels = np.where(np.isnan(s), 0, (s >= 0).astype(int))
     else:
         labels = classify_boundaries(resolve(spec, pair), x_arr)

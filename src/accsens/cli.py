@@ -574,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-steps", type=int, default=400)
     p.add_argument("--y-steps", type=int, default=2001)
     p.add_argument("--zeta-steps", type=int, default=60)
-    p.add_argument("--n-boundaries", type=int, default=2)
+    p.add_argument("--n-boundaries", type=int, default=2, help="boundary count: 1, 2 or 3")
     p.add_argument("--format", default="csv", help="comma list of csv,json,svg")
     p.set_defaults(fn=_cmd_curve)
 

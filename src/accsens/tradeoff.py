@@ -10,21 +10,16 @@ Three sweeps produce comparable curves for one hypothesis pair:
 * ``general_curve`` - for each accuracy level zeta, the boundary set of the
   requested size with the smallest sensitivity subject to accuracy == zeta.
 
-The constrained minimum is nonconvex.  For two boundaries it is solved by an
-exact, deterministic scan of the accuracy level set's one-dimensional
-branches.  With the orientation fixed, accuracy separates as G(y1) - G(y2),
-and G is monotone between consecutive unit-threshold ratio roots; so for each
-grid value of one boundary the other has at most one solution per segment.
-Every branch is bisected at every grid point at once, in both
-parametrizations (grid in y1 solving y2, grid in y2 solving y1), sensitivity
-is evaluated on all branch points, and the grid minima of all branches are
-refined together by a zoom: each round samples every branch around its best
-point, solves all the partners in one array bisection, and shrinks each
-window to the neighbouring samples of the best one.  The grid reaches out to the saturation points where both
-cdfs read exactly 0 and 1, so every single-boundary classifier and every
-matched ratio classifier lies on a scanned branch: neither curve can undercut
-the general one.  For more than two boundaries a multistart penalty simplex
-search is used instead and the result is flagged best-effort.
+The constrained minimum is nonconvex.  For 1, 2 or 3 boundaries in the
+orientation of the maximum-accuracy classifier it is found by a deterministic
+scan of the accuracy level set (see ``constrained_min_sensitivity``): with all
+boundaries but one fixed on a grid, the free one is bisected on each segment
+where the accuracy is monotone in it, and the grid minima are refined
+together by an array zoom.  The grid reaches out to the saturation points
+where both cdfs read exactly 0 and 1, so every single-boundary classifier and
+every matched ratio classifier lies on a scanned two-boundary branch: neither
+curve can undercut the two-boundary one, and the three-boundary minimum,
+which takes the two-boundary one as a candidate, never lies above it.
 
 Every point on a returned curve satisfies its accuracy target to 1e-6;
 points whose refinement misses the target are dropped and counted in the
@@ -40,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .boundary_solver import (
     _ml_boundaries_many,
@@ -64,17 +58,22 @@ from .errors import (
 )
 
 ACCURACY_TOL = 1e-6
-RESTORE_XTOL = 1e-13
 DEFAULT_ETA_GRID = (1e-3, 1e3, 400)
 DEFAULT_Y_POINTS = 2001
 DEFAULT_ZETA_POINTS = 60
 #: Doubling steps of the outward walk to the saturation points.
 SATURATION_STEPS = 64
-#: Branch zoom: samples per branch and round, and rounds.  Each round
-#: shrinks the window by ZOOM_POINTS // 2, from the two grid cells beside the
-#: grid minimum down to about 1e-9 of a cell.
-ZOOM_POINTS = 65
-ZOOM_ROUNDS = 6
+#: Branch zoom, by the number of fixed boundaries: samples per fixed
+#: boundary, sample spacings kept on either side of the best sample, rounds.
+#: One fixed boundary: each round shrinks the window by a factor 32, from the
+#: two grid cells beside the grid minimum down to about 1e-9 of a cell.  Two:
+#: a factor 8/3 per round, down to about 2e-11 of a cell; a window of one
+#: spacing either side loses the inf-norm minima that lie on a ridge where two
+#: gradient components tie and the ridge crosses the sample grid diagonally.
+ZOOM = {1: (65, 1, 6), 2: (17, 3, 25)}
+#: Three boundaries: the two fixed boundaries run over all sorted pairs of
+#: every PAIR_STRIDE-th grid point.
+PAIR_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -237,8 +236,7 @@ def linear_curve(
     _check_accuracy_range(acc0.tolist())
     h0_first = acc0 >= 0.5
     acc = np.where(h0_first, acc0, pair.p0 * (1.0 - f0) + pair.p1 * f1)
-    # the cdf gradients vanish at +inf, so the pair (y, inf) has the gradient of (y,)
-    sens = _sens_many(pair, grid, np.full_like(grid, np.inf), norm)
+    sens = _sens_many(pair, (grid,), norm)
     points = [
         TradeoffPoint(a, s, (y,), Orientation.H0_FIRST if first else Orientation.H1_FIRST, "linear", y)
         for a, s, y, first in zip(acc.tolist(), sens.tolist(), grid.tolist(), h0_first.tolist())
@@ -246,17 +244,20 @@ def linear_curve(
     return _assemble(points, norm, "linear", pair, {"y_points": int(grid.size)})
 
 
-# ---- constrained minimum for two boundaries ----
+# ---- constrained minimum ----
 #
-# For a fixed orientation the two-boundary accuracy separates:
+# For a fixed orientation the accuracy of n boundaries separates:
 #
-#     acc(y1, y2) = base + s (G(y1) - G(y2)),    G(y) = p0 F0(y) - p1 F1(y),
+#     acc(y_1, ..., y_n) = base + s (G(y_1) - G(y_2) + G(y_3) - ...),
+#     G(y) = p0 F0(y) - p1 F1(y),
 #
-# with s = +1, base = p0 for H0_FIRST and s = -1, base = p1 for H1_FIRST.
-# G' = p0 f0 - p1 f1 changes sign only at the unit-threshold ratio roots, so G
-# is monotone between consecutive roots: for a fixed partner, the level set
-# G(y1) - G(y2) = d has at most one point per such segment.  Sensitivity is
-# the norm of the parameter gradient, which the orientation only negates.
+# with s = +1 for H0_FIRST and s = -1 for H1_FIRST; base is the prior of the
+# class that owns the rightmost region (the accuracy with every boundary at
+# -inf).  G' = p0 f0 - p1 f1 changes sign only at the unit-threshold ratio
+# roots, so G is monotone between consecutive roots: with all boundaries but
+# one fixed, the level set has at most one point per such segment.
+# Sensitivity is the norm of the parameter gradient, the same signed sum of
+# cdf gradients, which the orientation only negates.
 
 
 def _gap(pair: HypothesisPair, y: np.ndarray) -> np.ndarray:
@@ -264,11 +265,17 @@ def _gap(pair: HypothesisPair, y: np.ndarray) -> np.ndarray:
     return pair.p0 * np.asarray(pair.h0.cdf(y)) - pair.p1 * np.asarray(pair.h1.cdf(y))
 
 
-def _sens_many(pair: HypothesisPair, y1: np.ndarray, y2: np.ndarray, norm: Norm) -> np.ndarray:
-    """Sensitivity of the boundary pairs (y1, y2), either orientation."""
-    g0 = np.atleast_2d(pair.h0.grad_cdf_params(y1)) - np.atleast_2d(pair.h0.grad_cdf_params(y2))
-    g1 = np.atleast_2d(pair.h1.grad_cdf_params(y1)) - np.atleast_2d(pair.h1.grad_cdf_params(y2))
-    grad = np.concatenate([pair.p0 * g0, pair.p1 * g1], axis=0)
+def _sens_many(pair: HypothesisPair, ys, norm: Norm) -> np.ndarray:
+    """Sensitivity of the boundary sets (ys[0][k], ys[1][k], ...), either orientation."""
+
+    def signed_sum(h):
+        total = np.atleast_2d(h.grad_cdf_params(ys[0]))
+        for i, y in enumerate(ys[1:], 1):
+            g = np.atleast_2d(h.grad_cdf_params(y))
+            total = total + g if i % 2 == 0 else total - g
+        return total
+
+    grad = np.concatenate([pair.p0 * signed_sum(pair.h0), pair.p1 * signed_sum(pair.h1)], axis=0)
     if norm is Norm.INF:
         return np.max(np.abs(grad), axis=0)
     return np.sqrt(np.sum(grad * grad, axis=0))
@@ -279,7 +286,8 @@ def _saturation_points(pair: HypothesisPair, lo: float, hi: float) -> tuple[floa
 
     The walk doubles its step outward from the interval and stops at a finite
     support edge.  A boundary pinned there adds no mass, so the pairs (y, H*)
-    and (L*, y) are the single-boundary classifiers of both orientations.
+    and (L*, y) are the single-boundary classifiers of both orientations, and
+    a boundary set followed by H* is the same classifier as the set alone.
     """
     span = hi - lo
 
@@ -321,28 +329,44 @@ def _bisect_level(pair, lo, hi, g_lo, g_hi, target, scale):
     return x
 
 
-def _level_set(pair, d, scale, norm, fixed, side, seg_lo, seg_hi):
-    """Level-set points G(y1) - G(y2) = d with one boundary fixed.
+def _level_set(pair, d, scale, norm, fixed, free, seg_lo, seg_hi):
+    """Level-set points G(y_1) - G(y_2) + G(y_3) - ... = d, one boundary free.
 
-    Side 0 fixes y1 and solves y2 >= y1, side 1 fixes y2 and solves y1 <= y2,
-    on the segment [seg_lo, seg_hi] of G.  The array arguments broadcast
-    together; G is evaluated on them unbroadcast, so the bracket check costs
-    one evaluation per fixed value and per segment end.
-    Returns y1, y2 and the sensitivity, which reads inf where the segment
-    holds no level-set point.
+    ``fixed`` holds the other n - 1 boundaries in order; boundary ``free``
+    (counted from 0) is solved between its fixed neighbours on the segment
+    [seg_lo, seg_hi] of G.  The array arguments broadcast together; G is
+    evaluated on them unbroadcast, so the bracket check costs one evaluation
+    per fixed value and per segment end.
+    Returns the sensitivity and the n boundaries.  The sensitivity reads inf
+    where the segment holds no level-set point or the fixed boundaries are
+    out of order.
     """
-    g = _gap(pair, fixed)
-    first = side == 0
-    lo = np.where(first, np.maximum(fixed, seg_lo), seg_lo)
-    hi = np.where(first, seg_hi, np.minimum(fixed, seg_hi))
-    g_lo = np.where(first & (fixed > seg_lo), g, _gap(pair, seg_lo))
-    g_hi = np.where(~first & (fixed < seg_hi), g, _gap(pair, seg_hi))
-    x = _bisect_level(pair, lo, hi, g_lo, g_hi, g + np.where(first, -d, d), scale)
-    y1, y2 = np.where(first, fixed, x), np.where(first, x, fixed)
+    n = len(fixed) + 1
+    # G(y_free) = (-1)^free (d - rest), rest the signed sum of the fixed terms
+    rest, lower, upper, g_lower, g_upper = 0.0, -math.inf, math.inf, 0.0, 0.0
+    for k, y in enumerate(fixed):
+        g = _gap(pair, y)
+        rest = rest + np.where((free <= k) == (k % 2 == 0), -g, g)  # boundary k or k + 1
+        lower, g_lower = np.where(free == k + 1, y, lower), np.where(free == k + 1, g, g_lower)
+        upper, g_upper = np.where(free == k, y, upper), np.where(free == k, g, g_upper)
+    lo, hi = np.maximum(lower, seg_lo), np.minimum(upper, seg_hi)
+    g_lo = np.where(lower > seg_lo, g_lower, _gap(pair, seg_lo))
+    g_hi = np.where(upper < seg_hi, g_upper, _gap(pair, seg_hi))
+    x = _bisect_level(pair, lo, hi, g_lo, g_hi, np.where(free % 2 == 0, d - rest, rest - d), scale)
+    ys = []
+    for i in range(n):
+        y = x
+        if i < n - 1:
+            y = np.where(free > i, fixed[i], y)
+        if i > 0:
+            y = np.where(free < i, fixed[i - 1], y)
+        ys.append(y)
     ok = ~np.isnan(x)
+    for a, b in zip(fixed, fixed[1:]):
+        ok = ok & (a <= b)
     s = np.full(x.shape, math.inf)
-    s[ok] = _sens_many(pair, y1[ok], y2[ok], norm)
-    return y1, y2, s
+    s[ok] = _sens_many(pair, [y[ok] for y in ys], norm)
+    return s, ys
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -351,46 +375,72 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(np.nonzero(edges == 1)[0].tolist(), np.nonzero(edges == -1)[0].tolist()))
 
 
-def _zoom(solve, ys, i, side, seg_lo, seg_hi):
-    """Refine the branch minima found at the grid points ys[i], all at once.
+def _zoom(solve, ys, idx, free, seg_lo, seg_hi):
+    """Refine the minima found at the grid points ys[idx], all at once.
 
-    Each round samples every branch at ZOOM_POINTS values of its fixed
-    boundary, offset 0 at the current best point and each half spanning its
-    own window side (the grid is not uniform where ratio roots are inserted).
-    The window starts at the neighbouring grid points and then shrinks to the
-    neighbouring samples of the best one.  A sample whose partner leaves the
-    segment reads inf, so a branch that ends inside a cell is refined up to
-    its end.  Returns the sensitivity, y1 and y2 of each branch's best sample.
+    ``idx`` holds one array of grid indices per fixed boundary.  Each round
+    samples every minimum on a grid of offsets of its fixed boundaries,
+    offset 0 at the current best point and each half spanning its own window
+    side (the grid is not uniform where ratio roots are inserted).  The
+    window starts at the neighbouring grid points and then shrinks around
+    the best sample (see ZOOM), never past the starting window.  A sample
+    whose free boundary leaves the segment reads inf, so a branch that ends
+    inside a cell is refined up to its end.  Returns the sensitivity and the
+    boundaries of each minimum's best sample.
     """
-    lo_end = ys[np.maximum(i - 1, 0)][:, None]
-    hi_end = ys[np.minimum(i + 1, ys.size - 1)][:, None]
-    centre = ys[i][:, None]
-    below, above = centre - lo_end, hi_end - centre
-    u = np.linspace(-1.0, 1.0, ZOOM_POINTS)
-    half = ZOOM_POINTS // 2
-    for _ in range(ZOOM_ROUNDS):
-        fixed = np.clip(centre + u * np.where(u < 0.0, below, above), lo_end, hi_end)
-        y1, y2, s = solve(fixed, side[:, None], seg_lo[:, None], seg_hi[:, None])
-        j = np.argmin(s, axis=1, keepdims=True)
-        centre = np.take_along_axis(fixed, j, axis=1)
-        # the sample spacings on either side of the best sample
-        below, above = (
-            np.where(j <= half, below, above) / half,
-            np.where(j >= half, above, below) / half,
+    points, keep, rounds = ZOOM[len(idx)]
+    shape = (points,) * len(idx)
+    u = np.linspace(-1.0, 1.0, points)
+    offsets = [u[k].ravel() for k in np.indices(shape)]
+    half = points // 2
+    lo_end = [ys[np.maximum(i - 1, 0)][:, None] for i in idx]
+    hi_end = [ys[np.minimum(i + 1, ys.size - 1)][:, None] for i in idx]
+    centre = [ys[i][:, None] for i in idx]
+    below = [c - e for c, e in zip(centre, lo_end)]
+    above = [e - c for c, e in zip(centre, hi_end)]
+    for _ in range(rounds):
+        fixed = tuple(
+            np.clip(c + o * np.where(o < 0.0, b, a), e0, e1)
+            for c, o, b, a, e0, e1 in zip(centre, offsets, below, above, lo_end, hi_end)
         )
-    return tuple(np.take_along_axis(v, j, axis=1)[:, 0] for v in (s, y1, y2))
+        s, bounds = solve(fixed, free[:, None], seg_lo[:, None], seg_hi[:, None])
+        j = np.argmin(s, axis=1, keepdims=True)
+        centre = [np.take_along_axis(f, j, axis=1) for f in fixed]
+        # `keep` sample spacings on either side of the best sample
+        pos = np.unravel_index(j, shape)
+        below, above = (
+            [np.where(p <= half, b, a) * (keep / half) for p, b, a in zip(pos, below, above)],
+            [np.where(p >= half, a, b) * (keep / half) for p, b, a in zip(pos, below, above)],
+        )
+    return tuple(np.take_along_axis(v, j, axis=1)[:, 0] for v in (s, *bounds))
+
+
+def _check_boundary_count(n_boundaries: int) -> None:
+    if not 1 <= n_boundaries <= 3:
+        raise InvalidParameterError(
+            f"n_boundaries must be >= 1 and <= 3, got {n_boundaries}"
+        )
 
 
 def constrained_min_sensitivity(
-    pair: HypothesisPair, zeta: float, norm: Norm = Norm.INF
+    pair: HypothesisPair, zeta: float, norm: Norm = Norm.INF, n_boundaries: int = 2
 ) -> TradeoffPoint:
-    """Minimum-sensitivity two-boundary classifier with accuracy == zeta.
+    """Minimum-sensitivity classifier of 1, 2 or 3 boundaries with accuracy == zeta.
 
-    The level set is solved on every branch at every grid point, in both
-    parametrizations (each misses the points where its branches turn
-    vertical); the grid minima of all branches are refined together by a
-    shrinking-window zoom, and the better of grid point and zoom is kept.
+    The orientation is that of the maximum-accuracy classifier.  One boundary:
+    the level set is the finite set of roots of acc(y) = zeta, at most one per
+    segment of G, and the best root is exact.  Two: the level set is solved
+    on every branch at every grid point, in both parametrizations (each
+    misses the points where its branches turn vertical), and the grid minima
+    of all branches are refined by the zoom.  Three: each boundary in turn is
+    solved with the other two on all sorted pairs of every PAIR_STRIDE-th grid
+    point (the ratio roots and saturation points among them), and the best
+    point of each free boundary and segment is refined by the zoom over both
+    fixed boundaries.  That zoom is a local search: at an inf-norm minimum on
+    a long ridge where two gradient components tie it can stop above the
+    true minimum.  The best of grid points and zoom results is kept.
     """
+    _check_boundary_count(n_boundaries)
     base = ml_boundaries(pair, 1.0)
     if not base.roots:
         raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")
@@ -403,8 +453,8 @@ def constrained_min_sensitivity(
     lo, hi = default_search_interval(pair)
     l_sat, h_sat = _saturation_points(pair, lo, hi)
 
-    def point(y1: float, y2: float) -> TradeoffPoint:
-        bounds = (float(y1), float(y2))
+    def point(bounds) -> TradeoffPoint:
+        bounds = tuple(float(y) for y in bounds)
         acc = region_accuracy(pair, bounds, orientation)
         if abs(acc - zeta) > ACCURACY_TOL:
             raise SolverFailureError(
@@ -415,114 +465,63 @@ def constrained_min_sensitivity(
 
     # Saturated targets have exact closed answers: at or above the maximum
     # accuracy (within the feasibility slack), the maximum-accuracy point
-    # itself (a single root keeps its orientation with its partner at H*);
-    # at the single-region accuracy, a coincident pair whose gradient cancels
-    # identically.  Just below the maximum the level set is a small loop whose
-    # minimum moves like the square root of the accuracy gap, so those
-    # targets are solved.
-    if len(base.roots) <= 2 and zeta >= acc_max:
-        return point(*base.roots) if len(base.roots) == 2 else point(base.roots[0], h_sat)
-    degenerate_acc = pair.p0 if orientation is Orientation.H0_FIRST else pair.p1
-    if abs(zeta - degenerate_acc) <= 1e-12:
+    # itself, padded with H* (a boundary there adds no mass); at the accuracy
+    # of the class that owns the rightmost region, coincident pairs (and L*
+    # for an odd count) whose gradients cancel identically.  Just below the
+    # maximum the level set is a small loop whose minimum moves like the
+    # square root of the accuracy gap, so those targets are solved.
+    h0_first = orientation is Orientation.H0_FIRST
+    if len(base.roots) <= n_boundaries and zeta >= acc_max:
+        return point(base.roots + (h_sat,) * (n_boundaries - len(base.roots)))
+    base_acc = pair.p0 if h0_first == (n_boundaries % 2 == 0) else pair.p1
+    if abs(zeta - base_acc) <= 1e-12:
         mid = 0.5 * (lo + hi)
-        return TradeoffPoint(
-            degenerate_acc, 0.0, (mid, mid), orientation, "constrained", zeta
-        )
+        bounds = (l_sat,) * (n_boundaries % 2) + (mid,) * (n_boundaries - n_boundaries % 2)
+        return TradeoffPoint(base_acc, 0.0, bounds, orientation, "constrained", zeta)
 
     grid = default_y_grid(pair)
     ys = np.unique(np.concatenate([grid[(grid > l_sat) & (grid < h_sat)], [l_sat, h_sat]]))
     cuts = np.searchsorted(ys, [l_sat, *(r for r in base.roots if l_sat < r < h_sat), h_sat])
-    d = (zeta - degenerate_acc) * (1.0 if orientation is Orientation.H0_FIRST else -1.0)
+    d = (zeta - base_acc) * (1.0 if h0_first else -1.0)
     solve = partial(_level_set, pair, d, hi - lo, norm)
-    # shape (side, grid point, segment)
-    y1, y2, s = solve(ys[:, None], np.arange(2)[:, None, None], ys[cuts[:-1]], ys[cuts[1:]])
+    # one array of grid indices per fixed boundary
+    if n_boundaries == 3:
+        keep = np.unique(np.concatenate([np.arange(0, ys.size, PAIR_STRIDE), cuts]))
+        ys, cuts = ys[keep], np.searchsorted(keep, cuts)
+        scan = np.triu_indices(ys.size)
+    else:
+        scan = (np.arange(ys.size),) * (n_boundaries - 1)
+    seg_lo, seg_hi = ys[cuts[:-1]], ys[cuts[1:]]
+    # the last boundary is the first one solved: the row order decides ties
+    # between equal minima
+    free = np.arange(n_boundaries)[::-1]
+    # shape (free boundary, grid point or pair, segment)
+    s, bounds = solve(tuple(ys[i][:, None] for i in scan), free[:, None, None], seg_lo, seg_hi)
     found = np.isfinite(s)
-    if not found.any():
-        raise SolverFailureError(f"no point of the accuracy level set found for target {zeta!r}")
+    # the grid minimum of every branch (n = 2) or of every free boundary and segment
     minima = [
-        (side, start + int(np.argmin(s[side, start:stop, k])), k)
-        for side in range(2)
+        (r, start + int(np.argmin(s[r, start:stop, k])), k)
+        for r in range(n_boundaries)
         for k in range(cuts.size - 1)
-        for start, stop in _runs(found[side, :, k])
+        for start, stop in (_runs(found[r, :, k]) if n_boundaries == 2 else [(0, found.shape[1])])
+        if found[r, start:stop, k].any()
     ]
-    side, i, k = np.asarray(minima).T
-    grid_minima = (s[side, i, k], y1[side, i, k], y2[side, i, k])
-    zoomed = _zoom(solve, ys, i, side, ys[cuts[k]], ys[cuts[k + 1]])
-    sens, b1, b2 = (np.concatenate(c) for c in zip(grid_minima, zoomed))
-    best = int(np.argmin(sens))
-    return point(b1[best], b2[best])
-
-
-def _penalty_min_sensitivity(
-    pair: HypothesisPair,
-    zeta: float,
-    n_boundaries: int,
-    norm: Norm,
-    restarts: int = 20,
-    seed: int = 0,
-) -> TradeoffPoint | None:
-    """Multistart penalty simplex search for n > 2 boundaries (best effort)."""
-    from scipy.optimize import minimize
-
-    base = ml_boundaries(pair, 1.0)
-    if not base.roots:
-        raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")
-    orientation = base.orientation
-    lo, hi = default_search_interval(pair)
-    rng = np.random.default_rng(seed)
-    span = hi - lo
-    base_y = np.asarray(base.roots)
-    starts = []
-    for _ in range(restarts):
-        fill = rng.uniform(lo, hi, size=n_boundaries)
-        fill[: min(n_boundaries, base_y.size)] = base_y[: min(n_boundaries, base_y.size)]
-        starts.append(np.sort(fill + rng.normal(0.0, 0.02 * span, size=n_boundaries)))
-
-    def objective(y: np.ndarray, rho: float) -> float:
-        ys = np.sort(np.clip(y, lo, hi))
-        acc = region_accuracy(pair, ys, orientation)
-        grad = region_accuracy_gradient(pair, ys, orientation)
-        return apply_norm(grad, norm) + rho * (acc - zeta) ** 2
-
-    best = None
-    for y0 in starts:
-        y = y0
-        for rho in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
-            res = minimize(
-                objective, y, args=(rho,), method="Nelder-Mead",
-                options={"maxiter": 200 * n_boundaries, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            y = res.x
-        ys = np.sort(np.clip(y, lo, hi))
-        # one-dimensional restoration on the most accuracy-sensitive boundary
-        from .classifier import region_accuracy_boundary_gradient
-
-        slopes = region_accuracy_boundary_gradient(pair, ys, orientation)
-        k = int(np.argmax(np.abs(slopes)))
-
-        def gap(t: float) -> float:
-            trial = ys.copy()
-            trial[k] = t
-            return region_accuracy(pair, np.sort(trial), orientation) - zeta
-
-        t_lo = ys[k - 1] if k > 0 else lo
-        t_hi = ys[k + 1] if k + 1 < ys.size else hi
-        try:
-            g_lo, g_hi = gap(t_lo), gap(t_hi)
-            if g_lo * g_hi < 0:
-                ys[k] = brentq(gap, t_lo, t_hi, xtol=RESTORE_XTOL)
-                ys = np.sort(ys)
-        except ValueError:
-            pass
-        acc = region_accuracy(pair, ys, orientation)
-        if abs(acc - zeta) > ACCURACY_TOL:
-            continue
-        s = apply_norm(region_accuracy_gradient(pair, ys, orientation), norm)
-        if best is None or s < best.sensitivity:
-            best = TradeoffPoint(
-                float(acc), float(s), tuple(float(y) for y in ys), orientation, "constrained", zeta
-            )
-    return best
+    candidates = []
+    if minima:
+        r, i, k = np.asarray(minima).T
+        candidates.append((s[r, i, k], *(y[r, i, k] for y in bounds)))
+        if scan:
+            candidates.append(_zoom(solve, ys, tuple(j[i] for j in scan), free[r], seg_lo[k], seg_hi[k]))
+    if n_boundaries == 3:
+        # a two-boundary set followed by H* is a three-boundary set with the
+        # same accuracy, so the two-boundary minimum is a candidate too
+        two = constrained_min_sensitivity(pair, zeta, norm, 2)
+        candidates.append(([two.sensitivity], *([y] for y in two.boundaries + (h_sat,))))
+    if not candidates:
+        raise SolverFailureError(f"no point of the accuracy level set found for target {zeta!r}")
+    sens, *best = (np.concatenate(c) for c in zip(*candidates))
+    j = int(np.argmin(sens))
+    return point(y[j] for y in best)
 
 
 def general_curve(
@@ -531,9 +530,12 @@ def general_curve(
     n_boundaries: int = 2,
     norm: Norm = Norm.INF,
 ) -> TradeoffCurve:
-    """Fundamental frontier: minimum sensitivity at each accuracy target."""
-    if n_boundaries < 1:
-        raise InvalidParameterError(f"n_boundaries must be >= 1, got {n_boundaries}")
+    """Fundamental frontier: the minimum sensitivity of 1, 2 or 3 boundaries
+    at each accuracy target, each target solved by constrained_min_sensitivity.
+
+    Targets that cannot be met are listed under ``failed_zetas``.
+    """
+    _check_boundary_count(n_boundaries)
     base = ml_boundaries(pair, 1.0)
     if not base.roots:
         raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")
@@ -550,20 +552,11 @@ def general_curve(
         "failed_zetas": [],
     }
     points: list[TradeoffPoint] = []
-    if n_boundaries == 2:
-        for zeta in sorted(zeta_grid, reverse=True):
-            try:
-                pt = constrained_min_sensitivity(pair, float(zeta), norm)
-            except (SolverFailureError, InfeasibleTargetError) as exc:
-                metadata["failed_zetas"].append({"zeta": float(zeta), "error": str(exc)})
-                continue
-            points.append(pt)
-    else:
-        metadata["best_effort"] = True
-        for zeta in sorted(zeta_grid, reverse=True):
-            pt = _penalty_min_sensitivity(pair, float(zeta), n_boundaries, norm)
-            if pt is None:
-                metadata["failed_zetas"].append({"zeta": float(zeta), "error": "infeasible"})
-                continue
-            points.append(pt)
+    for zeta in sorted(zeta_grid, reverse=True):
+        try:
+            pt = constrained_min_sensitivity(pair, float(zeta), norm, n_boundaries)
+        except (SolverFailureError, InfeasibleTargetError) as exc:
+            metadata["failed_zetas"].append({"zeta": float(zeta), "error": str(exc)})
+            continue
+        points.append(pt)
     return _assemble(points, norm, "general", pair, metadata)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from accsens.boundary_solver import default_search_interval
 from accsens.classifier import (
     BoundarySet,
     GeneralSpec,
@@ -15,6 +18,7 @@ from accsens.classifier import (
     classify_boundaries,
     count_h0_labels,
     region_accuracy,
+    region_accuracy_gradient,
     sensitivity,
     spec_from_dict,
     spec_to_dict,
@@ -111,6 +115,37 @@ class TestAccuracy:
         f1 = table1_pair.h1.cdf(y)
         expected = 0.5 * f0 + 0.5 * (1 - f1)
         assert accuracy(LinearSpec(y), table1_pair) == pytest.approx(expected, abs=1e-15)
+
+
+@st.composite
+def boundary_problems(draw):
+    """A random Gaussian or exponential pair and a sorted set of 1-5 boundaries
+    reaching half the search interval past either end."""
+    if draw(st.booleans()):
+        h0 = DensityModel.gaussian(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.5, 6.0)))
+        h1 = DensityModel.gaussian(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.5, 6.0)))
+    else:
+        h0 = DensityModel.exponential(draw(st.floats(0.2, 5.0)))
+        h1 = DensityModel.exponential(draw(st.floats(0.2, 5.0)))
+    pair = HypothesisPair(h0, h1, draw(st.floats(0.05, 0.95)))
+    lo, hi = default_search_interval(pair)
+    u = draw(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=5))
+    return pair, tuple(sorted((lo + np.asarray(u) * (hi - lo)).tolist()))
+
+
+class TestAccuracyProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(boundary_problems())
+    def test_orientations_are_complements(self, problem):
+        pair, ys = problem
+        a0 = region_accuracy(pair, ys, Orientation.H0_FIRST)
+        a1 = region_accuracy(pair, ys, Orientation.H1_FIRST)
+        assert 0.0 <= a0 <= 1.0 and 0.0 <= a1 <= 1.0
+        assert abs(a0 + a1 - 1.0) <= 4 * np.finfo(float).eps
+        np.testing.assert_array_equal(
+            region_accuracy_gradient(pair, ys, Orientation.H0_FIRST),
+            -region_accuracy_gradient(pair, ys, Orientation.H1_FIRST),
+        )
 
 
 class TestAccuracyGradient:

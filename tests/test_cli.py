@@ -131,7 +131,7 @@ class TestCurveCommand:
     def test_empty_grid_exits_2(self):
         assert run_cli("curve", "ml", "--problem", TABLE1, "--eta-steps", "0") == 2
 
-    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize("count", ["0", "-1", "4"])
     def test_non_positive_boundary_count_exits_2(self, count, capsys):
         assert run_cli(
             "curve", "general", "--problem", TABLE1, "--zeta-steps", "2", "--n-boundaries", count

@@ -283,19 +283,69 @@ class TestGeneralCurve:
         assert "np.float" not in a.to_csv_text()  # plain scalar formatting only
 
 
-class TestPenaltyPath:
-    def test_three_boundary_curve_is_best_effort(self, table1_pair):
-        zetas = np.asarray([0.6, 0.7])
-        curve = general_curve(table1_pair, zeta_grid=zetas, n_boundaries=3)
-        assert curve.metadata.get("best_effort") is True
-        for p in curve.points:
-            assert len(p.boundaries) == 3
-            assert abs(p.accuracy - p.parameter) <= 1e-6
-        # three boundaries generalize two: no point may sit above the
-        # two-boundary minimum by more than solver slack
-        for p in curve.points:
-            two = constrained_min_sensitivity(table1_pair, p.parameter)
-            assert p.sensitivity <= two.sensitivity + 1e-3
+@pytest.fixture(scope="module")
+def steep_exp_pair() -> HypothesisPair:
+    """At 0.6 (inf norm) the three-boundary scan and zoom alone stop 1.6e-2
+    above the two-boundary minimum on this pair."""
+    return HypothesisPair(DensityModel.exponential(1.5), DensityModel.exponential(5.0))
+
+
+@pytest.fixture(scope="module")
+def solved(request):
+    """constrained_min_sensitivity by fixture name, each problem solved once."""
+    cache = {}
+
+    def solve(name, zeta, norm, n_boundaries):
+        key = (name, zeta, norm, n_boundaries)
+        if key not in cache:
+            pair = request.getfixturevalue(name)
+            cache[key] = constrained_min_sensitivity(pair, zeta, norm, n_boundaries)
+        return cache[key]
+
+    return solve
+
+
+class TestBoundaryCounts:
+    # Minima that an SLSQP polish of the same points does not lower by more
+    # than 1e-9 relative.
+    @pytest.mark.parametrize(
+        "zeta, norm, pinned",
+        [
+            (0.5867, Norm.INF, 0.0047250046),
+            (0.6734, Norm.INF, 0.0101863848),
+            (0.6734, Norm.TWO, 0.0155114401),
+        ],
+    )
+    def test_three_boundary_minima(self, table1_pair, solved, zeta, norm, pinned):
+        pt = solved("table1_pair", zeta, norm, 3)
+        assert pt.orientation is Orientation.H0_FIRST and len(pt.boundaries) == 3
+        spec = GeneralSpec(BoundarySet(pt.boundaries, pt.orientation))
+        assert abs(accuracy(spec, table1_pair) - zeta) <= 1e-9
+        assert sensitivity(spec, table1_pair, norm) <= pinned * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize(
+        "name, zeta, norm",
+        [
+            ("table1_pair", 0.5867, Norm.INF),
+            ("table1_pair", 0.6734, Norm.INF),
+            ("table1_pair", 0.6734, Norm.TWO),
+            ("exp_pair", 0.55, Norm.INF),
+            ("exp_pair", 0.6, Norm.INF),
+            ("exp_pair", 0.55, Norm.TWO),
+            ("exp_pair", 0.6, Norm.TWO),
+            ("steep_exp_pair", 0.6, Norm.INF),
+        ],
+    )
+    def test_more_boundaries_never_raise_the_minimum(self, solved, name, zeta, norm):
+        # n boundaries followed by one at H* form an (n + 1)-boundary classifier
+        s1, s2, s3 = (solved(name, zeta, norm, n).sensitivity for n in (1, 2, 3))
+        assert s3 <= s2 * (1.0 + 1e-12)
+        assert s2 <= s1 * (1.0 + 1e-12)
+
+    def test_three_boundary_curve_is_deterministic(self, table1_pair):
+        a, b = (general_curve(table1_pair, np.asarray([0.6734]), 3).to_csv_text() for _ in range(2))
+        assert a == b
+        assert a.splitlines()[0] == "accuracy,sensitivity,y1,y2,y3,provenance"
 
 
 class TestOneRootTopPoint:
@@ -393,6 +443,45 @@ class TestFrontierProperties:
     @given(exponential_pairs(), positions, st.sampled_from(list(Norm)))
     def test_exponential_point_is_feasible_and_dominates(self, pair, u, norm):
         self._check_point(pair, u, norm)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.one_of(two_root_gaussian_pairs(), exponential_pairs()), positions, st.sampled_from(list(Norm)))
+    def test_three_boundary_point_is_feasible_and_dominates_two(self, pair, u, norm):
+        acc_max = _acc_max(pair)
+        floor = max(pair.p0, pair.p1)
+        assume(acc_max - floor > 1e-3)
+        zeta = floor + u * (acc_max - floor)
+        pt = constrained_min_sensitivity(pair, zeta, norm, 3)
+        spec = GeneralSpec(BoundarySet(pt.boundaries, pt.orientation))
+        assert abs(accuracy(spec, pair) - zeta) <= 1e-9
+        assert abs(sensitivity(spec, pair, norm) - pt.sensitivity) <= 1e-9
+        two = constrained_min_sensitivity(pair, zeta, norm)
+        assert pt.sensitivity <= two.sensitivity * (1.0 + 1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(two_root_gaussian_pairs(), exponential_pairs()),
+        st.floats(0.02, 0.98),
+        st.sampled_from(list(Norm)),
+    )
+    def test_single_boundary_point_is_the_best_level_root(self, pair, u, norm):
+        report = ml_boundaries(pair, 1.0)
+        orientation = report.orientation
+        # one boundary in the base orientation reaches both priors (at the
+        # far ends) and its best accuracy at a ratio root
+        top = max(region_accuracy(pair, (r,), orientation) for r in report.roots)
+        floor = max(pair.p0, pair.p1)
+        assume(top - floor > 1e-3)
+        zeta = floor + u * (top - floor)
+        pt = constrained_min_sensitivity(pair, zeta, norm, 1)
+        spec = GeneralSpec(BoundarySet(pt.boundaries, pt.orientation))
+        assert pt.orientation is orientation
+        assert abs(accuracy(spec, pair) - zeta) <= 1e-12
+        lo, hi = default_search_interval(pair)
+        ys = np.unique(np.append(np.linspace(lo, hi, 401), report.roots))
+        roots = _level_roots(lambda y: region_accuracy(pair, (y,), orientation) - zeta, ys)
+        best = min(apply_norm(region_accuracy_gradient(pair, (y,), orientation), norm) for y in roots)
+        assert abs(pt.sensitivity - best) <= 1e-9
 
     @settings(max_examples=15, deadline=None)
     @given(st.one_of(two_root_gaussian_pairs(), exponential_pairs()), st.sampled_from(list(Norm)))
