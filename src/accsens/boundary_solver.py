@@ -224,49 +224,23 @@ def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> Likelihood
     return LikelihoodRootReport(roots, RootMethod.GAUSSIAN_QUADRATIC, orient, residuals, eta)
 
 
-def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
-    """Plain bisection to BISECTION_WIDTH interval width."""
-    for _ in range(BISECTION_STEPS):
-        if hi - lo <= BISECTION_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect(fn, lo, hi, level, rising, tol: float) -> np.ndarray:
+    """Solve fn(x) = level on every bracket [lo, hi] at once, fn monotone on each.
 
-
-def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray) -> np.ndarray:
-    """``_bisect`` on every bracket at once, step for step.
-
-    ``fn(idx, x)`` evaluates the gap of brackets ``idx`` at points ``x``.
-    Each bracket takes the midpoints, the width stop and the exact-zero
-    return of the scalar loop, so every root is bit-identical to it.
+    The arguments broadcast together; ``rising`` marks the brackets on which
+    fn increases.  Every bracket takes the number of halvings that brings the
+    widest one below ``tol``, at most BISECTION_STEPS; a bracket whose floats
+    run out first keeps its last two neighbouring floats.  A NaN value counts
+    as below ``level``: the ratio gap is NaN where both densities vanish.
     """
-    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
-    roots = np.empty_like(lo)
-    active = np.arange(lo.size)
-    for _ in range(BISECTION_STEPS):
-        narrow = hi[active] - lo[active] <= BISECTION_WIDTH
-        roots[active[narrow]] = 0.5 * (lo[active[narrow]] + hi[active[narrow]])
-        active = active[~narrow]
-        if not active.size:
-            return roots
-        mid = 0.5 * (lo[active] + hi[active])
-        f_mid = fn(active, mid)
-        zero = f_mid == 0.0
-        roots[active[zero]] = mid[zero]
-        active, mid, f_mid = active[~zero], mid[~zero], f_mid[~zero]
-        left = (f_mid > 0) == (f_lo[active] > 0)
-        lo[active[left]] = mid[left]
-        f_lo[active[left]] = f_mid[left]
-        hi[active[~left]] = mid[~left]
-    roots[active] = 0.5 * (lo[active] + hi[active])
-    return roots
+    a, b = lo, hi
+    width = float(np.max(hi - lo, initial=0.0))
+    for _ in range(min(math.ceil(math.log2(width / tol)), BISECTION_STEPS) if width > tol else 0):
+        mid = 0.5 * (a + b)
+        right = (fn(mid) >= level) != rising  # the root lies right of mid
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    return 0.5 * (a + b)
 
 
 def _search_grid(
@@ -336,6 +310,66 @@ def _grid_report(
     )
 
 
+def _grid_solve(
+    pair: HypothesisPair, etas, interval: tuple[float, float] | None, grid: int
+) -> tuple[LikelihoodRootReport, ...]:
+    """Grid-scan plus bisection reports at every threshold of ``etas``.
+
+    Both log densities are evaluated on the grid once, each threshold's gap
+    row is formed with the operation order of ``log_ratio_gap`` and scanned,
+    and the sign changes of all thresholds are bisected together with one
+    array ``log_pdf`` call per density per step.
+    """
+    etas = [float(eta) for eta in etas]
+    for eta in etas:
+        if not eta > 0:
+            raise InvalidParameterError(f"eta must be > 0, got {eta}")
+    if grid < 2:
+        raise InvalidParameterError(f"grid resolution must be >= 2, got {grid}")
+    if pair.p0 in (0.0, 1.0):
+        return tuple(_prior_only_report(pair, eta, RootMethod.GRID_BISECTION) for eta in etas)
+    xs = _search_grid(pair, interval, grid)
+    if pair.h0 == pair.h1 and pair.h0.custom is pair.h1.custom:
+        # The gap is the constant log(p1 / (eta p0)): no crossing, only
+        # rounding noise where the constant is 0.
+        return tuple(
+            LikelihoodRootReport(
+                (), RootMethod.GRID_BISECTION,
+                Orientation.H1_FIRST if pair.p1 > eta * pair.p0 else Orientation.H0_FIRST, (), eta,
+            )
+            for eta in etas
+        )
+    log_p1, log_p0 = float(np.log(pair.p1)), float(np.log(pair.p0))
+    log_etas = np.asarray([math.log(eta) for eta in etas])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = log_p1 + np.asarray(pair.h1.log_pdf(xs))
+        log_f0 = np.asarray(pair.h0.log_pdf(xs))
+        scans = [_scan(xs, head - log_eta - log_p0 - log_f0) for log_eta in log_etas]
+
+    found = [s for s in scans if s is not None]
+    lo, hi, f_lo = (
+        np.concatenate([np.zeros(0)] + [getattr(s, f) for s in found]) for f in ("lo", "hi", "f_lo")
+    )
+    bracket_log_eta = np.repeat(log_etas, [0 if s is None else s.lo.size for s in scans])
+
+    def gap(x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (
+                log_p1
+                + np.asarray(pair.h1.log_pdf(x))
+                - bracket_log_eta
+                - log_p0
+                - np.asarray(pair.h0.log_pdf(x))
+            )
+
+    roots = iter(_bisect(gap, lo, hi, 0.0, f_lo < 0, BISECTION_WIDTH).tolist())
+    return tuple(
+        _undefined_report(eta) if scan is None
+        else _grid_report(pair, eta, scan, list(islice(roots, scan.lo.size)))
+        for eta, scan in zip(etas, scans)
+    )
+
+
 def ml_boundaries_generic(
     pair: HypothesisPair,
     eta: float = 1.0,
@@ -348,71 +382,16 @@ def ml_boundaries_generic(
     outside it are not seen.  The default interval spans both models out to 8
     scale units, beyond which the densities are numerically negligible.
     """
-    if not eta > 0:
-        raise InvalidParameterError(f"eta must be > 0, got {eta}")
-    if grid < 2:
-        raise InvalidParameterError(f"grid resolution must be >= 2, got {grid}")
-    if pair.p0 in (0.0, 1.0):
-        return _prior_only_report(pair, eta, RootMethod.GRID_BISECTION)
-    xs = _search_grid(pair, interval, grid)
-    scan = _scan(xs, np.asarray(log_ratio_gap(pair, eta, xs)))
-    if scan is None:
-        return _undefined_report(eta)
-    scalar_gap = lambda t: float(log_ratio_gap(pair, eta, t))
-    bisected = [_bisect(scalar_gap, *bracket) for bracket in zip(scan.lo, scan.hi, scan.f_lo)]
-    return _grid_report(pair, eta, scan, bisected)
+    return _grid_solve(pair, [eta], interval, grid)[0]
 
 
 def _ml_boundaries_many(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, ...]:
-    """``ml_boundaries`` at every threshold of ``etas``, with the same reports.
-
-    Gaussian pairs use the closed form per threshold.  Otherwise, with more
-    than one threshold, both log densities are evaluated on the grid once,
-    each threshold's gap row is formed with the operation order of
-    ``log_ratio_gap`` and scanned, and the sign changes of all thresholds are
-    bisected together with one array ``log_pdf`` call per density per step.
-    A single threshold keeps the scalar bisection, which is faster for it.
-    """
-    etas = [float(eta) for eta in etas]
-    if len(etas) == 1 or (
-        pair.h0.family is Family.GAUSSIAN and pair.h1.family is Family.GAUSSIAN
-    ):
-        return tuple(ml_boundaries(pair, eta) for eta in etas)
-    for eta in etas:
-        if not eta > 0:
-            raise InvalidParameterError(f"eta must be > 0, got {eta}")
-    if pair.p0 in (0.0, 1.0):
-        return tuple(_prior_only_report(pair, eta, RootMethod.GRID_BISECTION) for eta in etas)
-    xs = _search_grid(pair, None, DEFAULT_GRID)
-    log_p1, log_p0 = float(np.log(pair.p1)), float(np.log(pair.p0))
-    log_etas = np.asarray([math.log(eta) for eta in etas])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        head = log_p1 + np.asarray(pair.h1.log_pdf(xs))
-        log_f0 = np.asarray(pair.h0.log_pdf(xs))
-        scans = [_scan(xs, head - log_eta - log_p0 - log_f0) for log_eta in log_etas]
-
-    bracket_log_eta = np.repeat(log_etas, [0 if s is None else s.lo.size for s in scans])
-
-    def gap(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (
-                log_p1
-                + np.asarray(pair.h1.log_pdf(x))
-                - bracket_log_eta[idx]
-                - log_p0
-                - np.asarray(pair.h0.log_pdf(x))
-            )
-
-    found = [s for s in scans if s is not None]
-    brackets = (
-        np.concatenate([np.zeros(0)] + [getattr(s, f) for s in found]) for f in ("lo", "hi", "f_lo")
-    )
-    roots = iter(_bisect_many(gap, *brackets))
-    return tuple(
-        _undefined_report(eta) if scan is None
-        else _grid_report(pair, eta, scan, list(islice(roots, scan.lo.size)))
-        for eta, scan in zip(etas, scans)
-    )
+    """``ml_boundaries`` at every threshold of ``etas``, with the same reports:
+    the closed form per threshold for Gaussian pairs, one grid solve of all
+    thresholds otherwise."""
+    if pair.h0.family is Family.GAUSSIAN and pair.h1.family is Family.GAUSSIAN:
+        return tuple(ml_boundaries_gaussian(pair, float(eta)) for eta in etas)
+    return _grid_solve(pair, etas, None, DEFAULT_GRID)
 
 
 def ml_boundaries(

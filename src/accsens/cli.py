@@ -56,7 +56,7 @@ from .errors import (
 )
 from .param_designer import ParamDesignProblem, gamma_sweep, sweep_csv_text
 from .theory_checks import run_all_checks
-from .tradeoff import general_curve, linear_curve, ml_curve
+from .tradeoff import default_y_grid, default_zeta_grid, general_curve, linear_curve, ml_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,6 +142,8 @@ def _curve_series(curve) -> dict:
 
 
 def _cmd_boundaries(args) -> int:
+    if not 0.0 < args.eta < np.inf:
+        raise SchemaError("--eta must be positive and finite")
     pair = _load_problem(args.problem)
     report = ml_boundaries(pair, args.eta)
     config = {"command": "boundaries", "problem": pair.to_dict(), "eta": args.eta}
@@ -193,25 +195,21 @@ def _curve_for(kind: str, pair: HypothesisPair, args):
     if kind == "ml":
         if args.eta_steps < 1:
             raise SchemaError("--eta-steps must be >= 1")
-        grid = np.unique(
-            np.append(np.geomspace(args.eta_min, args.eta_max, args.eta_steps), 1.0)
-        )
+        if not (0.0 < args.eta_min < np.inf and 0.0 < args.eta_max < np.inf):
+            raise SchemaError("--eta-min and --eta-max must be positive and finite")
+        # geomspace sets both ends exactly; at the ends of the float range
+        # its powers over- or underflow on the way
+        with np.errstate(over="ignore", under="ignore"):
+            grid = np.geomspace(args.eta_min, args.eta_max, args.eta_steps)
+        grid = np.unique(np.append(grid, 1.0))
         return ml_curve(pair, grid, norm)
     if kind == "linear":
         if args.y_steps < 1:
             raise SchemaError("--y-steps must be >= 1")
-        from .tradeoff import default_y_grid
-
         return linear_curve(pair, default_y_grid(pair, args.y_steps), norm)
     if args.zeta_steps < 1:
         raise SchemaError("--zeta-steps must be >= 1")
-    base = ml_boundaries(pair, 1.0)
-    if not base.roots:
-        raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")
-    from .classifier import region_accuracy
-
-    acc_max = region_accuracy(pair, base.roots, base.orientation)
-    zetas = np.linspace(0.5, acc_max, args.zeta_steps)
+    zetas = default_zeta_grid(pair, args.n_boundaries, args.zeta_steps)
     return general_curve(pair, zetas, n_boundaries=args.n_boundaries, norm=norm)
 
 
@@ -331,9 +329,17 @@ def _cmd_design(args) -> int:
     if args.gamma_grid:
         try:
             lo, hi, n = args.gamma_grid.split(":")
-            gammas = np.linspace(float(lo), float(hi), int(n))
+            lo, hi, n = float(lo), float(hi), int(n)
         except ValueError as exc:
             raise SchemaError(f"cannot parse --gamma-grid {args.gamma_grid!r}: {exc}") from None
+        if not (np.isfinite(lo) and np.isfinite(hi) and n >= 1):
+            raise SchemaError(
+                f"--gamma-grid {args.gamma_grid!r} needs finite ends and at least one target"
+            )
+        # ends near the float limit overflow the steps; the design rejects
+        # the inf and nan targets that result
+        with np.errstate(over="ignore", invalid="ignore"):
+            gammas = np.linspace(lo, hi, n)
     elif args.gamma is not None:
         gammas = [args.gamma]
     else:

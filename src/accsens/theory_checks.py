@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .boundary_solver import LikelihoodRootReport, ml_boundaries
+from .boundary_solver import LikelihoodRootReport, _ml_boundaries_many, ml_boundaries
 from .classifier import (
     Norm,
     Orientation,
@@ -55,7 +55,10 @@ class Verdict(str, Enum):
 
 
 def _ml_optimum(pair: HypothesisPair) -> LikelihoodRootReport:
-    report = ml_boundaries(pair, 1.0)
+    return _resolved(ml_boundaries(pair, 1.0))
+
+
+def _resolved(report: LikelihoodRootReport) -> LikelihoodRootReport:
     if not report.roots:
         raise UnresolvedClassifierError(
             "the unit-threshold classifier has no boundaries for this pair"
@@ -292,13 +295,17 @@ def check_a3(
     tol: float = A3_INNER_TOL,
 ) -> A3Result:
     """Non-orthogonality of the threshold response and the sensitivity slope."""
-    base = _ml_optimum(pair)
-    return _check_a3(pair, base, _eta_resolves(pair, h_eta), norm, h_eta, tol)
+    base, stencil = _eta_stencil(pair, h_eta)
+    return _check_a3(pair, base, stencil, norm, h_eta, tol)
 
 
-def _eta_resolves(pair: HypothesisPair, h_eta: float) -> tuple[LikelihoodRootReport, ...]:
-    """The boundaries at thresholds 1 + h_eta and 1 - h_eta."""
-    return ml_boundaries(pair, 1.0 + h_eta), ml_boundaries(pair, 1.0 - h_eta)
+def _eta_stencil(
+    pair: HypothesisPair, h_eta: float
+) -> tuple[LikelihoodRootReport, tuple[LikelihoodRootReport, ...]]:
+    """The unit-threshold boundaries and those at thresholds 1 + h_eta and
+    1 - h_eta, from one grid solve for a non-Gaussian pair."""
+    base, plus, minus = _ml_boundaries_many(pair, (1.0, 1.0 + h_eta, 1.0 - h_eta))
+    return _resolved(base), (plus, minus)
 
 
 def _check_a3(
@@ -493,12 +500,13 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
 
     Each boundary problem is solved once and shared: the base solve, the
     theta re-solves (A2 and the identity audit) and the eta stencil (A3),
-    1 + 2m + 2 solves for m distribution parameters.  The witness reuses
+    1 + 2m + 2 solves for m distribution parameters.  The base and the eta
+    stencil come from one ``_ml_boundaries_many`` call, so a non-Gaussian
+    pair scans its grid once for all three thresholds.  The witness reuses
     A1 and A3's sensitivity slope, which it would compute identically.
     """
-    base = _ml_optimum(pair)
+    base, stencil = _eta_stencil(pair, ETA_FD_STEP)
     dy, theta_solves = _theta_responses(pair, base, THETA_FD_STEP)
-    stencil = _eta_resolves(pair, ETA_FD_STEP)
     a1 = _check_a1(pair, base, A1_GAP_TOL)
     a2 = _check_a2(pair, base, a1.index, dy[a1.index], THETA_FD_STEP, A2_PRODUCT_TOL)
     a3 = _check_a3(pair, base, stencil, norm, ETA_FD_STEP, A3_INNER_TOL)

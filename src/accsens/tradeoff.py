@@ -14,12 +14,18 @@ The constrained minimum is nonconvex.  For 1, 2 or 3 boundaries in the
 orientation of the maximum-accuracy classifier it is found by a deterministic
 scan of the accuracy level set (see ``constrained_min_sensitivity``): with all
 boundaries but one fixed on a grid, the free one is bisected on each segment
-where the accuracy is monotone in it, and the grid minima are refined
+where the accuracy is monotone in it, by the array bisection that also solves
+the ratio roots (``boundary_solver._bisect``), and the grid minima are refined
 together by an array zoom.  The grid reaches out to the saturation points
 where both cdfs read exactly 0 and 1, so every single-boundary classifier and
 every matched ratio classifier lies on a scanned two-boundary branch: neither
 curve can undercut the two-boundary one, and the three-boundary minimum,
 which takes the two-boundary one as a candidate, never lies above it.
+
+The default targets (``default_zeta_grid``) end at the best accuracy the
+boundary count reaches in that orientation: the ratio classifier's, or for
+one boundary against two or more ratio roots, the best of a single root
+and the two saturation points (where the accuracy is a prior).
 
 Every point on a returned curve satisfies its accuracy target to 1e-6;
 points whose refinement misses the target are dropped and counted in the
@@ -37,6 +43,7 @@ from functools import partial
 import numpy as np
 
 from .boundary_solver import (
+    _bisect,
     _ml_boundaries_many,
     default_search_interval,
     ml_boundaries,
@@ -316,16 +323,11 @@ def _bisect_level(pair, lo, hi, g_lo, g_hi, target, scale):
     """
     lo, hi, g_lo, g_hi, target = np.broadcast_arrays(lo, hi, g_lo, g_hi, target)
     ok = (lo < hi) & ((g_lo - target) * (g_hi - target) <= 0.0)
-    a, b, rising, level = lo[ok], hi[ok], g_hi[ok] >= g_lo[ok], target[ok]
-    tol = 2.0 * np.finfo(float).eps * scale
-    width = float(np.max(b - a, initial=0.0))
-    for _ in range(math.ceil(math.log2(width / tol)) if width > tol else 0):
-        mid = 0.5 * (a + b)
-        right = (_gap(pair, mid) < level) == rising  # the root lies right of mid
-        a = np.where(right, mid, a)
-        b = np.where(right, b, mid)
     x = np.full(ok.shape, np.nan)
-    x[ok] = 0.5 * (a + b)
+    x[ok] = _bisect(
+        partial(_gap, pair), lo[ok], hi[ok], target[ok], g_hi[ok] >= g_lo[ok],
+        2.0 * np.finfo(float).eps * scale,
+    )
     return x
 
 
@@ -422,12 +424,53 @@ def _check_boundary_count(n_boundaries: int) -> None:
         )
 
 
+def _ml_base(pair: HypothesisPair):
+    """The unit-threshold ratio report, which must hold boundaries."""
+    base = ml_boundaries(pair, 1.0)
+    if not base.roots:
+        raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")
+    return base
+
+
+def _top(pair: HypothesisPair, base, n_boundaries: int, saturation):
+    """(accuracy, boundaries) of the most accurate n boundaries in the
+    orientation of ``base``: the ratio roots when there are at most n of
+    them.  One boundary against more roots peaks at a root or at one of the
+    saturation points (L*, H*), where the accuracy is a prior.  Otherwise
+    the boundaries are None and the accuracy is that of the ratio
+    classifier, an upper bound.
+    """
+    acc_max = region_accuracy(pair, base.roots, base.orientation)
+    if len(base.roots) <= n_boundaries:
+        return acc_max, base.roots
+    if n_boundaries == 1:
+        ys = base.roots + tuple(saturation)
+        accs = [region_accuracy(pair, (y,), base.orientation) for y in ys]
+        j = int(np.argmax(accs))
+        return accs[j], (ys[j],)
+    return acc_max, None
+
+
+def default_zeta_grid(
+    pair: HypothesisPair, n_boundaries: int, steps: int = DEFAULT_ZETA_POINTS
+) -> np.ndarray:
+    """Accuracy targets from chance up to the best accuracy of n boundaries
+    in the orientation of the maximum-accuracy classifier."""
+    _check_boundary_count(n_boundaries)
+    saturation = _saturation_points(pair, *default_search_interval(pair))
+    top, _ = _top(pair, _ml_base(pair), n_boundaries, saturation)
+    return np.linspace(0.5, top, steps)
+
+
 def constrained_min_sensitivity(
     pair: HypothesisPair, zeta: float, norm: Norm = Norm.INF, n_boundaries: int = 2
 ) -> TradeoffPoint:
     """Minimum-sensitivity classifier of 1, 2 or 3 boundaries with accuracy == zeta.
 
-    The orientation is that of the maximum-accuracy classifier.  One boundary:
+    The orientation is that of the maximum-accuracy classifier; a target
+    above the best accuracy n boundaries reach in it (the top of
+    ``default_zeta_grid``) is infeasible, and one at it returns that
+    classifier.  One boundary:
     the level set is the finite set of roots of acc(y) = zeta, at most one per
     segment of G, and the best root is exact.  Two: the level set is solved
     on every branch at every grid point, in both parametrizations (each
@@ -441,17 +484,15 @@ def constrained_min_sensitivity(
     true minimum.  The best of grid points and zoom results is kept.
     """
     _check_boundary_count(n_boundaries)
-    base = ml_boundaries(pair, 1.0)
-    if not base.roots:
-        raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")
+    base = _ml_base(pair)
     orientation = base.orientation
-    acc_max = region_accuracy(pair, base.roots, orientation)
-    if zeta > acc_max + 1e-9:
-        raise InfeasibleTargetError(
-            f"accuracy target {zeta!r} exceeds the attainable maximum {acc_max!r}"
-        )
     lo, hi = default_search_interval(pair)
     l_sat, h_sat = _saturation_points(pair, lo, hi)
+    top, top_bounds = _top(pair, base, n_boundaries, (l_sat, h_sat))
+    if zeta > top + 1e-9:
+        raise InfeasibleTargetError(
+            f"accuracy target {zeta!r} exceeds the attainable maximum {top!r}"
+        )
 
     def point(bounds) -> TradeoffPoint:
         bounds = tuple(float(y) for y in bounds)
@@ -463,16 +504,16 @@ def constrained_min_sensitivity(
         sens = apply_norm(region_accuracy_gradient(pair, bounds, orientation), norm)
         return TradeoffPoint(acc, sens, bounds, orientation, "constrained", zeta)
 
-    # Saturated targets have exact closed answers: at or above the maximum
-    # accuracy (within the feasibility slack), the maximum-accuracy point
+    # Saturated targets have exact closed answers: at or above the top
+    # accuracy of n boundaries (within the feasibility slack), the top point
     # itself, padded with H* (a boundary there adds no mass); at the accuracy
     # of the class that owns the rightmost region, coincident pairs (and L*
     # for an odd count) whose gradients cancel identically.  Just below the
     # maximum the level set is a small loop whose minimum moves like the
     # square root of the accuracy gap, so those targets are solved.
     h0_first = orientation is Orientation.H0_FIRST
-    if len(base.roots) <= n_boundaries and zeta >= acc_max:
-        return point(base.roots + (h_sat,) * (n_boundaries - len(base.roots)))
+    if top_bounds is not None and zeta >= top:
+        return point(top_bounds + (h_sat,) * (n_boundaries - len(top_bounds)))
     base_acc = pair.p0 if h0_first == (n_boundaries % 2 == 0) else pair.p1
     if abs(zeta - base_acc) <= 1e-12:
         mid = 0.5 * (lo + hi)
@@ -536,12 +577,8 @@ def general_curve(
     Targets that cannot be met are listed under ``failed_zetas``.
     """
     _check_boundary_count(n_boundaries)
-    base = ml_boundaries(pair, 1.0)
-    if not base.roots:
-        raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")
-    acc_max = region_accuracy(pair, base.roots, base.orientation)
     if zeta_grid is None:
-        zeta_grid = np.linspace(0.5, acc_max, DEFAULT_ZETA_POINTS)
+        zeta_grid = default_zeta_grid(pair, n_boundaries)
     zeta_grid = np.asarray(zeta_grid, dtype=float)
     if zeta_grid.size == 0:
         raise InvalidParameterError("zeta grid is empty")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from accsens.boundary_solver import (
     _ml_boundaries_many,
+    BISECTION_WIDTH,
     DEFAULT_GRID,
     RESIDUAL_RTOL,
     RootMethod,
@@ -19,7 +21,7 @@ from accsens.boundary_solver import (
     optimal_linear_boundary,
 )
 from accsens.classifier import GeneralSpec, Orientation, accuracy, region_accuracy
-from accsens.densities import DensityModel, HypothesisPair
+from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import EmptyIntervalError, InvalidParameterError, NoRootError
 from conftest import random_gaussian_pair
 
@@ -124,6 +126,15 @@ class TestGridBisection:
             signs = np.sign(log_ratio_gap(table1_pair, 1.0, samples))
             assert len(set(signs.tolist())) == 1
 
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+    def test_identical_models_no_root(self, eta):
+        # at eta = 1 the gap is 0 up to rounding noise, whose sign changes
+        # are no roots
+        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0), 0.5)
+        report = ml_boundaries_generic(pair, eta)
+        assert report.roots == () and report.warnings == ()
+        assert report.orientation is (Orientation.H1_FIRST if eta < 1.0 else Orientation.H0_FIRST)
+
     def test_empty_interval_rejected(self, table1_pair):
         with pytest.raises(EmptyIntervalError):
             ml_boundaries_generic(table1_pair, 1.0, interval=(3.0, 3.0))
@@ -147,14 +158,131 @@ def exponential_pairs(draw):
 eta_grids = st.lists(st.floats(-20.0, 20.0).map(math.exp), min_size=2, max_size=12)
 
 
+def _laplace_pdf(x, p):
+    return 0.5 / p[1] * np.exp(-np.abs(x - p[0]) / p[1])
+
+
+def _logistic_pdf(x, p):
+    z = np.exp(-np.abs(x - p[0]) / p[1])
+    return z / (p[1] * (1.0 + z) ** 2)
+
+
+def _uniform_pdf(x, p):
+    return np.where((x >= p[0]) & (x <= p[1]), 1.0 / (p[1] - p[0]), 0.0)
+
+
+def _uniform_mean_scale(p):
+    return 0.5 * (p[0] + p[1]), (p[1] - p[0]) / math.sqrt(12.0)
+
+
+def _custom(name, pdf, mean_scale=lambda p: (p[0], p[1])):
+    """A two-parameter custom family given by its pdf; only the root solver
+    runs on it, so the cdf and sampler are placeholders."""
+    return CustomDensity(
+        name=name,
+        param_names=("a", "b"),
+        pdf=pdf,
+        cdf=lambda x, p: np.zeros_like(x),
+        sampler=lambda rng, n, p: np.zeros(n),
+        mean_scale=mean_scale,
+    )
+
+
+def _brentq_reference(pair, eta, interval=None):
+    """Roots, orientation and parity warning of the ratio equation at one
+    threshold: the grid's sign changes, each bracket solved by brentq.  An
+    undefined gap (both densities vanish) counts as negative."""
+    lo, hi = interval if interval is not None else default_search_interval(pair)
+    xs = np.linspace(lo, hi, DEFAULT_GRID)
+    gap = log_ratio_gap(pair, eta, xs)
+    xs, gap = xs[~np.isnan(gap)], gap[~np.isnan(gap)]
+    signs = np.sign(gap)
+    brackets = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    def gap(t):
+        value = log_ratio_gap(pair, eta, t)
+        return -math.inf if math.isnan(value) else value
+
+    with np.errstate(invalid="ignore"):
+        roots = [brentq(gap, xs[i], xs[i + 1], xtol=1e-14) for i in brackets]
+    roots = sorted(roots + xs[signs == 0].tolist())
+    nonzero = signs[signs != 0]
+    ends_differ = bool(nonzero.size) and nonzero[0] != nonzero[-1]
+    first = nonzero[0] if nonzero.size else -1.0
+    orientation = Orientation.H0_FIRST if first < 0 else Orientation.H1_FIRST
+    return roots, orientation, len(roots) % 2 != ends_differ
+
+
+def _root_tolerance(pair, eta, r):
+    """BISECTION_WIDTH relative to the root, plus how far the rounding noise
+    of the log gap (4 eps of its largest term) moves a crossing of its slope:
+    where two rates nearly agree the crossing is flat, and any point of the
+    noisy stretch is as good a root as another.  At a support edge the gap
+    jumps, and the bisection width alone applies."""
+    terms = [math.log(pair.p1), pair.h1.log_pdf(r), math.log(eta), math.log(pair.p0), pair.h0.log_pdf(r)]
+    if not all(map(math.isfinite, terms)):
+        return BISECTION_WIDTH * max(1.0, abs(r))
+    h = 1e-6 * max(1.0, abs(r))
+    slope = abs(log_ratio_gap(pair, eta, r + h) - log_ratio_gap(pair, eta, r)) / h
+    noise = 4.0 * np.finfo(float).eps * max(abs(t) for t in terms)
+    return BISECTION_WIDTH * max(1.0, abs(r)) + noise / slope
+
+
+def _assert_matches_reference(report, pair, eta, interval=None):
+    roots, orientation, parity_warning = _brentq_reference(pair, eta, interval)
+    assert len(report.roots) == len(roots)
+    assert report.orientation is orientation
+    assert bool(report.warnings) == parity_warning
+    for r_solver, r in zip(report.roots, roots):
+        assert abs(r_solver - r) <= _root_tolerance(pair, eta, r)
+
+
 class TestManyThresholds:
     @settings(max_examples=60, deadline=None)
     @given(exponential_pairs(), eta_grids)
-    def test_matches_one_solve_per_threshold(self, pair, etas):
-        # repr spells out every float, so equal text is equal bits
-        assert repr(_ml_boundaries_many(pair, etas)) == repr(
-            tuple(ml_boundaries(pair, eta) for eta in etas)
+    def test_matches_brentq_per_bracket(self, pair, etas):
+        assume(pair.h0 != pair.h1)  # identical models: test_identical_models_no_root
+        for report, eta in zip(_ml_boundaries_many(pair, etas), etas):
+            assert report.eta == eta
+            _assert_matches_reference(report, pair, eta)
+
+    def test_wide_interval_roots_below_the_float_spacing(self):
+        # near the roots (about 5e5) floats lie about 1.2e-10 apart, wider
+        # than BISECTION_WIDTH: the bisection must stop after its fixed
+        # count of halvings and still return residual-bounded roots
+        pair = HypothesisPair(DensityModel.exponential(1e-6), DensityModel.exponential(3e-6))
+        interval = (0.0, 9e6)
+        assert default_search_interval(pair) == interval
+        many = _ml_boundaries_many(pair, [0.5, 1.0, 2.0])
+        for report, eta in zip(many, (0.5, 1.0, 2.0)):
+            assert report.roots and report == ml_boundaries_generic(pair, eta, interval)
+            for r, res in zip(report.roots, report.residuals):
+                bound = RESIDUAL_RTOL * max(pair.p0 * pair.h0.pdf(r), pair.p1 * pair.h1.pdf(r))
+                assert res <= bound
+            _assert_matches_reference(report, pair, eta, interval)
+
+    def test_custom_families_sharing_parameters(self):
+        # Laplace(0, 1) and logistic(0, 1) are equal as parameter tuples but
+        # cross at two points; they are no identical models
+        pair = HypothesisPair(
+            DensityModel.from_custom(_custom("laplace", _laplace_pdf), (0.0, 1.0)),
+            DensityModel.from_custom(_custom("logistic", _logistic_pdf), (0.0, 1.0)),
         )
+        # the density ratio runs from 1/2 at 0 up to 2 in both tails
+        for report, eta in zip(_ml_boundaries_many(pair, [0.8, 1.0, 1.5]), (0.8, 1.0, 1.5)):
+            assert len(report.roots) == 2 and report == ml_boundaries(pair, eta)
+            _assert_matches_reference(report, pair, eta)
+
+    @pytest.mark.parametrize(
+        "supports, edge", [(((0.0, 1.0), (2.0, 3.0)), 2.0), (((2.0, 3.0), (0.0, 1.0)), 1.0)]
+    )
+    def test_disjoint_supports(self, supports, edge):
+        # between the supports both densities vanish and the gap is NaN,
+        # which counts as negative: the root lies at the edge of H1's support
+        uniform = _custom("uniform", _uniform_pdf, _uniform_mean_scale)
+        pair = HypothesisPair(*(DensityModel.from_custom(uniform, s) for s in supports))
+        report = ml_boundaries(pair, 1.0)
+        _assert_matches_reference(report, pair, 1.0)
+        assert report.roots == (pytest.approx(edge, abs=1e-12),)
 
     def test_parity_warning_is_kept(self):
         # the ratio root of this pair sits exactly on the support edge at

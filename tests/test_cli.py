@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import accsens
 from accsens.cli import main
@@ -26,6 +28,12 @@ class TestBoundariesCommand:
         assert run_cli("boundaries", "--problem", TABLE1, "--eta", "0.4603") == 0
         out = capsys.readouterr().out
         assert "1.827980" in out and "20.602790" in out
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_threshold_not_positive_and_finite_exits_2(self, value, capsys):
+        # an infinite threshold would print "eta": Infinity, which is no JSON
+        assert run_cli("boundaries", "--problem", TABLE1, f"--eta={value}") == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -131,6 +139,19 @@ class TestCurveCommand:
     def test_empty_grid_exits_2(self):
         assert run_cli("curve", "ml", "--problem", TABLE1, "--eta-steps", "0") == 2
 
+    @pytest.mark.parametrize("bound", ["--eta-min", "--eta-max"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_threshold_range_not_positive_and_finite_exits_2(self, bound, value, capsys):
+        assert run_cli("curve", "ml", "--problem", TABLE1, f"{bound}={value}") == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_threshold_range_at_the_float_limits(self):
+        # geomspace over- and underflows on the way to these ends
+        assert run_cli(
+            "curve", "ml", "--problem", TABLE1, "--eta-min=5e-324",
+            "--eta-max=1.7976931348622103e308", "--eta-steps=2",
+        ) == 0
+
     @pytest.mark.parametrize("count", ["0", "-1", "4"])
     def test_non_positive_boundary_count_exits_2(self, count, capsys):
         assert run_cli(
@@ -222,6 +243,16 @@ class TestDesignCommand:
         )
         assert run_cli("design", "--box", str(box), "--gamma", "0.99") == 3
 
+    @pytest.mark.parametrize("grid", ["0:1.7976931348623157e308:4", "-1.7976931348623157e308:1.7976931348623157e308:3"])
+    def test_gamma_grid_at_the_float_limit_exits_2(self, grid, capsys):
+        # the grid's steps overflow; its targets lie outside [0.5, 1]
+        assert run_cli("design", "--box", "fig3.json", f"--gamma-grid={grid}") == 2
+        assert "gamma must lie in" in capsys.readouterr().err
+
+    def test_empty_gamma_grid_exits_2(self, capsys):
+        assert run_cli("design", "--box", "fig3.json", "--gamma-grid", "0.6:0.7:0") == 2
+        assert "at least one target" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "change", [{"p0": 0}, {"bounds": [[0, 0], [0.1, "wide"], [0, 40], [0.1, 15]]}]
     )
@@ -234,6 +265,65 @@ class TestDesignCommand:
         box.write_text(json.dumps({**spec, **change}))
         assert run_cli("design", "--box", str(box), "--gamma", "0.8") == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+#: Option values inside, at and beyond the edges of every valid range.
+_REALS = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "5e-324", "1e308", "0.5", "0.7", "2"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+#: Step and sample counts, at most 8 so that a valid draw stays cheap.
+_COUNTS = st.integers(-2, 8).map(str)
+#: Stands for an exponential problem file, written by the test's fixture.
+_EXP_PROBLEM = "<exponential problem>"
+
+
+@st.composite
+def cli_argvs(draw):
+    problem = ["--problem", draw(st.sampled_from([TABLE1, "fig2c.json", _EXP_PROBLEM]))]
+    command = draw(st.sampled_from(["boundaries", "ml", "general", "design", "simulate"]))
+    if command == "boundaries":
+        return ["boundaries", *problem, f"--eta={draw(_REALS)}"]
+    if command == "ml":
+        return [
+            "curve", "ml", *problem, f"--eta-min={draw(_REALS)}", f"--eta-max={draw(_REALS)}",
+            f"--eta-steps={draw(_COUNTS)}",
+        ]
+    if command == "general":
+        return [
+            "curve", "general", *problem, f"--zeta-steps={draw(_COUNTS)}",
+            f"--n-boundaries={draw(st.integers(-1, 4))}",
+        ]
+    if command == "design":
+        if draw(st.booleans()):
+            return ["design", "--box", "fig3.json", f"--gamma={draw(_REALS)}"]
+        grid = f"{draw(_REALS)}:{draw(_REALS)}:{draw(_COUNTS)}"
+        return ["design", "--box", "fig3.json", f"--gamma-grid={grid}"]
+    return [
+        "simulate", *problem, "--scenario", draw(st.sampled_from(["s1", "s2"])),
+        f"--n-obs={draw(_COUNTS)}", f"--n-trials={draw(_COUNTS)}",
+    ]
+
+
+class TestCliFuzz:
+    @pytest.fixture(scope="class")
+    def exp_problem(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "exp.json"
+        path.write_text(json.dumps({
+            "h0": {"family": "exponential", "params": {"rate": 1.0}},
+            "h1": {"family": "exponential", "params": {"rate": 2.0}},
+        }))
+        return str(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(argv=cli_argvs())
+    def test_every_input_ends_in_a_documented_exit_code(self, exp_problem, argv):
+        argv = [exp_problem if a == _EXP_PROBLEM else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed option with exit 2
+            code = exc.code
+        assert code in (0, 2, 3)
 
 
 class TestReproduce:

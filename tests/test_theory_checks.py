@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import accsens.boundary_solver as boundary_solver
 import accsens.theory_checks as theory_checks
 from accsens.classifier import Norm, region_accuracy
 from accsens.boundary_solver import ml_boundaries
-from accsens.densities import CustomDensity, DensityModel, HypothesisPair
+from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair
 from accsens.errors import AccsensError
 from accsens.theory_checks import (
     ETA_FD_STEP,
@@ -235,15 +236,26 @@ class TestSolveOnce:
     @pytest.mark.parametrize("fixture", ["table1_pair", "fig2c_pair", "exp_pair"])
     def test_each_boundary_problem_is_solved_once(self, request, monkeypatch, fixture):
         pair = request.getfixturevalue(fixture)
-        calls = []
-        solve = theory_checks.ml_boundaries
+        calls, scans = [], []
+        solve, many = theory_checks.ml_boundaries, theory_checks._ml_boundaries_many
         monkeypatch.setattr(
             theory_checks, "ml_boundaries", lambda *a, **k: calls.append(a) or solve(*a, **k)
+        )
+        monkeypatch.setattr(
+            theory_checks, "_ml_boundaries_many",
+            lambda p, etas: calls.extend((p, eta) for eta in etas) or many(p, etas),
+        )
+        grid_solve = boundary_solver._grid_solve
+        monkeypatch.setattr(
+            boundary_solver, "_grid_solve", lambda p, etas, *a: scans.append(etas) or grid_solve(p, etas, *a)
         )
         run_all_checks(pair)
         m = pair.theta.size
         assert len(calls) <= 1 + 2 * m + 2
         assert len({(p.theta.tobytes(), eta) for p, eta in calls}) == len(calls)
+        # the base and the eta stencil share one grid scan
+        gaussian = pair.h0.family is Family.GAUSSIAN
+        assert len(scans) == (0 if gaussian else 1 + 2 * m)
 
 
 class TestSolverWarnings:

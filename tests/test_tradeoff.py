@@ -24,6 +24,7 @@ from accsens.errors import InfeasibleTargetError, InvalidParameterError, SolverF
 from accsens.tradeoff import (
     TradeoffCurve,
     constrained_min_sensitivity,
+    default_zeta_grid,
     general_curve,
     linear_curve,
     ml_curve,
@@ -358,6 +359,52 @@ class TestOneRootTopPoint:
         spec = GeneralSpec(BoundarySet(top.boundaries, top.orientation))
         assert accuracy(spec, exp_pair) == pytest.approx(acc_max, abs=1e-9)
         assert top.sensitivity == pytest.approx(sensitivity(MLSpec(1.0), exp_pair, norm), abs=1e-12)
+
+
+class TestSingleBoundaryTopPoint:
+    """One boundary cannot reach the ratio classifier's accuracy when the
+    ratio has two roots; its curve tops out at the best root instead."""
+
+    @pytest.mark.parametrize("name", ["table1_pair", "fig2c_pair"])
+    def test_default_grid_keeps_its_maximum(self, name, request):
+        pair = request.getfixturevalue(name)
+        report = ml_boundaries(pair, 1.0)
+        assert len(report.roots) == 2
+        best = max(region_accuracy(pair, (r,), report.orientation) for r in report.roots)
+        assert best < _acc_max(pair)
+        assert default_zeta_grid(pair, 1)[-1] == best
+        curve = general_curve(pair, n_boundaries=1)
+        assert curve.metadata["failed_zetas"] == []
+        top = curve.points[-1]
+        assert abs(top.accuracy - best) <= 1e-9
+        spec = GeneralSpec(BoundarySet(top.boundaries, top.orientation))
+        assert abs(accuracy(spec, pair) - best) <= 1e-9
+
+    def test_target_above_the_best_root_is_infeasible(self, table1_pair):
+        top = default_zeta_grid(table1_pair, 1)[-1]
+        assert constrained_min_sensitivity(table1_pair, top + 1e-10, Norm.INF, 1).accuracy == top
+        with pytest.raises(InfeasibleTargetError):
+            constrained_min_sensitivity(table1_pair, top + 1e-6, Norm.INF, 1)
+
+    @pytest.mark.parametrize("sigma0, p0", [(3.0, 0.6), (10.0, 0.9)])
+    def test_prior_beats_every_root(self, sigma0, p0):
+        # a wide H0 with a large prior: one boundary at H*, which calls
+        # everything H0, is more accurate than one at either ratio root
+        pair = HypothesisPair(DensityModel.gaussian(0.0, sigma0), DensityModel.gaussian(0.0, 1.0), p0)
+        report = ml_boundaries(pair, 1.0)
+        best = max(region_accuracy(pair, (r,), report.orientation) for r in report.roots)
+        assert best < p0
+        zetas = default_zeta_grid(pair, 1, 8)
+        assert zetas[-1] == p0
+        curve = general_curve(pair, zetas, n_boundaries=1)
+        assert curve.metadata["failed_zetas"] == []
+        assert curve.points[-1].accuracy == p0
+        between = 0.5 * (best + p0)
+        assert abs(constrained_min_sensitivity(pair, between, Norm.INF, 1).accuracy - between) <= 1e-9
+
+    def test_more_boundaries_reach_the_ratio_accuracy(self, table1_pair):
+        for n in (2, 3):
+            assert default_zeta_grid(table1_pair, n)[-1] == _acc_max(table1_pair)
 
 
 # ---- properties of the frontier over random pairs ----
