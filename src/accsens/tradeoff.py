@@ -8,7 +8,9 @@ Three sweeps produce comparable curves for one hypothesis pair:
 * ``linear_curve`` - sweep of a single boundary, best orientation per point,
   evaluated on the whole grid with one cdf and one gradient call per density;
 * ``general_curve`` - for each accuracy level zeta, the boundary set of the
-  requested size with the smallest sensitivity subject to accuracy == zeta.
+  requested size with the smallest sensitivity subject to accuracy == zeta;
+  all targets are solved in one call of the solver behind
+  ``constrained_min_sensitivity``, which is its one-target case.
 
 The constrained minimum is nonconvex.  For 1, 2 or 3 boundaries in the
 orientation of the maximum-accuracy classifier it is found by a deterministic
@@ -16,11 +18,14 @@ scan of the accuracy level set (see ``constrained_min_sensitivity``): with all
 boundaries but one fixed on a grid, the free one is bisected on each segment
 where the accuracy is monotone in it, by the array bisection that also solves
 the ratio roots (``boundary_solver._bisect``), and the grid minima are refined
-together by an array zoom.  The grid reaches out to the saturation points
-where both cdfs read exactly 0 and 1, so every single-boundary classifier and
-every matched ratio classifier lies on a scanned two-boundary branch: neither
-curve can undercut the two-boundary one, and the three-boundary minimum,
-which takes the two-boundary one as a candidate, never lies above it.
+together by an array zoom.  A curve makes the pair's set-up (ratio roots,
+saturation points, top accuracy, grid and segments) once, scans each target
+on its own, and refines the minima of every target in one zoom.  The grid
+reaches out to the saturation points where both cdfs read exactly 0 and 1, so
+every single-boundary classifier and every matched ratio classifier lies on a
+scanned two-boundary branch: neither curve can undercut the two-boundary one,
+and the three-boundary minimum, which takes the two-boundary one as a
+candidate, never lies above it.
 
 The default targets (``default_zeta_grid``) end at the best accuracy the
 boundary count reaches in that orientation: the ratio classifier's, or for
@@ -336,7 +341,10 @@ def _level_set(pair, d, scale, norm, fixed, free, seg_lo, seg_hi):
 
     ``fixed`` holds the other n - 1 boundaries in order; boundary ``free``
     (counted from 0) is solved between its fixed neighbours on the segment
-    [seg_lo, seg_hi] of G.  The array arguments broadcast together; G is
+    [seg_lo, seg_hi] of G.  The accuracy offset ``d`` is one target's scalar
+    in the scan and a column of per-minimum offsets in the zoom, which
+    refines the minima of several targets at once.  The array arguments
+    broadcast together; G is
     evaluated on them unbroadcast, so the bracket check costs one evaluation
     per fixed value and per segment end.
     Returns the sensitivity and the n boundaries.  The sensitivity reads inf
@@ -462,6 +470,169 @@ def default_zeta_grid(
     return np.linspace(0.5, top, steps)
 
 
+def _check_targets(zetas) -> np.ndarray:
+    """The accuracy targets as a one-dimensional float array of numbers in [0, 1]."""
+    try:
+        zetas = np.asarray(zetas, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"accuracy targets must be numbers, got {zetas!r}") from None
+    if zetas.ndim != 1:
+        raise InvalidParameterError(f"zeta grid must be one-dimensional, got shape {zetas.shape}")
+    if zetas.size == 0:
+        raise InvalidParameterError("zeta grid is empty")
+    bad = ~((zetas >= 0.0) & (zetas <= 1.0))  # NaN and +-inf included
+    if bad.any():
+        raise InvalidParameterError(
+            f"accuracy target {float(zetas[bad][0])!r} is not a finite number in [0, 1]"
+        )
+    return zetas
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the error that refuses one target."""
+    try:
+        return fn(*args)
+    except (SolverFailureError, InfeasibleTargetError) as exc:
+        return exc
+
+
+def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: int):
+    """Solve every accuracy target of ``zetas`` (see constrained_min_sensitivity).
+
+    The pair's set-up (the ratio roots, the saturation points, the top
+    accuracy, the boundary grid and its segments) is made once.  Each target
+    is scanned on its own, so the scan's (free boundary, grid point or pair,
+    segment) arrays do not grow with the target count; then the branch minima
+    of all targets are refined by one zoom, each minimum with its own
+    accuracy offset.  For three boundaries the two-boundary candidates come
+    from one call for all scanned targets.
+
+    Returns the validated targets, one outcome per target (a TradeoffPoint,
+    or the SolverFailureError or InfeasibleTargetError that refuses it), and
+    the number of branch minima the zoom refined, the two-boundary
+    candidates' included.
+    """
+    _check_boundary_count(n_boundaries)
+    zetas = _check_targets(zetas)
+    base = _ml_base(pair)
+    orientation = base.orientation
+    lo, hi = default_search_interval(pair)
+    l_sat, h_sat = _saturation_points(pair, lo, hi)
+    try:
+        top, top_bounds = _top(pair, base, n_boundaries, (l_sat, h_sat))
+    except SolverFailureError as exc:  # an accuracy outside [0, 1] refuses every target
+        return zetas, [exc] * zetas.size, 0
+    h0_first = orientation is Orientation.H0_FIRST
+    base_acc = pair.p0 if h0_first == (n_boundaries % 2 == 0) else pair.p1
+
+    def point(zeta: float, bounds) -> TradeoffPoint:
+        bounds = tuple(float(y) for y in bounds)
+        acc = region_accuracy(pair, bounds, orientation)
+        if abs(acc - zeta) > ACCURACY_TOL:
+            raise SolverFailureError(
+                f"refined point misses accuracy target: |{acc!r} - {zeta!r}| > {ACCURACY_TOL}"
+            )
+        sens = apply_norm(region_accuracy_gradient(pair, bounds, orientation), norm)
+        return TradeoffPoint(acc, sens, bounds, orientation, "constrained", zeta)
+
+    def closed(zeta: float) -> TradeoffPoint | None:
+        """The answer of a target that needs no scan, or None.
+
+        Saturated targets have exact closed answers: at or above the top
+        accuracy of n boundaries (within the feasibility slack), the top
+        point itself, padded with H* (a boundary there adds no mass); at the
+        accuracy of the class that owns the rightmost region, coincident
+        pairs (and L* for an odd count) whose gradients cancel identically.
+        Just below the maximum the level set is a small loop whose minimum
+        moves like the square root of the accuracy gap, so those targets are
+        solved.
+        """
+        if zeta > top + 1e-9:
+            raise InfeasibleTargetError(
+                f"accuracy target {zeta!r} exceeds the attainable maximum {top!r}"
+            )
+        if top_bounds is not None and zeta >= top:
+            return point(zeta, top_bounds + (h_sat,) * (n_boundaries - len(top_bounds)))
+        if abs(zeta - base_acc) <= 1e-12:
+            mid = 0.5 * (lo + hi)
+            bounds = (l_sat,) * (n_boundaries % 2) + (mid,) * (n_boundaries - n_boundaries % 2)
+            return TradeoffPoint(base_acc, 0.0, bounds, orientation, "constrained", zeta)
+        return None
+
+    targets = zetas.tolist()
+    outcomes = [_attempt(closed, zeta) for zeta in targets]
+    scanned = [t for t, outcome in enumerate(outcomes) if outcome is None]
+    if not scanned:
+        return zetas, outcomes, 0
+
+    grid = default_y_grid(pair)
+    ys = np.unique(np.concatenate([grid[(grid > l_sat) & (grid < h_sat)], [l_sat, h_sat]]))
+    cuts = np.searchsorted(ys, [l_sat, *(r for r in base.roots if l_sat < r < h_sat), h_sat])
+    # one array of grid indices per fixed boundary
+    if n_boundaries == 3:
+        keep = np.unique(np.concatenate([np.arange(0, ys.size, PAIR_STRIDE), cuts]))
+        ys, cuts = ys[keep], np.searchsorted(keep, cuts)
+        scan = np.triu_indices(ys.size)
+    else:
+        scan = (np.arange(ys.size),) * (n_boundaries - 1)
+    seg_lo, seg_hi = ys[cuts[:-1]], ys[cuts[1:]]
+    fixed = tuple(ys[i][:, None] for i in scan)
+    # the last boundary is the first one solved: the row order decides ties
+    # between equal minima
+    free = np.arange(n_boundaries)[::-1]
+    sign = 1.0 if h0_first else -1.0
+    candidates = {t: [] for t in scanned}
+    minima = []  # (target, offset d, free boundary row, grid point or pair, segment)
+    for t in scanned:
+        d = (targets[t] - base_acc) * sign
+        # shape (free boundary, grid point or pair, segment)
+        s, bounds = _level_set(pair, d, hi - lo, norm, fixed, free[:, None, None], seg_lo, seg_hi)
+        found = np.isfinite(s)
+        # the grid minimum of every branch (n = 2) or of every free boundary and segment
+        rik = [
+            (r, start + int(np.argmin(s[r, start:stop, k])), k)
+            for r in range(n_boundaries)
+            for k in range(cuts.size - 1)
+            for start, stop in (_runs(found[r, :, k]) if n_boundaries == 2 else [(0, found.shape[1])])
+            if found[r, start:stop, k].any()
+        ]
+        if rik:
+            r, i, k = np.asarray(rik).T
+            candidates[t].append((s[r, i, k], *(y[r, i, k] for y in bounds)))
+            minima += [(t, d, *m) for m in rik]
+    refined = 0
+    if scan and minima:
+        owner, d, r, i, k = (np.asarray(column) for column in zip(*minima))
+        solve = partial(_level_set, pair, d[:, None], hi - lo, norm)
+        zoomed = _zoom(solve, ys, tuple(j[i] for j in scan), free[r], seg_lo[k], seg_hi[k])
+        refined = int(owner.size)
+        for t in scanned:
+            if candidates[t]:
+                candidates[t].append(tuple(v[owner == t] for v in zoomed))
+    if n_boundaries == 3:
+        # a two-boundary set followed by H* is a three-boundary set with the
+        # same accuracy, so the two-boundary minimum is a candidate too
+        _, twos, two_refined = _constrained_minima(pair, zetas[scanned], norm, 2)
+        refined += two_refined
+        for t, two in zip(scanned, twos):
+            if isinstance(two, TradeoffPoint):
+                candidates[t].append(([two.sensitivity], *([y] for y in two.boundaries + (h_sat,))))
+            else:
+                outcomes[t] = two
+    for t in scanned:
+        if outcomes[t] is not None:
+            continue
+        if not candidates[t]:
+            outcomes[t] = SolverFailureError(
+                f"no point of the accuracy level set found for target {targets[t]!r}"
+            )
+            continue
+        sens, *best = (np.concatenate(c) for c in zip(*candidates[t]))
+        j = int(np.argmin(sens))
+        outcomes[t] = _attempt(point, targets[t], [y[j] for y in best])
+    return zetas, outcomes, refined
+
+
 def constrained_min_sensitivity(
     pair: HypothesisPair, zeta: float, norm: Norm = Norm.INF, n_boundaries: int = 2
 ) -> TradeoffPoint:
@@ -482,87 +653,15 @@ def constrained_min_sensitivity(
     fixed boundaries.  That zoom is a local search: at an inf-norm minimum on
     a long ridge where two gradient components tie it can stop above the
     true minimum.  The best of grid points and zoom results is kept.
+
+    This is the one-target case of the solver that ``general_curve`` runs on
+    its whole grid.  A target that is not a finite number in [0, 1] raises
+    InvalidParameterError.
     """
-    _check_boundary_count(n_boundaries)
-    base = _ml_base(pair)
-    orientation = base.orientation
-    lo, hi = default_search_interval(pair)
-    l_sat, h_sat = _saturation_points(pair, lo, hi)
-    top, top_bounds = _top(pair, base, n_boundaries, (l_sat, h_sat))
-    if zeta > top + 1e-9:
-        raise InfeasibleTargetError(
-            f"accuracy target {zeta!r} exceeds the attainable maximum {top!r}"
-        )
-
-    def point(bounds) -> TradeoffPoint:
-        bounds = tuple(float(y) for y in bounds)
-        acc = region_accuracy(pair, bounds, orientation)
-        if abs(acc - zeta) > ACCURACY_TOL:
-            raise SolverFailureError(
-                f"refined point misses accuracy target: |{acc!r} - {zeta!r}| > {ACCURACY_TOL}"
-            )
-        sens = apply_norm(region_accuracy_gradient(pair, bounds, orientation), norm)
-        return TradeoffPoint(acc, sens, bounds, orientation, "constrained", zeta)
-
-    # Saturated targets have exact closed answers: at or above the top
-    # accuracy of n boundaries (within the feasibility slack), the top point
-    # itself, padded with H* (a boundary there adds no mass); at the accuracy
-    # of the class that owns the rightmost region, coincident pairs (and L*
-    # for an odd count) whose gradients cancel identically.  Just below the
-    # maximum the level set is a small loop whose minimum moves like the
-    # square root of the accuracy gap, so those targets are solved.
-    h0_first = orientation is Orientation.H0_FIRST
-    if top_bounds is not None and zeta >= top:
-        return point(top_bounds + (h_sat,) * (n_boundaries - len(top_bounds)))
-    base_acc = pair.p0 if h0_first == (n_boundaries % 2 == 0) else pair.p1
-    if abs(zeta - base_acc) <= 1e-12:
-        mid = 0.5 * (lo + hi)
-        bounds = (l_sat,) * (n_boundaries % 2) + (mid,) * (n_boundaries - n_boundaries % 2)
-        return TradeoffPoint(base_acc, 0.0, bounds, orientation, "constrained", zeta)
-
-    grid = default_y_grid(pair)
-    ys = np.unique(np.concatenate([grid[(grid > l_sat) & (grid < h_sat)], [l_sat, h_sat]]))
-    cuts = np.searchsorted(ys, [l_sat, *(r for r in base.roots if l_sat < r < h_sat), h_sat])
-    d = (zeta - base_acc) * (1.0 if h0_first else -1.0)
-    solve = partial(_level_set, pair, d, hi - lo, norm)
-    # one array of grid indices per fixed boundary
-    if n_boundaries == 3:
-        keep = np.unique(np.concatenate([np.arange(0, ys.size, PAIR_STRIDE), cuts]))
-        ys, cuts = ys[keep], np.searchsorted(keep, cuts)
-        scan = np.triu_indices(ys.size)
-    else:
-        scan = (np.arange(ys.size),) * (n_boundaries - 1)
-    seg_lo, seg_hi = ys[cuts[:-1]], ys[cuts[1:]]
-    # the last boundary is the first one solved: the row order decides ties
-    # between equal minima
-    free = np.arange(n_boundaries)[::-1]
-    # shape (free boundary, grid point or pair, segment)
-    s, bounds = solve(tuple(ys[i][:, None] for i in scan), free[:, None, None], seg_lo, seg_hi)
-    found = np.isfinite(s)
-    # the grid minimum of every branch (n = 2) or of every free boundary and segment
-    minima = [
-        (r, start + int(np.argmin(s[r, start:stop, k])), k)
-        for r in range(n_boundaries)
-        for k in range(cuts.size - 1)
-        for start, stop in (_runs(found[r, :, k]) if n_boundaries == 2 else [(0, found.shape[1])])
-        if found[r, start:stop, k].any()
-    ]
-    candidates = []
-    if minima:
-        r, i, k = np.asarray(minima).T
-        candidates.append((s[r, i, k], *(y[r, i, k] for y in bounds)))
-        if scan:
-            candidates.append(_zoom(solve, ys, tuple(j[i] for j in scan), free[r], seg_lo[k], seg_hi[k]))
-    if n_boundaries == 3:
-        # a two-boundary set followed by H* is a three-boundary set with the
-        # same accuracy, so the two-boundary minimum is a candidate too
-        two = constrained_min_sensitivity(pair, zeta, norm, 2)
-        candidates.append(([two.sensitivity], *([y] for y in two.boundaries + (h_sat,))))
-    if not candidates:
-        raise SolverFailureError(f"no point of the accuracy level set found for target {zeta!r}")
-    sens, *best = (np.concatenate(c) for c in zip(*candidates))
-    j = int(np.argmin(sens))
-    return point(y[j] for y in best)
+    _, (outcome,), _ = _constrained_minima(pair, [zeta], norm, n_boundaries)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def general_curve(
@@ -572,28 +671,30 @@ def general_curve(
     norm: Norm = Norm.INF,
 ) -> TradeoffCurve:
     """Fundamental frontier: the minimum sensitivity of 1, 2 or 3 boundaries
-    at each accuracy target, each target solved by constrained_min_sensitivity.
+    at each accuracy target, all targets solved together by the solver of
+    constrained_min_sensitivity, with the same points.
 
-    Targets that cannot be met are listed under ``failed_zetas``.
+    Targets that cannot be met are listed under ``failed_zetas``, from the
+    highest down; ``refined_minima`` counts the branch minima the zoom
+    refined, summed over the targets.  A target that is not a finite number
+    in [0, 1], or a grid that is not one-dimensional, raises
+    InvalidParameterError.
     """
     _check_boundary_count(n_boundaries)
     if zeta_grid is None:
         zeta_grid = default_zeta_grid(pair, n_boundaries)
-    zeta_grid = np.asarray(zeta_grid, dtype=float)
-    if zeta_grid.size == 0:
-        raise InvalidParameterError("zeta grid is empty")
-
+    zetas, outcomes, refined = _constrained_minima(pair, zeta_grid, norm, n_boundaries)
     metadata = {
-        "zeta_points": int(zeta_grid.size),
+        "zeta_points": int(zetas.size),
         "n_boundaries": n_boundaries,
         "failed_zetas": [],
+        "refined_minima": refined,
     }
     points: list[TradeoffPoint] = []
-    for zeta in sorted(zeta_grid, reverse=True):
-        try:
-            pt = constrained_min_sensitivity(pair, float(zeta), norm, n_boundaries)
-        except (SolverFailureError, InfeasibleTargetError) as exc:
-            metadata["failed_zetas"].append({"zeta": float(zeta), "error": str(exc)})
-            continue
-        points.append(pt)
+    # highest target first; the sort is stable, so equal targets keep their order
+    for zeta, outcome in sorted(zip(zetas.tolist(), outcomes), key=lambda z: -z[0]):
+        if isinstance(outcome, TradeoffPoint):
+            points.append(outcome)
+        else:
+            metadata["failed_zetas"].append({"zeta": zeta, "error": str(outcome)})
     return _assemble(points, norm, "general", pair, metadata)

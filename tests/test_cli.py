@@ -172,6 +172,8 @@ class TestCurveCommand:
         assert "3 points" in capsys.readouterr().out
         payload = json.loads((tmp_path / "curve_general.json").read_text())
         assert payload["config"]["metadata"]["failed_zetas"] == []
+        # the middle target is scanned; 0.5 and the top have closed answers
+        assert payload["config"]["metadata"]["refined_minima"] > 0
         top = payload["result"]["points"][-1]
         assert top["accuracy"] == pytest.approx(0.625, abs=1e-9)
 

@@ -274,6 +274,39 @@ class TestGeneralCurve:
         s = curve.sensitivities
         assert np.max(np.maximum(0.0, s[:-1] - s[1:])) <= 1e-5
 
+    def test_refined_minima_sums_the_zoomed_minima_of_every_target(self, table1_pair):
+        grid = np.asarray([0.6, 0.7])
+        count = general_curve(table1_pair, grid).metadata["refined_minima"]
+        assert count > 0
+        assert count == sum(
+            general_curve(table1_pair, grid[i : i + 1]).metadata["refined_minima"] for i in range(2)
+        )
+        # one boundary needs no zoom; the base and top targets are not scanned
+        assert general_curve(table1_pair, grid, 1).metadata["refined_minima"] == 0
+        saturated = np.asarray([0.5, _acc_max(table1_pair)])
+        assert general_curve(table1_pair, saturated).metadata["refined_minima"] == 0
+
+    def test_inconsistent_cdf_refuses_every_target(self):
+        # a custom family whose cdf runs up to 10: the top accuracy already
+        # escapes [0, 1], which refuses each target as its one-target call does
+        from scipy.special import ndtr
+
+        inconsistent = CustomDensity(
+            name="tenfold",
+            param_names=("a",),
+            pdf=lambda x, p: np.exp(-x * x / 8.0) / (2.0 * math.sqrt(2.0 * math.pi)),
+            cdf=lambda x, p: 10.0 * ndtr(np.asarray(x) / 2.0),
+            sampler=lambda rng, n, p: np.zeros(n),
+            mean_scale=lambda p: (0.0, 2.0),
+        )
+        pair = HypothesisPair(DensityModel.from_custom(inconsistent, (1.0,)), DensityModel.gaussian(1.0, 1.0))
+        curve = general_curve(pair, np.asarray([0.6, 0.7]))
+        assert curve.points == ()
+        assert [f["zeta"] for f in curve.metadata["failed_zetas"]] == [0.7, 0.6]
+        with pytest.raises(SolverFailureError, match="escaped") as exc:
+            constrained_min_sensitivity(pair, 0.6)
+        assert curve.metadata["failed_zetas"][1]["error"] == str(exc.value)
+
     def test_csv_shape_and_determinism(self, table1_pair):
         grid = np.linspace(0.55, 0.75, 5)
         a = general_curve(table1_pair, zeta_grid=grid)
@@ -282,6 +315,24 @@ class TestGeneralCurve:
         header = a.to_csv_text().splitlines()[0]
         assert header == "accuracy,sensitivity,y1,y2,provenance"
         assert "np.float" not in a.to_csv_text()  # plain scalar formatting only
+
+
+class TestTargetValidation:
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf, -0.5, 1.5])
+    def test_target_not_a_finite_accuracy(self, table1_pair, zeta):
+        with pytest.raises(InvalidParameterError, match="not a finite number in"):
+            constrained_min_sensitivity(table1_pair, zeta)
+        with pytest.raises(InvalidParameterError, match="not a finite number in"):
+            general_curve(table1_pair, np.asarray([0.6, zeta]))
+
+    @pytest.mark.parametrize("grid", [[[0.6, 0.7]], 0.6])
+    def test_grid_not_one_dimensional(self, table1_pair, grid):
+        with pytest.raises(InvalidParameterError, match="one-dimensional"):
+            general_curve(table1_pair, np.asarray(grid))
+
+    def test_empty_grid(self, table1_pair):
+        with pytest.raises(InvalidParameterError, match="empty"):
+            general_curve(table1_pair, np.asarray([]))
 
 
 @pytest.fixture(scope="module")
@@ -541,3 +592,49 @@ class TestFrontierProperties:
         spec = GeneralSpec(BoundarySet(top.boundaries, top.orientation))
         assert accuracy(spec, pair) == pytest.approx(acc_max, abs=1e-9)
         assert top.sensitivity == pytest.approx(sensitivity(MLSpec(1.0), pair, norm), abs=1e-9)
+
+
+@st.composite
+def target_grids(draw, n_boundaries):
+    """A random pair and a shuffled target grid: interior targets, the top of
+    default_zeta_grid, the base accuracy and one target above the top."""
+    pair = draw(st.one_of(two_root_gaussian_pairs(), exponential_pairs()))
+    top = default_zeta_grid(pair, n_boundaries, 2)[-1]
+    assume(top < 1.0 - 1e-6)
+    # the prior of the class that owns the rightmost region
+    h0_first = ml_boundaries(pair, 1.0).orientation is Orientation.H0_FIRST
+    base = pair.p0 if h0_first == (n_boundaries % 2 == 0) else pair.p1
+    interior = [0.5 + u * (top - 0.5) for u in draw(st.lists(positions, min_size=2, max_size=3))]
+    zetas = interior + [top, base, top + 0.5 * (1.0 - top)]
+    return pair, np.asarray(draw(st.permutations(zetas)))
+
+
+class TestBatchEquivalence:
+    """A curve solves its targets together; each of its points and refusals
+    must be those of the one-target call."""
+
+    def _check(self, grid, norm, n_boundaries):
+        pair, zetas = grid
+        curve = general_curve(pair, zetas, n_boundaries, norm)
+        single, refused = {}, []
+        for zeta in sorted(zetas.tolist(), reverse=True):
+            try:
+                single[zeta] = constrained_min_sensitivity(pair, zeta, norm, n_boundaries)
+            except (SolverFailureError, InfeasibleTargetError) as exc:
+                refused.append({"zeta": zeta, "error": str(exc)})
+        assert curve.metadata["failed_zetas"] == refused
+        for p in curve.points:
+            q = single[p.parameter]
+            assert p.orientation is q.orientation
+            assert abs(p.sensitivity - q.sensitivity) <= 1e-9 * q.sensitivity
+
+    @pytest.mark.parametrize("n_boundaries", [1, 2])
+    @settings(max_examples=10, deadline=None)
+    @given(st.data(), st.sampled_from(list(Norm)))
+    def test_one_and_two_boundaries(self, n_boundaries, data, norm):
+        self._check(data.draw(target_grids(n_boundaries)), norm, n_boundaries)
+
+    @settings(max_examples=3, deadline=None)
+    @given(target_grids(3), st.sampled_from(list(Norm)))
+    def test_three_boundaries(self, grid, norm):
+        self._check(grid, norm, 3)
