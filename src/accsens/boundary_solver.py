@@ -224,23 +224,47 @@ def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> Likelihood
     return LikelihoodRootReport(roots, RootMethod.GAUSSIAN_QUADRATIC, orient, residuals, eta)
 
 
-def _bisect(fn, lo, hi, level, rising, tol: float) -> np.ndarray:
-    """Solve fn(x) = level on every bracket [lo, hi] at once, fn monotone on each.
+def _bisect(fn, lo, hi, level, rising, tol: float, *args) -> np.ndarray:
+    """Solve fn(x, *args) = level on every bracket [lo, hi] at once, fn
+    monotone on each.
 
-    The arguments broadcast together; ``rising`` marks the brackets on which
-    fn increases.  Every bracket takes the number of halvings that brings the
-    widest one below ``tol``, at most BISECTION_STEPS; a bracket whose floats
-    run out first keeps its last two neighbouring floats.  A NaN value counts
-    as below ``level``: the ratio gap is NaN where both densities vanish.
+    ``lo`` and ``hi`` are one-dimensional, the other arguments broadcast
+    with them, and fn acts on x and ``args`` elementwise; ``rising`` marks
+    the brackets on which fn increases.  Each bracket is halved until its
+    own width is below ``tol``, at most BISECTION_STEPS times, so its root
+    does not depend on the other brackets; a bracket whose floats run out
+    first keeps its last two neighbouring floats.  Brackets of one count,
+    such as the cells of one grid, take the same steps on the whole arrays;
+    otherwise they are ordered by their count, most first, and each step
+    works on the prefix still halving.  A NaN value counts as below
+    ``level``: the ratio gap is NaN where both densities vanish.
     """
-    a, b = lo, hi
-    width = float(np.max(hi - lo, initial=0.0))
-    for _ in range(min(math.ceil(math.log2(width / tol)), BISECTION_STEPS) if width > tol else 0):
-        mid = 0.5 * (a + b)
-        right = (fn(mid) >= level) != rising  # the root lies right of mid
-        a = np.where(right, mid, a)
-        b = np.where(right, b, mid)
-    return 0.5 * (a + b)
+    steps = np.minimum(np.ceil(np.log2(np.maximum(hi - lo, tol) / tol)), BISECTION_STEPS).astype(int)
+    counts = np.unique(steps).tolist()
+    order = None
+    if len(counts) > 1:  # most halvings first
+        order = np.argsort(-steps, kind="stable")
+        lo, hi, level, rising, *args = (
+            np.broadcast_to(v, steps.shape)[order] for v in (lo, hi, level, rising, *args)
+        )
+        steps = steps[order]
+    a, b, done, roots = lo, hi, 0, []
+    for count in counts:
+        for _ in range(count - done):
+            mid = 0.5 * (a + b)
+            right = (fn(mid, *args) >= level) != rising  # the root lies right of mid
+            a = np.where(right, mid, a)
+            b = np.where(right, b, mid)
+        done = count
+        if order is not None:  # the brackets of this count are done; they sit last
+            m = int(np.count_nonzero(steps > count))
+            roots.append(0.5 * (a[m:] + b[m:]))
+            a, b, level, rising, *args = (v[:m] for v in (a, b, level, rising, *args))
+    if order is None:
+        return 0.5 * (a + b)
+    x = np.empty(steps.shape)
+    x[order] = np.concatenate(roots[::-1])
+    return x
 
 
 def _search_grid(
@@ -352,17 +376,17 @@ def _grid_solve(
     )
     bracket_log_eta = np.repeat(log_etas, [0 if s is None else s.lo.size for s in scans])
 
-    def gap(x: np.ndarray) -> np.ndarray:
+    def gap(x: np.ndarray, log_eta: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return (
                 log_p1
                 + np.asarray(pair.h1.log_pdf(x))
-                - bracket_log_eta
+                - log_eta
                 - log_p0
                 - np.asarray(pair.h0.log_pdf(x))
             )
 
-    roots = iter(_bisect(gap, lo, hi, 0.0, f_lo < 0, BISECTION_WIDTH).tolist())
+    roots = iter(_bisect(gap, lo, hi, 0.0, f_lo < 0, BISECTION_WIDTH, bracket_log_eta).tolist())
     return tuple(
         _undefined_report(eta) if scan is None
         else _grid_report(pair, eta, scan, list(islice(roots, scan.lo.size)))

@@ -19,8 +19,16 @@ boundaries but one fixed on a grid, the free one is bisected on each segment
 where the accuracy is monotone in it, by the array bisection that also solves
 the ratio roots (``boundary_solver._bisect``), and the grid minima are refined
 together by an array zoom.  A curve makes the pair's set-up (ratio roots,
-saturation points, top accuracy, grid and segments) once, scans each target
-on its own, and refines the minima of every target in one zoom.  The grid
+saturation points, top accuracy, grid and G = p0 F0 - p1 F1 on the grid)
+once, scans each target on its own, and refines the minima of every target
+in one zoom.  Every bisection starts from a bracket already known and halves
+it to its own width: in the scan the grid cell where G crosses the level,
+found by a search of G on the grid; in a zoom round after the first, the
+free boundaries of the last round's samples around the new window.  A
+bracket that misses falls back to the whole segment, so no level-set point
+is lost.  The scan only ranks grid points for the zoom, which solves the
+grid point itself again, so it stops at a ranking tolerance (SCAN_RTOL); one
+boundary has no zoom and is scanned to full precision.  The grid
 reaches out to the saturation points where both cdfs read exactly 0 and 1, so
 every single-boundary classifier and every matched ratio classifier lies on a
 scanned two-boundary branch: neither curve can undercut the two-boundary one,
@@ -36,7 +44,7 @@ Every point on a returned curve satisfies its accuracy target to 1e-6;
 points whose refinement misses the target are dropped and counted in the
 curve metadata, never silently interpolated.  Curve points are ordered by
 accuracy; below-chance points are discarded (the swapped orientation covers
-them).
+them), a frontier point by its target.
 """
 
 from __future__ import annotations
@@ -86,6 +94,10 @@ ZOOM = {1: (65, 1, 6), 2: (17, 3, 25)}
 #: Three boundaries: the two fixed boundaries run over all sorted pairs of
 #: every PAIR_STRIDE-th grid point.
 PAIR_STRIDE = 8
+#: Tolerance, relative to the search interval, of the level-set scan that a
+#: zoom follows: the scan only picks the grid points to zoom, and the zoom
+#: solves the grid point itself again to 2 eps.
+SCAN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,8 +171,12 @@ def _assemble(
     metadata: dict,
 ) -> TradeoffCurve:
     """Order by accuracy, drop below-chance points, collapse exact accuracy
-    ties to the lowest sensitivity, keep a single boundary count."""
-    kept = [p for p in points if p.accuracy >= 0.5]
+    ties to the lowest sensitivity, keep a single boundary count.
+
+    A constrained point is below chance when its target is: one that meets
+    the target 0.5 may read an accuracy one rounding below it.
+    """
+    kept = [p for p in points if (p.parameter if p.kind == "constrained" else p.accuracy) >= 0.5]
     metadata = dict(metadata)
     metadata["dropped_below_chance"] = len(points) - len(kept)
     if kept:
@@ -225,13 +241,16 @@ def ml_curve(
     return _assemble(points, norm, "ml", pair, metadata)
 
 
-def default_y_grid(pair: HypothesisPair, n: int = DEFAULT_Y_POINTS) -> np.ndarray:
-    lo, hi = default_search_interval(pair)
+def _y_grid(lo: float, hi: float, roots: tuple[float, ...], n: int = DEFAULT_Y_POINTS) -> np.ndarray:
+    """n points spanning [lo, hi] with the unit-threshold ratio roots inserted."""
     grid = np.linspace(lo, hi, n)
-    report = ml_boundaries(pair, 1.0)
-    if report.roots:
-        grid = np.unique(np.append(grid, report.roots))
+    if roots:
+        grid = np.unique(np.append(grid, roots))
     return grid
+
+
+def default_y_grid(pair: HypothesisPair, n: int = DEFAULT_Y_POINTS) -> np.ndarray:
+    return _y_grid(*default_search_interval(pair), ml_boundaries(pair, 1.0).roots, n)
 
 
 def linear_curve(
@@ -319,32 +338,44 @@ def _saturation_points(pair: HypothesisPair, lo: float, hi: float) -> tuple[floa
     return walk(lo, -1.0, 0.0, edge_lo), walk(hi, 1.0, 1.0, edge_hi)
 
 
-def _bisect_level(pair, lo, hi, g_lo, g_hi, target, scale):
+def _bisect_level(pair, lo, hi, g_lo, g_hi, target, tol, near=None):
     """Solve G(x) = target on every bracket [lo, hi] at once, G monotone on each.
 
-    The arguments broadcast together.  Every bracket takes the number of
-    halvings that brings the widest one below 2 eps * scale.  NaN where the
-    bracket is empty or G does not cross the target on it.
+    The arguments broadcast together, and each bracket is bisected until it
+    is narrower than ``tol``.  NaN where the bracket is empty or G does not
+    cross the target on it.  ``near``, when given, is called with the
+    targets of the brackets where G crosses and the mask ``ok`` of those
+    brackets, and returns narrower brackets (lo', hi', G(lo'), G(hi'))
+    expected to hold their roots; each is cut to its [lo, hi] and bisected
+    where G crosses the target on it, the whole bracket elsewhere, so the
+    brackets that yield a root are the same with or without ``near``.
     """
     lo, hi, g_lo, g_hi, target = np.broadcast_arrays(lo, hi, g_lo, g_hi, target)
     ok = (lo < hi) & ((g_lo - target) * (g_hi - target) <= 0.0)
+    lo, hi, g_lo, g_hi, target = (v[ok] for v in (lo, hi, g_lo, g_hi, target))
+    rising = g_hi >= g_lo
+    if near is not None:
+        n_lo, n_hi, gn_lo, gn_hi = near(target, ok)
+        inside_lo, inside_hi = n_lo > lo, n_hi < hi
+        n_lo, gn_lo = np.where(inside_lo, n_lo, lo), np.where(inside_lo, gn_lo, g_lo)
+        n_hi, gn_hi = np.where(inside_hi, n_hi, hi), np.where(inside_hi, gn_hi, g_hi)
+        narrow = (n_lo <= n_hi) & ((gn_lo - target) * (gn_hi - target) <= 0.0)
+        lo, hi = np.where(narrow, n_lo, lo), np.where(narrow, n_hi, hi)
     x = np.full(ok.shape, np.nan)
-    x[ok] = _bisect(
-        partial(_gap, pair), lo[ok], hi[ok], target[ok], g_hi[ok] >= g_lo[ok],
-        2.0 * np.finfo(float).eps * scale,
-    )
+    x[ok] = _bisect(partial(_gap, pair), lo, hi, target, rising, tol)
     return x
 
 
-def _level_set(pair, d, scale, norm, fixed, free, seg_lo, seg_hi):
+def _level_set(pair, d, tol, norm, fixed, free, seg_lo, seg_hi, near=None):
     """Level-set points G(y_1) - G(y_2) + G(y_3) - ... = d, one boundary free.
 
     ``fixed`` holds the other n - 1 boundaries in order; boundary ``free``
-    (counted from 0) is solved between its fixed neighbours on the segment
-    [seg_lo, seg_hi] of G.  The accuracy offset ``d`` is one target's scalar
-    in the scan and a column of per-minimum offsets in the zoom, which
-    refines the minima of several targets at once.  The array arguments
-    broadcast together; G is
+    (counted from 0) is solved to ``tol`` between its fixed neighbours on
+    the segment [seg_lo, seg_hi] of G, from the narrower brackets of
+    ``near`` where they hold the point (see ``_bisect_level``).  The
+    accuracy offset ``d`` is one target's scalar in the scan and a column of
+    per-minimum offsets in the zoom, which refines the minima of several
+    targets at once.  The array arguments broadcast together; G is
     evaluated on them unbroadcast, so the bracket check costs one evaluation
     per fixed value and per segment end.
     Returns the sensitivity and the n boundaries.  The sensitivity reads inf
@@ -362,7 +393,7 @@ def _level_set(pair, d, scale, norm, fixed, free, seg_lo, seg_hi):
     lo, hi = np.maximum(lower, seg_lo), np.minimum(upper, seg_hi)
     g_lo = np.where(lower > seg_lo, g_lower, _gap(pair, seg_lo))
     g_hi = np.where(upper < seg_hi, g_upper, _gap(pair, seg_hi))
-    x = _bisect_level(pair, lo, hi, g_lo, g_hi, np.where(free % 2 == 0, d - rest, rest - d), scale)
+    x = _bisect_level(pair, lo, hi, g_lo, g_hi, np.where(free % 2 == 0, d - rest, rest - d), tol, near)
     ys = []
     for i in range(n):
         y = x
@@ -379,13 +410,19 @@ def _level_set(pair, d, scale, norm, fixed, free, seg_lo, seg_hi):
     return s, ys
 
 
+def _taken(bracket, target, ok):
+    """``near`` of brackets known before the targets: each array broadcast to
+    the shape of ``ok`` and taken where it is set."""
+    return tuple(np.broadcast_to(v, ok.shape)[ok] for v in bracket)
+
+
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Half-open index ranges of the consecutive True entries."""
     edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
     return list(zip(np.nonzero(edges == 1)[0].tolist(), np.nonzero(edges == -1)[0].tolist()))
 
 
-def _zoom(solve, ys, idx, free, seg_lo, seg_hi):
+def _zoom(solve, gap, tol, ys, idx, free, seg_lo, seg_hi):
     """Refine the minima found at the grid points ys[idx], all at once.
 
     ``idx`` holds one array of grid indices per fixed boundary.  Each round
@@ -397,23 +434,32 @@ def _zoom(solve, ys, idx, free, seg_lo, seg_hi):
     whose free boundary leaves the segment reads inf, so a branch that ends
     inside a cell is refined up to its end.  Returns the sensitivity and the
     boundaries of each minimum's best sample.
+
+    The first round solves the free boundary on its whole segment.  Along a
+    branch it is monotone in each fixed boundary, so a later round brackets
+    it by the free boundaries of the last round's samples that span the new
+    window, widened by their spread where one of those samples is off the
+    branch, and by ``tol``, the precision ``solve`` solves them to; it falls
+    back to the segment where that bracket misses.  ``gap`` is G.
     """
     points, keep, rounds = ZOOM[len(idx)]
     shape = (points,) * len(idx)
     u = np.linspace(-1.0, 1.0, points)
-    offsets = [u[k].ravel() for k in np.indices(shape)]
+    sample_pos = np.indices(shape).reshape(len(idx), -1)
+    offsets = [u[k] for k in sample_pos]
     half = points // 2
     lo_end = [ys[np.maximum(i - 1, 0)][:, None] for i in idx]
     hi_end = [ys[np.minimum(i + 1, ys.size - 1)][:, None] for i in idx]
     centre = [ys[i][:, None] for i in idx]
     below = [c - e for c, e in zip(centre, lo_end)]
     above = [e - c for c, e in zip(centre, hi_end)]
+    seg_lo, seg_hi, near = seg_lo[:, None], seg_hi[:, None], None
     for _ in range(rounds):
         fixed = tuple(
             np.clip(c + o * np.where(o < 0.0, b, a), e0, e1)
             for c, o, b, a, e0, e1 in zip(centre, offsets, below, above, lo_end, hi_end)
         )
-        s, bounds = solve(fixed, free[:, None], seg_lo[:, None], seg_hi[:, None])
+        s, bounds = solve(fixed, free[:, None], seg_lo, seg_hi, near)
         j = np.argmin(s, axis=1, keepdims=True)
         centre = [np.take_along_axis(f, j, axis=1) for f in fixed]
         # `keep` sample spacings on either side of the best sample
@@ -422,6 +468,20 @@ def _zoom(solve, ys, idx, free, seg_lo, seg_hi):
             [np.where(p <= half, b, a) * (keep / half) for p, b, a in zip(pos, below, above)],
             [np.where(p >= half, a, b) * (keep / half) for p, b, a in zip(pos, below, above)],
         )
+        # the free boundaries of the samples within `keep` of the best one;
+        # near the window's edge some of them lie outside it
+        x = np.choose(free[:, None], bounds)
+        span = np.all([np.abs(q - p) <= keep for q, p in zip(sample_pos, pos)], axis=0)
+        on = span & ~np.isnan(x)
+        x_lo = np.min(np.where(on, x, math.inf), axis=1, keepdims=True)
+        x_hi = np.max(np.where(on, x, -math.inf), axis=1, keepdims=True)
+        off = np.any(span & ~on, axis=1, keepdims=True)
+        off |= np.any([(p < keep) | (p >= points - keep) for p in pos], axis=0)
+        spread = tol + np.where(off, x_hi - x_lo, 0.0)
+        # clipped to the segment, so that G is evaluated on finite points
+        b_lo = np.clip(x_lo - spread, seg_lo, seg_hi)
+        b_hi = np.clip(x_hi + spread, seg_lo, seg_hi)
+        near = partial(_taken, (b_lo, b_hi, gap(b_lo), gap(b_hi)))
     return tuple(np.take_along_axis(v, j, axis=1)[:, 0] for v in (s, *bounds))
 
 
@@ -500,12 +560,12 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     """Solve every accuracy target of ``zetas`` (see constrained_min_sensitivity).
 
     The pair's set-up (the ratio roots, the saturation points, the top
-    accuracy, the boundary grid and its segments) is made once.  Each target
-    is scanned on its own, so the scan's (free boundary, grid point or pair,
-    segment) arrays do not grow with the target count; then the branch minima
-    of all targets are refined by one zoom, each minimum with its own
-    accuracy offset.  For three boundaries the two-boundary candidates come
-    from one call for all scanned targets.
+    accuracy, the boundary grid, G on it and its segments) is made once.
+    Each target is scanned on its own, so the scan's (free boundary, grid
+    point or pair, segment) arrays do not grow with the target count; then
+    the branch minima of all targets are refined by one zoom, each minimum
+    with its own accuracy offset.  For three boundaries the two-boundary
+    candidates come from one call for all scanned targets.
 
     Returns the validated targets, one outcome per target (a TradeoffPoint,
     or the SolverFailureError or InfeasibleTargetError that refuses it), and
@@ -565,7 +625,7 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     if not scanned:
         return zetas, outcomes, 0
 
-    grid = default_y_grid(pair)
+    grid = _y_grid(lo, hi, base.roots)
     ys = np.unique(np.concatenate([grid[(grid > l_sat) & (grid < h_sat)], [l_sat, h_sat]]))
     cuts = np.searchsorted(ys, [l_sat, *(r for r in base.roots if l_sat < r < h_sat), h_sat])
     # one array of grid indices per fixed boundary
@@ -577,6 +637,26 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
         scan = (np.arange(ys.size),) * (n_boundaries - 1)
     seg_lo, seg_hi = ys[cuts[:-1]], ys[cuts[1:]]
     fixed = tuple(ys[i][:, None] for i in scan)
+    g_ys = _gap(pair, ys)
+    # (first grid index, direction, G times the direction) of every segment
+    segments = []
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        direction = 1.0 if g_ys[b] >= g_ys[a] else -1.0
+        segments.append((a, direction, direction * g_ys[a:b + 1]))
+
+    def cells(target, ok):
+        """The grid cell where G crosses each target on its segment, the last axis of ``ok``."""
+        seg = np.nonzero(ok)[-1]
+        c = np.empty(target.shape, dtype=np.intp)
+        for k, (a, direction, g) in enumerate(segments):
+            on = seg == k
+            c[on] = a + np.searchsorted(g, direction * target[on])
+        c = c.clip(1, ys.size - 1)
+        return ys[c - 1], ys[c], g_ys[c - 1], g_ys[c]
+
+    # the scan only ranks the grid points that a zoom refines
+    eps_tol = 2.0 * np.finfo(float).eps * (hi - lo)
+    scan_tol = SCAN_RTOL * (hi - lo) if scan else eps_tol
     # the last boundary is the first one solved: the row order decides ties
     # between equal minima
     free = np.arange(n_boundaries)[::-1]
@@ -586,7 +666,9 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     for t in scanned:
         d = (targets[t] - base_acc) * sign
         # shape (free boundary, grid point or pair, segment)
-        s, bounds = _level_set(pair, d, hi - lo, norm, fixed, free[:, None, None], seg_lo, seg_hi)
+        s, bounds = _level_set(
+            pair, d, scan_tol, norm, fixed, free[:, None, None], seg_lo, seg_hi, cells
+        )
         found = np.isfinite(s)
         # the grid minimum of every branch (n = 2) or of every free boundary and segment
         rik = [
@@ -596,19 +678,20 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
             for start, stop in (_runs(found[r, :, k]) if n_boundaries == 2 else [(0, found.shape[1])])
             if found[r, start:stop, k].any()
         ]
-        if rik:
+        if rik and scan:
+            minima += [(t, d, *m) for m in rik]
+        elif rik:  # one boundary: the scan is exact and final
             r, i, k = np.asarray(rik).T
             candidates[t].append((s[r, i, k], *(y[r, i, k] for y in bounds)))
-            minima += [(t, d, *m) for m in rik]
     refined = 0
-    if scan and minima:
+    if minima:
         owner, d, r, i, k = (np.asarray(column) for column in zip(*minima))
-        solve = partial(_level_set, pair, d[:, None], hi - lo, norm)
-        zoomed = _zoom(solve, ys, tuple(j[i] for j in scan), free[r], seg_lo[k], seg_hi[k])
+        solve = partial(_level_set, pair, d[:, None], eps_tol, norm)
+        idx = tuple(j[i] for j in scan)
+        zoomed = _zoom(solve, partial(_gap, pair), eps_tol, ys, idx, free[r], seg_lo[k], seg_hi[k])
         refined = int(owner.size)
-        for t in scanned:
-            if candidates[t]:
-                candidates[t].append(tuple(v[owner == t] for v in zoomed))
+        for t in np.unique(owner).tolist():
+            candidates[t].append(tuple(v[owner == t] for v in zoomed))
     if n_boundaries == 3:
         # a two-boundary set followed by H* is a three-boundary set with the
         # same accuracy, so the two-boundary minimum is a candidate too
@@ -652,7 +735,10 @@ def constrained_min_sensitivity(
     point of each free boundary and segment is refined by the zoom over both
     fixed boundaries.  That zoom is a local search: at an inf-norm minimum on
     a long ridge where two gradient components tie it can stop above the
-    true minimum.  The best of grid points and zoom results is kept.
+    true minimum.  The best zoom result is kept; the zoom's first round
+    solves each grid minimum itself again, so the scan, which only ranks the
+    grid points, never gives the answer.  Three boundaries also take the
+    two-boundary minimum as a candidate.
 
     This is the one-target case of the solver that ``general_curve`` runs on
     its whole grid.  A target that is not a finite number in [0, 1] raises

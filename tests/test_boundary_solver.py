@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from accsens.boundary_solver import (
+    _bisect,
     _ml_boundaries_many,
     BISECTION_WIDTH,
     DEFAULT_GRID,
@@ -304,6 +305,58 @@ class TestManyThresholds:
     def test_invalid_threshold_rejected(self, exp_pair):
         with pytest.raises(InvalidParameterError):
             _ml_boundaries_many(exp_pair, [1.0, 0.0])
+
+
+def _cubic(x):
+    """x + x^3 / 3: strictly increasing, in basic float operations only, so
+    every element is computed alike whatever the array around it."""
+    return x + x * x * x / 3.0
+
+
+class TestBisect:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-4.0, 4.0),
+        st.floats(1e-9, 4.0),
+        st.floats(1e-9, 4.0),
+        st.lists(st.tuples(st.floats(1.5, 1e3), st.floats(-4.0, 4.0)), min_size=1, max_size=3),
+        st.sampled_from([1e-12, 1e-9, 1e-6]),
+        st.booleans(),
+    )
+    def test_a_bracket_is_solved_alike_alone_and_in_a_batch(
+        self, root, left, right, wider, tol, rising
+    ):
+        fn = _cubic if rising else (lambda x: -_cubic(x))
+        lo, hi = root - left, root + right
+        # wider brackets of other roots, the bracket itself in the middle
+        others = [(r - f * (hi - lo), r + f * (hi - lo), r) for f, r in wider]
+        brackets = others[:1] + [(lo, hi, root)] + others[1:]
+        batch_lo, batch_hi, roots = (np.asarray(v) for v in zip(*brackets))
+        alone = _bisect(fn, np.asarray([lo]), np.asarray([hi]), fn(root), rising, tol)
+        batch = _bisect(fn, batch_lo, batch_hi, fn(roots), rising, tol)
+        assert alone[0].tobytes() == batch[1].tobytes()
+        for x, a, b, r in zip(batch, batch_lo, batch_hi, roots):
+            reference = brentq(lambda y: _cubic(y) - _cubic(r), a, b, xtol=1e-15, rtol=1e-15)
+            assert abs(x - reference) <= tol
+
+    def test_brackets_of_one_width_take_the_same_steps(self):
+        # one grid's cells: each cell halves as often as the batch would
+        lo = np.linspace(0.0, 3.0, 7)[:-1]
+        hi = lo + 0.5
+        roots = lo + 0.3
+        batch = _bisect(_cubic, lo, hi, _cubic(roots), True, 1e-12)
+        for k in range(lo.size):
+            one = _bisect(_cubic, lo[k:k + 1], hi[k:k + 1], _cubic(roots[k:k + 1]), True, 1e-12)
+            assert one[0] == batch[k]
+        np.testing.assert_allclose(batch, roots, atol=1e-12)
+
+    #: roots of exp(1) against exp(2) (p0 = 1/2) as the grid solve returned
+    #: them when every bracket took the halvings of the widest one
+    PINNED = {0.1: (2.995732273554152,), 1.0: (0.693147180559738,), 10.0: ()}
+
+    @pytest.mark.parametrize("eta", sorted(PINNED))
+    def test_ratio_roots_are_pinned(self, exp_pair, eta):
+        assert ml_boundaries(exp_pair, eta).roots == self.PINNED[eta]
 
 
 class TestResidualCheck:

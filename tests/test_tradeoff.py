@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from accsens.classifier import (
 from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import InfeasibleTargetError, InvalidParameterError, SolverFailureError
 from accsens.tradeoff import (
+    _assemble,
     TradeoffCurve,
     constrained_min_sensitivity,
     default_zeta_grid,
@@ -315,6 +319,54 @@ class TestGeneralCurve:
         header = a.to_csv_text().splitlines()[0]
         assert header == "accuracy,sensitivity,y1,y2,provenance"
         assert "np.float" not in a.to_csv_text()  # plain scalar formatting only
+
+
+#: Frontier minima as the solver returned them when it bisected every
+#: level-set point on its whole segment: n = 2 on 8 default targets and
+#: n = 3 on two table1 targets, both norms.
+RECORDED_MINIMA = json.loads((Path(__file__).parent / "data" / "frontier_minima.json").read_text())
+
+
+class TestRecordedMinima:
+    @pytest.mark.parametrize(
+        "record", RECORDED_MINIMA, ids=lambda r: f"{r['pair']}-n{r['n_boundaries']}-{r['norm']}"
+    )
+    def test_no_target_lost_and_no_minimum_raised(self, record, request):
+        pair = request.getfixturevalue(f"{record['pair']}_pair")
+        n = record["n_boundaries"]
+        if n == 2:
+            assert default_zeta_grid(pair, n, 8).tolist() == record["zetas"]
+        curve = general_curve(pair, np.asarray(record["zetas"]), n, Norm(record["norm"]))
+        assert [p.parameter for p in curve.points] == record["zetas"]
+        for p, recorded in zip(curve.points, record["sensitivities"]):
+            assert p.sensitivity <= recorded * (1.0 + 1e-6)
+
+
+@pytest.fixture(scope="module")
+def chance_pair() -> HypothesisPair:
+    """Its two-boundary minimum at target 0.5 read an accuracy of
+    0.49999999999999994 when the level sets were bisected on whole segments."""
+    return HypothesisPair(
+        DensityModel.gaussian(-3.714297972308004, 3.808240966928466),
+        DensityModel.gaussian(-0.007221375598850166, 0.6577895460456951),
+        0.35917043383098235,
+    )
+
+
+class TestChanceTarget:
+    def test_curve_keeps_the_chance_target(self, chance_pair):
+        curve = general_curve(chance_pair, [0.5, 0.6], 2, Norm.INF)
+        assert [p.parameter for p in curve.points] == [0.5, 0.6]
+        assert curve.metadata["dropped_below_chance"] == 0
+        assert curve.points[0] == constrained_min_sensitivity(chance_pair, 0.5)
+
+    def test_a_point_meeting_chance_one_rounding_below_is_kept(self, chance_pair):
+        # a constrained point is judged by its target, not its accuracy
+        point = replace(constrained_min_sensitivity(chance_pair, 0.5), accuracy=0.49999999999999994)
+        curve = _assemble([point], Norm.INF, "general", chance_pair, {})
+        assert curve.points == (point,) and curve.metadata["dropped_below_chance"] == 0
+        below = replace(point, parameter=0.49999999999999994)
+        assert _assemble([below], Norm.INF, "general", chance_pair, {}).points == ()
 
 
 class TestTargetValidation:
