@@ -40,9 +40,6 @@ SCALE_SPAN = 8.0
 BISECTION_WIDTH = 1e-12
 BISECTION_STEPS = 200
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
 
 class RootMethod(str, Enum):
     GAUSSIAN_QUADRATIC = "gaussian_quadratic"
@@ -125,28 +122,24 @@ def default_search_interval(pair: HypothesisPair) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _phi_cdf(z: float) -> float:
-    """Standard normal cdf of a Python float, for scalar inner loops."""
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def _phi_pdf(z: float) -> float:
-    """Standard normal pdf of a Python float, for scalar inner loops."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
 def _ratio_quadratic(
     mu0: float, sig0: float, mu1: float, sig1: float, log_k: float
 ) -> tuple[float, float, float]:
     """(a, b, c) of a y^2 + b y + c, the log ratio gap of two Gaussians with
-    log_k = log(p1 / (eta p0))."""
-    a = 0.5 * (1.0 / sig0**2 - 1.0 / sig1**2)
-    b = mu1 / sig1**2 - mu0 / sig0**2
+    log_k = log(p1 / (eta p0)).
+
+    Squares are products, not ``**``: Python's float power goes through
+    libm's pow, which misrounds about one square in a thousand, while numpy
+    squares by multiplying; so ``_gaussian_shape_roots`` can repeat these
+    operations bit for bit.
+    """
+    a = 0.5 * (1.0 / (sig0 * sig0) - 1.0 / (sig1 * sig1))
+    b = mu1 / (sig1 * sig1) - mu0 / (sig0 * sig0)
     c = (
         math.log(sig0 / sig1)
         + log_k
-        + mu0**2 / (2.0 * sig0**2)
-        - mu1**2 / (2.0 * sig1**2)
+        + mu0 * mu0 / (2.0 * (sig0 * sig0))
+        - mu1 * mu1 / (2.0 * (sig1 * sig1))
     )
     return a, b, c
 
@@ -157,10 +150,15 @@ def _gaussian_ratio_roots(
     """Sorted roots of the Gaussian ratio equation and whether H0 wins left of
     the first root (everywhere, when there is none).
 
-    Scalar math only: the design solver calls this in its innermost loop.
     Root cases: two simple roots, a single root when the widths coincide
     within EQUAL_SIGMA_RTOL, and no root when the parabola never crosses
     (including the tangential double root, which is dropped as zero-measure).
+
+    ``_gaussian_shape_roots`` repeats this rule on arrays, operation for
+    operation, for the pairs N(0, 1) against N(d, r); a test pins the two
+    bitwise equal, so a change here must be made there too.  This scalar
+    form stays for single pairs, on which the array form takes about 25
+    times as long.
     """
     if abs(sig0 - sig1) <= EQUAL_SIGMA_RTOL * max(sig0, sig1):
         # Equal widths: the quadratic term vanishes and the gap is linear,
@@ -190,6 +188,54 @@ def _gaussian_ratio_roots(
         roots.append(r)
     # Outside the outer roots the parabola carries the sign of a.
     return tuple(roots), a < 0
+
+
+def _gaussian_shape_terms(r, log_k: float) -> tuple[np.ndarray, ...]:
+    """Per-ratio constants of ``_gaussian_shape_roots`` for the width ratios
+    r: r^2, 2 r^2, the quadratic's leading coefficient a, its level
+    log(1/r) + log_k, r itself, and whether r lies within EQUAL_SIGMA_RTOL
+    of 1.  Each is formed as ``_gaussian_ratio_roots`` forms it at
+    (0, 1, d, r), the logarithm with ``math.log`` too (numpy's can differ
+    in the last bit)."""
+    r = np.asarray(r, dtype=float)
+    rr = r * r
+    level = np.reshape([math.log(1.0 / x) + log_k for x in r.ravel().tolist()], r.shape)
+    band = np.abs(1.0 - r) <= EQUAL_SIGMA_RTOL * np.maximum(1.0, r)
+    return rr, 2.0 * rr, 0.5 * (1.0 - 1.0 / rr), level, r, band
+
+
+def _gaussian_shape_roots(d, rr, rr2, a, level, r, band, polish: bool = True):
+    """``_gaussian_ratio_roots`` at (0, 1, d, r, log_k) on broadcast arrays,
+    from the ratios' constants (``_gaussian_shape_terms``): (lo, hi,
+    h0_first), a missing root +inf.
+
+    The same operations give the same roots to the bit.  ``polish=False``
+    leaves out the Newton pass, for a caller that needs the regions only to
+    a few ulps.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b = d / rr
+        c = level - d * d / rr2
+        disc = b * b - 4.0 * a * c
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        q = -(b + np.where(b >= 0.0, sq, -sq)) / 2.0
+        y1, y2 = q / a, c / q
+        lo, hi = np.minimum(y1, y2), np.maximum(y1, y2)
+        if polish:
+            lo, hi = (
+                np.where(s != 0.0, y - (a * y * y + b * y + c) / s, y)
+                for y, s in ((lo, 2.0 * a * lo + b), (hi, 2.0 * a * hi + b))
+            )
+        crossing = disc > 0.0
+        lo, hi = np.where(crossing, lo, np.inf), np.where(crossing, hi, np.inf)
+        h0_first = a < 0.0
+        if band.any():
+            lin = np.where(d != 0.0, 0.5 * d - r * level / d, np.inf)
+            one = band & np.isfinite(lin)
+            lo = np.where(band, np.where(one, lin, np.inf), lo)
+            hi = np.where(band, np.inf, hi)
+            h0_first = np.where(band, np.where(one, d > 0.0, level - 0.5 * d * d / r < 0.0), h0_first)
+    return lo, hi, h0_first
 
 
 def _log_k(pair: HypothesisPair, eta: float) -> float:

@@ -12,7 +12,13 @@ even in d, and nondecreasing in |d|.  Every sensitivity component scales as
 the root of A(|d|, r) = gamma, the best design of that shape takes the
 largest sigma0 the box allows (a closed-form linear program in
 (mu0, sigma0)), and the design is a one-dimensional minimization over r: a
-geometric scan of r polished by bounded Brent.
+geometric scan of r polished by an array zoom.  Both run on arrays over r:
+one bisection solves the separation roots of all ratios of a scan or zoom
+round together, and one kernel gives the accuracy and sensitivity of every
+shape.  The kernel takes the roots as the closed form of ``ml_boundaries``
+does, bit for bit (the bisection skips its final Newton pass), and the
+design's own boundaries, accuracy and sensitivity come from that closed form
+at the design's parameters.
 
 The module also provides the closed-form accuracy/sensitivity laws for two
 analytically solvable families (equal-variance Gaussian and exponential),
@@ -24,11 +30,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.special import ndtr
 
-from .boundary_solver import _gaussian_ratio_roots, _phi_cdf, _phi_pdf
+from .boundary_solver import _bisect, _gaussian_ratio_roots, _gaussian_shape_roots, _gaussian_shape_terms
 from .classifier import Norm, Orientation
 from .densities import DensityModel, HypothesisPair
 from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError
@@ -36,9 +43,36 @@ from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError
 #: Width ratios scanned per design, geometric over the box's range (r = 1 and
 #: the maximum-accuracy ratio are added as exact grid points).
 SCAN_POINTS = 400
-#: Absolute tolerance of the separation root and of the Brent polish in r.
+#: Absolute tolerance of the separation root.
 D_XTOL = 1e-13
-R_XATOL = 1e-12
+#: The zoom that polishes the scan's best ratio: samples per round and rounds.
+#: Each round shrinks the window around the best sample by a factor 32, from
+#: the best grid point's neighbours down to about 1e-9 of a grid cell.
+ZOOM_POINTS, ZOOM_ROUNDS = 65, 6
+#: Box limits.  The solver is scale-free: it sees a box only through the
+#: width ratio r = sigma1 / sigma0 and the separation d = gap / sigma0.
+#: r must lie in [1 / RATIO_LIMIT, RATIO_LIMIT]: the closed form (here and in
+#: ``ml_boundaries``) forms its discriminant as b^2 - 4ac, whose leading
+#: terms cancel for a narrow second width, so that at r = 1e-12 it finds no
+#: root at all.  Above the limit it finds them; the accuracy, stationary in
+#: the roots, stays exact, and the sensitivity is off by about eps d^2 / r^2
+#: relative (1e-5 at the limit for |d| = 1).  |d| must stay below
+#: SEPARATION_LIMIT, so that a separation root is bisected to D_XTOL within
+#: BISECTION_STEPS halvings.
+#: The design's boundaries are the closed form's at its own parameters,
+#: whose quadratic has the coefficients 1 / sigma^2, mu / sigma^2 and
+#: (mu / sigma)^2; 1 / sigma, sigma, |mu|, |mu| / sigma and |mu| / sigma^2
+#: must stay below SCALE_LIMIT over the box, so that it squares them finitely.
+RATIO_LIMIT = 1e6
+SEPARATION_LIMIT = 1e40
+SCALE_LIMIT = 1e100
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: Standard scores are clipped to +-Z_CLIP, beyond which the normal cdf is 0
+#: or 1 and the pdf 0 in floats; a missing root (+-inf) so adds nothing.
+_Z_CLIP = 40.0
+_U = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+_HALF = ZOOM_POINTS // 2
 
 
 # ---- closed-form laws ----
@@ -53,12 +87,14 @@ def gaussian_equal_variance_law(delta_mu: float, sigma: float) -> tuple[float, f
     the derivative of the accuracy law itself, which also matches central
     finite differences of the generic pipeline.
     """
+    if not (math.isfinite(delta_mu) and math.isfinite(sigma)):
+        raise InvalidParameterError(f"mean separation and sigma must be finite, got {delta_mu}, {sigma}")
     if delta_mu < 0:
         raise InvalidParameterError(f"mean separation must be >= 0, got {delta_mu}")
     if not sigma > 0:
         raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
     z = delta_mu / (2.0 * sigma)
-    return _phi_cdf(z), _phi_pdf(z) / (2.0 * sigma)
+    return 0.5 * math.erfc(-z / math.sqrt(2.0)), _INV_SQRT_2PI * math.exp(-0.5 * z * z) / (2.0 * sigma)
 
 
 @dataclass(frozen=True)
@@ -87,6 +123,8 @@ def exponential_law(r: float, lambda0: float) -> ExponentialLaw:
         accuracy    = 1/2 + 1/2 (r - 1) r^(-r/(r-1))
         sensitivity = log(r) / (2 lambda0 (r - 1)) * r^(-r/(r-1))
     """
+    if not (math.isfinite(r) and math.isfinite(lambda0)):
+        raise InvalidParameterError(f"rate ratio and lambda0 must be finite, got {r}, {lambda0}")
     if not r > 1.0:
         raise InvalidParameterError(f"rate ratio must be > 1 (swap the rates otherwise), got {r}")
     if not lambda0 > 0:
@@ -98,47 +136,77 @@ def exponential_law(r: float, lambda0: float) -> ExponentialLaw:
     return ExponentialLaw(accuracy, sensitivity, boundary, Orientation.H1_FIRST)
 
 
-# ---- inner evaluation: max-accuracy classifier of a Gaussian pair ----
+# ---- the shape kernel: max-accuracy classifier of N(0, 1) against N(d, r) ----
 
 
-def _gaussian_ml_eval(theta, p0: float, norm: Norm) -> tuple[float, float, tuple[float, ...]]:
-    """(accuracy, sensitivity, boundaries) of the unit-threshold classifier.
+def _ratio_terms(r, p0: float) -> tuple[np.ndarray, ...]:
+    """Per-ratio constants of the shape kernel (``_gaussian_shape_terms``)."""
+    return _gaussian_shape_terms(r, math.log((1.0 - p0) / p0))
 
-    Scalar math only: this sits in the innermost loop of the design solver.
-    """
+
+def _accuracy(z0lo, z0hi, z1lo, z1hi, h0_first, p0: float):
+    """Accuracy from the standard scores of the roots under H0 and H1."""
+    acc = p0 * (ndtr(z0lo) - ndtr(z0hi) + 1.0) + (1.0 - p0) * (ndtr(z1hi) - ndtr(z1lo))
+    return np.where(h0_first, acc, 1.0 - acc)
+
+
+def _shape_accuracy(d, rr, rr2, a, level, r, band, p0: float, polish: bool = False):
+    """Accuracy of the shape (d, r) from its ratio's constants
+    (``_ratio_terms``); unpolished, the separation bisection's kernel."""
+    lo, hi, h0_first = _gaussian_shape_roots(d, rr, rr2, a, level, r, band, polish)
+    return _accuracy(lo, hi, (lo - d) / r, (hi - d) / r, h0_first, p0)
+
+
+def _evaluate(lo, hi, h0_first, theta, p0: float, norm: Norm):
+    """Accuracy and sensitivity of the classifier with roots lo <= hi (+inf
+    where missing) that gives H0 the outside of (lo, hi) where ``h0_first``
+    and the inside elsewhere, for the pair theta = (mu0, sigma0, mu1,
+    sigma1), on broadcast arrays."""
     mu0, s0, mu1, s1 = theta
+    # clipped, so that a missing root gives pdf 0 and z * pdf 0, not inf * 0
+    z0lo, z0hi, z1lo, z1hi = (
+        np.minimum(np.maximum(z, -_Z_CLIP), _Z_CLIP)
+        for z in ((lo - mu0) / s0, (hi - mu0) / s0, (lo - mu1) / s1, (hi - mu1) / s1)
+    )
     p1 = 1.0 - p0
-    roots, h0_first = _gaussian_ratio_roots(mu0, s0, mu1, s1, math.log(p1 / p0))
-    if not roots:
-        # single region: the ratio never crosses one
-        return (p0 if h0_first else p1), 0.0, ()
-
-    if len(roots) == 1:
-        (y,) = roots
-        z0, z1 = (y - mu0) / s0, (y - mu1) / s1
-        f0, f1 = _phi_pdf(z0) / s0, _phi_pdf(z1) / s1
-        acc = p0 * _phi_cdf(z0) + p1 * (1.0 - _phi_cdf(z1))
-        g = (-p0 * f0, -p0 * z0 * f0, p1 * f1, p1 * z1 * f1)
-    else:
-        y1, y2 = roots
-        z01, z02 = (y1 - mu0) / s0, (y2 - mu0) / s0
-        z11, z12 = (y1 - mu1) / s1, (y2 - mu1) / s1
-        f01, f02 = _phi_pdf(z01) / s0, _phi_pdf(z02) / s0
-        f11, f12 = _phi_pdf(z11) / s1, _phi_pdf(z12) / s1
-        acc = p0 * (_phi_cdf(z01) - _phi_cdf(z02) + 1.0) + p1 * (_phi_cdf(z12) - _phi_cdf(z11))
-        g = (
-            p0 * (f02 - f01),
-            p0 * (z02 * f02 - z01 * f01),
-            p1 * (f11 - f12),
-            p1 * (z11 * f11 - z12 * f12),
-        )
-    if not h0_first:
-        acc = 1.0 - acc
+    f0lo, f0hi, f1lo, f1hi = (
+        _INV_SQRT_2PI * np.exp(-0.5 * z * z) / s
+        for z, s in ((z0lo, s0), (z0hi, s0), (z1lo, s1), (z1hi, s1))
+    )
+    grad = (
+        p0 * (f0hi - f0lo),
+        p0 * (z0hi * f0hi - z0lo * f0lo),
+        p1 * (f1lo - f1hi),
+        p1 * (z1lo * f1lo - z1hi * f1hi),
+    )
     if norm is Norm.INF:
-        sens = max(abs(v) for v in g)
+        sens = np.maximum.reduce([np.abs(g) for g in grad])
     else:
-        sens = math.sqrt(sum(v * v for v in g))
-    return acc, sens, roots
+        sens = np.sqrt(sum(g * g for g in grad))
+    return _accuracy(z0lo, z0hi, z1lo, z1hi, h0_first, p0), sens
+
+
+def _shape_eval(d, r, p0: float, norm: Norm):
+    """Accuracy, sensitivity and regions (lo, hi) of the maximum-accuracy
+    classifier of every shape (d, r), on broadcast arrays.
+
+    The pair is N(0, 1) against N(d, r), so the sensitivity is that of a
+    design of width sigma0 = 1; at width sigma0 it is this one over sigma0.
+    The roots are those of ``_gaussian_shape_roots``; a missing one is +inf.
+    """
+    d = np.asarray(d, dtype=float)
+    terms = _ratio_terms(r, p0)
+    lo, hi, h0_first = _gaussian_shape_roots(d, *terms)
+    return (*_evaluate(lo, hi, h0_first, (0.0, 1.0, d, terms[4]), p0, norm), lo, hi)
+
+
+def _design_eval(theta, p0: float, norm: Norm) -> tuple[float, float, tuple[float, ...]]:
+    """(accuracy, sensitivity, boundaries) of the maximum-accuracy classifier
+    of the pair theta, its roots from the closed form ``ml_boundaries`` runs."""
+    roots, h0_first = _gaussian_ratio_roots(*theta, math.log((1.0 - p0) / p0))
+    lo, hi = (*roots, math.inf, math.inf)[:2]
+    acc, sens = _evaluate(lo, hi, h0_first, theta, p0, norm)
+    return float(acc), float(sens), roots
 
 
 # ---- design problem ----
@@ -182,9 +250,21 @@ class ParamDesignProblem:
         r_lo, r_hi = self._ratio_range()
         if r_lo > r_hi:
             raise InvalidParameterError("no sigma1 <= sigma0 lies inside the width bounds")
+        if not (r_lo >= 1.0 / RATIO_LIMIT and r_hi <= RATIO_LIMIT):
+            raise InvalidParameterError(
+                f"width ratios from {r_lo:g} to {r_hi:g} leave [{1.0 / RATIO_LIMIT:g}, {RATIO_LIMIT:g}]"
+            )
         gap_lo, gap_hi = self._gap_range()
         if gap_lo > gap_hi:
             raise InvalidParameterError("mean_gap_max excludes every mean pair inside the bounds")
+        if not max(gap_hi, -gap_lo, 0.0) / self.bounds[1][0] <= SEPARATION_LIMIT:
+            raise InvalidParameterError(f"mean gaps reach more than {SEPARATION_LIMIT:g} widths sigma0")
+        (m0, s0, m1, s1) = self.bounds
+        s_min, s_max, m = min(s0[0], s1[0]), max(s0[1], s1[1]), max(map(abs, (*m0, *m1)))
+        if not max(1.0 / s_min, s_max, m, m / s_min, m / s_min / s_min) <= SCALE_LIMIT:
+            raise InvalidParameterError(
+                f"1/sigma, sigma, |mu|, |mu|/sigma or |mu|/sigma^2 exceeds {SCALE_LIMIT:g} inside the box"
+            )
 
     def _ratio_range(self) -> tuple[float, float]:
         """Range of the width ratio sigma1 / sigma0 over the box."""
@@ -202,10 +282,11 @@ class ParamDesignProblem:
             lo, hi = max(lo, -self.mean_gap_max), min(hi, self.mean_gap_max)
         return lo, hi
 
-    def _width_range(self, r: float) -> tuple[float, float]:
-        """Range of sigma0 with sigma0 and r * sigma0 inside their bounds."""
+    def _width_range(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """Range of sigma0 with sigma0 and r * sigma0 inside their bounds, at
+        every width ratio of the array r."""
         (s0_lo, s0_hi), (s1_lo, s1_hi) = self.bounds[1], self.bounds[3]
-        return max(s0_lo, s1_lo / r), min(s0_hi, s1_hi / r)
+        return np.maximum(s0_lo, s1_lo / r), np.minimum(s0_hi, s1_hi / r)
 
     def _place(self, d: float, r: float, sigma0: float) -> tuple[float, float, float, float]:
         """The design of shape (d, r) and width sigma0, at the lowest
@@ -332,55 +413,66 @@ class DesignResult:
 # ---- the exact solver: a scan over the width ratio ----
 
 
-def _shape_eval(problem: ParamDesignProblem, d: float, r: float) -> tuple[float, float, tuple[float, ...]]:
-    """Accuracy, sensitivity and boundaries of the unit-width design of shape (d, r)."""
-    return _gaussian_ml_eval((0.0, 1.0, d, r), problem.p0, problem.norm)
-
-
-def _reach(problem: ParamDesignProblem, r: float) -> float:
-    """Largest |d| the box allows at width ratio r (narrowest sigma0)."""
+def _reach(problem: ParamDesignProblem, r) -> np.ndarray:
+    """Largest |d| the box allows at each width ratio r (narrowest sigma0)."""
     gap_lo, gap_hi = problem._gap_range()
     return max(gap_hi, -gap_lo, 0.0) / problem._width_range(r)[0]
 
 
-def _ratio_grid(problem: ParamDesignProblem, extra: tuple[float, ...] = ()) -> list[float]:
+def _ratio_grid(problem: ParamDesignProblem, extra: tuple[float, ...] = ()) -> np.ndarray:
     lo, hi = problem._ratio_range()
-    grid = np.geomspace(lo, hi, SCAN_POINTS).tolist() if lo < hi else []
-    points = {lo, hi, *grid, *extra}
+    points = [lo, hi, *extra]
     if lo <= 1.0 <= hi:
-        points.add(1.0)
-    return sorted(points)
+        points.append(1.0)
+    if lo < hi:
+        points.extend(np.geomspace(lo, hi, SCAN_POINTS).tolist())
+    return np.unique(points)
 
 
-def _scan_min(fn, grid: list[float]) -> tuple[float, float, int]:
-    """Minimum of ``fn`` over the ratio grid, polished by bounded Brent
-    between the best point's neighbours: (value, r, finite grid values).
+def _scan_min(evaluate, grid: np.ndarray):
+    """Minimum over the ratio grid, polished by an array zoom between the
+    best point's neighbours: (r, columns at r, finite grid values).
 
-    The minimum can sit on a kink where the binding box constraint switches,
-    so the better of the grid point and the Brent result is kept.  Brent runs
-    on the offset from the grid point: its tolerance has a term relative to
-    the variable, which would otherwise stop it about 1e-8 r short of a kink.
+    ``evaluate(r, near)`` returns columns over the ratios r, the value to
+    minimize first; ``near`` holds the columns of the samples next to the
+    best one of the last round (of the grid, in round 1), or None for the
+    grid.  Each zoom round samples ZOOM_POINTS ratios, offset 0 at the
+    current best and each half spanning its own window side, and shrinks the
+    window to one sample spacing either side of the best sample.  The
+    minimum can sit on a kink where the binding box constraint switches, so
+    the better of the grid point and the zoomed point is kept.
     """
-    values = [fn(r) for r in grid]
-    i = min(range(len(grid)), key=values.__getitem__)
-    best, r_best = values[i], grid[i]
-    if math.isfinite(best) and len(grid) > 1:
-        lo, hi = grid[max(i - 1, 0)] - r_best, grid[min(i + 1, len(grid) - 1)] - r_best
-        # An infeasible neighbour reads inf; Brent then takes golden-section
-        # steps, after numpy warns about the inf - inf in its parabola.
-        with np.errstate(invalid="ignore"):
-            res = minimize_scalar(
-                lambda t: fn(r_best + t), bounds=(lo, hi), method="bounded",
-                options={"xatol": R_XATOL},
+    cols = evaluate(grid, None)
+    i = int(np.argmin(cols[0]))
+    r_best, best = grid[i], [c[i] for c in cols]
+    finite = int(np.count_nonzero(np.isfinite(cols[0])))
+    if math.isfinite(best[0]) and grid.size > 1:
+        lo_end, hi_end = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        centre, below, above = grid[i], grid[i] - lo_end, hi_end - grid[i]
+        rs, j = grid, i
+        for _ in range(ZOOM_ROUNDS):
+            near = slice(max(j - 1, 0), j + 2)
+            known = [c[near] for c in cols]
+            rs = np.clip(centre + _U * np.where(_U < 0.0, below, above), lo_end, hi_end)
+            cols = evaluate(rs, known)
+            j = int(np.argmin(cols[0]))
+            centre = rs[j]
+            below, above = (
+                (below if j <= _HALF else above) / _HALF,
+                (above if j >= _HALF else below) / _HALF,
             )
-        if res.fun < best:
-            best, r_best = float(res.fun), r_best + float(res.x)
-    return best, r_best, sum(math.isfinite(v) for v in values)
+        if cols[0][j] < best[0]:
+            r_best, best = rs[j], [c[j] for c in cols]
+    return float(r_best), [float(v) for v in best], finite
 
 
 def _max_accuracy_shape(problem: ParamDesignProblem) -> tuple[float, float]:
     """(max accuracy, its width ratio): max over r of A(reach(r), r)."""
-    neg, r, _ = _scan_min(lambda r: -_shape_eval(problem, _reach(problem, r), r)[0], _ratio_grid(problem))
+
+    def neg_accuracy(r, near):
+        return (-_shape_accuracy(_reach(problem, r), *_ratio_terms(r, problem.p0), problem.p0, True),)
+
+    r, (neg,), _ = _scan_min(neg_accuracy, _ratio_grid(problem))
     return -neg, r
 
 
@@ -390,46 +482,54 @@ def max_accuracy(problem: ParamDesignProblem) -> float:
     return _max_accuracy_shape(problem)[0]
 
 
-def _design_at_ratio(problem: ParamDesignProblem, r: float) -> tuple[float, float, float] | None:
-    """(sensitivity, d, sigma0) of the least sensitive design with width
-    ratio r, or None when no design of that ratio reaches gamma in the box."""
-    gamma = problem.gamma
-
-    def defect(d: float) -> float:
-        return _shape_eval(problem, d, r)[0] - gamma
-
-    at_zero = defect(0.0)
-    if at_zero > 0.0:
-        return None
-    reach = _reach(problem, r)
-    if at_zero == 0.0:
-        d = 0.0
-    else:
-        at_reach = defect(reach)
-        if at_reach < 0.0:
-            return None
-        d = reach if at_reach == 0.0 else brentq(defect, 0.0, reach, xtol=D_XTOL)
-
-    # Largest sigma0 with sigma0, r sigma0 and the mean gap d sigma0 inside
-    # the box, over both signs of d (accuracy and sensitivity are even in d).
+def _widest(problem: ParamDesignProblem, d: np.ndarray, r: np.ndarray):
+    """(sigma0, signed d): the largest sigma0 with sigma0, r sigma0 and the
+    mean gap d sigma0 inside the box, over both signs of d (accuracy and
+    sensitivity are even in d), + d on a tie; NaN where there is none."""
     s_lo, s_hi = problem._width_range(r)
     gap_lo, gap_hi = problem._gap_range()
-    best: tuple[float, float] | None = None
-    for signed in ((d, -d) if d > 0.0 else (d,)):
-        if signed > 0.0:
-            lo, hi = max(s_lo, gap_lo / signed), min(s_hi, gap_hi / signed)
-        elif signed < 0.0:
-            lo, hi = max(s_lo, gap_hi / signed), min(s_hi, gap_lo / signed)
-        elif gap_lo <= 0.0 <= gap_hi:
-            lo, hi = s_lo, s_hi
-        else:
-            continue
-        if lo <= hi and (best is None or hi > best[1]):
-            best = (signed, hi)
-    if best is None:
-        return None
-    d, sigma0 = best
-    return _shape_eval(problem, d, r)[1] / sigma0, d, sigma0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo_pos, hi_pos = np.maximum(s_lo, gap_lo / d), np.minimum(s_hi, gap_hi / d)
+        lo_neg, hi_neg = np.maximum(s_lo, -gap_hi / d), np.minimum(s_hi, -gap_lo / d)
+    pos = (d > 0.0) & (lo_pos <= hi_pos)
+    neg = (d > 0.0) & (lo_neg <= hi_neg) & ~(pos & (hi_pos >= hi_neg))
+    zero = (d == 0.0) & (gap_lo <= 0.0 <= gap_hi) & (s_lo <= s_hi)
+    sigma0 = np.where(zero, s_hi, np.where(neg, hi_neg, np.where(pos, hi_pos, np.nan)))
+    return sigma0, np.where(neg, -d, d)
+
+
+def _designs(problem: ParamDesignProblem, r: np.ndarray, near=None):
+    """(sensitivity, signed d, sigma0) of the least sensitive design at every
+    width ratio r; inf and NaN where no design of that ratio reaches gamma
+    inside the box.
+
+    The separation root of A(d, r) = gamma is bisected, for all ratios
+    together, on [0, reach(r)] where A(0) < gamma < A(reach); A(0) > gamma or
+    A(reach) < gamma leaves the ratio without a design, and an end that hits
+    gamma exactly is the root.  Given ``near`` (ratios next to these, with
+    their designs, from ``_scan_min``), the bracket is the range of their |d|
+    widened by D_XTOL, at each ratio where A changes sign across it.
+    """
+    gamma, p0 = problem.gamma, problem.p0
+    terms = _ratio_terms(r, p0)
+    accuracy = partial(_shape_accuracy, p0=p0)
+    reach = _reach(problem, r)
+    at_zero, at_reach = accuracy(np.zeros_like(r), *terms), accuracy(reach, *terms)
+    lo, hi = np.zeros_like(r), reach
+    known = np.abs(near[1][np.isfinite(near[1])]) if near is not None else np.zeros(0)
+    if known.size:
+        near_lo = np.clip(known.min() - D_XTOL, 0.0, reach)
+        near_hi = np.clip(known.max() + D_XTOL, 0.0, reach)
+        inside = (accuracy(near_lo, *terms) <= gamma) & (accuracy(near_hi, *terms) >= gamma)
+        lo, hi = np.where(inside, near_lo, lo), np.where(inside, near_hi, hi)
+    below = at_zero < gamma
+    d = np.where(at_zero == gamma, 0.0, np.where(below & (at_reach == gamma), reach, np.nan))
+    solve = below & (at_reach > gamma)
+    d[solve] = _bisect(accuracy, lo[solve], hi[solve], gamma, True, D_XTOL, *(t[solve] for t in terms))
+    sigma0, d = _widest(problem, d, r)
+    ok = np.isfinite(sigma0)
+    d = np.where(ok, d, np.nan)
+    return np.where(ok, _shape_eval(d, r, p0, problem.norm)[1] / sigma0, np.inf), d, sigma0
 
 
 def design_params(problem: ParamDesignProblem) -> DesignResult:
@@ -444,23 +544,16 @@ def design_params(problem: ParamDesignProblem) -> DesignResult:
             f"gamma={problem.gamma!r} exceeds the box's attainable accuracy {attainable!r}"
         )
     grid = _ratio_grid(problem, (r_top,))
-
-    def sens_at(r: float) -> float:
-        found = _design_at_ratio(problem, r)
-        return math.inf if found is None else found[0]
-
-    _, r, feasible = _scan_min(sens_at, grid)
-    found = _design_at_ratio(problem, r)
-    if found is None:
+    r, (sens, d, sigma0), feasible = _scan_min(partial(_designs, problem), grid)
+    if not math.isfinite(sens):
         raise InfeasibleTargetError(
             f"no design inside the box reaches accuracy {problem.gamma!r}"
         )
-    _, d, sigma0 = found
     theta = problem._place(d, r, sigma0)
-    acc, sens, roots = _gaussian_ml_eval(theta, problem.p0, problem.norm)
+    acc, sens, roots = _design_eval(theta, problem.p0, problem.norm)
     return DesignResult(
         theta, sens, acc, roots, problem.gamma, problem.norm, problem.p0,
-        DesignScan(d, r, len(grid), feasible),
+        DesignScan(d, r, grid.size, feasible),
     )
 
 

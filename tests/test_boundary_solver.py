@@ -8,9 +8,13 @@ from scipy.optimize import brentq
 
 from accsens.boundary_solver import (
     _bisect,
+    _gaussian_ratio_roots,
+    _gaussian_shape_roots,
+    _gaussian_shape_terms,
     _ml_boundaries_many,
     BISECTION_WIDTH,
     DEFAULT_GRID,
+    EQUAL_SIGMA_RTOL,
     RESIDUAL_RTOL,
     RootMethod,
     default_search_interval,
@@ -85,6 +89,31 @@ class TestGaussianQuadratic:
             ml_boundaries_gaussian(exp_pair, 1.0)
         with pytest.raises(InvalidParameterError):
             ml_boundaries_gaussian(exp_pair, -1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-8.0, 8.0) | st.just(0.0),
+                st.floats(-4.0, 4.0).map(math.exp)
+                | st.floats(-0.9, 0.9).map(lambda t: 1.0 + t * EQUAL_SIGMA_RTOL)
+                | st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.floats(-3.0, 3.0) | st.sampled_from([0.0, math.log(4.0), -math.log(4.0)]),
+    )
+    def test_shape_roots_repeat_the_closed_form_bitwise(self, shapes, log_k):
+        # the array form at N(0, 1) against N(d, r): two roots, one within the
+        # equal-width band, none, and tangential double roots at d = 0
+        d, r = (np.array(v) for v in zip(*shapes))
+        lo, hi, h0_first = _gaussian_shape_roots(d, *_gaussian_shape_terms(r, log_k))
+        h0_first = np.broadcast_to(h0_first, d.shape)
+        for i, (di, ri) in enumerate(shapes):
+            roots, h0 = _gaussian_ratio_roots(0.0, 1.0, di, ri, log_k)
+            assert tuple(float(y) for y in (lo[i], hi[i]) if y < math.inf) == roots
+            assert bool(h0_first[i]) == h0
 
 
 class TestGridBisection:

@@ -256,7 +256,15 @@ class TestDesignCommand:
         assert "at least one target" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "change", [{"p0": 0}, {"bounds": [[0, 0], [0.1, "wide"], [0, 40], [0.1, 15]]}]
+        "change",
+        [
+            {"p0": 0},
+            {"bounds": [[0, 0], [0.1, "wide"], [0, 40], [0.1, 15]]},
+            # beyond the solver's range: a width ratio below about 1e-154
+            # would square to 0
+            {"bounds": [[0, 0], [1e-320, 1], [0, 1], [1e-320, 1]]},
+            {"bounds": [[0, 0], [1, 1e300], [0, 1e300], [1, 1e300]]},
+        ],
     )
     def test_invalid_box_exits_2(self, tmp_path, capsys, change):
         box = tmp_path / "box.json"
@@ -278,6 +286,28 @@ _REALS = st.one_of(
 _COUNTS = st.integers(-2, 8).map(str)
 #: Stands for an exponential problem file, written by the test's fixture.
 _EXP_PROBLEM = "<exponential problem>"
+#: Magnitudes of design-box values, from subnormal to near the float limit.
+_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-320, 1e-154, 1e-20, 0.1, 1.0, 15.0, 40.0, 1e20, 1e154, 1e300]),
+    st.floats(1e-320, 1e300),
+)
+
+
+@st.composite
+def design_boxes(draw):
+    """Design-box file contents: bounds, mean_gap_max, ordered_sigmas and p0."""
+    def bound(signs):
+        return sorted(draw(_MAGNITUDES) * draw(st.sampled_from(signs)) for _ in range(2))
+
+    means, widths = [1.0, -1.0], [1.0]
+    box = {"bounds": [bound(means), bound(widths), bound(means), bound(widths)]}
+    if draw(st.booleans()):
+        box["mean_gap_max"] = draw(_MAGNITUDES)
+    if draw(st.booleans()):
+        box["ordered_sigmas"] = draw(st.booleans())
+    if draw(st.booleans()):
+        box["p0"] = draw(st.sampled_from([5e-324, 1e-300, 0.5, 1.0 - 2**-53]) | st.floats(0.0, 1.0))
+    return box
 
 
 @st.composite
@@ -297,10 +327,11 @@ def cli_argvs(draw):
             f"--n-boundaries={draw(st.integers(-1, 4))}",
         ]
     if command == "design":
+        box = ["--box", draw(st.sampled_from(["fig3.json"]) | design_boxes())]
         if draw(st.booleans()):
-            return ["design", "--box", "fig3.json", f"--gamma={draw(_REALS)}"]
+            return ["design", *box, f"--gamma={draw(_REALS)}"]
         grid = f"{draw(_REALS)}:{draw(_REALS)}:{draw(_COUNTS)}"
-        return ["design", "--box", "fig3.json", f"--gamma-grid={grid}"]
+        return ["design", *box, f"--gamma-grid={grid}"]
     return [
         "simulate", *problem, "--scenario", draw(st.sampled_from(["s1", "s2"])),
         f"--n-obs={draw(_COUNTS)}", f"--n-trials={draw(_COUNTS)}",
@@ -317,10 +348,17 @@ class TestCliFuzz:
         }))
         return str(path)
 
+    @pytest.fixture(scope="class")
+    def box_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "box.json"
+
     @settings(max_examples=40, deadline=None)
     @given(argv=cli_argvs())
-    def test_every_input_ends_in_a_documented_exit_code(self, exp_problem, argv):
-        argv = [exp_problem if a == _EXP_PROBLEM else a for a in argv]
+    def test_every_input_ends_in_a_documented_exit_code(self, exp_problem, box_file, argv):
+        for a in argv:
+            if isinstance(a, dict):  # a drawn design box
+                box_file.write_text(json.dumps(a))
+        argv = [exp_problem if a == _EXP_PROBLEM else str(box_file) if isinstance(a, dict) else a for a in argv]
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects a malformed option with exit 2
@@ -362,12 +400,23 @@ class TestReproduce:
         assert float(c2[6]) == pytest.approx(0.6947, abs=0.01)
 
 
-def test_console_entry_point():
+def _child_env() -> dict:
     # the child imports the same package as this process, installed or not
     src = str(Path(accsens.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize costs about a third of a second of every CLI start
+    code = "import sys, accsens.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "accsens.cli", "--version"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "accsens.cli", "--version"], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0
     assert "accsens" in proc.stdout

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from accsens.boundary_solver import ml_boundaries
+from accsens.boundary_solver import EQUAL_SIGMA_RTOL, _gaussian_ratio_roots, ml_boundaries
 from accsens.classifier import (
     GeneralSpec,
     BoundarySet,
@@ -19,10 +19,21 @@ from accsens.classifier import (
     sensitivity,
 )
 from accsens.densities import DensityModel, HypothesisPair
-from accsens.errors import InfeasibleTargetError, InvalidParameterError, SchemaError
+from accsens.errors import (
+    InfeasibleTargetError,
+    InvalidParameterError,
+    SchemaError,
+    UnresolvedClassifierError,
+)
 from accsens.param_designer import (
+    RATIO_LIMIT,
+    SCALE_LIMIT,
+    SEPARATION_LIMIT,
     ParamDesignProblem,
-    _gaussian_ml_eval,
+    _design_eval,
+    _ratio_terms,
+    _shape_accuracy,
+    _shape_eval,
     design_params,
     exponential_law,
     fig3_box,
@@ -84,6 +95,13 @@ class TestGaussianLaw:
         with pytest.raises(InvalidParameterError):
             gaussian_equal_variance_law(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_argument_is_refused(self, args):
+        with pytest.raises(InvalidParameterError):
+            gaussian_equal_variance_law(*args)
+
 
 class TestExponentialLaw:
     def test_reference_ratio_two(self):
@@ -140,6 +158,13 @@ class TestExponentialLaw:
         with pytest.raises(InvalidParameterError):
             exponential_law(2.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "args", [(math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf), (2.0, math.nan)]
+    )
+    def test_non_finite_argument_is_refused(self, args):
+        with pytest.raises(InvalidParameterError):
+            exponential_law(*args)
+
 
 class TestDesign:
     def test_box_validation(self):
@@ -152,6 +177,52 @@ class TestDesign:
         for p0 in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(InvalidParameterError):
                 dataclasses.replace(fig3_box(0.8), p0=p0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            # width ratios from 1e-320 and 1e-300: r^2 would underflow to 0
+            ((0, 0), (1e-320, 1), (0, 1), (1e-320, 1)),
+            ((0, 0), (1, 1e300), (0, 1e300), (1, 1e300)),
+            ((0, 0), (1, 1), (0, 1), (0.5 / RATIO_LIMIT, 1)),
+            ((0, 0), (1, 1), (0, 1), (1, 2 * RATIO_LIMIT)),
+            ((0, 0), (1, 1), (0, 2 * SEPARATION_LIMIT), (1, 1)),
+            ((0, 0), (0.5 / SCALE_LIMIT, 1 / SCALE_LIMIT), (0, 0), (1 / SCALE_LIMIT, 1 / SCALE_LIMIT)),
+            ((0, 0), (SCALE_LIMIT, 2 * SCALE_LIMIT), (0, 1), (SCALE_LIMIT, SCALE_LIMIT)),
+            ((2 * SCALE_LIMIT, 2 * SCALE_LIMIT), (1e90, 1e90), (2 * SCALE_LIMIT, 2 * SCALE_LIMIT), (1e90, 1e90)),
+            ((1e-19, 1e-19), (1e-60, 1e-60), (1e-19, 1e-19), (1e-60, 1e-60)),  # |mu| / sigma^2 = 1e101
+        ],
+    )
+    def test_box_beyond_the_limits_is_refused(self, bounds):
+        with pytest.raises(InvalidParameterError):
+            ParamDesignProblem(bounds=bounds, gamma=0.9)
+
+    @pytest.mark.parametrize("norm", list(Norm))
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ((0, 0), (1, 1), (0, SEPARATION_LIMIT), (1 / RATIO_LIMIT, RATIO_LIMIT)),
+            ((0, 0), (1e-50, 1e-44), (0, 1e-48), (1e-50, 1e-44)),
+            ((0, 0), (1, RATIO_LIMIT), (-1e39, 1e39), (1, RATIO_LIMIT)),
+        ],
+    )
+    def test_box_at_the_limits_is_solved(self, bounds, norm):
+        # every square and sensitivity stays finite: no RuntimeWarning
+        result = design_params(ParamDesignProblem(bounds=bounds, gamma=0.9, norm=norm))
+        assert abs(result.accuracy - 0.9) <= 1e-9
+        assert 0.0 < result.sensitivity < math.inf
+
+    @pytest.mark.parametrize("norm", list(Norm))
+    @pytest.mark.parametrize("scale", [1e-60, 1e25, 1e60])
+    def test_rescaled_box_solves_alike(self, scale, norm):
+        # the solver sees a box only through its width ratios and separations
+        unit = ((0.0, 0.0), (1.0, 2.0), (0.0, 40.0), (1.0, 1.5))
+        base = design_params(ParamDesignProblem(bounds=unit, gamma=0.9, norm=norm))
+        bounds = tuple((lo * scale, hi * scale) for lo, hi in unit)
+        result = design_params(ParamDesignProblem(bounds=bounds, gamma=0.9, norm=norm))
+        assert result.accuracy == pytest.approx(base.accuracy, abs=1e-12)
+        assert result.sensitivity * scale == pytest.approx(base.sensitivity, rel=1e-12)
+        assert [v / scale for v in result.theta] == pytest.approx(base.theta, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize(
         "change",
@@ -242,76 +313,150 @@ class TestDesign:
         assert low.sensitivity < law - 1e-3
 
 
+def _ml_accuracy(pair: HypothesisPair) -> float:
+    """Public accuracy of the maximum-accuracy classifier, also for a pair
+    whose likelihood ratio never crosses one (one region, won by the larger
+    prior)."""
+    try:
+        return accuracy(MLSpec(1.0), pair)
+    except UnresolvedClassifierError:
+        return max(pair.p0, pair.p1)
+
+
 def _grid_designs(box: ParamDesignProblem, n: int):
-    """Brute force without the shape argument: for each (sigma0, sigma1) cell
-    of a coarse grid, root-solve mu1 (mu0 pinned at its bound) so that the
-    maximum-accuracy classifier reaches gamma; yields (sensitivity, theta)."""
-    mu0 = box.bounds[0][0]
-    mu1_lo, mu1_hi = box.bounds[2]
-    for s0 in np.linspace(*box.bounds[1], n):
-        for s1 in np.linspace(*box.bounds[3], n):
-            if box.ordered_sigmas and s1 > s0:
-                continue
+    """Brute force without the shape argument, through the public pipeline:
+    for each (sigma0, sigma1) cell of a coarse grid and each mu0 bound,
+    root-solve mu1 on either side of mu0 so that the maximum-accuracy
+    classifier reaches gamma; yields (sensitivity, theta)."""
 
-            def defect(mu1):
-                return _gaussian_ml_eval((mu0, s0, mu1, s1), box.p0, box.norm)[0] - box.gamma
+    def pair(theta):
+        mu0, s0, mu1, s1 = theta
+        return HypothesisPair(DensityModel.gaussian(mu0, s0), DensityModel.gaussian(mu1, s1), box.p0)
 
-            lo, hi = max(mu1_lo, mu0), min(mu1_hi, mu0 + box.mean_gap_max)
-            if defect(lo) > 0 or defect(hi) < 0:
-                continue
-            mu1 = brentq(defect, lo, hi, xtol=1e-13)
-            yield _gaussian_ml_eval((mu0, s0, mu1, s1), box.p0, box.norm)[1], (mu0, s0, mu1, s1)
+    def defect(theta):
+        return _ml_accuracy(pair(theta)) - box.gamma
+
+    (m1_lo, m1_hi), gap = box.bounds[2], box.mean_gap_max
+    for mu0 in sorted(set(box.bounds[0])):
+        lo, hi = (m1_lo, m1_hi) if gap is None else (max(m1_lo, mu0 - gap), min(m1_hi, mu0 + gap))
+        for s0 in np.linspace(*box.bounds[1], n):
+            for s1 in np.linspace(*box.bounds[3], n):
+                if box.ordered_sigmas and s1 > s0:
+                    continue
+                # accuracy rises with |mu1 - mu0| on either side of mu0
+                sides = [(max(lo, mu0), hi), (min(hi, mu0), lo)]
+                for near, far in [s for s in sides if min(s) >= lo and max(s) <= hi]:
+                    at_near, at_far = defect((mu0, s0, near, s1)), defect((mu0, s0, far, s1))
+                    if at_near > 0.0 or at_far < 0.0:
+                        continue
+                    mu1 = near if at_near == 0.0 else far if at_far == 0.0 else brentq(
+                        lambda m: defect((mu0, s0, m, s1)), near, far, xtol=1e-13
+                    )
+                    theta = (mu0, s0, mu1, s1)
+                    try:
+                        yield sensitivity(MLSpec(1.0), pair(theta), box.norm), theta
+                    except UnresolvedClassifierError:
+                        yield 0.0, theta
+
+
+def _shape(mu0, s0, mu1, s1):
+    return (mu1 - mu0) / s0, s1 / s0
+
+
+def _public_spec(pair: HypothesisPair):
+    """The public maximum-accuracy classifier of a Gaussian pair, or None for
+    a single region: MLSpec(1.0), and within the equal-width band, where
+    ``ml_boundaries`` refuses most pairs (the linear root misses its residual
+    bound), the closed form's boundary set, which MLSpec would use."""
+    (mu0, s0), (mu1, s1) = pair.h0.params, pair.h1.params
+    roots, h0_first = _gaussian_ratio_roots(mu0, s0, mu1, s1, math.log(pair.p1 / pair.p0))
+    if not roots:
+        return None
+    if abs(s0 - s1) > EQUAL_SIGMA_RTOL * max(s0, s1):
+        return MLSpec(1.0)
+    return GeneralSpec(BoundarySet(roots, Orientation.H0_FIRST if h0_first else Orientation.H1_FIRST))
+
+
+@st.composite
+def _kernel_pairs(draw):
+    """Gaussian pairs (mu0, s0, mu1, s1, p0) for the shape kernel: general
+    draws (either width larger), equal widths within EQUAL_SIGMA_RTOL (one
+    root), and pairs whose prior keeps the ratio from crossing one (no
+    root)."""
+    means, widths, priors = st.floats(-6.0, 6.0), st.floats(0.2, 6.0), st.floats(0.2, 0.8)
+    mu0, s0 = draw(means), draw(widths)
+    kind = draw(st.sampled_from(["general", "equal", "no_root"]))
+    if kind == "general":
+        return mu0, s0, draw(means), draw(widths), draw(priors)
+    if kind == "equal":
+        s1 = s0 * (1.0 + draw(st.floats(-0.9, 0.9)) * EQUAL_SIGMA_RTOL)
+        return mu0, s0, draw(means), s1, draw(priors)
+    # coincident means: p1 f1 < p0 f0 everywhere when p1 / p0 < s1 / s0 < 1,
+    # and p1 f1 > p0 f0 everywhere when p1 / p0 > s1 / s0 > 1
+    ratio = draw(st.floats(0.3, 0.9) | st.floats(1.1, 3.0))
+    bound = 1.0 / (1.0 + ratio)
+    p0 = draw(st.floats(bound + 0.01, 0.95) if ratio < 1.0 else st.floats(0.05, bound - 0.01))
+    return mu0, s0, mu0, s0 * ratio, p0
 
 
 class TestShapeReduction:
-    """The invariances the exact design solver rests on, as properties over
-    random Gaussian pairs and priors, plus brute-force references."""
+    """The invariances the exact design solver rests on, as properties of the
+    shape kernel over random Gaussian pairs and priors, plus brute-force
+    references through the public pipeline."""
 
-    widths = st.floats(0.2, 6.0)
-    means = st.floats(-6.0, 6.0)
     priors = st.floats(0.2, 0.8)
 
     @settings(max_examples=150, deadline=None)
-    @given(means, widths, means, widths, priors, st.floats(-20.0, 20.0), st.floats(0.05, 20.0))
-    def test_translation_and_scaling(self, mu0, s0, mu1, s1, p0, shift, scale):
+    @given(_kernel_pairs(), st.floats(-20.0, 20.0), st.floats(0.05, 20.0))
+    def test_translation_and_scaling(self, theta, shift, scale):
+        # The moved pair, evaluated as a design is (the closed form in its own
+        # coordinates), matches the kernel at the shape of the first, with
+        # the sensitivity scaled by 1 / (scale sigma0).
+        mu0, s0, mu1, s1, p0 = theta
         moved = (scale * mu0 + shift, scale * s0, scale * mu1 + shift, scale * s1)
         # Float rounding may merge two means a few ulps apart; an identical
         # pair has no boundary and so no sensitivity, a distinct one has both.
         assume((moved[0] == moved[2]) == (mu0 == mu1))
-        acc, _, _ = _gaussian_ml_eval((mu0, s0, mu1, s1), p0, Norm.INF)
-        assert _gaussian_ml_eval(moved, p0, Norm.INF)[0] == pytest.approx(acc, abs=1e-9)
+        shape = _shape(mu0, s0, mu1, s1)
+        acc = _shape_eval(*shape, p0, Norm.INF)[0]
+        assert _design_eval(moved, p0, Norm.INF)[0] == pytest.approx(float(acc), abs=1e-9)
         # Near a tangential double root the two roots are fixed only to
         # sqrt(eps) and the sensitivity is of the order of their gap.
         for norm in Norm:
-            sens = _gaussian_ml_eval((mu0, s0, mu1, s1), p0, norm)[1]
-            assert _gaussian_ml_eval(moved, p0, norm)[1] * scale == pytest.approx(
-                sens, rel=1e-8, abs=1e-8
-            )
+            sens = float(_shape_eval(*shape, p0, norm)[1]) / s0
+            assert _design_eval(moved, p0, norm)[1] * scale == pytest.approx(sens, rel=1e-8, abs=1e-8)
 
     @settings(max_examples=150, deadline=None)
     @given(st.floats(0.0, 8.0), st.floats(0.0, 8.0), st.floats(0.05, 5.0), priors)
     def test_accuracy_even_and_monotone_in_separation(self, d1, d2, r, p0):
-        def acc(d):
-            return _gaussian_ml_eval((0.0, 1.0, d, r), p0, Norm.INF)[0]
-
-        assert acc(-d1) == pytest.approx(acc(d1), abs=1e-12)
         near, far = sorted((d1, d2))
-        assert acc(near) <= acc(far) + 1e-12
+        d = np.array([d1, -d1, near, far])
+        # the kernel, and the bisection's kernel without the Newton pass
+        for acc in (_shape_eval(d, r, p0, Norm.INF)[0], _shape_accuracy(d, *_ratio_terms(r, p0), p0)):
+            assert acc[1] == pytest.approx(acc[0], abs=1e-12)
+            assert acc[2] <= acc[3] + 1e-12
 
-    @settings(max_examples=100, deadline=None)
-    @given(means, widths, means, widths, priors)
-    def test_kernel_matches_public_pipeline(self, mu0, s0, mu1, s1, p0):
-        acc, _, roots = _gaussian_ml_eval((mu0, s0, mu1, s1), p0, Norm.INF)
-        pair = HypothesisPair(DensityModel.gaussian(mu0, s0), DensityModel.gaussian(mu1, s1), p0)
-        report = ml_boundaries(pair, 1.0)
-        assert roots == report.roots
-        if not roots:  # a single region: the larger prior wins everywhere
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_pairs())
+    def test_kernel_matches_public_pipeline(self, theta):
+        # the kernel at the shape (d, r) of theta against the public pipeline
+        # at N(0, 1) against N(d, r), the pair of that very shape
+        d, r = _shape(*theta[:4])
+        p0 = theta[4]
+        acc, _, lo, hi = _shape_eval(d, r, p0, Norm.INF)
+        roots = tuple(float(y) for y in (lo, hi) if math.isfinite(y))
+        pair = HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(d, r), p0)
+        assert roots == _gaussian_ratio_roots(0.0, 1.0, d, r, math.log(pair.p1 / pair.p0))[0]
+        spec = _public_spec(pair)
+        if spec is None:  # a single region: the larger prior wins everywhere
             assert acc == max(p0, 1.0 - p0)
             return
-        assert accuracy(MLSpec(1.0), pair) == pytest.approx(acc, abs=1e-12)
+        if isinstance(spec, MLSpec):
+            assert roots == ml_boundaries(pair, 1.0).roots
+        assert accuracy(spec, pair) == pytest.approx(float(acc), abs=1e-12)
         for norm in Norm:
-            sens = _gaussian_ml_eval((mu0, s0, mu1, s1), p0, norm)[1]
-            assert sensitivity(MLSpec(1.0), pair, norm) == pytest.approx(sens, rel=1e-9, abs=1e-15)
+            sens = _shape_eval(d, r, p0, norm)[1]
+            assert sensitivity(spec, pair, norm) == pytest.approx(float(sens), rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("gamma,norm", [(0.55, Norm.INF), (0.9, Norm.TWO)])
     def test_design_not_beaten_by_brute_force_grid(self, gamma, norm):
@@ -320,12 +465,53 @@ class TestShapeReduction:
         result = design_params(box)
         assert result.sensitivity <= best_grid * (1.0 + 1e-9)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+        st.lists(st.floats(0.2, 5.0), min_size=4, max_size=4),
+        st.floats(0.55, 0.97),
+        st.sampled_from(list(Norm)),
+        st.none() | st.floats(0.5, 8.0),
+        st.booleans(),
+        priors,
+    )
+    def test_random_box_not_beaten_by_brute_force_grid(self, means, widths, gamma, norm, gap, ordered, p0):
+        # unordered widths and ratio ranges that cross 1 unless ordered
+        try:
+            box = ParamDesignProblem(
+                bounds=(tuple(sorted(means[:2])), tuple(sorted(widths[:2])),
+                        tuple(sorted(means[2:])), tuple(sorted(widths[2:]))),
+                gamma=gamma, norm=norm, mean_gap_max=gap, ordered_sigmas=ordered, p0=p0,
+            )
+        except InvalidParameterError:
+            assume(False)
+        grid = list(_grid_designs(box, 8))
+        try:
+            result = design_params(box)
+        except InfeasibleTargetError:
+            # a brute-force design can only meet gamma at the box's edge
+            assert not grid or max_accuracy(box) >= gamma - 1e-9
+            return
+        if grid:
+            assert result.sensitivity <= min(grid)[0] * (1.0 + 1e-9)
+        # the design's boundaries are those of the public pipeline at its pair
+        spec = _public_spec(result.pair)
+        if spec is None:
+            assert result.boundaries == () and result.sensitivity == 0.0
+            return
+        if isinstance(spec, MLSpec):
+            assert result.boundaries == ml_boundaries(result.pair, 1.0).roots
+        else:
+            assert result.boundaries == spec.boundary_set.boundaries
+        assert accuracy(spec, result.pair) == pytest.approx(result.accuracy, abs=1e-9)
+        assert sensitivity(spec, result.pair, norm) == pytest.approx(result.sensitivity, rel=1e-9)
+
     def test_max_accuracy_not_below_brute_force_grid(self):
         box = ParamDesignProblem(
             bounds=((0.0, 0.0), (3.0, 4.0), (0.0, 1.0), (3.0, 4.0)), gamma=0.99
         )
         best_grid = max(
-            _gaussian_ml_eval((0.0, s0, mu1, s1), box.p0, box.norm)[0]
+            _ml_accuracy(HypothesisPair(DensityModel.gaussian(0.0, s0), DensityModel.gaussian(mu1, s1), box.p0))
             for s0 in np.linspace(3.0, 4.0, 21)
             for s1 in np.linspace(3.0, 4.0, 21)
             for mu1 in np.linspace(0.0, 1.0, 21)
