@@ -4,11 +4,13 @@ The boundaries of the ratio classifier at threshold eta are the roots of
 
     p1 * f1(x) - eta * p0 * f0(x) = 0.
 
-For a pair of Gaussians this reduces to a quadratic with known coefficients
-and is solved in closed form.  For arbitrary families the equation is scanned
-on a grid in the log domain (underflow-proof) and every bracketed sign change
-is refined by bisection; ``_ml_boundaries_many`` solves many thresholds at
-once, bisecting all their sign changes together with the same steps.
+For a pair of Gaussians this reduces to a quadratic, solved in closed form
+in the pair's shape coordinates by one array function (``_gaussian_roots``),
+which also serves the design solver.  For arbitrary families the equation is
+scanned on a grid in the log domain (underflow-proof) and every bracketed
+sign change is refined by bisection.  ``_ml_boundaries_many`` solves many
+thresholds at once: in one closed-form call, or by bisecting all their sign
+changes together with the same steps.
 
 Tangential (double) roots are excluded: they bound regions of zero measure,
 change no probability, and destabilize downstream derivatives.
@@ -30,10 +32,6 @@ from .errors import EmptyIntervalError, InvalidParameterError, NoRootError
 #: Relative residual bound every reported root must satisfy.
 RESIDUAL_RTOL = 1e-10
 _RESIDUAL_FLOOR = 1e-300
-
-#: Below this relative spread two Gaussian widths are treated as equal and the
-#: quadratic degenerates to its linear branch (the a -> 0 limit is unstable).
-EQUAL_SIGMA_RTOL = 1e-9
 
 DEFAULT_GRID = 4096
 SCALE_SPAN = 8.0
@@ -94,15 +92,17 @@ def log_ratio_gap(pair: HypothesisPair, eta: float, x):
 
 def _check_residuals(pair, eta, roots) -> tuple[float, ...]:
     """|p1 f1(r) - eta p0 f0(r)| at each root, checked against a bound
-    relative to the larger weighted density; one pdf call per density."""
+    relative to the larger weighted density; one pdf call per density.  A
+    NaN root, or a density past the float range, cannot be checked and is
+    refused."""
     residuals = []
     for r in roots:
         f0, f1 = float(pair.h0.pdf(r)), float(pair.h1.pdf(r))
         res = abs(pair.p1 * f1 - eta * pair.p0 * f0)
         bound = RESIDUAL_RTOL * max(pair.p0 * f0, pair.p1 * f1, _RESIDUAL_FLOOR)
-        if res > bound:
+        if not res <= bound < math.inf:
             raise InvalidParameterError(
-                f"root {r!r} fails the residual bound ({res:.3e} > {bound:.3e})"
+                f"root {r!r} fails the residual bound (residual {res:.3e}, bound {bound:.3e})"
             )
         residuals.append(res)
     return tuple(residuals)
@@ -122,120 +122,72 @@ def default_search_interval(pair: HypothesisPair) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _ratio_quadratic(
-    mu0: float, sig0: float, mu1: float, sig1: float, log_k: float
-) -> tuple[float, float, float]:
-    """(a, b, c) of a y^2 + b y + c, the log ratio gap of two Gaussians with
-    log_k = log(p1 / (eta p0)).
+def _gaussian_roots(d, r, log_k):
+    """The closed form of every Gaussian pair: the roots lo <= hi of the
+    ratio equation of N(0, 1) against N(d, r), with log_k = log(p1 / (eta
+    p0)), and whether H0 wins outside (lo, hi), on broadcast arrays; a
+    missing root is +inf.
 
-    Squares are products, not ``**``: Python's float power goes through
-    libm's pow, which misrounds about one square in a thousand, while numpy
-    squares by multiplying; so ``_gaussian_shape_roots`` can repeat these
-    operations bit for bit.
+    In these shape coordinates the log ratio gap is a y^2 + b y + c with
+
+        a = (r - 1)(r + 1) / (2 r^2),  b = d / r^2,
+        c = log(1/r) + log_k - d^2 / (2 r^2),
+
+    and its discriminant b^2 - 4ac is written d^2 / r^2 - 4a (log(1/r) +
+    log_k), the same value with its d^2 terms cancelled by hand, so that a
+    narrow second width loses nothing.  The roots are q / a and c / q, the
+    stable pair, with no Newton pass: its residual a y^2 + b y + c would
+    cancel terms of size d^2 / r^2 again.  Equal widths need no case of
+    their own: a = 0 puts q / a at -inf or +inf, which still bounds the
+    region inside the roots.
+
+    Outside the roots the gap has the sign of a, so H0 wins outside a
+    crossing where a < 0; a parabola that does not cross (a tangential
+    double root bounds no region) is won by H0 where a < 0, or c < 0 at
+    a = 0.  Where a coefficient overflows, both roots are NaN.
     """
-    a = 0.5 * (1.0 / (sig0 * sig0) - 1.0 / (sig1 * sig1))
-    b = mu1 / (sig1 * sig1) - mu0 / (sig0 * sig0)
-    c = (
-        math.log(sig0 / sig1)
-        + log_k
-        + mu0 * mu0 / (2.0 * (sig0 * sig0))
-        - mu1 * mu1 / (2.0 * (sig1 * sig1))
-    )
-    return a, b, c
-
-
-def _gaussian_ratio_roots(
-    mu0: float, sig0: float, mu1: float, sig1: float, log_k: float
-) -> tuple[tuple[float, ...], bool]:
-    """Sorted roots of the Gaussian ratio equation and whether H0 wins left of
-    the first root (everywhere, when there is none).
-
-    Root cases: two simple roots, a single root when the widths coincide
-    within EQUAL_SIGMA_RTOL, and no root when the parabola never crosses
-    (including the tangential double root, which is dropped as zero-measure).
-
-    ``_gaussian_shape_roots`` repeats this rule on arrays, operation for
-    operation, for the pairs N(0, 1) against N(d, r); a test pins the two
-    bitwise equal, so a change here must be made there too.  This scalar
-    form stays for single pairs, on which the array form takes about 25
-    times as long.
-    """
-    if abs(sig0 - sig1) <= EQUAL_SIGMA_RTOL * max(sig0, sig1):
-        # Equal widths: the quadratic term vanishes and the gap is linear,
-        #   (mu1 - mu0) (y - midpoint) / (sig0 sig1) + log(sig0 / sig1) + log_k,
-        # written in the mean difference so that close means do not cancel.
-        # Left of the root the gap has the sign opposite to mu1 - mu0.
-        delta = mu1 - mu0
-        level = math.log(sig0 / sig1) + log_k
-        root = 0.5 * (mu0 + mu1) - sig0 * sig1 * level / delta if delta != 0.0 else math.inf
-        if math.isfinite((root - mu0) / sig0):
-            return (root,), delta > 0
-        # No root, or one past the float range of the standard score: a
-        # single region, won as at the mean mu0.
-        return (), level - 0.5 * delta * delta / (sig0 * sig1) < 0
-    a, b, c = _ratio_quadratic(mu0, sig0, mu1, sig1, log_k)
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        # A non-crossing parabola carries the sign of its leading coefficient.
-        return (), a < 0
-    sq = math.sqrt(disc)
-    q = -(b + sq) / 2.0 if b >= 0.0 else -(b - sq) / 2.0
-    roots = []
-    for r in sorted((q / a, c / q)):
-        slope = 2.0 * a * r + b
-        if slope != 0.0:  # one Newton polish pass against float rounding
-            r = r - (a * r * r + b * r + c) / slope
-        roots.append(r)
-    # Outside the outer roots the parabola carries the sign of a.
-    return tuple(roots), a < 0
-
-
-def _gaussian_shape_terms(r, log_k: float) -> tuple[np.ndarray, ...]:
-    """Per-ratio constants of ``_gaussian_shape_roots`` for the width ratios
-    r: r^2, 2 r^2, the quadratic's leading coefficient a, its level
-    log(1/r) + log_k, r itself, and whether r lies within EQUAL_SIGMA_RTOL
-    of 1.  Each is formed as ``_gaussian_ratio_roots`` forms it at
-    (0, 1, d, r), the logarithm with ``math.log`` too (numpy's can differ
-    in the last bit)."""
-    r = np.asarray(r, dtype=float)
-    rr = r * r
-    level = np.reshape([math.log(1.0 / x) + log_k for x in r.ravel().tolist()], r.shape)
-    band = np.abs(1.0 - r) <= EQUAL_SIGMA_RTOL * np.maximum(1.0, r)
-    return rr, 2.0 * rr, 0.5 * (1.0 - 1.0 / rr), level, r, band
-
-
-def _gaussian_shape_roots(d, rr, rr2, a, level, r, band, polish: bool = True):
-    """``_gaussian_ratio_roots`` at (0, 1, d, r, log_k) on broadcast arrays,
-    from the ratios' constants (``_gaussian_shape_terms``): (lo, hi,
-    h0_first), a missing root +inf.
-
-    The same operations give the same roots to the bit.  ``polish=False``
-    leaves out the Newton pass, for a caller that needs the regions only to
-    a few ulps.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        b = d / rr
+    with np.errstate(all="ignore"):
+        rr2 = 2.0 * r * r
+        a = (r - 1.0) * (r + 1.0) / rr2
+        b = 2.0 * d / rr2
+        level = log_k - np.log(r)
         c = level - d * d / rr2
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        q = -(b + np.where(b >= 0.0, sq, -sq)) / 2.0
+        e, m2 = np.abs(d / r), 4.0 * a * level
+        # where a level = 0 the root of the discriminant is |d| / r itself,
+        # whose square may underflow
+        sq = np.where(m2 == 0.0, e, np.sqrt(np.maximum(e * e - m2, 0.0)))
+        q = -0.5 * (b + np.copysign(sq, b))
         y1, y2 = q / a, c / q
-        lo, hi = np.minimum(y1, y2), np.maximum(y1, y2)
-        if polish:
-            lo, hi = (
-                np.where(s != 0.0, y - (a * y * y + b * y + c) / s, y)
-                for y, s in ((lo, 2.0 * a * lo + b), (hi, 2.0 * a * hi + b))
-            )
-        crossing = disc > 0.0
-        lo, hi = np.where(crossing, lo, np.inf), np.where(crossing, hi, np.inf)
-        h0_first = a < 0.0
-        if band.any():
-            lin = np.where(d != 0.0, 0.5 * d - r * level / d, np.inf)
-            one = band & np.isfinite(lin)
-            lo = np.where(band, np.where(one, lin, np.inf), lo)
-            hi = np.where(band, np.inf, hi)
-            h0_first = np.where(band, np.where(one, d > 0.0, level - 0.5 * d * d / r < 0.0), h0_first)
-    return lo, hi, h0_first
+        crossing = sq > 0.0
+        # 0, or NaN where a coefficient is not finite (sq is NaN where a is)
+        overflow = 0.0 * (b + c + sq)
+        lo = np.where(crossing, np.minimum(y1, y2), np.inf) + overflow
+        hi = np.where(crossing, np.maximum(y1, y2), np.inf) + overflow
+        h0_outside = np.where(crossing | (a != 0.0), a < 0.0, c < 0.0)
+    return lo, hi, h0_outside
+
+
+def _gaussian_pair_roots(mu0, sig0, mu1, sig1, log_k):
+    """The boundaries of N(mu0, sig0) against N(mu1, sig1), lo <= hi with a
+    missing root +inf, and whether H0 wins left of lo (everywhere, with no
+    root).
+
+    ``_gaussian_roots`` solves the shape d = (mu1 - mu0) / sig0,
+    r = sig1 / sig0, on float64 so that no shape or root raises on
+    overflow, and each root is mapped back as mu0 + sig0 y.  A root below
+    the float range is dropped: H0 then wins left of the first root kept
+    where it wins inside the pair.
+    """
+    with np.errstate(all="ignore"):
+        mu0, sig0 = np.float64(mu0), np.float64(sig0)
+        lo, hi, h0_outside = _gaussian_roots((mu1 - mu0) / sig0, sig1 / sig0, log_k)
+        lo, hi = mu0 + sig0 * lo, mu0 + sig0 * hi
+    below_lo, below_hi = lo == -np.inf, hi == -np.inf
+    return (
+        np.where(below_lo, np.where(below_hi, np.inf, hi), lo),
+        np.where(below_lo, np.inf, hi),
+        h0_outside != (below_lo != below_hi),
+    )
 
 
 def _log_k(pair: HypothesisPair, eta: float) -> float:
@@ -245,8 +197,18 @@ def _log_k(pair: HypothesisPair, eta: float) -> float:
 def gaussian_quadratic_coefficients(
     pair: HypothesisPair, eta: float
 ) -> tuple[float, float, float]:
-    """Coefficients (a, b, c) of the quadratic the Gaussian boundaries satisfy."""
-    return _ratio_quadratic(*pair.h0.params, *pair.h1.params, _log_k(pair, eta))
+    """Coefficients (a, b, c) of the quadratic a x^2 + b x + c, the log ratio
+    gap of a Gaussian pair, whose roots are the boundaries."""
+    (mu0, sig0), (mu1, sig1) = pair.h0.params, pair.h1.params
+    a = 0.5 * (1.0 / (sig0 * sig0) - 1.0 / (sig1 * sig1))
+    b = mu1 / (sig1 * sig1) - mu0 / (sig0 * sig0)
+    c = (
+        math.log(sig0 / sig1)
+        + _log_k(pair, eta)
+        + mu0 * mu0 / (2.0 * (sig0 * sig0))
+        - mu1 * mu1 / (2.0 * (sig1 * sig1))
+    )
+    return a, b, c
 
 
 def _prior_only_report(pair: HypothesisPair, eta: float, method: RootMethod) -> LikelihoodRootReport:
@@ -255,19 +217,36 @@ def _prior_only_report(pair: HypothesisPair, eta: float, method: RootMethod) -> 
     return LikelihoodRootReport((), method, orient, (), eta)
 
 
+def _check_etas(etas) -> list[float]:
+    etas = [float(eta) for eta in etas]
+    for eta in etas:
+        if not eta > 0:
+            raise InvalidParameterError(f"eta must be > 0, got {eta}")
+    return etas
+
+
+def _gaussian_solve(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, ...]:
+    """Closed-form reports at every threshold of ``etas``, from one call of
+    ``_gaussian_pair_roots`` on the array of their log_k."""
+    etas = _check_etas(etas)
+    if pair.p0 in (0.0, 1.0):
+        return tuple(_prior_only_report(pair, eta, RootMethod.GAUSSIAN_QUADRATIC) for eta in etas)
+    log_k = np.asarray([_log_k(pair, eta) for eta in etas])
+    lo, hi, h0_first = _gaussian_pair_roots(*pair.h0.params, *pair.h1.params, log_k)
+    reports = []
+    for eta, y_lo, y_hi, h0 in zip(etas, lo.tolist(), hi.tolist(), h0_first.tolist()):
+        roots = tuple(y for y in (y_lo, y_hi) if y != math.inf)
+        orient = Orientation.H0_FIRST if h0 else Orientation.H1_FIRST
+        residuals = _check_residuals(pair, eta, roots)
+        reports.append(LikelihoodRootReport(roots, RootMethod.GAUSSIAN_QUADRATIC, orient, residuals, eta))
+    return tuple(reports)
+
+
 def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> LikelihoodRootReport:
-    """Closed-form boundaries for a Gaussian pair (see ``_gaussian_ratio_roots``)."""
+    """Closed-form boundaries for a Gaussian pair (see ``_gaussian_roots``)."""
     if pair.h0.family is not Family.GAUSSIAN or pair.h1.family is not Family.GAUSSIAN:
         raise InvalidParameterError("ml_boundaries_gaussian requires two Gaussian models")
-    if not eta > 0:
-        raise InvalidParameterError(f"eta must be > 0, got {eta}")
-    if pair.p0 in (0.0, 1.0):
-        return _prior_only_report(pair, eta, RootMethod.GAUSSIAN_QUADRATIC)
-
-    roots, h0_first = _gaussian_ratio_roots(*pair.h0.params, *pair.h1.params, _log_k(pair, eta))
-    orient = Orientation.H0_FIRST if h0_first else Orientation.H1_FIRST
-    residuals = _check_residuals(pair, eta, roots)
-    return LikelihoodRootReport(roots, RootMethod.GAUSSIAN_QUADRATIC, orient, residuals, eta)
+    return _gaussian_solve(pair, [eta])[0]
 
 
 def _bisect(fn, lo, hi, level, rising, tol: float, *args) -> np.ndarray:
@@ -390,10 +369,7 @@ def _grid_solve(
     and the sign changes of all thresholds are bisected together with one
     array ``log_pdf`` call per density per step.
     """
-    etas = [float(eta) for eta in etas]
-    for eta in etas:
-        if not eta > 0:
-            raise InvalidParameterError(f"eta must be > 0, got {eta}")
+    etas = _check_etas(etas)
     if grid < 2:
         raise InvalidParameterError(f"grid resolution must be >= 2, got {grid}")
     if pair.p0 in (0.0, 1.0):
@@ -457,10 +433,9 @@ def ml_boundaries_generic(
 
 def _ml_boundaries_many(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, ...]:
     """``ml_boundaries`` at every threshold of ``etas``, with the same reports:
-    the closed form per threshold for Gaussian pairs, one grid solve of all
-    thresholds otherwise."""
+    one closed-form call for a Gaussian pair, one grid solve otherwise."""
     if pair.h0.family is Family.GAUSSIAN and pair.h1.family is Family.GAUSSIAN:
-        return tuple(ml_boundaries_gaussian(pair, float(eta)) for eta in etas)
+        return _gaussian_solve(pair, etas)
     return _grid_solve(pair, etas, None, DEFAULT_GRID)
 
 

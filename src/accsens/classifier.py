@@ -58,7 +58,9 @@ def apply_norm(vec: np.ndarray, norm: Norm) -> float:
     vec = np.asarray(vec, dtype=float)
     if norm is Norm.INF:
         return float(np.max(np.abs(vec))) if vec.size else 0.0
-    return float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # components past 1e154 square to inf
+        two = float(np.linalg.norm(vec))
+    return two if two < math.inf else math.hypot(*vec.tolist())
 
 
 @dataclass(frozen=True)

@@ -292,9 +292,10 @@ class DensityModel:
         x = np.asarray(x, dtype=float)
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
-            f = np.where(np.isinf(x), 0.0, np.asarray(self.pdf(x)))
-            z = np.where(np.isinf(x), 0.0, (x - mu) / sigma)
-            return np.stack([-f, -z * f], axis=0)
+            f = np.asarray(self.pdf(x))  # 0 at the sentinels
+            with np.errstate(over="ignore", invalid="ignore"):  # far out: inf * 0
+                z_f = np.where(f == 0.0, 0.0, (x - mu) / sigma * f)
+            return np.stack([-f, -z_f], axis=0)
         if self.family is Family.EXPONENTIAL:
             lam = self.params[0]
             with np.errstate(over="ignore", invalid="ignore"):

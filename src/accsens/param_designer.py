@@ -15,10 +15,9 @@ largest sigma0 the box allows (a closed-form linear program in
 geometric scan of r polished by an array zoom.  Both run on arrays over r:
 one bisection solves the separation roots of all ratios of a scan or zoom
 round together, and one kernel gives the accuracy and sensitivity of every
-shape.  The kernel takes the roots as the closed form of ``ml_boundaries``
-does, bit for bit (the bisection skips its final Newton pass), and the
-design's own boundaries, accuracy and sensitivity come from that closed form
-at the design's parameters.
+shape.  Both take their roots from the closed form of ``ml_boundaries``
+(``boundary_solver._gaussian_roots``), and the design's own boundaries,
+accuracy and sensitivity come from it at the design's parameters.
 
 The module also provides the closed-form accuracy/sensitivity laws for two
 analytically solvable families (equal-variance Gaussian and exponential),
@@ -35,10 +34,11 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtr
 
-from .boundary_solver import _bisect, _gaussian_ratio_roots, _gaussian_shape_roots, _gaussian_shape_terms
+from .boundary_solver import _bisect, _gaussian_pair_roots, _gaussian_roots
 from .classifier import Norm, Orientation
 from .densities import DensityModel, HypothesisPair
-from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError
+from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError, SolverFailureError
+from .tradeoff import ACCURACY_TOL
 
 #: Width ratios scanned per design, geometric over the box's range (r = 1 and
 #: the maximum-accuracy ratio are added as exact grid points).
@@ -51,18 +51,12 @@ D_XTOL = 1e-13
 ZOOM_POINTS, ZOOM_ROUNDS = 65, 6
 #: Box limits.  The solver is scale-free: it sees a box only through the
 #: width ratio r = sigma1 / sigma0 and the separation d = gap / sigma0.
-#: r must lie in [1 / RATIO_LIMIT, RATIO_LIMIT]: the closed form (here and in
-#: ``ml_boundaries``) forms its discriminant as b^2 - 4ac, whose leading
-#: terms cancel for a narrow second width, so that at r = 1e-12 it finds no
-#: root at all.  Above the limit it finds them; the accuracy, stationary in
-#: the roots, stays exact, and the sensitivity is off by about eps d^2 / r^2
-#: relative (1e-5 at the limit for |d| = 1).  |d| must stay below
-#: SEPARATION_LIMIT, so that a separation root is bisected to D_XTOL within
-#: BISECTION_STEPS halvings.
-#: The design's boundaries are the closed form's at its own parameters,
-#: whose quadratic has the coefficients 1 / sigma^2, mu / sigma^2 and
-#: (mu / sigma)^2; 1 / sigma, sigma, |mu|, |mu| / sigma and |mu| / sigma^2
-#: must stay below SCALE_LIMIT over the box, so that it squares them finitely.
+#: r must lie in [1 / RATIO_LIMIT, RATIO_LIMIT], the range the design solver
+#: is tested on; the closed form itself stays exact beyond it.  |d| must
+#: stay below SEPARATION_LIMIT, so that a separation root is bisected to
+#: D_XTOL within BISECTION_STEPS halvings.
+#: 1 / sigma, sigma, |mu|, |mu| / sigma and |mu| / sigma^2 must stay below
+#: SCALE_LIMIT over the box, the range the design solver is tested on.
 RATIO_LIMIT = 1e6
 SEPARATION_LIMIT = 1e40
 SCALE_LIMIT = 1e100
@@ -139,29 +133,29 @@ def exponential_law(r: float, lambda0: float) -> ExponentialLaw:
 # ---- the shape kernel: max-accuracy classifier of N(0, 1) against N(d, r) ----
 
 
-def _ratio_terms(r, p0: float) -> tuple[np.ndarray, ...]:
-    """Per-ratio constants of the shape kernel (``_gaussian_shape_terms``)."""
-    return _gaussian_shape_terms(r, math.log((1.0 - p0) / p0))
+def _log_k(p0: float) -> float:
+    """log(p1 / p0), the level of the maximum-accuracy classifier."""
+    return math.log((1.0 - p0) / p0)
 
 
-def _accuracy(z0lo, z0hi, z1lo, z1hi, h0_first, p0: float):
+def _accuracy(z0lo, z0hi, z1lo, z1hi, h0_outside, p0: float):
     """Accuracy from the standard scores of the roots under H0 and H1."""
     acc = p0 * (ndtr(z0lo) - ndtr(z0hi) + 1.0) + (1.0 - p0) * (ndtr(z1hi) - ndtr(z1lo))
-    return np.where(h0_first, acc, 1.0 - acc)
+    return np.where(h0_outside, acc, 1.0 - acc)
 
 
-def _shape_accuracy(d, rr, rr2, a, level, r, band, p0: float, polish: bool = False):
-    """Accuracy of the shape (d, r) from its ratio's constants
-    (``_ratio_terms``); unpolished, the separation bisection's kernel."""
-    lo, hi, h0_first = _gaussian_shape_roots(d, rr, rr2, a, level, r, band, polish)
-    return _accuracy(lo, hi, (lo - d) / r, (hi - d) / r, h0_first, p0)
+def _shape_accuracy(d, r, p0: float):
+    """Accuracy of every shape (d, r), on broadcast arrays: the separation
+    bisection's kernel."""
+    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0))
+    return _accuracy(lo, hi, (lo - d) / r, (hi - d) / r, h0_outside, p0)
 
 
-def _evaluate(lo, hi, h0_first, theta, p0: float, norm: Norm):
-    """Accuracy and sensitivity of the classifier with roots lo <= hi (+inf
-    where missing) that gives H0 the outside of (lo, hi) where ``h0_first``
-    and the inside elsewhere, for the pair theta = (mu0, sigma0, mu1,
-    sigma1), on broadcast arrays."""
+def _evaluate(lo, hi, h0_outside, theta, p0: float, norm: Norm):
+    """Accuracy and sensitivity of the classifier with roots lo <= hi (a
+    missing root +inf, lo possibly -inf) that gives H0 the outside of
+    (lo, hi) where ``h0_outside`` and the inside elsewhere, for the pair
+    theta = (mu0, sigma0, mu1, sigma1), on broadcast arrays."""
     mu0, s0, mu1, s1 = theta
     # clipped, so that a missing root gives pdf 0 and z * pdf 0, not inf * 0
     z0lo, z0hi, z1lo, z1hi = (
@@ -183,7 +177,7 @@ def _evaluate(lo, hi, h0_first, theta, p0: float, norm: Norm):
         sens = np.maximum.reduce([np.abs(g) for g in grad])
     else:
         sens = np.sqrt(sum(g * g for g in grad))
-    return _accuracy(z0lo, z0hi, z1lo, z1hi, h0_first, p0), sens
+    return _accuracy(z0lo, z0hi, z1lo, z1hi, h0_outside, p0), sens
 
 
 def _shape_eval(d, r, p0: float, norm: Norm):
@@ -192,21 +186,19 @@ def _shape_eval(d, r, p0: float, norm: Norm):
 
     The pair is N(0, 1) against N(d, r), so the sensitivity is that of a
     design of width sigma0 = 1; at width sigma0 it is this one over sigma0.
-    The roots are those of ``_gaussian_shape_roots``; a missing one is +inf.
+    The roots are those of ``_gaussian_roots``; a missing one is +inf.
     """
-    d = np.asarray(d, dtype=float)
-    terms = _ratio_terms(r, p0)
-    lo, hi, h0_first = _gaussian_shape_roots(d, *terms)
-    return (*_evaluate(lo, hi, h0_first, (0.0, 1.0, d, terms[4]), p0, norm), lo, hi)
+    d, r = np.asarray(d, dtype=float), np.asarray(r, dtype=float)
+    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0))
+    return (*_evaluate(lo, hi, h0_outside, (0.0, 1.0, d, r), p0, norm), lo, hi)
 
 
 def _design_eval(theta, p0: float, norm: Norm) -> tuple[float, float, tuple[float, ...]]:
     """(accuracy, sensitivity, boundaries) of the maximum-accuracy classifier
     of the pair theta, its roots from the closed form ``ml_boundaries`` runs."""
-    roots, h0_first = _gaussian_ratio_roots(*theta, math.log((1.0 - p0) / p0))
-    lo, hi = (*roots, math.inf, math.inf)[:2]
+    lo, hi, h0_first = _gaussian_pair_roots(*theta, _log_k(p0))
     acc, sens = _evaluate(lo, hi, h0_first, theta, p0, norm)
-    return float(acc), float(sens), roots
+    return float(acc), float(sens), tuple(float(y) for y in (lo, hi) if y != math.inf)
 
 
 # ---- design problem ----
@@ -289,11 +281,13 @@ class ParamDesignProblem:
         return np.maximum(s0_lo, s1_lo / r), np.minimum(s0_hi, s1_hi / r)
 
     def _place(self, d: float, r: float, sigma0: float) -> tuple[float, float, float, float]:
-        """The design of shape (d, r) and width sigma0, at the lowest
-        admissible mu0; mu1 and sigma1 are clamped against float rounding."""
-        (m0_lo, _), (m1_lo, m1_hi), (s1_lo, s1_hi) = self.bounds[0], self.bounds[2], self.bounds[3]
+        """The design of shape (d, r) and width sigma0, at the admissible mu0
+        nearest 0, where mu0 + d sigma0 loses the least of the gap to
+        rounding; mu0, mu1 and sigma1 are clamped against float rounding."""
+        (m0_lo, m0_hi), (m1_lo, m1_hi), (s1_lo, s1_hi) = self.bounds[0], self.bounds[2], self.bounds[3]
         gap = d * sigma0
-        mu0 = max(m0_lo, m1_lo - gap)
+        lo, hi = max(m0_lo, m1_lo - gap), min(m0_hi, m1_hi - gap)
+        mu0 = min(max(lo, min(0.0, hi)), m0_hi)
         mu1 = min(max(mu0 + gap, m1_lo), m1_hi)
         if self.mean_gap_max is not None:
             mu1 = min(max(mu1, mu0 - self.mean_gap_max), mu0 + self.mean_gap_max)
@@ -470,7 +464,7 @@ def _max_accuracy_shape(problem: ParamDesignProblem) -> tuple[float, float]:
     """(max accuracy, its width ratio): max over r of A(reach(r), r)."""
 
     def neg_accuracy(r, near):
-        return (-_shape_accuracy(_reach(problem, r), *_ratio_terms(r, problem.p0), problem.p0, True),)
+        return (-_shape_accuracy(_reach(problem, r), r, problem.p0),)
 
     r, (neg,), _ = _scan_min(neg_accuracy, _ratio_grid(problem))
     return -neg, r
@@ -511,21 +505,20 @@ def _designs(problem: ParamDesignProblem, r: np.ndarray, near=None):
     widened by D_XTOL, at each ratio where A changes sign across it.
     """
     gamma, p0 = problem.gamma, problem.p0
-    terms = _ratio_terms(r, p0)
     accuracy = partial(_shape_accuracy, p0=p0)
     reach = _reach(problem, r)
-    at_zero, at_reach = accuracy(np.zeros_like(r), *terms), accuracy(reach, *terms)
+    at_zero, at_reach = accuracy(np.zeros_like(r), r), accuracy(reach, r)
     lo, hi = np.zeros_like(r), reach
     known = np.abs(near[1][np.isfinite(near[1])]) if near is not None else np.zeros(0)
     if known.size:
         near_lo = np.clip(known.min() - D_XTOL, 0.0, reach)
         near_hi = np.clip(known.max() + D_XTOL, 0.0, reach)
-        inside = (accuracy(near_lo, *terms) <= gamma) & (accuracy(near_hi, *terms) >= gamma)
+        inside = (accuracy(near_lo, r) <= gamma) & (accuracy(near_hi, r) >= gamma)
         lo, hi = np.where(inside, near_lo, lo), np.where(inside, near_hi, hi)
     below = at_zero < gamma
     d = np.where(at_zero == gamma, 0.0, np.where(below & (at_reach == gamma), reach, np.nan))
     solve = below & (at_reach > gamma)
-    d[solve] = _bisect(accuracy, lo[solve], hi[solve], gamma, True, D_XTOL, *(t[solve] for t in terms))
+    d[solve] = _bisect(accuracy, lo[solve], hi[solve], gamma, True, D_XTOL, r[solve])
     sigma0, d = _widest(problem, d, r)
     ok = np.isfinite(sigma0)
     d = np.where(ok, d, np.nan)
@@ -536,7 +529,10 @@ def design_params(problem: ParamDesignProblem) -> DesignResult:
     """Minimum-sensitivity design at accuracy gamma (see the module docstring).
 
     Deterministic: the same problem gives bit-identical results.  Raises
-    ``InfeasibleTargetError`` when no design inside the box reaches gamma.
+    ``InfeasibleTargetError`` when no design inside the box reaches gamma,
+    and ``SolverFailureError`` when the placed design misses gamma by more
+    than ACCURACY_TOL: where the box pins |mu0| near 1 / eps widths from the
+    origin, mu0 + d sigma0 rounds the gap away.
     """
     attainable, r_top = _max_accuracy_shape(problem)
     if problem.gamma > attainable:
@@ -551,6 +547,11 @@ def design_params(problem: ParamDesignProblem) -> DesignResult:
         )
     theta = problem._place(d, r, sigma0)
     acc, sens, roots = _design_eval(theta, problem.p0, problem.norm)
+    if not abs(acc - problem.gamma) <= ACCURACY_TOL:
+        raise SolverFailureError(
+            f"the design {theta!r} reaches accuracy {acc!r}, not {problem.gamma!r}: "
+            "its mean gap is lost to rounding at this distance from the origin"
+        )
     return DesignResult(
         theta, sens, acc, roots, problem.gamma, problem.norm, problem.p0,
         DesignScan(d, r, grid.size, feasible),

@@ -303,7 +303,7 @@ def _eta_stencil(
     pair: HypothesisPair, h_eta: float
 ) -> tuple[LikelihoodRootReport, tuple[LikelihoodRootReport, ...]]:
     """The unit-threshold boundaries and those at thresholds 1 + h_eta and
-    1 - h_eta, from one grid solve for a non-Gaussian pair."""
+    1 - h_eta, from one ``_ml_boundaries_many`` call."""
     base, plus, minus = _ml_boundaries_many(pair, (1.0, 1.0 + h_eta, 1.0 - h_eta))
     return _resolved(base), (plus, minus)
 
@@ -501,8 +501,8 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
     Each boundary problem is solved once and shared: the base solve, the
     theta re-solves (A2 and the identity audit) and the eta stencil (A3),
     1 + 2m + 2 solves for m distribution parameters.  The base and the eta
-    stencil come from one ``_ml_boundaries_many`` call, so a non-Gaussian
-    pair scans its grid once for all three thresholds.  The witness reuses
+    stencil come from one ``_ml_boundaries_many`` call: one closed-form call
+    or one grid scan for all three thresholds.  The witness reuses
     A1 and A3's sensitivity slope, which it would compute identically.
     """
     base, stencil = _eta_stencil(pair, ETA_FD_STEP)

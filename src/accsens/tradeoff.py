@@ -2,9 +2,10 @@
 
 Three sweeps produce comparable curves for one hypothesis pair:
 
-* ``ml_curve``    - threshold sweep of the likelihood-ratio classifier; for
-  non-Gaussian pairs the roots of every threshold are bisected together
-  (``_ml_boundaries_many``), and the solver warnings go to the metadata;
+* ``ml_curve``    - threshold sweep of the likelihood-ratio classifier; the
+  roots of every threshold come from one call (``_ml_boundaries_many``: the
+  closed form on the array of thresholds for a Gaussian pair, one grid solve
+  otherwise), and the solver warnings go to the metadata;
 * ``linear_curve`` - sweep of a single boundary, best orientation per point,
   evaluated on the whole grid with one cdf and one gradient call per density;
 * ``general_curve`` - for each accuracy level zeta, the boundary set of the

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,13 +10,10 @@ from scipy.optimize import brentq
 
 from accsens.boundary_solver import (
     _bisect,
-    _gaussian_ratio_roots,
-    _gaussian_shape_roots,
-    _gaussian_shape_terms,
+    _gaussian_pair_roots,
     _ml_boundaries_many,
     BISECTION_WIDTH,
     DEFAULT_GRID,
-    EQUAL_SIGMA_RTOL,
     RESIDUAL_RTOL,
     RootMethod,
     default_search_interval,
@@ -25,7 +24,7 @@ from accsens.boundary_solver import (
     ml_boundaries_generic,
     optimal_linear_boundary,
 )
-from accsens.classifier import GeneralSpec, Orientation, accuracy, region_accuracy
+from accsens.classifier import GeneralSpec, MLSpec, Orientation, accuracy, region_accuracy
 from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import EmptyIntervalError, InvalidParameterError, NoRootError
 from conftest import random_gaussian_pair
@@ -90,30 +89,106 @@ class TestGaussianQuadratic:
         with pytest.raises(InvalidParameterError):
             ml_boundaries_gaussian(exp_pair, -1.0)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-8.0, 8.0) | st.just(0.0),
-                st.floats(-4.0, 4.0).map(math.exp)
-                | st.floats(-0.9, 0.9).map(lambda t: 1.0 + t * EQUAL_SIGMA_RTOL)
-                | st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
-            ),
-            min_size=1,
-            max_size=8,
-        ),
-        st.floats(-3.0, 3.0) | st.sampled_from([0.0, math.log(4.0), -math.log(4.0)]),
+    def test_widths_a_billionth_apart_keep_both_roots(self):
+        # the quadratic term is tiny but not zero: its far root lies at about
+        # -2e9, and both roots meet the residual bound
+        pair = HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(1.0, 1.0000000005), 0.5)
+        report = ml_boundaries(pair, 1.0)
+        assert report.roots == pytest.approx((-1999999834.5192716, 0.500000000375), rel=1e-15)
+        assert report.orientation is Orientation.H1_FIRST
+        region = region_accuracy(pair, report.roots, report.orientation)
+        assert accuracy(MLSpec(1.0), pair) == region
+
+    @pytest.mark.parametrize("width", [1e-6, 1e-12])
+    def test_narrow_second_width_is_solved(self, width):
+        # the two roots lie about width * sqrt(2 log(1 / width)) around the
+        # narrow mean, and the ratio classifier picks out that interval (a
+        # b^2 - 4ac discriminant found no root at width 1e-12)
+        pair = HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(0.5, width), 0.5)
+        lo, hi, h0_first = _gaussian_pair_roots(0.0, 1.0, 0.5, width, 0.0)
+        assert bool(h0_first) and float(lo) < 0.5 < float(hi)
+        half = width * math.sqrt(2.0 * math.log(1.0 / width))
+        assert (float(hi) - float(lo)) / 2.0 == pytest.approx(half, rel=0.01)
+        assert region_accuracy(pair, (float(lo), float(hi)), Orientation.H0_FIRST) > 0.99
+
+
+def _reference(mu0, s0, mu1, s1, log_k):
+    """The roots (x, sorted), whether H0 wins left of the first root, the
+    discriminant relative to the size of its terms, and the rounding each
+    root may carry, from the exact float inputs in 60-digit arithmetic.
+
+    The rounding is that of the shape d, r and the level log(1/r) + log_k
+    (one ulp each, carried through the slope of the gap at the root), of the
+    root itself and of the map back mu0 + s0 y, in units of the float
+    epsilon."""
+    with mpmath.workdps(60):
+        mu0, s0, mu1, s1, log_k = map(mpmath.mpf, (mu0, s0, mu1, s1, log_k))
+        d, r = (mu1 - mu0) / s0, s1 / s0
+        level = log_k - mpmath.log(r)
+        a, b, c = (r - 1) * (r + 1) / (2 * r * r), d / (r * r), level - d * d / (2 * r * r)
+        disc = b * b - 4 * a * c
+        # relative to the size of its terms d^2 / r^2, 4a log_k and 4a log(r),
+        # where log(r) carries the ulp of r; identical models have none
+        size = d * d / (r * r) + 4 * abs(a) * (abs(log_k) + abs(mpmath.log(r)) + 1)
+        relative = disc / size if size else mpmath.inf
+        if disc <= 0:
+            return (), (a < 0 if a != 0 else c < 0), relative, ()
+        if a == 0:
+            ys, h0_first = [-c / b], b > 0
+        else:
+            ys, h0_first = sorted((-b + sgn * mpmath.sqrt(disc)) / (2 * a) for sgn in (-1, 1)), a < 0
+        roots = []
+        for y in ys:
+            x = mu0 + s0 * y
+            if abs(x) > sys.float_info.max:  # dropped; each one below flips
+                h0_first = h0_first != (x < 0)
+                continue
+            slope = abs(2 * a * y + b)
+            # the level moves by one ulp of log_k and of log(r), and by r's
+            # ulp over r
+            shape = (abs(d * (y - d)) + (y - d) ** 2) / (r * r) + abs(log_k) + abs(mpmath.log(r)) + 1
+            roots.append((x, float(abs(mu0) + s0 * (abs(y) + shape / slope))))
+        return tuple(x for x, _ in roots), bool(h0_first), relative, tuple(t for _, t in roots)
+
+
+@st.composite
+def gaussian_shapes(draw):
+    """(mu0, s0, mu1, s1, log_k): width ratios log-uniform over [1e-6, 1e6],
+    exactly 1 or within 1e-9 of 1, and close means far from the origin."""
+    s0 = math.exp(draw(st.floats(-10.0, 10.0)))
+    r = draw(
+        st.floats(math.log(1e-6), math.log(1e6)).map(math.exp)
+        | st.just(1.0)
+        | st.floats(-1e-9, 1e-9).map(lambda t: 1.0 + t)
     )
-    def test_shape_roots_repeat_the_closed_form_bitwise(self, shapes, log_k):
-        # the array form at N(0, 1) against N(d, r): two roots, one within the
-        # equal-width band, none, and tangential double roots at d = 0
-        d, r = (np.array(v) for v in zip(*shapes))
-        lo, hi, h0_first = _gaussian_shape_roots(d, *_gaussian_shape_terms(r, log_k))
-        h0_first = np.broadcast_to(h0_first, d.shape)
-        for i, (di, ri) in enumerate(shapes):
-            roots, h0 = _gaussian_ratio_roots(0.0, 1.0, di, ri, log_k)
-            assert tuple(float(y) for y in (lo[i], hi[i]) if y < math.inf) == roots
-            assert bool(h0_first[i]) == h0
+    mu0 = draw(st.floats(-10.0, 10.0) | st.sampled_from([-1.0, 1.0]).map(lambda t: t * 1e8)) * s0
+    mu1 = mu0 + draw(st.floats(-20.0, 20.0) | st.floats(-1e-3, 1e-3)) * s0
+    return mu0, s0, mu1, r * s0, draw(st.floats(-5.0, 5.0) | st.just(0.0))
+
+
+class TestClosedFormAgainstMpmath:
+    @settings(max_examples=400, deadline=None)
+    @given(gaussian_shapes())
+    def test_roots_and_orientation(self, shape):
+        roots, h0_first, relative_disc, slack = _reference(*shape)
+        # near a tangential double root the root count turns on the last
+        # bits of the discriminant
+        assume(abs(relative_disc) > 1e-9)
+        lo, hi, h0 = _gaussian_pair_roots(*shape)
+        found = [float(y) for y in (lo, hi) if y != math.inf]
+        assert len(found) == len(roots)
+        assert bool(h0) == h0_first
+        eps = np.finfo(float).eps
+        for x, ref, tol in zip(found, roots, slack):
+            assert abs(mpmath.mpf(x) - ref) <= 8 * eps * tol
+
+    def test_narrow_width_roots_to_the_last_bits(self):
+        # N(0, 1) against N(10, 1e-6): a discriminant formed as b^2 - 4ac
+        # cancels about 13 digits here
+        roots, _, _, _ = _reference(0.0, 1.0, 10.0, 1e-6, 0.0)
+        lo, hi, _ = _gaussian_pair_roots(0.0, 1.0, 10.0, 1e-6, 0.0)
+        for x, ref in zip((lo, hi), roots):
+            assert abs(mpmath.mpf(float(x)) - ref) <= 2e-16 * abs(ref)
 
 
 class TestGridBisection:
@@ -186,6 +261,16 @@ def exponential_pairs(draw):
 
 #: Thresholds from far below to far above every crossing of the ratio.
 eta_grids = st.lists(st.floats(-20.0, 20.0).map(math.exp), min_size=2, max_size=12)
+
+
+@st.composite
+def gaussian_pairs(draw):
+    """Gaussian pairs whose widths differ, agree, or lie within 1e-9 of each
+    other."""
+    s0 = draw(st.floats(0.2, 6.0))
+    s1 = draw(st.floats(0.2, 6.0) | st.just(s0) | st.floats(-1e-9, 1e-9).map(lambda t: s0 * (1.0 + t)))
+    mu0, mu1 = draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))
+    return HypothesisPair(DensityModel.gaussian(mu0, s0), DensityModel.gaussian(mu1, s1), draw(st.floats(0.05, 0.95)))
 
 
 def _laplace_pdf(x, p):
@@ -326,6 +411,19 @@ class TestManyThresholds:
     def test_single_hypothesis_priors(self, p0):
         pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(2.0), p0)
         assert _ml_boundaries_many(pair, [0.5, 2.0]) == tuple(ml_boundaries(pair, e) for e in (0.5, 2.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(gaussian_pairs(), eta_grids)
+    def test_gaussian_batch_repeats_one_threshold(self, pair, etas):
+        # one closed-form call for all thresholds gives, to the bit, the
+        # reports of one call per threshold
+        try:
+            one = tuple(ml_boundaries(pair, eta) for eta in etas)
+        except InvalidParameterError:
+            with pytest.raises(InvalidParameterError):
+                _ml_boundaries_many(pair, etas)
+            return
+        assert repr(_ml_boundaries_many(pair, etas)) == repr(one)
 
     def test_gaussian_pairs_use_the_closed_form(self, table1_pair):
         many = _ml_boundaries_many(table1_pair, [0.5, 1.0, 1e9])

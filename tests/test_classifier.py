@@ -14,6 +14,7 @@ from accsens.classifier import (
     Orientation,
     accuracy,
     accuracy_gradient,
+    apply_norm,
     classify,
     classify_boundaries,
     count_h0_labels,
@@ -216,6 +217,13 @@ class TestSensitivity:
             dim = len(pair.theta)
             assert s_two >= s_inf - 1e-15
             assert s_inf >= s_two / np.sqrt(dim) - 1e-15
+
+    def test_two_norm_of_components_past_the_square_range(self):
+        # a Gaussian of width 3e-251 has gradient components near 1e250
+        assert apply_norm(np.array([3e200, -4e200]), Norm.TWO) == pytest.approx(5e200, rel=1e-15)
+        pair = HypothesisPair(DensityModel.gaussian(0.0, 3e-251), DensityModel.gaussian(1e-300, 3e-251))
+        two, inf = (sensitivity(MLSpec(1.0), pair, norm) for norm in (Norm.TWO, Norm.INF))
+        assert inf <= two < np.inf
 
 
 class TestMonteCarloConsistency:

@@ -245,6 +245,14 @@ class TestDesignCommand:
         )
         assert run_cli("design", "--box", str(box), "--gamma", "0.99") == 3
 
+    def test_gap_lost_to_rounding_exits_3(self, tmp_path, capsys):
+        # mu0 is pinned 1e13 widths from the origin: mu0 + d sigma0 rounds
+        # the gap, and the placed design misses gamma
+        box = tmp_path / "box.json"
+        box.write_text('{"bounds": [[10, 10], [1e-12, 1e-12], [10, 11], [1e-12, 1e-12]], "gamma": 0.9}')
+        assert run_cli("design", "--box", str(box), "--gamma", "0.9") == 3
+        assert "lost to rounding" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0:1.7976931348623157e308:4", "-1.7976931348623157e308:1.7976931348623157e308:3"])
     def test_gamma_grid_at_the_float_limit_exits_2(self, grid, capsys):
         # the grid's steps overflow; its targets lie outside [0.5, 1]
@@ -310,12 +318,50 @@ def design_boxes(draw):
     return box
 
 
+#: Gaussian widths, from the smallest subnormal to near the float limit.
+_WIDTHS = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 1e-300, 1e-154, 1e-6, 1.0, 1e6, 1e154, 1e300]),
+    st.floats(5e-324, 1e300),
+)
+
+
+@st.composite
+def gaussian_problems(draw):
+    """Gaussian problem-file contents: means up to +-1e300, widths from
+    5e-324 to 1e300, equal or within 1e-9 of each other, and p0."""
+    means = st.sampled_from([0.0, 1.0, -1.0, 1e-300, 1e300, -1e300]) | st.floats(-1e300, 1e300)
+    s0 = draw(_WIDTHS)
+    s1 = draw(_WIDTHS | st.just(s0) | st.floats(-1e-9, 1e-9).map(lambda t: s0 * (1.0 + t)))
+    mu0 = draw(means)
+    mu1 = draw(means | st.floats(-1e-6, 1e-6).map(lambda t: mu0 + t * s0))
+    problem = {
+        "h0": {"family": "gaussian", "params": {"mu": mu0, "sigma": s0}},
+        "h1": {"family": "gaussian", "params": {"mu": mu1, "sigma": s1}},
+    }
+    if draw(st.booleans()):
+        problem["p0"] = draw(st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2**-53, 1.0]) | st.floats(0.0, 1.0))
+    return problem
+
+
+@st.composite
+def gaussian_argvs(draw):
+    problem = ["--problem", draw(gaussian_problems())]
+    command = draw(st.sampled_from(["boundaries", "accuracy", "sensitivity"]))
+    if command == "boundaries":
+        return ["boundaries", *problem, f"--eta={draw(_REALS)}"]
+    if command == "accuracy":
+        return ["accuracy", *problem]
+    return ["sensitivity", *problem, f"--norm={draw(st.sampled_from(['inf', 'two']))}"]
+
+
 @st.composite
 def cli_argvs(draw):
     problem = ["--problem", draw(st.sampled_from([TABLE1, "fig2c.json", _EXP_PROBLEM]))]
-    command = draw(st.sampled_from(["boundaries", "ml", "general", "design", "simulate"]))
+    command = draw(st.sampled_from(["boundaries", "gaussian", "ml", "general", "design", "simulate"]))
     if command == "boundaries":
         return ["boundaries", *problem, f"--eta={draw(_REALS)}"]
+    if command == "gaussian":
+        return draw(gaussian_argvs())
     if command == "ml":
         return [
             "curve", "ml", *problem, f"--eta-min={draw(_REALS)}", f"--eta-max={draw(_REALS)}",
@@ -349,21 +395,29 @@ class TestCliFuzz:
         return str(path)
 
     @pytest.fixture(scope="class")
-    def box_file(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("fuzz") / "box.json"
+    def drawn_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "drawn.json"
+
+    @staticmethod
+    def _exit_code(argv, exp_problem, drawn_file):
+        for a in argv:
+            if isinstance(a, dict):  # a drawn design box or problem
+                drawn_file.write_text(json.dumps(a))
+        argv = [exp_problem if a == _EXP_PROBLEM else str(drawn_file) if isinstance(a, dict) else a for a in argv]
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed option with exit 2
+            return exc.code
 
     @settings(max_examples=40, deadline=None)
     @given(argv=cli_argvs())
-    def test_every_input_ends_in_a_documented_exit_code(self, exp_problem, box_file, argv):
-        for a in argv:
-            if isinstance(a, dict):  # a drawn design box
-                box_file.write_text(json.dumps(a))
-        argv = [exp_problem if a == _EXP_PROBLEM else str(box_file) if isinstance(a, dict) else a for a in argv]
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a malformed option with exit 2
-            code = exc.code
-        assert code in (0, 2, 3)
+    def test_every_input_ends_in_a_documented_exit_code(self, exp_problem, drawn_file, argv):
+        assert self._exit_code(argv, exp_problem, drawn_file) in (0, 2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=gaussian_argvs())
+    def test_every_gaussian_problem_ends_in_a_documented_exit_code(self, exp_problem, drawn_file, argv):
+        assert self._exit_code(argv, exp_problem, drawn_file) in (0, 2, 3)
 
 
 class TestReproduce:

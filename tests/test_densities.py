@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 import accsens.densities as dens
+from accsens.classifier import BoundarySet, GeneralSpec, MLSpec, sensitivity
 from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair
 from accsens.errors import CapabilityError, InvalidParameterError, SchemaError
 
@@ -162,6 +163,20 @@ class TestParameterGradients:
             np.testing.assert_allclose(
                 model.grad_cdf_params(x), _fd_grad(make_cdf, model.params, x), atol=1e-7
             )
+
+    def test_gaussian_cdf_sigma_grad_where_the_score_overflows(self):
+        # off the mean of the narrowest width the standard score overflows
+        # where the pdf is 0: the gradient is 0 there, as at the sentinels
+        model = DensityModel.gaussian(0.0, 5e-324)
+        grad = model.grad_cdf_params(np.array([-np.inf, -1.0, 1e-300, 1e300, np.inf]))
+        assert grad.tolist() == [[0.0] * 5, [0.0] * 5]
+
+    def test_sensitivity_far_from_a_subnormal_width_is_finite(self):
+        pair = HypothesisPair(DensityModel.gaussian(0.0, 5e-324), DensityModel.gaussian(5e-324, 5e-324))
+        assert sensitivity(GeneralSpec(BoundarySet((1.0,))), pair) == 0.0
+        # both pdfs overflow at the ratio root, whose residual is then NaN
+        with pytest.raises(InvalidParameterError, match="residual"):
+            sensitivity(MLSpec(1.0), pair)
 
     def test_pdf_dx(self):
         model = DensityModel.gaussian(2.0, 3.0)

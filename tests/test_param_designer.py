@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from accsens.boundary_solver import EQUAL_SIGMA_RTOL, _gaussian_ratio_roots, ml_boundaries
+from accsens.boundary_solver import ml_boundaries
 from accsens.classifier import (
     GeneralSpec,
     BoundarySet,
@@ -23,6 +23,7 @@ from accsens.errors import (
     InfeasibleTargetError,
     InvalidParameterError,
     SchemaError,
+    SolverFailureError,
     UnresolvedClassifierError,
 )
 from accsens.param_designer import (
@@ -31,7 +32,6 @@ from accsens.param_designer import (
     SEPARATION_LIMIT,
     ParamDesignProblem,
     _design_eval,
-    _ratio_terms,
     _shape_accuracy,
     _shape_eval,
     design_params,
@@ -296,6 +296,36 @@ class TestDesign:
         assert a.theta == b.theta and a.sensitivity == b.sensitivity
         assert a.to_dict() == b.to_dict()
 
+    def test_design_is_placed_nearest_the_origin(self):
+        # at mu0 = -0.001, a thousand times 1 / eps widths from the origin,
+        # mu0 + d sigma0 would round the gap away (accuracy 0.8, the prior)
+        box = ParamDesignProblem(
+            bounds=((-0.001, 0.001), (1e-30, 1e-30), (-0.001, 0.001), (1e-30, 1e-30)), gamma=0.9, p0=0.2
+        )
+        result = design_params(box)
+        assert result.theta[0] == 0.0
+        assert abs(result.accuracy - 0.9) <= 1e-9
+        assert accuracy(MLSpec(1.0), result.pair) == pytest.approx(0.9, abs=1e-9)
+
+    def test_design_whose_gap_is_lost_to_rounding_is_refused(self):
+        # mu0 is pinned at 10, 1e13 widths from the origin: the placed design
+        # would reach 0.90002, not 0.9
+        box = ParamDesignProblem(bounds=((10, 10), (1e-12, 1e-12), (10, 11), (1e-12, 1e-12)), gamma=0.9)
+        with pytest.raises(SolverFailureError, match="lost to rounding"):
+            design_params(box)
+
+    def test_design_with_equal_widths_reproduces_through_the_public_pipeline(self):
+        # this box's optimum has equal widths, near which a pair's roots
+        # must still meet the residual bound of the public pipeline
+        box = ParamDesignProblem(
+            bounds=((-0.914, 1.832), (2.493, 4.742), (2.570, 5.874), (1.205, 3.154)),
+            gamma=0.8833, ordered_sigmas=True, p0=0.3715,
+        )
+        result = design_params(box)
+        assert result.boundaries == ml_boundaries(result.pair, 1.0).roots
+        assert accuracy(MLSpec(1.0), result.pair) == pytest.approx(result.accuracy, abs=1e-12)
+        assert sensitivity(MLSpec(1.0), result.pair) == pytest.approx(result.sensitivity, rel=1e-12)
+
     def test_low_gamma_optimum_uses_unequal_widths(self):
         # Below accuracy ~0.64 the true optimum leaves the equal-width family:
         # shrinking the second width trades the tied mean components against a
@@ -363,25 +393,11 @@ def _shape(mu0, s0, mu1, s1):
     return (mu1 - mu0) / s0, s1 / s0
 
 
-def _public_spec(pair: HypothesisPair):
-    """The public maximum-accuracy classifier of a Gaussian pair, or None for
-    a single region: MLSpec(1.0), and within the equal-width band, where
-    ``ml_boundaries`` refuses most pairs (the linear root misses its residual
-    bound), the closed form's boundary set, which MLSpec would use."""
-    (mu0, s0), (mu1, s1) = pair.h0.params, pair.h1.params
-    roots, h0_first = _gaussian_ratio_roots(mu0, s0, mu1, s1, math.log(pair.p1 / pair.p0))
-    if not roots:
-        return None
-    if abs(s0 - s1) > EQUAL_SIGMA_RTOL * max(s0, s1):
-        return MLSpec(1.0)
-    return GeneralSpec(BoundarySet(roots, Orientation.H0_FIRST if h0_first else Orientation.H1_FIRST))
-
-
 @st.composite
 def _kernel_pairs(draw):
     """Gaussian pairs (mu0, s0, mu1, s1, p0) for the shape kernel: general
-    draws (either width larger), equal widths within EQUAL_SIGMA_RTOL (one
-    root), and pairs whose prior keeps the ratio from crossing one (no
+    draws (either width larger), equal widths and widths within 1e-9 of
+    each other, and pairs whose prior keeps the ratio from crossing one (no
     root)."""
     means, widths, priors = st.floats(-6.0, 6.0), st.floats(0.2, 6.0), st.floats(0.2, 0.8)
     mu0, s0 = draw(means), draw(widths)
@@ -389,7 +405,7 @@ def _kernel_pairs(draw):
     if kind == "general":
         return mu0, s0, draw(means), draw(widths), draw(priors)
     if kind == "equal":
-        s1 = s0 * (1.0 + draw(st.floats(-0.9, 0.9)) * EQUAL_SIGMA_RTOL)
+        s1 = s0 * (1.0 + draw(st.just(0.0) | st.floats(-1e-9, 1e-9)))
         return mu0, s0, draw(means), s1, draw(priors)
     # coincident means: p1 f1 < p0 f0 everywhere when p1 / p0 < s1 / s0 < 1,
     # and p1 f1 > p0 f0 everywhere when p1 / p0 > s1 / s0 > 1
@@ -431,8 +447,8 @@ class TestShapeReduction:
     def test_accuracy_even_and_monotone_in_separation(self, d1, d2, r, p0):
         near, far = sorted((d1, d2))
         d = np.array([d1, -d1, near, far])
-        # the kernel, and the bisection's kernel without the Newton pass
-        for acc in (_shape_eval(d, r, p0, Norm.INF)[0], _shape_accuracy(d, *_ratio_terms(r, p0), p0)):
+        # the kernel, and the separation bisection's kernel
+        for acc in (_shape_eval(d, r, p0, Norm.INF)[0], _shape_accuracy(d, r, p0)):
             assert acc[1] == pytest.approx(acc[0], abs=1e-12)
             assert acc[2] <= acc[3] + 1e-12
 
@@ -446,17 +462,14 @@ class TestShapeReduction:
         acc, _, lo, hi = _shape_eval(d, r, p0, Norm.INF)
         roots = tuple(float(y) for y in (lo, hi) if math.isfinite(y))
         pair = HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(d, r), p0)
-        assert roots == _gaussian_ratio_roots(0.0, 1.0, d, r, math.log(pair.p1 / pair.p0))[0]
-        spec = _public_spec(pair)
-        if spec is None:  # a single region: the larger prior wins everywhere
+        assert roots == ml_boundaries(pair, 1.0).roots
+        if not roots:  # a single region: the larger prior wins everywhere
             assert acc == max(p0, 1.0 - p0)
             return
-        if isinstance(spec, MLSpec):
-            assert roots == ml_boundaries(pair, 1.0).roots
-        assert accuracy(spec, pair) == pytest.approx(float(acc), abs=1e-12)
+        assert accuracy(MLSpec(1.0), pair) == pytest.approx(float(acc), abs=1e-12)
         for norm in Norm:
             sens = _shape_eval(d, r, p0, norm)[1]
-            assert sensitivity(spec, pair, norm) == pytest.approx(float(sens), rel=1e-9, abs=1e-15)
+            assert sensitivity(MLSpec(1.0), pair, norm) == pytest.approx(float(sens), rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("gamma,norm", [(0.55, Norm.INF), (0.9, Norm.TWO)])
     def test_design_not_beaten_by_brute_force_grid(self, gamma, norm):
@@ -495,16 +508,12 @@ class TestShapeReduction:
         if grid:
             assert result.sensitivity <= min(grid)[0] * (1.0 + 1e-9)
         # the design's boundaries are those of the public pipeline at its pair
-        spec = _public_spec(result.pair)
-        if spec is None:
-            assert result.boundaries == () and result.sensitivity == 0.0
+        assert result.boundaries == ml_boundaries(result.pair, 1.0).roots
+        if not result.boundaries:
+            assert result.sensitivity == 0.0
             return
-        if isinstance(spec, MLSpec):
-            assert result.boundaries == ml_boundaries(result.pair, 1.0).roots
-        else:
-            assert result.boundaries == spec.boundary_set.boundaries
-        assert accuracy(spec, result.pair) == pytest.approx(result.accuracy, abs=1e-9)
-        assert sensitivity(spec, result.pair, norm) == pytest.approx(result.sensitivity, rel=1e-9)
+        assert accuracy(MLSpec(1.0), result.pair) == pytest.approx(result.accuracy, abs=1e-9)
+        assert sensitivity(MLSpec(1.0), result.pair, norm) == pytest.approx(result.sensitivity, rel=1e-9)
 
     def test_max_accuracy_not_below_brute_force_grid(self):
         box = ParamDesignProblem(
