@@ -25,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from .classifier import BoundarySet, Orientation, region_accuracy
+from .classifier import BoundarySet, Orientation, _accuracies
 from .densities import Family, HypothesisPair
 from .errors import EmptyIntervalError, InvalidParameterError, NoRootError
 
@@ -90,22 +90,32 @@ def log_ratio_gap(pair: HypothesisPair, eta: float, x):
     return out if out.ndim else float(out)
 
 
-def _check_residuals(pair, eta, roots) -> tuple[float, ...]:
-    """|p1 f1(r) - eta p0 f0(r)| at each root, checked against a bound
-    relative to the larger weighted density; one pdf call per density.  A
-    NaN root, or a density past the float range, cannot be checked and is
-    refused."""
-    residuals = []
-    for r in roots:
-        f0, f1 = float(pair.h0.pdf(r)), float(pair.h1.pdf(r))
-        res = abs(pair.p1 * f1 - eta * pair.p0 * f0)
-        bound = RESIDUAL_RTOL * max(pair.p0 * f0, pair.p1 * f1, _RESIDUAL_FLOOR)
-        if not res <= bound < math.inf:
-            raise InvalidParameterError(
-                f"root {r!r} fails the residual bound (residual {res:.3e}, bound {bound:.3e})"
-            )
-        residuals.append(res)
-    return tuple(residuals)
+def _check_residuals(pair, etas, roots) -> list[tuple[float, ...]]:
+    """|p1 f1(r) - eta p0 f0(r)| at the roots ``roots[k]`` of every ``etas[k]``,
+    one pdf call (and, where a root needs it, one pdf_dx call) per density,
+    checked against RESIDUAL_RTOL of the larger weighted density or, where
+    larger and finite, the defect's change over one ulp of the root.  A jump
+    of the ratio at a support edge, a NaN root and a density past the float
+    range are refused."""
+    x = np.asarray([r for rs in roots for r in rs], dtype=float)
+    eta = np.repeat(np.asarray(etas, dtype=float), [len(rs) for rs in roots])
+    f0, f1 = np.asarray(pair.h0.pdf(x)), np.asarray(pair.h1.pdf(x))
+    with np.errstate(all="ignore"):
+        res = np.abs(pair.p1 * f1 - eta * pair.p0 * f0)
+        bound = RESIDUAL_RTOL * np.maximum(np.maximum(pair.p0 * f0, pair.p1 * f1), _RESIDUAL_FLOOR)
+        bad = ~((res <= bound) & (bound < math.inf))
+        if bad.any():  # the slopes, needed only here; one past the float range does not count
+            df0, df1 = np.asarray(pair.h0.pdf_dx(x)), np.asarray(pair.h1.pdf_dx(x))
+            ulp = np.spacing(np.abs(x)) * np.abs(pair.p1 * df1 - eta * pair.p0 * df0)
+            bound = np.maximum(bound, np.where(ulp < math.inf, ulp, 0.0))
+            bad = ~((res <= bound) & (bound < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidParameterError(
+            f"root {x[i].item()!r} fails the residual bound (residual {res[i]:.3e}, bound {bound[i]:.3e})"
+        )
+    it = iter(res.tolist())
+    return [tuple(islice(it, len(rs))) for rs in roots]
 
 
 def default_search_interval(pair: HypothesisPair) -> tuple[float, float]:
@@ -122,24 +132,23 @@ def default_search_interval(pair: HypothesisPair) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _gaussian_roots(d, r, log_k):
+def _gaussian_roots(d, r, level):
     """The closed form of every Gaussian pair: the roots lo <= hi of the
-    ratio equation of N(0, 1) against N(d, r), with log_k = log(p1 / (eta
-    p0)), and whether H0 wins outside (lo, hi), on broadcast arrays; a
-    missing root is +inf.
+    ratio equation of N(0, 1) against N(d, r), with level = log(1/r) +
+    log(p1 / (eta p0)), and whether H0 wins outside (lo, hi), on broadcast
+    arrays; a missing root is +inf.
 
     In these shape coordinates the log ratio gap is a y^2 + b y + c with
 
-        a = (r - 1)(r + 1) / (2 r^2),  b = d / r^2,
-        c = log(1/r) + log_k - d^2 / (2 r^2),
+        a = (r - 1)(r + 1) / (2 r^2),  b = d / r^2,  c = level - d^2 / (2 r^2),
 
-    and its discriminant b^2 - 4ac is written d^2 / r^2 - 4a (log(1/r) +
-    log_k), the same value with its d^2 terms cancelled by hand, so that a
-    narrow second width loses nothing.  The roots are q / a and c / q, the
-    stable pair, with no Newton pass: its residual a y^2 + b y + c would
-    cancel terms of size d^2 / r^2 again.  Equal widths need no case of
-    their own: a = 0 puts q / a at -inf or +inf, which still bounds the
-    region inside the roots.
+    and its discriminant b^2 - 4ac is written d^2 / r^2 - 4a level, the
+    same value with its d^2 terms cancelled by hand, so that a narrow second
+    width loses nothing.  The roots are q / a and c / q, the stable pair,
+    with no Newton pass: its residual a y^2 + b y + c would cancel terms of
+    size d^2 / r^2 again.  Equal widths need no case of their own: a = 0
+    puts q / a at -inf or +inf, which still bounds the region inside the
+    roots.
 
     Outside the roots the gap has the sign of a, so H0 wins outside a
     crossing where a < 0; a parabola that does not cross (a tangential
@@ -150,7 +159,6 @@ def _gaussian_roots(d, r, log_k):
         rr2 = 2.0 * r * r
         a = (r - 1.0) * (r + 1.0) / rr2
         b = 2.0 * d / rr2
-        level = log_k - np.log(r)
         c = level - d * d / rr2
         e, m2 = np.abs(d / r), 4.0 * a * level
         # where a level = 0 the root of the discriminant is |d| / r itself,
@@ -170,18 +178,34 @@ def _gaussian_roots(d, r, log_k):
 def _gaussian_pair_roots(mu0, sig0, mu1, sig1, log_k):
     """The boundaries of N(mu0, sig0) against N(mu1, sig1), lo <= hi with a
     missing root +inf, and whether H0 wins left of lo (everywhere, with no
-    root).
+    root), at every log_k of an array.
 
     ``_gaussian_roots`` solves the shape d = (mu1 - mu0) / sig0,
     r = sig1 / sig0, on float64 so that no shape or root raises on
-    overflow, and each root is mapped back as mu0 + sig0 y.  A root below
-    the float range is dropped: H0 then wins left of the first root kept
-    where it wins inside the pair.
+    overflow, and each root is mapped back as mu0 + sig0 y.  Where a square
+    of the shape would leave the float range an equivalent shape is solved:
+    in the narrower width's units for a ratio below 2^-500, with the ratio
+    taken as 2^500 and d / r kept above it (a stays 1/2, the logarithm comes
+    from the widths), and for y / s with s a power of two near max(|d|, |d|
+    / r), which keeps the roots of a shape in range to the bit.  A root
+    below the float range is dropped: H0 then wins left of the first root
+    kept where it wins inside the pair.
     """
     with np.errstate(all="ignore"):
-        mu0, sig0 = np.float64(mu0), np.float64(sig0)
-        lo, hi, h0_outside = _gaussian_roots((mu1 - mu0) / sig0, sig1 / sig0, log_k)
-        lo, hi = mu0 + sig0 * lo, mu0 + sig0 * hi
+        mu0, sig0, mu1, sig1 = map(np.float64, (mu0, sig0, mu1, sig1))
+        big = 2.0**500  # squares of shapes past it leave the float range
+        swap = bool(sig1 < sig0 / big)
+        if swap:
+            mu0, sig0, mu1, sig1, log_k = mu1, sig1, mu0, sig0, -np.asarray(log_k)
+        r, d = sig1 / sig0, (mu1 - mu0) / sig0
+        level = log_k - (np.log(r) if r < np.inf else np.log(sig1) - np.log(sig0))
+        if r > big:
+            r, d = big, (mu1 - mu0) / sig1 * big
+        s = np.ldexp(1.0, max(np.frexp(abs(d) / min(r, 1.0))[1] - 1, 0))
+        lo, hi, h0_outside = _gaussian_roots(d / s, r, level / (s * s))
+        lo, hi = mu0 + sig0 * s * lo, mu0 + sig0 * s * hi
+        if swap:
+            h0_outside = ~h0_outside
     below_lo, below_hi = lo == -np.inf, hi == -np.inf
     return (
         np.where(below_lo, np.where(below_hi, np.inf, hi), lo),
@@ -233,13 +257,12 @@ def _gaussian_solve(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, .
         return tuple(_prior_only_report(pair, eta, RootMethod.GAUSSIAN_QUADRATIC) for eta in etas)
     log_k = np.asarray([_log_k(pair, eta) for eta in etas])
     lo, hi, h0_first = _gaussian_pair_roots(*pair.h0.params, *pair.h1.params, log_k)
-    reports = []
-    for eta, y_lo, y_hi, h0 in zip(etas, lo.tolist(), hi.tolist(), h0_first.tolist()):
-        roots = tuple(y for y in (y_lo, y_hi) if y != math.inf)
-        orient = Orientation.H0_FIRST if h0 else Orientation.H1_FIRST
-        residuals = _check_residuals(pair, eta, roots)
-        reports.append(LikelihoodRootReport(roots, RootMethod.GAUSSIAN_QUADRATIC, orient, residuals, eta))
-    return tuple(reports)
+    roots = [tuple(y for y in ends if y != math.inf) for ends in zip(lo.tolist(), hi.tolist())]
+    orients = [Orientation.H0_FIRST if h0 else Orientation.H1_FIRST for h0 in h0_first.tolist()]
+    return tuple(
+        LikelihoodRootReport(rs, RootMethod.GAUSSIAN_QUADRATIC, orient, res, eta)
+        for eta, rs, orient, res in zip(etas, roots, orients, _check_residuals(pair, etas, roots))
+    )
 
 
 def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> LikelihoodRootReport:
@@ -341,11 +364,8 @@ def _undefined_report(eta: float) -> LikelihoodRootReport:
     )
 
 
-def _grid_report(
-    pair: HypothesisPair, eta: float, scan: _GridScan, bisected
-) -> LikelihoodRootReport:
-    """Report of one scanned threshold from its bisected bracket roots."""
-    roots = sorted([float(r) for r in bisected] + list(scan.hits))
+def _grid_report(eta: float, scan: _GridScan, roots, residuals) -> LikelihoodRootReport:
+    """Report of one scanned threshold from its sorted roots and their residuals."""
     warnings: list[str] = []
     if len(roots) % 2 != (1 if scan.ends_differ else 0):
         warnings.append(
@@ -353,9 +373,8 @@ def _grid_report(
             "the grid may be too coarse for this pair"
         )
     orient = Orientation.H0_FIRST if scan.first_sign < 0 else Orientation.H1_FIRST
-    residuals = _check_residuals(pair, eta, roots)
     return LikelihoodRootReport(
-        tuple(roots), RootMethod.GRID_BISECTION, orient, residuals, eta, tuple(warnings)
+        roots, RootMethod.GRID_BISECTION, orient, residuals, eta, tuple(warnings)
     )
 
 
@@ -408,11 +427,14 @@ def _grid_solve(
                 - np.asarray(pair.h0.log_pdf(x))
             )
 
-    roots = iter(_bisect(gap, lo, hi, 0.0, f_lo < 0, BISECTION_WIDTH, bracket_log_eta).tolist())
+    bisected = iter(_bisect(gap, lo, hi, 0.0, f_lo < 0, BISECTION_WIDTH, bracket_log_eta).tolist())
+    roots = [
+        () if scan is None else tuple(sorted([*islice(bisected, scan.lo.size), *scan.hits]))
+        for scan in scans
+    ]
     return tuple(
-        _undefined_report(eta) if scan is None
-        else _grid_report(pair, eta, scan, list(islice(roots, scan.lo.size)))
-        for eta, scan in zip(etas, scans)
+        _undefined_report(eta) if scan is None else _grid_report(eta, scan, rs, res)
+        for eta, scan, rs, res in zip(etas, scans, roots, _check_residuals(pair, etas, roots))
     )
 
 
@@ -475,10 +497,12 @@ def optimal_linear_boundary(
     report = ml_boundaries(pair, 1.0, interval, grid)
     if not report.roots:
         raise NoRootError("the unit-threshold ratio equation has no root for this pair")
+    # every root in both orientations, H0_FIRST first
+    ys = np.repeat(report.roots, 2)
+    orients = (Orientation.H0_FIRST, Orientation.H1_FIRST) * len(report.roots)
+    accs = _accuracies(pair, ys[None, :], np.arange(ys.size) % 2 == 0)
     best: LinearOptimum | None = None
-    for y in report.roots:
-        for orient in (Orientation.H0_FIRST, Orientation.H1_FIRST):
-            acc = region_accuracy(pair, (y,), orient)
-            if best is None or acc > best.accuracy + 1e-15:
-                best = LinearOptimum(y, orient, acc)
+    for y, orient, acc in zip(ys.tolist(), orients, accs.tolist()):
+        if best is None or acc > best.accuracy + 1e-15:
+            best = LinearOptimum(y, orient, acc)
     return best

@@ -6,13 +6,20 @@ says which hypothesis owns the leftmost (unbounded) interval.  Likelihood
 ratio ("ml") and single-boundary ("linear") classifiers are views onto the
 same machinery.
 
-Accuracy is the prior-weighted probability of a correct label, computed
-exactly from the model cdfs interval by interval; this one code path covers
-any boundary count (odd or even) and both orientations.  Coincident
-boundaries are legal and denote an empty region: their contributions cancel.
+Accuracy is the prior-weighted probability of a correct label.  For n >= 0
+boundaries y_1 <= ... <= y_n it is base + s (G(y_1) - G(y_2) + G(y_3) - ...)
+with G = p0 F0 - p1 F1, s = +1 for H0_FIRST and -1 for H1_FIRST, and base
+the prior of the class that owns the rightmost region.  Coincident boundaries
+denote an empty region: their terms cancel.  Sensitivity is the norm (inf or
+2) of the accuracy's gradient in the stacked distribution parameters at fixed
+boundaries, the same signed sum of cdf gradients, so the two orientations of
+one set have accuracies that sum to 1 and gradients that are exact negatives.
 
-Sensitivity is the norm (inf or 2) of the derivative of accuracy with respect
-to the stacked distribution parameters, taken at fixed boundaries.
+One function each computes accuracy, gradient and norm (``_accuracies``,
+``_gradients``, ``_norms``) for K sets at once, the columns of an (n, K)
+array with an orientation each, with one cdf (or cdf gradient) call per
+density.  A column's value does not depend on the others, so the one-set
+public functions, their K = 1 case, give the same floats as any batch.
 """
 
 from __future__ import annotations
@@ -55,12 +62,7 @@ class Norm(str, Enum):
 
 
 def apply_norm(vec: np.ndarray, norm: Norm) -> float:
-    vec = np.asarray(vec, dtype=float)
-    if norm is Norm.INF:
-        return float(np.max(np.abs(vec))) if vec.size else 0.0
-    with np.errstate(over="ignore"):  # components past 1e154 square to inf
-        two = float(np.linalg.norm(vec))
-    return two if two < math.inf else math.hypot(*vec.tolist())
+    return float(_norms(np.asarray(vec, dtype=float)[:, None], norm)[0])
 
 
 @dataclass(frozen=True)
@@ -174,68 +176,99 @@ def spec_from_dict(obj: dict) -> ClassifierSpec:
     raise SchemaError(f"unknown classifier kind {kind!r}")
 
 
-# ---- core interval arithmetic over explicit boundary sequences ----
-#
-# These accept a possibly-empty boundary sequence so degenerate single-region
-# classifiers (e.g. a likelihood-ratio classifier whose threshold admits no
-# boundary) remain evaluable.  The public BoundarySet type requires n >= 1.
-
-
-def _interval_is_h0(index: int, orientation: Orientation) -> bool:
-    return (index % 2 == 0) == (orientation is Orientation.H0_FIRST)
+# ---- evaluation of boundary sets (see the module docstring) ----
 
 
 def boundary_signs(n: int, orientation: Orientation) -> np.ndarray:
-    """Per-boundary sign of the H0 cdf term in the accuracy sum.
+    """Per-boundary sign s (-1)^i of the H0 cdf term in the accuracy sum;
+    the H1 term always takes the opposite sign."""
+    s = 1.0 if orientation is Orientation.H0_FIRST else -1.0
+    return np.where(np.arange(n) % 2 == 0, s, -s)
 
-    Boundary i (0-based) contributes +p0*F0(y_i) when the interval to its
-    left is labeled H0, and -p0*F0(y_i) otherwise; the H1 term always takes
-    the opposite sign.
-    """
-    signs = np.empty(n)
-    for i in range(n):
-        signs[i] = 1.0 if _interval_is_h0(i, orientation) else -1.0
-    return signs
+
+def _gap(pair: HypothesisPair, y) -> np.ndarray:
+    """G(y) = p0 F0(y) - p1 F1(y) on an array, one cdf call per density."""
+    return pair.p0 * np.asarray(pair.h0.cdf(y)) - pair.p1 * np.asarray(pair.h1.cdf(y))
+
+
+def _alternating(terms: np.ndarray) -> np.ndarray:
+    """terms[0] - terms[1] + terms[2] - ..., summed in that order over the
+    first axis, so that a column's sum does not depend on the others."""
+    total = terms[0] if len(terms) else np.zeros(terms.shape[1:])
+    for i in range(1, len(terms)):
+        total = total - terms[i] if i % 2 else total + terms[i]
+    return total
+
+
+def _accuracies(pair: HypothesisPair, ys, h0_first) -> np.ndarray:
+    """Accuracy of the boundary sets ys[:, k] of an (n, K) array, ``h0_first``
+    broadcast against K.  An accuracy outside [0, 1] beyond rounding (cdfs
+    that are not distribution functions) refuses the whole call."""
+    ys = np.asarray(ys, dtype=float)
+    base = np.where(np.equal(h0_first, ys.shape[0] % 2 == 0), pair.p0, pair.p1)
+    sign = np.where(h0_first, 1.0, -1.0)
+    acc = base + sign * _alternating(_gap(pair, ys.ravel()).reshape(ys.shape))
+    bad = ~((acc >= -1e-12) & (acc <= 1.0 + 1e-12))  # NaN included
+    if bad.any():
+        raise SolverFailureError(
+            f"accuracy {float(acc[bad][0])!r} escaped [0, 1]; the model cdfs are inconsistent"
+        )
+    return acc
+
+
+def _gradients(pair: HypothesisPair, ys, h0_first) -> np.ndarray:
+    """d accuracy / d theta of the sets ys[:, k] at fixed boundaries, over
+    stacked [theta0; theta1]: shape (m, K), one column per set."""
+    ys = np.asarray(ys, dtype=float)
+
+    def signed_sum(model, weight: float) -> np.ndarray:
+        g = np.asarray(model.grad_cdf_params(ys.ravel())).reshape((len(model.params),) + ys.shape)
+        return weight * _alternating(g.swapaxes(0, 1))
+
+    sign = np.where(h0_first, 1.0, -1.0)
+    return sign * np.concatenate([signed_sum(pair.h0, pair.p0), signed_sum(pair.h1, -pair.p1)])
+
+
+def _norms(grads: np.ndarray, norm: Norm) -> np.ndarray:
+    """The norm of every column of ``grads``."""
+    if norm is Norm.INF:
+        return np.maximum.reduce(np.abs(grads), axis=0, initial=0.0)
+    with np.errstate(over="ignore"):  # components past 1e154 square to inf
+        squares = grads * grads
+    # a running sum down the rows, so that a column's sum does not depend on the others
+    two = np.sqrt(np.add.accumulate(squares)[-1] if len(squares) else np.zeros(squares.shape[1:]))
+    if two.max(initial=0.0) == math.inf:
+        past = two == math.inf
+        two[past] = [math.hypot(*column) for column in grads[:, past].T.tolist()]
+    return two
+
+
+def _evaluate(pair: HypothesisPair, sets, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracy and sensitivity of every (boundaries, orientation) of
+    ``sets``, with one array call per boundary count."""
+    counts = np.asarray([len(b) for b, _ in sets], dtype=int)
+    acc, sens = np.empty(counts.size), np.empty(counts.size)
+    for n in np.unique(counts).tolist():
+        (k,) = np.nonzero(counts == n)
+        ys = np.asarray([sets[i][0] for i in k], dtype=float).reshape(k.size, n).T
+        h0_first = np.asarray([sets[i][1] is Orientation.H0_FIRST for i in k])
+        acc[k] = _accuracies(pair, ys, h0_first)
+        sens[k] = _norms(_gradients(pair, ys, h0_first), norm)
+    return acc, sens
 
 
 def region_accuracy(pair: HypothesisPair, boundaries: Sequence[float], orientation: Orientation) -> float:
     """Exact correct-classification probability of the induced partition."""
-    b = np.asarray(boundaries, dtype=float)
-    f0 = np.concatenate(([0.0], np.atleast_1d(pair.h0.cdf(b)), [1.0]))
-    f1 = np.concatenate(([0.0], np.atleast_1d(pair.h1.cdf(b)), [1.0]))
-    mass0 = np.diff(f0)
-    mass1 = np.diff(f1)
-    h0_first = orientation is Orientation.H0_FIRST
-    start0 = 0 if h0_first else 1
-    acc = pair.p0 * float(np.sum(mass0[start0::2])) + pair.p1 * float(
-        np.sum(mass1[1 - start0 :: 2])
-    )
-    _check_accuracy_range((acc,))
-    return acc
-
-
-def _check_accuracy_range(accs: Sequence[float]) -> None:
-    """Refuse accuracies outside [0, 1] beyond rounding."""
-    for acc in accs:
-        if not -1e-12 <= acc <= 1.0 + 1e-12:
-            raise SolverFailureError(
-                f"accuracy {acc!r} escaped [0, 1]; the model cdfs are inconsistent"
-            )
+    ys = np.asarray(boundaries, dtype=float)[:, None]
+    return float(_accuracies(pair, ys, orientation is Orientation.H0_FIRST)[0])
 
 
 def region_accuracy_gradient(
     pair: HypothesisPair, boundaries: Sequence[float], orientation: Orientation
 ) -> np.ndarray:
     """d accuracy / d theta at fixed boundaries, over stacked [theta0; theta1]."""
-    b = np.asarray(boundaries, dtype=float)
-    if b.size == 0:
-        return np.zeros(len(pair.theta))
-    signs = boundary_signs(b.size, orientation)
-    g0 = np.atleast_2d(pair.h0.grad_cdf_params(b))
-    g1 = np.atleast_2d(pair.h1.grad_cdf_params(b))
-    grad0 = pair.p0 * (g0 @ signs)
-    grad1 = -pair.p1 * (g1 @ signs)
-    return np.concatenate([grad0, grad1])
+    ys = np.asarray(boundaries, dtype=float)[:, None]
+    return _gradients(pair, ys, orientation is Orientation.H0_FIRST)[:, 0]
 
 
 def region_accuracy_boundary_gradient(
@@ -243,12 +276,7 @@ def region_accuracy_boundary_gradient(
 ) -> np.ndarray:
     """d accuracy / d y_i at fixed parameters."""
     b = np.asarray(boundaries, dtype=float)
-    if b.size == 0:
-        return np.zeros(0)
-    signs = boundary_signs(b.size, orientation)
-    return signs * (
-        pair.p0 * np.atleast_1d(pair.h0.pdf(b)) - pair.p1 * np.atleast_1d(pair.h1.pdf(b))
-    )
+    return boundary_signs(b.size, orientation) * (pair.p0 * pair.h0.pdf(b) - pair.p1 * pair.h1.pdf(b))
 
 
 # ---- public operations ----

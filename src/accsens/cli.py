@@ -370,23 +370,18 @@ def _cmd_design(args) -> int:
 
 
 def _marker_points(pair: HypothesisPair, norm: Norm) -> list[dict]:
-    from .classifier import region_accuracy, region_accuracy_gradient, apply_norm
+    from .classifier import _evaluate
 
-    out = []
     base = ml_boundaries(pair, 1.0)
-    if base.roots:
-        acc = region_accuracy(pair, base.roots, base.orientation)
-        sens = apply_norm(region_accuracy_gradient(pair, base.roots, base.orientation), norm)
-        out.append({"x": acc, "y": sens, "color": "red", "name": "max accuracy"})
-    try:
-        lin = optimal_linear_boundary(pair)
-        grad = region_accuracy_gradient(pair, (lin.y,), lin.orientation)
-        out.append(
-            {"x": lin.accuracy, "y": apply_norm(grad, norm), "color": "#b30000", "name": "best linear"}
-        )
-    except NoRootError:
-        pass
-    return out
+    if not base.roots:  # no best single boundary either
+        return []
+    lin = optimal_linear_boundary(pair)
+    acc, sens = _evaluate(pair, [(base.roots, base.orientation), ((lin.y,), lin.orientation)], norm)
+    styles = (("red", "max accuracy"), ("#b30000", "best linear"))
+    return [
+        {"x": x, "y": y, "color": color, "name": name}
+        for x, y, (color, name) in zip(acc.tolist(), sens.tolist(), styles)
+    ]
 
 
 def _reproduce_curves(pair: HypothesisPair, norm: Norm, out: Path, tag: str, seed: int) -> dict:

@@ -226,7 +226,8 @@ class DensityModel:
         x = np.asarray(x, dtype=float)
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
-            out = ndtr((x - mu) / sigma)
+            with np.errstate(over="ignore"):  # far out z is +-inf: cdf 0 or 1
+                out = ndtr((x - mu) / sigma)
         elif self.family is Family.EXPONENTIAL:
             lam = self.params[0]
             out = np.where(x >= 0.0, -np.expm1(-lam * np.where(x >= 0.0, x, 0.0)), 0.0)
@@ -243,7 +244,8 @@ class DensityModel:
         x = np.asarray(x, dtype=float)
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
-            out = -((x - mu) / sigma**2) * self.pdf(x)
+            with np.errstate(over="ignore"):  # a width past 1e154 squares to inf: slope 0
+                out = -((x - mu) / np.float64(sigma) ** 2) * self.pdf(x)
             out = np.where(np.isinf(x), 0.0, out)
         elif self.family is Family.EXPONENTIAL:
             lam = self.params[0]

@@ -147,7 +147,7 @@ def _accuracy(z0lo, z0hi, z1lo, z1hi, h0_outside, p0: float):
 def _shape_accuracy(d, r, p0: float):
     """Accuracy of every shape (d, r), on broadcast arrays: the separation
     bisection's kernel."""
-    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0))
+    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0) - np.log(r))
     return _accuracy(lo, hi, (lo - d) / r, (hi - d) / r, h0_outside, p0)
 
 
@@ -189,7 +189,7 @@ def _shape_eval(d, r, p0: float, norm: Norm):
     The roots are those of ``_gaussian_roots``; a missing one is +inf.
     """
     d, r = np.asarray(d, dtype=float), np.asarray(r, dtype=float)
-    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0))
+    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0) - np.log(r))
     return (*_evaluate(lo, hi, h0_outside, (0.0, 1.0, d, r), p0, norm), lo, hi)
 
 

@@ -29,9 +29,10 @@ from .boundary_solver import LikelihoodRootReport, _ml_boundaries_many, ml_bound
 from .classifier import (
     Norm,
     Orientation,
-    apply_norm,
+    _accuracies,
+    _gradients,
+    _norms,
     boundary_signs,
-    region_accuracy,
     region_accuracy_gradient,
 )
 from .densities import HypothesisPair
@@ -226,10 +227,6 @@ def _check_a2(
     )
 
 
-def _sensitivity_at(pair: HypothesisPair, boundaries, orientation, norm: Norm) -> float:
-    return apply_norm(region_accuracy_gradient(pair, boundaries, orientation), norm)
-
-
 def sensitivity_boundary_gradient(
     pair: HypothesisPair,
     report: LikelihoodRootReport,
@@ -240,35 +237,23 @@ def sensitivity_boundary_gradient(
 
     With the inf norm the derivative is only one-sided wherever the arg-max
     component switches inside the stencil; the difference then falls back to
-    the side on which the center's arg-max survives.
+    the side on which the center's arg-max survives.  The 2n + 1 stencil
+    columns (the center, then each boundary stepped up, then down) are
+    evaluated in one call.
     """
     y = np.asarray(report.roots, dtype=float)
-    orientation = report.orientation
-
-    def grad_absmax_index(b) -> int:
-        return int(np.argmax(np.abs(region_accuracy_gradient(pair, b, orientation))))
-
-    j_center = grad_absmax_index(y)
-    s_center = _sensitivity_at(pair, y, orientation, norm)
-    out = np.empty(y.size)
-    for i in range(y.size):
-        step = h * max(1.0, abs(y[i]))
-        y_plus = y.copy()
-        y_minus = y.copy()
-        y_plus[i] += step
-        y_minus[i] -= step
-        s_plus = _sensitivity_at(pair, y_plus, orientation, norm)
-        s_minus = _sensitivity_at(pair, y_minus, orientation, norm)
-        if norm is Norm.INF:
-            ok_plus = grad_absmax_index(y_plus) == j_center
-            ok_minus = grad_absmax_index(y_minus) == j_center
-            if ok_plus and not ok_minus:
-                out[i] = (s_plus - s_center) / step
-                continue
-            if ok_minus and not ok_plus:
-                out[i] = (s_center - s_minus) / step
-                continue
-        out[i] = (s_plus - s_minus) / (2.0 * step)
+    n = y.size
+    step = h * np.maximum(1.0, np.abs(y))
+    shifts = np.concatenate([np.zeros((n, 1)), np.diag(step), np.diag(-step)], axis=1)
+    grads = _gradients(pair, y[:, None] + shifts, report.orientation is Orientation.H0_FIRST)
+    s = _norms(grads, norm)
+    s_center, s_plus, s_minus = s[0], s[1 : n + 1], s[n + 1 :]
+    out = (s_plus - s_minus) / (2.0 * step)
+    if norm is Norm.INF:
+        j = np.argmax(np.abs(grads), axis=0)
+        ok_plus, ok_minus = j[1 : n + 1] == j[0], j[n + 1 :] == j[0]
+        out = np.where(ok_plus & ~ok_minus, (s_plus - s_center) / step, out)
+        out = np.where(ok_minus & ~ok_plus, (s_center - s_minus) / step, out)
     return out
 
 
@@ -441,13 +426,12 @@ def _witness(
     if gnorm > 0.0:
         direction = -grad / float(np.linalg.norm(grad))
         y = np.asarray(report.roots, dtype=float)
-        y_new = np.sort(y + descent_step * direction)
-        s0 = _sensitivity_at(pair, y, report.orientation, norm)
-        s1 = _sensitivity_at(pair, y_new, report.orientation, norm)
-        a0 = region_accuracy(pair, y, report.orientation)
-        a1_val = region_accuracy(pair, y_new, report.orientation)
-        drop = s0 - s1
-        dacc = a1_val - a0
+        # the optimum and the descent step, evaluated together
+        ys = np.stack([y, np.sort(y + descent_step * direction)], axis=1)
+        h0_first = report.orientation is Orientation.H0_FIRST
+        s0, s1 = _norms(_gradients(pair, ys, h0_first), norm).tolist()
+        a0, a1_val = _accuracies(pair, ys, h0_first).tolist()
+        drop, dacc = s0 - s1, a1_val - a0
         descent_found = drop > 0.0 and dacc <= 1e-12
 
     return WitnessResult(

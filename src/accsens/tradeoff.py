@@ -3,11 +3,11 @@
 Three sweeps produce comparable curves for one hypothesis pair:
 
 * ``ml_curve``    - threshold sweep of the likelihood-ratio classifier; the
-  roots of every threshold come from one call (``_ml_boundaries_many``: the
-  closed form on the array of thresholds for a Gaussian pair, one grid solve
-  otherwise), and the solver warnings go to the metadata;
+  roots of every threshold come from one call (``_ml_boundaries_many``), the
+  classifiers are evaluated with one array call per root count, and the
+  solver warnings go to the metadata;
 * ``linear_curve`` - sweep of a single boundary, best orientation per point,
-  evaluated on the whole grid with one cdf and one gradient call per density;
+  both orientations of the whole grid evaluated in one array call;
 * ``general_curve`` - for each accuracy level zeta, the boundary set of the
   requested size with the smallest sensitivity subject to accuracy == zeta;
   all targets are solved in one call of the solver behind
@@ -21,8 +21,8 @@ where the accuracy is monotone in it, by the array bisection that also solves
 the ratio roots (``boundary_solver._bisect``), and the grid minima are refined
 together by an array zoom.  A curve makes the pair's set-up (ratio roots,
 saturation points, top accuracy, grid and G = p0 F0 - p1 F1 on the grid)
-once, scans each target on its own, and refines the minima of every target
-in one zoom.  Every bisection starts from a bracket already known and halves
+once, scans each target on its own, refines the minima of every target
+in one zoom and evaluates every target's point in one call.  Every bisection starts from a bracket already known and halves
 it to its own width: in the scan the grid cell where G crosses the level,
 found by a search of G on the grid; in a zoom round after the first, the
 free boundaries of the last round's samples around the new window.  A
@@ -65,10 +65,12 @@ from .boundary_solver import (
 from .classifier import (
     Norm,
     Orientation,
-    _check_accuracy_range,
-    apply_norm,
+    _accuracies,
+    _evaluate,
+    _gap,
+    _gradients,
+    _norms,
     region_accuracy,
-    region_accuracy_gradient,
 )
 from .densities import HypothesisPair
 from .errors import (
@@ -217,25 +219,14 @@ def ml_curve(
         raise InvalidParameterError("eta grid is empty")
     if np.any(grid <= 0):
         raise InvalidParameterError("eta grid must be positive")
-    points: list[TradeoffPoint] = []
-    degenerate = 0
     reports = _ml_boundaries_many(pair, grid)
-    for report in reports:
-        if not report.roots:
-            degenerate += 1
-            continue
-        grad = region_accuracy_gradient(pair, report.roots, report.orientation)
-        points.append(
-            TradeoffPoint(
-                region_accuracy(pair, report.roots, report.orientation),
-                apply_norm(grad, norm),
-                report.roots,
-                report.orientation,
-                "ml",
-                report.eta,
-            )
-        )
-    metadata = {"eta_points": int(grid.size), "degenerate_etas": degenerate}
+    solved = [report for report in reports if report.roots]
+    acc, sens = _evaluate(pair, [(r.roots, r.orientation) for r in solved], norm)
+    points = [
+        TradeoffPoint(a, s, r.roots, r.orientation, "ml", r.eta)
+        for a, s, r in zip(acc.tolist(), sens.tolist(), solved)
+    ]
+    metadata = {"eta_points": int(grid.size), "degenerate_etas": len(reports) - len(solved)}
     warnings = list(dict.fromkeys(w for report in reports for w in report.warnings))
     if warnings:
         metadata["warnings"] = warnings
@@ -262,13 +253,11 @@ def linear_curve(
     grid = default_y_grid(pair) if y_grid is None else np.asarray(y_grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("boundary grid is empty")
-    # region_accuracy(pair, (y,), orientation) on the whole grid, in its operation order
-    f0, f1 = np.asarray(pair.h0.cdf(grid)), np.asarray(pair.h1.cdf(grid))
-    acc0 = pair.p0 * f0 + pair.p1 * (1.0 - f1)
-    _check_accuracy_range(acc0.tolist())
-    h0_first = acc0 >= 0.5
-    acc = np.where(h0_first, acc0, pair.p0 * (1.0 - f0) + pair.p1 * f1)
-    sens = _sens_many(pair, (grid,), norm)
+    # both orientations of every boundary in one call
+    both = _accuracies(pair, np.tile(grid, 2)[None, :], np.arange(2 * grid.size) < grid.size)
+    h0_first = both[: grid.size] >= 0.5
+    acc = np.where(h0_first, both[: grid.size], both[grid.size :])
+    sens = _norms(_gradients(pair, grid[None, :], h0_first), norm)
     points = [
         TradeoffPoint(a, s, (y,), Orientation.H0_FIRST if first else Orientation.H1_FIRST, "linear", y)
         for a, s, y, first in zip(acc.tolist(), sens.tolist(), grid.tolist(), h0_first.tolist())
@@ -278,39 +267,13 @@ def linear_curve(
 
 # ---- constrained minimum ----
 #
-# For a fixed orientation the accuracy of n boundaries separates:
-#
-#     acc(y_1, ..., y_n) = base + s (G(y_1) - G(y_2) + G(y_3) - ...),
-#     G(y) = p0 F0(y) - p1 F1(y),
-#
-# with s = +1 for H0_FIRST and s = -1 for H1_FIRST; base is the prior of the
-# class that owns the rightmost region (the accuracy with every boundary at
-# -inf).  G' = p0 f0 - p1 f1 changes sign only at the unit-threshold ratio
-# roots, so G is monotone between consecutive roots: with all boundaries but
-# one fixed, the level set has at most one point per such segment.
-# Sensitivity is the norm of the parameter gradient, the same signed sum of
-# cdf gradients, which the orientation only negates.
-
-
-def _gap(pair: HypothesisPair, y: np.ndarray) -> np.ndarray:
-    """G(y) = p0 F0(y) - p1 F1(y) on an array, one cdf call per density."""
-    return pair.p0 * np.asarray(pair.h0.cdf(y)) - pair.p1 * np.asarray(pair.h1.cdf(y))
-
-
-def _sens_many(pair: HypothesisPair, ys, norm: Norm) -> np.ndarray:
-    """Sensitivity of the boundary sets (ys[0][k], ys[1][k], ...), either orientation."""
-
-    def signed_sum(h):
-        total = np.atleast_2d(h.grad_cdf_params(ys[0]))
-        for i, y in enumerate(ys[1:], 1):
-            g = np.atleast_2d(h.grad_cdf_params(y))
-            total = total + g if i % 2 == 0 else total - g
-        return total
-
-    grad = np.concatenate([pair.p0 * signed_sum(pair.h0), pair.p1 * signed_sum(pair.h1)], axis=0)
-    if norm is Norm.INF:
-        return np.max(np.abs(grad), axis=0)
-    return np.sqrt(np.sum(grad * grad, axis=0))
+# For a fixed orientation the accuracy of n boundaries is base + s (G(y_1) -
+# G(y_2) + G(y_3) - ...) with G = p0 F0 - p1 F1 (see ``classifier``).
+# G' = p0 f0 - p1 f1 changes sign only at the unit-threshold ratio roots, so
+# G is monotone between consecutive roots: with all boundaries but one
+# fixed, the level set has at most one point per such segment.  The
+# orientation only negates the parameter gradient, so the level-set solves
+# rank sensitivities in H0_FIRST.
 
 
 def _saturation_points(pair: HypothesisPair, lo: float, hi: float) -> tuple[float, float]:
@@ -407,7 +370,7 @@ def _level_set(pair, d, tol, norm, fixed, free, seg_lo, seg_hi, near=None):
     for a, b in zip(fixed, fixed[1:]):
         ok = ok & (a <= b)
     s = np.full(x.shape, math.inf)
-    s[ok] = _sens_many(pair, [y[ok] for y in ys], norm)
+    s[ok] = _norms(_gradients(pair, np.asarray([y[ok] for y in ys]), True), norm)
     return s, ys
 
 
@@ -509,15 +472,13 @@ def _top(pair: HypothesisPair, base, n_boundaries: int, saturation):
     the boundaries are None and the accuracy is that of the ratio
     classifier, an upper bound.
     """
-    acc_max = region_accuracy(pair, base.roots, base.orientation)
-    if len(base.roots) <= n_boundaries:
-        return acc_max, base.roots
-    if n_boundaries == 1:
-        ys = base.roots + tuple(saturation)
-        accs = [region_accuracy(pair, (y,), base.orientation) for y in ys]
+    if n_boundaries == 1 < len(base.roots):
+        ys = np.asarray(base.roots + tuple(saturation))
+        accs = _accuracies(pair, ys[None, :], base.orientation is Orientation.H0_FIRST)
         j = int(np.argmax(accs))
-        return accs[j], (ys[j],)
-    return acc_max, None
+        return float(accs[j]), (float(ys[j]),)
+    acc_max = region_accuracy(pair, base.roots, base.orientation)
+    return acc_max, (base.roots if len(base.roots) <= n_boundaries else None)
 
 
 def default_zeta_grid(
@@ -586,18 +547,29 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     h0_first = orientation is Orientation.H0_FIRST
     base_acc = pair.p0 if h0_first == (n_boundaries % 2 == 0) else pair.p1
 
-    def point(zeta: float, bounds) -> TradeoffPoint:
-        bounds = tuple(float(y) for y in bounds)
-        acc = region_accuracy(pair, bounds, orientation)
-        if abs(acc - zeta) > ACCURACY_TOL:
-            raise SolverFailureError(
-                f"refined point misses accuracy target: |{acc!r} - {zeta!r}| > {ACCURACY_TOL}"
-            )
-        sens = apply_norm(region_accuracy_gradient(pair, bounds, orientation), norm)
-        return TradeoffPoint(acc, sens, bounds, orientation, "constrained", zeta)
+    def evaluated(outcomes: list) -> list:
+        """The outcomes with each boundary set chosen for a target replaced by
+        its point, all evaluated in one call; a point that misses its target
+        by more than ACCURACY_TOL, or an accuracy outside [0, 1], refuses it."""
+        chosen = [t for t, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
+        ys = np.asarray([outcomes[t] for t in chosen]).reshape(-1, n_boundaries).T
+        try:
+            accs = _accuracies(pair, ys, h0_first).tolist()
+        except SolverFailureError as exc:
+            return [exc if isinstance(outcome, tuple) else outcome for outcome in outcomes]
+        sens = _norms(_gradients(pair, ys, h0_first), norm).tolist()
+        for t, acc, s in zip(chosen, accs, sens):
+            zeta = targets[t]
+            outcomes[t] = TradeoffPoint(acc, s, outcomes[t], orientation, "constrained", zeta)
+            if abs(acc - zeta) > ACCURACY_TOL:
+                outcomes[t] = SolverFailureError(
+                    f"refined point misses accuracy target: |{acc!r} - {zeta!r}| > {ACCURACY_TOL}"
+                )
+        return outcomes
 
-    def closed(zeta: float) -> TradeoffPoint | None:
-        """The answer of a target that needs no scan, or None.
+    def closed(zeta: float) -> TradeoffPoint | tuple[float, ...] | None:
+        """The answer of a target that needs no scan: a point, or the
+        boundary set to evaluate; None for a target to scan.
 
         Saturated targets have exact closed answers: at or above the top
         accuracy of n boundaries (within the feasibility slack), the top
@@ -613,7 +585,7 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
                 f"accuracy target {zeta!r} exceeds the attainable maximum {top!r}"
             )
         if top_bounds is not None and zeta >= top:
-            return point(zeta, top_bounds + (h_sat,) * (n_boundaries - len(top_bounds)))
+            return top_bounds + (h_sat,) * (n_boundaries - len(top_bounds))
         if abs(zeta - base_acc) <= 1e-12:
             mid = 0.5 * (lo + hi)
             bounds = (l_sat,) * (n_boundaries % 2) + (mid,) * (n_boundaries - n_boundaries % 2)
@@ -624,7 +596,7 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     outcomes = [_attempt(closed, zeta) for zeta in targets]
     scanned = [t for t, outcome in enumerate(outcomes) if outcome is None]
     if not scanned:
-        return zetas, outcomes, 0
+        return zetas, evaluated(outcomes), 0
 
     grid = _y_grid(lo, hi, base.roots)
     ys = np.unique(np.concatenate([grid[(grid > l_sat) & (grid < h_sat)], [l_sat, h_sat]]))
@@ -713,8 +685,8 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
             continue
         sens, *best = (np.concatenate(c) for c in zip(*candidates[t]))
         j = int(np.argmin(sens))
-        outcomes[t] = _attempt(point, targets[t], [y[j] for y in best])
-    return zetas, outcomes, refined
+        outcomes[t] = tuple(float(y[j]) for y in best)
+    return zetas, evaluated(outcomes), refined
 
 
 def constrained_min_sensitivity(

@@ -182,6 +182,29 @@ class TestClosedFormAgainstMpmath:
         for x, ref, tol in zip(found, roots, slack):
             assert abs(mpmath.mpf(x) - ref) <= 8 * eps * tol
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (0.0, 1.0, 1e300, 1.0, 0.0),
+            (0.0, 1.0, 1e200, 1.0, 0.0),
+            (0.0, 1e-10, 0.0, 1e300, 0.0),
+            (0.0, 1.0, 1e200, 3.0, 0.5),
+            (0.0, 1.0, 1.0, 1e200, 0.0),
+            (0.0, 1.0, 0.0, 1e-200, 0.0),
+            (0.0, 1e300, 0.0, 1e-10, 0.0),
+        ],
+    )
+    def test_shapes_whose_squares_leave_the_float_range(self, shape):
+        # |d| or r past 1e154 or below 1e-154 square out of the float range,
+        # and a width ratio of 1e310 is past it itself
+        roots, h0_first, _, slack = _reference(*shape)
+        lo, hi, h0 = _gaussian_pair_roots(*shape)
+        found = [float(y) for y in (lo, hi) if y != math.inf]
+        assert len(found) == len(roots) > 0
+        assert bool(h0) == h0_first
+        for x, ref, tol in zip(found, roots, slack):
+            assert abs(mpmath.mpf(x) - ref) <= 8 * np.finfo(float).eps * tol
+
     def test_narrow_width_roots_to_the_last_bits(self):
         # N(0, 1) against N(10, 1e-6): a discriminant formed as b^2 - 4ac
         # cancels about 13 digits here
@@ -488,19 +511,57 @@ class TestBisect:
 
 class TestResidualCheck:
     @pytest.mark.parametrize("name", ["table1_pair", "exp_pair"])
-    def test_one_pdf_call_per_density_per_root(self, name, request, monkeypatch):
+    def test_one_pdf_call_per_density_per_solve(self, name, request, monkeypatch):
         pair = request.getfixturevalue(name)
-        calls = {id(pair.h0): 0, id(pair.h1): 0}
-        pdf = DensityModel.pdf
+        calls = {(f, id(m)): 0 for f in ("pdf", "pdf_dx") for m in pair.models}
+        depth = [0]  # pdf_dx may call pdf itself; only the outermost call counts
 
-        def counted(self, x):
-            calls[id(self)] += 1
-            return pdf(self, x)
+        def counted(name, fn):
+            def wrapped(self, x):
+                calls[name, id(self)] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return fn(self, x)
+                finally:
+                    depth[0] -= 1
 
-        monkeypatch.setattr(DensityModel, "pdf", counted)
-        report = ml_boundaries(pair, 0.7)
-        assert report.roots
-        assert calls == {id(pair.h0): len(report.roots), id(pair.h1): len(report.roots)}
+            return wrapped
+
+        for f in ("pdf", "pdf_dx"):
+            monkeypatch.setattr(DensityModel, f, counted(f, getattr(DensityModel, f)))
+        reports = _ml_boundaries_many(pair, [0.5, 0.7, 1.0, 2.0])
+        assert sum(len(report.roots) for report in reports) > 2
+        # the slopes are needed only for a root that misses the relative bound
+        assert calls == {(f, id(m)): f == "pdf" for f in ("pdf", "pdf_dx") for m in pair.models}
+        steep = HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(0.5, 1e-6), 0.5)
+        calls.update({(f, id(m)): 0 for f in ("pdf", "pdf_dx") for m in steep.models})
+        _ml_boundaries_many(steep, [1.0])
+        assert [calls[f, id(m)] for f in ("pdf", "pdf_dx") for m in steep.models] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("h1", [(1e300, 1.0), (1e200, 1.0), (0.0, 1e300)])
+    def test_pairs_past_the_square_range_solve(self, h1):
+        sigma0 = 1e-10 if h1[1] == 1e300 else 1.0
+        pair = HypothesisPair(DensityModel.gaussian(0.0, sigma0), DensityModel.gaussian(*h1), 0.5)
+        roots, h0_first, _, _ = _reference(0.0, sigma0, *h1, 0.0)
+        report = ml_boundaries(pair, 1.0)
+        assert report.roots == pytest.approx(roots, rel=1e-15)
+        assert (report.orientation is Orientation.H0_FIRST) == h0_first
+
+    def test_a_root_within_one_ulp_meets_the_bound(self):
+        # the lower root lies 0.94 ulp from the exact one, where the defect
+        # is 2.8 times RESIDUAL_RTOL of the density
+        pair = HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(0.5, 1e-6), 0.5)
+        roots, _, _, _ = _reference(0.0, 1.0, 0.5, 1e-6, 0.0)
+        report = ml_boundaries(pair, 1.0)
+        assert report.roots == pytest.approx(roots, rel=1e-15)
+        assert max(report.residuals) > RESIDUAL_RTOL * float(pair.h1.pdf(report.roots[0])) * pair.p1
+
+    def test_a_jump_at_a_support_edge_is_refused(self):
+        # exp(1) against N(0, 1): the ratio jumps across eta at 0, where the
+        # bisection leaves a root with a defect of 0.3
+        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.gaussian(0.0, 1.0), 0.5)
+        with pytest.raises(InvalidParameterError, match="fails the residual bound"):
+            ml_boundaries(pair, 1.0)
 
 
 @st.composite

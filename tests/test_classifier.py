@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from accsens.boundary_solver import default_search_interval
 from accsens.classifier import (
+    _accuracies,
+    _gradients,
+    _norms,
     BoundarySet,
     GeneralSpec,
     Label,
@@ -147,6 +150,68 @@ class TestAccuracyProperties:
             region_accuracy_gradient(pair, ys, Orientation.H0_FIRST),
             -region_accuracy_gradient(pair, ys, Orientation.H1_FIRST),
         )
+
+
+def _logistic_cdf(x, p):
+    return 1.0 / (1.0 + np.exp(-(np.asarray(x) - p[0]) / p[1]))
+
+
+#: A custom family with no analytic gradients: they come from finite differences.
+LOGISTIC = CustomDensity(
+    name="logistic",
+    param_names=("loc", "scale"),
+    pdf=lambda x, p: _logistic_cdf(x, p) * (1.0 - _logistic_cdf(x, p)) / p[1],
+    cdf=_logistic_cdf,
+    sampler=lambda rng, n, p: rng.logistic(p[0], p[1], n),
+    mean_scale=lambda p: (p[0], p[1] * np.pi / np.sqrt(3.0)),
+)
+
+
+@st.composite
+def boundary_batches(draw):
+    """A Gaussian, exponential or custom pair and K columns of n = 0 to 3
+    sorted boundaries, each with its own orientation."""
+    family = draw(st.sampled_from(["gaussian", "exponential", "custom"]))
+    if family == "gaussian":
+        h0, h1 = (DensityModel.gaussian(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.5, 6.0))) for _ in range(2))
+    elif family == "exponential":
+        h0, h1 = (DensityModel.exponential(draw(st.floats(0.2, 5.0))) for _ in range(2))
+    else:
+        h0, h1 = (
+            DensityModel.from_custom(LOGISTIC, (draw(st.floats(-5.0, 5.0)), draw(st.floats(0.5, 3.0))))
+            for _ in range(2)
+        )
+    pair = HypothesisPair(h0, h1, draw(st.floats(0.05, 0.95)))
+    lo, hi = default_search_interval(pair)
+    n, k = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    u = draw(st.lists(st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n), min_size=k, max_size=k))
+    ys = np.sort(lo + np.asarray(u, dtype=float).reshape(k, n) * (hi - lo), axis=1).T
+    h0_first = np.asarray(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    return pair, ys, h0_first
+
+
+class TestBatchEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(boundary_batches(), st.sampled_from(list(Norm)))
+    def test_columns_equal_one_set_calls(self, batch, norm):
+        pair, ys, h0_first = batch
+        acc = _accuracies(pair, ys, h0_first)
+        grads = _gradients(pair, ys, h0_first)
+        sens = _norms(grads, norm)
+        assert acc.shape == sens.shape == (ys.shape[1],)
+        assert grads.shape == (pair.theta.size, ys.shape[1])
+        for k, first in enumerate(h0_first.tolist()):
+            orientation = Orientation.H0_FIRST if first else Orientation.H1_FIRST
+            assert acc[k] == region_accuracy(pair, ys[:, k], orientation)
+            grad = region_accuracy_gradient(pair, ys[:, k], orientation)
+            np.testing.assert_array_equal(grads[:, k], grad)
+            assert sens[k] == apply_norm(grad, norm)
+
+    def test_the_empty_set_is_one_region(self, table1_pair):
+        ys = np.zeros((0, 2))
+        np.testing.assert_array_equal(_accuracies(table1_pair, ys, np.asarray([True, False])), [0.5, 0.5])
+        np.testing.assert_array_equal(_gradients(table1_pair, ys, True), np.zeros((4, 2)))
+        assert region_accuracy(table1_pair, (), Orientation.H1_FIRST) == table1_pair.p1
 
 
 class TestAccuracyGradient:

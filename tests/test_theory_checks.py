@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import accsens.boundary_solver as boundary_solver
 import accsens.theory_checks as theory_checks
-from accsens.classifier import Norm, region_accuracy
+from accsens.classifier import Norm, apply_norm, region_accuracy, region_accuracy_gradient
 from accsens.boundary_solver import ml_boundaries
 from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair
 from accsens.errors import AccsensError
 from accsens.theory_checks import (
     ETA_FD_STEP,
+    SENS_FD_STEP,
     Verdict,
     boundary_theta_response,
     check_a1,
@@ -283,3 +284,48 @@ class TestSolverWarnings:
         report = run_all_checks(table1_pair)
         assert report.warnings == ()
         assert "warnings" not in report.to_dict()
+
+
+def _stencil_loop(pair, report, norm, h=SENS_FD_STEP):
+    """d S / d y_i as one boundary at a time, two sensitivity and two arg-max
+    evaluations per boundary; and whether each difference is one-sided."""
+    y = np.asarray(report.roots, dtype=float)
+    orientation = report.orientation
+
+    def sens(b):
+        return apply_norm(region_accuracy_gradient(pair, b, orientation), norm)
+
+    def absmax(b):
+        return int(np.argmax(np.abs(region_accuracy_gradient(pair, b, orientation))))
+
+    j_center, s_center = absmax(y), sens(y)
+    out, one_sided = np.empty(y.size), []
+    for i in range(y.size):
+        step = h * max(1.0, abs(y[i]))
+        y_plus, y_minus = y.copy(), y.copy()
+        y_plus[i] += step
+        y_minus[i] -= step
+        s_plus, s_minus = sens(y_plus), sens(y_minus)
+        ok_plus = ok_minus = True
+        if norm is Norm.INF:
+            ok_plus, ok_minus = absmax(y_plus) == j_center, absmax(y_minus) == j_center
+        if ok_plus and not ok_minus:
+            out[i] = (s_plus - s_center) / step
+        elif ok_minus and not ok_plus:
+            out[i] = (s_center - s_minus) / step
+        else:
+            out[i] = (s_plus - s_minus) / (2.0 * step)
+        one_sided.append(ok_plus != ok_minus)
+    return out, one_sided
+
+
+class TestStencilReference:
+    @pytest.mark.parametrize("name", ["table1_pair", "fig2c_pair"])
+    @pytest.mark.parametrize("norm", list(Norm))
+    def test_batched_stencil_equals_the_per_boundary_loop(self, name, norm, request):
+        pair = request.getfixturevalue(name)
+        report = ml_boundaries(pair, 1.0)
+        expected, one_sided = _stencil_loop(pair, report, norm)
+        np.testing.assert_array_equal(sensitivity_boundary_gradient(pair, report, norm), expected)
+        # fig2c's tied gradient takes the one-sided branch at both boundaries
+        assert all(one_sided) == (name == "fig2c_pair" and norm is Norm.INF)

@@ -9,10 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from accsens.boundary_solver import default_search_interval, ml_boundaries
+from accsens.boundary_solver import default_search_interval, ml_boundaries, optimal_linear_boundary
 from accsens.classifier import (
     BoundarySet,
     GeneralSpec,
+    LinearSpec,
     MLSpec,
     Norm,
     Orientation,
@@ -168,11 +169,7 @@ class TestLinearCurveProperties:
             assert p.orientation is (Orientation.H0_FIRST if acc0 >= 0.5 else Orientation.H1_FIRST)
             spec = GeneralSpec(BoundarySet((y,), p.orientation))
             assert p.accuracy == accuracy(spec, pair)
-            public = sensitivity(spec, pair, norm)
-            if norm is Norm.INF:
-                assert p.sensitivity == public
-            else:
-                assert abs(p.sensitivity - public) <= 1e-15 * public
+            assert p.sensitivity == sensitivity(spec, pair, norm)
 
 
 @pytest.fixture(scope="module")
@@ -568,6 +565,25 @@ def exponential_pairs(draw):
 #: within 1e-3 to 1e-8 of the top, where a two-root pair's level set is a
 #: loop only a few grid cells across.
 positions = st.one_of(st.floats(0.02, 0.98), st.floats(3.0, 8.0).map(lambda k: 1.0 - 10.0**-k))
+
+
+class TestCurvePointsArePublicValues:
+    @settings(max_examples=12, deadline=None)
+    @given(st.one_of(two_root_gaussian_pairs(), exponential_pairs()), st.sampled_from(list(Norm)))
+    def test_every_point_equals_the_public_functions(self, pair, norm):
+        # each curve evaluates its points on arrays; the public functions one
+        # set at a time, and the floats must agree exactly
+        curves = [ml_curve(pair, norm=norm), linear_curve(pair, norm=norm)]
+        for n in (1, 2):
+            curves.append(general_curve(pair, default_zeta_grid(pair, n, steps=5), n, norm))
+        for curve in curves:
+            assert curve.points
+            for p in curve.points:
+                spec = GeneralSpec(BoundarySet(p.boundaries, p.orientation))
+                assert p.accuracy == accuracy(spec, pair)
+                assert p.sensitivity == sensitivity(spec, pair, norm)
+        best = optimal_linear_boundary(pair)
+        assert best.accuracy == accuracy(LinearSpec(best.y, best.orientation), pair)
 
 
 class TestFrontierProperties:
