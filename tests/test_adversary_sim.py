@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from accsens import adversary_sim
 from accsens.adversary_sim import (
     SCENARIOS,
     PerturbationSpec,
@@ -15,6 +18,7 @@ from accsens.densities import DensityModel, HypothesisPair
 from accsens.errors import (
     InvalidParameterError,
     InvalidPerturbationError,
+    SolverFailureError,
     UnresolvedClassifierError,
 )
 
@@ -110,6 +114,13 @@ class TestExperiment:
         with pytest.raises(InvalidParameterError):
             run_experiment(table1_pair, MLSpec(1.0), SCENARIOS["s1"], n_trials=0)
 
+    @pytest.mark.parametrize(
+        "counts", [{"n_obs": 1000.0}, {"n_obs": True}, {"n_obs": "10"}, {"n_trials": 2.5}, {"n_trials": True}]
+    )
+    def test_rejects_non_integer_counts(self, table1_pair, counts):
+        with pytest.raises(InvalidParameterError):
+            run_experiment(table1_pair, MLSpec(1.0), SCENARIOS["s1"], **counts)
+
     @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3", True, None])
     def test_rejects_negative_or_non_integer_seed(self, table1_pair, seed):
         with pytest.raises(InvalidParameterError):
@@ -172,3 +183,62 @@ class TestCountingMatchesLabelling:
         assert report.per_trial_accuracy == _labelled_accuracies(
             pair, spec, perturbation, n_obs, n_trials, seed
         )
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    def test_threaded_trials_match_labelling(self, table1_pair, monkeypatch, cpus):
+        # Three label blocks and a partial one per trial; the report must not
+        # depend on how many workers share the trials.
+        n_obs, n_trials, seed = 3 * 2**16 + 5, 5, 77
+        if cpus is not None:
+            monkeypatch.setattr(adversary_sim, "_usable_cpus", lambda: cpus)
+        workers = min(n_trials, adversary_sim._usable_cpus())
+        threads = set()
+        count = adversary_sim.count_h0_labels
+
+        def counting(bset, x):
+            threads.add(threading.get_ident())
+            return count(bset, x)
+
+        monkeypatch.setattr(adversary_sim, "count_h0_labels", counting)
+        spec, perturbation = MLSpec(1.0), SCENARIOS["s2"]
+        report = run_experiment(
+            table1_pair, spec, perturbation, n_obs=n_obs, n_trials=n_trials, base_seed=seed
+        )
+        assert report.per_trial_accuracy == _labelled_accuracies(
+            table1_pair, spec, perturbation, n_obs, n_trials, seed
+        )
+        assert len(threads) <= workers
+        if workers == 1:
+            assert threads == {threading.get_ident()}
+
+
+class TestThreadedFailure:
+    def test_error_cancels_queued_trials_and_joins_workers(self, table1_pair, monkeypatch):
+        n_trials = 16
+        lock = threading.Lock()
+        calls = {"count": 0, "trials": 0}
+        count, run_trial = adversary_sim.count_h0_labels, adversary_sim._run_trial
+
+        def failing(bset, x):
+            with lock:
+                calls["count"] += 1
+                third = calls["count"] == 3
+            if third:
+                raise SolverFailureError("third count fails")
+            return count(bset, x)
+
+        def started(*args):
+            with lock:
+                calls["trials"] += 1
+            return run_trial(*args)
+
+        monkeypatch.setattr(adversary_sim, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(adversary_sim, "count_h0_labels", failing)
+        monkeypatch.setattr(adversary_sim, "_run_trial", started)
+        before = threading.active_count()
+        with pytest.raises(SolverFailureError):
+            run_experiment(
+                table1_pair, MLSpec(1.0), SCENARIOS["s1"], n_obs=2**16, n_trials=n_trials, base_seed=3
+            )
+        assert calls["trials"] < n_trials
+        assert threading.active_count() == before
