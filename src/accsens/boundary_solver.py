@@ -4,9 +4,12 @@ The boundaries of the ratio classifier at threshold eta are the roots of
 
     p1 * f1(x) - eta * p0 * f0(x) = 0.
 
-For a pair of Gaussians this reduces to a quadratic, solved in closed form
-in the pair's shape coordinates by one array function (``_gaussian_roots``),
-which also serves the design solver.  For arbitrary families the equation is
+Two families have closed forms.  For a pair of Gaussians the equation
+reduces to a quadratic, solved in the pair's shape coordinates by one array
+function (``_gaussian_roots``), which also serves the design solver.  For a
+pair of exponentials the log ratio gap is linear on the support x >= 0, so
+each threshold has at most one root (``_exponential_solve``).  Both cover the
+whole support, not a search interval.  For any other pair the equation is
 scanned on a grid in the log domain (underflow-proof) and every bracketed
 sign change is refined by bisection.  ``_ml_boundaries_many`` solves many
 thresholds at once: in one closed-form call, or by bisecting all their sign
@@ -19,6 +22,7 @@ change no probability, and destabilize downstream derivatives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -41,6 +45,7 @@ BISECTION_STEPS = 200
 
 class RootMethod(str, Enum):
     GAUSSIAN_QUADRATIC = "gaussian_quadratic"
+    EXPONENTIAL_LINEAR = "exponential_linear"
     GRID_BISECTION = "grid_bisection"
 
 
@@ -272,6 +277,60 @@ def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> Likelihood
     return _gaussian_solve(pair, [eta])[0]
 
 
+def _log_rate_ratio(l0: float, l1: float) -> float:
+    """log(l1 / l0) without cancellation: within a factor of 2 the difference
+    l1 - l0 is exact and ``log1p`` keeps every digit of a ratio near 1; a
+    ratio past the normal float range is taken as a difference of logs."""
+    if 0.5 * l0 <= l1 <= 2.0 * l0:
+        return math.log1p((l1 - l0) / l0)
+    ratio = l1 / l0
+    if sys.float_info.min <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(l1) - math.log(l0)
+
+
+def _exponential_solve(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, ...]:
+    """Closed-form reports of an exponential pair at every threshold of ``etas``.
+
+    On the support x >= 0 the log ratio gap of rates l0 against l1 is linear,
+    c + (l0 - l1) x with c = log(p1 l1 / (eta p0 l0)), so each threshold has
+    the one root -c / (l0 - l1), reported where it lies in (0, inf).  H0 wins
+    left of it (everywhere, with no root) where the gap just right of 0 is
+    negative: where c < 0, or at c = 0 where the slope is.  Equal rates
+    leave the constant gap log(p1 / (eta p0)), which H1 wins where
+    p1 > eta p0.
+    """
+    etas = _check_etas(etas)
+    if pair.p0 in (0.0, 1.0):
+        return tuple(_prior_only_report(pair, eta, RootMethod.EXPONENTIAL_LINEAR) for eta in etas)
+    (l0,), (l1,) = pair.h0.params, pair.h1.params
+    if l0 == l1:
+        roots = [()] * len(etas)
+        h0_first = [not pair.p1 > eta * pair.p0 for eta in etas]
+    else:
+        slope = l0 - l1
+        c = np.asarray([_log_k(pair, eta) for eta in etas]) + _log_rate_ratio(l0, l1)
+        roots = [(x,) if 0.0 < x < math.inf else () for x in (-c / slope).tolist()]
+        h0_first = np.where(c != 0.0, c < 0.0, slope < 0.0).tolist()
+    return tuple(
+        LikelihoodRootReport(
+            rs, RootMethod.EXPONENTIAL_LINEAR,
+            Orientation.H0_FIRST if h0 else Orientation.H1_FIRST, res, eta,
+        )
+        for eta, rs, h0, res in zip(etas, roots, h0_first, _check_residuals(pair, etas, roots))
+    )
+
+
+def _closed_form(pair: HypothesisPair):
+    """The closed-form solver of the pair's families, or None."""
+    families = {pair.h0.family, pair.h1.family}
+    if families == {Family.GAUSSIAN}:
+        return _gaussian_solve
+    if families == {Family.EXPONENTIAL}:
+        return _exponential_solve
+    return None
+
+
 def _bisect(fn, lo, hi, level, rising, tol: float, *args) -> np.ndarray:
     """Solve fn(x, *args) = level on every bracket [lo, hi] at once, fn
     monotone on each.
@@ -455,10 +514,10 @@ def ml_boundaries_generic(
 
 def _ml_boundaries_many(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, ...]:
     """``ml_boundaries`` at every threshold of ``etas``, with the same reports:
-    one closed-form call for a Gaussian pair, one grid solve otherwise."""
-    if pair.h0.family is Family.GAUSSIAN and pair.h1.family is Family.GAUSSIAN:
-        return _gaussian_solve(pair, etas)
-    return _grid_solve(pair, etas, None, DEFAULT_GRID)
+    one closed-form call for a Gaussian or exponential pair, one grid solve
+    otherwise."""
+    solve = _closed_form(pair)
+    return solve(pair, etas) if solve is not None else _grid_solve(pair, etas, None, DEFAULT_GRID)
 
 
 def ml_boundaries(
@@ -467,10 +526,14 @@ def ml_boundaries(
     interval: tuple[float, float] | None = None,
     grid: int = DEFAULT_GRID,
 ) -> LikelihoodRootReport:
-    """Closed form for Gaussian pairs, grid scan otherwise."""
-    if pair.h0.family is Family.GAUSSIAN and pair.h1.family is Family.GAUSSIAN:
+    """Closed form for Gaussian and exponential pairs, over the whole
+    support (``interval`` and ``grid`` are not used); grid scan otherwise."""
+    solve = _closed_form(pair)
+    if solve is None:
+        return ml_boundaries_generic(pair, eta, interval, grid)
+    if solve is _gaussian_solve:  # through the public entry point perfbench traces
         return ml_boundaries_gaussian(pair, eta)
-    return ml_boundaries_generic(pair, eta, interval, grid)
+    return solve(pair, [eta])[0]
 
 
 @dataclass(frozen=True)

@@ -486,7 +486,8 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
     theta re-solves (A2 and the identity audit) and the eta stencil (A3),
     1 + 2m + 2 solves for m distribution parameters.  The base and the eta
     stencil come from one ``_ml_boundaries_many`` call: one closed-form call
-    or one grid scan for all three thresholds.  The witness reuses
+    for a Gaussian or exponential pair, or one grid scan otherwise, for all
+    three thresholds.  The witness reuses
     A1 and A3's sensitivity slope, which it would compute identically.
     """
     base, stencil = _eta_stencil(pair, ETA_FD_STEP)

@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import accsens.boundary_solver as boundary_solver
 from accsens.boundary_solver import (
     _bisect,
     _gaussian_pair_roots,
+    _grid_solve,
     _ml_boundaries_many,
     BISECTION_WIDTH,
     DEFAULT_GRID,
@@ -27,6 +29,8 @@ from accsens.boundary_solver import (
 from accsens.classifier import GeneralSpec, MLSpec, Orientation, accuracy, region_accuracy
 from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import EmptyIntervalError, InvalidParameterError, NoRootError
+from accsens.theory_checks import run_all_checks
+from accsens.tradeoff import ml_curve
 from conftest import random_gaussian_pair
 
 
@@ -267,9 +271,10 @@ class TestGridBisection:
         with pytest.raises(EmptyIntervalError):
             ml_boundaries_generic(table1_pair, 1.0, interval=(3.0, 3.0))
 
-    def test_dispatch(self, table1_pair, exp_pair):
+    def test_dispatch(self, table1_pair, exp_pair, custom_exp_pair):
         assert ml_boundaries(table1_pair, 1.0).method is RootMethod.GAUSSIAN_QUADRATIC
-        assert ml_boundaries(exp_pair, 1.0).method is RootMethod.GRID_BISECTION
+        assert ml_boundaries(exp_pair, 1.0).method is RootMethod.EXPONENTIAL_LINEAR
+        assert ml_boundaries(custom_exp_pair, 1.0).method is RootMethod.GRID_BISECTION
 
 
 @st.composite
@@ -379,7 +384,7 @@ class TestManyThresholds:
     @given(exponential_pairs(), eta_grids)
     def test_matches_brentq_per_bracket(self, pair, etas):
         assume(pair.h0 != pair.h1)  # identical models: test_identical_models_no_root
-        for report, eta in zip(_ml_boundaries_many(pair, etas), etas):
+        for report, eta in zip(_grid_solve(pair, etas, None, DEFAULT_GRID), etas):
             assert report.eta == eta
             _assert_matches_reference(report, pair, eta)
 
@@ -390,7 +395,7 @@ class TestManyThresholds:
         pair = HypothesisPair(DensityModel.exponential(1e-6), DensityModel.exponential(3e-6))
         interval = (0.0, 9e6)
         assert default_search_interval(pair) == interval
-        many = _ml_boundaries_many(pair, [0.5, 1.0, 2.0])
+        many = _grid_solve(pair, [0.5, 1.0, 2.0], None, DEFAULT_GRID)
         for report, eta in zip(many, (0.5, 1.0, 2.0)):
             assert report.roots and report == ml_boundaries_generic(pair, eta, interval)
             for r, res in zip(report.roots, report.residuals):
@@ -426,9 +431,9 @@ class TestManyThresholds:
         # the ratio root of this pair sits exactly on the support edge at
         # eta = 1 + 1e-5, a grid point; that solve warns about the parity
         pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0 + 1e-5))
-        many = _ml_boundaries_many(pair, [1.0, 1.0 + 1e-5])
+        many = _grid_solve(pair, [1.0, 1.0 + 1e-5], None, DEFAULT_GRID)
         assert many[1].warnings and "parity" in many[1].warnings[0]
-        assert many == (ml_boundaries(pair, 1.0), ml_boundaries(pair, 1.0 + 1e-5))
+        assert many == (ml_boundaries_generic(pair, 1.0), ml_boundaries_generic(pair, 1.0 + 1e-5))
 
     @pytest.mark.parametrize("p0", [0.0, 1.0])
     def test_single_hypothesis_priors(self, p0):
@@ -455,6 +460,151 @@ class TestManyThresholds:
     def test_invalid_threshold_rejected(self, exp_pair):
         with pytest.raises(InvalidParameterError):
             _ml_boundaries_many(exp_pair, [1.0, 0.0])
+
+
+@st.composite
+def rate_pairs(draw):
+    """Exponential pairs whose rates agree, lie 1e-12 apart, or differ by a
+    factor of up to 1e300 either way."""
+    rate0 = math.exp(draw(st.floats(-7.0, 7.0)))
+    ratio = draw(
+        st.floats(-690.0, 690.0).map(math.exp)
+        | st.floats(-1e-12, 1e-12).map(lambda t: 1.0 + t)
+        | st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1e300, 1e-300])
+    )
+    p0 = draw(st.floats(0.05, 0.95) | st.sampled_from([0.5, 1e-6, 1.0 - 1e-6]))
+    return HypothesisPair(DensityModel.exponential(rate0), DensityModel.exponential(rate0 * ratio), p0)
+
+
+def _exponential_reference(pair, eta):
+    """The gap's value c = log(p1 l1 / (eta p0 l0)) at 0, its slope l0 - l1,
+    the root -c / slope (None at equal rates) and the rounding the root may
+    carry, from the exact float inputs in 60-digit arithmetic.
+
+    The rounding is that of the rounded ratio p1 / p0, of each logarithm of
+    c (an ulp of its size, three for log(l1 / l0)) carried through the
+    slope, and of the root itself, in units of the float epsilon."""
+    eps = np.finfo(float).eps
+    with mpmath.workdps(60):
+        (l0,), (l1,) = (tuple(map(mpmath.mpf, m.params)) for m in pair.models)
+        p0, p1, eta = map(mpmath.mpf, (pair.p0, pair.p1, eta))
+        log_p, log_eta, log_l = mpmath.log(p1 / p0), mpmath.log(eta), mpmath.log(l1 / l0)
+        c, slope = log_p - log_eta + log_l, l0 - l1
+        if slope == 0:
+            return c, slope, None, None
+        x = -c / slope
+        rounded_p = abs(mpmath.mpf(pair.p1 / pair.p0) / (p1 / p0) - 1) / eps
+        return c, slope, x, (rounded_p + abs(log_p) + abs(log_eta) + 3 * abs(log_l)) / abs(slope) + abs(x)
+
+
+def _assert_matches_exponential_reference(report, pair, eta) -> bool:
+    """The report against the reference; False where a root lies within its
+    rounding of the support edge, so that it may be reported or not."""
+    eps = np.finfo(float).eps
+    assert report.method is RootMethod.EXPONENTIAL_LINEAR and report.eta == eta
+    c, slope, x, slack = _exponential_reference(pair, eta)
+    h1_first = report.orientation is Orientation.H1_FIRST
+    if x is None:  # a constant gap
+        assert report.roots == ()
+        if abs(c) > 4 * eps * (2 + abs(c)):
+            assert h1_first == (c > 0)
+        return True
+    tol = 4 * eps * slack
+    if abs(x) <= tol:
+        return False
+    if 0 < x <= sys.float_info.max:
+        (root,) = report.roots
+        assert abs(mpmath.mpf(root) - x) <= tol
+        # the gap has the orientation's sign left of the root, the other one
+        # right of it
+        assert (c + slope * mpmath.mpf(root) / 2 > 0) == h1_first
+        assert (c + slope * mpmath.mpf(root) * 2 > 0) != h1_first
+    else:
+        assert report.roots == ()
+        assert (c + slope > 0) == h1_first  # the sign on the whole support
+    return True
+
+
+class TestExponentialClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(rate_pairs(), eta_grids.map(lambda etas: etas + [1.0]))
+    def test_roots_and_orientation_against_mpmath(self, pair, etas):
+        many = _ml_boundaries_many(pair, etas)
+        assert many == tuple(ml_boundaries(pair, eta) for eta in etas)
+        for report, eta in zip(many, etas):
+            _assert_matches_exponential_reference(report, pair, eta)
+
+    @pytest.mark.parametrize("rates", [(1e-5, 1e305), (1e305, 1e-5), (1e-300, 1e9), (1e9, 1e-300)])
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+    def test_rate_ratios_past_the_float_range(self, rates, eta):
+        # l1 / l0 overflows or underflows; the root still lies inside it
+        pair = HypothesisPair(*map(DensityModel.exponential, rates), 0.3)
+        report = ml_boundaries(pair, eta)
+        assert report.roots and _assert_matches_exponential_reference(report, pair, eta)
+
+    def test_agreement_on_random_pairs(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            rate0, rate1 = rng.uniform(0.2, 5.0, 2)
+            pair = HypothesisPair(
+                DensityModel.exponential(rate0), DensityModel.exponential(rate1), rng.uniform(0.3, 0.7)
+            )
+            eta = float(np.exp(rng.uniform(-2, 2)))
+            closed = ml_boundaries(pair, eta)
+            generic = ml_boundaries_generic(pair, eta)
+            # the closed form covers the whole support; the grid sees the
+            # default search interval only
+            lo, hi = default_search_interval(pair)
+            inside = [r for r in closed.roots if lo < r < hi]
+            assert len(generic.roots) == len(inside)
+            assert generic.orientation is closed.orientation
+            np.testing.assert_allclose(generic.roots, inside, atol=1e-9)
+
+    def test_nearly_equal_rates_keep_every_digit(self):
+        # log(l1 / l0) taken as log(l1) - log(l0) loses 11 digits here; the
+        # grid's root is as far off
+        pair = HypothesisPair(DensityModel.exponential(3.0), DensityModel.exponential(3.00003))
+        exact = mpmath.mpf("0.33333166667777768352658331338258521689902476")
+        (root,) = ml_boundaries(pair, 1.0).roots
+        assert abs(mpmath.mpf(root) - exact) <= np.spacing(root)
+        plain = (math.log(3.00003) - math.log(3.0)) / (3.00003 - 3.0)
+        for off in (plain, ml_boundaries_generic(pair, 1.0).roots[0]):
+            assert abs(mpmath.mpf(off) - exact) > 1e-11 * exact
+
+    @pytest.mark.parametrize("rates, eta, orientation", [
+        ((1.0, 2.0), 2.0, Orientation.H0_FIRST), ((2.0, 1.0), 0.5, Orientation.H1_FIRST),
+    ])
+    def test_root_on_the_support_edge(self, rates, eta, orientation):
+        # the gap is 0 at x = 0 and takes the slope's sign beyond; the grid
+        # reports the edge as a root with a parity warning
+        pair = HypothesisPair(*map(DensityModel.exponential, rates))
+        report = ml_boundaries(pair, eta)
+        assert report.roots == () and report.orientation is orientation
+        generic = ml_boundaries_generic(pair, eta)
+        assert generic.roots == (0.0,) and generic.orientation is orientation and generic.warnings
+
+    def test_roots_beyond_the_search_interval(self, exp_pair):
+        # at eta 1e-6 the root log(2e6) lies past the interval's end 9
+        assert ml_boundaries(exp_pair, 1e-6).roots == (pytest.approx(math.log(2e6), rel=1e-15),)
+        assert ml_boundaries_generic(exp_pair, 1e-6).roots == ()
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+    def test_identical_models_no_root(self, eta):
+        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0), 0.5)
+        report = ml_boundaries(pair, eta)
+        assert report.roots == () and report.method is RootMethod.EXPONENTIAL_LINEAR
+        assert report.orientation is (Orientation.H1_FIRST if eta < 1.0 else Orientation.H0_FIRST)
+
+    def test_no_grid_scan(self, exp_pair, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an exponential pair was scanned on the grid")
+
+        monkeypatch.setattr(boundary_solver, "_grid_solve", refuse)
+        assert ml_boundaries(exp_pair, 1.0).roots
+        assert len(_ml_boundaries_many(exp_pair, [0.5, 1.0, 2.0])) == 3
+        assert optimal_linear_boundary(exp_pair).accuracy == pytest.approx(0.625, abs=1e-12)
+        assert len(ml_curve(exp_pair).points) > 0
+        assert run_all_checks(exp_pair).a2 is not None
 
 
 def _cubic(x):
@@ -506,7 +656,7 @@ class TestBisect:
 
     @pytest.mark.parametrize("eta", sorted(PINNED))
     def test_ratio_roots_are_pinned(self, exp_pair, eta):
-        assert ml_boundaries(exp_pair, eta).roots == self.PINNED[eta]
+        assert ml_boundaries_generic(exp_pair, eta).roots == self.PINNED[eta]
 
 
 class TestResidualCheck:

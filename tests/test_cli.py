@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import accsens
+import accsens.cli
 from accsens.cli import main
+from conftest import custom_exponential_pair
 
 TABLE1 = "table1.json"  # packaged preset
 
@@ -82,33 +84,26 @@ class TestCheckCommand:
         assert "A1: PASS" in out and "A2: PASS" in out and "A3: PASS" in out
         assert "solver warning" not in out
 
-    def test_solver_warnings_are_printed_and_saved(self, tmp_path, capsys):
+    def test_solver_warnings_are_printed_and_saved(self, tmp_path, capsys, monkeypatch):
         # the eta stencil of this one-root pair puts a root exactly on the
-        # support edge, and that grid solve warns about the root parity
-        problem = tmp_path / "p.json"
-        problem.write_text(json.dumps({
-            "h0": {"family": "exponential", "params": {"rate": 1.0}},
-            "h1": {"family": "exponential", "params": {"rate": 1.00001}},
-            "p0": 0.5,
-        }))
-        assert run_cli("check", "--problem", str(problem), "--out", str(tmp_path)) == 0
+        # support edge, and that grid solve warns about the root parity; a
+        # problem file cannot name a custom family, so the loader is replaced
+        pair = custom_exponential_pair(1.0, 1.00001)
+        monkeypatch.setattr(accsens.cli, "_load_problem", lambda path: pair)
+        assert run_cli("check", "--problem", "custom.json", "--out", str(tmp_path)) == 0
         assert "solver warning: root count parity" in capsys.readouterr().out
         payload = json.loads((tmp_path / "check.json").read_text())
         assert len(payload["result"]["warnings"]) == 1
 
 
 class TestCurveCommand:
-    def test_ml_solver_warnings_are_printed_and_saved(self, tmp_path, capsys):
+    def test_ml_solver_warnings_are_printed_and_saved(self, tmp_path, capsys, monkeypatch):
         # at eta = 1.00001 the ratio root of this pair sits exactly on the
-        # support edge, and that solve warns about the root parity
-        problem = tmp_path / "p.json"
-        problem.write_text(json.dumps({
-            "h0": {"family": "exponential", "params": {"rate": 1.0}},
-            "h1": {"family": "exponential", "params": {"rate": 1.00001}},
-            "p0": 0.5,
-        }))
+        # support edge, and that grid solve warns about the root parity
+        pair = custom_exponential_pair(1.0, 1.00001)
+        monkeypatch.setattr(accsens.cli, "_load_problem", lambda path: pair)
         assert run_cli(
-            "curve", "ml", "--problem", str(problem), "--eta-min", "1.00001",
+            "curve", "ml", "--problem", "custom.json", "--eta-min", "1.00001",
             "--eta-max", "1.00001", "--eta-steps", "1", "--out", str(tmp_path), "--format", "json",
         ) == 0
         assert "solver warning: root count parity" in capsys.readouterr().out

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -424,10 +424,15 @@ class TestShapeReduction:
 
     @settings(max_examples=150, deadline=None)
     @given(_kernel_pairs(), st.floats(-20.0, 20.0), st.floats(0.05, 20.0))
+    # widths 8.9e-10 apart: 9 s1 rounds the width ratio of the moved pair one
+    # ulp lower, which moves the sensitivity by 7.4e-8 relative
+    @example((1e-9, 1.0, 0.0, 0.9999999991089222, 0.5), 0.0, 9.0)
     def test_translation_and_scaling(self, theta, shift, scale):
         # The moved pair, evaluated as a design is (the closed form in its own
-        # coordinates), matches the kernel at the shape of the first, with
-        # the sensitivity scaled by 1 / (scale sigma0).
+        # coordinates), matches the kernel at the shape of the first in
+        # accuracy, and at its own shape in sensitivity, scaled by
+        # 1 / (scale sigma0): where the widths nearly agree the sensitivity
+        # turns on the last bit of the width ratio, which the move may round.
         mu0, s0, mu1, s1, p0 = theta
         moved = (scale * mu0 + shift, scale * s0, scale * mu1 + shift, scale * s1)
         # Float rounding may merge two means a few ulps apart; an identical
@@ -439,7 +444,7 @@ class TestShapeReduction:
         # Near a tangential double root the two roots are fixed only to
         # sqrt(eps) and the sensitivity is of the order of their gap.
         for norm in Norm:
-            sens = float(_shape_eval(*shape, p0, norm)[1]) / s0
+            sens = float(_shape_eval(*_shape(*moved), p0, norm)[1]) / s0
             assert _design_eval(moved, p0, norm)[1] * scale == pytest.approx(sens, rel=1e-8, abs=1e-8)
 
     @settings(max_examples=150, deadline=None)

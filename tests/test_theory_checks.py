@@ -27,7 +27,7 @@ from accsens.theory_checks import (
     sensitivity_boundary_gradient,
     sensitivity_slope_witness,
 )
-from conftest import random_gaussian_pair
+from conftest import custom_exponential_pair, random_gaussian_pair
 
 
 class TestA1:
@@ -234,7 +234,7 @@ class TestSolveOnce:
             _one_by_one(pair, norm)
         )
 
-    @pytest.mark.parametrize("fixture", ["table1_pair", "fig2c_pair", "exp_pair"])
+    @pytest.mark.parametrize("fixture", ["table1_pair", "fig2c_pair", "exp_pair", "custom_exp_pair"])
     def test_each_boundary_problem_is_solved_once(self, request, monkeypatch, fixture):
         pair = request.getfixturevalue(fixture)
         calls, scans = [], []
@@ -254,16 +254,18 @@ class TestSolveOnce:
         m = pair.theta.size
         assert len(calls) <= 1 + 2 * m + 2
         assert len({(p.theta.tobytes(), eta) for p, eta in calls}) == len(calls)
-        # the base and the eta stencil share one grid scan
-        gaussian = pair.h0.family is Family.GAUSSIAN
-        assert len(scans) == (0 if gaussian else 1 + 2 * m)
+        # closed forms scan no grid; otherwise the base and the eta stencil
+        # share one grid scan
+        closed_form = pair.h0.family in (Family.GAUSSIAN, Family.EXPONENTIAL)
+        assert len(scans) == (0 if closed_form else 1 + 2 * m)
 
 
 class TestSolverWarnings:
-    # exp(1) against exp(1 + 1e-5): at threshold 1 + ETA_FD_STEP the ratio
-    # root sits exactly on the support edge, a grid point, so that solve of
-    # the eta stencil reports a root-parity warning
-    PAIR = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0 + 1e-5))
+    # exp(1) against exp(1 + 1e-5) as a custom pair, solved on the grid: at
+    # threshold 1 + ETA_FD_STEP the ratio root sits exactly on the support
+    # edge, a grid point, so that solve of the eta stencil reports a
+    # root-parity warning
+    PAIR = custom_exponential_pair(1.0, 1.0 + 1e-5)
 
     def test_stencil_warning_reaches_the_report(self):
         expected = ml_boundaries(self.PAIR, 1.0 + ETA_FD_STEP).warnings

@@ -34,6 +34,7 @@ from accsens.tradeoff import (
     linear_curve,
     ml_curve,
 )
+from conftest import custom_exponential_pair
 
 
 def _point_at(curve: TradeoffCurve, parameter: float):
@@ -85,8 +86,8 @@ class TestMlCurve:
     @pytest.mark.parametrize("eta_grid", [[1.0 + 1e-5], [1.0, 1.0 + 1e-5]])
     def test_solver_warnings_are_kept(self, eta_grid):
         # at eta = 1 + 1e-5 the ratio root of this pair sits exactly on the
-        # support edge, and that solve warns about the root parity
-        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0 + 1e-5))
+        # support edge, and that grid solve warns about the root parity
+        pair = custom_exponential_pair(1.0, 1.0 + 1e-5)
         curve = ml_curve(pair, np.asarray(eta_grid))
         assert curve.metadata["warnings"] == list(ml_boundaries(pair, 1.0 + 1e-5).warnings)
         assert "parity" in curve.metadata["warnings"][0]
