@@ -41,6 +41,8 @@ DEFAULT_GRID = 4096
 SCALE_SPAN = 8.0
 BISECTION_WIDTH = 1e-12
 BISECTION_STEPS = 200
+#: Doubling steps of the outward walk to the saturation points.
+SATURATION_STEPS = 64
 
 
 class RootMethod(str, Enum):
@@ -137,6 +139,33 @@ def default_search_interval(pair: HypothesisPair) -> tuple[float, float]:
     return (lo, hi)
 
 
+def _saturation_points(pair: HypothesisPair, lo: float, hi: float) -> tuple[float, float]:
+    """(L*, H*) outside [lo, hi] where both cdfs read exactly 0 and exactly 1.
+
+    The walk doubles its step outward from the interval and stops at a finite
+    support edge.  A boundary pinned there adds no mass, so the pairs (y, H*)
+    and (L*, y) are the single-boundary classifiers of both orientations, a
+    boundary set followed by H* is the same classifier as the set alone, and
+    one boundary at either point is a constant classifier.
+    """
+    span = hi - lo
+
+    def walk(y: float, direction: float, level: float, edge: float) -> float:
+        step = span
+        for _ in range(SATURATION_STEPS):
+            if pair.h0.cdf(y) == level and pair.h1.cdf(y) == level:
+                break
+            y += direction * step
+            step *= 2.0
+            if direction * (y - edge) >= 0.0:
+                return edge
+        return y
+
+    edge_lo = min(pair.h0.support[0], pair.h1.support[0])
+    edge_hi = max(pair.h0.support[1], pair.h1.support[1])
+    return walk(lo, -1.0, 0.0, edge_lo), walk(hi, 1.0, 1.0, edge_hi)
+
+
 def _gaussian_roots(d, r, level):
     """The closed form of every Gaussian pair: the roots lo <= hi of the
     ratio equation of N(0, 1) against N(d, r), with level = log(1/r) +
@@ -221,23 +250,6 @@ def _gaussian_pair_roots(mu0, sig0, mu1, sig1, log_k):
 
 def _log_k(pair: HypothesisPair, eta: float) -> float:
     return math.log(pair.p1 / pair.p0) - math.log(eta)
-
-
-def gaussian_quadratic_coefficients(
-    pair: HypothesisPair, eta: float
-) -> tuple[float, float, float]:
-    """Coefficients (a, b, c) of the quadratic a x^2 + b x + c, the log ratio
-    gap of a Gaussian pair, whose roots are the boundaries."""
-    (mu0, sig0), (mu1, sig1) = pair.h0.params, pair.h1.params
-    a = 0.5 * (1.0 / (sig0 * sig0) - 1.0 / (sig1 * sig1))
-    b = mu1 / (sig1 * sig1) - mu0 / (sig0 * sig0)
-    c = (
-        math.log(sig0 / sig1)
-        + _log_k(pair, eta)
-        + mu0 * mu0 / (2.0 * (sig0 * sig0))
-        - mu1 * mu1 / (2.0 * (sig1 * sig1))
-    )
-    return a, b, c
 
 
 def _prior_only_report(pair: HypothesisPair, eta: float, method: RootMethod) -> LikelihoodRootReport:
@@ -553,16 +565,20 @@ def optimal_linear_boundary(
 ) -> LinearOptimum:
     """Best single-boundary classifier.
 
-    Candidates are the unit-threshold ratio roots; each is scored under both
-    orientations and the most accurate wins, ties resolved toward the smaller
-    boundary and then toward H0-first.
+    Candidates are the unit-threshold ratio roots and the saturation points
+    H* and L*, where one boundary makes a constant classifier whose accuracy
+    is a prior.  Each is scored under both orientations and the most
+    accurate wins, ties resolved toward the roots, then the smaller root,
+    then H* (where the frontier puts its constant classifier), then
+    H0-first.  A pair whose ratio has no root raises NoRootError.
     """
     report = ml_boundaries(pair, 1.0, interval, grid)
     if not report.roots:
         raise NoRootError("the unit-threshold ratio equation has no root for this pair")
-    # every root in both orientations, H0_FIRST first
-    ys = np.repeat(report.roots, 2)
-    orients = (Orientation.H0_FIRST, Orientation.H1_FIRST) * len(report.roots)
+    l_sat, h_sat = _saturation_points(pair, *default_search_interval(pair))
+    # every candidate in both orientations, H0_FIRST first
+    ys = np.repeat(report.roots + (h_sat, l_sat), 2)
+    orients = (Orientation.H0_FIRST, Orientation.H1_FIRST) * (ys.size // 2)
     accs = _accuracies(pair, ys[None, :], np.arange(ys.size) % 2 == 0)
     best: LinearOptimum | None = None
     for y, orient, acc in zip(ys.tolist(), orients, accs.tolist()):

@@ -197,8 +197,10 @@ class DensityModel:
                 out = np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
         elif self.family is Family.EXPONENTIAL:
             lam = self.params[0]
+            # in the log domain, so that lam exp(-lam x) does not underflow
+            # where exp(-lam x) alone would
             with np.errstate(over="ignore"):
-                out = np.where(x >= 0.0, lam * np.exp(-lam * np.where(x >= 0.0, x, 0.0)), 0.0)
+                out = np.where(x >= 0.0, np.exp(math.log(lam) - lam * np.where(x >= 0.0, x, 0.0)), 0.0)
         else:
             out = np.asarray(self.custom.pdf(x, np.asarray(self.params)), dtype=float)
             lo, hi = self.custom.support

@@ -22,14 +22,14 @@ the ratio roots (``boundary_solver._bisect``), and the grid minima are refined
 together by an array zoom.  A curve makes the pair's set-up (ratio roots,
 saturation points, top accuracy, grid and G = p0 F0 - p1 F1 on the grid)
 once, scans each target on its own, refines the minima of every target
-in one zoom and evaluates every target's point in one call.  Every bisection starts from a bracket already known and halves
-it to its own width: in the scan the grid cell where G crosses the level,
-found by a search of G on the grid; in a zoom round after the first, the
-free boundaries of the last round's samples around the new window.  A
-bracket that misses falls back to the whole segment, so no level-set point
-is lost.  The scan only ranks grid points for the zoom, which solves the
-grid point itself again, so it stops at a ranking tolerance (SCAN_RTOL); one
-boundary has no zoom and is scanned to full precision.  The grid
+in one zoom and evaluates every target's point in one call.  Every
+level-set bisection, in the scan and in every zoom round, starts from one
+bracket rule and halves it to its own width: the grid cell of its segment
+where G crosses the level, found by a search of G on the grid.  A cell that
+misses (a rounding of G) falls back to the free boundary's whole bracket on
+the segment, so no level-set point is lost.  The scan only ranks grid points for the zoom, which solves
+the grid point itself again, so it stops at a ranking tolerance (SCAN_RTOL);
+one boundary has no zoom and is scanned to full precision.  The grid
 reaches out to the saturation points where both cdfs read exactly 0 and 1, so
 every single-boundary classifier and every matched ratio classifier lies on a
 scanned two-boundary branch: neither curve can undercut the two-boundary one,
@@ -59,6 +59,7 @@ import numpy as np
 from .boundary_solver import (
     _bisect,
     _ml_boundaries_many,
+    _saturation_points,
     default_search_interval,
     ml_boundaries,
 )
@@ -84,8 +85,6 @@ ACCURACY_TOL = 1e-6
 DEFAULT_ETA_GRID = (1e-3, 1e3, 400)
 DEFAULT_Y_POINTS = 2001
 DEFAULT_ZETA_POINTS = 60
-#: Doubling steps of the outward walk to the saturation points.
-SATURATION_STEPS = 64
 #: Branch zoom, by the number of fixed boundaries: samples per fixed
 #: boundary, sample spacings kept on either side of the best sample, rounds.
 #: One fixed boundary: each round shrinks the window by a factor 32, from the
@@ -276,76 +275,66 @@ def linear_curve(
 # rank sensitivities in H0_FIRST.
 
 
-def _saturation_points(pair: HypothesisPair, lo: float, hi: float) -> tuple[float, float]:
-    """(L*, H*) outside [lo, hi] where both cdfs read exactly 0 and exactly 1.
+def _cells(grid, seg, target):
+    """The grid cell [ys[c - 1], ys[c]] of segment ``seg`` in which G crosses
+    each target, and G at its ends.
 
-    The walk doubles its step outward from the interval and stops at a finite
-    support edge.  A boundary pinned there adds no mass, so the pairs (y, H*)
-    and (L*, y) are the single-boundary classifiers of both orientations, and
-    a boundary set followed by H* is the same classifier as the set alone.
+    ``grid`` is (ys, G(ys), cuts): segment k runs from ys[cuts[k]] to
+    ys[cuts[k + 1]], and G is monotone on it.  A target that G does not
+    reach on its segment gets the segment's end cell on its side.
     """
-    span = hi - lo
-
-    def walk(y: float, direction: float, level: float, edge: float) -> float:
-        step = span
-        for _ in range(SATURATION_STEPS):
-            if pair.h0.cdf(y) == level and pair.h1.cdf(y) == level:
-                break
-            y += direction * step
-            step *= 2.0
-            if direction * (y - edge) >= 0.0:
-                return edge
-        return y
-
-    edge_lo = min(pair.h0.support[0], pair.h1.support[0])
-    edge_hi = max(pair.h0.support[1], pair.h1.support[1])
-    return walk(lo, -1.0, 0.0, edge_lo), walk(hi, 1.0, 1.0, edge_hi)
+    ys, g_ys, cuts = grid
+    c = np.empty(target.shape, dtype=np.intp)
+    for k, (a, b) in enumerate(zip(cuts[:-1].tolist(), cuts[1:].tolist())):
+        on = seg == k
+        direction = 1.0 if g_ys[b] >= g_ys[a] else -1.0
+        c[on] = a + np.searchsorted(direction * g_ys[a:b + 1], direction * target[on]).clip(1, b - a)
+    return ys[c - 1], ys[c], g_ys[c - 1], g_ys[c]
 
 
-def _bisect_level(pair, lo, hi, g_lo, g_hi, target, tol, near=None):
+def _bisect_level(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol):
     """Solve G(x) = target on every bracket [lo, hi] at once, G monotone on each.
 
-    The arguments broadcast together, and each bracket is bisected until it
-    is narrower than ``tol``.  NaN where the bracket is empty or G does not
-    cross the target on it.  ``near``, when given, is called with the
-    targets of the brackets where G crosses and the mask ``ok`` of those
-    brackets, and returns narrower brackets (lo', hi', G(lo'), G(hi'))
-    expected to hold their roots; each is cut to its [lo, hi] and bisected
-    where G crosses the target on it, the whole bracket elsewhere, so the
-    brackets that yield a root are the same with or without ``near``.
+    The arguments broadcast together, and each bracket lies on the segment
+    ``seg`` of ``grid`` (see ``_cells``).  NaN where the bracket is empty or
+    G does not cross the target on it.  Each bracket is cut to the grid cell
+    of its segment where G crosses the target and bisected until it is
+    narrower than ``tol``; where G does not cross the target on the cut
+    bracket (a rounding of G can do that), the whole bracket is bisected, so
+    no level-set point is lost.
     """
-    lo, hi, g_lo, g_hi, target = np.broadcast_arrays(lo, hi, g_lo, g_hi, target)
+    lo, hi, g_lo, g_hi, target, seg = np.broadcast_arrays(lo, hi, g_lo, g_hi, target, seg)
     ok = (lo < hi) & ((g_lo - target) * (g_hi - target) <= 0.0)
-    lo, hi, g_lo, g_hi, target = (v[ok] for v in (lo, hi, g_lo, g_hi, target))
+    lo, hi, g_lo, g_hi, target, seg = (v[ok] for v in (lo, hi, g_lo, g_hi, target, seg))
     rising = g_hi >= g_lo
-    if near is not None:
-        n_lo, n_hi, gn_lo, gn_hi = near(target, ok)
-        inside_lo, inside_hi = n_lo > lo, n_hi < hi
-        n_lo, gn_lo = np.where(inside_lo, n_lo, lo), np.where(inside_lo, gn_lo, g_lo)
-        n_hi, gn_hi = np.where(inside_hi, n_hi, hi), np.where(inside_hi, gn_hi, g_hi)
-        narrow = (n_lo <= n_hi) & ((gn_lo - target) * (gn_hi - target) <= 0.0)
-        lo, hi = np.where(narrow, n_lo, lo), np.where(narrow, n_hi, hi)
+    c_lo, c_hi, gc_lo, gc_hi = _cells(grid, seg, target)
+    inside_lo, inside_hi = c_lo > lo, c_hi < hi
+    c_lo, gc_lo = np.where(inside_lo, c_lo, lo), np.where(inside_lo, gc_lo, g_lo)
+    c_hi, gc_hi = np.where(inside_hi, c_hi, hi), np.where(inside_hi, gc_hi, g_hi)
+    cut = (c_lo <= c_hi) & ((gc_lo - target) * (gc_hi - target) <= 0.0)
+    lo, hi = np.where(cut, c_lo, lo), np.where(cut, c_hi, hi)
     x = np.full(ok.shape, np.nan)
     x[ok] = _bisect(partial(_gap, pair), lo, hi, target, rising, tol)
     return x
 
 
-def _level_set(pair, d, tol, norm, fixed, free, seg_lo, seg_hi, near=None):
+def _level_set(pair, grid, d, tol, norm, fixed, free, seg):
     """Level-set points G(y_1) - G(y_2) + G(y_3) - ... = d, one boundary free.
 
     ``fixed`` holds the other n - 1 boundaries in order; boundary ``free``
     (counted from 0) is solved to ``tol`` between its fixed neighbours on
-    the segment [seg_lo, seg_hi] of G, from the narrower brackets of
-    ``near`` where they hold the point (see ``_bisect_level``).  The
-    accuracy offset ``d`` is one target's scalar in the scan and a column of
+    the segment ``seg`` of ``grid`` (see ``_bisect_level``).  The accuracy
+    offset ``d`` is one target's scalar in the scan and a column of
     per-minimum offsets in the zoom, which refines the minima of several
     targets at once.  The array arguments broadcast together; G is
     evaluated on them unbroadcast, so the bracket check costs one evaluation
-    per fixed value and per segment end.
+    per fixed value.
     Returns the sensitivity and the n boundaries.  The sensitivity reads inf
     where the segment holds no level-set point or the fixed boundaries are
     out of order.
     """
+    points, g_points, cuts = grid
+    seg_lo, seg_hi = points[cuts[seg]], points[cuts[seg + 1]]
     n = len(fixed) + 1
     # G(y_free) = (-1)^free (d - rest), rest the signed sum of the fixed terms
     rest, lower, upper, g_lower, g_upper = 0.0, -math.inf, math.inf, 0.0, 0.0
@@ -355,9 +344,10 @@ def _level_set(pair, d, tol, norm, fixed, free, seg_lo, seg_hi, near=None):
         lower, g_lower = np.where(free == k + 1, y, lower), np.where(free == k + 1, g, g_lower)
         upper, g_upper = np.where(free == k, y, upper), np.where(free == k, g, g_upper)
     lo, hi = np.maximum(lower, seg_lo), np.minimum(upper, seg_hi)
-    g_lo = np.where(lower > seg_lo, g_lower, _gap(pair, seg_lo))
-    g_hi = np.where(upper < seg_hi, g_upper, _gap(pair, seg_hi))
-    x = _bisect_level(pair, lo, hi, g_lo, g_hi, np.where(free % 2 == 0, d - rest, rest - d), tol, near)
+    g_lo = np.where(lower > seg_lo, g_lower, g_points[cuts[seg]])
+    g_hi = np.where(upper < seg_hi, g_upper, g_points[cuts[seg + 1]])
+    target = np.where(free % 2 == 0, d - rest, rest - d)
+    x = _bisect_level(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol)
     ys = []
     for i in range(n):
         y = x
@@ -374,56 +364,45 @@ def _level_set(pair, d, tol, norm, fixed, free, seg_lo, seg_hi, near=None):
     return s, ys
 
 
-def _taken(bracket, target, ok):
-    """``near`` of brackets known before the targets: each array broadcast to
-    the shape of ``ok`` and taken where it is set."""
-    return tuple(np.broadcast_to(v, ok.shape)[ok] for v in bracket)
-
-
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Half-open index ranges of the consecutive True entries."""
     edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
     return list(zip(np.nonzero(edges == 1)[0].tolist(), np.nonzero(edges == -1)[0].tolist()))
 
 
-def _zoom(solve, gap, tol, ys, idx, free, seg_lo, seg_hi):
+def _zoom(solve, ys, idx, free, seg):
     """Refine the minima found at the grid points ys[idx], all at once.
 
-    ``idx`` holds one array of grid indices per fixed boundary.  Each round
-    samples every minimum on a grid of offsets of its fixed boundaries,
-    offset 0 at the current best point and each half spanning its own window
-    side (the grid is not uniform where ratio roots are inserted).  The
-    window starts at the neighbouring grid points and then shrinks around
-    the best sample (see ZOOM), never past the starting window.  A sample
-    whose free boundary leaves the segment reads inf, so a branch that ends
-    inside a cell is refined up to its end.  Returns the sensitivity and the
+    ``idx`` holds one array of grid indices per fixed boundary, and ``free``
+    and ``seg`` the free boundary and the segment of each minimum.  Each
+    round samples every minimum on a grid of offsets of its fixed
+    boundaries, offset 0 at the current best point and each half spanning
+    its own window side (the grid is not uniform where ratio roots are
+    inserted), and ``solve`` bisects each sample's free boundary in the grid
+    cell where its level set crosses (see ``_bisect_level``).  The window
+    starts at the neighbouring grid points and then shrinks around the best
+    sample (see ZOOM), never past the starting window.  A sample whose free
+    boundary leaves the segment reads inf, so a branch that ends inside a
+    cell is refined up to its end.  Returns the sensitivity and the
     boundaries of each minimum's best sample.
-
-    The first round solves the free boundary on its whole segment.  Along a
-    branch it is monotone in each fixed boundary, so a later round brackets
-    it by the free boundaries of the last round's samples that span the new
-    window, widened by their spread where one of those samples is off the
-    branch, and by ``tol``, the precision ``solve`` solves them to; it falls
-    back to the segment where that bracket misses.  ``gap`` is G.
     """
     points, keep, rounds = ZOOM[len(idx)]
     shape = (points,) * len(idx)
     u = np.linspace(-1.0, 1.0, points)
-    sample_pos = np.indices(shape).reshape(len(idx), -1)
-    offsets = [u[k] for k in sample_pos]
+    offsets = [u[k] for k in np.indices(shape).reshape(len(idx), -1)]
     half = points // 2
     lo_end = [ys[np.maximum(i - 1, 0)][:, None] for i in idx]
     hi_end = [ys[np.minimum(i + 1, ys.size - 1)][:, None] for i in idx]
     centre = [ys[i][:, None] for i in idx]
     below = [c - e for c, e in zip(centre, lo_end)]
     above = [e - c for c, e in zip(centre, hi_end)]
-    seg_lo, seg_hi, near = seg_lo[:, None], seg_hi[:, None], None
+    free, seg = free[:, None], seg[:, None]
     for _ in range(rounds):
         fixed = tuple(
             np.clip(c + o * np.where(o < 0.0, b, a), e0, e1)
             for c, o, b, a, e0, e1 in zip(centre, offsets, below, above, lo_end, hi_end)
         )
-        s, bounds = solve(fixed, free[:, None], seg_lo, seg_hi, near)
+        s, bounds = solve(fixed, free, seg)
         j = np.argmin(s, axis=1, keepdims=True)
         centre = [np.take_along_axis(f, j, axis=1) for f in fixed]
         # `keep` sample spacings on either side of the best sample
@@ -432,20 +411,6 @@ def _zoom(solve, gap, tol, ys, idx, free, seg_lo, seg_hi):
             [np.where(p <= half, b, a) * (keep / half) for p, b, a in zip(pos, below, above)],
             [np.where(p >= half, a, b) * (keep / half) for p, b, a in zip(pos, below, above)],
         )
-        # the free boundaries of the samples within `keep` of the best one;
-        # near the window's edge some of them lie outside it
-        x = np.choose(free[:, None], bounds)
-        span = np.all([np.abs(q - p) <= keep for q, p in zip(sample_pos, pos)], axis=0)
-        on = span & ~np.isnan(x)
-        x_lo = np.min(np.where(on, x, math.inf), axis=1, keepdims=True)
-        x_hi = np.max(np.where(on, x, -math.inf), axis=1, keepdims=True)
-        off = np.any(span & ~on, axis=1, keepdims=True)
-        off |= np.any([(p < keep) | (p >= points - keep) for p in pos], axis=0)
-        spread = tol + np.where(off, x_hi - x_lo, 0.0)
-        # clipped to the segment, so that G is evaluated on finite points
-        b_lo = np.clip(x_lo - spread, seg_lo, seg_hi)
-        b_hi = np.clip(x_hi + spread, seg_lo, seg_hi)
-        near = partial(_taken, (b_lo, b_hi, gap(b_lo), gap(b_hi)))
     return tuple(np.take_along_axis(v, j, axis=1)[:, 0] for v in (s, *bounds))
 
 
@@ -598,8 +563,8 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     if not scanned:
         return zetas, evaluated(outcomes), 0
 
-    grid = _y_grid(lo, hi, base.roots)
-    ys = np.unique(np.concatenate([grid[(grid > l_sat) & (grid < h_sat)], [l_sat, h_sat]]))
+    points = _y_grid(lo, hi, base.roots)
+    ys = np.unique(np.concatenate([points[(points > l_sat) & (points < h_sat)], [l_sat, h_sat]]))
     cuts = np.searchsorted(ys, [l_sat, *(r for r in base.roots if l_sat < r < h_sat), h_sat])
     # one array of grid indices per fixed boundary
     if n_boundaries == 3:
@@ -608,24 +573,8 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
         scan = np.triu_indices(ys.size)
     else:
         scan = (np.arange(ys.size),) * (n_boundaries - 1)
-    seg_lo, seg_hi = ys[cuts[:-1]], ys[cuts[1:]]
     fixed = tuple(ys[i][:, None] for i in scan)
-    g_ys = _gap(pair, ys)
-    # (first grid index, direction, G times the direction) of every segment
-    segments = []
-    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        direction = 1.0 if g_ys[b] >= g_ys[a] else -1.0
-        segments.append((a, direction, direction * g_ys[a:b + 1]))
-
-    def cells(target, ok):
-        """The grid cell where G crosses each target on its segment, the last axis of ``ok``."""
-        seg = np.nonzero(ok)[-1]
-        c = np.empty(target.shape, dtype=np.intp)
-        for k, (a, direction, g) in enumerate(segments):
-            on = seg == k
-            c[on] = a + np.searchsorted(g, direction * target[on])
-        c = c.clip(1, ys.size - 1)
-        return ys[c - 1], ys[c], g_ys[c - 1], g_ys[c]
+    grid = (ys, _gap(pair, ys), cuts)
 
     # the scan only ranks the grid points that a zoom refines
     eps_tol = 2.0 * np.finfo(float).eps * (hi - lo)
@@ -640,7 +589,7 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
         d = (targets[t] - base_acc) * sign
         # shape (free boundary, grid point or pair, segment)
         s, bounds = _level_set(
-            pair, d, scan_tol, norm, fixed, free[:, None, None], seg_lo, seg_hi, cells
+            pair, grid, d, scan_tol, norm, fixed, free[:, None, None], np.arange(cuts.size - 1)
         )
         found = np.isfinite(s)
         # the grid minimum of every branch (n = 2) or of every free boundary and segment
@@ -659,9 +608,8 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     refined = 0
     if minima:
         owner, d, r, i, k = (np.asarray(column) for column in zip(*minima))
-        solve = partial(_level_set, pair, d[:, None], eps_tol, norm)
-        idx = tuple(j[i] for j in scan)
-        zoomed = _zoom(solve, partial(_gap, pair), eps_tol, ys, idx, free[r], seg_lo[k], seg_hi[k])
+        solve = partial(_level_set, pair, grid, d[:, None], eps_tol, norm)
+        zoomed = _zoom(solve, ys, tuple(j[i] for j in scan), free[r], k)
         refined = int(owner.size)
         for t in np.unique(owner).tolist():
             candidates[t].append(tuple(v[owner == t] for v in zoomed))
@@ -711,7 +659,9 @@ def constrained_min_sensitivity(
     true minimum.  The best zoom result is kept; the zoom's first round
     solves each grid minimum itself again, so the scan, which only ranks the
     grid points, never gives the answer.  Three boundaries also take the
-    two-boundary minimum as a candidate.
+    two-boundary minimum as a candidate.  Every level-set point, in the scan
+    and in every zoom round, is bisected from one grid cell: the cell of its
+    segment where the accuracy crosses the target.
 
     This is the one-target case of the solver that ``general_curve`` runs on
     its whole grid.  A target that is not a finite number in [0, 1] raises

@@ -19,18 +19,17 @@ from accsens.boundary_solver import (
     RESIDUAL_RTOL,
     RootMethod,
     default_search_interval,
-    gaussian_quadratic_coefficients,
     log_ratio_gap,
     ml_boundaries,
     ml_boundaries_gaussian,
     ml_boundaries_generic,
     optimal_linear_boundary,
 )
-from accsens.classifier import GeneralSpec, MLSpec, Orientation, accuracy, region_accuracy
+from accsens.classifier import GeneralSpec, LinearSpec, MLSpec, Orientation, accuracy, region_accuracy
 from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import EmptyIntervalError, InvalidParameterError, NoRootError
 from accsens.theory_checks import run_all_checks
-from accsens.tradeoff import ml_curve
+from accsens.tradeoff import default_zeta_grid, ml_curve
 from conftest import random_gaussian_pair
 
 
@@ -63,9 +62,15 @@ class TestGaussianQuadratic:
 
     def test_near_tangency_cases(self, table1_pair):
         # at the critical threshold the two boundaries coalesce; just above it
-        # they vanish and the all-H0 region carries (almost) the same accuracy
-        a, b, c0 = gaussian_quadratic_coefficients(table1_pair, 1.0)
-        eta_crit = math.exp(c0 - b * b / (4 * a))
+        # they vanish and the all-H0 region carries (almost) the same accuracy.
+        # In the shape coordinates of _gaussian_roots the discriminant
+        # d^2 / r^2 - 4 a level is 0 there, with level = log(1 / r) +
+        # log(p1 / (eta p0))
+        (mu0, sig0), (mu1, sig1) = table1_pair.h0.params, table1_pair.h1.params
+        d, r = (mu1 - mu0) / sig0, sig1 / sig0
+        a = (r - 1.0) * (r + 1.0) / (2.0 * r * r)
+        level = d * d / (r * r) / (4.0 * a)
+        eta_crit = math.exp(math.log(1.0 / r) + math.log(table1_pair.p1 / table1_pair.p0) - level)
         below = ml_boundaries_gaussian(table1_pair, eta_crit * (1 - 1e-8))
         above = ml_boundaries_gaussian(table1_pair, eta_crit * (1 + 1e-8))
         assert len(below.roots) == 2 and above.roots == ()
@@ -571,6 +576,20 @@ class TestExponentialClosedForm:
         for off in (plain, ml_boundaries_generic(pair, 1.0).roots[0]):
             assert abs(mpmath.mpf(off) - exact) > 1e-11 * exact
 
+    def test_weighted_density_past_the_range_of_its_exponential(self):
+        # at the root exp(-1e300 x) is exp(-1381), which underflows to 0,
+        # while 1e300 exp(-1381) is about 1e-300: the pdf, taken in the log
+        # domain, keeps it, so the residual check accepts the exact root
+        pair = HypothesisPair(DensityModel.exponential(1e300), DensityModel.exponential(1e-300), 0.3)
+        report = ml_boundaries(pair, 1.0)
+        assert report.roots == (1.38070375793604e-297,)
+        assert _assert_matches_exponential_reference(report, pair, 1.0)
+        with mpmath.workdps(60):
+            l0, l1, p0, p1 = map(mpmath.mpf, (1e300, 1e-300, pair.p0, pair.p1))
+            exact = mpmath.log(p0 * l0 / (p1 * l1)) / (l0 - l1)
+            assert abs(mpmath.mpf(report.roots[0]) - exact) <= np.spacing(report.roots[0])
+        assert pair.h0.pdf(report.roots[0]) > 0.0
+
     @pytest.mark.parametrize("rates, eta, orientation", [
         ((1.0, 2.0), 2.0, Orientation.H0_FIRST), ((2.0, 1.0), 0.5, Orientation.H1_FIRST),
     ])
@@ -767,6 +786,16 @@ class TestOptimalLinear:
         for r in report.roots:
             for orient in Orientation:
                 assert region_accuracy(table1_pair, (r,), orient) <= full + 1e-12
+
+    def test_constant_classifier_beats_every_root(self):
+        # the prior 0.8 is above both roots' single-boundary classifiers
+        # (0.77367 at best); one boundary at H* reaches it, the top of the
+        # one-boundary frontier
+        pair = HypothesisPair(DensityModel.gaussian(0, 9), DensityModel.gaussian(9, 4), 0.8)
+        best = optimal_linear_boundary(pair)
+        assert best.accuracy == default_zeta_grid(pair, 1)[-1] == 0.8
+        assert best.orientation is Orientation.H0_FIRST and best.y > max(ml_boundaries(pair).roots)
+        assert best.accuracy == accuracy(LinearSpec(best.y, best.orientation), pair)
 
     def test_no_root_error(self):
         pair = HypothesisPair(DensityModel.gaussian(1, 2), DensityModel.gaussian(1, 2), 0.5)

@@ -25,6 +25,7 @@ from accsens.classifier import (
 )
 from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import InfeasibleTargetError, InvalidParameterError, SolverFailureError
+from accsens import tradeoff
 from accsens.tradeoff import (
     _assemble,
     TradeoffCurve,
@@ -448,6 +449,36 @@ class TestBoundaryCounts:
         a, b = (general_curve(table1_pair, np.asarray([0.6734]), 3).to_csv_text() for _ in range(2))
         assert a == b
         assert a.splitlines()[0] == "accuracy,sensitivity,y1,y2,y3,provenance"
+
+
+class TestLevelSetBrackets:
+    @pytest.mark.parametrize("norm", [Norm.INF, Norm.TWO])
+    @pytest.mark.parametrize("name", ["table1_pair", "exp_pair"])
+    @pytest.mark.parametrize("n_boundaries", [1, 2, 3])
+    def test_every_bisection_starts_from_one_grid_cell(self, name, n_boundaries, norm, request, monkeypatch):
+        # in the scan and in every zoom round, no bracket handed to the
+        # bisection holds a point of its grid inside, so none is a whole
+        # segment
+        pair = request.getfixturevalue(name)
+        grids, brackets = [], []
+        level, bisect = tradeoff._bisect_level, tradeoff._bisect
+
+        def recording_level(pair, grid, *args):
+            grids.append(grid[0])
+            return level(pair, grid, *args)
+
+        def checked_bisect(fn, lo, hi, *args):
+            ys = grids[-1]
+            inside = np.searchsorted(ys, hi, side="left") - np.searchsorted(ys, lo, side="right")
+            assert np.all(inside <= 0), f"{int(np.sum(inside > 0))} of {lo.size} brackets span grid points"
+            brackets.append(lo.size)
+            return bisect(fn, lo, hi, *args)
+
+        monkeypatch.setattr(tradeoff, "_bisect_level", recording_level)
+        monkeypatch.setattr(tradeoff, "_bisect", checked_bisect)
+        curve = general_curve(pair, default_zeta_grid(pair, n_boundaries, steps=8), n_boundaries, norm)
+        assert curve.points and not curve.metadata["failed_zetas"]
+        assert sum(brackets) > 0
 
 
 class TestOneRootTopPoint:
