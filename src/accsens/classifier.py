@@ -191,6 +191,11 @@ def _gap(pair: HypothesisPair, y) -> np.ndarray:
     return pair.p0 * np.asarray(pair.h0.cdf(y)) - pair.p1 * np.asarray(pair.h1.cdf(y))
 
 
+def _gap_slope(pair: HypothesisPair, y) -> np.ndarray:
+    """G'(y) = p0 f0(y) - p1 f1(y) on an array, one pdf call per density."""
+    return pair.p0 * np.asarray(pair.h0.pdf(y)) - pair.p1 * np.asarray(pair.h1.pdf(y))
+
+
 def _alternating(terms: np.ndarray) -> np.ndarray:
     """terms[0] - terms[1] + terms[2] - ..., summed in that order over the
     first axis, so that a column's sum does not depend on the others."""
@@ -276,7 +281,7 @@ def region_accuracy_boundary_gradient(
 ) -> np.ndarray:
     """d accuracy / d y_i at fixed parameters."""
     b = np.asarray(boundaries, dtype=float)
-    return boundary_signs(b.size, orientation) * (pair.p0 * pair.h0.pdf(b) - pair.p1 * pair.h1.pdf(b))
+    return boundary_signs(b.size, orientation) * _gap_slope(pair, b)
 
 
 # ---- public operations ----

@@ -16,20 +16,24 @@ Three sweeps produce comparable curves for one hypothesis pair:
 The constrained minimum is nonconvex.  For 1, 2 or 3 boundaries in the
 orientation of the maximum-accuracy classifier it is found by a deterministic
 scan of the accuracy level set (see ``constrained_min_sensitivity``): with all
-boundaries but one fixed on a grid, the free one is bisected on each segment
-where the accuracy is monotone in it, by the array bisection that also solves
-the ratio roots (``boundary_solver._bisect``), and the grid minima are refined
+boundaries but one fixed on a grid, the free one is solved on each segment
+where the accuracy is monotone in it, and the grid minima are refined
 together by an array zoom.  A curve makes the pair's set-up (ratio roots,
 saturation points, top accuracy, grid and G = p0 F0 - p1 F1 on the grid)
 once, scans each target on its own, refines the minima of every target
 in one zoom and evaluates every target's point in one call.  Every
-level-set bisection, in the scan and in every zoom round, starts from one
-bracket rule and halves it to its own width: the grid cell of its segment
-where G crosses the level, found by a search of G on the grid.  A cell that
-misses (a rounding of G) falls back to the free boundary's whole bracket on
-the segment, so no level-set point is lost.  The scan only ranks grid points for the zoom, which solves
-the grid point itself again, so it stops at a ranking tolerance (SCAN_RTOL);
-one boundary has no zoom and is scanned to full precision.  The grid
+level-set solve, in the scan and in every zoom round, starts from one
+bracket rule: the grid cell of its segment where G crosses the level, found
+by a search of G on the grid.  A cell that misses (a rounding of G) falls
+back to the free boundary's whole bracket on the segment, so no level-set
+point is lost.  From the cell's regula falsi point, safeguarded Newton steps
+on G, whose slope G' = p0 f0 - p1 f1 is the accuracy's boundary gradient,
+solve every bracket of a call at once (``_newton``); a step that leaves its
+bracket falls back to regula falsi and bisection in turn.  The scan only
+ranks grid points for the zoom, which solves the grid point itself again,
+so it stops at a ranking tolerance (SCAN_RTOL); one boundary has no zoom
+and is scanned to full precision.  A reported boundary where both cdfs
+read exactly 1 (or 0) lies at H* (or L*).  The grid
 reaches out to the saturation points where both cdfs read exactly 0 and 1, so
 every single-boundary classifier and every matched ratio classifier lies on a
 scanned two-boundary branch: neither curve can undercut the two-boundary one,
@@ -57,7 +61,7 @@ from functools import partial
 import numpy as np
 
 from .boundary_solver import (
-    _bisect,
+    BISECTION_STEPS,
     _ml_boundaries_many,
     _saturation_points,
     default_search_interval,
@@ -69,6 +73,7 @@ from .classifier import (
     _accuracies,
     _evaluate,
     _gap,
+    _gap_slope,
     _gradients,
     _norms,
     region_accuracy,
@@ -292,29 +297,91 @@ def _cells(grid, seg, target):
     return ys[c - 1], ys[c], g_ys[c - 1], g_ys[c]
 
 
-def _bisect_level(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol):
+def _falsi(lo, hi, r_lo, r_hi):
+    """The regula falsi point of each bracket [lo, hi] whose ends read r_lo
+    and r_hi, or its midpoint where that point is not in the bracket."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = lo - r_lo * ((hi - lo) / (r_hi - r_lo))
+    return np.where((z >= lo) & (z <= hi), z, 0.5 * (lo + hi))
+
+
+def _newton(pair, lo, hi, g_lo, g_hi, target, tol):
+    """Solve G(x) = target on every bracket [lo, hi] at once by safeguarded
+    Newton steps; G is monotone on each bracket, and G(lo) = g_lo and
+    G(hi) = g_hi lie on either side of the target.
+
+    The arguments are one-dimensional, one entry per bracket.  The first
+    point is the bracket's regula falsi point, and each point evaluated
+    replaces the bracket end on its side of the target.  The Newton step
+    x - (G(x) - target) / G'(x), G' = p0 f0 - p1 f1, is taken when it lands
+    inside the open bracket; otherwise (G' is 0 or NaN, or the step leaves
+    the bracket) the next point is the bracket's regula falsi point and its
+    midpoint in turn, so a bracket that shrinks from one side still halves.
+    A bracket stops at the point whose |G - target| lies within G's rounding
+    band, 4 eps (p0 F0 + p1 F1 + |target|), where no float is a better root;
+    at the Newton point of a step shorter than ``tol`` that stays in the
+    bracket; or at its midpoint once it is narrower than ``tol`` or has
+    taken BISECTION_STEPS points.  Stopped brackets leave the arrays, so a
+    root does not depend on the other brackets.
+    """
+    band = 4.0 * np.finfo(float).eps
+    x = np.empty(lo.shape)
+    todo = np.arange(lo.size)
+    r_lo, r_hi = g_lo - target, g_hi - target
+    rising = r_hi >= r_lo
+    halve = np.zeros(lo.shape, dtype=bool)  # the next fallback is the midpoint
+    z = _falsi(lo, hi, r_lo, r_hi)
+    for _ in range(BISECTION_STEPS):
+        if not todo.size:
+            return x
+        f0, f1 = pair.p0 * np.asarray(pair.h0.cdf(z)), pair.p1 * np.asarray(pair.h1.cdf(z))
+        r = f0 - f1 - target
+        right = ~(r >= 0.0) == rising  # the root lies right of z; NaN counts as below
+        lo, r_lo = np.where(right, z, lo), np.where(right, r, r_lo)
+        hi, r_hi = np.where(right, hi, z), np.where(right, r_hi, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = z - r / _gap_slope(pair, z)
+        newton = (step > lo) & (step < hi)  # NaN fails
+        hit = np.abs(r) <= band * (f0 + f1 + np.abs(target))
+        short = (step >= lo) & (step <= hi) & (np.abs(step - z) < tol)
+        done = hit | short | (hi - lo < tol)
+        mid = 0.5 * (lo + hi)
+        root = np.where(hit, z, np.where(short, step, mid))
+        z = np.where(newton, step, np.where(halve, mid, _falsi(lo, hi, r_lo, r_hi)))
+        halve = halve != ~newton  # each fallback turns it
+        if done.any():
+            x[todo[done]] = root[done]
+            keep = ~done
+            todo, lo, hi, r_lo, r_hi, target, rising, halve, z = (
+                v[keep] for v in (todo, lo, hi, r_lo, r_hi, target, rising, halve, z)
+            )
+    x[todo] = 0.5 * (lo + hi)
+    return x
+
+
+def _level_root(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol):
     """Solve G(x) = target on every bracket [lo, hi] at once, G monotone on each.
 
     The arguments broadcast together, and each bracket lies on the segment
     ``seg`` of ``grid`` (see ``_cells``).  NaN where the bracket is empty or
     G does not cross the target on it.  Each bracket is cut to the grid cell
-    of its segment where G crosses the target and bisected until it is
-    narrower than ``tol``; where G does not cross the target on the cut
-    bracket (a rounding of G can do that), the whole bracket is bisected, so
-    no level-set point is lost.
+    of its segment where G crosses the target and solved there by ``_newton``
+    to ``tol``; where G does not cross the target on the cut bracket (a
+    rounding of G can do that), the whole bracket is solved, so no level-set
+    point is lost.
     """
     lo, hi, g_lo, g_hi, target, seg = np.broadcast_arrays(lo, hi, g_lo, g_hi, target, seg)
     ok = (lo < hi) & ((g_lo - target) * (g_hi - target) <= 0.0)
     lo, hi, g_lo, g_hi, target, seg = (v[ok] for v in (lo, hi, g_lo, g_hi, target, seg))
-    rising = g_hi >= g_lo
     c_lo, c_hi, gc_lo, gc_hi = _cells(grid, seg, target)
     inside_lo, inside_hi = c_lo > lo, c_hi < hi
     c_lo, gc_lo = np.where(inside_lo, c_lo, lo), np.where(inside_lo, gc_lo, g_lo)
     c_hi, gc_hi = np.where(inside_hi, c_hi, hi), np.where(inside_hi, gc_hi, g_hi)
     cut = (c_lo <= c_hi) & ((gc_lo - target) * (gc_hi - target) <= 0.0)
-    lo, hi = np.where(cut, c_lo, lo), np.where(cut, c_hi, hi)
+    lo, g_lo = np.where(cut, c_lo, lo), np.where(cut, gc_lo, g_lo)
+    hi, g_hi = np.where(cut, c_hi, hi), np.where(cut, gc_hi, g_hi)
     x = np.full(ok.shape, np.nan)
-    x[ok] = _bisect(partial(_gap, pair), lo, hi, target, rising, tol)
+    x[ok] = _newton(pair, lo, hi, g_lo, g_hi, target, tol)
     return x
 
 
@@ -323,7 +390,7 @@ def _level_set(pair, grid, d, tol, norm, fixed, free, seg):
 
     ``fixed`` holds the other n - 1 boundaries in order; boundary ``free``
     (counted from 0) is solved to ``tol`` between its fixed neighbours on
-    the segment ``seg`` of ``grid`` (see ``_bisect_level``).  The accuracy
+    the segment ``seg`` of ``grid`` (see ``_level_root``).  The accuracy
     offset ``d`` is one target's scalar in the scan and a column of
     per-minimum offsets in the zoom, which refines the minima of several
     targets at once.  The array arguments broadcast together; G is
@@ -347,7 +414,7 @@ def _level_set(pair, grid, d, tol, norm, fixed, free, seg):
     g_lo = np.where(lower > seg_lo, g_lower, g_points[cuts[seg]])
     g_hi = np.where(upper < seg_hi, g_upper, g_points[cuts[seg + 1]])
     target = np.where(free % 2 == 0, d - rest, rest - d)
-    x = _bisect_level(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol)
+    x = _level_root(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol)
     ys = []
     for i in range(n):
         y = x
@@ -378,8 +445,8 @@ def _zoom(solve, ys, idx, free, seg):
     round samples every minimum on a grid of offsets of its fixed
     boundaries, offset 0 at the current best point and each half spanning
     its own window side (the grid is not uniform where ratio roots are
-    inserted), and ``solve`` bisects each sample's free boundary in the grid
-    cell where its level set crosses (see ``_bisect_level``).  The window
+    inserted), and ``solve`` solves each sample's free boundary in the grid
+    cell where its level set crosses (see ``_level_root``).  The window
     starts at the neighbouring grid points and then shrinks around the best
     sample (see ZOOM), never past the starting window.  A sample whose free
     boundary leaves the segment reads inf, so a branch that ends inside a
@@ -515,17 +582,24 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     def evaluated(outcomes: list) -> list:
         """The outcomes with each boundary set chosen for a target replaced by
         its point, all evaluated in one call; a point that misses its target
-        by more than ACCURACY_TOL, or an accuracy outside [0, 1], refuses it."""
+        by more than ACCURACY_TOL, or an accuracy outside [0, 1], refuses it.
+
+        A boundary where both cdfs read exactly 1 is reported at H*, and one
+        where both read exactly 0 at L*: G is flat there, so the solver may
+        leave it anywhere in the run, and the pinned set is the same
+        classifier.  The boundaries stay in order."""
         chosen = [t for t, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
         ys = np.asarray([outcomes[t] for t in chosen]).reshape(-1, n_boundaries).T
+        f0, f1 = np.asarray(pair.h0.cdf(ys)), np.asarray(pair.h1.cdf(ys))
+        ys = np.where((f0 == 1.0) & (f1 == 1.0), h_sat, np.where((f0 == 0.0) & (f1 == 0.0), l_sat, ys))
         try:
             accs = _accuracies(pair, ys, h0_first).tolist()
         except SolverFailureError as exc:
             return [exc if isinstance(outcome, tuple) else outcome for outcome in outcomes]
         sens = _norms(_gradients(pair, ys, h0_first), norm).tolist()
-        for t, acc, s in zip(chosen, accs, sens):
+        for t, acc, s, bounds in zip(chosen, accs, sens, ys.T.tolist()):
             zeta = targets[t]
-            outcomes[t] = TradeoffPoint(acc, s, outcomes[t], orientation, "constrained", zeta)
+            outcomes[t] = TradeoffPoint(acc, s, tuple(bounds), orientation, "constrained", zeta)
             if abs(acc - zeta) > ACCURACY_TOL:
                 outcomes[t] = SolverFailureError(
                     f"refined point misses accuracy target: |{acc!r} - {zeta!r}| > {ACCURACY_TOL}"
@@ -660,8 +734,10 @@ def constrained_min_sensitivity(
     solves each grid minimum itself again, so the scan, which only ranks the
     grid points, never gives the answer.  Three boundaries also take the
     two-boundary minimum as a candidate.  Every level-set point, in the scan
-    and in every zoom round, is bisected from one grid cell: the cell of its
-    segment where the accuracy crosses the target.
+    and in every zoom round, is solved by safeguarded Newton steps from one
+    grid cell: the cell of its segment where the accuracy crosses the
+    target.  A boundary where both cdfs read exactly 1 (or 0), in the flat
+    tail where the solver may leave it anywhere, is reported at H* (or L*).
 
     This is the one-target case of the solver that ``general_curve`` runs on
     its whole grid.  A target that is not a finite number in [0, 1] raises

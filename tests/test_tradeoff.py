@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from accsens.boundary_solver import default_search_interval, ml_boundaries, optimal_linear_boundary
+from accsens.boundary_solver import (
+    _bisect,
+    _saturation_points,
+    default_search_interval,
+    ml_boundaries,
+    optimal_linear_boundary,
+)
 from accsens.classifier import (
     BoundarySet,
     GeneralSpec,
@@ -17,6 +24,8 @@ from accsens.classifier import (
     MLSpec,
     Norm,
     Orientation,
+    _gap,
+    _gap_slope,
     accuracy,
     apply_norm,
     region_accuracy,
@@ -27,6 +36,7 @@ from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import InfeasibleTargetError, InvalidParameterError, SolverFailureError
 from accsens import tradeoff
 from accsens.tradeoff import (
+    SCAN_RTOL,
     _assemble,
     TradeoffCurve,
     constrained_min_sensitivity,
@@ -455,30 +465,46 @@ class TestLevelSetBrackets:
     @pytest.mark.parametrize("norm", [Norm.INF, Norm.TWO])
     @pytest.mark.parametrize("name", ["table1_pair", "exp_pair"])
     @pytest.mark.parametrize("n_boundaries", [1, 2, 3])
-    def test_every_bisection_starts_from_one_grid_cell(self, name, n_boundaries, norm, request, monkeypatch):
+    def test_every_level_set_solve_starts_from_one_grid_cell(self, name, n_boundaries, norm, request, monkeypatch):
         # in the scan and in every zoom round, no bracket handed to the
-        # bisection holds a point of its grid inside, so none is a whole
-        # segment
+        # Newton iteration holds a point of its grid inside, so none is a
+        # whole segment
         pair = request.getfixturevalue(name)
         grids, brackets = [], []
-        level, bisect = tradeoff._bisect_level, tradeoff._bisect
+        level, newton = tradeoff._level_root, tradeoff._newton
 
         def recording_level(pair, grid, *args):
             grids.append(grid[0])
             return level(pair, grid, *args)
 
-        def checked_bisect(fn, lo, hi, *args):
+        def checked_newton(pair, lo, hi, *args):
             ys = grids[-1]
             inside = np.searchsorted(ys, hi, side="left") - np.searchsorted(ys, lo, side="right")
             assert np.all(inside <= 0), f"{int(np.sum(inside > 0))} of {lo.size} brackets span grid points"
             brackets.append(lo.size)
-            return bisect(fn, lo, hi, *args)
+            return newton(pair, lo, hi, *args)
 
-        monkeypatch.setattr(tradeoff, "_bisect_level", recording_level)
-        monkeypatch.setattr(tradeoff, "_bisect", checked_bisect)
+        monkeypatch.setattr(tradeoff, "_level_root", recording_level)
+        monkeypatch.setattr(tradeoff, "_newton", checked_newton)
         curve = general_curve(pair, default_zeta_grid(pair, n_boundaries, steps=8), n_boundaries, norm)
         assert curve.points and not curve.metadata["failed_zetas"]
         assert sum(brackets) > 0
+
+
+class TestSaturatedBoundaries:
+    @pytest.mark.parametrize("norm", [Norm.INF, Norm.TWO])
+    def test_flat_tail_boundaries_are_reported_at_the_saturation_points(self, table1_pair, norm):
+        # G is flat where both cdfs read exactly 1 (or 0), so the solver may
+        # leave a boundary anywhere there; the curve reports it at H* (or L*),
+        # whatever path the solver took
+        l_sat, h_sat = _saturation_points(table1_pair, *default_search_interval(table1_pair))
+        curve = general_curve(table1_pair, norm=norm)
+        ys = np.asarray([p.boundaries for p in curve.points])
+        f0, f1 = table1_pair.h0.cdf(ys), table1_pair.h1.cdf(ys)
+        high, low = (f0 == 1.0) & (f1 == 1.0), (f0 == 0.0) & (f1 == 0.0)
+        assert np.count_nonzero(high) >= 3
+        assert np.all(ys[high] == h_sat) and np.all(ys[low] == l_sat)
+        assert np.all(np.diff(ys, axis=1) >= 0.0)
 
 
 class TestOneRootTopPoint:
@@ -738,3 +764,125 @@ class TestBatchEquivalence:
     @given(target_grids(3), st.sampled_from(list(Norm)))
     def test_three_boundaries(self, grid, norm):
         self._check(grid, norm, 3)
+
+
+def _rounding_band(pair, x, target):
+    """G's rounding band at x: 4 eps (p0 F0 (1 + z0^2) + p1 F1 (1 + z1^2) +
+    |target|), z the distance of x from each density's mean in its scales.
+
+    The solver stops inside 4 eps (p0 F0 + p1 F1 + |target|).  A cdf far out
+    in a tail, exp(-z^2 / 2) and the like, also carries the rounding of z^2
+    in its exponent, a relative error of about z^2 eps, so no float resolves
+    G more finely than this wider band."""
+    scale = np.abs(target)
+    for p, h in ((pair.p0, pair.h0), (pair.p1, pair.h1)):
+        mean, width = h.mean_scale()
+        scale = scale + p * h.cdf(x) * (1.0 + ((x - mean) / width) ** 2)
+    return 4.0 * np.finfo(float).eps * scale
+
+
+@st.composite
+def level_brackets(draw):
+    """A pair and 1 to 8 brackets, each a piece of a segment of the search
+    interval on which G is monotone, with a target that G crosses on it."""
+    pair = draw(st.one_of(two_root_gaussian_pairs(), exponential_pairs()))
+    lo, hi = default_search_interval(pair)
+    ends = [lo, *(r for r in ml_boundaries(pair, 1.0).roots if lo < r < hi), hi]
+    brackets = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(0, len(ends) - 2))
+        width = (ends[k + 1] - ends[k]) * 10.0 ** -draw(st.floats(0.0, 5.0))
+        a = ends[k] + draw(st.floats(0.0, 1.0)) * (ends[k + 1] - ends[k] - width)
+        b = min(a + width, ends[k + 1])
+        g_a, g_b = float(_gap(pair, a)), float(_gap(pair, b))
+        target = min(max(g_a + draw(st.floats(0.0, 1.0)) * (g_b - g_a), min(g_a, g_b)), max(g_a, g_b))
+        brackets.append((a, b, target))
+    return pair, *(np.asarray(v) for v in zip(*brackets))
+
+
+class TestNewtonLevelSet:
+    @settings(max_examples=60, deadline=None)
+    @given(level_brackets(), st.sampled_from([SCAN_RTOL, 2.0 * np.finfo(float).eps]))
+    def test_roots_agree_with_bisection(self, brackets, rtol):
+        pair, lo, hi, target = brackets
+        search_lo, search_hi = default_search_interval(pair)
+        tol = rtol * (search_hi - search_lo)  # as the frontier solver sets it
+        g_lo, g_hi = _gap(pair, lo), _gap(pair, hi)
+        x = tradeoff._newton(pair, lo, hi, g_lo, g_hi, target, tol)
+        reference = _bisect(partial(_gap, pair), lo, hi, target, g_hi >= g_lo, tol)
+        assert np.all((x >= lo) & (x <= hi))
+        near = np.abs(x - reference) <= tol
+        level = np.abs(_gap(pair, x) - target) <= _rounding_band(pair, x, target)
+        assert np.all(near | level), (x[~(near | level)], reference[~(near | level)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(level_brackets(), st.sampled_from([SCAN_RTOL, 2.0 * np.finfo(float).eps]))
+    def test_batch_returns_the_roots_of_one_call_per_bracket(self, brackets, rtol):
+        pair, lo, hi, target = brackets
+        search_lo, search_hi = default_search_interval(pair)
+        tol = rtol * (search_hi - search_lo)  # as the frontier solver sets it
+        g_lo, g_hi = _gap(pair, lo), _gap(pair, hi)
+        batch = tradeoff._newton(pair, lo, hi, g_lo, g_hi, target, tol)
+        alone = [
+            tradeoff._newton(pair, *(v[k:k + 1] for v in (lo, hi, g_lo, g_hi, target)), tol)[0]
+            for k in range(lo.size)
+        ]
+        assert batch.tobytes() == np.asarray(alone).tobytes()
+
+    #: Points one bracket may take in the hard cases; bisecting a grid cell
+    #: to 2 eps of the search interval takes about 40.
+    HARD_STEPS = 20
+
+    def _steps(self, pair, lo, hi, target, monkeypatch):
+        """The root of G = target on [lo, hi] to 2 eps of the search interval,
+        and the points the iteration evaluated."""
+        lo, hi, target = (np.asarray([v], dtype=float) for v in (lo, hi, target))
+        count = []
+        slope = tradeoff._gap_slope
+        monkeypatch.setattr(tradeoff, "_gap_slope", lambda pair, z: count.append(z.size) or slope(pair, z))
+        search_lo, search_hi = default_search_interval(pair)
+        tol = 2.0 * np.finfo(float).eps * (search_hi - search_lo)
+        x = tradeoff._newton(pair, lo, hi, _gap(pair, lo), _gap(pair, hi), target, tol)
+        monkeypatch.undo()
+        assert lo[0] <= x[0] <= hi[0]
+        assert abs(_gap(pair, x)[0] - target[0]) <= max(
+            _rounding_band(pair, x, target)[0], abs(_gap_slope(pair, x)[0]) * tol
+        )
+        return len(count)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-16, 1e-13, 1e-10])
+    def test_root_on_a_bracket_end(self, table1_pair, offset, monkeypatch):
+        # two coincident boundaries read the base accuracy: near it, the free
+        # boundary's root sits on the cell end where the fixed one lies
+        ys = tradeoff.default_y_grid(table1_pair)
+        lo, hi = ys[700], ys[701]
+        g_lo, g_hi = float(_gap(table1_pair, lo)), float(_gap(table1_pair, hi))
+        target = g_lo + math.copysign(offset, g_hi - g_lo)
+        assert self._steps(table1_pair, lo, hi, target, monkeypatch) <= self.HARD_STEPS
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-16, 1e-13, 1e-12])
+    def test_flat_saturated_tail(self, table1_pair, offset, monkeypatch):
+        # both cdfs read exactly 1 on the right of the cell, where G is flat
+        # and G' underflows towards 0
+        lo, hi = default_search_interval(table1_pair)
+        _, h_sat = _saturation_points(table1_pair, lo, hi)
+        g_flat = float(_gap(table1_pair, h_sat))
+        assert table1_pair.h0.cdf(h_sat) == table1_pair.h1.cdf(h_sat) == 1.0
+        start = 0.75 * hi
+        assert float(_gap(table1_pair, start)) < g_flat - 1e-12
+        steps = self._steps(table1_pair, start, h_sat, g_flat - offset, monkeypatch)
+        assert steps <= self.HARD_STEPS
+
+    @pytest.mark.parametrize("fraction", [1e-14, 1e-10, 1e-6, 1e-2])
+    def test_cell_beside_a_ratio_root(self, table1_pair, fraction, monkeypatch):
+        # G has its extremum at the ratio root, so G' -> 0 at the cell end and
+        # a target just inside G's range on the cell puts the root close to
+        # that end
+        ys = tradeoff.default_y_grid(table1_pair)
+        for root in ml_boundaries(table1_pair, 1.0).roots:
+            i = int(np.searchsorted(ys, root))
+            for lo, hi in ((ys[i - 1], root), (root, ys[i + 1])):
+                g_root = float(_gap(table1_pair, root))
+                g_far = float(_gap(table1_pair, hi if lo == root else lo))
+                target = g_root + fraction * (g_far - g_root)
+                assert self._steps(table1_pair, lo, hi, target, monkeypatch) <= self.HARD_STEPS
