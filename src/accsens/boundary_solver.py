@@ -15,6 +15,11 @@ sign change is refined by bisection.  ``_ml_boundaries_many`` solves many
 thresholds at once: in one closed-form call, or by bisecting all their sign
 changes together with the same steps.
 
+The module also holds the safeguarded Newton solver (``_newton``) that the
+frontier's level sets and the design's separation roots share: many
+brackets at once, each from its regula falsi point, with a residual slope
+supplied by the caller.
+
 Tangential (double) roots are excluded: they bound regions of zero measure,
 change no probability, and destabilize downstream derivatives.
 """
@@ -221,7 +226,11 @@ def _gaussian_pair_roots(mu0, sig0, mu1, sig1, log_k):
     in the narrower width's units for a ratio below 2^-500, with the ratio
     taken as 2^500 and d / r kept above it (a stays 1/2, the logarithm comes
     from the widths), and for y / s with s a power of two near max(|d|, |d|
-    / r), which keeps the roots of a shape in range to the bit.  A root
+    / r), which keeps the roots of a shape in range to the bit.  Equal
+    widths with a separation so near 0 that the one root d / 2 - level / d
+    passes the float range, while mu0 + sig0 y may not, are solved for
+    y / t on level / t, t a power of two near |level / d| / 2^1000 (d^2
+    underflows there, so the root scales with the level).  A root
     below the float range is dropped: H0 then wins left of the first root
     kept where it wins inside the pair.
     """
@@ -236,8 +245,12 @@ def _gaussian_pair_roots(mu0, sig0, mu1, sig1, log_k):
         if r > big:
             r, d = big, (mu1 - mu0) / sig1 * big
         s = np.ldexp(1.0, max(np.frexp(abs(d) / min(r, 1.0))[1] - 1, 0))
-        lo, hi, h0_outside = _gaussian_roots(d / s, r, level / (s * s))
-        lo, hi = mu0 + sig0 * s * lo, mu0 + sig0 * s * hi
+        t = 1.0
+        if r == 1.0:  # the one root d / 2 - level / d, for y / t
+            far = np.frexp(level)[1] - np.frexp(d)[1] - 1000
+            t = np.ldexp(1.0, np.where(level == 0.0, 0, np.maximum(far, 0)))
+        lo, hi, h0_outside = _gaussian_roots(d / s, r, level / (s * s) / t)
+        lo, hi = mu0 + sig0 * s * t * lo, mu0 + sig0 * s * t * hi
         if swap:
             h0_outside = ~h0_outside
     below_lo, below_hi = lo == -np.inf, hi == -np.inf
@@ -383,6 +396,68 @@ def _bisect(fn, lo, hi, level, rising, tol: float, *args) -> np.ndarray:
         return 0.5 * (a + b)
     x = np.empty(steps.shape)
     x[order] = np.concatenate(roots[::-1])
+    return x
+
+
+def _falsi(lo, hi, r_lo, r_hi):
+    """The regula falsi point of each bracket [lo, hi] whose ends read r_lo
+    and r_hi, or its midpoint where that point is not in the bracket."""
+    with np.errstate(all="ignore"):
+        z = lo - r_lo * ((hi - lo) / (r_hi - r_lo))
+    return np.where((z >= lo) & (z <= hi), z, 0.5 * (lo + hi))
+
+
+def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
+    """Solve fn(x, *args) = 0 on every bracket [lo, hi] at once by
+    safeguarded Newton steps; the residual is monotone on each bracket, and
+    its end values r_lo and r_hi lie on either side of 0.
+
+    ``fn`` returns the residual, its slope and its rounding scale at x, and
+    acts on x and ``args`` elementwise.  ``lo``, ``hi``, ``r_lo``, ``r_hi``
+    and ``args`` are one-dimensional, one entry per bracket.  The first
+    point is the bracket's regula falsi point, and each point evaluated
+    replaces the bracket end on its side of 0.  The Newton step
+    x - residual / slope is taken when it lands inside the open bracket;
+    otherwise (the slope is 0 or NaN, or the step leaves the bracket) the
+    next point is the bracket's regula falsi point and its midpoint in turn,
+    so a bracket that shrinks from one side still halves.  A bracket stops
+    at the point whose |residual| lies within its rounding band, 4 eps times
+    the scale, where no float is a better root; at the Newton point of a
+    step shorter than ``tol`` that stays in the bracket; or at its midpoint
+    once it is narrower than ``tol`` or has taken BISECTION_STEPS points.
+    Stopped brackets leave the arrays, with their ``args``, so a root does
+    not depend on the other brackets.  A NaN residual counts as below 0.
+    """
+    band = 4.0 * np.finfo(float).eps
+    x = np.empty(lo.shape)
+    todo = np.arange(lo.size)
+    rising = r_hi >= r_lo
+    halve = np.zeros(lo.shape, dtype=bool)  # the next fallback is the midpoint
+    z = _falsi(lo, hi, r_lo, r_hi)
+    for _ in range(BISECTION_STEPS):
+        if not todo.size:
+            return x
+        r, slope, scale = fn(z, *args)
+        right = ~(r >= 0.0) == rising  # the root lies right of z
+        lo, r_lo = np.where(right, z, lo), np.where(right, r, r_lo)
+        hi, r_hi = np.where(right, hi, z), np.where(right, r_hi, r)
+        with np.errstate(all="ignore"):
+            step = z - r / slope
+        newton = (step > lo) & (step < hi)  # NaN fails
+        hit = np.abs(r) <= band * scale
+        short = (step >= lo) & (step <= hi) & (np.abs(step - z) < tol)
+        done = hit | short | (hi - lo < tol)
+        mid = 0.5 * (lo + hi)
+        root = np.where(hit, z, np.where(short, step, mid))
+        z = np.where(newton, step, np.where(halve, mid, _falsi(lo, hi, r_lo, r_hi)))
+        halve = halve != ~newton  # each fallback turns it
+        if done.any():
+            x[todo[done]] = root[done]
+            keep = ~done
+            todo, lo, hi, r_lo, r_hi, rising, halve, z, *args = (
+                v[keep] for v in (todo, lo, hi, r_lo, r_hi, rising, halve, z, *args)
+            )
+    x[todo] = 0.5 * (lo + hi)
     return x
 
 

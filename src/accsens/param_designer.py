@@ -13,8 +13,10 @@ the root of A(|d|, r) = gamma, the best design of that shape takes the
 largest sigma0 the box allows (a closed-form linear program in
 (mu0, sigma0)), and the design is a one-dimensional minimization over r: a
 geometric scan of r polished by an array zoom.  Both run on arrays over r:
-one bisection solves the separation roots of all ratios of a scan or zoom
-round together, and one kernel gives the accuracy and sensitivity of every
+one safeguarded Newton solve (``boundary_solver._newton``, shared with the
+frontier) finds the separation roots of all ratios of a scan or zoom round
+together, with the slope dA/dd that the envelope theorem gives at the
+fixed roots, and one kernel gives the accuracy and sensitivity of every
 shape.  Both take their roots from the closed form of ``ml_boundaries``
 (``boundary_solver._gaussian_roots``), and the design's own boundaries,
 accuracy and sensitivity come from it at the design's parameters.
@@ -32,9 +34,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
-from .boundary_solver import _bisect, _gaussian_pair_roots, _gaussian_roots
+from .boundary_solver import _gaussian_pair_roots, _gaussian_roots, _newton
 from .classifier import Norm, Orientation
 from .densities import DensityModel, HypothesisPair
 from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError, SolverFailureError
@@ -53,8 +55,8 @@ ZOOM_POINTS, ZOOM_ROUNDS = 65, 6
 #: width ratio r = sigma1 / sigma0 and the separation d = gap / sigma0.
 #: r must lie in [1 / RATIO_LIMIT, RATIO_LIMIT], the range the design solver
 #: is tested on; the closed form itself stays exact beyond it.  |d| must
-#: stay below SEPARATION_LIMIT, so that a separation root is bisected to
-#: D_XTOL within BISECTION_STEPS halvings.
+#: stay below SEPARATION_LIMIT: it bounds the brackets of the separation
+#: roots, and so the halving fallback of their Newton solve.
 #: 1 / sigma, sigma, |mu|, |mu| / sigma and |mu| / sigma^2 must stay below
 #: SCALE_LIMIT over the box, the range the design solver is tested on.
 RATIO_LIMIT = 1e6
@@ -145,10 +147,27 @@ def _accuracy(z0lo, z0hi, z1lo, z1hi, h0_outside, p0: float):
 
 
 def _shape_accuracy(d, r, p0: float):
-    """Accuracy of every shape (d, r), on broadcast arrays: the separation
-    bisection's kernel."""
+    """Accuracy of every shape (d, r), on broadcast arrays."""
     lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0) - np.log(r))
     return _accuracy(lo, hi, (lo - d) / r, (hi - d) / r, h0_outside, p0)
+
+
+def _separation_residual(d, r, p0: float, gamma: float):
+    """A(d, r) - gamma, its slope in d and its rounding scale, on broadcast
+    arrays: the residual ``_newton`` solves for the separation root.
+
+    The roots maximise the accuracy, so by the envelope theorem the slope is
+    the derivative in d at fixed roots, p1 (phi(z1lo) - phi(z1hi)) / r with
+    z1 = (y - d) / r, negated where H0 holds the inside; where the ratio
+    has no root both scores are +inf and the slope is 0.  A lies in
+    [0.5, 1], and its rounding is of the order of eps.
+    """
+    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0) - np.log(r))
+    z1lo, z1hi = (lo - d) / r, (hi - d) / r
+    with np.errstate(over="ignore"):  # a far root's z^2 may pass the float range: phi is 0
+        slope = (1.0 - p0) * _INV_SQRT_2PI * (np.exp(-0.5 * z1lo * z1lo) - np.exp(-0.5 * z1hi * z1hi)) / r
+    acc = _accuracy(lo, hi, z1lo, z1hi, h0_outside, p0)
+    return acc - gamma, np.where(h0_outside, slope, -slope), 1.0
 
 
 def _evaluate(lo, hi, h0_outside, theta, p0: float, norm: Norm):
@@ -157,11 +176,13 @@ def _evaluate(lo, hi, h0_outside, theta, p0: float, norm: Norm):
     (lo, hi) where ``h0_outside`` and the inside elsewhere, for the pair
     theta = (mu0, sigma0, mu1, sigma1), on broadcast arrays."""
     mu0, s0, mu1, s1 = theta
-    # clipped, so that a missing root gives pdf 0 and z * pdf 0, not inf * 0
-    z0lo, z0hi, z1lo, z1hi = (
-        np.minimum(np.maximum(z, -_Z_CLIP), _Z_CLIP)
-        for z in ((lo - mu0) / s0, (hi - mu0) / s0, (lo - mu1) / s1, (hi - mu1) / s1)
-    )
+    # clipped, so that a missing root gives pdf 0 and z * pdf 0, not inf * 0;
+    # a root near the float range may score past it
+    with np.errstate(over="ignore"):
+        z0lo, z0hi, z1lo, z1hi = (
+            np.minimum(np.maximum(z, -_Z_CLIP), _Z_CLIP)
+            for z in ((lo - mu0) / s0, (hi - mu0) / s0, (lo - mu1) / s1, (hi - mu1) / s1)
+        )
     p1 = 1.0 - p0
     f0lo, f0hi, f1lo, f1hi = (
         _INV_SQRT_2PI * np.exp(-0.5 * z * z) / s
@@ -497,28 +518,43 @@ def _designs(problem: ParamDesignProblem, r: np.ndarray, near=None):
     width ratio r; inf and NaN where no design of that ratio reaches gamma
     inside the box.
 
-    The separation root of A(d, r) = gamma is bisected, for all ratios
-    together, on [0, reach(r)] where A(0) < gamma < A(reach); A(0) > gamma or
-    A(reach) < gamma leaves the ratio without a design, and an end that hits
-    gamma exactly is the root.  Given ``near`` (ratios next to these, with
-    their designs, from ``_scan_min``), the bracket is the range of their |d|
-    widened by D_XTOL, at each ratio where A changes sign across it.
+    The separation root of A(d, r) = gamma is solved by ``_newton``, for all
+    ratios together, with the envelope slope of ``_separation_residual``,
+    where A(0) < gamma < A(reach(r)); A(0) > gamma or A(reach) < gamma
+    leaves the ratio without a design, and an end that hits gamma exactly is
+    the root.  The bracket is [0, reach] cut to [0, cap] where A(cap) >=
+    gamma, cap = 2 (1 + r) Phi^-1(gamma): the one threshold with equal
+    standard scores under both hypotheses is right with probability
+    Phi(d / (1 + r)) <= A(d, r), so A passes gamma below cap by a margin
+    above rounding, and a bracket of 1e40 is not left to the halving
+    fallback.  Given ``near`` (ratios next to these, with their designs,
+    from ``_scan_min``), the bracket is the range of their |d| widened by
+    D_XTOL, at each ratio where A changes sign across it.  The solve starts
+    from the accuracies already computed at the bracket's ends.
     """
     gamma, p0 = problem.gamma, problem.p0
     accuracy = partial(_shape_accuracy, p0=p0)
     reach = _reach(problem, r)
-    at_zero, at_reach = accuracy(np.zeros_like(r), r), accuracy(reach, r)
-    lo, hi = np.zeros_like(r), reach
+    cap = np.minimum(reach, 2.0 * (1.0 + r) * ndtri(gamma))
+    at_zero, at_reach, at_cap = accuracy(np.stack((np.zeros_like(r), reach, cap)), r)
+    capped = at_cap >= gamma
+    lo, hi = np.zeros_like(r), np.where(capped, cap, reach)
+    a_lo, a_hi = at_zero, np.where(capped, at_cap, at_reach)
     known = np.abs(near[1][np.isfinite(near[1])]) if near is not None else np.zeros(0)
     if known.size:
         near_lo = np.clip(known.min() - D_XTOL, 0.0, reach)
         near_hi = np.clip(known.max() + D_XTOL, 0.0, reach)
-        inside = (accuracy(near_lo, r) <= gamma) & (accuracy(near_hi, r) >= gamma)
+        acc_lo, acc_hi = accuracy(near_lo, r), accuracy(near_hi, r)
+        inside = (acc_lo <= gamma) & (acc_hi >= gamma)
         lo, hi = np.where(inside, near_lo, lo), np.where(inside, near_hi, hi)
+        a_lo, a_hi = np.where(inside, acc_lo, a_lo), np.where(inside, acc_hi, a_hi)
     below = at_zero < gamma
     d = np.where(at_zero == gamma, 0.0, np.where(below & (at_reach == gamma), reach, np.nan))
     solve = below & (at_reach > gamma)
-    d[solve] = _bisect(accuracy, lo[solve], hi[solve], gamma, True, D_XTOL, r[solve])
+    residual = partial(_separation_residual, p0=p0, gamma=gamma)
+    d[solve] = _newton(
+        residual, lo[solve], hi[solve], a_lo[solve] - gamma, a_hi[solve] - gamma, D_XTOL, r[solve]
+    )
     sigma0, d = _widest(problem, d, r)
     ok = np.isfinite(sigma0)
     d = np.where(ok, d, np.nan)

@@ -28,7 +28,8 @@ by a search of G on the grid.  A cell that misses (a rounding of G) falls
 back to the free boundary's whole bracket on the segment, so no level-set
 point is lost.  From the cell's regula falsi point, safeguarded Newton steps
 on G, whose slope G' = p0 f0 - p1 f1 is the accuracy's boundary gradient,
-solve every bracket of a call at once (``_newton``); a step that leaves its
+solve every bracket of a call at once (``boundary_solver._newton``, the
+solver the design's separation roots share); a step that leaves its
 bracket falls back to regula falsi and bisection in turn.  The scan only
 ranks grid points for the zoom, which solves the grid point itself again,
 so it stops at a ranking tolerance (SCAN_RTOL); one boundary has no zoom
@@ -61,8 +62,8 @@ from functools import partial
 import numpy as np
 
 from .boundary_solver import (
-    BISECTION_STEPS,
     _ml_boundaries_many,
+    _newton,
     _saturation_points,
     default_search_interval,
     ml_boundaries,
@@ -297,66 +298,11 @@ def _cells(grid, seg, target):
     return ys[c - 1], ys[c], g_ys[c - 1], g_ys[c]
 
 
-def _falsi(lo, hi, r_lo, r_hi):
-    """The regula falsi point of each bracket [lo, hi] whose ends read r_lo
-    and r_hi, or its midpoint where that point is not in the bracket."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = lo - r_lo * ((hi - lo) / (r_hi - r_lo))
-    return np.where((z >= lo) & (z <= hi), z, 0.5 * (lo + hi))
-
-
-def _newton(pair, lo, hi, g_lo, g_hi, target, tol):
-    """Solve G(x) = target on every bracket [lo, hi] at once by safeguarded
-    Newton steps; G is monotone on each bracket, and G(lo) = g_lo and
-    G(hi) = g_hi lie on either side of the target.
-
-    The arguments are one-dimensional, one entry per bracket.  The first
-    point is the bracket's regula falsi point, and each point evaluated
-    replaces the bracket end on its side of the target.  The Newton step
-    x - (G(x) - target) / G'(x), G' = p0 f0 - p1 f1, is taken when it lands
-    inside the open bracket; otherwise (G' is 0 or NaN, or the step leaves
-    the bracket) the next point is the bracket's regula falsi point and its
-    midpoint in turn, so a bracket that shrinks from one side still halves.
-    A bracket stops at the point whose |G - target| lies within G's rounding
-    band, 4 eps (p0 F0 + p1 F1 + |target|), where no float is a better root;
-    at the Newton point of a step shorter than ``tol`` that stays in the
-    bracket; or at its midpoint once it is narrower than ``tol`` or has
-    taken BISECTION_STEPS points.  Stopped brackets leave the arrays, so a
-    root does not depend on the other brackets.
-    """
-    band = 4.0 * np.finfo(float).eps
-    x = np.empty(lo.shape)
-    todo = np.arange(lo.size)
-    r_lo, r_hi = g_lo - target, g_hi - target
-    rising = r_hi >= r_lo
-    halve = np.zeros(lo.shape, dtype=bool)  # the next fallback is the midpoint
-    z = _falsi(lo, hi, r_lo, r_hi)
-    for _ in range(BISECTION_STEPS):
-        if not todo.size:
-            return x
-        f0, f1 = pair.p0 * np.asarray(pair.h0.cdf(z)), pair.p1 * np.asarray(pair.h1.cdf(z))
-        r = f0 - f1 - target
-        right = ~(r >= 0.0) == rising  # the root lies right of z; NaN counts as below
-        lo, r_lo = np.where(right, z, lo), np.where(right, r, r_lo)
-        hi, r_hi = np.where(right, hi, z), np.where(right, r_hi, r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = z - r / _gap_slope(pair, z)
-        newton = (step > lo) & (step < hi)  # NaN fails
-        hit = np.abs(r) <= band * (f0 + f1 + np.abs(target))
-        short = (step >= lo) & (step <= hi) & (np.abs(step - z) < tol)
-        done = hit | short | (hi - lo < tol)
-        mid = 0.5 * (lo + hi)
-        root = np.where(hit, z, np.where(short, step, mid))
-        z = np.where(newton, step, np.where(halve, mid, _falsi(lo, hi, r_lo, r_hi)))
-        halve = halve != ~newton  # each fallback turns it
-        if done.any():
-            x[todo[done]] = root[done]
-            keep = ~done
-            todo, lo, hi, r_lo, r_hi, target, rising, halve, z = (
-                v[keep] for v in (todo, lo, hi, r_lo, r_hi, target, rising, halve, z)
-            )
-    x[todo] = 0.5 * (lo + hi)
-    return x
+def _level_residual(pair, z, target):
+    """G(z) - target, its slope G' = p0 f0 - p1 f1 and its rounding scale
+    p0 F0 + p1 F1 + |target|: the residual ``_newton`` solves on a level set."""
+    f0, f1 = pair.p0 * np.asarray(pair.h0.cdf(z)), pair.p1 * np.asarray(pair.h1.cdf(z))
+    return f0 - f1 - target, _gap_slope(pair, z), f0 + f1 + np.abs(target)
 
 
 def _level_root(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol):
@@ -366,7 +312,7 @@ def _level_root(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol):
     ``seg`` of ``grid`` (see ``_cells``).  NaN where the bracket is empty or
     G does not cross the target on it.  Each bracket is cut to the grid cell
     of its segment where G crosses the target and solved there by ``_newton``
-    to ``tol``; where G does not cross the target on the cut bracket (a
+    on ``_level_residual`` to ``tol``; where G does not cross the target on the cut bracket (a
     rounding of G can do that), the whole bracket is solved, so no level-set
     point is lost.
     """
@@ -381,7 +327,7 @@ def _level_root(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol):
     lo, g_lo = np.where(cut, c_lo, lo), np.where(cut, gc_lo, g_lo)
     hi, g_hi = np.where(cut, c_hi, hi), np.where(cut, gc_hi, g_hi)
     x = np.full(ok.shape, np.nan)
-    x[ok] = _newton(pair, lo, hi, g_lo, g_hi, target, tol)
+    x[ok] = _newton(partial(_level_residual, pair), lo, hi, g_lo - target, g_hi - target, tol, target)
     return x
 
 

@@ -1,13 +1,15 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from accsens.boundary_solver import ml_boundaries
+from accsens import boundary_solver, param_designer
+from accsens.boundary_solver import _bisect, _gaussian_roots, _newton, ml_boundaries
 from accsens.classifier import (
     GeneralSpec,
     BoundarySet,
@@ -27,11 +29,13 @@ from accsens.errors import (
     UnresolvedClassifierError,
 )
 from accsens.param_designer import (
+    D_XTOL,
     RATIO_LIMIT,
     SCALE_LIMIT,
     SEPARATION_LIMIT,
     ParamDesignProblem,
     _design_eval,
+    _separation_residual,
     _shape_accuracy,
     _shape_eval,
     design_params,
@@ -427,6 +431,9 @@ class TestShapeReduction:
     # widths 8.9e-10 apart: 9 s1 rounds the width ratio of the moved pair one
     # ulp lower, which moves the sensitivity by 7.4e-8 relative
     @example((1e-9, 1.0, 0.0, 0.9999999991089222, 0.5), 0.0, 9.0)
+    # equal widths 1.2e-312 apart once moved: the one root lies at 1.7e308,
+    # and its standard scores past the float range
+    @example((2.225073858507e-311, 0.25, 0.0, 0.25, 0.25), 0.0, 0.0546875)
     def test_translation_and_scaling(self, theta, shift, scale):
         # The moved pair, evaluated as a design is (the closed form in its own
         # coordinates), matches the kernel at the shape of the first in
@@ -452,7 +459,7 @@ class TestShapeReduction:
     def test_accuracy_even_and_monotone_in_separation(self, d1, d2, r, p0):
         near, far = sorted((d1, d2))
         d = np.array([d1, -d1, near, far])
-        # the kernel, and the separation bisection's kernel
+        # the kernel, and the one of the separation roots' end values
         for acc in (_shape_eval(d, r, p0, Norm.INF)[0], _shape_accuracy(d, r, p0)):
             assert acc[1] == pytest.approx(acc[0], abs=1e-12)
             assert acc[2] <= acc[3] + 1e-12
@@ -531,3 +538,147 @@ class TestShapeReduction:
             for mu1 in np.linspace(0.0, 1.0, 21)
         )
         assert max_accuracy(box) >= best_grid - 1e-12
+
+
+def _mp_accuracy(d, r, p0):
+    """A(d, r) of N(0, 1) against N(d, r) at prior p0, in mpmath: the roots
+    of the log ratio gap a y^2 + b y + c and the mass each hypothesis puts
+    where it wins."""
+    p1 = 1 - p0
+    level = mpmath.log(p1 / p0) - mpmath.log(r)
+    a, b, c = (r - 1) * (r + 1) / (2 * r * r), d / (r * r), level - d * d / (2 * r * r)
+    disc = b * b - 4 * a * c
+    if disc <= 0:  # one region, H1's where the gap is positive
+        return p1 if (a > 0 or (a == 0 and c > 0)) else p0
+    if a == 0:  # H1 right of the root where b > 0
+        y = -c / b
+        left = p0 * mpmath.ncdf(y) + p1 * (1 - mpmath.ncdf((y - d) / r))
+        return left if b > 0 else 1 - left
+    lo, hi = sorted((-b + sgn * mpmath.sqrt(disc)) / (2 * a) for sgn in (-1, 1))
+    inside0 = mpmath.ncdf(hi) - mpmath.ncdf(lo)
+    inside1 = mpmath.ncdf((hi - d) / r) - mpmath.ncdf((lo - d) / r)
+    # H1 wins outside (lo, hi) where a > 0
+    return p0 * inside0 + p1 * (1 - inside1) if a > 0 else p0 * (1 - inside0) + p1 * inside1
+
+
+class TestEnvelopeSlope:
+    """The slope ``_separation_residual`` hands the Newton solve: dA/dd at the
+    fixed maximum-accuracy roots, by the envelope theorem."""
+
+    shapes = (st.floats(0.0, 50.0), st.floats(math.log(1e-3), math.log(1e3)).map(math.exp), st.floats(0.05, 0.95))
+
+    @settings(max_examples=80, deadline=None)
+    @given(*shapes)
+    @example(0.0, 2.0, 0.5)  # A is even in d: a flat start
+    @example(50.0, 1e-3, 0.5)  # saturated: the scores leave the float range
+    def test_matches_the_derivative_of_the_accuracy(self, d, r, p0):
+        slope = float(_separation_residual(np.float64(d), r, p0, 0.0)[1])
+        md, mr, mp0 = map(mpmath.mpf, (d, r, p0))
+        # the size of the two terms p1 phi(z1) / r whose difference is the
+        # slope; A differs from a prior by about that much, so it is
+        # differentiated with that many more digits
+        lo, hi, _ = _gaussian_roots(np.float64(d), r, math.log((1 - p0) / p0) - math.log(r))
+        with mpmath.workdps(30):
+            terms = sum(
+                mpmath.npdf((mpmath.mpf(float(y)) - md) / mr) for y in (lo, hi) if math.isfinite(y)
+            ) * (1 - mp0) / mr
+        if terms < 1e-300:  # below the float range phi reads 0, and so does the slope
+            assert abs(slope) <= 1e-300
+            return
+        with mpmath.workdps(30 + int(-mpmath.log10(terms))):
+            ref = mpmath.diff(lambda x: _mp_accuracy(x, mr, mp0), md)
+        assert abs(slope - ref) <= 1e-6 * max(abs(ref), terms), (slope, ref)
+
+    @st.composite
+    def rootless_shapes(draw):
+        """(d, r, p0) whose ratio never crosses one: with r < 1 a prior with
+        p1 / p0 < r and with r > 1 one with p1 / p0 > r puts the quadratic
+        gap on one side of 0 for |d| below the root of its discriminant.
+        Priors in [0.05, 0.95] leave such ratios in about [0.06, 18]."""
+        narrow = draw(st.booleans())
+        r = draw(st.floats(0.07, 0.99) if narrow else st.floats(1.01, 15.0))
+        edge = 1.0 / (1.0 + r)
+        p0 = draw(st.floats(edge + 0.01, 0.95) if narrow else st.floats(0.05, edge - 0.01))
+        level = math.log((1.0 - p0) / p0) - math.log(r)
+        d_max = math.sqrt(2.0 * (r * r - 1.0) * level)
+        return draw(st.floats(0.0, 0.99)) * d_max, r, p0
+
+    @settings(max_examples=60, deadline=None)
+    @given(rootless_shapes())
+    def test_zero_where_the_ratio_has_no_root(self, shape):
+        d, r, p0 = shape
+        lo, hi, _ = _gaussian_roots(np.float64(d), r, math.log((1 - p0) / p0) - math.log(r))
+        assert lo == hi == math.inf
+        assert _separation_residual(np.float64(d), r, p0, 0.0)[1] == 0.0
+
+
+class TestNewtonSeparationRoot:
+    """The separation roots of ``_designs``, solved by the shared ``_newton``
+    with the envelope slope."""
+
+    BAND = 4.0 * np.finfo(float).eps  # the residual's rounding band: A lies in [0.5, 1]
+
+    @staticmethod
+    def _record(box, monkeypatch):
+        """Every ``_newton`` call of one design of ``box``: its arguments and roots."""
+        calls, newton = [], param_designer._newton
+
+        def recording(fn, lo, hi, r_lo, r_hi, tol, *args):
+            x = newton(fn, lo, hi, r_lo, r_hi, tol, *args)
+            calls.append((fn, lo, hi, r_lo, r_hi, tol, args, x))
+            return x
+
+        monkeypatch.setattr(param_designer, "_newton", recording)
+        design_params(box)
+        monkeypatch.undo()
+        return calls
+
+    boxes = [
+        fig3_box(0.65),
+        fig3_box(0.99),
+        fig3_box(0.9, Norm.TWO),
+        ParamDesignProblem(bounds=((0, 0), (1, 1), (0, SEPARATION_LIMIT), (1 / RATIO_LIMIT, RATIO_LIMIT)), gamma=0.9),
+        ParamDesignProblem(bounds=((0, 0), (1, RATIO_LIMIT), (-1e39, 1e39), (1, RATIO_LIMIT)), gamma=0.9),
+        ParamDesignProblem(bounds=((-1, 2), (0.5, 3), (0, 4), (0.2, 6)), gamma=0.8, p0=0.3),
+    ]
+
+    @pytest.mark.parametrize("box", boxes)
+    def test_roots_agree_with_bisection(self, box, monkeypatch):
+        calls, widths = self._record(box, monkeypatch), []
+        for fn, lo, hi, r_lo, r_hi, tol, (r,), x in calls:
+            assert tol == D_XTOL
+            reference = _bisect(lambda z, r: fn(z, r)[0], lo, hi, 0.0, True, D_XTOL, r)
+            assert np.all((x >= lo) & (x <= hi))
+            near = np.abs(x - reference) <= D_XTOL
+            level = np.abs(fn(x, r)[0]) <= self.BAND
+            assert np.all(near | level), (x[~(near | level)], reference[~(near | level)])
+            widths.append(hi - lo)
+        # the scan round's brackets from 0, and the zoom's narrow ones
+        assert np.all(calls[0][1] == 0.0) and np.concatenate(widths[1:]).min() < 1e-6
+
+    @pytest.mark.parametrize("box", boxes[:4])
+    def test_batch_returns_the_roots_of_one_call_per_ratio(self, box, monkeypatch):
+        for fn, lo, hi, r_lo, r_hi, tol, (r,), x in self._record(box, monkeypatch):
+            alone = [
+                _newton(fn, *(v[k:k + 1] for v in (lo, hi, r_lo, r_hi)), tol, r[k:k + 1])[0]
+                for k in range(lo.size)
+            ]
+            assert x.tobytes() == np.asarray(alone).tobytes()
+
+    #: ``_gaussian_roots`` calls of one fig3 pass; bisecting the separation
+    #: roots took 732, the Newton solve takes 161.
+    PASS_CALLS = 300
+
+    def test_fig3_pass_kernel_calls(self, monkeypatch):
+        count, kernel = [], boundary_solver._gaussian_roots
+
+        def counting(*args):
+            count.append(1)
+            return kernel(*args)
+
+        # the design's kernel, and the closed form behind its final evaluation
+        monkeypatch.setattr(param_designer, "_gaussian_roots", counting)
+        monkeypatch.setattr(boundary_solver, "_gaussian_roots", counting)
+        for gamma, norm in ((0.65, Norm.INF), (0.99, Norm.INF), (0.9, Norm.TWO)):
+            design_params(fig3_box(gamma, norm))
+        assert 0 < len(count) <= self.PASS_CALLS

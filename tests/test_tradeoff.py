@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from accsens import boundary_solver
 from accsens.boundary_solver import (
     _bisect,
+    _newton,
     _saturation_points,
     default_search_interval,
     ml_boundaries,
@@ -471,18 +473,19 @@ class TestLevelSetBrackets:
         # whole segment
         pair = request.getfixturevalue(name)
         grids, brackets = [], []
-        level, newton = tradeoff._level_root, tradeoff._newton
+        level, newton = tradeoff._level_root, boundary_solver._newton
+        assert tradeoff._newton is newton  # the frontier runs the shared solver
 
         def recording_level(pair, grid, *args):
             grids.append(grid[0])
             return level(pair, grid, *args)
 
-        def checked_newton(pair, lo, hi, *args):
+        def checked_newton(fn, lo, hi, *args):
             ys = grids[-1]
             inside = np.searchsorted(ys, hi, side="left") - np.searchsorted(ys, lo, side="right")
             assert np.all(inside <= 0), f"{int(np.sum(inside > 0))} of {lo.size} brackets span grid points"
             brackets.append(lo.size)
-            return newton(pair, lo, hi, *args)
+            return newton(fn, lo, hi, *args)
 
         monkeypatch.setattr(tradeoff, "_level_root", recording_level)
         monkeypatch.setattr(tradeoff, "_newton", checked_newton)
@@ -781,6 +784,12 @@ def _rounding_band(pair, x, target):
     return 4.0 * np.finfo(float).eps * scale
 
 
+def _level_newton(pair, lo, hi, g_lo, g_hi, target, tol):
+    """The frontier's level-set solve of G = target on the brackets [lo, hi]:
+    the shared ``_newton`` on ``_level_residual``."""
+    return _newton(partial(tradeoff._level_residual, pair), lo, hi, g_lo - target, g_hi - target, tol, target)
+
+
 @st.composite
 def level_brackets(draw):
     """A pair and 1 to 8 brackets, each a piece of a segment of the search
@@ -808,7 +817,7 @@ class TestNewtonLevelSet:
         search_lo, search_hi = default_search_interval(pair)
         tol = rtol * (search_hi - search_lo)  # as the frontier solver sets it
         g_lo, g_hi = _gap(pair, lo), _gap(pair, hi)
-        x = tradeoff._newton(pair, lo, hi, g_lo, g_hi, target, tol)
+        x = _level_newton(pair, lo, hi, g_lo, g_hi, target, tol)
         reference = _bisect(partial(_gap, pair), lo, hi, target, g_hi >= g_lo, tol)
         assert np.all((x >= lo) & (x <= hi))
         near = np.abs(x - reference) <= tol
@@ -822,9 +831,9 @@ class TestNewtonLevelSet:
         search_lo, search_hi = default_search_interval(pair)
         tol = rtol * (search_hi - search_lo)  # as the frontier solver sets it
         g_lo, g_hi = _gap(pair, lo), _gap(pair, hi)
-        batch = tradeoff._newton(pair, lo, hi, g_lo, g_hi, target, tol)
+        batch = _level_newton(pair, lo, hi, g_lo, g_hi, target, tol)
         alone = [
-            tradeoff._newton(pair, *(v[k:k + 1] for v in (lo, hi, g_lo, g_hi, target)), tol)[0]
+            _level_newton(pair, *(v[k:k + 1] for v in (lo, hi, g_lo, g_hi, target)), tol)[0]
             for k in range(lo.size)
         ]
         assert batch.tobytes() == np.asarray(alone).tobytes()
@@ -842,7 +851,7 @@ class TestNewtonLevelSet:
         monkeypatch.setattr(tradeoff, "_gap_slope", lambda pair, z: count.append(z.size) or slope(pair, z))
         search_lo, search_hi = default_search_interval(pair)
         tol = 2.0 * np.finfo(float).eps * (search_hi - search_lo)
-        x = tradeoff._newton(pair, lo, hi, _gap(pair, lo), _gap(pair, hi), target, tol)
+        x = _level_newton(pair, lo, hi, _gap(pair, lo), _gap(pair, hi), target, tol)
         monkeypatch.undo()
         assert lo[0] <= x[0] <= hi[0]
         assert abs(_gap(pair, x)[0] - target[0]) <= max(
