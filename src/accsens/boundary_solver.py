@@ -11,14 +11,14 @@ pair of exponentials the log ratio gap is linear on the support x >= 0, so
 each threshold has at most one root (``_exponential_solve``).  Both cover the
 whole support, not a search interval.  For any other pair the equation is
 scanned on a grid in the log domain (underflow-proof) and every bracketed
-sign change is refined by bisection.  ``_ml_boundaries_many`` solves many
-thresholds at once: in one closed-form call, or by bisecting all their sign
-changes together with the same steps.
+sign change is refined by safeguarded Newton steps.  ``_ml_boundaries_many``
+solves many thresholds at once: in one closed-form call, or by solving all
+their sign changes together in one Newton call.
 
-The module also holds the safeguarded Newton solver (``_newton``) that the
-frontier's level sets and the design's separation roots share: many
-brackets at once, each from its regula falsi point, with a residual slope
-supplied by the caller.
+That safeguarded Newton solver (``_newton``) is the one bracketed root
+solver of the library: the grid's ratio roots, the frontier's level sets and
+the design's separation roots share it, many brackets at once, each from its
+regula falsi point, with a residual slope supplied by the caller.
 
 Tangential (double) roots are excluded: they bound regions of zero measure,
 change no probability, and destabilize downstream derivatives.
@@ -356,49 +356,6 @@ def _closed_form(pair: HypothesisPair):
     return None
 
 
-def _bisect(fn, lo, hi, level, rising, tol: float, *args) -> np.ndarray:
-    """Solve fn(x, *args) = level on every bracket [lo, hi] at once, fn
-    monotone on each.
-
-    ``lo`` and ``hi`` are one-dimensional, the other arguments broadcast
-    with them, and fn acts on x and ``args`` elementwise; ``rising`` marks
-    the brackets on which fn increases.  Each bracket is halved until its
-    own width is below ``tol``, at most BISECTION_STEPS times, so its root
-    does not depend on the other brackets; a bracket whose floats run out
-    first keeps its last two neighbouring floats.  Brackets of one count,
-    such as the cells of one grid, take the same steps on the whole arrays;
-    otherwise they are ordered by their count, most first, and each step
-    works on the prefix still halving.  A NaN value counts as below
-    ``level``: the ratio gap is NaN where both densities vanish.
-    """
-    steps = np.minimum(np.ceil(np.log2(np.maximum(hi - lo, tol) / tol)), BISECTION_STEPS).astype(int)
-    counts = np.unique(steps).tolist()
-    order = None
-    if len(counts) > 1:  # most halvings first
-        order = np.argsort(-steps, kind="stable")
-        lo, hi, level, rising, *args = (
-            np.broadcast_to(v, steps.shape)[order] for v in (lo, hi, level, rising, *args)
-        )
-        steps = steps[order]
-    a, b, done, roots = lo, hi, 0, []
-    for count in counts:
-        for _ in range(count - done):
-            mid = 0.5 * (a + b)
-            right = (fn(mid, *args) >= level) != rising  # the root lies right of mid
-            a = np.where(right, mid, a)
-            b = np.where(right, b, mid)
-        done = count
-        if order is not None:  # the brackets of this count are done; they sit last
-            m = int(np.count_nonzero(steps > count))
-            roots.append(0.5 * (a[m:] + b[m:]))
-            a, b, level, rising, *args = (v[:m] for v in (a, b, level, rising, *args))
-    if order is None:
-        return 0.5 * (a + b)
-    x = np.empty(steps.shape)
-    x[order] = np.concatenate(roots[::-1])
-    return x
-
-
 def _falsi(lo, hi, r_lo, r_hi):
     """The regula falsi point of each bracket [lo, hi] whose ends read r_lo
     and r_hi, or its midpoint where that point is not in the bracket."""
@@ -410,7 +367,9 @@ def _falsi(lo, hi, r_lo, r_hi):
 def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
     """Solve fn(x, *args) = 0 on every bracket [lo, hi] at once by
     safeguarded Newton steps; the residual is monotone on each bracket, and
-    its end values r_lo and r_hi lie on either side of 0.
+    its end values r_lo and r_hi lie on either side of 0.  It solves the
+    grid's ratio roots (``_grid_solve``), the frontier's level sets and the
+    design's separation roots.
 
     ``fn`` returns the residual, its slope and its rounding scale at x, and
     acts on x and ``args`` elementwise.  ``lo``, ``hi``, ``r_lo``, ``r_hi``
@@ -419,12 +378,15 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
     replaces the bracket end on its side of 0.  The Newton step
     x - residual / slope is taken when it lands inside the open bracket;
     otherwise (the slope is 0 or NaN, or the step leaves the bracket) the
-    next point is the bracket's regula falsi point and its midpoint in turn,
-    so a bracket that shrinks from one side still halves.  A bracket stops
-    at the point whose |residual| lies within its rounding band, 4 eps times
-    the scale, where no float is a better root; at the Newton point of a
-    step shorter than ``tol`` that stays in the bracket; or at its midpoint
-    once it is narrower than ``tol`` or has taken BISECTION_STEPS points.
+    next point is the bracket's regula falsi point, or its midpoint once a
+    fallback point has kept more than half of its bracket, until a Newton
+    step lands again: a bracket that regula falsi shrinks from one side,
+    such as one whose far end is flat, halves at every later fallback point.
+    A bracket stops at the point whose |residual| lies within its rounding
+    band, 4 eps times the scale, where no float is a better root; at the
+    Newton point of a step shorter than ``tol`` that stays in the bracket;
+    or at its midpoint once it is narrower than ``tol`` or has taken
+    BISECTION_STEPS points.
     Stopped brackets leave the arrays, with their ``args``, so a root does
     not depend on the other brackets.  A NaN residual counts as below 0.
     """
@@ -432,6 +394,7 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
     x = np.empty(lo.shape)
     todo = np.arange(lo.size)
     rising = r_hi >= r_lo
+    fell_back = np.zeros(lo.shape, dtype=bool)  # z is a fallback point
     halve = np.zeros(lo.shape, dtype=bool)  # the next fallback is the midpoint
     z = _falsi(lo, hi, r_lo, r_hi)
     for _ in range(BISECTION_STEPS):
@@ -439,6 +402,7 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
             return x
         r, slope, scale = fn(z, *args)
         right = ~(r >= 0.0) == rising  # the root lies right of z
+        half = 0.5 * (hi - lo)
         lo, r_lo = np.where(right, z, lo), np.where(right, r, r_lo)
         hi, r_hi = np.where(right, hi, z), np.where(right, r_hi, r)
         with np.errstate(all="ignore"):
@@ -449,13 +413,14 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
         done = hit | short | (hi - lo < tol)
         mid = 0.5 * (lo + hi)
         root = np.where(hit, z, np.where(short, step, mid))
+        halve = (halve | fell_back & (hi - lo > half)) & ~newton
+        fell_back = ~newton
         z = np.where(newton, step, np.where(halve, mid, _falsi(lo, hi, r_lo, r_hi)))
-        halve = halve != ~newton  # each fallback turns it
         if done.any():
             x[todo[done]] = root[done]
             keep = ~done
-            todo, lo, hi, r_lo, r_hi, rising, halve, z, *args = (
-                v[keep] for v in (todo, lo, hi, r_lo, r_hi, rising, halve, z, *args)
+            todo, lo, hi, r_lo, r_hi, rising, fell_back, halve, z, *args = (
+                v[keep] for v in (todo, lo, hi, r_lo, r_hi, rising, fell_back, halve, z, *args)
             )
     x[todo] = 0.5 * (lo + hi)
     return x
@@ -473,11 +438,13 @@ def _search_grid(
 @dataclass(frozen=True)
 class _GridScan:
     """Sign pattern of one threshold's log ratio gap on the search grid:
-    the bracketed sign changes, the exact grid hits and the end signs."""
+    the bracketed sign changes with the gap at both cell ends, the exact
+    grid hits and the end signs."""
 
     lo: np.ndarray
     hi: np.ndarray
     f_lo: np.ndarray
+    f_hi: np.ndarray
     hits: tuple[float, ...]
     ends_differ: bool
     first_sign: float
@@ -497,6 +464,7 @@ def _scan(xs: np.ndarray, gap: np.ndarray) -> _GridScan | None:
         xs_d[i],
         xs_d[i + 1],
         gap_d[i],
+        gap_d[i + 1],
         tuple(float(x) for x in xs_d[signs == 0]),
         bool(nonzero[0] != nonzero[-1]) if nonzero.size else False,
         nonzero[0] if nonzero.size else -1.0,
@@ -527,12 +495,16 @@ def _grid_report(eta: float, scan: _GridScan, roots, residuals) -> LikelihoodRoo
 def _grid_solve(
     pair: HypothesisPair, etas, interval: tuple[float, float] | None, grid: int
 ) -> tuple[LikelihoodRootReport, ...]:
-    """Grid-scan plus bisection reports at every threshold of ``etas``.
+    """Grid-scan plus Newton reports at every threshold of ``etas``.
 
     Both log densities are evaluated on the grid once, each threshold's gap
     row is formed with the operation order of ``log_ratio_gap`` and scanned,
-    and the sign changes of all thresholds are bisected together with one
-    array ``log_pdf`` call per density per step.
+    and the sign changes of all thresholds are solved together by one
+    ``_newton`` call, from the gap at both ends of their cells.  Its
+    residual is the log ratio gap, its slope f1'/f1 - f0'/f0 and its
+    rounding scale the sum of the gap's absolute terms, 0 where the gap is
+    not finite, so that a jump at a support edge is never read as a root
+    within rounding.
     """
     etas = _check_etas(etas)
     if grid < 2:
@@ -558,24 +530,23 @@ def _grid_solve(
         scans = [_scan(xs, head - log_eta - log_p0 - log_f0) for log_eta in log_etas]
 
     found = [s for s in scans if s is not None]
-    lo, hi, f_lo = (
-        np.concatenate([np.zeros(0)] + [getattr(s, f) for s in found]) for f in ("lo", "hi", "f_lo")
+    lo, hi, f_lo, f_hi = (
+        np.concatenate([np.zeros(0)] + [getattr(s, f) for s in found])
+        for f in ("lo", "hi", "f_lo", "f_hi")
     )
     bracket_log_eta = np.repeat(log_etas, [0 if s is None else s.lo.size for s in scans])
 
-    def gap(x: np.ndarray, log_eta: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (
-                log_p1
-                + np.asarray(pair.h1.log_pdf(x))
-                - log_eta
-                - log_p0
-                - np.asarray(pair.h0.log_pdf(x))
-            )
+    def residual(x: np.ndarray, log_eta: np.ndarray):
+        with np.errstate(all="ignore"):
+            log_f1, log_f0 = np.asarray(pair.h1.log_pdf(x)), np.asarray(pair.h0.log_pdf(x))
+            gap = log_p1 + log_f1 - log_eta - log_p0 - log_f0
+            slope = pair.h1.pdf_dx(x) / pair.h1.pdf(x) - pair.h0.pdf_dx(x) / pair.h0.pdf(x)
+            scale = abs(log_p1) + np.abs(log_f1) + np.abs(log_eta) + abs(log_p0) + np.abs(log_f0)
+        return gap, slope, np.where(np.isfinite(gap), scale, 0.0)
 
-    bisected = iter(_bisect(gap, lo, hi, 0.0, f_lo < 0, BISECTION_WIDTH, bracket_log_eta).tolist())
+    solved = iter(_newton(residual, lo, hi, f_lo, f_hi, BISECTION_WIDTH, bracket_log_eta).tolist())
     roots = [
-        () if scan is None else tuple(sorted([*islice(bisected, scan.lo.size), *scan.hits]))
+        () if scan is None else tuple(sorted([*islice(solved, scan.lo.size), *scan.hits]))
         for scan in scans
     ]
     return tuple(
@@ -590,7 +561,8 @@ def ml_boundaries_generic(
     interval: tuple[float, float] | None = None,
     grid: int = DEFAULT_GRID,
 ) -> LikelihoodRootReport:
-    """Grid-scan plus bisection boundaries for arbitrary density pairs.
+    """Grid-scan plus Newton boundaries for arbitrary density pairs: every
+    sign change of the log ratio gap on the grid is solved by ``_newton``.
 
     The caller-supplied interval is the root-isolation contract: sign changes
     outside it are not seen.  The default interval spans both models out to 8

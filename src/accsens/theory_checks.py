@@ -36,7 +36,7 @@ from .classifier import (
     region_accuracy_gradient,
 )
 from .densities import HypothesisPair
-from .errors import SolverFailureError, UnresolvedClassifierError
+from .errors import InvalidParameterError, SolverFailureError, UnresolvedClassifierError
 
 A1_GAP_TOL = 1e-6
 A2_PRODUCT_TOL = 1e-8
@@ -348,8 +348,16 @@ def mixed_derivative_identity_defect(
 
     The left side is analytic (parameter gradients of the pdfs with the
     alternating interval signs); the right side uses the re-solve response.
+    The responses are those of the unit-threshold optimum, so a ``report``
+    with other boundaries is refused.
     """
-    dy, _ = _theta_responses(pair, _ml_optimum(pair), h)
+    base = _ml_optimum(pair)
+    if report.roots != base.roots or report.orientation is not base.orientation:
+        raise InvalidParameterError(
+            f"the identity holds at the unit-threshold optimum {base.roots}; "
+            f"the report's boundaries are {report.roots} (eta {report.eta})"
+        )
+    dy, _ = _theta_responses(pair, base, h)
     return _identity_defect(pair, report, dy)
 
 

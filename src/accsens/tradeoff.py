@@ -29,8 +29,9 @@ back to the free boundary's whole bracket on the segment, so no level-set
 point is lost.  From the cell's regula falsi point, safeguarded Newton steps
 on G, whose slope G' = p0 f0 - p1 f1 is the accuracy's boundary gradient,
 solve every bracket of a call at once (``boundary_solver._newton``, the
-solver the design's separation roots share); a step that leaves its
-bracket falls back to regula falsi and bisection in turn.  The scan only
+solver the grid's ratio roots and the design's separation roots share); a
+step that leaves its bracket falls back to regula falsi, and to midpoints
+once a regula falsi point keeps more than half of its bracket.  The scan only
 ranks grid points for the zoom, which solves the grid point itself again,
 so it stops at a ranking tolerance (SCAN_RTOL); one boundary has no zoom
 and is scanned to full precision.  A reported boundary where both cdfs

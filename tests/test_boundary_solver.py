@@ -10,10 +10,11 @@ from scipy.optimize import brentq
 
 import accsens.boundary_solver as boundary_solver
 from accsens.boundary_solver import (
-    _bisect,
     _gaussian_pair_roots,
     _grid_solve,
     _ml_boundaries_many,
+    _newton,
+    BISECTION_STEPS,
     BISECTION_WIDTH,
     DEFAULT_GRID,
     RESIDUAL_RTOL,
@@ -629,56 +630,52 @@ class TestExponentialClosedForm:
         assert run_all_checks(exp_pair).a2 is not None
 
 
-def _cubic(x):
-    """x + x^3 / 3: strictly increasing, in basic float operations only, so
-    every element is computed alike whatever the array around it."""
-    return x + x * x * x / 3.0
-
-
 class TestBisect:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(-4.0, 4.0),
-        st.floats(1e-9, 4.0),
-        st.floats(1e-9, 4.0),
-        st.lists(st.tuples(st.floats(1.5, 1e3), st.floats(-4.0, 4.0)), min_size=1, max_size=3),
-        st.sampled_from([1e-12, 1e-9, 1e-6]),
-        st.booleans(),
-    )
-    def test_a_bracket_is_solved_alike_alone_and_in_a_batch(
-        self, root, left, right, wider, tol, rising
-    ):
-        fn = _cubic if rising else (lambda x: -_cubic(x))
-        lo, hi = root - left, root + right
-        # wider brackets of other roots, the bracket itself in the middle
-        others = [(r - f * (hi - lo), r + f * (hi - lo), r) for f, r in wider]
-        brackets = others[:1] + [(lo, hi, root)] + others[1:]
-        batch_lo, batch_hi, roots = (np.asarray(v) for v in zip(*brackets))
-        alone = _bisect(fn, np.asarray([lo]), np.asarray([hi]), fn(root), rising, tol)
-        batch = _bisect(fn, batch_lo, batch_hi, fn(roots), rising, tol)
-        assert alone[0].tobytes() == batch[1].tobytes()
-        for x, a, b, r in zip(batch, batch_lo, batch_hi, roots):
-            reference = brentq(lambda y: _cubic(y) - _cubic(r), a, b, xtol=1e-15, rtol=1e-15)
-            assert abs(x - reference) <= tol
-
-    def test_brackets_of_one_width_take_the_same_steps(self):
-        # one grid's cells: each cell halves as often as the batch would
-        lo = np.linspace(0.0, 3.0, 7)[:-1]
-        hi = lo + 0.5
-        roots = lo + 0.3
-        batch = _bisect(_cubic, lo, hi, _cubic(roots), True, 1e-12)
-        for k in range(lo.size):
-            one = _bisect(_cubic, lo[k:k + 1], hi[k:k + 1], _cubic(roots[k:k + 1]), True, 1e-12)
-            assert one[0] == batch[k]
-        np.testing.assert_allclose(batch, roots, atol=1e-12)
-
-    #: roots of exp(1) against exp(2) (p0 = 1/2) as the grid solve returned
-    #: them when every bracket took the halvings of the widest one
-    PINNED = {0.1: (2.995732273554152,), 1.0: (0.693147180559738,), 10.0: ()}
+    #: roots of exp(1) against exp(2) (p0 = 1/2) as the grid solve returns
+    #: them: log(20) and log(2) to the bit (bisection left them 1.6e-13 and
+    #: 2.1e-13 off)
+    PINNED = {0.1: (math.log(20.0),), 1.0: (math.log(2.0),), 10.0: ()}
 
     @pytest.mark.parametrize("eta", sorted(PINNED))
     def test_ratio_roots_are_pinned(self, exp_pair, eta):
         assert ml_boundaries_generic(exp_pair, eta).roots == self.PINNED[eta]
+
+
+def _cauchy_pdf(x, p):
+    return 1.0 / (math.pi * p[1] * (1.0 + ((x - p[0]) / p[1]) ** 2))
+
+
+class TestNewtonFallback:
+    """Once a fallback point keeps more than half of its bracket, ``_newton``
+    falls back on midpoints until a Newton step lands: regula falsi alone
+    shrinks a bracket with a flat far end from one side only."""
+
+    @pytest.mark.parametrize("interval, grid", [((0.0, 1e36), DEFAULT_GRID), ((0.0, 1e33), 2)])
+    def test_cauchy_pair_on_a_wide_interval(self, interval, grid):
+        # p1 f1 = eta p0 f0 for Cauchy(0, 1) against Cauchy(0, 2) at eta 1.9
+        # reads 1 + x^2 = 3.8 (1 + x^2 / 4): the root sqrt(56) lies in the
+        # first grid cell, whose far end is flat to its last digit
+        cauchy = _custom("cauchy", _cauchy_pdf)
+        pair = HypothesisPair(*(DensityModel.from_custom(cauchy, (0.0, w)) for w in (1.0, 2.0)))
+        report = ml_boundaries_generic(pair, 1.9, interval, grid)
+        assert report.roots == (pytest.approx(math.sqrt(56.0), abs=1e-12),)
+
+    def test_a_flat_far_end_is_resolved(self):
+        # the residual rises from -1000 to its root at 1 and stays at 1 past
+        # 1.001: each regula falsi point keeps 99.9 % of the bracket, so
+        # alternating it with midpoints halves the width once per two points
+        # and leaves this one about 2^50 tol wide after BISECTION_STEPS
+        tol = BISECTION_WIDTH
+        lo, hi = np.asarray([0.0]), np.asarray([2.0**150 * tol])
+        points = []
+
+        def fn(x):
+            points.append(x.size)
+            return np.minimum(1000.0 * (x - 1.0), 1.0), np.where(x < 1.001, 1000.0, 0.0), np.ones_like(x)
+
+        x = _newton(fn, lo, hi, np.asarray([-1000.0]), np.asarray([1.0]), tol)
+        assert abs(x[0] - 1.0) <= tol
+        assert len(points) < BISECTION_STEPS
 
 
 class TestResidualCheck:

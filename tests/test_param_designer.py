@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from accsens import boundary_solver, param_designer
-from accsens.boundary_solver import _bisect, _gaussian_roots, _newton, ml_boundaries
+from accsens.boundary_solver import _gaussian_roots, _newton, ml_boundaries
 from accsens.classifier import (
     GeneralSpec,
     BoundarySet,
@@ -643,11 +643,14 @@ class TestNewtonSeparationRoot:
     ]
 
     @pytest.mark.parametrize("box", boxes)
-    def test_roots_agree_with_bisection(self, box, monkeypatch):
+    def test_roots_agree_with_brentq(self, box, monkeypatch):
         calls, widths = self._record(box, monkeypatch), []
         for fn, lo, hi, r_lo, r_hi, tol, (r,), x in calls:
             assert tol == D_XTOL
-            reference = _bisect(lambda z, r: fn(z, r)[0], lo, hi, 0.0, True, D_XTOL, r)
+            reference = np.asarray([
+                brentq(lambda z: float(fn(np.asarray([z]), r[k:k + 1])[0][0]), a, b, xtol=1e-15, rtol=1e-15)
+                for k, (a, b) in enumerate(zip(lo, hi))
+            ])
             assert np.all((x >= lo) & (x <= hi))
             near = np.abs(x - reference) <= D_XTOL
             level = np.abs(fn(x, r)[0]) <= self.BAND

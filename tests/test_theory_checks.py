@@ -12,7 +12,7 @@ import accsens.theory_checks as theory_checks
 from accsens.classifier import Norm, apply_norm, region_accuracy, region_accuracy_gradient
 from accsens.boundary_solver import ml_boundaries
 from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair
-from accsens.errors import AccsensError
+from accsens.errors import AccsensError, InvalidParameterError
 from accsens.theory_checks import (
     ETA_FD_STEP,
     SENS_FD_STEP,
@@ -144,6 +144,14 @@ class TestWitness:
             report = ml_boundaries(pair, 1.0)
             assert mixed_derivative_identity_defect(pair, report) < 1e-5
             passed += 1
+
+    @pytest.mark.parametrize("eta", [0.4603, 50.0])
+    def test_identity_refuses_a_report_off_the_optimum(self, table1_pair, eta):
+        # the theta-responses are the optimum's: at eta 0.4603 two other
+        # boundaries read a meaningless defect, and at eta 50 there are none
+        report = ml_boundaries(table1_pair, eta)
+        with pytest.raises(InvalidParameterError, match="unit-threshold optimum"):
+            mixed_derivative_identity_defect(table1_pair, report)
 
     def test_descent_probe_lowers_sensitivity(self, table1_pair):
         report = ml_boundaries(table1_pair, 1.0)

@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 
 from accsens import boundary_solver
 from accsens.boundary_solver import (
-    _bisect,
     _newton,
     _saturation_points,
     default_search_interval,
@@ -812,13 +811,16 @@ def level_brackets(draw):
 class TestNewtonLevelSet:
     @settings(max_examples=60, deadline=None)
     @given(level_brackets(), st.sampled_from([SCAN_RTOL, 2.0 * np.finfo(float).eps]))
-    def test_roots_agree_with_bisection(self, brackets, rtol):
+    def test_roots_agree_with_brentq(self, brackets, rtol):
         pair, lo, hi, target = brackets
         search_lo, search_hi = default_search_interval(pair)
         tol = rtol * (search_hi - search_lo)  # as the frontier solver sets it
         g_lo, g_hi = _gap(pair, lo), _gap(pair, hi)
         x = _level_newton(pair, lo, hi, g_lo, g_hi, target, tol)
-        reference = _bisect(partial(_gap, pair), lo, hi, target, g_hi >= g_lo, tol)
+        reference = np.asarray([
+            brentq(lambda y: float(_gap(pair, y)) - t, a, b, xtol=1e-15, rtol=1e-15)
+            for a, b, t in zip(lo, hi, target)
+        ])
         assert np.all((x >= lo) & (x <= hi))
         near = np.abs(x - reference) <= tol
         level = np.abs(_gap(pair, x) - target) <= _rounding_band(pair, x, target)
@@ -895,3 +897,19 @@ class TestNewtonLevelSet:
                 g_far = float(_gap(table1_pair, hi if lo == root else lo))
                 target = g_root + fraction * (g_far - g_root)
                 assert self._steps(table1_pair, lo, hi, target, monkeypatch) <= self.HARD_STEPS
+
+    #: Residual points (calls of ``_level_residual``) of the exp(1)/exp(2)
+    #: n = 3 inf curve: 1,677 when the fallback alternated regula falsi and
+    #: midpoints, 1,498 when it halves once a fallback point keeps most of
+    #: its bracket.
+    CURVE_POINTS = 1600
+
+    def test_exponential_curve_points(self, exp_pair, monkeypatch):
+        count, newton = [], tradeoff._newton
+
+        def counting(fn, *args):
+            return newton(lambda z, *a: count.append(1) or fn(z, *a), *args)
+
+        monkeypatch.setattr(tradeoff, "_newton", counting)
+        general_curve(exp_pair, n_boundaries=3, norm=Norm.INF)
+        assert 0 < len(count) <= self.CURVE_POINTS
