@@ -579,17 +579,13 @@ def _ml_boundaries_many(pair: HypothesisPair, etas) -> tuple[LikelihoodRootRepor
     return solve(pair, etas) if solve is not None else _grid_solve(pair, etas, None, DEFAULT_GRID)
 
 
-def ml_boundaries(
-    pair: HypothesisPair,
-    eta: float = 1.0,
-    interval: tuple[float, float] | None = None,
-    grid: int = DEFAULT_GRID,
-) -> LikelihoodRootReport:
+def ml_boundaries(pair: HypothesisPair, eta: float = 1.0) -> LikelihoodRootReport:
     """Closed form for Gaussian and exponential pairs, over the whole
-    support (``interval`` and ``grid`` are not used); grid scan otherwise."""
+    support; grid scan on the default interval and grid otherwise.  Use
+    ``ml_boundaries_generic`` for another interval or grid."""
     solve = _closed_form(pair)
     if solve is None:
-        return ml_boundaries_generic(pair, eta, interval, grid)
+        return ml_boundaries_generic(pair, eta)
     if solve is _gaussian_solve:  # through the public entry point perfbench traces
         return ml_boundaries_gaussian(pair, eta)
     return solve(pair, [eta])[0]
@@ -605,11 +601,7 @@ class LinearOptimum:
         return {"y": self.y, "orientation": self.orientation.value, "accuracy": self.accuracy}
 
 
-def optimal_linear_boundary(
-    pair: HypothesisPair,
-    interval: tuple[float, float] | None = None,
-    grid: int = DEFAULT_GRID,
-) -> LinearOptimum:
+def optimal_linear_boundary(pair: HypothesisPair) -> LinearOptimum:
     """Best single-boundary classifier.
 
     Candidates are the unit-threshold ratio roots and the saturation points
@@ -619,7 +611,7 @@ def optimal_linear_boundary(
     then H* (where the frontier puts its constant classifier), then
     H0-first.  A pair whose ratio has no root raises NoRootError.
     """
-    report = ml_boundaries(pair, 1.0, interval, grid)
+    report = ml_boundaries(pair, 1.0)
     if not report.roots:
         raise NoRootError("the unit-threshold ratio equation has no root for this pair")
     l_sat, h_sat = _saturation_points(pair, *default_search_interval(pair))

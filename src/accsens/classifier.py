@@ -32,12 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .densities import HypothesisPair
-from .errors import (
-    InvalidParameterError,
-    SchemaError,
-    SolverFailureError,
-    UnresolvedClassifierError,
-)
+from .errors import InvalidParameterError, SolverFailureError, UnresolvedClassifierError
 
 
 class Label(IntEnum):
@@ -129,51 +124,6 @@ def spec_to_dict(spec: ClassifierSpec) -> dict:
     if isinstance(spec, MLSpec):
         return {"kind": "ml", "eta": spec.eta}
     return {"kind": "linear", "y": spec.y, "orientation": spec.orientation.value}
-
-
-def _orientation(obj: dict) -> Orientation:
-    value = obj.get("orientation", "h0_first")
-    try:
-        return Orientation(value)
-    except ValueError:
-        raise SchemaError(
-            f"unknown orientation {value!r} in classifier spec (expected h0_first|h1_first)"
-        ) from None
-
-
-def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"non-numeric {what} {value!r} in classifier spec") from None
-
-
-def spec_from_dict(obj: dict) -> ClassifierSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError("classifier spec must be an object")
-    kind = obj.get("kind")
-    if kind == "general":
-        unknown = set(obj) - {"kind", "boundaries", "orientation"}
-        if unknown:
-            raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in classifier spec")
-        raw = obj.get("boundaries", ())
-        if not isinstance(raw, (list, tuple)):
-            raise SchemaError("classifier spec key 'boundaries' must be a list")
-        boundaries = tuple(_number(b, "boundary") for b in raw)
-        return GeneralSpec(BoundarySet(boundaries, _orientation(obj)))
-    if kind == "ml":
-        unknown = set(obj) - {"kind", "eta"}
-        if unknown:
-            raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in classifier spec")
-        return MLSpec(_number(obj.get("eta", 1.0), "threshold"))
-    if kind == "linear":
-        unknown = set(obj) - {"kind", "y", "orientation"}
-        if unknown:
-            raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in classifier spec")
-        if "y" not in obj:
-            raise SchemaError("linear classifier spec missing key 'y'")
-        return LinearSpec(_number(obj["y"], "boundary"), _orientation(obj))
-    raise SchemaError(f"unknown classifier kind {kind!r}")
 
 
 # ---- evaluation of boundary sets (see the module docstring) ----

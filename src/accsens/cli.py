@@ -215,6 +215,10 @@ def _curve_for(kind: str, pair: HypothesisPair, args):
 
 def _cmd_curve(args) -> int:
     pair = _load_problem(args.problem)
+    formats = args.format.split(",")
+    unknown = [name for name in formats if name not in ("csv", "json", "svg")]
+    if unknown:
+        raise SchemaError(f"unknown --format {unknown[0]!r} (expected a comma list of csv,json,svg)")
     curve = _curve_for(args.kind, pair, args)
     config = {
         "command": f"curve {args.kind}",
@@ -228,7 +232,6 @@ def _cmd_curve(args) -> int:
         },
         "metadata": curve.metadata,
     }
-    formats = args.format.split(",")
     out = Path(args.out) if args.out else None
     print(f"curve {args.kind}: {len(curve.points)} points ({args.norm} norm)")
     for warning in curve.metadata.get("warnings", ()):
@@ -273,6 +276,8 @@ def _cmd_check(args) -> int:
 def _cmd_simulate(args) -> int:
     pair = _load_problem(args.problem)
     spec = _parse_classifier(args.classifier)
+    if args.scenario and args.perturbation:
+        raise SchemaError("simulate takes --scenario or --perturbation, not both")
     if args.scenario:
         if args.scenario not in SCENARIOS:
             raise SchemaError(f"unknown scenario {args.scenario!r} (expected s1|s2)")
@@ -326,6 +331,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_design(args) -> int:
     box_obj = _load_json_file(args.box)
     norm = Norm(args.norm)
+    if args.gamma_grid and args.gamma is not None:
+        raise SchemaError("design takes --gamma or --gamma-grid, not both")
     if args.gamma_grid:
         try:
             lo, hi, n = args.gamma_grid.split(":")

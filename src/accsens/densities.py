@@ -3,8 +3,8 @@
 Every model exposes the same surface: pdf/cdf evaluation, derivatives of both
 with respect to the distribution parameters, the pdf derivative in x, and an
 exact seeded sampler.  Built-in families (Gaussian, Exponential) carry analytic
-gradients; custom families register callables and may fall back to central
-finite differences for the parameter derivatives.
+gradients; custom families register callables, and any parameter gradient a
+custom family does not supply is taken by central finite differences.
 
 All values are immutable and all operations are pure functions of their
 inputs, so models can be shared freely across threads.  Samplers take an
@@ -31,12 +31,6 @@ from .errors import CapabilityError, InvalidParameterError, SchemaError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# When enabled, model construction verifies by quadrature that the pdf
-# integrates to one.  Off by default: it is a test/debug guard, far too slow
-# for optimizer inner loops.
-NORMALIZATION_CHECKS = False
-NORMALIZATION_TOL = 1e-9
-
 
 class Family(str, Enum):
     GAUSSIAN = "gaussian"
@@ -48,11 +42,11 @@ class Family(str, Enum):
 class CustomDensity:
     """Registration record for a user-supplied density family.
 
-    ``pdf``/``cdf``/``sampler`` are required.  Gradient hooks are optional;
-    with ``fd_gradients`` enabled (the default) missing parameter gradients
-    are approximated by central finite differences with step
-    ``1e-6 * max(1, |theta_i|)``.  ``mean_scale`` supplies location/scale
-    hints used to build default root-search intervals.
+    ``pdf``/``cdf``/``sampler`` are required.  Gradient hooks are optional:
+    missing parameter gradients are approximated by central finite
+    differences with step ``1e-6 * max(1, |theta_i|)``.  ``mean_scale``
+    supplies location/scale hints used to build default root-search
+    intervals.
 
     Signature conventions: ``pdf(x, params) -> array``, ``cdf(x, params) ->
     array``, ``sampler(rng, n, params) -> array``, ``grad_pdf(x, params) ->
@@ -70,7 +64,6 @@ class CustomDensity:
     grad_cdf: Callable | None = None
     pdf_dx: Callable | None = None
     mean_scale: Callable | None = None
-    fd_gradients: bool = True
 
 
 def _fd_param_grad(fn: Callable, x: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -115,12 +108,6 @@ class DensityModel:
                 )
         if not all(math.isfinite(p) for p in self.params):
             raise InvalidParameterError(f"non-finite parameters {self.params}")
-        if NORMALIZATION_CHECKS:
-            err = abs(self.normalization_defect())
-            if err > NORMALIZATION_TOL:
-                raise InvalidParameterError(
-                    f"pdf of {self.describe()} integrates to 1{err:+.3e}"
-                )
 
     # ---- constructors ----
 
@@ -153,19 +140,6 @@ class DensityModel:
         if self.family is Family.EXPONENTIAL:
             return (0.0, math.inf)
         return self.custom.support
-
-    @property
-    def has_gradients(self) -> bool:
-        if self.family is Family.CUSTOM:
-            return (
-                self.custom.fd_gradients
-                or (self.custom.grad_pdf is not None and self.custom.grad_cdf is not None)
-            )
-        return True
-
-    def describe(self) -> str:
-        pairs = ", ".join(f"{n}={v:g}" for n, v in zip(self.param_names, self.params))
-        return f"{self.family.value}({pairs})"
 
     def mean_scale(self) -> tuple[float, float]:
         """Location/scale hints used for default search intervals."""
@@ -281,10 +255,6 @@ class DensityModel:
             return d_lam[None, ...]
         if self.custom.grad_pdf is not None:
             return np.asarray(self.custom.grad_pdf(x, np.asarray(self.params)), dtype=float)
-        if not self.custom.fd_gradients:
-            raise CapabilityError(
-                f"custom model {self.custom.name!r} has no pdf parameter gradients"
-            )
         return _fd_param_grad(self.custom.pdf, x, np.asarray(self.params, dtype=float))
 
     def grad_cdf_params(self, x) -> np.ndarray:
@@ -309,10 +279,6 @@ class DensityModel:
             return d_lam[None, ...]
         if self.custom.grad_cdf is not None:
             return np.asarray(self.custom.grad_cdf(x, np.asarray(self.params)), dtype=float)
-        if not self.custom.fd_gradients:
-            raise CapabilityError(
-                f"custom model {self.custom.name!r} has no cdf parameter gradients"
-            )
         return _fd_param_grad(self.custom.cdf, x, np.asarray(self.params, dtype=float))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -326,12 +292,12 @@ class DensityModel:
             return rng.exponential(1.0 / self.params[0], size=n)
         return np.asarray(self.custom.sampler(rng, n, np.asarray(self.params)), dtype=float)
 
-    def normalization_defect(self, rtol: float = 1e-11) -> float:
+    def normalization_defect(self) -> float:
         """Quadrature check: integral of the pdf over the support, minus one."""
         from scipy.integrate import quad
 
         lo, hi = self.support
-        total, _ = quad(lambda t: float(self.pdf(t)), lo, hi, limit=200, epsabs=1e-12, epsrel=rtol)
+        total, _ = quad(lambda t: float(self.pdf(t)), lo, hi, limit=200, epsabs=1e-12, epsrel=1e-11)
         return total - 1.0
 
     # ---- serialization ----

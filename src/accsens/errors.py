@@ -10,7 +10,8 @@ class InvalidParameterError(AccsensError, ValueError):
 
 
 class CapabilityError(AccsensError):
-    """A model lacks a declared capability (gradients, sampler, scale hints)."""
+    """A custom model lacks a declared capability: the scale hints that
+    default search intervals need."""
 
 
 class SchemaError(AccsensError, ValueError):

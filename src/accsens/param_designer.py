@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .boundary_solver import _gaussian_pair_roots, _gaussian_roots, _newton
-from .classifier import Norm, Orientation
+from .classifier import Norm, Orientation, _norms
 from .densities import DensityModel, HypothesisPair
 from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError, SolverFailureError
 from .tradeoff import ACCURACY_TOL
@@ -194,10 +194,7 @@ def _evaluate(lo, hi, h0_outside, theta, p0: float, norm: Norm):
         p1 * (f1lo - f1hi),
         p1 * (z1lo * f1lo - z1hi * f1hi),
     )
-    if norm is Norm.INF:
-        sens = np.maximum.reduce([np.abs(g) for g in grad])
-    else:
-        sens = np.sqrt(sum(g * g for g in grad))
+    sens = _norms(np.stack(np.broadcast_arrays(*grad)), norm)
     return _accuracy(z0lo, z0hi, z1lo, z1hi, h0_outside, p0), sens
 
 

@@ -16,6 +16,10 @@ boundaries y*:
 All implicit-function derivatives (d y*/d theta, d y/d eta) are computed by
 re-solving the boundary equation under perturbation rather than symbolically;
 the mixed-derivative identity check below guards their correctness.
+
+The verdicts are about the pair alone: every check takes its finite-difference
+steps and tolerances from the module constants below, and every
+``AssumptionReport`` records them.
 """
 
 from __future__ import annotations
@@ -85,56 +89,55 @@ class A1Result:
         }
 
 
-def check_a1(pair: HypothesisPair, tol: float = A1_GAP_TOL) -> A1Result:
+def check_a1(pair: HypothesisPair) -> A1Result:
     """Uniqueness of the largest absolute accuracy-gradient component."""
-    return _check_a1(pair, _ml_optimum(pair), tol)
+    return _check_a1(pair, _ml_optimum(pair))
 
 
-def _check_a1(pair: HypothesisPair, base: LikelihoodRootReport, tol: float) -> A1Result:
+def _check_a1(pair: HypothesisPair, base: LikelihoodRootReport) -> A1Result:
     grad = region_accuracy_gradient(pair, base.roots, base.orientation)
     mags = np.abs(grad)
     order = np.argsort(mags)[::-1]
     gap = float(mags[order[0]] - mags[order[1]]) if len(mags) > 1 else float(mags[order[0]])
-    holds = gap > tol
+    holds = gap > A1_GAP_TOL
     return A1Result(holds, gap, int(order[0]), not holds, tuple(grad))
 
 
-def boundary_theta_response(
-    pair: HypothesisPair, j: int, h: float = THETA_FD_STEP
-) -> np.ndarray:
-    """d y_i*/d theta_j by re-solving the boundary equation at theta +- h e_j.
+def boundary_theta_response(pair: HypothesisPair, j: int) -> np.ndarray:
+    """d y_i*/d theta_j by re-solving the boundary equation at theta +- h e_j,
+    h = ``THETA_FD_STEP``.
 
     Roots are matched to the unperturbed ones by proximity; a root that
     survives on one side only falls back to a one-sided difference.
     """
     base = _ml_optimum(pair)
-    return _theta_response(base, _theta_resolves(pair, j, h), j, h)
+    return _theta_response(base, _theta_resolves(pair, j), j)
 
 
-def _theta_resolves(pair: HypothesisPair, j: int, h: float) -> tuple[LikelihoodRootReport, ...]:
+def _theta_resolves(pair: HypothesisPair, j: int) -> tuple[LikelihoodRootReport, ...]:
     """The unit-threshold boundaries at theta + h e_j and theta - h e_j."""
     reports = []
     for sign in (+1.0, -1.0):
         shifted = pair.theta.copy()
-        shifted[j] += sign * h
+        shifted[j] += sign * THETA_FD_STEP
         reports.append(ml_boundaries(pair.with_theta(shifted), 1.0))
     return tuple(reports)
 
 
 def _theta_responses(
-    pair: HypothesisPair, base: LikelihoodRootReport, h: float
+    pair: HypothesisPair, base: LikelihoodRootReport
 ) -> tuple[list[np.ndarray], list[LikelihoodRootReport]]:
     """Every response row d y*/d theta_j, plus the 2m re-solves behind them."""
     rows, solves = [], []
     for j in range(pair.theta.size):
-        reports = _theta_resolves(pair, j, h)
-        rows.append(_theta_response(base, reports, j, h))
+        reports = _theta_resolves(pair, j)
+        rows.append(_theta_response(base, reports, j))
         solves.extend(reports)
     return rows, solves
 
 
 def _theta_response(
-    base: LikelihoodRootReport, reports: tuple[LikelihoodRootReport, ...], j: int, h: float
+    base: LikelihoodRootReport, reports: tuple[LikelihoodRootReport, ...], j: int
 ) -> np.ndarray:
     def nearest(roots: tuple[float, ...], r: float) -> float | None:
         if not roots:
@@ -148,11 +151,11 @@ def _theta_response(
         r_plus = nearest(reports[0].roots, r)
         r_minus = nearest(reports[1].roots, r)
         if r_plus is not None and r_minus is not None:
-            out[i] = (r_plus - r_minus) / (2.0 * h)
+            out[i] = (r_plus - r_minus) / (2.0 * THETA_FD_STEP)
         elif r_plus is not None:
-            out[i] = (r_plus - r) / h
+            out[i] = (r_plus - r) / THETA_FD_STEP
         elif r_minus is not None:
-            out[i] = (r - r_minus) / h
+            out[i] = (r - r_minus) / THETA_FD_STEP
         else:
             raise SolverFailureError(
                 f"boundary {r!r} vanished under both theta perturbations of component {j}"
@@ -192,38 +195,29 @@ class A2Result:
         }
 
 
-def check_a2(
-    pair: HypothesisPair,
-    j: int | None = None,
-    h: float = THETA_FD_STEP,
-    tol: float = A2_PRODUCT_TOL,
-) -> A2Result:
-    """Nonvanishing boundary response: any |w_i(y_i*) dy_i*/dtheta_j| > tol."""
+def check_a2(pair: HypothesisPair, j: int | None = None) -> A2Result:
+    """Nonvanishing boundary response: any |w_i(y_i*) dy_i*/dtheta_j| >
+    ``A2_PRODUCT_TOL``; j defaults to A1's index."""
     base = _ml_optimum(pair)
     if j is None:
-        j = _check_a1(pair, base, A1_GAP_TOL).index
-    dy = _theta_response(base, _theta_resolves(pair, j, h), j, h)
-    return _check_a2(pair, base, j, dy, h, tol)
+        j = _check_a1(pair, base).index
+    dy = _theta_response(base, _theta_resolves(pair, j), j)
+    return _check_a2(pair, base, j, dy)
 
 
 def _check_a2(
-    pair: HypothesisPair,
-    base: LikelihoodRootReport,
-    j: int,
-    dy: np.ndarray,
-    h: float,
-    tol: float,
+    pair: HypothesisPair, base: LikelihoodRootReport, j: int, dy: np.ndarray
 ) -> A2Result:
     w = curvature_weights(pair, base.roots, base.orientation)
     products = w * dy
     witness = int(np.argmax(np.abs(products)))
     return A2Result(
-        bool(np.abs(products[witness]) > tol),
+        bool(np.abs(products[witness]) > A2_PRODUCT_TOL),
         witness,
         float(products[witness]),
         tuple(products),
         j,
-        h,
+        THETA_FD_STEP,
     )
 
 
@@ -231,9 +225,9 @@ def sensitivity_boundary_gradient(
     pair: HypothesisPair,
     report: LikelihoodRootReport,
     norm: Norm = Norm.INF,
-    h: float = SENS_FD_STEP,
 ) -> np.ndarray:
-    """Finite-difference d S/d y_i at the given boundaries.
+    """Finite-difference d S/d y_i at the given boundaries, relative step
+    ``SENS_FD_STEP``.
 
     With the inf norm the derivative is only one-sided wherever the arg-max
     component switches inside the stencil; the difference then falls back to
@@ -243,7 +237,7 @@ def sensitivity_boundary_gradient(
     """
     y = np.asarray(report.roots, dtype=float)
     n = y.size
-    step = h * np.maximum(1.0, np.abs(y))
+    step = SENS_FD_STEP * np.maximum(1.0, np.abs(y))
     shifts = np.concatenate([np.zeros((n, 1)), np.diag(step), np.diag(-step)], axis=1)
     grads = _gradients(pair, y[:, None] + shifts, report.orientation is Orientation.H0_FIRST)
     s = _norms(grads, norm)
@@ -273,23 +267,18 @@ class A3Result:
         }
 
 
-def check_a3(
-    pair: HypothesisPair,
-    norm: Norm = Norm.INF,
-    h_eta: float = ETA_FD_STEP,
-    tol: float = A3_INNER_TOL,
-) -> A3Result:
+def check_a3(pair: HypothesisPair, norm: Norm = Norm.INF) -> A3Result:
     """Non-orthogonality of the threshold response and the sensitivity slope."""
-    base, stencil = _eta_stencil(pair, h_eta)
-    return _check_a3(pair, base, stencil, norm, h_eta, tol)
+    base, stencil = _eta_stencil(pair)
+    return _check_a3(pair, base, stencil, norm)
 
 
 def _eta_stencil(
-    pair: HypothesisPair, h_eta: float
+    pair: HypothesisPair,
 ) -> tuple[LikelihoodRootReport, tuple[LikelihoodRootReport, ...]]:
-    """The unit-threshold boundaries and those at thresholds 1 + h_eta and
-    1 - h_eta, from one ``_ml_boundaries_many`` call."""
-    base, plus, minus = _ml_boundaries_many(pair, (1.0, 1.0 + h_eta, 1.0 - h_eta))
+    """The unit-threshold boundaries and those at thresholds 1 + h and
+    1 - h, h = ``ETA_FD_STEP``, from one ``_ml_boundaries_many`` call."""
+    base, plus, minus = _ml_boundaries_many(pair, (1.0, 1.0 + ETA_FD_STEP, 1.0 - ETA_FD_STEP))
     return _resolved(base), (plus, minus)
 
 
@@ -298,16 +287,14 @@ def _check_a3(
     base: LikelihoodRootReport,
     stencil: tuple[LikelihoodRootReport, ...],
     norm: Norm,
-    h_eta: float,
-    tol: float,
 ) -> A3Result:
     plus, minus = stencil
     if len(plus.roots) != len(base.roots) or len(minus.roots) != len(base.roots):
         raise SolverFailureError("boundary count changed inside the eta stencil")
-    dy_deta = (np.asarray(plus.roots) - np.asarray(minus.roots)) / (2.0 * h_eta)
+    dy_deta = (np.asarray(plus.roots) - np.asarray(minus.roots)) / (2.0 * ETA_FD_STEP)
     ds_dy = sensitivity_boundary_gradient(pair, base, norm)
     ip = float(np.dot(dy_deta, ds_dy))
-    return A3Result(bool(abs(ip) > tol), ip, tuple(dy_deta), tuple(ds_dy))
+    return A3Result(bool(abs(ip) > A3_INNER_TOL), ip, tuple(dy_deta), tuple(ds_dy))
 
 
 @dataclass(frozen=True)
@@ -339,9 +326,7 @@ class WitnessResult:
         }
 
 
-def mixed_derivative_identity_defect(
-    pair: HypothesisPair, report: LikelihoodRootReport, h: float = THETA_FD_STEP
-) -> float:
+def mixed_derivative_identity_defect(pair: HypothesisPair, report: LikelihoodRootReport) -> float:
     """Max componentwise defect of the identity
 
         d/dy_i (dA/dtheta_j) |_{y*}  =  - w_i(y_i*) * d y_i*/d theta_j.
@@ -357,7 +342,7 @@ def mixed_derivative_identity_defect(
             f"the identity holds at the unit-threshold optimum {base.roots}; "
             f"the report's boundaries are {report.roots} (eta {report.eta})"
         )
-    dy, _ = _theta_responses(pair, base, h)
+    dy, _ = _theta_responses(pair, base)
     return _identity_defect(pair, report, dy)
 
 
@@ -378,13 +363,7 @@ def _identity_defect(pair: HypothesisPair, report: LikelihoodRootReport, dy) -> 
     return defect
 
 
-def sensitivity_slope_witness(
-    pair: HypothesisPair,
-    norm: Norm = Norm.INF,
-    grad_tol: float = WITNESS_TOL,
-    identity_tol: float = IDENTITY_TOL,
-    descent_step: float = DESCENT_STEP,
-) -> WitnessResult:
+def sensitivity_slope_witness(pair: HypothesisPair, norm: Norm = Norm.INF) -> WitnessResult:
     """Certify a strictly-decreasing sensitivity direction at the optimum.
 
     Reports the finite-difference slope of the sensitivity in the boundaries
@@ -396,17 +375,14 @@ def sensitivity_slope_witness(
     differentiable at a tied maximum.
     """
     base = _ml_optimum(pair)
-    dy, _ = _theta_responses(pair, base, THETA_FD_STEP)
+    dy, _ = _theta_responses(pair, base)
     return _witness(
         pair,
         base,
-        _check_a1(pair, base, A1_GAP_TOL),
+        _check_a1(pair, base),
         sensitivity_boundary_gradient(pair, base, norm),
         _identity_defect(pair, base, dy),
         norm,
-        grad_tol,
-        identity_tol,
-        descent_step,
     )
 
 
@@ -417,16 +393,13 @@ def _witness(
     grad: np.ndarray,
     defect: float,
     norm: Norm,
-    grad_tol: float,
-    identity_tol: float,
-    descent_step: float,
 ) -> WitnessResult:
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
 
     if norm is Norm.INF and not a1.holds:
         verdict = Verdict.WITHHELD
     else:
-        verdict = Verdict.NONZERO if gnorm > grad_tol else Verdict.ZERO
+        verdict = Verdict.NONZERO if gnorm > WITNESS_TOL else Verdict.ZERO
 
     descent_found = False
     drop = 0.0
@@ -435,7 +408,7 @@ def _witness(
         direction = -grad / float(np.linalg.norm(grad))
         y = np.asarray(report.roots, dtype=float)
         # the optimum and the descent step, evaluated together
-        ys = np.stack([y, np.sort(y + descent_step * direction)], axis=1)
+        ys = np.stack([y, np.sort(y + DESCENT_STEP * direction)], axis=1)
         h0_first = report.orientation is Orientation.H0_FIRST
         s0, s1 = _norms(_gradients(pair, ys, h0_first), norm).tolist()
         a0, a1_val = _accuracies(pair, ys, h0_first).tolist()
@@ -446,7 +419,7 @@ def _witness(
         verdict,
         tuple(grad),
         gnorm,
-        bool(defect <= identity_tol),
+        bool(defect <= IDENTITY_TOL),
         defect,
         descent_found,
         drop,
@@ -488,7 +461,7 @@ class AssumptionReport:
 
 
 def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionReport:
-    """All checks with the default steps and tolerances.
+    """All checks, with the steps and tolerances recorded on the report.
 
     Each boundary problem is solved once and shared: the base solve, the
     theta re-solves (A2 and the identity audit) and the eta stencil (A3),
@@ -498,21 +471,13 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
     three thresholds.  The witness reuses
     A1 and A3's sensitivity slope, which it would compute identically.
     """
-    base, stencil = _eta_stencil(pair, ETA_FD_STEP)
-    dy, theta_solves = _theta_responses(pair, base, THETA_FD_STEP)
-    a1 = _check_a1(pair, base, A1_GAP_TOL)
-    a2 = _check_a2(pair, base, a1.index, dy[a1.index], THETA_FD_STEP, A2_PRODUCT_TOL)
-    a3 = _check_a3(pair, base, stencil, norm, ETA_FD_STEP, A3_INNER_TOL)
+    base, stencil = _eta_stencil(pair)
+    dy, theta_solves = _theta_responses(pair, base)
+    a1 = _check_a1(pair, base)
+    a2 = _check_a2(pair, base, a1.index, dy[a1.index])
+    a3 = _check_a3(pair, base, stencil, norm)
     witness = _witness(
-        pair,
-        base,
-        a1,
-        np.asarray(a3.sens_gradient),
-        _identity_defect(pair, base, dy),
-        norm,
-        WITNESS_TOL,
-        IDENTITY_TOL,
-        DESCENT_STEP,
+        pair, base, a1, np.asarray(a3.sens_gradient), _identity_defect(pair, base, dy), norm
     )
     solves = (base, *theta_solves, *stencil)
     return AssumptionReport(

@@ -24,12 +24,10 @@ from accsens.classifier import (
     region_accuracy,
     region_accuracy_gradient,
     sensitivity,
-    spec_from_dict,
-    spec_to_dict,
 )
 from accsens.densities import DensityModel, HypothesisPair
 from accsens.densities import CustomDensity
-from accsens.errors import InvalidParameterError, SchemaError, SolverFailureError
+from accsens.errors import InvalidParameterError, SolverFailureError
 from conftest import random_gaussian_pair
 
 C1 = BoundarySet((3.65, 18.78))
@@ -322,33 +320,6 @@ class TestSpecsAndValidation:
             BoundarySet((np.inf,))
         with pytest.raises(InvalidParameterError):
             MLSpec(0.0)
-
-    def test_spec_round_trip(self):
-        for spec in (
-            GeneralSpec(BoundarySet((1.0, 2.0), Orientation.H1_FIRST)),
-            MLSpec(0.4603),
-            LinearSpec(3.65),
-        ):
-            assert spec_from_dict(spec_to_dict(spec)) == spec
-        with pytest.raises(SchemaError):
-            spec_from_dict({"kind": "ml", "eta": 1.0, "gamma": 2.0})
-        with pytest.raises(SchemaError):
-            spec_from_dict({"kind": "quadratic"})
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {"kind": "general", "boundaries": [1.0, 2.0], "orientation": "sideways"},
-            {"kind": "general", "boundaries": ["left"]},
-            {"kind": "general", "boundaries": 3.0},
-            {"kind": "linear", "y": None},
-            {"kind": "linear", "y": 1.0, "orientation": 3},
-            {"kind": "ml", "eta": "one"},
-        ],
-    )
-    def test_malformed_spec_values_raise_schema_error(self, obj):
-        with pytest.raises(SchemaError):
-            spec_from_dict(obj)
 
     def test_accuracy_outside_unit_interval_is_a_solver_failure(self):
         # a custom family whose cdf overshoots 1: the range check must raise

@@ -71,6 +71,14 @@ class TestValueCommands:
     def test_bad_classifier_spec(self, capsys):
         assert run_cli("accuracy", "--problem", TABLE1, "--classifier", "oops:1") == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["general:1,2:sideways", "general:left", "general:", "linear", "linear:1:3", "ml:one"],
+    )
+    def test_malformed_classifier_spec_values_exit_2(self, capsys, spec):
+        assert run_cli("accuracy", "--problem", TABLE1, "--classifier", spec) == 2
+        assert f"cannot parse classifier spec {spec!r}" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_tied_pair_reports_a1_failure(self, capsys):
@@ -133,6 +141,16 @@ class TestCurveCommand:
 
     def test_empty_grid_exits_2(self):
         assert run_cli("curve", "ml", "--problem", TABLE1, "--eta-steps", "0") == 2
+
+    @pytest.mark.parametrize("formats", ["xml", "csv,jsn"])
+    def test_unknown_format_exits_2(self, tmp_path, capsys, formats):
+        out = tmp_path / "d"
+        assert run_cli(
+            "curve", "ml", "--problem", TABLE1, "--eta-steps", "2", "--format", formats,
+            "--out", str(out),
+        ) == 2
+        assert repr(formats.split(",")[-1]) in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bound", ["--eta-min", "--eta-max"])
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -210,6 +228,13 @@ class TestSimulateCommand:
     def test_unknown_scenario_exits_2(self):
         assert run_cli("simulate", "--problem", TABLE1, "--scenario", "s9") == 2
 
+    def test_scenario_and_perturbation_together_exit_2(self, tmp_path, capsys):
+        assert run_cli(
+            "simulate", "--problem", TABLE1, "--scenario", "s1",
+            "--perturbation", str(tmp_path / "missing.json"),
+        ) == 2
+        assert "not both" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ['{"mu_bar_0": "far"}', '{"sigma_bar_1": null}', "5"])
     def test_malformed_perturbation_file_exits_2(self, tmp_path, capsys, text):
         f = tmp_path / "pert.json"
@@ -257,6 +282,12 @@ class TestDesignCommand:
     def test_empty_gamma_grid_exits_2(self, capsys):
         assert run_cli("design", "--box", "fig3.json", "--gamma-grid", "0.6:0.7:0") == 2
         assert "at least one target" in capsys.readouterr().err
+
+    def test_gamma_and_gamma_grid_together_exit_2(self, capsys):
+        assert run_cli(
+            "design", "--box", "fig3.json", "--gamma", "0.8", "--gamma-grid", "0.6:0.7:2"
+        ) == 2
+        assert "not both" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "change",

@@ -571,6 +571,7 @@ class TestEnvelopeSlope:
     @given(*shapes)
     @example(0.0, 2.0, 0.5)  # A is even in d: a flat start
     @example(50.0, 1e-3, 0.5)  # saturated: the scores leave the float range
+    @example(1.175494351e-38, 1.0, 0.5)  # beside the kink of A = Phi(|d| / 2) at d = 0
     def test_matches_the_derivative_of_the_accuracy(self, d, r, p0):
         slope = float(_separation_residual(np.float64(d), r, p0, 0.0)[1])
         md, mr, mp0 = map(mpmath.mpf, (d, r, p0))
@@ -585,8 +586,10 @@ class TestEnvelopeSlope:
         if terms < 1e-300:  # below the float range phi reads 0, and so does the slope
             assert abs(slope) <= 1e-300
             return
+        # from the right for d > 0: a central step wider than d straddles
+        # the kink that equal widths and priors put at d = 0, where A is even
         with mpmath.workdps(30 + int(-mpmath.log10(terms))):
-            ref = mpmath.diff(lambda x: _mp_accuracy(x, mr, mp0), md)
+            ref = mpmath.diff(lambda x: _mp_accuracy(x, mr, mp0), md, direction=1 if d > 0 else 0)
         assert abs(slope - ref) <= 1e-6 * max(abs(ref), terms), (slope, ref)
 
     @st.composite

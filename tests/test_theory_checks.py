@@ -198,8 +198,21 @@ class TestFullReport:
         assert report.a1.holds and report.a2.holds and report.a3.holds
         assert report.witness.verdict is Verdict.NONZERO
         payload = report.to_dict()
-        assert payload["tolerances"]["a1_gap"] == 1e-6
-        assert payload["steps"]["theta_fd"] == 1e-5
+        tc = theory_checks
+        assert payload["steps"] == {
+            "theta_fd": tc.THETA_FD_STEP,
+            "eta_fd": tc.ETA_FD_STEP,
+            "sensitivity_fd": tc.SENS_FD_STEP,
+            "descent": tc.DESCENT_STEP,
+        }
+        assert payload["tolerances"] == {
+            "a1_gap": tc.A1_GAP_TOL,
+            "a2_product": tc.A2_PRODUCT_TOL,
+            "a3_inner": tc.A3_INNER_TOL,
+            "witness": tc.WITNESS_TOL,
+            "identity": tc.IDENTITY_TOL,
+        }
+        assert report.a2.step == payload["a2"]["step"] == tc.THETA_FD_STEP
 
 
 def _one_by_one(pair: HypothesisPair, norm: Norm) -> str:
