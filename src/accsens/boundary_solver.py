@@ -11,9 +11,16 @@ pair of exponentials the log ratio gap is linear on the support x >= 0, so
 each threshold has at most one root (``_exponential_solve``).  Both cover the
 whole support, not a search interval.  For any other pair the equation is
 scanned on a grid in the log domain (underflow-proof) and every bracketed
-sign change is refined by safeguarded Newton steps.  ``_ml_boundaries_many``
-solves many thresholds at once: in one closed-form call, or by solving all
-their sign changes together in one Newton call.
+sign change is refined by safeguarded Newton steps.
+
+``_ml_boundaries_many`` is the one front door: ``ml_boundaries``,
+``ml_boundaries_gaussian`` and ``ml_boundaries_generic`` are its
+one-threshold calls.  It checks the thresholds (positive and finite),
+answers a zero prior with single-region reports, checks the roots of all
+thresholds in one ``_check_residuals`` call and builds every report, for all
+three families.  The family solvers return only roots, orientations and
+warnings: the closed forms in one call for all thresholds, the grid by
+solving all their sign changes together in one Newton call.
 
 That safeguarded Newton solver (``_newton``) is the one bracketed root
 solver of the library: the grid's ratio roots, the frontier's level sets and
@@ -265,41 +272,26 @@ def _log_k(pair: HypothesisPair, eta: float) -> float:
     return math.log(pair.p1 / pair.p0) - math.log(eta)
 
 
-def _prior_only_report(pair: HypothesisPair, eta: float, method: RootMethod) -> LikelihoodRootReport:
-    """A zero prior leaves one hypothesis: a single region at any threshold."""
-    orient = Orientation.H1_FIRST if pair.p0 == 0.0 else Orientation.H0_FIRST
-    return LikelihoodRootReport((), method, orient, (), eta)
+def _no_crossing(pair: HypothesisPair, etas):
+    """Roots, orientations and warnings of a pair whose log ratio gap is the
+    constant log(p1 / (eta p0)): no root, and H1 wins where p1 > eta p0."""
+    return [()] * len(etas), [not pair.p1 > eta * pair.p0 for eta in etas], [()] * len(etas)
 
 
-def _check_etas(etas) -> list[float]:
-    etas = [float(eta) for eta in etas]
-    for eta in etas:
-        if not eta > 0:
-            raise InvalidParameterError(f"eta must be > 0, got {eta}")
-    return etas
-
-
-def _gaussian_solve(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, ...]:
-    """Closed-form reports at every threshold of ``etas``, from one call of
-    ``_gaussian_pair_roots`` on the array of their log_k."""
-    etas = _check_etas(etas)
-    if pair.p0 in (0.0, 1.0):
-        return tuple(_prior_only_report(pair, eta, RootMethod.GAUSSIAN_QUADRATIC) for eta in etas)
+def _gaussian_solve(pair: HypothesisPair, etas):
+    """Closed-form roots and orientations at every threshold of ``etas``,
+    from one call of ``_gaussian_pair_roots`` on the array of their log_k."""
     log_k = np.asarray([_log_k(pair, eta) for eta in etas])
     lo, hi, h0_first = _gaussian_pair_roots(*pair.h0.params, *pair.h1.params, log_k)
     roots = [tuple(y for y in ends if y != math.inf) for ends in zip(lo.tolist(), hi.tolist())]
-    orients = [Orientation.H0_FIRST if h0 else Orientation.H1_FIRST for h0 in h0_first.tolist()]
-    return tuple(
-        LikelihoodRootReport(rs, RootMethod.GAUSSIAN_QUADRATIC, orient, res, eta)
-        for eta, rs, orient, res in zip(etas, roots, orients, _check_residuals(pair, etas, roots))
-    )
+    return roots, h0_first.tolist(), [()] * len(etas)
 
 
 def ml_boundaries_gaussian(pair: HypothesisPair, eta: float = 1.0) -> LikelihoodRootReport:
     """Closed-form boundaries for a Gaussian pair (see ``_gaussian_roots``)."""
     if pair.h0.family is not Family.GAUSSIAN or pair.h1.family is not Family.GAUSSIAN:
         raise InvalidParameterError("ml_boundaries_gaussian requires two Gaussian models")
-    return _gaussian_solve(pair, [eta])[0]
+    return _ml_boundaries_many(pair, [eta])[0]
 
 
 def _log_rate_ratio(l0: float, l1: float) -> float:
@@ -314,46 +306,24 @@ def _log_rate_ratio(l0: float, l1: float) -> float:
     return math.log(l1) - math.log(l0)
 
 
-def _exponential_solve(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, ...]:
-    """Closed-form reports of an exponential pair at every threshold of ``etas``.
+def _exponential_solve(pair: HypothesisPair, etas):
+    """Closed-form roots and orientations of an exponential pair at every
+    threshold of ``etas``.
 
     On the support x >= 0 the log ratio gap of rates l0 against l1 is linear,
     c + (l0 - l1) x with c = log(p1 l1 / (eta p0 l0)), so each threshold has
     the one root -c / (l0 - l1), reported where it lies in (0, inf).  H0 wins
     left of it (everywhere, with no root) where the gap just right of 0 is
     negative: where c < 0, or at c = 0 where the slope is.  Equal rates
-    leave the constant gap log(p1 / (eta p0)), which H1 wins where
-    p1 > eta p0.
+    leave a constant gap (``_no_crossing``).
     """
-    etas = _check_etas(etas)
-    if pair.p0 in (0.0, 1.0):
-        return tuple(_prior_only_report(pair, eta, RootMethod.EXPONENTIAL_LINEAR) for eta in etas)
     (l0,), (l1,) = pair.h0.params, pair.h1.params
     if l0 == l1:
-        roots = [()] * len(etas)
-        h0_first = [not pair.p1 > eta * pair.p0 for eta in etas]
-    else:
-        slope = l0 - l1
-        c = np.asarray([_log_k(pair, eta) for eta in etas]) + _log_rate_ratio(l0, l1)
-        roots = [(x,) if 0.0 < x < math.inf else () for x in (-c / slope).tolist()]
-        h0_first = np.where(c != 0.0, c < 0.0, slope < 0.0).tolist()
-    return tuple(
-        LikelihoodRootReport(
-            rs, RootMethod.EXPONENTIAL_LINEAR,
-            Orientation.H0_FIRST if h0 else Orientation.H1_FIRST, res, eta,
-        )
-        for eta, rs, h0, res in zip(etas, roots, h0_first, _check_residuals(pair, etas, roots))
-    )
-
-
-def _closed_form(pair: HypothesisPair):
-    """The closed-form solver of the pair's families, or None."""
-    families = {pair.h0.family, pair.h1.family}
-    if families == {Family.GAUSSIAN}:
-        return _gaussian_solve
-    if families == {Family.EXPONENTIAL}:
-        return _exponential_solve
-    return None
+        return _no_crossing(pair, etas)
+    slope = l0 - l1
+    c = np.asarray([_log_k(pair, eta) for eta in etas]) + _log_rate_ratio(l0, l1)
+    roots = [(x,) if 0.0 < x < math.inf else () for x in (-c / slope).tolist()]
+    return roots, np.where(c != 0.0, c < 0.0, slope < 0.0).tolist(), [()] * len(etas)
 
 
 def _falsi(lo, hi, r_lo, r_hi):
@@ -471,31 +441,9 @@ def _scan(xs: np.ndarray, gap: np.ndarray) -> _GridScan | None:
     )
 
 
-def _undefined_report(eta: float) -> LikelihoodRootReport:
-    return LikelihoodRootReport(
-        (), RootMethod.GRID_BISECTION, Orientation.H0_FIRST, (), eta,
-        ("log ratio undefined on the whole interval",),
-    )
-
-
-def _grid_report(eta: float, scan: _GridScan, roots, residuals) -> LikelihoodRootReport:
-    """Report of one scanned threshold from its sorted roots and their residuals."""
-    warnings: list[str] = []
-    if len(roots) % 2 != (1 if scan.ends_differ else 0):
-        warnings.append(
-            "root count parity disagrees with the interval end signs; "
-            "the grid may be too coarse for this pair"
-        )
-    orient = Orientation.H0_FIRST if scan.first_sign < 0 else Orientation.H1_FIRST
-    return LikelihoodRootReport(
-        roots, RootMethod.GRID_BISECTION, orient, residuals, eta, tuple(warnings)
-    )
-
-
-def _grid_solve(
-    pair: HypothesisPair, etas, interval: tuple[float, float] | None, grid: int
-) -> tuple[LikelihoodRootReport, ...]:
-    """Grid-scan plus Newton reports at every threshold of ``etas``.
+def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None, grid: int):
+    """Grid-scan plus Newton roots, orientations and warnings at every
+    threshold of ``etas``.
 
     Both log densities are evaluated on the grid once, each threshold's gap
     row is formed with the operation order of ``log_ratio_gap`` and scanned,
@@ -504,24 +452,14 @@ def _grid_solve(
     residual is the log ratio gap, its slope f1'/f1 - f0'/f0 and its
     rounding scale the sum of the gap's absolute terms, 0 where the gap is
     not finite, so that a jump at a support edge is never read as a root
-    within rounding.
+    within rounding.  A threshold whose ratio is undefined on the whole grid
+    has no root and H0 everywhere, and one whose root count disagrees in
+    parity with the gap's end signs keeps its roots, each with a warning.
     """
-    etas = _check_etas(etas)
-    if grid < 2:
-        raise InvalidParameterError(f"grid resolution must be >= 2, got {grid}")
-    if pair.p0 in (0.0, 1.0):
-        return tuple(_prior_only_report(pair, eta, RootMethod.GRID_BISECTION) for eta in etas)
     xs = _search_grid(pair, interval, grid)
     if pair.h0 == pair.h1 and pair.h0.custom is pair.h1.custom:
-        # The gap is the constant log(p1 / (eta p0)): no crossing, only
-        # rounding noise where the constant is 0.
-        return tuple(
-            LikelihoodRootReport(
-                (), RootMethod.GRID_BISECTION,
-                Orientation.H1_FIRST if pair.p1 > eta * pair.p0 else Orientation.H0_FIRST, (), eta,
-            )
-            for eta in etas
-        )
+        # the gap is constant: no crossing, only rounding noise where it is 0
+        return _no_crossing(pair, etas)
     log_p1, log_p0 = float(np.log(pair.p1)), float(np.log(pair.p0))
     log_etas = np.asarray([math.log(eta) for eta in etas])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -545,14 +483,22 @@ def _grid_solve(
         return gap, slope, np.where(np.isfinite(gap), scale, 0.0)
 
     solved = iter(_newton(residual, lo, hi, f_lo, f_hi, BISECTION_WIDTH, bracket_log_eta).tolist())
-    roots = [
-        () if scan is None else tuple(sorted([*islice(solved, scan.lo.size), *scan.hits]))
-        for scan in scans
-    ]
-    return tuple(
-        _undefined_report(eta) if scan is None else _grid_report(eta, scan, rs, res)
-        for eta, scan, rs, res in zip(etas, scans, roots, _check_residuals(pair, etas, roots))
+    parity = (
+        "root count parity disagrees with the interval end signs; "
+        "the grid may be too coarse for this pair",
     )
+    roots, h0_first, warnings = [], [], []
+    for scan in scans:
+        if scan is None:
+            roots.append(())
+            h0_first.append(True)
+            warnings.append(("log ratio undefined on the whole interval",))
+            continue
+        rs = tuple(sorted([*islice(solved, scan.lo.size), *scan.hits]))
+        roots.append(rs)
+        h0_first.append(scan.first_sign < 0)
+        warnings.append(() if len(rs) % 2 == scan.ends_differ else parity)
+    return roots, h0_first, warnings
 
 
 def ml_boundaries_generic(
@@ -568,27 +514,51 @@ def ml_boundaries_generic(
     outside it are not seen.  The default interval spans both models out to 8
     scale units, beyond which the densities are numerically negligible.
     """
-    return _grid_solve(pair, [eta], interval, grid)[0]
+    return _ml_boundaries_many(pair, [eta], interval, grid)[0]
 
 
-def _ml_boundaries_many(pair: HypothesisPair, etas) -> tuple[LikelihoodRootReport, ...]:
+def _ml_boundaries_many(
+    pair: HypothesisPair, etas, interval: tuple[float, float] | None = None, grid: int | None = None
+) -> tuple[LikelihoodRootReport, ...]:
     """``ml_boundaries`` at every threshold of ``etas``, with the same reports:
     one closed-form call for a Gaussian or exponential pair, one grid solve
-    otherwise."""
-    solve = _closed_form(pair)
-    return solve(pair, etas) if solve is not None else _grid_solve(pair, etas, None, DEFAULT_GRID)
+    otherwise, or for any pair given a ``grid`` (``ml_boundaries_generic``),
+    on that grid over ``interval``.
+
+    Every report is made here, for every family: the thresholds are checked,
+    a zero prior is answered without a solve, and the roots of all
+    thresholds pass one ``_check_residuals`` call.
+    """
+    etas = [float(eta) for eta in etas]
+    for eta in etas:
+        if not 0.0 < eta < math.inf:
+            raise InvalidParameterError(f"eta must be positive and finite, got {eta}")
+    families = {pair.h0.family, pair.h1.family}
+    if grid is None and families == {Family.GAUSSIAN}:
+        method, solve, args = RootMethod.GAUSSIAN_QUADRATIC, _gaussian_solve, ()
+    elif grid is None and families == {Family.EXPONENTIAL}:
+        method, solve, args = RootMethod.EXPONENTIAL_LINEAR, _exponential_solve, ()
+    else:
+        grid = DEFAULT_GRID if grid is None else grid
+        if grid < 2:
+            raise InvalidParameterError(f"grid resolution must be >= 2, got {grid}")
+        method, solve, args = RootMethod.GRID_BISECTION, _grid_solve, (interval, grid)
+    if pair.p0 in (0.0, 1.0):  # one hypothesis left: a single region at any threshold
+        roots, h0_first, warnings = [()] * len(etas), [pair.p0 == 1.0] * len(etas), [()] * len(etas)
+    else:
+        roots, h0_first, warnings = solve(pair, etas, *args)
+    residuals = _check_residuals(pair, etas, roots)
+    return tuple(
+        LikelihoodRootReport(rs, method, Orientation.H0_FIRST if h0 else Orientation.H1_FIRST, res, eta, w)
+        for eta, rs, h0, w, res in zip(etas, roots, h0_first, warnings, residuals)
+    )
 
 
 def ml_boundaries(pair: HypothesisPair, eta: float = 1.0) -> LikelihoodRootReport:
     """Closed form for Gaussian and exponential pairs, over the whole
     support; grid scan on the default interval and grid otherwise.  Use
     ``ml_boundaries_generic`` for another interval or grid."""
-    solve = _closed_form(pair)
-    if solve is None:
-        return ml_boundaries_generic(pair, eta)
-    if solve is _gaussian_solve:  # through the public entry point perfbench traces
-        return ml_boundaries_gaussian(pair, eta)
-    return solve(pair, [eta])[0]
+    return _ml_boundaries_many(pair, [eta])[0]
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,8 @@ class MLSpec:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise InvalidParameterError(f"threshold eta must be > 0, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise InvalidParameterError(f"threshold eta must be positive and finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,9 @@ def _norms(grads: np.ndarray, norm: Norm) -> np.ndarray:
     # a running sum down the rows, so that a column's sum does not depend on the others
     two = np.sqrt(np.add.accumulate(squares)[-1] if len(squares) else np.zeros(squares.shape[1:]))
     if two.max(initial=0.0) == math.inf:
-        past = two == math.inf
+        # one 1-D column leaves a numpy scalar: np.array makes it a 0-d array that
+        # takes item assignment, and indexing by its 0-d mask keeps the column
+        two, past = np.array(two), two == math.inf
         two[past] = [math.hypot(*column) for column in grads[:, past].T.tolist()]
     return two
 

@@ -309,30 +309,27 @@ class DensityModel:
         }
 
     @staticmethod
-    def from_dict(obj: dict, custom_registry: dict[str, CustomDensity] | None = None) -> "DensityModel":
+    def from_dict(obj: dict) -> "DensityModel":
         if not isinstance(obj, dict):
             raise SchemaError(f"density spec must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - {"family", "params", "name"}
-        if unknown:
-            raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in density spec")
         try:
             family = Family(obj["family"])
         except KeyError:
             raise SchemaError("density spec missing key 'family'") from None
         except ValueError:
             raise SchemaError(f"unknown family {obj['family']!r}") from None
+        if family is Family.CUSTOM:
+            raise SchemaError(
+                "family 'custom' cannot be read from a spec; build the model in Python "
+                "with DensityModel.from_custom"
+            )
+        unknown = set(obj) - {"family", "params"}
+        if unknown:
+            raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in density spec")
         params = obj.get("params")
         if not isinstance(params, dict):
             raise SchemaError("density spec key 'params' must be an object")
-        if family is Family.CUSTOM:
-            name = obj.get("name")
-            if custom_registry is None or name not in custom_registry:
-                raise SchemaError(f"custom density {name!r} is not registered")
-            spec = custom_registry[name]
-            names = spec.param_names
-        else:
-            spec = None
-            names = ("mu", "sigma") if family is Family.GAUSSIAN else ("rate",)
+        names = ("mu", "sigma") if family is Family.GAUSSIAN else ("rate",)
         unknown = set(params) - set(names)
         if unknown:
             raise SchemaError(f"unknown parameter {sorted(unknown)[0]!r} for family {family.value!r}")
@@ -348,7 +345,7 @@ class DensityModel:
                     f"parameter {n!r} for family {family.value!r} holds a non-numeric "
                     f"value {params[n]!r}"
                 ) from None
-        return DensityModel(family, tuple(values), spec)
+        return DensityModel(family, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -413,7 +410,7 @@ class HypothesisPair:
         return {"h0": self.h0.to_dict(), "h1": self.h1.to_dict(), "p0": self.p0}
 
     @staticmethod
-    def from_dict(obj: dict, custom_registry: dict[str, CustomDensity] | None = None) -> "HypothesisPair":
+    def from_dict(obj: dict) -> "HypothesisPair":
         if not isinstance(obj, dict):
             raise SchemaError(f"problem spec must be an object, got {type(obj).__name__}")
         unknown = set(obj) - {"h0", "h1", "p0"}
@@ -426,15 +423,15 @@ class HypothesisPair:
         if not isinstance(p0, (int, float)) or isinstance(p0, bool):
             raise SchemaError("problem spec key 'p0' must be a number")
         return HypothesisPair(
-            DensityModel.from_dict(obj["h0"], custom_registry),
-            DensityModel.from_dict(obj["h1"], custom_registry),
+            DensityModel.from_dict(obj["h0"]),
+            DensityModel.from_dict(obj["h1"]),
             float(p0),
         )
 
     @staticmethod
-    def from_json(text: str, custom_registry: dict[str, CustomDensity] | None = None) -> "HypothesisPair":
+    def from_json(text: str) -> "HypothesisPair":
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from None
-        return HypothesisPair.from_dict(obj, custom_registry)
+        return HypothesisPair.from_dict(obj)

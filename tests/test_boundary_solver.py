@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 import accsens.boundary_solver as boundary_solver
 from accsens.boundary_solver import (
     _gaussian_pair_roots,
-    _grid_solve,
     _ml_boundaries_many,
     _newton,
     BISECTION_STEPS,
@@ -31,7 +30,7 @@ from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import EmptyIntervalError, InvalidParameterError, NoRootError
 from accsens.theory_checks import run_all_checks
 from accsens.tradeoff import default_zeta_grid, ml_curve
-from conftest import random_gaussian_pair
+from conftest import custom_exponential_pair, random_gaussian_pair
 
 
 class TestGaussianQuadratic:
@@ -393,7 +392,7 @@ class TestManyThresholds:
     @given(exponential_pairs(), eta_grids)
     def test_matches_brentq_per_bracket(self, pair, etas):
         assume(pair.h0 != pair.h1)  # identical models: test_identical_models_no_root
-        for report, eta in zip(_grid_solve(pair, etas, None, DEFAULT_GRID), etas):
+        for report, eta in zip(_ml_boundaries_many(pair, etas, grid=DEFAULT_GRID), etas):
             assert report.eta == eta
             _assert_matches_reference(report, pair, eta)
 
@@ -404,7 +403,7 @@ class TestManyThresholds:
         pair = HypothesisPair(DensityModel.exponential(1e-6), DensityModel.exponential(3e-6))
         interval = (0.0, 9e6)
         assert default_search_interval(pair) == interval
-        many = _grid_solve(pair, [0.5, 1.0, 2.0], None, DEFAULT_GRID)
+        many = _ml_boundaries_many(pair, [0.5, 1.0, 2.0], grid=DEFAULT_GRID)
         for report, eta in zip(many, (0.5, 1.0, 2.0)):
             assert report.roots and report == ml_boundaries_generic(pair, eta, interval)
             for r, res in zip(report.roots, report.residuals):
@@ -440,14 +439,26 @@ class TestManyThresholds:
         # the ratio root of this pair sits exactly on the support edge at
         # eta = 1 + 1e-5, a grid point; that solve warns about the parity
         pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0 + 1e-5))
-        many = _grid_solve(pair, [1.0, 1.0 + 1e-5], None, DEFAULT_GRID)
+        many = _ml_boundaries_many(pair, [1.0, 1.0 + 1e-5], grid=DEFAULT_GRID)
         assert many[1].warnings and "parity" in many[1].warnings[0]
         assert many == (ml_boundaries_generic(pair, 1.0), ml_boundaries_generic(pair, 1.0 + 1e-5))
 
     @pytest.mark.parametrize("p0", [0.0, 1.0])
-    def test_single_hypothesis_priors(self, p0):
-        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(2.0), p0)
-        assert _ml_boundaries_many(pair, [0.5, 2.0]) == tuple(ml_boundaries(pair, e) for e in (0.5, 2.0))
+    @pytest.mark.parametrize(
+        "models",
+        [
+            (DensityModel.exponential(1.0), DensityModel.exponential(2.0)),
+            (DensityModel.gaussian(10.0, 6.0), DensityModel.gaussian(11.0, 3.0)),
+            custom_exponential_pair(1.0, 2.0).models,
+        ],
+        ids=["exponential", "gaussian", "custom"],
+    )
+    def test_single_hypothesis_priors(self, models, p0):
+        pair = HypothesisPair(*models, p0)
+        many = _ml_boundaries_many(pair, [0.5, 2.0])
+        assert many == tuple(ml_boundaries(pair, e) for e in (0.5, 2.0))
+        orientation = Orientation.H1_FIRST if p0 == 0.0 else Orientation.H0_FIRST
+        assert all(r.roots == () and r.orientation is orientation for r in many)
 
     @settings(max_examples=100, deadline=None)
     @given(gaussian_pairs(), eta_grids)
@@ -469,6 +480,50 @@ class TestManyThresholds:
     def test_invalid_threshold_rejected(self, exp_pair):
         with pytest.raises(InvalidParameterError):
             _ml_boundaries_many(exp_pair, [1.0, 0.0])
+
+
+PAIR_FIXTURES = ["table1_pair", "exp_pair", "custom_exp_pair"]
+
+
+class TestFrontDoor:
+    """``_ml_boundaries_many`` checks the thresholds, the residuals and makes
+    the reports for every family, and the public solvers are its
+    one-threshold calls."""
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", PAIR_FIXTURES)
+    def test_thresholds_must_be_positive_and_finite(self, name, eta, request):
+        pair = request.getfixturevalue(name)
+        rule = "eta must be positive and finite"
+        with pytest.raises(InvalidParameterError, match=rule):
+            _ml_boundaries_many(pair, [1.0, eta])
+        with pytest.raises(InvalidParameterError, match=rule):
+            ml_boundaries(pair, eta)
+        with pytest.raises(InvalidParameterError, match=rule):
+            ml_boundaries_generic(pair, eta)
+        with pytest.raises(InvalidParameterError, match=rule):
+            ml_curve(pair, [1.0, eta])
+
+    @pytest.mark.parametrize("name", PAIR_FIXTURES)
+    def test_one_residual_check_per_call(self, name, request, monkeypatch):
+        pair = request.getfixturevalue(name)
+        calls = []
+        check = boundary_solver._check_residuals
+        monkeypatch.setattr(
+            boundary_solver, "_check_residuals", lambda *a: calls.append(list(a[1])) or check(*a)
+        )
+        solves = [
+            (lambda: _ml_boundaries_many(pair, [0.5, 1.0, 2.0]), [0.5, 1.0, 2.0]),
+            (lambda: _ml_boundaries_many(pair, [0.5, 2.0], grid=DEFAULT_GRID), [0.5, 2.0]),
+            (lambda: ml_boundaries(pair, 0.5), [0.5]),
+            (lambda: ml_boundaries_generic(pair, 2.0), [2.0]),
+        ]
+        if name == "table1_pair":
+            solves.append((lambda: ml_boundaries_gaussian(pair, 0.5), [0.5]))
+        for solve, etas in solves:
+            calls.clear()
+            solve()
+            assert calls == [etas]
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,9 @@ class TestSensitivity:
     def test_two_norm_of_components_past_the_square_range(self):
         # a Gaussian of width 3e-251 has gradient components near 1e250
         assert apply_norm(np.array([3e200, -4e200]), Norm.TWO) == pytest.approx(5e200, rel=1e-15)
+        # one 1-D column takes the hypot fallback as an (m, 1) column does
+        two = _norms(np.array([1e200, 1e200]), Norm.TWO)
+        assert two == math.hypot(1e200, 1e200) == _norms(np.array([[1e200], [1e200]]), Norm.TWO)[0]
         pair = HypothesisPair(DensityModel.gaussian(0.0, 3e-251), DensityModel.gaussian(1e-300, 3e-251))
         two, inf = (sensitivity(MLSpec(1.0), pair, norm) for norm in (Norm.TWO, Norm.INF))
         assert inf <= two < np.inf
@@ -318,8 +323,9 @@ class TestSpecsAndValidation:
             BoundarySet((2.0, 1.0))
         with pytest.raises(InvalidParameterError):
             BoundarySet((np.inf,))
-        with pytest.raises(InvalidParameterError):
-            MLSpec(0.0)
+        for eta in (0.0, math.inf, math.nan):
+            with pytest.raises(InvalidParameterError, match="positive and finite"):
+                MLSpec(eta)
 
     def test_accuracy_outside_unit_interval_is_a_solver_failure(self):
         # a custom family whose cdf overshoots 1: the range check must raise

@@ -56,6 +56,16 @@ class TestBoundariesCommand:
     def test_missing_file_exits_2(self, capsys):
         assert run_cli("boundaries", "--problem", "nope_not_here.json") == 2
 
+    def test_custom_family_exits_2(self, tmp_path, capsys):
+        # custom densities are Python callables, which no problem file holds
+        f = tmp_path / "p.json"
+        f.write_text(
+            '{"h0": {"family": "custom", "name": "x", "params": {"a": 1}},'
+            ' "h1": {"family": "gaussian", "params": {"mu": 0, "sigma": 1}}}'
+        )
+        assert run_cli("boundaries", "--problem", str(f)) == 2
+        assert "DensityModel.from_custom" in capsys.readouterr().err
+
 
 class TestValueCommands:
     def test_accuracy(self, capsys):
@@ -78,6 +88,11 @@ class TestValueCommands:
     def test_malformed_classifier_spec_values_exit_2(self, capsys, spec):
         assert run_cli("accuracy", "--problem", TABLE1, "--classifier", spec) == 2
         assert f"cannot parse classifier spec {spec!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["inf", "nan"])
+    def test_ml_threshold_not_finite_exits_2(self, capsys, eta):
+        assert run_cli("accuracy", "--problem", TABLE1, "--classifier", f"ml:{eta}") == 2
+        assert "eta must be positive and finite" in capsys.readouterr().err
 
 
 class TestCheckCommand:
