@@ -409,7 +409,7 @@ def _search_grid(
 class _GridScan:
     """Sign pattern of one threshold's log ratio gap on the search grid:
     the bracketed sign changes with the gap at both cell ends, the exact
-    grid hits and the end signs."""
+    grid hits inside the defined points and the end signs."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -421,7 +421,8 @@ class _GridScan:
 
 
 def _scan(xs: np.ndarray, gap: np.ndarray) -> _GridScan | None:
-    """Scan one gap row; None when the ratio is undefined on the whole grid."""
+    """Scan one gap row; None when the ratio is undefined on the whole grid.
+    A zero at the first or last defined point bounds no region: no root."""
     defined = ~np.isnan(gap)
     if not defined.any():
         return None
@@ -435,7 +436,7 @@ def _scan(xs: np.ndarray, gap: np.ndarray) -> _GridScan | None:
         xs_d[i + 1],
         gap_d[i],
         gap_d[i + 1],
-        tuple(float(x) for x in xs_d[signs == 0]),
+        tuple(float(x) for x in xs_d[1:-1][signs[1:-1] == 0]),
         bool(nonzero[0] != nonzero[-1]) if nonzero.size else False,
         nonzero[0] if nonzero.size else -1.0,
     )
@@ -457,7 +458,7 @@ def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None
     parity with the gap's end signs keeps its roots, each with a warning.
     """
     xs = _search_grid(pair, interval, grid)
-    if pair.h0 == pair.h1 and pair.h0.custom is pair.h1.custom:
+    if pair.h0 == pair.h1:
         # the gap is constant: no crossing, only rounding noise where it is 0
         return _no_crossing(pair, etas)
     log_p1, log_p0 = float(np.log(pair.p1)), float(np.log(pair.p0))

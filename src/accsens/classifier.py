@@ -18,8 +18,10 @@ one set have accuracies that sum to 1 and gradients that are exact negatives.
 One function each computes accuracy, gradient and norm (``_accuracies``,
 ``_gradients``, ``_norms``) for K sets at once, the columns of an (n, K)
 array with an orientation each, with one cdf (or cdf gradient) call per
-density.  A column's value does not depend on the others, so the one-set
-public functions, their K = 1 case, give the same floats as any batch.
+density; for built-in families the first two also score the K sets at K
+parameter vectors (the design's shapes).  A column's value does not depend on
+the others, so the one-set public functions, their K = 1 case, give the same
+floats as any batch, and a column at its own theta those of its own pair.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .densities import HypothesisPair
+from .densities import HypothesisPair, _cdf, _grad_cdf
 from .errors import InvalidParameterError, SolverFailureError, UnresolvedClassifierError
 
 
@@ -136,9 +138,15 @@ def boundary_signs(n: int, orientation: Orientation) -> np.ndarray:
     return np.where(np.arange(n) % 2 == 0, s, -s)
 
 
-def _gap(pair: HypothesisPair, y) -> np.ndarray:
-    """G(y) = p0 F0(y) - p1 F1(y) on an array, one cdf call per density."""
-    return pair.p0 * np.asarray(pair.h0.cdf(y)) - pair.p1 * np.asarray(pair.h1.cdf(y))
+def _gap(pair: HypothesisPair, y, theta=None) -> np.ndarray:
+    """G(y) = p0 F0(y) - p1 F1(y) on an array, one cdf call per density, at
+    ``pair.theta`` or at the rows of ``theta`` broadcast against y."""
+    if theta is None:
+        f0, f1 = pair.h0.cdf(y), pair.h1.cdf(y)
+    else:
+        k = pair.split
+        f0, f1 = _cdf(pair.h0.family, y, theta[:k]), _cdf(pair.h1.family, y, theta[k:])
+    return pair.p0 * np.asarray(f0) - pair.p1 * np.asarray(f1)
 
 
 def _gap_slope(pair: HypothesisPair, y) -> np.ndarray:
@@ -155,33 +163,41 @@ def _alternating(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _accuracies(pair: HypothesisPair, ys, h0_first) -> np.ndarray:
+def _accuracies(pair: HypothesisPair, ys, h0_first, theta=None) -> np.ndarray:
     """Accuracy of the boundary sets ys[:, k] of an (n, K) array, ``h0_first``
-    broadcast against K.  An accuracy outside [0, 1] beyond rounding (cdfs
-    that are not distribution functions) refuses the whole call."""
+    broadcast against K, at ``pair.theta`` or (built-in families) at the
+    stacked ``theta``, rows broadcast against K.  An accuracy outside [0, 1]
+    beyond rounding (cdfs that are not distribution functions), NaN
+    included, refuses the whole call."""
     ys = np.asarray(ys, dtype=float)
-    base = np.where(np.equal(h0_first, ys.shape[0] % 2 == 0), pair.p0, pair.p1)
-    sign = np.where(h0_first, 1.0, -1.0)
-    acc = base + sign * _alternating(_gap(pair, ys.ravel()).reshape(ys.shape))
-    bad = ~((acc >= -1e-12) & (acc <= 1.0 + 1e-12))  # NaN included
-    if bad.any():
+    total = _alternating(_gap(pair, ys, theta))
+    # base + s * total (see the module docstring), base the prior of the class
+    # owning the rightmost region under each orientation
+    right_h0, right_h1 = (pair.p0, pair.p1) if ys.shape[0] % 2 == 0 else (pair.p1, pair.p0)
+    acc = np.where(h0_first, right_h0 + total, right_h1 - total)
+    ok = (acc >= -1e-12) & (acc <= 1.0 + 1e-12)  # NaN fails
+    if not ok.all():
         raise SolverFailureError(
-            f"accuracy {float(acc[bad][0])!r} escaped [0, 1]; the model cdfs are inconsistent"
+            f"accuracy {float(acc[~ok][0])!r} escaped [0, 1]; the model cdfs are inconsistent"
         )
     return acc
 
 
-def _gradients(pair: HypothesisPair, ys, h0_first) -> np.ndarray:
+def _gradients(pair: HypothesisPair, ys, h0_first, theta=None) -> np.ndarray:
     """d accuracy / d theta of the sets ys[:, k] at fixed boundaries, over
-    stacked [theta0; theta1]: shape (m, K), one column per set."""
+    stacked [theta0; theta1]: shape (m, K), one column per set, at
+    ``pair.theta`` or at the stacked ``theta`` as in ``_accuracies``."""
     ys = np.asarray(ys, dtype=float)
-
-    def signed_sum(model, weight: float) -> np.ndarray:
-        g = np.asarray(model.grad_cdf_params(ys.ravel())).reshape((len(model.params),) + ys.shape)
-        return weight * _alternating(g.swapaxes(0, 1))
-
-    sign = np.where(h0_first, 1.0, -1.0)
-    return sign * np.concatenate([signed_sum(pair.h0, pair.p0), signed_sum(pair.h1, -pair.p1)])
+    if theta is None:
+        g0, g1 = pair.h0.grad_cdf_params(ys), pair.h1.grad_cdf_params(ys)
+    else:
+        k = pair.split
+        g0, g1 = _grad_cdf(pair.h0.family, ys, theta[:k]), _grad_cdf(pair.h1.family, ys, theta[k:])
+    grads = np.concatenate([
+        pair.p0 * _alternating(g0.swapaxes(0, 1)),
+        -pair.p1 * _alternating(g1.swapaxes(0, 1)),
+    ])
+    return np.where(h0_first, grads, -grads)
 
 
 def _norms(grads: np.ndarray, norm: Norm) -> np.ndarray:

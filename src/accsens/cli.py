@@ -142,8 +142,6 @@ def _curve_series(curve) -> dict:
 
 
 def _cmd_boundaries(args) -> int:
-    if not 0.0 < args.eta < np.inf:
-        raise SchemaError("--eta must be positive and finite")
     pair = _load_problem(args.problem)
     report = ml_boundaries(pair, args.eta)
     config = {"command": "boundaries", "problem": pair.to_dict(), "eta": args.eta}

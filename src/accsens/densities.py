@@ -4,7 +4,9 @@ Every model exposes the same surface: pdf/cdf evaluation, derivatives of both
 with respect to the distribution parameters, the pdf derivative in x, and an
 exact seeded sampler.  Built-in families (Gaussian, Exponential) carry analytic
 gradients; custom families register callables, and any parameter gradient a
-custom family does not supply is taken by central finite differences.
+custom family does not supply is taken by central finite differences.  The
+built-in cdf and its parameter gradient also take arrays of parameters
+(``_cdf``, ``_grad_cdf``), so that boundary sets can be scored at many.
 
 All values are immutable and all operations are pure functions of their
 inputs, so models can be shared freely across threads.  Samplers take an
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -79,13 +81,47 @@ def _fd_param_grad(fn: Callable, x: np.ndarray, params: np.ndarray) -> np.ndarra
     return np.stack(out, axis=0)
 
 
+# ---- the built-in families' formulas, their parameters broadcast against x ----
+
+
+def _gaussian_score(x: np.ndarray, mu, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """z = (x - mu) / sigma and the pdf; far out z * z overflows to inf, pdf 0."""
+    z = (x - mu) / sigma
+    return z, np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
+
+
+def _cdf(family: Family, x: np.ndarray, params) -> np.ndarray:
+    """P[X <= x] of a built-in family; ``params`` holds one value or one
+    array per parameter, each broadcast against x."""
+    if family is Family.GAUSSIAN:
+        mu, sigma = params
+        with np.errstate(over="ignore"):  # far out z is +-inf: cdf 0 or 1
+            return ndtr((x - mu) / sigma)
+    (lam,) = params
+    return np.where(x >= 0.0, -np.expm1(-lam * np.where(x >= 0.0, x, 0.0)), 0.0)
+
+
+def _grad_cdf(family: Family, x: np.ndarray, params) -> np.ndarray:
+    """d cdf / d theta of a built-in family, as ``_cdf`` broadcasts it, with
+    the parameters on a new first axis; 0 at the +-inf sentinels."""
+    if family is Family.GAUSSIAN:
+        with np.errstate(over="ignore", invalid="ignore"):  # far out: inf * 0
+            z, f = _gaussian_score(x, *params)  # f is 0 at the sentinels
+            z_f = np.where(f == 0.0, 0.0, z * f)
+        return -np.array((f, z_f))
+    (lam,) = params
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_lam = np.where((x >= 0.0) & np.isfinite(x), x * np.exp(-lam * x), 0.0)
+    return d_lam[None, ...]
+
+
 @dataclass(frozen=True)
 class DensityModel:
     """A named parametric scalar density with full evaluation capabilities."""
 
     family: Family
     params: tuple[float, ...]
-    custom: CustomDensity | None = field(default=None, compare=False)
+    custom: CustomDensity | None = None
 
     def __post_init__(self) -> None:
         if self.family is Family.GAUSSIAN:
@@ -165,10 +201,8 @@ class DensityModel:
         """Density at ``x``; zero outside the support."""
         x = np.asarray(x, dtype=float)
         if self.family is Family.GAUSSIAN:
-            mu, sigma = self.params
-            with np.errstate(over="ignore"):  # far out z * z is inf: pdf 0
-                z = (x - mu) / sigma
-                out = np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
+            with np.errstate(over="ignore"):
+                out = _gaussian_score(x, *self.params)[1]
         elif self.family is Family.EXPONENTIAL:
             lam = self.params[0]
             # in the log domain, so that lam exp(-lam x) does not underflow
@@ -200,18 +234,12 @@ class DensityModel:
     def cdf(self, x):
         """P[X <= x].  Accepts +-inf sentinels."""
         x = np.asarray(x, dtype=float)
-        if self.family is Family.GAUSSIAN:
-            mu, sigma = self.params
-            with np.errstate(over="ignore"):  # far out z is +-inf: cdf 0 or 1
-                out = ndtr((x - mu) / sigma)
-        elif self.family is Family.EXPONENTIAL:
-            lam = self.params[0]
-            out = np.where(x >= 0.0, -np.expm1(-lam * np.where(x >= 0.0, x, 0.0)), 0.0)
-        else:
+        if self.family is Family.CUSTOM:
             out = np.asarray(self.custom.cdf(x, np.asarray(self.params)), dtype=float)
             lo, hi = self.custom.support
             out = np.where(x < lo, 0.0, np.where(x > hi, 1.0, out))
-        out = np.asarray(out)
+        else:
+            out = np.asarray(_cdf(self.family, x, self.params))
         return out if out.ndim else float(out)
 
     def pdf_dx(self, x):
@@ -264,19 +292,8 @@ class DensityModel:
         regardless of the parameters.
         """
         x = np.asarray(x, dtype=float)
-        if self.family is Family.GAUSSIAN:
-            mu, sigma = self.params
-            f = np.asarray(self.pdf(x))  # 0 at the sentinels
-            with np.errstate(over="ignore", invalid="ignore"):  # far out: inf * 0
-                z_f = np.where(f == 0.0, 0.0, (x - mu) / sigma * f)
-            return np.stack([-f, -z_f], axis=0)
-        if self.family is Family.EXPONENTIAL:
-            lam = self.params[0]
-            with np.errstate(over="ignore", invalid="ignore"):
-                d_lam = np.where(
-                    (x >= 0.0) & np.isfinite(x), x * np.exp(-lam * x), 0.0
-                )
-            return d_lam[None, ...]
+        if self.family is not Family.CUSTOM:
+            return _grad_cdf(self.family, x, self.params)
         if self.custom.grad_cdf is not None:
             return np.asarray(self.custom.grad_cdf(x, np.asarray(self.params)), dtype=float)
         return _fd_param_grad(self.custom.cdf, x, np.asarray(self.params, dtype=float))
@@ -303,10 +320,8 @@ class DensityModel:
     # ---- serialization ----
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "params": {n: v for n, v in zip(self.param_names, self.params)},
-        }
+        name = {} if self.custom is None else {"name": self.custom.name}
+        return {"family": self.family.value, **name, "params": dict(zip(self.param_names, self.params))}
 
     @staticmethod
     def from_dict(obj: dict) -> "DensityModel":

@@ -17,9 +17,12 @@ one safeguarded Newton solve (``boundary_solver._newton``, shared with the
 frontier) finds the separation roots of all ratios of a scan or zoom round
 together, with the slope dA/dd that the envelope theorem gives at the
 fixed roots, and one kernel gives the accuracy and sensitivity of every
-shape.  Both take their roots from the closed form of ``ml_boundaries``
-(``boundary_solver._gaussian_roots``), and the design's own boundaries,
-accuracy and sensitivity come from it at the design's parameters.
+shape: the classifier's ``_accuracies`` and ``_gradients``, at the
+parameter vector (0, 1, d, r) of each shape's column.  The shapes' roots
+come from the closed form of ``ml_boundaries``
+(``boundary_solver._gaussian_roots``), and the design's own boundaries come
+from it at the design's parameters, scored as the public ``accuracy`` and
+``sensitivity`` score them: the solver has no accuracy formula of its own.
 
 The module also provides the closed-form accuracy/sensitivity laws for two
 analytically solvable families (equal-variance Gaussian and exponential),
@@ -34,10 +37,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
-from .boundary_solver import _gaussian_pair_roots, _gaussian_roots, _newton
-from .classifier import Norm, Orientation, _norms
+from .boundary_solver import _gaussian_pair_roots, _gaussian_roots, _log_k, _newton
+from .classifier import Norm, Orientation, _accuracies, _evaluate, _gradients, _norms
 from .densities import DensityModel, HypothesisPair
 from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError, SolverFailureError
 from .tradeoff import ACCURACY_TOL
@@ -64,9 +67,6 @@ SEPARATION_LIMIT = 1e40
 SCALE_LIMIT = 1e100
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-#: Standard scores are clipped to +-Z_CLIP, beyond which the normal cdf is 0
-#: or 1 and the pdf 0 in floats; a missing root (+-inf) so adds nothing.
-_Z_CLIP = 40.0
 _U = np.linspace(-1.0, 1.0, ZOOM_POINTS)
 _HALF = ZOOM_POINTS // 2
 
@@ -132,24 +132,28 @@ def exponential_law(r: float, lambda0: float) -> ExponentialLaw:
     return ExponentialLaw(accuracy, sensitivity, boundary, Orientation.H1_FIRST)
 
 
-# ---- the shape kernel: max-accuracy classifier of N(0, 1) against N(d, r) ----
+# ---- the shapes: max-accuracy classifier of N(0, 1) against N(d, r) ----
 
 
-def _log_k(p0: float) -> float:
-    """log(p1 / p0), the level of the maximum-accuracy classifier."""
-    return math.log((1.0 - p0) / p0)
+_UNIT = DensityModel.gaussian(0.0, 1.0)
 
 
-def _accuracy(z0lo, z0hi, z1lo, z1hi, h0_outside, p0: float):
-    """Accuracy from the standard scores of the roots under H0 and H1."""
-    acc = p0 * (ndtr(z0lo) - ndtr(z0hi) + 1.0) + (1.0 - p0) * (ndtr(z1hi) - ndtr(z1lo))
-    return np.where(h0_outside, acc, 1.0 - acc)
+def _shape(d, r, p0: float):
+    """The maximum-accuracy classifier of every shape (d, r), on broadcast
+    arrays, as the arguments of the shared kernel ``_accuracies`` /
+    ``_gradients``: a Gaussian pair at prior p0, the boundary columns
+    (lo, hi) of ``_gaussian_roots`` (a missing root +inf), the orientation
+    h0_first = h0_outside and theta = (0, 1, d, r), at which the pair is
+    N(0, 1) against N(d, r).  Its sensitivity is that of a design of width
+    sigma0 = 1; at width sigma0 it is this one over sigma0."""
+    pair = HypothesisPair(_UNIT, _UNIT, p0)
+    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(pair, 1.0) - np.log(r))
+    return pair, np.array((lo, hi)), h0_outside, (0.0, 1.0, d, r)
 
 
 def _shape_accuracy(d, r, p0: float):
     """Accuracy of every shape (d, r), on broadcast arrays."""
-    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0) - np.log(r))
-    return _accuracy(lo, hi, (lo - d) / r, (hi - d) / r, h0_outside, p0)
+    return _accuracies(*_shape(d, r, p0))
 
 
 def _separation_residual(d, r, p0: float, gamma: float):
@@ -157,66 +161,31 @@ def _separation_residual(d, r, p0: float, gamma: float):
     arrays: the residual ``_newton`` solves for the separation root.
 
     The roots maximise the accuracy, so by the envelope theorem the slope is
-    the derivative in d at fixed roots, p1 (phi(z1lo) - phi(z1hi)) / r with
-    z1 = (y - d) / r, negated where H0 holds the inside; where the ratio
-    has no root both scores are +inf and the slope is 0.  A lies in
-    [0.5, 1], and its rounding is of the order of eps.
+    the derivative in d at fixed roots: the mu1 component of the gradient,
+    exactly 0 where the ratio has no root.  A lies in [0.5, 1], and its
+    rounding is of the order of eps.
     """
-    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0) - np.log(r))
-    z1lo, z1hi = (lo - d) / r, (hi - d) / r
-    with np.errstate(over="ignore"):  # a far root's z^2 may pass the float range: phi is 0
-        slope = (1.0 - p0) * _INV_SQRT_2PI * (np.exp(-0.5 * z1lo * z1lo) - np.exp(-0.5 * z1hi * z1hi)) / r
-    acc = _accuracy(lo, hi, z1lo, z1hi, h0_outside, p0)
-    return acc - gamma, np.where(h0_outside, slope, -slope), 1.0
-
-
-def _evaluate(lo, hi, h0_outside, theta, p0: float, norm: Norm):
-    """Accuracy and sensitivity of the classifier with roots lo <= hi (a
-    missing root +inf, lo possibly -inf) that gives H0 the outside of
-    (lo, hi) where ``h0_outside`` and the inside elsewhere, for the pair
-    theta = (mu0, sigma0, mu1, sigma1), on broadcast arrays."""
-    mu0, s0, mu1, s1 = theta
-    # clipped, so that a missing root gives pdf 0 and z * pdf 0, not inf * 0;
-    # a root near the float range may score past it
-    with np.errstate(over="ignore"):
-        z0lo, z0hi, z1lo, z1hi = (
-            np.minimum(np.maximum(z, -_Z_CLIP), _Z_CLIP)
-            for z in ((lo - mu0) / s0, (hi - mu0) / s0, (lo - mu1) / s1, (hi - mu1) / s1)
-        )
-    p1 = 1.0 - p0
-    f0lo, f0hi, f1lo, f1hi = (
-        _INV_SQRT_2PI * np.exp(-0.5 * z * z) / s
-        for z, s in ((z0lo, s0), (z0hi, s0), (z1lo, s1), (z1hi, s1))
-    )
-    grad = (
-        p0 * (f0hi - f0lo),
-        p0 * (z0hi * f0hi - z0lo * f0lo),
-        p1 * (f1lo - f1hi),
-        p1 * (z1lo * f1lo - z1hi * f1hi),
-    )
-    sens = _norms(np.stack(np.broadcast_arrays(*grad)), norm)
-    return _accuracy(z0lo, z0hi, z1lo, z1hi, h0_outside, p0), sens
+    kernel = _shape(d, r, p0)
+    return _accuracies(*kernel) - gamma, _gradients(*kernel)[2], 1.0
 
 
 def _shape_eval(d, r, p0: float, norm: Norm):
     """Accuracy, sensitivity and regions (lo, hi) of the maximum-accuracy
-    classifier of every shape (d, r), on broadcast arrays.
-
-    The pair is N(0, 1) against N(d, r), so the sensitivity is that of a
-    design of width sigma0 = 1; at width sigma0 it is this one over sigma0.
-    The roots are those of ``_gaussian_roots``; a missing one is +inf.
-    """
-    d, r = np.asarray(d, dtype=float), np.asarray(r, dtype=float)
-    lo, hi, h0_outside = _gaussian_roots(d, r, _log_k(p0) - np.log(r))
-    return (*_evaluate(lo, hi, h0_outside, (0.0, 1.0, d, r), p0, norm), lo, hi)
+    classifier of every shape (d, r), on broadcast arrays (see ``_shape``)."""
+    kernel = _shape(np.asarray(d, dtype=float), np.asarray(r, dtype=float), p0)
+    return _accuracies(*kernel), _norms(_gradients(*kernel), norm), *kernel[1]
 
 
 def _design_eval(theta, p0: float, norm: Norm) -> tuple[float, float, tuple[float, ...]]:
     """(accuracy, sensitivity, boundaries) of the maximum-accuracy classifier
-    of the pair theta, its roots from the closed form ``ml_boundaries`` runs."""
-    lo, hi, h0_first = _gaussian_pair_roots(*theta, _log_k(p0))
-    acc, sens = _evaluate(lo, hi, h0_first, theta, p0, norm)
-    return float(acc), float(sens), tuple(float(y) for y in (lo, hi) if y != math.inf)
+    of the pair theta: the roots of the closed form ``ml_boundaries`` runs,
+    scored as the public ``accuracy`` and ``sensitivity`` score them."""
+    pair = HypothesisPair(DensityModel.gaussian(*theta[:2]), DensityModel.gaussian(*theta[2:]), p0)
+    lo, hi, h0_first = _gaussian_pair_roots(*theta, _log_k(pair, 1.0))
+    roots = tuple(float(y) for y in (lo, hi) if y != math.inf)
+    orientation = Orientation.H0_FIRST if h0_first else Orientation.H1_FIRST
+    (acc,), (sens,) = _evaluate(pair, [(roots, orientation)], norm)
+    return float(acc), float(sens), roots
 
 
 # ---- design problem ----
@@ -526,22 +495,21 @@ def _designs(problem: ParamDesignProblem, r: np.ndarray, near=None):
     above rounding, and a bracket of 1e40 is not left to the halving
     fallback.  Given ``near`` (ratios next to these, with their designs,
     from ``_scan_min``), the bracket is the range of their |d| widened by
-    D_XTOL, at each ratio where A changes sign across it.  The solve starts
-    from the accuracies already computed at the bracket's ends.
+    D_XTOL, at each ratio where A changes sign across it.  One kernel call
+    scores all these ends, and the solve starts from their accuracies.
     """
     gamma, p0 = problem.gamma, problem.p0
-    accuracy = partial(_shape_accuracy, p0=p0)
     reach = _reach(problem, r)
     cap = np.minimum(reach, 2.0 * (1.0 + r) * ndtri(gamma))
-    at_zero, at_reach, at_cap = accuracy(np.stack((np.zeros_like(r), reach, cap)), r)
+    known = np.abs(near[1][np.isfinite(near[1])]) if near is not None else np.zeros(0)
+    ends = [np.clip(v, 0.0, reach) for v in (known.min() - D_XTOL, known.max() + D_XTOL)] if known.size else []
+    ds = np.array([np.zeros_like(r), reach, cap, *ends])
+    at_zero, at_reach, at_cap, *at_ends = _shape_accuracy(ds, r, p0)
     capped = at_cap >= gamma
     lo, hi = np.zeros_like(r), np.where(capped, cap, reach)
     a_lo, a_hi = at_zero, np.where(capped, at_cap, at_reach)
-    known = np.abs(near[1][np.isfinite(near[1])]) if near is not None else np.zeros(0)
     if known.size:
-        near_lo = np.clip(known.min() - D_XTOL, 0.0, reach)
-        near_hi = np.clip(known.max() + D_XTOL, 0.0, reach)
-        acc_lo, acc_hi = accuracy(near_lo, r), accuracy(near_hi, r)
+        (near_lo, near_hi), (acc_lo, acc_hi) = ends, at_ends
         inside = (acc_lo <= gamma) & (acc_hi >= gamma)
         lo, hi = np.where(inside, near_lo, lo), np.where(inside, near_hi, hi)
         a_lo, a_hi = np.where(inside, acc_lo, a_lo), np.where(inside, acc_hi, a_hi)
@@ -553,9 +521,10 @@ def _designs(problem: ParamDesignProblem, r: np.ndarray, near=None):
         residual, lo[solve], hi[solve], a_lo[solve] - gamma, a_hi[solve] - gamma, D_XTOL, r[solve]
     )
     sigma0, d = _widest(problem, d, r)
-    ok = np.isfinite(sigma0)
-    d = np.where(ok, d, np.nan)
-    return np.where(ok, _shape_eval(d, r, p0, problem.norm)[1] / sigma0, np.inf), d, sigma0
+    ok = np.isfinite(sigma0)  # so d is finite: the kernel scores no ratio without a design
+    sens = np.full(r.shape, np.inf)
+    sens[ok] = _norms(_gradients(*_shape(d[ok], r[ok], p0)), problem.norm) / sigma0[ok]
+    return sens, np.where(ok, d, np.nan), sigma0
 
 
 def design_params(problem: ParamDesignProblem) -> DesignResult:

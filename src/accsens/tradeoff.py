@@ -223,8 +223,6 @@ def ml_curve(
     grid = default_eta_grid() if eta_grid is None else np.asarray(eta_grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("eta grid is empty")
-    if np.any(grid <= 0):
-        raise InvalidParameterError("eta grid must be positive")
     reports = _ml_boundaries_many(pair, grid)
     solved = [report for report in reports if report.roots]
     acc, sens = _evaluate(pair, [(r.roots, r.orientation) for r in solved], norm)

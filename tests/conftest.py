@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,58 @@ def custom_exponential_pair(rate0: float, rate1: float, p0: float = 0.5) -> Hypo
 def custom_exp_pair() -> HypothesisPair:
     """``exp_pair`` as a custom pair, solved on the grid."""
     return custom_exponential_pair(1.0, 2.0)
+
+
+def _laplace_cdf(x, p):
+    t = (np.asarray(x) - p[0]) / p[1]
+    return np.where(t < 0.0, 0.5 * np.exp(np.minimum(t, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(t, 0.0)))
+
+
+def _logistic_cdf(x, p):
+    return 1.0 / (1.0 + np.exp(-(np.asarray(x) - p[0]) / p[1]))
+
+
+#: Laplace and logistic families whose search hints fix the default
+#: interval at [-4, 4], so that its grid points do not move with the location.
+_HINTS = dict(sampler=lambda rng, n, p: np.zeros(n), mean_scale=lambda p: (0.0, 0.5))
+LAPLACE = CustomDensity(
+    name="laplace",
+    param_names=("loc", "scale"),
+    pdf=lambda x, p: 0.5 / p[1] * np.exp(-np.abs(x - p[0]) / p[1]),
+    cdf=_laplace_cdf,
+    **_HINTS,
+)
+LOGISTIC = CustomDensity(
+    name="logistic",
+    param_names=("loc", "scale"),
+    pdf=lambda x, p: _logistic_cdf(x, p) * (1.0 - _logistic_cdf(x, p)) / p[1],
+    cdf=_logistic_cdf,
+    **_HINTS,
+)
+
+
+def touching_pair() -> HypothesisPair:
+    """Laplace(c, 1/2) against logistic(c, 1/4) at equal priors, c a point of
+    the default 4096-point grid over [-4, 4]: both pdfs read exactly 1 at c,
+    so at threshold 1 the log ratio gap touches 0 there from above, between
+    two crossings where the lighter logistic tails fall below.  The grid
+    finds three roots while the gap is negative at both ends, and warns
+    about the root parity."""
+    c = float(np.linspace(-4.0, 4.0, 4096)[2048])
+    return HypothesisPair(
+        DensityModel.from_custom(LAPLACE, (c, 0.5)), DensityModel.from_custom(LOGISTIC, (c, 0.25))
+    )
+
+
+def warn_on_the_stencil(monkeypatch, warning: str) -> None:
+    """Give the audit's solve at threshold 1 + h of its eta stencil the
+    solver warning ``warning``, as a grid solve may."""
+    import accsens.theory_checks as theory_checks
+
+    many = theory_checks._ml_boundaries_many
+
+    def solve(pair, etas):
+        base, plus, *rest = many(pair, etas)
+        return (base, dataclasses.replace(plus, warnings=(warning,)), *rest)
+
+    monkeypatch.setattr(theory_checks, "_ml_boundaries_many", solve)

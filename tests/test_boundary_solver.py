@@ -30,7 +30,7 @@ from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import EmptyIntervalError, InvalidParameterError, NoRootError
 from accsens.theory_checks import run_all_checks
 from accsens.tradeoff import default_zeta_grid, ml_curve
-from conftest import custom_exponential_pair, random_gaussian_pair
+from conftest import custom_exponential_pair, random_gaussian_pair, touching_pair
 
 
 class TestGaussianQuadratic:
@@ -355,7 +355,7 @@ def _brentq_reference(pair, eta, interval=None):
 
     with np.errstate(invalid="ignore"):
         roots = [brentq(gap, xs[i], xs[i + 1], xtol=1e-14) for i in brackets]
-    roots = sorted(roots + xs[signs == 0].tolist())
+    roots = sorted(roots + xs[1:-1][signs[1:-1] == 0].tolist())  # an end's zero bounds no region
     nonzero = signs[signs != 0]
     ends_differ = bool(nonzero.size) and nonzero[0] != nonzero[-1]
     first = nonzero[0] if nonzero.size else -1.0
@@ -423,6 +423,19 @@ class TestManyThresholds:
             assert len(report.roots) == 2 and report == ml_boundaries(pair, eta)
             _assert_matches_reference(report, pair, eta)
 
+    def test_custom_families_compare_by_their_record(self):
+        # the same parameters against N(0, 1) in two custom families: two
+        # problems, unequal and with their own digests
+        normal = DensityModel.gaussian(0.0, 1.0)
+        laplace, logistic = (
+            HypothesisPair(DensityModel.from_custom(_custom(name, pdf), (0.0, 1.0)), normal)
+            for name, pdf in (("laplace", _laplace_pdf), ("logistic", _logistic_pdf))
+        )
+        assert laplace != logistic and laplace.h0 != logistic.h0
+        assert laplace.digest() != logistic.digest()
+        assert laplace.to_dict()["h0"]["name"] == "laplace"
+        assert laplace == HypothesisPair(DensityModel.from_custom(laplace.h0.custom, (0.0, 1.0)), normal)
+
     @pytest.mark.parametrize(
         "supports, edge", [(((0.0, 1.0), (2.0, 3.0)), 2.0), (((2.0, 3.0), (0.0, 1.0)), 1.0)]
     )
@@ -436,12 +449,13 @@ class TestManyThresholds:
         assert report.roots == (pytest.approx(edge, abs=1e-12),)
 
     def test_parity_warning_is_kept(self):
-        # the ratio root of this pair sits exactly on the support edge at
-        # eta = 1 + 1e-5, a grid point; that solve warns about the parity
-        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(1.0 + 1e-5))
-        many = _ml_boundaries_many(pair, [1.0, 1.0 + 1e-5], grid=DEFAULT_GRID)
-        assert many[1].warnings and "parity" in many[1].warnings[0]
-        assert many == (ml_boundaries_generic(pair, 1.0), ml_boundaries_generic(pair, 1.0 + 1e-5))
+        # at threshold 1 the gap of this pair touches 0 at a grid point
+        # between two crossings; that solve warns about the root parity
+        pair = touching_pair()
+        many = _ml_boundaries_many(pair, [0.8, 1.0], grid=DEFAULT_GRID)
+        assert not many[0].warnings and many[1].warnings and "parity" in many[1].warnings[0]
+        assert len(many[1].roots) == 3
+        assert many == (ml_boundaries_generic(pair, 0.8), ml_boundaries_generic(pair, 1.0))
 
     @pytest.mark.parametrize("p0", [0.0, 1.0])
     @pytest.mark.parametrize(
@@ -490,7 +504,7 @@ class TestFrontDoor:
     the reports for every family, and the public solvers are its
     one-threshold calls."""
 
-    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.inf, math.nan])
     @pytest.mark.parametrize("name", PAIR_FIXTURES)
     def test_thresholds_must_be_positive_and_finite(self, name, eta, request):
         pair = request.getfixturevalue(name)
@@ -653,13 +667,16 @@ class TestExponentialClosedForm:
         ((1.0, 2.0), 2.0, Orientation.H0_FIRST), ((2.0, 1.0), 0.5, Orientation.H1_FIRST),
     ])
     def test_root_on_the_support_edge(self, rates, eta, orientation):
-        # the gap is 0 at x = 0 and takes the slope's sign beyond; the grid
-        # reports the edge as a root with a parity warning
+        # the gap is 0 at x = 0 and takes the slope's sign beyond: a zero at
+        # the grid's first point bounds no region, so the grid, on the
+        # built-in pair and on the same pair as a custom one, gives the
+        # closed form's answer, with no warning
         pair = HypothesisPair(*map(DensityModel.exponential, rates))
         report = ml_boundaries(pair, eta)
-        assert report.roots == () and report.orientation is orientation
-        generic = ml_boundaries_generic(pair, eta)
-        assert generic.roots == (0.0,) and generic.orientation is orientation and generic.warnings
+        assert report.roots == () and report.orientation is orientation and not report.warnings
+        for grid in (ml_boundaries_generic(pair, eta), ml_boundaries(custom_exponential_pair(*rates), eta)):
+            assert grid.method is RootMethod.GRID_BISECTION
+            assert grid.roots == () and grid.orientation is orientation and not grid.warnings
 
     def test_roots_beyond_the_search_interval(self, exp_pair):
         # at eta 1e-6 the root log(2e6) lies past the interval's end 9

@@ -214,6 +214,62 @@ class TestBatchEvaluation:
         assert region_accuracy(table1_pair, (), Orientation.H1_FIRST) == table1_pair.p1
 
 
+@st.composite
+def parameter_batches(draw):
+    """K pairs of one built-in family and one prior, and K columns of n = 0
+    to 3 sorted boundaries, the last ones of a column possibly +inf, each
+    with its own orientation."""
+    gaussian = draw(st.booleans())
+
+    def model():
+        if gaussian:
+            return DensityModel.gaussian(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.5, 6.0)))
+        return DensityModel.exponential(draw(st.floats(0.2, 5.0)))
+
+    p0 = draw(st.floats(0.05, 0.95))
+    n, k = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    pairs = [HypothesisPair(model(), model(), p0) for _ in range(k)]
+    u = draw(st.lists(st.lists(st.floats(-2.0, 12.0), min_size=n, max_size=n), min_size=k, max_size=k))
+    ys = np.sort(np.asarray(u, dtype=float).reshape(k, n), axis=1)
+    for column, missing in enumerate(draw(st.lists(st.integers(0, n), min_size=k, max_size=k))):
+        ys[column, n - missing:] = np.inf
+    h0_first = np.asarray(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    return pairs, ys.T, h0_first
+
+
+class TestParameterColumns:
+    """The kernel at a stacked theta scores each column at its own
+    parameter vector: the floats of the one-set call on that column's pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(parameter_batches())
+    def test_columns_equal_their_own_pair_bit_for_bit(self, batch):
+        pairs, ys, h0_first = batch
+        theta = np.stack([pair.theta for pair in pairs], axis=1)
+        acc = _accuracies(pairs[0], ys, h0_first, theta)
+        grads = _gradients(pairs[0], ys, h0_first, theta)
+        assert acc.shape == (len(pairs),) and grads.shape == theta.shape
+        for k, pair in enumerate(pairs):
+            column = ys[:, k:k + 1]
+            assert acc[k:k + 1].tobytes() == _accuracies(pair, column, h0_first[k]).tobytes()
+            assert grads[:, k:k + 1].tobytes() == _gradients(pair, column, h0_first[k]).tobytes()
+        # rows given one by one, as the design passes them, read the same
+        assert _accuracies(pairs[0], ys, h0_first, tuple(theta)).tobytes() == acc.tobytes()
+        assert _gradients(pairs[0], ys, h0_first, tuple(theta)).tobytes() == grads.tobytes()
+
+    def test_missing_boundaries_add_nothing(self, table1_pair):
+        # +inf boundaries bound empty regions: (y, inf) scores as (y,) and
+        # (inf, inf) as no boundary, at the pair's own theta given as rows
+        theta = table1_pair.theta
+        ys = np.asarray([[3.0, np.inf], [np.inf, np.inf]])
+        acc = _accuracies(table1_pair, ys, np.asarray([True, False]), theta)
+        assert acc[0] == region_accuracy(table1_pair, (3.0,), Orientation.H0_FIRST)
+        assert acc[1] == table1_pair.p1
+        grads = _gradients(table1_pair, ys, np.asarray([True, False]), theta)
+        np.testing.assert_array_equal(grads[:, 0], region_accuracy_gradient(table1_pair, (3.0,), Orientation.H0_FIRST))
+        np.testing.assert_array_equal(grads[:, 1], np.zeros(4))
+
+
 class TestAccuracyGradient:
     def test_reference_magnitudes_with_tied_pair(self, fig2c_pair):
         # The reported reference vector for this pair is [0.043, 0.024,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import accsens
 import accsens.cli
 from accsens.cli import main
-from conftest import custom_exponential_pair
+from conftest import touching_pair, warn_on_the_stencil
 
 TABLE1 = "table1.json"  # packaged preset
 
@@ -35,7 +35,8 @@ class TestBoundariesCommand:
     def test_threshold_not_positive_and_finite_exits_2(self, value, capsys):
         # an infinite threshold would print "eta": Infinity, which is no JSON
         assert run_cli("boundaries", "--problem", TABLE1, f"--eta={value}") == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "eta must be positive and finite" in err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -108,12 +109,8 @@ class TestCheckCommand:
         assert "solver warning" not in out
 
     def test_solver_warnings_are_printed_and_saved(self, tmp_path, capsys, monkeypatch):
-        # the eta stencil of this one-root pair puts a root exactly on the
-        # support edge, and that grid solve warns about the root parity; a
-        # problem file cannot name a custom family, so the loader is replaced
-        pair = custom_exponential_pair(1.0, 1.00001)
-        monkeypatch.setattr(accsens.cli, "_load_problem", lambda path: pair)
-        assert run_cli("check", "--problem", "custom.json", "--out", str(tmp_path)) == 0
+        warn_on_the_stencil(monkeypatch, "root count parity disagrees with the interval end signs")
+        assert run_cli("check", "--problem", TABLE1, "--out", str(tmp_path)) == 0
         assert "solver warning: root count parity" in capsys.readouterr().out
         payload = json.loads((tmp_path / "check.json").read_text())
         assert len(payload["result"]["warnings"]) == 1
@@ -121,13 +118,13 @@ class TestCheckCommand:
 
 class TestCurveCommand:
     def test_ml_solver_warnings_are_printed_and_saved(self, tmp_path, capsys, monkeypatch):
-        # at eta = 1.00001 the ratio root of this pair sits exactly on the
-        # support edge, and that grid solve warns about the root parity
-        pair = custom_exponential_pair(1.0, 1.00001)
-        monkeypatch.setattr(accsens.cli, "_load_problem", lambda path: pair)
+        # at eta = 1 the gap of this pair touches 0 at a grid point between
+        # two crossings, and that grid solve warns about the root parity; a
+        # problem file cannot name a custom family, so the loader is replaced
+        monkeypatch.setattr(accsens.cli, "_load_problem", lambda path: touching_pair())
         assert run_cli(
-            "curve", "ml", "--problem", "custom.json", "--eta-min", "1.00001",
-            "--eta-max", "1.00001", "--eta-steps", "1", "--out", str(tmp_path), "--format", "json",
+            "curve", "ml", "--problem", "custom.json", "--eta-min", "1",
+            "--eta-max", "1", "--eta-steps", "1", "--out", str(tmp_path), "--format", "json",
         ) == 0
         assert "solver warning: root count parity" in capsys.readouterr().out
         payload = json.loads((tmp_path / "curve_ml.json").read_text())

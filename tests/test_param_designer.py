@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -524,8 +526,9 @@ class TestShapeReduction:
         if not result.boundaries:
             assert result.sensitivity == 0.0
             return
-        assert accuracy(MLSpec(1.0), result.pair) == pytest.approx(result.accuracy, abs=1e-9)
-        assert sensitivity(MLSpec(1.0), result.pair, norm) == pytest.approx(result.sensitivity, rel=1e-9)
+        # and so are its accuracy and sensitivity, to the float
+        assert accuracy(MLSpec(1.0), result.pair) == result.accuracy
+        assert sensitivity(MLSpec(1.0), result.pair, norm) == result.sensitivity
 
     def test_max_accuracy_not_below_brute_force_grid(self):
         box = ParamDesignProblem(
@@ -538,6 +541,22 @@ class TestShapeReduction:
             for mu1 in np.linspace(0.0, 1.0, 21)
         )
         assert max_accuracy(box) >= best_grid - 1e-12
+
+
+#: The designs of ``reproduce fig3`` (its 20 gammas), recorded before the
+#: design scored its shapes through the classifier's kernel.
+FIG3_DESIGNS = json.loads((Path(__file__).parent / "data" / "fig3_designs.json").read_text())
+
+
+def test_fig3_designs_match_the_record():
+    gammas = [row["gamma"] for row in FIG3_DESIGNS]
+    assert gammas == np.linspace(0.55, 0.99, 20).tolist()
+    for row, result in zip(FIG3_DESIGNS, gamma_sweep(fig3_box(gammas[0]), gammas)):
+        assert result.sensitivity == pytest.approx(row["sens_star"], rel=1e-12, abs=0.0)
+        assert result.theta == pytest.approx(tuple(row["theta"]), rel=1e-12, abs=0.0)
+        # a design reports the floats of the public functions at its pair
+        assert result.accuracy == accuracy(MLSpec(1.0), result.pair)
+        assert result.sensitivity == sensitivity(MLSpec(1.0), result.pair, result.norm)
 
 
 def _mp_accuracy(d, r, p0):

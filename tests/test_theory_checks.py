@@ -14,7 +14,6 @@ from accsens.boundary_solver import ml_boundaries
 from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair
 from accsens.errors import AccsensError, InvalidParameterError
 from accsens.theory_checks import (
-    ETA_FD_STEP,
     SENS_FD_STEP,
     Verdict,
     boundary_theta_response,
@@ -27,7 +26,7 @@ from accsens.theory_checks import (
     sensitivity_boundary_gradient,
     sensitivity_slope_witness,
 )
-from conftest import custom_exponential_pair, random_gaussian_pair
+from conftest import random_gaussian_pair, warn_on_the_stencil
 
 
 class TestA1:
@@ -282,18 +281,12 @@ class TestSolveOnce:
 
 
 class TestSolverWarnings:
-    # exp(1) against exp(1 + 1e-5) as a custom pair, solved on the grid: at
-    # threshold 1 + ETA_FD_STEP the ratio root sits exactly on the support
-    # edge, a grid point, so that solve of the eta stencil reports a
-    # root-parity warning
-    PAIR = custom_exponential_pair(1.0, 1.0 + 1e-5)
-
-    def test_stencil_warning_reaches_the_report(self):
-        expected = ml_boundaries(self.PAIR, 1.0 + ETA_FD_STEP).warnings
-        assert expected and "parity" in expected[0]
-        report = run_all_checks(self.PAIR)
-        assert report.warnings == expected
-        assert report.to_dict()["warnings"] == list(expected)
+    def test_stencil_warning_reaches_the_report(self, table1_pair, monkeypatch):
+        warning = "root count parity disagrees with the interval end signs"
+        warn_on_the_stencil(monkeypatch, warning)
+        report = run_all_checks(table1_pair)
+        assert report.warnings == (warning,)
+        assert report.to_dict()["warnings"] == [warning]
 
     def test_warnings_are_deduplicated(self, table1_pair, monkeypatch):
         solve = theory_checks.ml_boundaries

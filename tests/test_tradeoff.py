@@ -46,7 +46,7 @@ from accsens.tradeoff import (
     linear_curve,
     ml_curve,
 )
-from conftest import custom_exponential_pair
+from conftest import touching_pair
 
 
 def _point_at(curve: TradeoffCurve, parameter: float):
@@ -95,13 +95,13 @@ class TestMlCurve:
         )
         assert found
 
-    @pytest.mark.parametrize("eta_grid", [[1.0 + 1e-5], [1.0, 1.0 + 1e-5]])
+    @pytest.mark.parametrize("eta_grid", [[1.0], [0.8, 1.0]])
     def test_solver_warnings_are_kept(self, eta_grid):
-        # at eta = 1 + 1e-5 the ratio root of this pair sits exactly on the
-        # support edge, and that grid solve warns about the root parity
-        pair = custom_exponential_pair(1.0, 1.0 + 1e-5)
+        # at eta = 1 the gap of this pair touches 0 at a grid point between
+        # two crossings, and that grid solve warns about the root parity
+        pair = touching_pair()
         curve = ml_curve(pair, np.asarray(eta_grid))
-        assert curve.metadata["warnings"] == list(ml_boundaries(pair, 1.0 + 1e-5).warnings)
+        assert curve.metadata["warnings"] == list(ml_boundaries(pair, 1.0).warnings)
         assert "parity" in curve.metadata["warnings"][0]
 
     def test_clean_curve_has_no_warnings_key(self, exp_pair):
