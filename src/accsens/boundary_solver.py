@@ -13,6 +13,12 @@ whole support, not a search interval.  For any other pair the equation is
 scanned on a grid in the log domain (underflow-proof) and every bracketed
 sign change is refined by safeguarded Newton steps.
 
+All three families report only the changes of sign of the log ratio gap:
+a touch (a tangential double root, or on the grid an exact 0 between two
+points of one sign) bounds a region of zero measure, changes no
+probability and destabilizes downstream derivatives.  The grid's only
+warning is for a ratio undefined on the whole interval.
+
 ``_ml_boundaries_many`` is the one front door: ``ml_boundaries``,
 ``ml_boundaries_gaussian`` and ``ml_boundaries_generic`` are its
 one-threshold calls.  It checks the thresholds (positive and finite),
@@ -26,9 +32,6 @@ That safeguarded Newton solver (``_newton``) is the one bracketed root
 solver of the library: the grid's ratio roots, the frontier's level sets and
 the design's separation roots share it, many brackets at once, each from its
 regula falsi point, with a residual slope supplied by the caller.
-
-Tangential (double) roots are excluded: they bound regions of zero measure,
-change no probability, and destabilize downstream derivatives.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ SATURATION_STEPS = 64
 class RootMethod(str, Enum):
     GAUSSIAN_QUADRATIC = "gaussian_quadratic"
     EXPONENTIAL_LINEAR = "exponential_linear"
+    # the grid path solves its brackets by Newton; the name is kept for the JSON outputs
     GRID_BISECTION = "grid_bisection"
 
 
@@ -408,38 +412,27 @@ def _search_grid(
 @dataclass(frozen=True)
 class _GridScan:
     """Sign pattern of one threshold's log ratio gap on the search grid:
-    the bracketed sign changes with the gap at both cell ends, the exact
-    grid hits inside the defined points and the end signs."""
+    the brackets of its sign changes, with the gap at both ends, and the
+    first sign."""
 
     lo: np.ndarray
     hi: np.ndarray
     f_lo: np.ndarray
     f_hi: np.ndarray
-    hits: tuple[float, ...]
-    ends_differ: bool
     first_sign: float
 
 
 def _scan(xs: np.ndarray, gap: np.ndarray) -> _GridScan | None:
     """Scan one gap row; None when the ratio is undefined on the whole grid.
-    A zero at the first or last defined point bounds no region: no root."""
-    defined = ~np.isnan(gap)
-    if not defined.any():
+    A NaN or an exact 0 carries no sign, and each pair of consecutive signed
+    points of opposite signs brackets one root: a 0 where the gap keeps its
+    sign (a touch), or at the end of the grid, is no root."""
+    if np.isnan(gap).all():
         return None
-    xs_d = xs[defined]
-    gap_d = gap[defined]
-    signs = np.sign(gap_d)
-    i = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    nonzero = signs[signs != 0]
-    return _GridScan(
-        xs_d[i],
-        xs_d[i + 1],
-        gap_d[i],
-        gap_d[i + 1],
-        tuple(float(x) for x in xs_d[1:-1][signs[1:-1] == 0]),
-        bool(nonzero[0] != nonzero[-1]) if nonzero.size else False,
-        nonzero[0] if nonzero.size else -1.0,
-    )
+    signed = (gap < 0.0) | (gap > 0.0)
+    xs_s, gap_s = xs[signed], gap[signed]
+    i = np.nonzero((gap_s[:-1] < 0.0) != (gap_s[1:] < 0.0))[0]
+    return _GridScan(xs_s[i], xs_s[i + 1], gap_s[i], gap_s[i + 1], gap_s[0] if gap_s.size else -1.0)
 
 
 def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None, grid: int):
@@ -447,15 +440,15 @@ def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None
     threshold of ``etas``.
 
     Both log densities are evaluated on the grid once, each threshold's gap
-    row is formed with the operation order of ``log_ratio_gap`` and scanned,
+    row is formed with the operation order of ``log_ratio_gap`` and scanned
+    (``_scan``: a root is a change of sign, the rule of the closed forms),
     and the sign changes of all thresholds are solved together by one
-    ``_newton`` call, from the gap at both ends of their cells.  Its
+    ``_newton`` call, from the gap at both ends of their brackets.  Its
     residual is the log ratio gap, its slope f1'/f1 - f0'/f0 and its
     rounding scale the sum of the gap's absolute terms, 0 where the gap is
     not finite, so that a jump at a support edge is never read as a root
     within rounding.  A threshold whose ratio is undefined on the whole grid
-    has no root and H0 everywhere, and one whose root count disagrees in
-    parity with the gap's end signs keeps its roots, each with a warning.
+    has no root and H0 everywhere, with the grid's only warning.
     """
     xs = _search_grid(pair, interval, grid)
     if pair.h0 == pair.h1:
@@ -484,10 +477,6 @@ def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None
         return gap, slope, np.where(np.isfinite(gap), scale, 0.0)
 
     solved = iter(_newton(residual, lo, hi, f_lo, f_hi, BISECTION_WIDTH, bracket_log_eta).tolist())
-    parity = (
-        "root count parity disagrees with the interval end signs; "
-        "the grid may be too coarse for this pair",
-    )
     roots, h0_first, warnings = [], [], []
     for scan in scans:
         if scan is None:
@@ -495,10 +484,9 @@ def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None
             h0_first.append(True)
             warnings.append(("log ratio undefined on the whole interval",))
             continue
-        rs = tuple(sorted([*islice(solved, scan.lo.size), *scan.hits]))
-        roots.append(rs)
+        roots.append(tuple(islice(solved, scan.lo.size)))
         h0_first.append(scan.first_sign < 0)
-        warnings.append(() if len(rs) % 2 == scan.ends_differ else parity)
+        warnings.append(())
     return roots, h0_first, warnings
 
 

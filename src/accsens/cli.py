@@ -24,6 +24,8 @@ import numpy as np
 
 from . import __version__, _svg
 from .adversary_sim import (
+    DEFAULT_N_OBS,
+    DEFAULT_N_TRIALS,
     SCENARIOS,
     PerturbationSpec,
     analytic_perturbed_accuracy,
@@ -56,7 +58,10 @@ from .errors import (
 )
 from .param_designer import ParamDesignProblem, gamma_sweep, sweep_csv_text
 from .theory_checks import run_all_checks
-from .tradeoff import default_y_grid, default_zeta_grid, general_curve, linear_curve, ml_curve
+from .tradeoff import (
+    DEFAULT_ETA_GRID, DEFAULT_Y_POINTS, DEFAULT_ZETA_POINTS,
+    default_y_grid, default_zeta_grid, general_curve, linear_curve, ml_curve,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -400,7 +405,9 @@ def _reproduce_curves(pair: HypothesisPair, norm: Norm, out: Path, tag: str, see
         "problem": pair.to_dict(),
         "norm": norm.value,
         "seed": seed,
-        "grids": {"eta_steps": 400, "y_steps": 2001, "zeta_steps": 60},
+        "grids": {
+            "eta_steps": DEFAULT_ETA_GRID[2], "y_steps": DEFAULT_Y_POINTS, "zeta_steps": DEFAULT_ZETA_POINTS,
+        },
     }
     for kind, curve in curves.items():
         _write_text(
@@ -471,8 +478,8 @@ def _reproduce_table1(pair: HypothesisPair, out: Path, seed: int) -> dict:
         "problem": pair.to_dict(),
         "seed": seed,
         "cell_seeds": seeds,
-        "n_obs": 10000,
-        "n_trials": 100,
+        "n_obs": DEFAULT_N_OBS,
+        "n_trials": DEFAULT_N_TRIALS,
         "scenarios": {k: v.to_dict() for k, v in SCENARIOS.items()},
     }
     _write_text(out / "table1.csv", _csv_with_config(body, config))
@@ -575,11 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["ml", "linear", "general"])
     add_common(p)
     p.add_argument("--norm", choices=[n.value for n in Norm], default="inf")
-    p.add_argument("--eta-min", type=float, default=1e-3)
-    p.add_argument("--eta-max", type=float, default=1e3)
-    p.add_argument("--eta-steps", type=int, default=400)
-    p.add_argument("--y-steps", type=int, default=2001)
-    p.add_argument("--zeta-steps", type=int, default=60)
+    p.add_argument("--eta-min", type=float, default=DEFAULT_ETA_GRID[0])
+    p.add_argument("--eta-max", type=float, default=DEFAULT_ETA_GRID[1])
+    p.add_argument("--eta-steps", type=int, default=DEFAULT_ETA_GRID[2])
+    p.add_argument("--y-steps", type=int, default=DEFAULT_Y_POINTS)
+    p.add_argument("--zeta-steps", type=int, default=DEFAULT_ZETA_POINTS)
     p.add_argument("--n-boundaries", type=int, default=2, help="boundary count: 1, 2 or 3")
     p.add_argument("--format", default="csv", help="comma list of csv,json,svg")
     p.set_defaults(fn=_cmd_curve)
@@ -596,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", default="ml:1.0")
     p.add_argument("--scenario", default=None, help="named perturbation: s1 | s2")
     p.add_argument("--perturbation", default=None, help="JSON file with additive shifts")
-    p.add_argument("--n-obs", type=int, default=10000)
-    p.add_argument("--n-trials", type=int, default=100)
+    p.add_argument("--n-obs", type=int, default=DEFAULT_N_OBS)
+    p.add_argument("--n-trials", type=int, default=DEFAULT_N_TRIALS)
     p.add_argument("--seed", type=int, default=0, help="base seed; trial t uses seed+t")
     p.set_defaults(fn=_cmd_simulate)
 

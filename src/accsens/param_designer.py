@@ -169,13 +169,6 @@ def _separation_residual(d, r, p0: float, gamma: float):
     return _accuracies(*kernel) - gamma, _gradients(*kernel)[2], 1.0
 
 
-def _shape_eval(d, r, p0: float, norm: Norm):
-    """Accuracy, sensitivity and regions (lo, hi) of the maximum-accuracy
-    classifier of every shape (d, r), on broadcast arrays (see ``_shape``)."""
-    kernel = _shape(np.asarray(d, dtype=float), np.asarray(r, dtype=float), p0)
-    return _accuracies(*kernel), _norms(_gradients(*kernel), norm), *kernel[1]
-
-
 def _design_eval(theta, p0: float, norm: Norm) -> tuple[float, float, tuple[float, ...]]:
     """(accuracy, sensitivity, boundaries) of the maximum-accuracy classifier
     of the pair theta: the roots of the closed form ``ml_boundaries`` runs,

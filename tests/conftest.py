@@ -104,12 +104,31 @@ def touching_pair() -> HypothesisPair:
     """Laplace(c, 1/2) against logistic(c, 1/4) at equal priors, c a point of
     the default 4096-point grid over [-4, 4]: both pdfs read exactly 1 at c,
     so at threshold 1 the log ratio gap touches 0 there from above, between
-    two crossings where the lighter logistic tails fall below.  The grid
-    finds three roots while the gap is negative at both ends, and warns
-    about the root parity."""
+    two crossings where the lighter logistic tails fall below.  The touch
+    changes no sign, so the roots are the two crossings, H0 wins outside
+    them, and no warning is raised."""
     c = float(np.linspace(-4.0, 4.0, 4096)[2048])
     return HypothesisPair(
         DensityModel.from_custom(LAPLACE, (c, 0.5)), DensityModel.from_custom(LOGISTIC, (c, 0.25))
+    )
+
+
+#: A uniform family whose search hints put the default interval at [-4, 4].
+UNIFORM = CustomDensity(
+    name="uniform",
+    param_names=("lo", "hi"),
+    pdf=lambda x, p: np.where((x >= p[0]) & (x <= p[1]), 1.0 / (p[1] - p[0]), 0.0),
+    cdf=lambda x, p: np.clip((np.asarray(x) - p[0]) / (p[1] - p[0]), 0.0, 1.0),
+    **_HINTS,
+)
+
+
+def undefined_pair() -> HypothesisPair:
+    """Uniform(10, 11) against uniform(10, 12): both densities vanish on the
+    whole default interval [-4, 4], so the log ratio is undefined there, and
+    the grid solve finds no root and warns."""
+    return HypothesisPair(
+        DensityModel.from_custom(UNIFORM, (10.0, 11.0)), DensityModel.from_custom(UNIFORM, (10.0, 12.0))
     )
 
 

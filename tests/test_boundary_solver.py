@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import accsens.boundary_solver as boundary_solver
@@ -29,8 +30,15 @@ from accsens.classifier import GeneralSpec, LinearSpec, MLSpec, Orientation, acc
 from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import EmptyIntervalError, InvalidParameterError, NoRootError
 from accsens.theory_checks import run_all_checks
-from accsens.tradeoff import default_zeta_grid, ml_curve
-from conftest import custom_exponential_pair, random_gaussian_pair, touching_pair
+from accsens.tradeoff import default_zeta_grid, general_curve, ml_curve
+from conftest import (
+    LAPLACE,
+    LOGISTIC,
+    custom_exponential_pair,
+    random_gaussian_pair,
+    touching_pair,
+    undefined_pair,
+)
 
 
 class TestGaussianQuadratic:
@@ -340,27 +348,24 @@ def _custom(name, pdf, mean_scale=lambda p: (p[0], p[1])):
 
 
 def _brentq_reference(pair, eta, interval=None):
-    """Roots, orientation and parity warning of the ratio equation at one
-    threshold: the grid's sign changes, each bracket solved by brentq.  An
-    undefined gap (both densities vanish) counts as negative."""
+    """Roots and orientation of the ratio equation at one threshold: the
+    grid's sign changes, where a NaN or an exact 0 carries no sign, each
+    bracket solved by brentq.  An undefined gap (both densities vanish)
+    counts as negative."""
     lo, hi = interval if interval is not None else default_search_interval(pair)
     xs = np.linspace(lo, hi, DEFAULT_GRID)
     gap = log_ratio_gap(pair, eta, xs)
-    xs, gap = xs[~np.isnan(gap)], gap[~np.isnan(gap)]
-    signs = np.sign(gap)
-    brackets = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    signed = ~np.isnan(gap) & (gap != 0.0)
+    xs, signs = xs[signed], np.sign(gap[signed])
+    brackets = np.nonzero(signs[:-1] != signs[1:])[0]
     def gap(t):
         value = log_ratio_gap(pair, eta, t)
         return -math.inf if math.isnan(value) else value
 
     with np.errstate(invalid="ignore"):
         roots = [brentq(gap, xs[i], xs[i + 1], xtol=1e-14) for i in brackets]
-    roots = sorted(roots + xs[1:-1][signs[1:-1] == 0].tolist())  # an end's zero bounds no region
-    nonzero = signs[signs != 0]
-    ends_differ = bool(nonzero.size) and nonzero[0] != nonzero[-1]
-    first = nonzero[0] if nonzero.size else -1.0
-    orientation = Orientation.H0_FIRST if first < 0 else Orientation.H1_FIRST
-    return roots, orientation, len(roots) % 2 != ends_differ
+    first = signs[0] if signs.size else -1.0
+    return roots, Orientation.H0_FIRST if first < 0 else Orientation.H1_FIRST
 
 
 def _root_tolerance(pair, eta, r):
@@ -379,10 +384,10 @@ def _root_tolerance(pair, eta, r):
 
 
 def _assert_matches_reference(report, pair, eta, interval=None):
-    roots, orientation, parity_warning = _brentq_reference(pair, eta, interval)
+    roots, orientation = _brentq_reference(pair, eta, interval)
     assert len(report.roots) == len(roots)
     assert report.orientation is orientation
-    assert bool(report.warnings) == parity_warning
+    assert not report.warnings
     for r_solver, r in zip(report.roots, roots):
         assert abs(r_solver - r) <= _root_tolerance(pair, eta, r)
 
@@ -448,14 +453,24 @@ class TestManyThresholds:
         _assert_matches_reference(report, pair, 1.0)
         assert report.roots == (pytest.approx(edge, abs=1e-12),)
 
-    def test_parity_warning_is_kept(self):
+    def test_touch_is_no_root(self):
         # at threshold 1 the gap of this pair touches 0 at a grid point
-        # between two crossings; that solve warns about the root parity
+        # between two crossings; the touch changes no sign and bounds no
+        # region, so the roots are the two crossings, with no warning
         pair = touching_pair()
+        assert log_ratio_gap(pair, 1.0, pair.h0.params[0]) == 0.0
         many = _ml_boundaries_many(pair, [0.8, 1.0], grid=DEFAULT_GRID)
-        assert not many[0].warnings and many[1].warnings and "parity" in many[1].warnings[0]
-        assert len(many[1].roots) == 3
         assert many == (ml_boundaries_generic(pair, 0.8), ml_boundaries_generic(pair, 1.0))
+        report = many[1]
+        assert len(report.roots) == 2 and report.orientation is Orientation.H0_FIRST
+        assert report.roots[0] < pair.h0.params[0] < report.roots[1]
+        _assert_matches_reference(report, pair, 1.0)
+
+    def test_undefined_ratio_warns(self):
+        # both densities vanish on the whole default interval: the grid's one warning
+        report = ml_boundaries(undefined_pair(), 1.0)
+        assert report.roots == () and report.orientation is Orientation.H0_FIRST
+        assert report.warnings == ("log ratio undefined on the whole interval",)
 
     @pytest.mark.parametrize("p0", [0.0, 1.0])
     @pytest.mark.parametrize(
@@ -497,6 +512,48 @@ class TestManyThresholds:
 
 
 PAIR_FIXTURES = ["table1_pair", "exp_pair", "custom_exp_pair"]
+
+
+def _bayes_accuracy(pair, lo, hi):
+    """The integral of max(p0 f0, p1 f1) over [lo, hi], by quadrature on 160
+    equal pieces, independent of any root."""
+    def best(x):
+        return max(pair.p0 * float(pair.h0.pdf(x)), pair.p1 * float(pair.h1.pdf(x)))
+
+    edges = np.linspace(lo, hi, 161)
+    return sum(quad(best, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
+
+
+class TestBayesAccuracy:
+    """The ratio classifier at threshold 1 is the maximum-accuracy one: on
+    fixed custom and mixed pairs, all solved on the grid, its accuracy is the
+    Bayes accuracy.  The densities are negligible past +-40, and the
+    logistic cdf overflows exp, harmlessly, far in the left tail."""
+
+    @pytest.mark.parametrize(
+        "pair, lo",
+        [
+            (touching_pair(), -40.0),
+            (custom_exponential_pair(1.0, 2.0), 0.0),
+            (HypothesisPair(DensityModel.from_custom(LAPLACE, (0.0, 1.0)), DensityModel.gaussian(0.5, 1.0)), -40.0),
+            (HypothesisPair(DensityModel.from_custom(LOGISTIC, (0.0, 1.0)), DensityModel.gaussian(0.0, 1.0), 0.4), -40.0),
+        ],
+        ids=["touching", "custom_exponential", "laplace_gaussian", "logistic_gaussian"],
+    )
+    def test_ml_accuracy_is_the_bayes_accuracy(self, pair, lo):
+        assert ml_boundaries(pair, 1.0).method is RootMethod.GRID_BISECTION
+        with np.errstate(over="ignore"):
+            bayes = _bayes_accuracy(pair, lo, 40.0)
+            assert accuracy(MLSpec(1.0), pair) == pytest.approx(bayes, abs=1e-8)
+
+    def test_touching_pair_frontier_tops_at_the_bayes_accuracy(self):
+        pair = touching_pair()
+        with np.errstate(over="ignore"):
+            top = accuracy(MLSpec(1.0), pair)
+            assert top == pytest.approx(0.567442, abs=1e-6)
+            assert default_zeta_grid(pair, 2)[-1] == top
+            curve = general_curve(pair, n_boundaries=2)
+        assert len(curve.points) > 1 and max(curve.accuracies) == top
 
 
 class TestFrontDoor:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import accsens
 import accsens.cli
 from accsens.cli import main
-from conftest import touching_pair, warn_on_the_stencil
+from conftest import undefined_pair, warn_on_the_stencil
 
 TABLE1 = "table1.json"  # packaged preset
 
@@ -109,24 +109,24 @@ class TestCheckCommand:
         assert "solver warning" not in out
 
     def test_solver_warnings_are_printed_and_saved(self, tmp_path, capsys, monkeypatch):
-        warn_on_the_stencil(monkeypatch, "root count parity disagrees with the interval end signs")
+        warn_on_the_stencil(monkeypatch, "log ratio undefined on the whole interval")
         assert run_cli("check", "--problem", TABLE1, "--out", str(tmp_path)) == 0
-        assert "solver warning: root count parity" in capsys.readouterr().out
+        assert "solver warning: log ratio undefined" in capsys.readouterr().out
         payload = json.loads((tmp_path / "check.json").read_text())
         assert len(payload["result"]["warnings"]) == 1
 
 
 class TestCurveCommand:
     def test_ml_solver_warnings_are_printed_and_saved(self, tmp_path, capsys, monkeypatch):
-        # at eta = 1 the gap of this pair touches 0 at a grid point between
-        # two crossings, and that grid solve warns about the root parity; a
+        # both densities of this pair vanish on the whole default interval,
+        # and the grid solve warns that the log ratio is undefined there; a
         # problem file cannot name a custom family, so the loader is replaced
-        monkeypatch.setattr(accsens.cli, "_load_problem", lambda path: touching_pair())
+        monkeypatch.setattr(accsens.cli, "_load_problem", lambda path: undefined_pair())
         assert run_cli(
             "curve", "ml", "--problem", "custom.json", "--eta-min", "1",
             "--eta-max", "1", "--eta-steps", "1", "--out", str(tmp_path), "--format", "json",
         ) == 0
-        assert "solver warning: root count parity" in capsys.readouterr().out
+        assert "solver warning: log ratio undefined" in capsys.readouterr().out
         payload = json.loads((tmp_path / "curve_ml.json").read_text())
         assert len(payload["result"]["metadata"]["warnings"]) == 1
 

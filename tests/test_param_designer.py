@@ -18,6 +18,8 @@ from accsens.classifier import (
     MLSpec,
     Norm,
     Orientation,
+    _gradients,
+    _norms,
     accuracy,
     region_accuracy,
     sensitivity,
@@ -38,8 +40,8 @@ from accsens.param_designer import (
     ParamDesignProblem,
     _design_eval,
     _separation_residual,
+    _shape,
     _shape_accuracy,
-    _shape_eval,
     design_params,
     exponential_law,
     fig3_box,
@@ -395,7 +397,8 @@ def _grid_designs(box: ParamDesignProblem, n: int):
                         yield 0.0, theta
 
 
-def _shape(mu0, s0, mu1, s1):
+def _coordinates(mu0, s0, mu1, s1):
+    """The shape (d, r) of the pair N(mu0, s0) against N(mu1, s1)."""
     return (mu1 - mu0) / s0, s1 / s0
 
 
@@ -447,13 +450,12 @@ class TestShapeReduction:
         # Float rounding may merge two means a few ulps apart; an identical
         # pair has no boundary and so no sensitivity, a distinct one has both.
         assume((moved[0] == moved[2]) == (mu0 == mu1))
-        shape = _shape(mu0, s0, mu1, s1)
-        acc = _shape_eval(*shape, p0, Norm.INF)[0]
+        acc = _shape_accuracy(*_coordinates(mu0, s0, mu1, s1), p0)
         assert _design_eval(moved, p0, Norm.INF)[0] == pytest.approx(float(acc), abs=1e-9)
         # Near a tangential double root the two roots are fixed only to
         # sqrt(eps) and the sensitivity is of the order of their gap.
         for norm in Norm:
-            sens = float(_shape_eval(*_shape(*moved), p0, norm)[1]) / s0
+            sens = float(_norms(_gradients(*_shape(*_coordinates(*moved), p0)), norm)) / s0
             assert _design_eval(moved, p0, norm)[1] * scale == pytest.approx(sens, rel=1e-8, abs=1e-8)
 
     @settings(max_examples=150, deadline=None)
@@ -461,19 +463,18 @@ class TestShapeReduction:
     def test_accuracy_even_and_monotone_in_separation(self, d1, d2, r, p0):
         near, far = sorted((d1, d2))
         d = np.array([d1, -d1, near, far])
-        # the kernel, and the one of the separation roots' end values
-        for acc in (_shape_eval(d, r, p0, Norm.INF)[0], _shape_accuracy(d, r, p0)):
-            assert acc[1] == pytest.approx(acc[0], abs=1e-12)
-            assert acc[2] <= acc[3] + 1e-12
+        acc = _shape_accuracy(d, r, p0)
+        assert acc[1] == pytest.approx(acc[0], abs=1e-12)
+        assert acc[2] <= acc[3] + 1e-12
 
     @settings(max_examples=150, deadline=None)
     @given(_kernel_pairs())
     def test_kernel_matches_public_pipeline(self, theta):
         # the kernel at the shape (d, r) of theta against the public pipeline
         # at N(0, 1) against N(d, r), the pair of that very shape
-        d, r = _shape(*theta[:4])
+        d, r = _coordinates(*theta[:4])
         p0 = theta[4]
-        acc, _, lo, hi = _shape_eval(d, r, p0, Norm.INF)
+        acc, (lo, hi) = _shape_accuracy(d, r, p0), _shape(d, r, p0)[1]
         roots = tuple(float(y) for y in (lo, hi) if math.isfinite(y))
         pair = HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(d, r), p0)
         assert roots == ml_boundaries(pair, 1.0).roots
@@ -482,7 +483,7 @@ class TestShapeReduction:
             return
         assert accuracy(MLSpec(1.0), pair) == pytest.approx(float(acc), abs=1e-12)
         for norm in Norm:
-            sens = _shape_eval(d, r, p0, norm)[1]
+            sens = _norms(_gradients(*_shape(d, r, p0)), norm)
             assert sensitivity(MLSpec(1.0), pair, norm) == pytest.approx(float(sens), rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("gamma,norm", [(0.55, Norm.INF), (0.9, Norm.TWO)])

@@ -282,19 +282,19 @@ class TestSolveOnce:
 
 class TestSolverWarnings:
     def test_stencil_warning_reaches_the_report(self, table1_pair, monkeypatch):
-        warning = "root count parity disagrees with the interval end signs"
+        warning = "log ratio undefined on the whole interval"
         warn_on_the_stencil(monkeypatch, warning)
         report = run_all_checks(table1_pair)
         assert report.warnings == (warning,)
         assert report.to_dict()["warnings"] == [warning]
 
     def test_warnings_are_deduplicated(self, table1_pair, monkeypatch):
-        solve = theory_checks.ml_boundaries
+        solve, warning = theory_checks.ml_boundaries, "log ratio undefined on the whole interval"
         monkeypatch.setattr(
             theory_checks, "ml_boundaries",
-            lambda *a, **k: dataclasses.replace(solve(*a, **k), warnings=("grid too coarse",)),
+            lambda *a, **k: dataclasses.replace(solve(*a, **k), warnings=(warning,)),
         )
-        assert run_all_checks(table1_pair).warnings == ("grid too coarse",)
+        assert run_all_checks(table1_pair).warnings == (warning,)
 
     def test_clean_report_has_no_warnings_key(self, table1_pair):
         report = run_all_checks(table1_pair)

@@ -46,7 +46,7 @@ from accsens.tradeoff import (
     linear_curve,
     ml_curve,
 )
-from conftest import touching_pair
+from conftest import undefined_pair
 
 
 def _point_at(curve: TradeoffCurve, parameter: float):
@@ -97,12 +97,12 @@ class TestMlCurve:
 
     @pytest.mark.parametrize("eta_grid", [[1.0], [0.8, 1.0]])
     def test_solver_warnings_are_kept(self, eta_grid):
-        # at eta = 1 the gap of this pair touches 0 at a grid point between
-        # two crossings, and that grid solve warns about the root parity
-        pair = touching_pair()
+        # both densities vanish on the whole default interval, and every
+        # grid solve warns that the log ratio is undefined there, once
+        pair = undefined_pair()
         curve = ml_curve(pair, np.asarray(eta_grid))
         assert curve.metadata["warnings"] == list(ml_boundaries(pair, 1.0).warnings)
-        assert "parity" in curve.metadata["warnings"][0]
+        assert curve.metadata["warnings"] == ["log ratio undefined on the whole interval"]
 
     def test_clean_curve_has_no_warnings_key(self, exp_pair):
         assert "warnings" not in ml_curve(exp_pair).metadata
