@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import plain, read_number, read_object
 from .classifier import (
     BoundarySet,
     ClassifierSpec,
@@ -75,13 +76,14 @@ class PerturbationSpec:
             pair.p0,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "mu_bar_0": self.mu_bar_0,
-            "sigma_bar_0": self.sigma_bar_0,
-            "mu_bar_1": self.mu_bar_1,
-            "sigma_bar_1": self.sigma_bar_1,
-        }
+    to_dict = plain
+
+    @staticmethod
+    def from_dict(obj: dict) -> "PerturbationSpec":
+        """Any of the four shifts; a missing one is 0."""
+        keys = ("mu_bar_0", "sigma_bar_0", "mu_bar_1", "sigma_bar_1")
+        read_object(obj, "perturbation spec", keys, required=())
+        return PerturbationSpec(**{k: read_number(v, f"perturbation key {k!r}") for k, v in obj.items()})
 
 
 #: The two named attack scenarios used throughout the examples and tests.
@@ -102,17 +104,7 @@ class ExperimentReport:
     classifier: dict
     perturbation: PerturbationSpec
 
-    def to_dict(self) -> dict:
-        return {
-            "n_obs": self.n_obs,
-            "n_trials": self.n_trials,
-            "base_seed": self.base_seed,
-            "per_trial_accuracy": list(self.per_trial_accuracy),
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "classifier": self.classifier,
-            "perturbation": self.perturbation.to_dict(),
-        }
+    to_dict = plain
 
     def trials_csv_text(self) -> str:
         lines = ["trial,seed,accuracy"]

@@ -44,6 +44,7 @@ from itertools import islice
 
 import numpy as np
 
+from ._records import plain
 from .classifier import BoundarySet, Orientation, _accuracies
 from .densities import Family, HypothesisPair
 from .errors import EmptyIntervalError, InvalidParameterError, NoRootError
@@ -88,15 +89,7 @@ class LikelihoodRootReport:
             raise NoRootError("report holds no roots; the classifier is a single region")
         return BoundarySet(self.roots, self.orientation)
 
-    def to_dict(self) -> dict:
-        return {
-            "roots": list(self.roots),
-            "method": self.method.value,
-            "orientation": self.orientation.value,
-            "residuals": list(self.residuals),
-            "eta": self.eta,
-            "warnings": list(self.warnings),
-        }
+    to_dict = plain
 
 
 def log_ratio_gap(pair: HypothesisPair, eta: float, x):
@@ -556,8 +549,7 @@ class LinearOptimum:
     orientation: Orientation
     accuracy: float
 
-    def to_dict(self) -> dict:
-        return {"y": self.y, "orientation": self.orientation.value, "accuracy": self.accuracy}
+    to_dict = plain
 
 
 def optimal_linear_boundary(pair: HypothesisPair) -> LinearOptimum:

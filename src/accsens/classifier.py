@@ -33,6 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._records import plain
 from .densities import HypothesisPair, _cdf, _grad_cdf
 from .errors import InvalidParameterError, SolverFailureError, UnresolvedClassifierError
 
@@ -85,8 +86,7 @@ class BoundarySet:
     def n(self) -> int:
         return len(self.boundaries)
 
-    def to_dict(self) -> dict:
-        return {"boundaries": list(self.boundaries), "orientation": self.orientation.value}
+    to_dict = plain
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,7 @@ ClassifierSpec = Union[GeneralSpec, MLSpec, LinearSpec]
 def spec_to_dict(spec: ClassifierSpec) -> dict:
     if isinstance(spec, GeneralSpec):
         return {"kind": "general", **spec.boundary_set.to_dict()}
-    if isinstance(spec, MLSpec):
-        return {"kind": "ml", "eta": spec.eta}
-    return {"kind": "linear", "y": spec.y, "orientation": spec.orientation.value}
+    return {"kind": "ml" if isinstance(spec, MLSpec) else "linear", **plain(spec)}
 
 
 # ---- evaluation of boundary sets (see the module docstring) ----

@@ -95,7 +95,7 @@ def _load_json_file(path: str) -> dict:
         text = p.read_text()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer of too many digits
         raise SchemaError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -222,6 +222,8 @@ def _cmd_curve(args) -> int:
     unknown = [name for name in formats if name not in ("csv", "json", "svg")]
     if unknown:
         raise SchemaError(f"unknown --format {unknown[0]!r} (expected a comma list of csv,json,svg)")
+    if not args.out and set(formats) != {"csv"}:
+        raise SchemaError("--format json and svg write files; give --out")
     curve = _curve_for(args.kind, pair, args)
     config = {
         "command": f"curve {args.kind}",
@@ -240,8 +242,7 @@ def _cmd_curve(args) -> int:
     for warning in curve.metadata.get("warnings", ()):
         print(f"solver warning: {warning}")
     if out is None:
-        if "csv" in formats:
-            sys.stdout.write(_csv_with_config(curve.to_csv_text(), config))
+        sys.stdout.write(_csv_with_config(curve.to_csv_text(), config))
         return EXIT_OK
     if "csv" in formats:
         _write_text(out / f"curve_{args.kind}.csv", _csv_with_config(curve.to_csv_text(), config))
@@ -286,22 +287,7 @@ def _cmd_simulate(args) -> int:
             raise SchemaError(f"unknown scenario {args.scenario!r} (expected s1|s2)")
         perturbation = SCENARIOS[args.scenario]
     elif args.perturbation:
-        obj = _load_json_file(args.perturbation)
-        if not isinstance(obj, dict):
-            raise SchemaError("perturbation spec must be an object")
-        known = {"mu_bar_0", "sigma_bar_0", "mu_bar_1", "sigma_bar_1"}
-        unknown = set(obj) - known
-        if unknown:
-            raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in perturbation spec")
-        shifts = {}
-        for key, value in obj.items():
-            try:
-                shifts[key] = float(value)
-            except (TypeError, ValueError):
-                raise SchemaError(
-                    f"perturbation key {key!r} holds a non-numeric value {value!r}"
-                ) from None
-        perturbation = PerturbationSpec(**shifts)
+        perturbation = PerturbationSpec.from_dict(_load_json_file(args.perturbation))
     else:
         raise SchemaError("simulate needs --scenario or --perturbation")
     report = run_experiment(

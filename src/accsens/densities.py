@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
+from ._records import read_number, read_object
 from .errors import CapabilityError, InvalidParameterError, SchemaError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -325,42 +326,23 @@ class DensityModel:
 
     @staticmethod
     def from_dict(obj: dict) -> "DensityModel":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"density spec must be an object, got {type(obj).__name__}")
-        try:
-            family = Family(obj["family"])
-        except KeyError:
-            raise SchemaError("density spec missing key 'family'") from None
-        except ValueError:
-            raise SchemaError(f"unknown family {obj['family']!r}") from None
-        if family is Family.CUSTOM:
+        # a custom spec, as ``to_dict`` writes it, also holds a name
+        spec = read_object(obj, "density spec", ("family", "name", "params"), ("family",))
+        if spec["family"] == Family.CUSTOM.value:
             raise SchemaError(
                 "family 'custom' cannot be read from a spec; build the model in Python "
                 "with DensityModel.from_custom"
             )
-        unknown = set(obj) - {"family", "params"}
-        if unknown:
-            raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in density spec")
-        params = obj.get("params")
-        if not isinstance(params, dict):
-            raise SchemaError("density spec key 'params' must be an object")
+        read_object(obj, "density spec", ("family", "params"))
+        try:
+            family = Family(obj["family"])
+        except ValueError:
+            raise SchemaError(f"unknown family {obj['family']!r}") from None
         names = ("mu", "sigma") if family is Family.GAUSSIAN else ("rate",)
-        unknown = set(params) - set(names)
-        if unknown:
-            raise SchemaError(f"unknown parameter {sorted(unknown)[0]!r} for family {family.value!r}")
-        missing = set(names) - set(params)
-        if missing:
-            raise SchemaError(f"missing parameter {sorted(missing)[0]!r} for family {family.value!r}")
-        values = []
-        for n in names:
-            try:
-                values.append(float(params[n]))
-            except (TypeError, ValueError):
-                raise SchemaError(
-                    f"parameter {n!r} for family {family.value!r} holds a non-numeric "
-                    f"value {params[n]!r}"
-                ) from None
-        return DensityModel(family, tuple(values))
+        params = read_object(obj["params"], f"parameters of family {family.value!r}", names)
+        return DensityModel(
+            family, tuple(read_number(params[n], f"{family.value} parameter {n!r}") for n in names)
+        )
 
 
 @dataclass(frozen=True)
@@ -426,27 +408,17 @@ class HypothesisPair:
 
     @staticmethod
     def from_dict(obj: dict) -> "HypothesisPair":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"problem spec must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - {"h0", "h1", "p0"}
-        if unknown:
-            raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in problem spec")
-        for key in ("h0", "h1"):
-            if key not in obj:
-                raise SchemaError(f"problem spec missing key {key!r}")
-        p0 = obj.get("p0", 0.5)
-        if not isinstance(p0, (int, float)) or isinstance(p0, bool):
-            raise SchemaError("problem spec key 'p0' must be a number")
+        read_object(obj, "problem spec", ("h0", "h1", "p0"), required=("h0", "h1"))
         return HypothesisPair(
             DensityModel.from_dict(obj["h0"]),
             DensityModel.from_dict(obj["h1"]),
-            float(p0),
+            read_number(obj.get("p0", 0.5), "problem spec key 'p0'"),
         )
 
     @staticmethod
     def from_json(text: str) -> "HypothesisPair":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a decode error, or an integer of too many digits
             raise SchemaError(f"invalid JSON: {exc}") from None
         return HypothesisPair.from_dict(obj)

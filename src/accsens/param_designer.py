@@ -39,6 +39,7 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtri
 
+from ._records import plain, read_number, read_object
 from .boundary_solver import _gaussian_pair_roots, _gaussian_roots, _log_k, _newton
 from .classifier import Norm, Orientation, _accuracies, _evaluate, _gradients, _norms
 from .densities import DensityModel, HypothesisPair
@@ -100,13 +101,7 @@ class ExponentialLaw:
     boundary: float
     orientation: Orientation
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "boundary": self.boundary,
-            "orientation": self.orientation.value,
-        }
+    to_dict = plain
 
 
 def exponential_law(r: float, lambda0: float) -> ExponentialLaw:
@@ -276,37 +271,15 @@ class ParamDesignProblem:
             sigma1 = min(sigma1, sigma0)
         return (mu0, sigma0, mu1, sigma1)
 
-    def to_dict(self) -> dict:
-        return {
-            "bounds": [list(b) for b in self.bounds],
-            "gamma": self.gamma,
-            "norm": self.norm.value,
-            "mean_gap_max": self.mean_gap_max,
-            "ordered_sigmas": self.ordered_sigmas,
-            "p0": self.p0,
-        }
+    to_dict = plain
 
     @staticmethod
     def from_dict(obj: dict, gamma: float | None = None, norm: Norm = Norm.INF) -> "ParamDesignProblem":
-        if not isinstance(obj, dict):
-            raise SchemaError("design box spec must be an object")
-        known = {"bounds", "gamma", "norm", "mean_gap_max", "ordered_sigmas", "p0"}
-        unknown = set(obj) - known
-        if unknown:
-            raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in design box spec")
-        if "bounds" not in obj:
-            raise SchemaError("design box spec missing key 'bounds'")
-        if gamma is None and "gamma" not in obj:
-            raise SchemaError("design box spec missing key 'gamma'")
+        """A box from its ``to_dict`` form; a given ``gamma`` and ``norm`` replace the form's."""
+        keys = ("bounds", "gamma", "norm", "mean_gap_max", "ordered_sigmas", "p0")
+        read_object(obj, "design box spec", keys, ("bounds",) if gamma is not None else ("bounds", "gamma"))
         if not isinstance(obj.get("ordered_sigmas", False), bool):
             raise SchemaError("design box key 'ordered_sigmas' must be true or false")
-
-        def number(key: str, value) -> float:
-            try:
-                return float(value)
-            except (TypeError, ValueError):
-                raise SchemaError(f"design box key {key!r} holds a non-numeric value {value!r}") from None
-
         raw = obj["bounds"]
         if not isinstance(raw, list) or not all(isinstance(b, list) and len(b) == 2 for b in raw):
             raise SchemaError("design box key 'bounds' must be a list of [lo, hi] pairs")
@@ -316,12 +289,12 @@ class ParamDesignProblem:
             raise SchemaError(f"design box key 'norm' holds an unknown norm {obj['norm']!r}") from None
         gap = obj.get("mean_gap_max")
         return ParamDesignProblem(
-            bounds=tuple(tuple(number("bounds", v) for v in b) for b in raw),
-            gamma=number("gamma", obj["gamma"]) if gamma is None else float(gamma),
+            bounds=tuple(tuple(read_number(v, "design box key 'bounds'") for v in b) for b in raw),
+            gamma=read_number(obj["gamma"], "design box key 'gamma'") if gamma is None else float(gamma),
             norm=box_norm,
-            mean_gap_max=None if gap is None else number("mean_gap_max", gap),
+            mean_gap_max=None if gap is None else read_number(gap, "design box key 'mean_gap_max'"),
             ordered_sigmas=obj.get("ordered_sigmas", False),
-            p0=number("p0", obj.get("p0", 0.5)),
+            p0=read_number(obj.get("p0", 0.5), "design box key 'p0'"),
         )
 
 
@@ -349,8 +322,7 @@ class DesignScan:
     points: int
     feasible: int
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "r": self.r, "points": self.points, "feasible": self.feasible}
+    to_dict = plain
 
 
 @dataclass(frozen=True)
@@ -373,15 +345,10 @@ class DesignResult:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "theta": list(self.theta),
-            "sensitivity": self.sensitivity,
-            "accuracy": self.accuracy,
-            "boundaries": list(self.boundaries),
-            "gamma": self.gamma,
-            "norm": self.norm.value,
-            "scan": self.scan.to_dict(),
-        }
+        """The fields but ``p0``, which the box of the design holds."""
+        out = plain(self)
+        del out["p0"]
+        return out
 
 
 # ---- the exact solver: a scan over the width ratio ----

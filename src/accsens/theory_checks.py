@@ -29,6 +29,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._records import plain
 from .boundary_solver import LikelihoodRootReport, _ml_boundaries_many, ml_boundaries
 from .classifier import (
     Norm,
@@ -79,14 +80,7 @@ class A1Result:
     fragile: bool
     gradient: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "gap": self.gap,
-            "index": self.index,
-            "fragile": self.fragile,
-            "gradient": list(self.gradient),
-        }
+    to_dict = plain
 
 
 def check_a1(pair: HypothesisPair) -> A1Result:
@@ -184,15 +178,7 @@ class A2Result:
     theta_index: int
     step: float
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witness_index": self.witness_index,
-            "witness_value": self.witness_value,
-            "products": list(self.products),
-            "theta_index": self.theta_index,
-            "step": self.step,
-        }
+    to_dict = plain
 
 
 def check_a2(pair: HypothesisPair, j: int | None = None) -> A2Result:
@@ -258,13 +244,7 @@ class A3Result:
     eta_response: tuple[float, ...]
     sens_gradient: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "inner_product": self.inner_product,
-            "eta_response": list(self.eta_response),
-            "sens_gradient": list(self.sens_gradient),
-        }
+    to_dict = plain
 
 
 def check_a3(pair: HypothesisPair, norm: Norm = Norm.INF) -> A3Result:
@@ -312,18 +292,7 @@ class WitnessResult:
     descent_accuracy_change: float
     norm: Norm
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "gradient": list(self.gradient),
-            "gradient_norm": self.gradient_norm,
-            "identity_ok": self.identity_ok,
-            "identity_defect": self.identity_defect,
-            "descent_found": self.descent_found,
-            "descent_sensitivity_drop": self.descent_sensitivity_drop,
-            "descent_accuracy_change": self.descent_accuracy_change,
-            "norm": self.norm.value,
-        }
+    to_dict = plain
 
 
 def mixed_derivative_identity_defect(pair: HypothesisPair, report: LikelihoodRootReport) -> float:
@@ -447,16 +416,9 @@ class AssumptionReport:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "a1": self.a1.to_dict(),
-            "a2": self.a2.to_dict(),
-            "a3": self.a3.to_dict(),
-            "witness": self.witness.to_dict(),
-            "steps": self.steps,
-            "tolerances": self.tolerances,
-        }
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
+        out = plain(self)
+        if not self.warnings:
+            del out["warnings"]
         return out
 
 

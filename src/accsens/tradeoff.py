@@ -62,6 +62,7 @@ from functools import partial
 
 import numpy as np
 
+from ._records import plain
 from .boundary_solver import (
     _ml_boundaries_many,
     _newton,
@@ -123,15 +124,7 @@ class TradeoffPoint:
         name = {"ml": "eta", "linear": "y", "constrained": "zeta"}[self.kind]
         return f"{self.kind}:{name}={self.parameter!r}"
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "boundaries": list(self.boundaries),
-            "orientation": self.orientation.value,
-            "kind": self.kind,
-            "parameter": self.parameter,
-        }
+    to_dict = plain
 
 
 @dataclass(frozen=True)
@@ -150,14 +143,7 @@ class TradeoffCurve:
     def sensitivities(self) -> np.ndarray:
         return np.asarray([p.sensitivity for p in self.points])
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "norm": self.norm.value,
-            "pair_digest": self.pair_digest,
-            "metadata": self.metadata,
-            "points": [p.to_dict() for p in self.points],
-        }
+    to_dict = plain
 
     def to_csv_text(self) -> str:
         n = max((len(p.boundaries) for p in self.points), default=0)

@@ -164,6 +164,12 @@ class TestCurveCommand:
         assert repr(formats.split(",")[-1]) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("formats", ["json", "svg", "csv,json"])
+    def test_file_formats_without_out_exit_2(self, capsys, formats):
+        # json and svg go only to files; without --out nothing would be written
+        assert run_cli("curve", "ml", "--problem", TABLE1, "--eta-steps", "2", "--format", formats) == 2
+        assert "--out" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bound", ["--eta-min", "--eta-max"])
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_threshold_range_not_positive_and_finite_exits_2(self, bound, value, capsys):
@@ -323,6 +329,54 @@ class TestDesignCommand:
         assert "configuration error" in capsys.readouterr().err
 
 
+_PROBLEM = {
+    "h0": {"family": "gaussian", "params": {"mu": 0.0, "sigma": 9.0}},
+    "h1": {"family": "gaussian", "params": {"mu": 9.0, "sigma": 4.0}},
+    "p0": 0.5,
+}
+_BOX = {"bounds": [[0.0, 0.0], [0.1, 15.0], [0.0, 40.0], [0.1, 15.0]], "gamma": 0.9}
+
+
+class TestNumberRule:
+    """A number in any input file is a JSON int or float, not a boolean,
+    inside the float range; anything else is a configuration error."""
+
+    @pytest.mark.parametrize(
+        "value", [10**400, True, "0.5", None, [0.5]], ids=["huge_int", "true", "string", "null", "list"]
+    )
+    @pytest.mark.parametrize(
+        "argv, document, path",
+        [
+            (["boundaries", "--problem"], _PROBLEM, ("h0", "params", "sigma")),
+            (["boundaries", "--problem"], _PROBLEM, ("p0",)),
+            (["design", "--gamma", "0.8", "--box"], _BOX, ("bounds", 1, 1)),
+            (
+                ["simulate", "--problem", TABLE1, "--n-obs", "100", "--n-trials", "1", "--perturbation"],
+                {"mu_bar_0": 1.0},
+                ("mu_bar_0",),
+            ),
+        ],
+        ids=["density_parameter", "p0", "box_bound", "shift"],
+    )
+    def test_anything_but_a_number_exits_2(self, tmp_path, capsys, argv, document, path, value):
+        document = json.loads(json.dumps(document))
+        slot = document
+        for key in path[:-1]:
+            slot = slot[key]
+        slot[path[-1]] = value
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(document))
+        assert run_cli(*argv, str(f)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_integer_of_too_many_digits_exits_2(self, tmp_path, capsys):
+        # json refuses to read an integer of more than 4300 digits
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(_PROBLEM).replace("0.5", "1" * 5000))
+        assert run_cli("boundaries", "--problem", str(f)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
 #: Option values inside, at and beyond the edges of every valid range.
 _REALS = st.one_of(
     st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "5e-324", "1e308", "0.5", "0.7", "2"]),
@@ -393,9 +447,66 @@ def gaussian_argvs(draw):
 
 
 @st.composite
+def perturbations(draw):
+    """Perturbation-file contents: any of the four shifts."""
+    keys = ("mu_bar_0", "sigma_bar_0", "mu_bar_1", "sigma_bar_1")
+    return {k: draw(st.floats(-5.0, 5.0)) for k in keys if draw(st.booleans())}
+
+
+#: Values that stand for no number, object or list an input file expects.
+_BAD_VALUES = st.sampled_from([None, True, False, "0.5", "wide", [], [0.5], {}, 10**400, -(10**400)])
+
+
+@st.composite
+def malformed(draw, documents):
+    """A drawn document with one fault: a non-object top, or an unknown key
+    in one of its objects, or a missing or bad value at one of its keys or
+    list positions."""
+    doc = draw(documents)
+    slots = []  # (container, key or index) of every value inside doc
+
+    def walk(node):
+        for key in node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ():
+            slots.append((node, key))
+            walk(node[key])
+
+    walk(doc)
+    fault = draw(st.sampled_from(["top", "unknown", "missing", "value"]))
+    if fault == "top" or not slots:
+        return draw(st.sampled_from([None, True, 0.5, 10**400, [], [doc]]))
+    if fault == "unknown":
+        draw(st.sampled_from([doc] + [n[k] for n, k in slots if isinstance(n[k], dict)]))["surprise"] = 1.0
+        return doc
+    node, key = draw(st.sampled_from(slots))
+    if fault == "missing":
+        del node[key]
+    else:
+        node[key] = draw(_BAD_VALUES)
+    return doc
+
+
+@st.composite
+def file_argvs(draw):
+    """A command that reads a drawn problem file, design box or perturbation
+    file, well-formed or with one fault."""
+    kind = draw(st.sampled_from(["problem", "box", "perturbation"]))
+    if kind == "problem":
+        return ["boundaries", "--problem", draw(gaussian_problems() | malformed(gaussian_problems()))]
+    if kind == "box":
+        return ["design", "--box", draw(design_boxes() | malformed(design_boxes())), "--gamma=0.9"]
+    return [
+        "simulate", "--problem", draw(st.sampled_from([TABLE1, _EXP_PROBLEM])),
+        "--perturbation", draw(perturbations() | malformed(perturbations())),
+        "--n-obs=100", "--n-trials=2",
+    ]
+
+
+@st.composite
 def cli_argvs(draw):
     problem = ["--problem", draw(st.sampled_from([TABLE1, "fig2c.json", _EXP_PROBLEM]))]
-    command = draw(st.sampled_from(["boundaries", "gaussian", "ml", "general", "design", "simulate"]))
+    command = draw(st.sampled_from(["boundaries", "gaussian", "file", "ml", "general", "design", "simulate"]))
+    if command == "file":
+        return draw(file_argvs())
     if command == "boundaries":
         return ["boundaries", *problem, f"--eta={draw(_REALS)}"]
     if command == "gaussian":
@@ -433,29 +544,37 @@ class TestCliFuzz:
         return str(path)
 
     @pytest.fixture(scope="class")
-    def drawn_file(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("fuzz") / "drawn.json"
+    def drawn_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
 
     @staticmethod
-    def _exit_code(argv, exp_problem, drawn_file):
-        for a in argv:
-            if isinstance(a, dict):  # a drawn design box or problem
-                drawn_file.write_text(json.dumps(a))
-        argv = [exp_problem if a == _EXP_PROBLEM else str(drawn_file) if isinstance(a, dict) else a for a in argv]
+    def _exit_code(argv, exp_problem, drawn_dir):
+        args = []
+        for i, a in enumerate(argv):
+            if not isinstance(a, str):  # drawn file contents
+                path = drawn_dir / f"drawn{i}.json"
+                path.write_text(json.dumps(a))
+                a = str(path)
+            args.append(exp_problem if a == _EXP_PROBLEM else a)
         try:
-            return main(argv)
+            return main(args)
         except SystemExit as exc:  # argparse rejects a malformed option with exit 2
             return exc.code
 
     @settings(max_examples=40, deadline=None)
     @given(argv=cli_argvs())
-    def test_every_input_ends_in_a_documented_exit_code(self, exp_problem, drawn_file, argv):
-        assert self._exit_code(argv, exp_problem, drawn_file) in (0, 2, 3)
+    def test_every_input_ends_in_a_documented_exit_code(self, exp_problem, drawn_dir, argv):
+        assert self._exit_code(argv, exp_problem, drawn_dir) in (0, 2, 3)
 
     @settings(max_examples=150, deadline=None)
     @given(argv=gaussian_argvs())
-    def test_every_gaussian_problem_ends_in_a_documented_exit_code(self, exp_problem, drawn_file, argv):
-        assert self._exit_code(argv, exp_problem, drawn_file) in (0, 2, 3)
+    def test_every_gaussian_problem_ends_in_a_documented_exit_code(self, exp_problem, drawn_dir, argv):
+        assert self._exit_code(argv, exp_problem, drawn_dir) in (0, 2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=file_argvs())
+    def test_every_input_file_ends_in_a_documented_exit_code(self, exp_problem, drawn_dir, argv):
+        assert self._exit_code(argv, exp_problem, drawn_dir) in (0, 2, 3)
 
 
 class TestReproduce:
