@@ -377,12 +377,16 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
         newton = (step > lo) & (step < hi)  # NaN fails
         hit = np.abs(r) <= band * scale
         short = (step >= lo) & (step <= hi) & (np.abs(step - z) < tol)
-        done = hit | short | (hi - lo < tol)
+        width = hi - lo
+        done = hit | short | (width < tol)
         mid = 0.5 * (lo + hi)
         root = np.where(hit, z, np.where(short, step, mid))
-        halve = (halve | fell_back & (hi - lo > half)) & ~newton
+        halve = (halve | fell_back & (width > half)) & ~newton
         fell_back = ~newton
-        z = np.where(newton, step, np.where(halve, mid, _falsi(lo, hi, r_lo, r_hi)))
+        z = np.where(newton, step, mid)
+        falsi = fell_back & ~halve
+        if falsi.any():
+            z[falsi] = _falsi(lo[falsi], hi[falsi], r_lo[falsi], r_hi[falsi])
         if done.any():
             x[todo[done]] = root[done]
             keep = ~done

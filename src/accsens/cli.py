@@ -193,11 +193,23 @@ def _cmd_sensitivity(args) -> int:
     return EXIT_OK
 
 
+#: The longest float array numpy makes: its size in bytes must fit an intp.
+_MAX_STEPS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
+def _check_steps(option: str, steps: int) -> None:
+    """A grid's step count: at least 1, and at most _MAX_STEPS, past which
+    numpy refuses the grid with a ValueError of its own."""
+    if steps < 1:
+        raise SchemaError(f"{option} must be >= 1")
+    if steps > _MAX_STEPS:
+        raise SchemaError(f"{option} {steps} exceeds the longest float array numpy makes, {_MAX_STEPS}")
+
+
 def _curve_for(kind: str, pair: HypothesisPair, args):
     norm = Norm(args.norm)
     if kind == "ml":
-        if args.eta_steps < 1:
-            raise SchemaError("--eta-steps must be >= 1")
+        _check_steps("--eta-steps", args.eta_steps)
         if not (0.0 < args.eta_min < np.inf and 0.0 < args.eta_max < np.inf):
             raise SchemaError("--eta-min and --eta-max must be positive and finite")
         # geomspace sets both ends exactly; at the ends of the float range
@@ -207,11 +219,9 @@ def _curve_for(kind: str, pair: HypothesisPair, args):
         grid = np.unique(np.append(grid, 1.0))
         return ml_curve(pair, grid, norm)
     if kind == "linear":
-        if args.y_steps < 1:
-            raise SchemaError("--y-steps must be >= 1")
+        _check_steps("--y-steps", args.y_steps)
         return linear_curve(pair, default_y_grid(pair, args.y_steps), norm)
-    if args.zeta_steps < 1:
-        raise SchemaError("--zeta-steps must be >= 1")
+    _check_steps("--zeta-steps", args.zeta_steps)
     zetas = default_zeta_grid(pair, args.n_boundaries, args.zeta_steps)
     return general_curve(pair, zetas, n_boundaries=args.n_boundaries, norm=norm)
 
@@ -332,6 +342,7 @@ def _cmd_design(args) -> int:
             raise SchemaError(
                 f"--gamma-grid {args.gamma_grid!r} needs finite ends and at least one target"
             )
+        _check_steps("--gamma-grid step count", n)
         # ends near the float limit overflow the steps; the design rejects
         # the inf and nan targets that result
         with np.errstate(over="ignore", invalid="ignore"):

@@ -41,8 +41,8 @@ from scipy.special import ndtri
 
 from ._records import plain, read_number, read_object
 from .boundary_solver import _gaussian_pair_roots, _gaussian_roots, _log_k, _newton
-from .classifier import Norm, Orientation, _accuracies, _evaluate, _gradients, _norms
-from .densities import DensityModel, HypothesisPair
+from .classifier import Norm, Orientation, _accuracies, _alternating, _evaluate, _gradients, _norms
+from .densities import DensityModel, HypothesisPair, _gaussian_score
 from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError, SolverFailureError
 from .tradeoff import ACCURACY_TOL
 
@@ -157,11 +157,16 @@ def _separation_residual(d, r, p0: float, gamma: float):
 
     The roots maximise the accuracy, so by the envelope theorem the slope is
     the derivative in d at fixed roots: the mu1 component of the gradient,
-    exactly 0 where the ratio has no root.  A lies in [0.5, 1], and its
+    exactly 0 where the ratio has no root.  It is that row of ``_gradients``
+    alone, by the same operations: h1's density at each root, whose negative
+    is the mu1 row of h1's cdf gradient.  A lies in [0.5, 1], and its
     rounding is of the order of eps.
     """
-    kernel = _shape(d, r, p0)
-    return _accuracies(*kernel) - gamma, _gradients(*kernel)[2], 1.0
+    pair, ys, h0_first, theta = _shape(d, r, p0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in ``_grad_cdf``
+        _, f1 = _gaussian_score(ys, d, r)
+    slope = -pair.p1 * _alternating(-f1)
+    return _accuracies(pair, ys, h0_first, theta) - gamma, np.where(h0_first, slope, -slope), 1.0
 
 
 def _design_eval(theta, p0: float, norm: Norm) -> tuple[float, float, tuple[float, ...]]:

@@ -19,9 +19,13 @@ scan of the accuracy level set (see ``constrained_min_sensitivity``): with all
 boundaries but one fixed on a grid, the free one is solved on each segment
 where the accuracy is monotone in it, and the grid minima are refined
 together by an array zoom.  A curve makes the pair's set-up (ratio roots,
-saturation points, top accuracy, grid and G = p0 F0 - p1 F1 on the grid)
-once, scans each target on its own, refines the minima of every target
-in one zoom and evaluates every target's point in one call.  Every
+saturation points, top accuracy, grid, G = p0 F0 - p1 F1 on the grid and
+the scan's brackets) once, scans each target on its own, refines the minima
+of every target in one zoom and evaluates every target's point in one call.
+The scan's brackets run between grid points, so G at their ends and at the
+fixed boundaries is read from the grid by index; a target solves only the
+brackets on which G crosses its level, and array operations pick each
+branch's grid minimum.  Every
 level-set solve, in the scan and in every zoom round, starts from one
 bracket rule: the grid cell of its segment where G crosses the level, found
 by a search of G on the grid.  A cell that misses (a rounding of G) falls
@@ -290,20 +294,24 @@ def _level_residual(pair, z, target):
     return f0 - f1 - target, _gap_slope(pair, z), f0 + f1 + np.abs(target)
 
 
+def _crossing(lo, hi, g_lo, g_hi, target):
+    """Where the bracket [lo, hi] is non-empty and G, reading g_lo and g_hi
+    at its ends, crosses the target on it."""
+    return (lo < hi) & ((g_lo - target) * (g_hi - target) <= 0.0)
+
+
 def _level_root(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol):
     """Solve G(x) = target on every bracket [lo, hi] at once, G monotone on each.
 
-    The arguments broadcast together, and each bracket lies on the segment
-    ``seg`` of ``grid`` (see ``_cells``).  NaN where the bracket is empty or
-    G does not cross the target on it.  Each bracket is cut to the grid cell
-    of its segment where G crosses the target and solved there by ``_newton``
-    on ``_level_residual`` to ``tol``; where G does not cross the target on the cut bracket (a
-    rounding of G can do that), the whole bracket is solved, so no level-set
-    point is lost.
+    The arguments are one-dimensional, one entry per bracket, and each
+    bracket is non-empty, lies on the segment ``seg`` of ``grid`` (see
+    ``_cells``) and holds a level-set point (see ``_crossing``).  Each
+    bracket is cut to the grid cell of its segment where G crosses the
+    target and solved there by ``_newton`` on ``_level_residual`` to
+    ``tol``; where G does not cross the target on the cut bracket (a
+    rounding of G can do that), the whole bracket is solved, so no
+    level-set point is lost.
     """
-    lo, hi, g_lo, g_hi, target, seg = np.broadcast_arrays(lo, hi, g_lo, g_hi, target, seg)
-    ok = (lo < hi) & ((g_lo - target) * (g_hi - target) <= 0.0)
-    lo, hi, g_lo, g_hi, target, seg = (v[ok] for v in (lo, hi, g_lo, g_hi, target, seg))
     c_lo, c_hi, gc_lo, gc_hi = _cells(grid, seg, target)
     inside_lo, inside_hi = c_lo > lo, c_hi < hi
     c_lo, gc_lo = np.where(inside_lo, c_lo, lo), np.where(inside_lo, gc_lo, g_lo)
@@ -311,49 +319,66 @@ def _level_root(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol):
     cut = (c_lo <= c_hi) & ((gc_lo - target) * (gc_hi - target) <= 0.0)
     lo, g_lo = np.where(cut, c_lo, lo), np.where(cut, gc_lo, g_lo)
     hi, g_hi = np.where(cut, c_hi, hi), np.where(cut, gc_hi, g_hi)
-    x = np.full(ok.shape, np.nan)
-    x[ok] = _newton(partial(_level_residual, pair), lo, hi, g_lo - target, g_hi - target, tol, target)
-    return x
+    return _newton(partial(_level_residual, pair), lo, hi, g_lo - target, g_hi - target, tol, target)
+
+
+def _fixed_sum(g_fixed, free):
+    """The signed sum ``rest`` of the fixed terms of the level set
+    G(y_1) - G(y_2) + G(y_3) - ... = d, with G at the n - 1 fixed boundaries
+    in ``g_fixed``: boundary ``free`` (counted from 0) lies where
+    G = (-1)^free (d - rest), d - rest for an even ``free`` and rest - d for
+    an odd one."""
+    rest = 0.0
+    for k, g in enumerate(g_fixed):
+        rest = rest + np.where((free <= k) == (k % 2 == 0), -g, g)  # boundary k or k + 1
+    return rest
+
+
+def _with_free(x, fixed, free):
+    """The n boundaries: the free one at x, the fixed ones around it in order."""
+    ys = []
+    for i in range(len(fixed) + 1):
+        y = x
+        if i < len(fixed):
+            y = np.where(free > i, fixed[i], y)
+        if i > 0:
+            y = np.where(free < i, fixed[i - 1], y)
+        ys.append(y)
+    return ys
 
 
 def _level_set(pair, grid, d, tol, norm, fixed, free, seg):
-    """Level-set points G(y_1) - G(y_2) + G(y_3) - ... = d, one boundary free.
+    """The zoom's level-set points G(y_1) - G(y_2) + G(y_3) - ... = d, one
+    boundary free.
 
-    ``fixed`` holds the other n - 1 boundaries in order; boundary ``free``
-    (counted from 0) is solved to ``tol`` between its fixed neighbours on
-    the segment ``seg`` of ``grid`` (see ``_level_root``).  The accuracy
-    offset ``d`` is one target's scalar in the scan and a column of
-    per-minimum offsets in the zoom, which refines the minima of several
-    targets at once.  The array arguments broadcast together; G is
-    evaluated on them unbroadcast, so the bracket check costs one evaluation
-    per fixed value.
+    ``fixed`` holds the other n - 1 boundaries in order, samples off the
+    grid; boundary ``free`` (counted from 0) is solved to ``tol`` between
+    its fixed neighbours on the segment ``seg`` of ``grid`` (see
+    ``_level_root``).  The accuracy offset ``d`` is a column of per-minimum
+    offsets: the zoom refines the minima of several targets at once.  The
+    array arguments broadcast together; G is evaluated on them unbroadcast,
+    so the bracket check costs one evaluation per fixed value.
     Returns the sensitivity and the n boundaries.  The sensitivity reads inf
     where the segment holds no level-set point or the fixed boundaries are
     out of order.
     """
     points, g_points, cuts = grid
     seg_lo, seg_hi = points[cuts[seg]], points[cuts[seg + 1]]
-    n = len(fixed) + 1
-    # G(y_free) = (-1)^free (d - rest), rest the signed sum of the fixed terms
-    rest, lower, upper, g_lower, g_upper = 0.0, -math.inf, math.inf, 0.0, 0.0
-    for k, y in enumerate(fixed):
-        g = _gap(pair, y)
-        rest = rest + np.where((free <= k) == (k % 2 == 0), -g, g)  # boundary k or k + 1
+    g_fixed = [_gap(pair, y) for y in fixed]
+    lower, upper, g_lower, g_upper = -math.inf, math.inf, 0.0, 0.0
+    for k, (y, g) in enumerate(zip(fixed, g_fixed)):
         lower, g_lower = np.where(free == k + 1, y, lower), np.where(free == k + 1, g, g_lower)
         upper, g_upper = np.where(free == k, y, upper), np.where(free == k, g, g_upper)
     lo, hi = np.maximum(lower, seg_lo), np.minimum(upper, seg_hi)
     g_lo = np.where(lower > seg_lo, g_lower, g_points[cuts[seg]])
     g_hi = np.where(upper < seg_hi, g_upper, g_points[cuts[seg + 1]])
+    rest = _fixed_sum(g_fixed, free)
     target = np.where(free % 2 == 0, d - rest, rest - d)
-    x = _level_root(pair, grid, lo, hi, g_lo, g_hi, target, seg, tol)
-    ys = []
-    for i in range(n):
-        y = x
-        if i < n - 1:
-            y = np.where(free > i, fixed[i], y)
-        if i > 0:
-            y = np.where(free < i, fixed[i - 1], y)
-        ys.append(y)
+    brackets = np.broadcast_arrays(lo, hi, g_lo, g_hi, target, seg)
+    ok = _crossing(*brackets[:5])
+    x = np.full(ok.shape, np.nan)
+    x[ok] = _level_root(pair, grid, *(v[ok] for v in brackets), tol)
+    ys = _with_free(x, fixed, free)
     ok = ~np.isnan(x)
     for a, b in zip(fixed, fixed[1:]):
         ok = ok & (a <= b)
@@ -362,10 +387,64 @@ def _level_set(pair, grid, d, tol, norm, fixed, free, seg):
     return s, ys
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open index ranges of the consecutive True entries."""
-    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
-    return list(zip(np.nonzero(edges == 1)[0].tolist(), np.nonzero(edges == -1)[0].tolist()))
+def _brackets(grid, scan, free):
+    """The scan's brackets, the same for every target.
+
+    ``scan`` holds one array of grid indices per fixed boundary (none for one
+    boundary), and row r of the scan solves boundary ``free[r]``.  Each
+    (row, fixed index or pair, segment) entry is a bracket [ys[a], ys[b]]
+    between grid points: the free boundary's fixed neighbours cut to the
+    segment.  So G at the bracket ends and at the fixed boundaries comes
+    from the grid by index.  Returns the non-empty brackets, ordered by row,
+    segment and index: their row, fixed index, segment, a, b, G at both
+    ends, the signed sum of the fixed terms (see ``_fixed_sum``) and whether
+    the free boundary is even.
+    """
+    ys, g_ys, cuts = grid
+    n = len(free)
+    rows = []
+    for r, f in enumerate(free.tolist()):
+        lower = scan[f - 1] if f > 0 else 0
+        upper = scan[f] if f < n - 1 else ys.size - 1
+        # shape (segment, fixed index or pair)
+        a, b = np.broadcast_arrays(np.maximum(lower, cuts[:-1, None]), np.minimum(upper, cuts[1:, None]))
+        k, p = np.nonzero(a < b)
+        rest = np.atleast_1d(_fixed_sum([g_ys[i] for i in scan], f))
+        rows.append((np.full(k.size, r), p, k, a[k, p], b[k, p], rest[p]))
+    r, p, k, a, b, rest = (np.concatenate(v) for v in zip(*rows))
+    return r, p, k, a, b, g_ys[a], g_ys[b], rest, free[r] % 2 == 0
+
+
+def _scan(pair, grid, brackets, d, tol, norm, scan, free):
+    """The grid minimum of every level-set branch of one accuracy offset ``d``.
+
+    Only the ``brackets`` (see ``_brackets``) on which G crosses its target
+    are solved, by ``_level_root`` to ``tol``.  A branch is a run of
+    consecutive fixed indices of one row and segment with a level-set point
+    for two boundaries, and all the fixed indices or pairs of one row and
+    segment otherwise; its minimum is its lowest sensitivity, the first
+    index on a tie.
+    Returns the row, fixed index, segment, sensitivity and the n boundaries
+    of every branch minimum, ordered by row, segment and index.
+    """
+    ys = grid[0]
+    r, p, k, a, b, g_a, g_b, rest, even = brackets
+    target = np.where(even, d - rest, rest - d)
+    live = np.flatnonzero(_crossing(a, b, g_a, g_b, target))
+    r, p, k, a, b, g_a, g_b, target = (v[live] for v in (r, p, k, a, b, g_a, g_b, target))
+    x = _level_root(pair, grid, ys[a], ys[b], g_a, g_b, target, k, tol)
+    bounds = _with_free(x, [ys[i[p]] for i in scan], free[r])
+    s = _norms(_gradients(pair, np.asarray(bounds), True), norm)
+    found = np.isfinite(s)
+    r, p, k, s, *bounds = (v[found] for v in (r, p, k, s, *bounds))
+    starts = np.ones(r.size, dtype=bool)
+    starts[1:] = (r[1:] != r[:-1]) | (k[1:] != k[:-1])
+    if len(scan) == 1:  # two boundaries
+        starts[1:] |= p[1:] != p[:-1] + 1
+    # by branch, then by sensitivity, ties in index order: each branch keeps
+    # its slots, so the first slot of a branch holds its minimum
+    best = np.lexsort((s, np.cumsum(starts)))[starts]
+    return r[best], p[best], k[best], s[best], [y[best] for y in bounds]
 
 
 def _zoom(solve, ys, idx, free, seg):
@@ -485,11 +564,13 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     """Solve every accuracy target of ``zetas`` (see constrained_min_sensitivity).
 
     The pair's set-up (the ratio roots, the saturation points, the top
-    accuracy, the boundary grid, G on it and its segments) is made once.
-    Each target is scanned on its own, so the scan's (free boundary, grid
-    point or pair, segment) arrays do not grow with the target count; then
-    the branch minima of all targets are refined by one zoom, each minimum
-    with its own accuracy offset.  For three boundaries the two-boundary
+    accuracy, the boundary grid, G on it, its segments and the scan's
+    non-empty (free boundary, grid point or pair, segment) brackets, see
+    ``_brackets``) is made once.  Each target is scanned on its own
+    (``_scan``): it solves only the brackets on which G crosses its level,
+    so the scan's arrays do not grow with the target count.  Then the
+    branch minima of all targets are refined by one zoom, each minimum with
+    its own accuracy offset.  For three boundaries the two-boundary
     candidates come from one call for all scanned targets.
 
     Returns the validated targets, one outcome per target (a TradeoffPoint,
@@ -578,7 +659,6 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
         scan = np.triu_indices(ys.size)
     else:
         scan = (np.arange(ys.size),) * (n_boundaries - 1)
-    fixed = tuple(ys[i][:, None] for i in scan)
     grid = (ys, _gap(pair, ys), cuts)
 
     # the scan only ranks the grid points that a zoom refines
@@ -589,30 +669,18 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     free = np.arange(n_boundaries)[::-1]
     sign = 1.0 if h0_first else -1.0
     candidates = {t: [] for t in scanned}
-    minima = []  # (target, offset d, free boundary row, grid point or pair, segment)
+    minima = []  # per target: (target, offset d, free boundary row, grid point or pair, segment)
+    brackets = _brackets(grid, scan, free)
     for t in scanned:
         d = (targets[t] - base_acc) * sign
-        # shape (free boundary, grid point or pair, segment)
-        s, bounds = _level_set(
-            pair, grid, d, scan_tol, norm, fixed, free[:, None, None], np.arange(cuts.size - 1)
-        )
-        found = np.isfinite(s)
-        # the grid minimum of every branch (n = 2) or of every free boundary and segment
-        rik = [
-            (r, start + int(np.argmin(s[r, start:stop, k])), k)
-            for r in range(n_boundaries)
-            for k in range(cuts.size - 1)
-            for start, stop in (_runs(found[r, :, k]) if n_boundaries == 2 else [(0, found.shape[1])])
-            if found[r, start:stop, k].any()
-        ]
-        if rik and scan:
-            minima += [(t, d, *m) for m in rik]
-        elif rik:  # one boundary: the scan is exact and final
-            r, i, k = np.asarray(rik).T
-            candidates[t].append((s[r, i, k], *(y[r, i, k] for y in bounds)))
+        r, i, k, s, bounds = _scan(pair, grid, brackets, d, scan_tol, norm, scan, free)
+        if r.size and scan:
+            minima.append((np.full(r.size, t), np.full(r.size, d), r, i, k))
+        elif r.size:  # one boundary: the scan is exact and final
+            candidates[t].append((s, *bounds))
     refined = 0
     if minima:
-        owner, d, r, i, k = (np.asarray(column) for column in zip(*minima))
+        owner, d, r, i, k = (np.concatenate(column) for column in zip(*minima))
         solve = partial(_level_set, pair, grid, d[:, None], eps_tol, norm)
         zoomed = _zoom(solve, ys, tuple(j[i] for j in scan), free[r], k)
         refined = int(owner.size)
@@ -659,11 +727,13 @@ def constrained_min_sensitivity(
     solved with the other two on all sorted pairs of every PAIR_STRIDE-th grid
     point (the ratio roots and saturation points among them), and the best
     point of each free boundary and segment is refined by the zoom over both
-    fixed boundaries.  That zoom is a local search: at an inf-norm minimum on
-    a long ridge where two gradient components tie it can stop above the
-    true minimum.  The best zoom result is kept; the zoom's first round
-    solves each grid minimum itself again, so the scan, which only ranks the
-    grid points, never gives the answer.  Three boundaries also take the
+    fixed boundaries.  The scan solves a grid point or pair only on the
+    segments where the level set crosses between its fixed neighbours,
+    which G on the grid shows without a solve.  The zoom is a local search:
+    at an inf-norm minimum on a long ridge where two gradient components tie
+    it can stop above the true minimum.  The best zoom result is kept; the
+    zoom's first round solves each grid minimum itself again, so the scan,
+    which only ranks the grid points, never gives the answer.  Three boundaries also take the
     two-boundary minimum as a candidate.  Every level-set point, in the scan
     and in every zoom round, is solved by safeguarded Newton steps from one
     grid cell: the cell of its segment where the accuracy crosses the

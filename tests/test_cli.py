@@ -337,6 +337,31 @@ _PROBLEM = {
 _BOX = {"bounds": [[0.0, 0.0], [0.1, 15.0], [0.0, 40.0], [0.1, 15.0]], "gamma": 0.9}
 
 
+class TestStepCounts:
+    """A grid's step count past the longest float array numpy makes is a
+    configuration error that names its option, not numpy's ValueError.
+    Every count here is one numpy refuses before it allocates."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("curve", "general", "--problem", TABLE1, f"--zeta-steps={10**20}"), "--zeta-steps"),
+            (("curve", "ml", "--problem", TABLE1, f"--eta-steps={10**20}"), "--eta-steps"),
+            (("curve", "linear", "--problem", TABLE1, f"--y-steps={10**20}"), "--y-steps"),
+            (("design", "--box", "fig3.json", f"--gamma-grid=0.6:0.7:{10**20}"), "--gamma-grid"),
+        ],
+    )
+    def test_count_past_the_array_limit_exits_2(self, argv, option, capsys):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and option in err
+
+    def test_first_count_past_the_limit_exits_2(self, capsys):
+        # 8 bytes a step: numpy refuses this grid's size in bytes as well
+        assert run_cli("curve", "linear", "--problem", TABLE1, f"--y-steps={accsens.cli._MAX_STEPS + 1}") == 2
+        assert "--y-steps" in capsys.readouterr().err
+
+
 class TestNumberRule:
     """A number in any input file is a JSON int or float, not a boolean,
     inside the float range; anything else is a configuration error."""

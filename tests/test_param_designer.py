@@ -635,6 +635,22 @@ class TestEnvelopeSlope:
         assert _separation_residual(np.float64(d), r, p0, 0.0)[1] == 0.0
 
 
+class TestSlopeRow:
+    """``_separation_residual`` computes only the mu1 row of ``_gradients``,
+    by the same operations, so its slope is that row to the bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 60.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
+        st.floats(0.05, 0.95),
+    )
+    def test_slope_is_the_mu1_row_of_the_kernel(self, shapes, p0):
+        d = np.asarray([v for v, _ in shapes])
+        r = 10.0 ** np.asarray([w for _, w in shapes])
+        slope = _separation_residual(d, r, p0, 0.0)[1]
+        assert slope.tobytes() == _gradients(*_shape(d, r, p0))[2].tobytes()
+
+
 class TestNewtonSeparationRoot:
     """The separation roots of ``_designs``, solved by the shared ``_newton``
     with the envelope slope."""

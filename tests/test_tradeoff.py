@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,6 +351,26 @@ class TestRecordedMinima:
         assert [p.parameter for p in curve.points] == record["zetas"]
         for p, recorded in zip(curve.points, record["sensitivities"]):
             assert p.sensitivity <= recorded * (1.0 + 1e-6)
+
+
+RECORDED_CURVES = json.loads((Path(__file__).parent / "data" / "frontier_curves.json").read_text())
+
+
+class TestRecordedCurves:
+    """Whole curves, byte for byte, as the full-broadcast level-set scan gave
+    them before the scan solved only the brackets that hold a level-set
+    point: table1 and exp(1)/exp(2), 1, 2 and 3 boundaries, both norms, on
+    six default targets."""
+
+    @pytest.mark.parametrize(
+        "record", RECORDED_CURVES, ids=lambda r: f"{r['pair']}-n{r['n_boundaries']}-{r['norm']}"
+    )
+    def test_curve_is_unchanged(self, record, request):
+        pair = request.getfixturevalue(f"{record['pair']}_pair")
+        n = record["n_boundaries"]
+        assert default_zeta_grid(pair, n, 6).tolist() == record["zetas"]
+        curve = general_curve(pair, np.asarray(record["zetas"]), n, Norm(record["norm"]))
+        assert json.dumps(curve.to_dict()) == json.dumps(record["curve"])
 
 
 @pytest.fixture(scope="module")
@@ -766,6 +787,63 @@ class TestBatchEquivalence:
     @given(target_grids(3), st.sampled_from(list(Norm)))
     def test_three_boundaries(self, grid, norm):
         self._check(grid, norm, 3)
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Half-open index ranges of the consecutive True entries."""
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    return list(zip(np.nonzero(edges == 1)[0].tolist(), np.nonzero(edges == -1)[0].tolist()))
+
+
+def _broadcast_scan(pair, grid, brackets, d, tol, norm, scan, free):
+    """The branch minima of ``tradeoff._scan`` by the full-broadcast scan it
+    replaced: ``_level_set`` over every (free row, grid point or pair,
+    segment) entry, G evaluated at the fixed grid points, and a loop over
+    the runs of each row and segment.  Rows of (row, index, segment,
+    sensitivity, boundaries...)."""
+    ys, _, cuts = grid
+    fixed = tuple(ys[i][:, None] for i in scan)
+    s, bounds = tradeoff._level_set(
+        pair, grid, d, tol, norm, fixed, free[:, None, None], np.arange(cuts.size - 1)
+    )
+    found = np.isfinite(s)
+    minima = []
+    for r in range(free.size):
+        for k in range(cuts.size - 1):
+            for start, stop in _runs(found[r, :, k]) if len(scan) == 1 else [(0, found.shape[1])]:
+                if found[r, start:stop, k].any():
+                    i = start + int(np.argmin(s[r, start:stop, k]))
+                    minima.append((r, i, k, float(s[r, i, k]), *(float(y[r, i, k]) for y in bounds)))
+    return minima
+
+
+class TestCompactedScan:
+    """The scan solves only the brackets that hold a level-set point, and it
+    must pick the branch minima the full-broadcast scan picked: the same
+    rows, grid points or pairs, segments, sensitivities and boundaries,
+    exactly, so the zoom starts from the same points."""
+
+    @pytest.mark.parametrize("n_boundaries", [1, 2, 3])
+    @settings(max_examples=8, deadline=None)
+    @given(st.one_of(two_root_gaussian_pairs(), exponential_pairs()), positions, st.sampled_from(list(Norm)))
+    def test_same_branch_minima_as_the_full_broadcast_scan(self, n_boundaries, pair, u, norm):
+        zeta = 0.5 + u * (default_zeta_grid(pair, n_boundaries, 2)[-1] - 0.5)
+        calls, scan = [], tradeoff._scan
+
+        def recording(*args):
+            minima = scan(*args)
+            calls.append((args, minima))
+            return minima
+
+        with mock.patch.object(tradeoff, "_scan", recording):
+            try:
+                constrained_min_sensitivity(pair, zeta, norm, n_boundaries)
+            except SolverFailureError:
+                pass
+        assert calls
+        for args, (r, i, k, s, bounds) in calls:
+            columns = (r, i, k, s, *bounds)
+            assert list(zip(*(v.tolist() for v in columns))) == _broadcast_scan(*args)
 
 
 def _rounding_band(pair, x, target):
