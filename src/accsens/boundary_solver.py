@@ -47,7 +47,12 @@ import numpy as np
 from ._records import plain
 from .classifier import BoundarySet, Orientation, _accuracies
 from .densities import Family, HypothesisPair
-from .errors import EmptyIntervalError, InvalidParameterError, NoRootError
+from .errors import (
+    EmptyIntervalError,
+    InvalidParameterError,
+    NoRootError,
+    UnresolvedClassifierError,
+)
 
 #: Relative residual bound every reported root must satisfy.
 RESIDUAL_RTOL = 1e-10
@@ -545,6 +550,18 @@ def ml_boundaries(pair: HypothesisPair, eta: float = 1.0) -> LikelihoodRootRepor
     support; grid scan on the default interval and grid otherwise.  Use
     ``ml_boundaries_generic`` for another interval or grid."""
     return _ml_boundaries_many(pair, [eta])[0]
+
+
+def _resolved(report: LikelihoodRootReport) -> LikelihoodRootReport:
+    """``report``, a pair's unit-threshold ratio report, if it holds
+    boundaries.  It is the maximum-accuracy classifier that the frontier and
+    the assumption audit start from, so a ratio that never crosses 1 leaves
+    them nothing to start from."""
+    if not report.roots:
+        raise UnresolvedClassifierError(
+            "the unit-threshold classifier has no boundaries for this pair"
+        )
+    return report
 
 
 @dataclass(frozen=True)

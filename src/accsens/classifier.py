@@ -49,10 +49,6 @@ class Orientation(str, Enum):
     H0_FIRST = "h0_first"
     H1_FIRST = "h1_first"
 
-    @property
-    def swapped(self) -> "Orientation":
-        return Orientation.H1_FIRST if self is Orientation.H0_FIRST else Orientation.H0_FIRST
-
 
 class Norm(str, Enum):
     INF = "inf"
@@ -81,10 +77,6 @@ class BoundarySet:
             raise InvalidParameterError(f"boundaries must be finite, got {self.boundaries}")
         if any(a > b for a, b in zip(self.boundaries, self.boundaries[1:])):
             raise InvalidParameterError(f"boundaries must be sorted, got {self.boundaries}")
-
-    @property
-    def n(self) -> int:
-        return len(self.boundaries)
 
     to_dict = plain
 

@@ -310,14 +310,6 @@ class DensityModel:
             return rng.exponential(1.0 / self.params[0], size=n)
         return np.asarray(self.custom.sampler(rng, n, np.asarray(self.params)), dtype=float)
 
-    def normalization_defect(self) -> float:
-        """Quadrature check: integral of the pdf over the support, minus one."""
-        from scipy.integrate import quad
-
-        lo, hi = self.support
-        total, _ = quad(lambda t: float(self.pdf(t)), lo, hi, limit=200, epsabs=1e-12, epsrel=1e-11)
-        return total - 1.0
-
     # ---- serialization ----
 
     def to_dict(self) -> dict:
@@ -366,19 +358,9 @@ class HypothesisPair:
         return 1.0 - self.p0
 
     @property
-    def models(self) -> tuple[DensityModel, DensityModel]:
-        return (self.h0, self.h1)
-
-    @property
     def theta(self) -> np.ndarray:
         """Stacked parameter vector [theta0; theta1]."""
         return np.asarray(self.h0.params + self.h1.params, dtype=float)
-
-    @property
-    def theta_names(self) -> tuple[str, ...]:
-        return tuple(f"h0.{n}" for n in self.h0.param_names) + tuple(
-            f"h1.{n}" for n in self.h1.param_names
-        )
 
     @property
     def split(self) -> int:
@@ -414,11 +396,3 @@ class HypothesisPair:
             DensityModel.from_dict(obj["h1"]),
             read_number(obj.get("p0", 0.5), "problem spec key 'p0'"),
         )
-
-    @staticmethod
-    def from_json(text: str) -> "HypothesisPair":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # a decode error, or an integer of too many digits
-            raise SchemaError(f"invalid JSON: {exc}") from None
-        return HypothesisPair.from_dict(obj)

@@ -422,12 +422,6 @@ def _max_accuracy_shape(problem: ParamDesignProblem) -> tuple[float, float]:
     return -neg, r
 
 
-def max_accuracy(problem: ParamDesignProblem) -> float:
-    """Largest accuracy any design inside the box attains (feasibility
-    certificate)."""
-    return _max_accuracy_shape(problem)[0]
-
-
 def _widest(problem: ParamDesignProblem, d: np.ndarray, r: np.ndarray):
     """(sigma0, signed d): the largest sigma0 with sigma0, r sigma0 and the
     mean gap d sigma0 inside the box, over both signs of d (accuracy and

@@ -15,7 +15,8 @@ boundaries y*:
 
 All implicit-function derivatives (d y*/d theta, d y/d eta) are computed by
 re-solving the boundary equation under perturbation rather than symbolically;
-the mixed-derivative identity check below guards their correctness.
+``WitnessResult.identity_defect``, the defect of the mixed-derivative
+identity (``_identity_defect``), guards the theta responses.
 
 The verdicts are about the pair alone: every check takes its finite-difference
 steps and tolerances from the module constants below, and every
@@ -30,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from ._records import plain
-from .boundary_solver import LikelihoodRootReport, _ml_boundaries_many, ml_boundaries
+from .boundary_solver import LikelihoodRootReport, _ml_boundaries_many, _resolved, ml_boundaries
 from .classifier import (
     Norm,
     Orientation,
@@ -41,7 +42,7 @@ from .classifier import (
     region_accuracy_gradient,
 )
 from .densities import HypothesisPair
-from .errors import InvalidParameterError, SolverFailureError, UnresolvedClassifierError
+from .errors import SolverFailureError
 
 A1_GAP_TOL = 1e-6
 A2_PRODUCT_TOL = 1e-8
@@ -60,18 +61,6 @@ class Verdict(str, Enum):
     WITHHELD = "withheld"  # inf-norm derivative undefined: A1 does not hold
 
 
-def _ml_optimum(pair: HypothesisPair) -> LikelihoodRootReport:
-    return _resolved(ml_boundaries(pair, 1.0))
-
-
-def _resolved(report: LikelihoodRootReport) -> LikelihoodRootReport:
-    if not report.roots:
-        raise UnresolvedClassifierError(
-            "the unit-threshold classifier has no boundaries for this pair"
-        )
-    return report
-
-
 @dataclass(frozen=True)
 class A1Result:
     holds: bool
@@ -85,7 +74,7 @@ class A1Result:
 
 def check_a1(pair: HypothesisPair) -> A1Result:
     """Uniqueness of the largest absolute accuracy-gradient component."""
-    return _check_a1(pair, _ml_optimum(pair))
+    return _check_a1(pair, _resolved(ml_boundaries(pair, 1.0)))
 
 
 def _check_a1(pair: HypothesisPair, base: LikelihoodRootReport) -> A1Result:
@@ -97,42 +86,22 @@ def _check_a1(pair: HypothesisPair, base: LikelihoodRootReport) -> A1Result:
     return A1Result(holds, gap, int(order[0]), not holds, tuple(grad))
 
 
-def boundary_theta_response(pair: HypothesisPair, j: int) -> np.ndarray:
-    """d y_i*/d theta_j by re-solving the boundary equation at theta +- h e_j,
-    h = ``THETA_FD_STEP``.
+def _theta_response(
+    pair: HypothesisPair, base: LikelihoodRootReport, j: int
+) -> tuple[np.ndarray, tuple[LikelihoodRootReport, ...]]:
+    """d y_i*/d theta_j by re-solving the boundary equation at theta + h e_j
+    and then at theta - h e_j, h = ``THETA_FD_STEP``; returns the response
+    row and the two re-solves.
 
     Roots are matched to the unperturbed ones by proximity; a root that
     survives on one side only falls back to a one-sided difference.
     """
-    base = _ml_optimum(pair)
-    return _theta_response(base, _theta_resolves(pair, j), j)
-
-
-def _theta_resolves(pair: HypothesisPair, j: int) -> tuple[LikelihoodRootReport, ...]:
-    """The unit-threshold boundaries at theta + h e_j and theta - h e_j."""
     reports = []
     for sign in (+1.0, -1.0):
         shifted = pair.theta.copy()
         shifted[j] += sign * THETA_FD_STEP
         reports.append(ml_boundaries(pair.with_theta(shifted), 1.0))
-    return tuple(reports)
 
-
-def _theta_responses(
-    pair: HypothesisPair, base: LikelihoodRootReport
-) -> tuple[list[np.ndarray], list[LikelihoodRootReport]]:
-    """Every response row d y*/d theta_j, plus the 2m re-solves behind them."""
-    rows, solves = [], []
-    for j in range(pair.theta.size):
-        reports = _theta_resolves(pair, j)
-        rows.append(_theta_response(base, reports, j))
-        solves.extend(reports)
-    return rows, solves
-
-
-def _theta_response(
-    base: LikelihoodRootReport, reports: tuple[LikelihoodRootReport, ...], j: int
-) -> np.ndarray:
     def nearest(roots: tuple[float, ...], r: float) -> float | None:
         if not roots:
             return None
@@ -154,7 +123,7 @@ def _theta_response(
             raise SolverFailureError(
                 f"boundary {r!r} vanished under both theta perturbations of component {j}"
             )
-    return out
+    return out, tuple(reports)
 
 
 def curvature_weights(
@@ -184,11 +153,10 @@ class A2Result:
 def check_a2(pair: HypothesisPair, j: int | None = None) -> A2Result:
     """Nonvanishing boundary response: any |w_i(y_i*) dy_i*/dtheta_j| >
     ``A2_PRODUCT_TOL``; j defaults to A1's index."""
-    base = _ml_optimum(pair)
+    base = _resolved(ml_boundaries(pair, 1.0))
     if j is None:
         j = _check_a1(pair, base).index
-    dy = _theta_response(base, _theta_resolves(pair, j), j)
-    return _check_a2(pair, base, j, dy)
+    return _check_a2(pair, base, j, _theta_response(pair, base, j)[0])
 
 
 def _check_a2(
@@ -295,28 +263,15 @@ class WitnessResult:
     to_dict = plain
 
 
-def mixed_derivative_identity_defect(pair: HypothesisPair, report: LikelihoodRootReport) -> float:
+def _identity_defect(pair: HypothesisPair, report: LikelihoodRootReport, dy) -> float:
     """Max componentwise defect of the identity
 
-        d/dy_i (dA/dtheta_j) |_{y*}  =  - w_i(y_i*) * d y_i*/d theta_j.
+        d/dy_i (dA/dtheta_j) |_{y*}  =  - w_i(y_i*) * d y_i*/d theta_j
 
-    The left side is analytic (parameter gradients of the pdfs with the
-    alternating interval signs); the right side uses the re-solve response.
-    The responses are those of the unit-threshold optimum, so a ``report``
-    with other boundaries is refused.
+    at the unit-threshold optimum ``report``.  The left side is analytic
+    (parameter gradients of the pdfs with the alternating interval signs);
+    the right side uses the re-solve response rows dy[j] = d y*/d theta_j.
     """
-    base = _ml_optimum(pair)
-    if report.roots != base.roots or report.orientation is not base.orientation:
-        raise InvalidParameterError(
-            f"the identity holds at the unit-threshold optimum {base.roots}; "
-            f"the report's boundaries are {report.roots} (eta {report.eta})"
-        )
-    dy, _ = _theta_responses(pair, base)
-    return _identity_defect(pair, report, dy)
-
-
-def _identity_defect(pair: HypothesisPair, report: LikelihoodRootReport, dy) -> float:
-    """The identity defect, given the response rows dy[j] = d y*/d theta_j."""
     y = np.asarray(report.roots, dtype=float)
     signs = boundary_signs(y.size, report.orientation)
     g0 = np.atleast_2d(pair.h0.grad_pdf_params(y))  # (m0, n)
@@ -343,8 +298,8 @@ def sensitivity_slope_witness(pair: HypothesisPair, norm: Norm = Norm.INF) -> Wi
     With the inf norm the verdict is withheld when A1 fails: the norm is not
     differentiable at a tied maximum.
     """
-    base = _ml_optimum(pair)
-    dy, _ = _theta_responses(pair, base)
+    base = _resolved(ml_boundaries(pair, 1.0))
+    dy = [_theta_response(pair, base, j)[0] for j in range(pair.theta.size)]
     return _witness(
         pair,
         base,
@@ -434,14 +389,14 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
     A1 and A3's sensitivity slope, which it would compute identically.
     """
     base, stencil = _eta_stencil(pair)
-    dy, theta_solves = _theta_responses(pair, base)
+    dy, theta_solves = zip(*(_theta_response(pair, base, j) for j in range(pair.theta.size)))
     a1 = _check_a1(pair, base)
     a2 = _check_a2(pair, base, a1.index, dy[a1.index])
     a3 = _check_a3(pair, base, stencil, norm)
     witness = _witness(
         pair, base, a1, np.asarray(a3.sens_gradient), _identity_defect(pair, base, dy), norm
     )
-    solves = (base, *theta_solves, *stencil)
+    solves = (base, *(report for both in theta_solves for report in both), *stencil)
     return AssumptionReport(
         a1,
         a2,

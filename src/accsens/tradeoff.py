@@ -70,6 +70,7 @@ from ._records import plain
 from .boundary_solver import (
     _ml_boundaries_many,
     _newton,
+    _resolved,
     _saturation_points,
     default_search_interval,
     ml_boundaries,
@@ -86,12 +87,7 @@ from .classifier import (
     region_accuracy,
 )
 from .densities import HypothesisPair
-from .errors import (
-    InfeasibleTargetError,
-    InvalidParameterError,
-    SolverFailureError,
-    UnresolvedClassifierError,
-)
+from .errors import InfeasibleTargetError, InvalidParameterError, SolverFailureError
 
 ACCURACY_TOL = 1e-6
 DEFAULT_ETA_GRID = (1e-3, 1e3, 400)
@@ -498,14 +494,6 @@ def _check_boundary_count(n_boundaries: int) -> None:
         )
 
 
-def _ml_base(pair: HypothesisPair):
-    """The unit-threshold ratio report, which must hold boundaries."""
-    base = ml_boundaries(pair, 1.0)
-    if not base.roots:
-        raise UnresolvedClassifierError("no maximum-accuracy boundaries for this pair")
-    return base
-
-
 def _top(pair: HypothesisPair, base, n_boundaries: int, saturation):
     """(accuracy, boundaries) of the most accurate n boundaries in the
     orientation of ``base``: the ratio roots when there are at most n of
@@ -530,7 +518,7 @@ def default_zeta_grid(
     in the orientation of the maximum-accuracy classifier."""
     _check_boundary_count(n_boundaries)
     saturation = _saturation_points(pair, *default_search_interval(pair))
-    top, _ = _top(pair, _ml_base(pair), n_boundaries, saturation)
+    top, _ = _top(pair, _resolved(ml_boundaries(pair, 1.0)), n_boundaries, saturation)
     return np.linspace(0.5, top, steps)
 
 
@@ -580,7 +568,7 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     """
     _check_boundary_count(n_boundaries)
     zetas = _check_targets(zetas)
-    base = _ml_base(pair)
+    base = _resolved(ml_boundaries(pair, 1.0))
     orientation = base.orientation
     lo, hi = default_search_interval(pair)
     l_sat, h_sat = _saturation_points(pair, lo, hi)

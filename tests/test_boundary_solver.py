@@ -478,7 +478,7 @@ class TestManyThresholds:
         [
             (DensityModel.exponential(1.0), DensityModel.exponential(2.0)),
             (DensityModel.gaussian(10.0, 6.0), DensityModel.gaussian(11.0, 3.0)),
-            custom_exponential_pair(1.0, 2.0).models,
+            (custom_exponential_pair(1.0, 2.0).h0, custom_exponential_pair(1.0, 2.0).h1),
         ],
         ids=["exponential", "gaussian", "custom"],
     )
@@ -621,7 +621,7 @@ def _exponential_reference(pair, eta):
     slope, and of the root itself, in units of the float epsilon."""
     eps = np.finfo(float).eps
     with mpmath.workdps(60):
-        (l0,), (l1,) = (tuple(map(mpmath.mpf, m.params)) for m in pair.models)
+        (l0,), (l1,) = (tuple(map(mpmath.mpf, m.params)) for m in (pair.h0, pair.h1))
         p0, p1, eta = map(mpmath.mpf, (pair.p0, pair.p1, eta))
         log_p, log_eta, log_l = mpmath.log(p1 / p0), mpmath.log(eta), mpmath.log(l1 / l0)
         c, slope = log_p - log_eta + log_l, l0 - l1
@@ -811,7 +811,7 @@ class TestResidualCheck:
     @pytest.mark.parametrize("name", ["table1_pair", "exp_pair"])
     def test_one_pdf_call_per_density_per_solve(self, name, request, monkeypatch):
         pair = request.getfixturevalue(name)
-        calls = {(f, id(m)): 0 for f in ("pdf", "pdf_dx") for m in pair.models}
+        calls = {(f, id(m)): 0 for f in ("pdf", "pdf_dx") for m in (pair.h0, pair.h1)}
         depth = [0]  # pdf_dx may call pdf itself; only the outermost call counts
 
         def counted(name, fn):
@@ -830,11 +830,11 @@ class TestResidualCheck:
         reports = _ml_boundaries_many(pair, [0.5, 0.7, 1.0, 2.0])
         assert sum(len(report.roots) for report in reports) > 2
         # the slopes are needed only for a root that misses the relative bound
-        assert calls == {(f, id(m)): f == "pdf" for f in ("pdf", "pdf_dx") for m in pair.models}
+        assert calls == {(f, id(m)): f == "pdf" for f in ("pdf", "pdf_dx") for m in (pair.h0, pair.h1)}
         steep = HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(0.5, 1e-6), 0.5)
-        calls.update({(f, id(m)): 0 for f in ("pdf", "pdf_dx") for m in steep.models})
+        calls.update({(f, id(m)): 0 for f in ("pdf", "pdf_dx") for m in (steep.h0, steep.h1)})
         _ml_boundaries_many(steep, [1.0])
-        assert [calls[f, id(m)] for f in ("pdf", "pdf_dx") for m in steep.models] == [1, 1, 1, 1]
+        assert [calls[f, id(m)] for f in ("pdf", "pdf_dx") for m in (steep.h0, steep.h1)] == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("h1", [(1e300, 1.0), (1e200, 1.0), (0.0, 1e300)])
     def test_pairs_past_the_square_range_solve(self, h1):

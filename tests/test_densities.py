@@ -11,6 +11,13 @@ from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPai
 from accsens.errors import InvalidParameterError, SchemaError
 
 
+def _normalization_defect(model: DensityModel) -> float:
+    """Quadrature oracle: integral of the pdf over the support, minus one."""
+    lo, hi = model.support
+    total, _ = quad(lambda t: float(model.pdf(t)), lo, hi, limit=200, epsabs=1e-12, epsrel=1e-11)
+    return total - 1.0
+
+
 class TestPdf:
     def test_gaussian_mode(self):
         model = DensityModel.gaussian(0.0, 9.0)
@@ -36,7 +43,7 @@ class TestPdf:
             DensityModel.gaussian(9.0, 4.0),
             DensityModel.exponential(2.0),
         ):
-            assert abs(model.normalization_defect()) < 1e-9
+            assert abs(_normalization_defect(model)) < 1e-9
 
     def test_quadrature_detects_an_unnormalized_density(self):
         bad = CustomDensity(
@@ -49,7 +56,7 @@ class TestPdf:
         )
         # half of a normal's mass lies on the support
         model = DensityModel.from_custom(bad, (1.0,))
-        assert model.normalization_defect() == pytest.approx(-0.5, abs=1e-9)
+        assert _normalization_defect(model) == pytest.approx(-0.5, abs=1e-9)
 
     @pytest.mark.parametrize("x", [1e200, -1e200, 8e307, 1e308])
     def test_gaussian_far_out_points_do_not_warn(self, x):
@@ -240,9 +247,12 @@ class TestValidationAndSerialization:
         with pytest.raises(SchemaError, match="tau"):
             DensityModel.from_dict({"family": "gaussian", "params": {"mu": 0, "tau": 1}})
         with pytest.raises(SchemaError, match="p2"):
-            HypothesisPair.from_json(
-                '{"h0": {"family": "gaussian", "params": {"mu": 0, "sigma": 1}},'
-                ' "h1": {"family": "gaussian", "params": {"mu": 1, "sigma": 1}}, "p2": 0.5}'
+            HypothesisPair.from_dict(
+                {
+                    "h0": {"family": "gaussian", "params": {"mu": 0, "sigma": 1}},
+                    "h1": {"family": "gaussian", "params": {"mu": 1, "sigma": 1}},
+                    "p2": 0.5,
+                }
             )
         with pytest.raises(SchemaError, match="family"):
             DensityModel.from_dict({"params": {"mu": 0}})
@@ -250,7 +260,6 @@ class TestValidationAndSerialization:
     def test_theta_stacking(self):
         pair = HypothesisPair(DensityModel.gaussian(0, 9), DensityModel.gaussian(9, 4), 0.5)
         np.testing.assert_array_equal(pair.theta, [0, 9, 9, 4])
-        assert pair.theta_names == ("h0.mu", "h0.sigma", "h1.mu", "h1.sigma")
         moved = pair.with_theta([1, 2, 3, 4])
         assert moved.h0.params == (1.0, 2.0)
         assert moved.h1.params == (3.0, 4.0)

@@ -39,6 +39,7 @@ from accsens.param_designer import (
     SEPARATION_LIMIT,
     ParamDesignProblem,
     _design_eval,
+    _max_accuracy_shape,
     _separation_residual,
     _shape,
     _shape_accuracy,
@@ -47,7 +48,6 @@ from accsens.param_designer import (
     fig3_box,
     gamma_sweep,
     gaussian_equal_variance_law,
-    max_accuracy,
     sweep_csv_text,
 )
 
@@ -255,7 +255,7 @@ class TestDesign:
         box = ParamDesignProblem(
             bounds=((0.0, 0.0), (3.0, 4.0), (0.0, 1.0), (3.0, 4.0)), gamma=0.99
         )
-        assert max_accuracy(box) < 0.95
+        assert _max_accuracy_shape(box)[0] < 0.95
         with pytest.raises(InfeasibleTargetError):
             design_params(box)
 
@@ -518,7 +518,7 @@ class TestShapeReduction:
             result = design_params(box)
         except InfeasibleTargetError:
             # a brute-force design can only meet gamma at the box's edge
-            assert not grid or max_accuracy(box) >= gamma - 1e-9
+            assert not grid or _max_accuracy_shape(box)[0] >= gamma - 1e-9
             return
         if grid:
             assert result.sensitivity <= min(grid)[0] * (1.0 + 1e-9)
@@ -541,7 +541,7 @@ class TestShapeReduction:
             for s1 in np.linspace(3.0, 4.0, 21)
             for mu1 in np.linspace(0.0, 1.0, 21)
         )
-        assert max_accuracy(box) >= best_grid - 1e-12
+        assert _max_accuracy_shape(box)[0] >= best_grid - 1e-12
 
 
 #: The designs of ``reproduce fig3`` (its 20 gammas), recorded before the

@@ -12,16 +12,14 @@ import accsens.theory_checks as theory_checks
 from accsens.classifier import Norm, apply_norm, region_accuracy, region_accuracy_gradient
 from accsens.boundary_solver import ml_boundaries
 from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair
-from accsens.errors import AccsensError, InvalidParameterError
+from accsens.errors import AccsensError
 from accsens.theory_checks import (
     SENS_FD_STEP,
     Verdict,
-    boundary_theta_response,
     check_a1,
     check_a2,
     check_a3,
     curvature_weights,
-    mixed_derivative_identity_defect,
     run_all_checks,
     sensitivity_boundary_gradient,
     sensitivity_slope_witness,
@@ -125,9 +123,11 @@ class TestWitness:
         inert = _with_inert_param(table1_pair)
         report = ml_boundaries(inert, 1.0)
         assert len(report.roots) == 2
-        defect = mixed_derivative_identity_defect(inert, report)
-        assert defect < 1e-5
-        assert np.allclose(boundary_theta_response(inert, 2), 0.0, atol=1e-9)
+        assert sensitivity_slope_witness(inert).identity_defect < 1e-5
+        # A2's products are w_i * d y_i*/d theta_j: the response row itself
+        # is 0 for the inert component
+        w = curvature_weights(inert, report.roots, report.orientation)
+        assert np.allclose(np.asarray(check_a2(inert, 2).products) / w, 0.0, atol=1e-9)
 
     def test_identity_on_random_pairs(self):
         rng = np.random.default_rng(5150)
@@ -140,17 +140,8 @@ class TestWitness:
                 continue
             if not a1.holds or not check_a2(pair, a1.index).holds:
                 continue
-            report = ml_boundaries(pair, 1.0)
-            assert mixed_derivative_identity_defect(pair, report) < 1e-5
+            assert sensitivity_slope_witness(pair).identity_defect < 1e-5
             passed += 1
-
-    @pytest.mark.parametrize("eta", [0.4603, 50.0])
-    def test_identity_refuses_a_report_off_the_optimum(self, table1_pair, eta):
-        # the theta-responses are the optimum's: at eta 0.4603 two other
-        # boundaries read a meaningless defect, and at eta 50 there are none
-        report = ml_boundaries(table1_pair, eta)
-        with pytest.raises(InvalidParameterError, match="unit-threshold optimum"):
-            mixed_derivative_identity_defect(table1_pair, report)
 
     def test_descent_probe_lowers_sensitivity(self, table1_pair):
         report = ml_boundaries(table1_pair, 1.0)
