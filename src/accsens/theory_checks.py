@@ -13,10 +13,13 @@ boundaries y*:
 * A3 - the boundary response to the threshold is not orthogonal to the
   sensitivity gradient in the boundaries.
 
-All implicit-function derivatives (d y*/d theta, d y/d eta) are computed by
-re-solving the boundary equation under perturbation rather than symbolically;
+The implicit-function derivatives (d y*/d theta, d y/d eta) are finite
+differences of re-solves of the boundary equation under perturbation;
 ``WitnessResult.identity_defect``, the defect of the mixed-derivative
-identity (``_identity_defect``), guards the theta responses.
+identity (``_identity_defect``), guards the theta responses.  Everything
+else is exact: the accuracy gradient g = dA/dtheta, the curvature weights w
+and the Jacobian J = dg/dy (``_boundary_jacobian``), from which the
+sensitivity slope dS/dy is sign(g_j) J[j] (inf norm) or g J / ||g|| (two norm).
 
 The verdicts are about the pair alone: every check takes its finite-difference
 steps and tolerances from the module constants below, and every
@@ -49,7 +52,6 @@ A2_PRODUCT_TOL = 1e-8
 A3_INNER_TOL = 1e-8
 THETA_FD_STEP = 1e-5
 ETA_FD_STEP = 1e-5
-SENS_FD_STEP = 1e-6
 WITNESS_TOL = 1e-7
 IDENTITY_TOL = 1e-5
 DESCENT_STEP = 1e-3
@@ -74,11 +76,11 @@ class A1Result:
 
 def check_a1(pair: HypothesisPair) -> A1Result:
     """Uniqueness of the largest absolute accuracy-gradient component."""
-    return _check_a1(pair, _resolved(ml_boundaries(pair, 1.0)))
+    base = _resolved(ml_boundaries(pair, 1.0))
+    return _check_a1(region_accuracy_gradient(pair, base.roots, base.orientation))
 
 
-def _check_a1(pair: HypothesisPair, base: LikelihoodRootReport) -> A1Result:
-    grad = region_accuracy_gradient(pair, base.roots, base.orientation)
+def _check_a1(grad: np.ndarray) -> A1Result:
     mags = np.abs(grad)
     order = np.argsort(mags)[::-1]
     gap = float(mags[order[0]] - mags[order[1]]) if len(mags) > 1 else float(mags[order[0]])
@@ -155,14 +157,12 @@ def check_a2(pair: HypothesisPair, j: int | None = None) -> A2Result:
     ``A2_PRODUCT_TOL``; j defaults to A1's index."""
     base = _resolved(ml_boundaries(pair, 1.0))
     if j is None:
-        j = _check_a1(pair, base).index
-    return _check_a2(pair, base, j, _theta_response(pair, base, j)[0])
-
-
-def _check_a2(
-    pair: HypothesisPair, base: LikelihoodRootReport, j: int, dy: np.ndarray
-) -> A2Result:
+        j = _check_a1(region_accuracy_gradient(pair, base.roots, base.orientation)).index
     w = curvature_weights(pair, base.roots, base.orientation)
+    return _check_a2(w, j, _theta_response(pair, base, j)[0])
+
+
+def _check_a2(w: np.ndarray, j: int, dy: np.ndarray) -> A2Result:
     products = w * dy
     witness = int(np.argmax(np.abs(products)))
     return A2Result(
@@ -175,34 +175,42 @@ def _check_a2(
     )
 
 
+def _boundary_jacobian(pair: HypothesisPair, report: LikelihoodRootReport) -> np.ndarray:
+    """J = d(dA/dtheta)/dy at the boundaries of ``report``, shape (m, n): rows
+    theta components, columns boundaries.  Analytic: the parameter gradients
+    of the pdfs with the alternating interval signs."""
+    y = np.asarray(report.roots, dtype=float)
+    g0 = np.atleast_2d(pair.h0.grad_pdf_params(y))  # (m0, n)
+    g1 = np.atleast_2d(pair.h1.grad_pdf_params(y))  # (m1, n)
+    return boundary_signs(y.size, report.orientation) * np.concatenate(
+        [pair.p0 * g0, -pair.p1 * g1]
+    )
+
+
+def _slope(grad: np.ndarray, jac: np.ndarray, norm: Norm) -> np.ndarray:
+    """dS/dy for S = ||grad||, from the Jacobian ``jac`` = d grad/dy."""
+    if norm is Norm.INF:
+        # at a tie (A1 fails) np.argmax takes the first largest component
+        j = int(np.argmax(np.abs(grad)))
+        return np.sign(grad[j]) * jac[j]
+    size = float(np.linalg.norm(grad))
+    return grad @ jac / size if size > 0.0 else np.zeros(jac.shape[1])
+
+
 def sensitivity_boundary_gradient(
     pair: HypothesisPair,
     report: LikelihoodRootReport,
     norm: Norm = Norm.INF,
 ) -> np.ndarray:
-    """Finite-difference d S/d y_i at the given boundaries, relative step
-    ``SENS_FD_STEP``.
+    """Exact d S/d y_i at the given boundaries.
 
-    With the inf norm the derivative is only one-sided wherever the arg-max
-    component switches inside the stencil; the difference then falls back to
-    the side on which the center's arg-max survives.  The 2n + 1 stencil
-    columns (the center, then each boundary stepped up, then down) are
-    evaluated in one call.
+    With the inf norm this is the slope of the first largest absolute
+    gradient component; where another component ties it (A1 fails), that is
+    one of the two one-sided derivatives.  With the two norm it is 0 where
+    the gradient vanishes.
     """
-    y = np.asarray(report.roots, dtype=float)
-    n = y.size
-    step = SENS_FD_STEP * np.maximum(1.0, np.abs(y))
-    shifts = np.concatenate([np.zeros((n, 1)), np.diag(step), np.diag(-step)], axis=1)
-    grads = _gradients(pair, y[:, None] + shifts, report.orientation is Orientation.H0_FIRST)
-    s = _norms(grads, norm)
-    s_center, s_plus, s_minus = s[0], s[1 : n + 1], s[n + 1 :]
-    out = (s_plus - s_minus) / (2.0 * step)
-    if norm is Norm.INF:
-        j = np.argmax(np.abs(grads), axis=0)
-        ok_plus, ok_minus = j[1 : n + 1] == j[0], j[n + 1 :] == j[0]
-        out = np.where(ok_plus & ~ok_minus, (s_plus - s_center) / step, out)
-        out = np.where(ok_minus & ~ok_plus, (s_center - s_minus) / step, out)
-    return out
+    grad = region_accuracy_gradient(pair, report.roots, report.orientation)
+    return _slope(grad, _boundary_jacobian(pair, report), norm)
 
 
 @dataclass(frozen=True)
@@ -218,7 +226,7 @@ class A3Result:
 def check_a3(pair: HypothesisPair, norm: Norm = Norm.INF) -> A3Result:
     """Non-orthogonality of the threshold response and the sensitivity slope."""
     base, stencil = _eta_stencil(pair)
-    return _check_a3(pair, base, stencil, norm)
+    return _check_a3(base, stencil, sensitivity_boundary_gradient(pair, base, norm))
 
 
 def _eta_stencil(
@@ -231,16 +239,12 @@ def _eta_stencil(
 
 
 def _check_a3(
-    pair: HypothesisPair,
-    base: LikelihoodRootReport,
-    stencil: tuple[LikelihoodRootReport, ...],
-    norm: Norm,
+    base: LikelihoodRootReport, stencil: tuple[LikelihoodRootReport, ...], ds_dy: np.ndarray
 ) -> A3Result:
     plus, minus = stencil
     if len(plus.roots) != len(base.roots) or len(minus.roots) != len(base.roots):
         raise SolverFailureError("boundary count changed inside the eta stencil")
     dy_deta = (np.asarray(plus.roots) - np.asarray(minus.roots)) / (2.0 * ETA_FD_STEP)
-    ds_dy = sensitivity_boundary_gradient(pair, base, norm)
     ip = float(np.dot(dy_deta, ds_dy))
     return A3Result(bool(abs(ip) > A3_INNER_TOL), ip, tuple(dy_deta), tuple(ds_dy))
 
@@ -263,34 +267,22 @@ class WitnessResult:
     to_dict = plain
 
 
-def _identity_defect(pair: HypothesisPair, report: LikelihoodRootReport, dy) -> float:
+def _identity_defect(jac: np.ndarray, w: np.ndarray, dy) -> float:
     """Max componentwise defect of the identity
 
         d/dy_i (dA/dtheta_j) |_{y*}  =  - w_i(y_i*) * d y_i*/d theta_j
 
-    at the unit-threshold optimum ``report``.  The left side is analytic
-    (parameter gradients of the pdfs with the alternating interval signs);
-    the right side uses the re-solve response rows dy[j] = d y*/d theta_j.
+    at the unit-threshold optimum: the left side is the exact Jacobian
+    ``jac``, the right side uses the re-solve response rows
+    dy[j] = d y*/d theta_j.
     """
-    y = np.asarray(report.roots, dtype=float)
-    signs = boundary_signs(y.size, report.orientation)
-    g0 = np.atleast_2d(pair.h0.grad_pdf_params(y))  # (m0, n)
-    g1 = np.atleast_2d(pair.h1.grad_pdf_params(y))  # (m1, n)
-    lhs = np.concatenate(
-        [pair.p0 * (signs[None, :] * g0), -pair.p1 * (signs[None, :] * g1)], axis=0
-    )  # (m, n): rows theta components, columns boundaries
-    w = curvature_weights(pair, y, report.orientation)
-    defect = 0.0
-    for j in range(lhs.shape[0]):
-        rhs = -w * dy[j]
-        defect = max(defect, float(np.max(np.abs(lhs[j] - rhs))))
-    return defect
+    return float(np.max(np.abs(jac + w * np.asarray(dy)), initial=0.0))
 
 
 def sensitivity_slope_witness(pair: HypothesisPair, norm: Norm = Norm.INF) -> WitnessResult:
     """Certify a strictly-decreasing sensitivity direction at the optimum.
 
-    Reports the finite-difference slope of the sensitivity in the boundaries
+    Reports the exact slope of the sensitivity in the boundaries
     at the maximum-accuracy configuration, audits the mixed-derivative
     identity, and probes one descent step: sensitivity must drop strictly
     while accuracy cannot rise (the optimum already maximizes it).
@@ -300,13 +292,11 @@ def sensitivity_slope_witness(pair: HypothesisPair, norm: Norm = Norm.INF) -> Wi
     """
     base = _resolved(ml_boundaries(pair, 1.0))
     dy = [_theta_response(pair, base, j)[0] for j in range(pair.theta.size)]
+    grad = region_accuracy_gradient(pair, base.roots, base.orientation)
+    jac = _boundary_jacobian(pair, base)
+    w = curvature_weights(pair, base.roots, base.orientation)
     return _witness(
-        pair,
-        base,
-        _check_a1(pair, base),
-        sensitivity_boundary_gradient(pair, base, norm),
-        _identity_defect(pair, base, dy),
-        norm,
+        pair, base, _check_a1(grad), _slope(grad, jac, norm), _identity_defect(jac, w, dy), norm
     )
 
 
@@ -328,8 +318,9 @@ def _witness(
     descent_found = False
     drop = 0.0
     dacc = 0.0
-    if gnorm > 0.0:
-        direction = -grad / float(np.linalg.norm(grad))
+    size = float(np.linalg.norm(grad))
+    if size > 0.0:  # 0 also for a slope below 1e-154, whose squares underflow
+        direction = -grad / size
         y = np.asarray(report.roots, dtype=float)
         # the optimum and the descent step, evaluated together
         ys = np.stack([y, np.sort(y + DESCENT_STEP * direction)], axis=1)
@@ -385,29 +376,28 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
     1 + 2m + 2 solves for m distribution parameters.  The base and the eta
     stencil come from one ``_ml_boundaries_many`` call: one closed-form call
     for a Gaussian or exponential pair, or one grid scan otherwise, for all
-    three thresholds.  The witness reuses
-    A1 and A3's sensitivity slope, which it would compute identically.
+    three thresholds.  The boundary derivatives are evaluated once each at
+    the base: the accuracy gradient g (A1), the curvature weights w (A2 and
+    the identity) and the Jacobian J = dg/dy (the identity, and with g the
+    sensitivity slope of A3 and the witness).
     """
     base, stencil = _eta_stencil(pair)
     dy, theta_solves = zip(*(_theta_response(pair, base, j) for j in range(pair.theta.size)))
-    a1 = _check_a1(pair, base)
-    a2 = _check_a2(pair, base, a1.index, dy[a1.index])
-    a3 = _check_a3(pair, base, stencil, norm)
-    witness = _witness(
-        pair, base, a1, np.asarray(a3.sens_gradient), _identity_defect(pair, base, dy), norm
-    )
+    grad = region_accuracy_gradient(pair, base.roots, base.orientation)
+    jac = _boundary_jacobian(pair, base)
+    weights = curvature_weights(pair, base.roots, base.orientation)
+    slope = _slope(grad, jac, norm)
+    a1 = _check_a1(grad)
+    a2 = _check_a2(weights, a1.index, dy[a1.index])
+    a3 = _check_a3(base, stencil, slope)
+    witness = _witness(pair, base, a1, slope, _identity_defect(jac, weights, dy), norm)
     solves = (base, *(report for both in theta_solves for report in both), *stencil)
     return AssumptionReport(
         a1,
         a2,
         a3,
         witness,
-        steps={
-            "theta_fd": THETA_FD_STEP,
-            "eta_fd": ETA_FD_STEP,
-            "sensitivity_fd": SENS_FD_STEP,
-            "descent": DESCENT_STEP,
-        },
+        steps={"theta_fd": THETA_FD_STEP, "eta_fd": ETA_FD_STEP, "descent": DESCENT_STEP},
         tolerances={
             "a1_gap": A1_GAP_TOL,
             "a2_product": A2_PRODUCT_TOL,

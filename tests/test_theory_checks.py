@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import accsens.boundary_solver as boundary_solver
@@ -14,7 +14,6 @@ from accsens.boundary_solver import ml_boundaries
 from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair
 from accsens.errors import AccsensError
 from accsens.theory_checks import (
-    SENS_FD_STEP,
     Verdict,
     check_a1,
     check_a2,
@@ -117,6 +116,17 @@ class TestWitness:
         assert w.verdict is Verdict.NONZERO
         assert w.descent_found
 
+    def test_underflowing_slope_takes_no_descent_step(self):
+        # nearly equal means: the two-norm slope is about 4e-306, and its
+        # square underflows, so no descent direction exists to normalize
+        pair = HypothesisPair(
+            DensityModel.gaussian(0.0, 0.5), DensityModel.gaussian(8.382685416300437e-290, 0.5), 0.5
+        )
+        w = sensitivity_slope_witness(pair, Norm.TWO)
+        assert 0.0 < w.gradient_norm < 1e-300
+        assert w.verdict is Verdict.ZERO
+        assert not w.descent_found and w.descent_sensitivity_drop == 0.0
+
     def test_identity_trivial_for_inert_component(self, table1_pair):
         # both sides of the mixed-derivative identity vanish for a parameter
         # the densities ignore; the defect check must still pass
@@ -192,7 +202,6 @@ class TestFullReport:
         assert payload["steps"] == {
             "theta_fd": tc.THETA_FD_STEP,
             "eta_fd": tc.ETA_FD_STEP,
-            "sensitivity_fd": tc.SENS_FD_STEP,
             "descent": tc.DESCENT_STEP,
         }
         assert payload["tolerances"] == {
@@ -293,9 +302,11 @@ class TestSolverWarnings:
         assert "warnings" not in report.to_dict()
 
 
-def _stencil_loop(pair, report, norm, h=SENS_FD_STEP):
-    """d S / d y_i as one boundary at a time, two sensitivity and two arg-max
-    evaluations per boundary; and whether each difference is one-sided."""
+def _stencil_loop(pair, report, norm, h=1e-6):
+    """d S / d y_i by central differences, relative step h, one boundary at a
+    time; with the inf norm a difference falls back to the side on which the
+    center's arg-max survives.  Returns the slope and whether each
+    difference is one-sided."""
     y = np.asarray(report.roots, dtype=float)
     orientation = report.orientation
 
@@ -326,13 +337,61 @@ def _stencil_loop(pair, report, norm, h=SENS_FD_STEP):
     return out, one_sided
 
 
-class TestStencilReference:
-    @pytest.mark.parametrize("name", ["table1_pair", "fig2c_pair"])
+def _stencil_errors(pair, norm, steps):
+    """|stencil - exact slope| at each relative step, and whether every
+    difference was one-sided."""
+    report = ml_boundaries(pair, 1.0)
+    exact = sensitivity_boundary_gradient(pair, report, norm)
+    errors, sides = [], []
+    for h in steps:
+        fd, one_sided = _stencil_loop(pair, report, norm, h)
+        errors.append(np.abs(fd - exact))
+        sides.append(all(one_sided))
+    return np.asarray(errors), sides
+
+
+class TestExactSlope:
+    """The sensitivity slope is the exact product of the accuracy gradient
+    and its boundary Jacobian; a finite-difference stencil converges to it."""
+
     @pytest.mark.parametrize("norm", list(Norm))
-    def test_batched_stencil_equals_the_per_boundary_loop(self, name, norm, request):
-        pair = request.getfixturevalue(name)
-        report = ml_boundaries(pair, 1.0)
-        expected, one_sided = _stencil_loop(pair, report, norm)
-        np.testing.assert_array_equal(sensitivity_boundary_gradient(pair, report, norm), expected)
-        # fig2c's tied gradient takes the one-sided branch at both boundaries
-        assert all(one_sided) == (name == "fig2c_pair" and norm is Norm.INF)
+    def test_matches_the_central_stencil_on_table1(self, table1_pair, norm):
+        report = ml_boundaries(table1_pair, 1.0)
+        fd, one_sided = _stencil_loop(table1_pair, report, norm)
+        assert not any(one_sided)
+        np.testing.assert_allclose(
+            sensitivity_boundary_gradient(table1_pair, report, norm), fd, rtol=1e-7, atol=0.0
+        )
+        # truncation error C h^2: each tenth of the step cuts it about a
+        # hundredfold (below 1e-5 rounding, eps S / h, takes over)
+        errors, _ = _stencil_errors(table1_pair, norm, (1e-3, 1e-4, 1e-5))
+        ratios = errors[:-1] / errors[1:]
+        assert ((ratios > 50.0) & (ratios < 200.0)).all(), ratios
+
+    def test_one_sided_stencil_converges_like_h_on_fig2c(self, fig2c_pair):
+        # the tied inf-norm gradient switches its arg-max inside every
+        # central stencil, so each difference is one-sided: error C h
+        errors, sides = _stencil_errors(fig2c_pair, Norm.INF, (1e-4, 1e-5, 1e-6))
+        assert all(sides)
+        ratios = errors[:-1] / errors[1:]
+        assert ((ratios > 5.0) & (ratios < 20.0)).all(), ratios
+
+    @settings(max_examples=40, deadline=None)
+    @given(audit_pairs(), st.sampled_from(list(Norm)))
+    def test_agrees_with_the_stencil_where_a1_holds(self, pair, norm):
+        try:
+            assume(check_a1(pair).holds)
+            a3 = check_a3(pair, norm)
+        except AccsensError:
+            assume(False)
+        fd, _ = _stencil_loop(pair, ml_boundaries(pair, 1.0), norm)
+        # normwise: a component of the slope far below its largest one is
+        # lost in the stencil's rounding, eps S / h
+        atol = 1e-12 + 1e-6 * float(np.max(np.abs(fd)))
+        np.testing.assert_allclose(a3.sens_gradient, fd, rtol=0.0, atol=atol)
+        # the stencil's inner product gives the same verdict, unless it sits
+        # at the tolerance itself
+        tol = theory_checks.A3_INNER_TOL
+        ip = float(np.dot(a3.eta_response, fd))
+        if abs(abs(a3.inner_product) - tol) > 1e-6 * tol:
+            assert (abs(ip) > tol) == a3.holds

@@ -827,7 +827,12 @@ class TestCompactedScan:
     @settings(max_examples=8, deadline=None)
     @given(st.one_of(two_root_gaussian_pairs(), exponential_pairs()), positions, st.sampled_from(list(Norm)))
     def test_same_branch_minima_as_the_full_broadcast_scan(self, n_boundaries, pair, u, norm):
-        zeta = 0.5 + u * (default_zeta_grid(pair, n_boundaries, 2)[-1] - 0.5)
+        # a target is scanned only below the top of n boundaries in the base
+        # orientation, and that top may be chance (one boundary of a pair
+        # whose best single boundary needs the other orientation)
+        top = default_zeta_grid(pair, n_boundaries, 2)[-1]
+        assume(top - 0.5 > 1e-3)
+        zeta = 0.5 + u * (top - 0.5)
         calls, scan = [], tradeoff._scan
 
         def recording(*args):
