@@ -19,14 +19,15 @@ points of one sign) bounds a region of zero measure, changes no
 probability and destabilizes downstream derivatives.  The grid's only
 warning is for a ratio undefined on the whole interval.
 
-``_ml_boundaries_many`` is the one front door: ``ml_boundaries``,
+``_ml_solve_many`` is the one front door: it checks the thresholds
+(positive and finite), answers a zero prior with no root, and checks the
+roots of all thresholds in one ``_check_residuals`` call, for all three
+families.  ``_ml_boundaries_many`` makes its reports, and ``ml_boundaries``,
 ``ml_boundaries_gaussian`` and ``ml_boundaries_generic`` are its
-one-threshold calls.  It checks the thresholds (positive and finite),
-answers a zero prior with single-region reports, checks the roots of all
-thresholds in one ``_check_residuals`` call and builds every report, for all
-three families.  The family solvers return only roots, orientations and
-warnings: the closed forms in one call for all thresholds, the grid by
-solving all their sign changes together in one Newton call.
+one-threshold calls; ``tradeoff.ml_curve`` reads the roots unreported.
+The family solvers return only roots, orientations and warnings: the
+closed forms in one call for all thresholds, the grid by solving all their
+sign changes together in one Newton call.
 
 That safeguarded Newton solver (``_newton``) is the one bracketed root
 solver of the library: the grid's ratio roots, the frontier's level sets and
@@ -359,46 +360,61 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
     Newton point of a step shorter than ``tol`` that stays in the bracket;
     or at its midpoint once it is narrower than ``tol`` or has taken
     BISECTION_STEPS points.
-    Stopped brackets leave the arrays, with their ``args``, so a root does
-    not depend on the other brackets.  A NaN residual counts as below 0.
+    The state of the brackets is one stacked array, one row per quantity
+    (the ends, their residuals, the next point, the bracket's place in the
+    result, its direction and its fallback flags, and ``args``) and one
+    column per bracket.  A stopped bracket is masked out of the result; once
+    half of the columns have stopped they leave the array by one index, so
+    a root does not depend on the other brackets.  A NaN residual counts as
+    below 0.
     """
     band = 4.0 * np.finfo(float).eps
     x = np.empty(lo.shape)
-    todo = np.arange(lo.size)
-    rising = r_hi >= r_lo
-    fell_back = np.zeros(lo.shape, dtype=bool)  # z is a fallback point
-    halve = np.zeros(lo.shape, dtype=bool)  # the next fallback is the midpoint
-    z = _falsi(lo, hi, r_lo, r_hi)
+
+    def rows(state):
+        """The rows of the state, views but for the flags; every column live."""
+        lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, *args = state
+        flags = (rising > 0.0, fell_back > 0.0, halve > 0.0)
+        return lo, hi, r_lo, r_hi, z, at.astype(np.intp), *flags, args, np.ones(at.shape, dtype=bool)
+
+    # fell_back: z is a fallback point; halve: the next fallback is the midpoint
+    zeros = np.zeros(lo.shape)
+    state = np.array(
+        [lo, hi, r_lo, r_hi, _falsi(lo, hi, r_lo, r_hi), np.arange(lo.size), r_hi >= r_lo, zeros, zeros, *args]
+    )
+    lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, args, live = rows(state)
     for _ in range(BISECTION_STEPS):
-        if not todo.size:
+        if not live.size:
             return x
         r, slope, scale = fn(z, *args)
-        right = ~(r >= 0.0) == rising  # the root lies right of z
+        right = (r >= 0.0) != rising  # the root lies right of z
         half = 0.5 * (hi - lo)
-        lo, r_lo = np.where(right, z, lo), np.where(right, r, r_lo)
-        hi, r_hi = np.where(right, hi, z), np.where(right, r_hi, r)
+        np.copyto(lo, z, where=right)
+        np.copyto(r_lo, r, where=right)
+        np.copyto(hi, z, where=~right)
+        np.copyto(r_hi, r, where=~right)
         with np.errstate(all="ignore"):
             step = z - r / slope
         newton = (step > lo) & (step < hi)  # NaN fails
         hit = np.abs(r) <= band * scale
         short = (step >= lo) & (step <= hi) & (np.abs(step - z) < tol)
         width = hi - lo
-        done = hit | short | (width < tol)
+        done = (hit | short | (width < tol)) & live
         mid = 0.5 * (lo + hi)
-        root = np.where(hit, z, np.where(short, step, mid))
+        if done.any():
+            x[at[done]] = np.where(hit, z, np.where(short, step, mid))[done]
+            live &= ~done
         halve = (halve | fell_back & (width > half)) & ~newton
         fell_back = ~newton
-        z = np.where(newton, step, mid)
-        falsi = fell_back & ~halve
+        z[...] = np.where(newton, step, mid)
+        falsi = fell_back & ~halve & live
         if falsi.any():
             z[falsi] = _falsi(lo[falsi], hi[falsi], r_lo[falsi], r_hi[falsi])
-        if done.any():
-            x[todo[done]] = root[done]
-            keep = ~done
-            todo, lo, hi, r_lo, r_hi, rising, fell_back, halve, z, *args = (
-                v[keep] for v in (todo, lo, hi, r_lo, r_hi, rising, fell_back, halve, z, *args)
-            )
-    x[todo] = 0.5 * (lo + hi)
+        if 2 * np.count_nonzero(live) <= live.size:
+            state[7], state[8] = fell_back, halve
+            state = state[:, live]
+            lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, args, live = rows(state)
+    x[at[live]] = 0.5 * (lo + hi)[live]
     return x
 
 
@@ -508,17 +524,19 @@ def ml_boundaries_generic(
     return _ml_boundaries_many(pair, [eta], interval, grid)[0]
 
 
-def _ml_boundaries_many(
+def _ml_solve_many(
     pair: HypothesisPair, etas, interval: tuple[float, float] | None = None, grid: int | None = None
-) -> tuple[LikelihoodRootReport, ...]:
-    """``ml_boundaries`` at every threshold of ``etas``, with the same reports:
-    one closed-form call for a Gaussian or exponential pair, one grid solve
-    otherwise, or for any pair given a ``grid`` (``ml_boundaries_generic``),
-    on that grid over ``interval``.
+):
+    """What the reports of ``_ml_boundaries_many`` hold, before they are
+    made: the root method, the thresholds as floats, and for each threshold
+    its roots, whether H0 wins left of the first root, its warnings and the
+    residuals of its roots.
 
-    Every report is made here, for every family: the thresholds are checked,
-    a zero prior is answered without a solve, and the roots of all
-    thresholds pass one ``_check_residuals`` call.
+    One closed-form call for a Gaussian or exponential pair, one grid solve
+    otherwise, or for any pair given a ``grid`` (``ml_boundaries_generic``),
+    on that grid over ``interval``.  The thresholds are checked, a zero
+    prior is answered without a solve, and the roots of all thresholds pass
+    one ``_check_residuals`` call.
     """
     etas = [float(eta) for eta in etas]
     for eta in etas:
@@ -538,7 +556,15 @@ def _ml_boundaries_many(
         roots, h0_first, warnings = [()] * len(etas), [pair.p0 == 1.0] * len(etas), [()] * len(etas)
     else:
         roots, h0_first, warnings = solve(pair, etas, *args)
-    residuals = _check_residuals(pair, etas, roots)
+    return method, etas, roots, h0_first, warnings, _check_residuals(pair, etas, roots)
+
+
+def _ml_boundaries_many(
+    pair: HypothesisPair, etas, interval: tuple[float, float] | None = None, grid: int | None = None
+) -> tuple[LikelihoodRootReport, ...]:
+    """``ml_boundaries`` at every threshold of ``etas``, with the same
+    reports, for every family: the reports of one ``_ml_solve_many`` call."""
+    method, etas, roots, h0_first, warnings, residuals = _ml_solve_many(pair, etas, interval, grid)
     return tuple(
         LikelihoodRootReport(rs, method, Orientation.H0_FIRST if h0 else Orientation.H1_FIRST, res, eta, w)
         for eta, rs, h0, w, res in zip(etas, roots, h0_first, warnings, residuals)

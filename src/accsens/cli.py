@@ -248,7 +248,7 @@ def _cmd_curve(args) -> int:
         "metadata": curve.metadata,
     }
     out = Path(args.out) if args.out else None
-    print(f"curve {args.kind}: {len(curve.points)} points ({args.norm} norm)")
+    print(f"curve {args.kind}: {curve.accuracies.size} points ({args.norm} norm)")
     for warning in curve.metadata.get("warnings", ()):
         print(f"solver warning: {warning}")
     if out is None:

@@ -3,7 +3,7 @@
 Three sweeps produce comparable curves for one hypothesis pair:
 
 * ``ml_curve``    - threshold sweep of the likelihood-ratio classifier; the
-  roots of every threshold come from one call (``_ml_boundaries_many``), the
+  roots of every threshold come from one call (``_ml_solve_many``), the
   classifiers are evaluated with one array call per root count, and the
   solver warnings go to the metadata;
 * ``linear_curve`` - sweep of a single boundary, best orientation per point,
@@ -56,19 +56,26 @@ points whose refinement misses the target are dropped and counted in the
 curve metadata, never silently interpolated.  Curve points are ordered by
 accuracy; below-chance points are discarded (the swapped orientation covers
 them), a frontier point by its target.
+
+A curve is held as columns (``TradeoffCurve``): accuracy, sensitivity, a
+boundary matrix, orientation flags and the sweep parameter, one entry per
+point.  Each sweep fills the columns with array calls, and ``_assemble``
+orders, filters and collapses them with array operations; the writers read
+the columns, and ``points`` builds TradeoffPoint records from them only
+when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from ._records import plain
+from ._records import _plain, plain
 from .boundary_solver import (
-    _ml_boundaries_many,
+    _ml_solve_many,
     _newton,
     _resolved,
     _saturation_points,
@@ -79,7 +86,6 @@ from .classifier import (
     Norm,
     Orientation,
     _accuracies,
-    _evaluate,
     _gap,
     _gap_slope,
     _gradients,
@@ -121,76 +127,143 @@ class TradeoffPoint:
 
     @property
     def provenance(self) -> str:
-        name = {"ml": "eta", "linear": "y", "constrained": "zeta"}[self.kind]
-        return f"{self.kind}:{name}={self.parameter!r}"
+        return f"{self.kind}:{_PARAMETER[self.kind]}={self.parameter!r}"
 
     to_dict = plain
 
 
-@dataclass(frozen=True)
+#: The kind of a curve's points, by the kind of the curve, and the name of
+#: the parameter of a point, by its kind.
+_POINT_KIND = {"ml": "ml", "linear": "linear", "general": "constrained"}
+_PARAMETER = {"ml": "eta", "linear": "y", "constrained": "zeta"}
+
+
+#: The orientation of a point, indexed by whether H0 owns its leftmost region.
+_ORIENTATION = (Orientation.H1_FIRST, Orientation.H0_FIRST)
+
+
+@dataclass(frozen=True, eq=False)
 class TradeoffCurve:
-    points: tuple[TradeoffPoint, ...]
+    """A curve held as read-only columns, one entry per point in accuracy
+    order: the accuracy, the sensitivity, the boundaries (a matrix with one
+    row per point and one column per boundary, all points of a curve having
+    the same count), whether H0 owns the leftmost region, and the parameter
+    of the sweep (eta, y or zeta).  ``points`` holds the same points as
+    TradeoffPoint records, built from the columns on first access; the
+    writers read the columns."""
+
+    accuracies: np.ndarray
+    sensitivities: np.ndarray
+    boundaries: np.ndarray
+    h0_first: np.ndarray
+    parameters: np.ndarray
     norm: Norm
     kind: str
     pair_digest: str
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def accuracies(self) -> np.ndarray:
-        return np.asarray([p.accuracy for p in self.points])
+    def _rows(self):
+        """The columns as Python values, one list each."""
+        return (
+            self.accuracies.tolist(),
+            self.sensitivities.tolist(),
+            self.boundaries.tolist(),
+            self.h0_first.tolist(),
+            self.parameters.tolist(),
+        )
 
-    @property
-    def sensitivities(self) -> np.ndarray:
-        return np.asarray([p.sensitivity for p in self.points])
+    @cached_property
+    def points(self) -> tuple[TradeoffPoint, ...]:
+        kind = _POINT_KIND[self.kind]
+        return tuple(
+            TradeoffPoint(a, s, tuple(b), _ORIENTATION[first], kind, t)
+            for a, s, b, first, t in zip(*self._rows())
+        )
 
-    to_dict = plain
+    def to_dict(self) -> dict:
+        """The written form: the points, in TradeoffPoint's field order, then
+        the norm, the kind, the pair digest and the metadata."""
+        kind = _POINT_KIND[self.kind]
+        points = [
+            {
+                "accuracy": a,
+                "sensitivity": s,
+                "boundaries": b,
+                "orientation": _ORIENTATION[first].value,
+                "kind": kind,
+                "parameter": t,
+            }
+            for a, s, b, first, t in zip(*self._rows())
+        ]
+        return {
+            "points": points,
+            "norm": self.norm.value,
+            "kind": self.kind,
+            "pair_digest": self.pair_digest,
+            "metadata": _plain(self.metadata),
+        }
 
     def to_csv_text(self) -> str:
-        n = max((len(p.boundaries) for p in self.points), default=0)
+        n = self.boundaries.shape[1]
         header = ["accuracy", "sensitivity"] + [f"y{i + 1}" for i in range(n)] + ["provenance"]
+        kind = _POINT_KIND[self.kind]
+        provenance = f"{kind}:{_PARAMETER[kind]}="
+        acc, sens, bounds, _, params = self._rows()
         lines = [",".join(header)]
-        for p in self.points:
-            cells = [repr(float(p.accuracy)), repr(float(p.sensitivity))]
-            cells += [repr(float(b)) for b in p.boundaries]
-            cells += [""] * (n - len(p.boundaries))
-            cells.append(p.provenance)
-            lines.append(",".join(cells))
+        lines += [
+            ",".join([repr(a), repr(s), *map(repr, b), provenance + repr(t)])
+            for a, s, b, t in zip(acc, sens, bounds, params)
+        ]
         return "\n".join(lines) + "\n"
 
 
-def _assemble(
-    points: list[TradeoffPoint],
-    norm: Norm,
-    kind: str,
-    pair: HypothesisPair,
-    metadata: dict,
-) -> TradeoffCurve:
-    """Order by accuracy, drop below-chance points, collapse exact accuracy
-    ties to the lowest sensitivity, keep a single boundary count.
+def _assemble(columns, counts, norm: Norm, kind: str, pair: HypothesisPair, metadata: dict) -> TradeoffCurve:
+    """The curve of the points in ``columns``: order by accuracy, drop
+    below-chance points, collapse accuracy ties to the lowest sensitivity,
+    keep a single boundary count.
 
-    A constrained point is below chance when its target is: one that meets
-    the target 0.5 may read an accuracy one rounding below it.
+    ``columns`` are the accuracy, sensitivity, boundary matrix (one row per
+    point, ``counts`` boundaries of it used, the rest padding), orientation
+    and parameter columns of the points.  A constrained point is below chance
+    when its target is: one that meets the target 0.5 may read an accuracy
+    one rounding below it.  The boundary count kept is the most common one,
+    the smallest on a tie.  The order is stable in (accuracy, sensitivity).
+    A point within 1e-13 in accuracy of the last point kept is a tie and
+    dropped: a chain of such steps keeps its first point and then the first
+    point past 1e-13 from it, and so on.  A step wider than 1e-13 always
+    keeps its point, so only the runs of steps within 1e-13 are walked point
+    by point.
     """
-    kept = [p for p in points if (p.parameter if p.kind == "constrained" else p.accuracy) >= 0.5]
+    acc, sens = columns[0], columns[1]
     metadata = dict(metadata)
-    metadata["dropped_below_chance"] = len(points) - len(kept)
-    if kept:
-        counts = {}
-        for p in kept:
-            counts[len(p.boundaries)] = counts.get(len(p.boundaries), 0) + 1
-        modal = max(sorted(counts), key=lambda k: counts[k])
-        metadata["dropped_boundary_count"] = sum(
-            1 for p in kept if len(p.boundaries) != modal
-        )
-        kept = [p for p in kept if len(p.boundaries) == modal]
-    kept.sort(key=lambda p: (p.accuracy, p.sensitivity))
-    collapsed: list[TradeoffPoint] = []
-    for p in kept:
-        if collapsed and abs(p.accuracy - collapsed[-1].accuracy) <= 1e-13:
-            continue  # same accuracy: the sort already put the lower sensitivity first
-        collapsed.append(p)
-    metadata["collapsed_ties"] = len(kept) - len(collapsed)
-    return TradeoffCurve(tuple(collapsed), norm, kind, pair.digest(), metadata)
+    kept = np.flatnonzero((columns[4] if kind == "general" else acc) >= 0.5)
+    metadata["dropped_below_chance"] = acc.size - kept.size
+    width = 0
+    if kept.size:
+        tally = np.bincount(counts[kept])
+        width = int(np.argmax(tally))  # the first maximum: the smallest count
+        metadata["dropped_boundary_count"] = kept.size - int(tally[width])
+        kept = kept[counts[kept] == width]
+    order = kept[np.lexsort((sens[kept], acc[kept]))]
+    a = acc[order]
+    tie = np.abs(np.diff(a)) <= 1e-13
+    # the runs of ties: points s to e, each within 1e-13 of the one before
+    runs = np.flatnonzero(np.diff(np.concatenate(([False], tie, [False])).astype(np.int8))).reshape(-1, 2)
+    values, collapsed = a.tolist(), []
+    for s, e in runs.tolist():
+        last = values[s]
+        for i in range(s + 1, e + 1):
+            if values[i] - last > 1e-13:
+                last = values[i]
+            else:
+                collapsed.append(i)
+    metadata["collapsed_ties"] = len(collapsed)
+    order = np.delete(order, collapsed)
+    acc, sens, bounds, h0_first, parameters = (c[order] for c in columns)
+    bounds = bounds[:, :width]
+    for c in (acc, sens, bounds, h0_first, parameters):
+        c.flags.writeable = False
+    return TradeoffCurve(acc, sens, bounds, h0_first, parameters, norm, kind, pair.digest(), metadata)
 
 
 def default_eta_grid() -> np.ndarray:
@@ -205,22 +278,31 @@ def ml_curve(
 
     Thresholds the ratio never crosses yield single-region classifiers with
     no representable boundary set; those grid points are dropped and counted.
+    The roots are grouped by their count, and each group is stacked and
+    evaluated in one array call.
     """
     grid = default_eta_grid() if eta_grid is None else np.asarray(eta_grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("eta grid is empty")
-    reports = _ml_boundaries_many(pair, grid)
-    solved = [report for report in reports if report.roots]
-    acc, sens = _evaluate(pair, [(r.roots, r.orientation) for r in solved], norm)
-    points = [
-        TradeoffPoint(a, s, r.roots, r.orientation, "ml", r.eta)
-        for a, s, r in zip(acc.tolist(), sens.tolist(), solved)
-    ]
-    metadata = {"eta_points": int(grid.size), "degenerate_etas": len(reports) - len(solved)}
-    warnings = list(dict.fromkeys(w for report in reports for w in report.warnings))
+    _, etas, roots, h0_first, warnings, _ = _ml_solve_many(pair, grid)
+    solved = [i for i, rs in enumerate(roots) if rs]
+    roots = [roots[i] for i in solved]
+    counts = np.asarray([len(rs) for rs in roots], dtype=np.intp)
+    h0_first = np.asarray(h0_first, dtype=bool)[solved]
+    acc, sens = np.empty(counts.size), np.empty(counts.size)
+    bounds = np.full((counts.size, counts.max(initial=0)), np.nan)
+    for n in np.unique(counts).tolist():
+        (k,) = np.nonzero(counts == n)
+        rows = np.asarray([y for i in k.tolist() for y in roots[i]], dtype=float).reshape(k.size, n)
+        bounds[k, :n] = rows
+        acc[k] = _accuracies(pair, rows.T, h0_first[k])
+        sens[k] = _norms(_gradients(pair, rows.T, h0_first[k]), norm)
+    metadata = {"eta_points": int(grid.size), "degenerate_etas": len(etas) - len(solved)}
+    warnings = list(dict.fromkeys(w for ws in warnings for w in ws))
     if warnings:
         metadata["warnings"] = warnings
-    return _assemble(points, norm, "ml", pair, metadata)
+    columns = (acc, sens, bounds, h0_first, np.asarray(etas, dtype=float)[solved])
+    return _assemble(columns, counts, norm, "ml", pair, metadata)
 
 
 def _y_grid(lo: float, hi: float, roots: tuple[float, ...], n: int = DEFAULT_Y_POINTS) -> np.ndarray:
@@ -248,11 +330,9 @@ def linear_curve(
     h0_first = both[: grid.size] >= 0.5
     acc = np.where(h0_first, both[: grid.size], both[grid.size :])
     sens = _norms(_gradients(pair, grid[None, :], h0_first), norm)
-    points = [
-        TradeoffPoint(a, s, (y,), Orientation.H0_FIRST if first else Orientation.H1_FIRST, "linear", y)
-        for a, s, y, first in zip(acc.tolist(), sens.tolist(), grid.tolist(), h0_first.tolist())
-    ]
-    return _assemble(points, norm, "linear", pair, {"y_points": int(grid.size)})
+    columns = (acc, sens, grid[:, None], h0_first, grid)
+    counts = np.ones(grid.size, dtype=np.intp)
+    return _assemble(columns, counts, norm, "linear", pair, {"y_points": int(grid.size)})
 
 
 # ---- constrained minimum ----
@@ -540,6 +620,16 @@ def _check_targets(zetas) -> np.ndarray:
     return zetas
 
 
+class _ChancePoint:
+    """The point of a target at the accuracy of the class that owns the
+    rightmost region: these boundaries, sensitivity 0."""
+
+    __slots__ = ("boundaries",)
+
+    def __init__(self, boundaries: tuple[float, ...]):
+        self.boundaries = boundaries
+
+
 def _attempt(fn, *args):
     """fn(*args), or the error that refuses one target."""
     try:
@@ -561,53 +651,69 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     its own accuracy offset.  For three boundaries the two-boundary
     candidates come from one call for all scanned targets.
 
-    Returns the validated targets, one outcome per target (a TradeoffPoint,
-    or the SolverFailureError or InfeasibleTargetError that refuses it), and
-    the number of branch minima the zoom refined, the two-boundary
-    candidates' included.
+    Returns the validated targets; the columns of their points (see
+    ``_assemble``: accuracy, sensitivity, boundaries, orientation and the
+    target), NaN at a refused target; one refusal per target (None, or the
+    SolverFailureError or InfeasibleTargetError that refuses it); and the
+    number of branch minima the zoom refined, the two-boundary candidates'
+    included.
     """
     _check_boundary_count(n_boundaries)
     zetas = _check_targets(zetas)
     base = _resolved(ml_boundaries(pair, 1.0))
-    orientation = base.orientation
     lo, hi = default_search_interval(pair)
     l_sat, h_sat = _saturation_points(pair, lo, hi)
+    h0_first = base.orientation is Orientation.H0_FIRST
+    columns = (
+        np.full(zetas.size, np.nan),
+        np.full(zetas.size, np.nan),
+        np.full((zetas.size, n_boundaries), np.nan),
+        np.full(zetas.size, h0_first),
+        zetas,
+    )
     try:
         top, top_bounds = _top(pair, base, n_boundaries, (l_sat, h_sat))
     except SolverFailureError as exc:  # an accuracy outside [0, 1] refuses every target
-        return zetas, [exc] * zetas.size, 0
-    h0_first = orientation is Orientation.H0_FIRST
+        return zetas, columns, [exc] * zetas.size, 0
     base_acc = pair.p0 if h0_first == (n_boundaries % 2 == 0) else pair.p1
 
-    def evaluated(outcomes: list) -> list:
-        """The outcomes with each boundary set chosen for a target replaced by
-        its point, all evaluated in one call; a point that misses its target
-        by more than ACCURACY_TOL, or an accuracy outside [0, 1], refuses it.
+    def evaluated(outcomes: list):
+        """The columns and refusals of the outcomes: each boundary set chosen
+        for a target is evaluated, all in one call, and a chance point is
+        written as it is; a point that misses its target by more than
+        ACCURACY_TOL, or an accuracy outside [0, 1], refuses it.
 
         A boundary where both cdfs read exactly 1 is reported at H*, and one
         where both read exactly 0 at L*: G is flat there, so the solver may
         leave it anywhere in the run, and the pinned set is the same
         classifier.  The boundaries stay in order."""
+        acc, sens, bounds = columns[:3]
+        for t, outcome in enumerate(outcomes):
+            if isinstance(outcome, _ChancePoint):
+                acc[t], sens[t], bounds[t] = base_acc, 0.0, outcome.boundaries
         chosen = [t for t, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
         ys = np.asarray([outcomes[t] for t in chosen]).reshape(-1, n_boundaries).T
         f0, f1 = np.asarray(pair.h0.cdf(ys)), np.asarray(pair.h1.cdf(ys))
         ys = np.where((f0 == 1.0) & (f1 == 1.0), h_sat, np.where((f0 == 0.0) & (f1 == 0.0), l_sat, ys))
+        refusals = [outcome if isinstance(outcome, Exception) else None for outcome in outcomes]
         try:
-            accs = _accuracies(pair, ys, h0_first).tolist()
+            accs = _accuracies(pair, ys, h0_first)
         except SolverFailureError as exc:
-            return [exc if isinstance(outcome, tuple) else outcome for outcome in outcomes]
-        sens = _norms(_gradients(pair, ys, h0_first), norm).tolist()
-        for t, acc, s, bounds in zip(chosen, accs, sens, ys.T.tolist()):
+            for t in chosen:
+                refusals[t] = exc
+            return columns, refusals
+        acc[chosen], sens[chosen], bounds[chosen] = accs, _norms(_gradients(pair, ys, h0_first), norm), ys.T
+        for t, a in zip(chosen, accs.tolist()):
             zeta = targets[t]
-            outcomes[t] = TradeoffPoint(acc, s, tuple(bounds), orientation, "constrained", zeta)
-            if abs(acc - zeta) > ACCURACY_TOL:
-                outcomes[t] = SolverFailureError(
-                    f"refined point misses accuracy target: |{acc!r} - {zeta!r}| > {ACCURACY_TOL}"
+            if abs(a - zeta) > ACCURACY_TOL:
+                acc[t] = sens[t] = np.nan
+                refusals[t] = SolverFailureError(
+                    f"refined point misses accuracy target: |{a!r} - {zeta!r}| > {ACCURACY_TOL}"
                 )
-        return outcomes
+        return columns, refusals
 
-    def closed(zeta: float) -> TradeoffPoint | tuple[float, ...] | None:
-        """The answer of a target that needs no scan: a point, or the
+    def closed(zeta: float) -> _ChancePoint | tuple[float, ...] | None:
+        """The answer of a target that needs no scan: a chance point, or the
         boundary set to evaluate; None for a target to scan.
 
         Saturated targets have exact closed answers: at or above the top
@@ -628,14 +734,14 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
         if abs(zeta - base_acc) <= 1e-12:
             mid = 0.5 * (lo + hi)
             bounds = (l_sat,) * (n_boundaries % 2) + (mid,) * (n_boundaries - n_boundaries % 2)
-            return TradeoffPoint(base_acc, 0.0, bounds, orientation, "constrained", zeta)
+            return _ChancePoint(bounds)
         return None
 
     targets = zetas.tolist()
     outcomes = [_attempt(closed, zeta) for zeta in targets]
     scanned = [t for t, outcome in enumerate(outcomes) if outcome is None]
     if not scanned:
-        return zetas, evaluated(outcomes), 0
+        return zetas, *evaluated(outcomes), 0
 
     points = _y_grid(lo, hi, base.roots)
     ys = np.unique(np.concatenate([points[(points > l_sat) & (points < h_sat)], [l_sat, h_sat]]))
@@ -677,11 +783,13 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     if n_boundaries == 3:
         # a two-boundary set followed by H* is a three-boundary set with the
         # same accuracy, so the two-boundary minimum is a candidate too
-        _, twos, two_refined = _constrained_minima(pair, zetas[scanned], norm, 2)
+        _, (_, two_sens, two_bounds, _, _), twos, two_refined = _constrained_minima(
+            pair, zetas[scanned], norm, 2
+        )
         refined += two_refined
-        for t, two in zip(scanned, twos):
-            if isinstance(two, TradeoffPoint):
-                candidates[t].append(([two.sensitivity], *([y] for y in two.boundaries + (h_sat,))))
+        for j, (t, two) in enumerate(zip(scanned, twos)):
+            if two is None:
+                candidates[t].append((two_sens[j : j + 1], *([y] for y in two_bounds[j].tolist() + [h_sat])))
             else:
                 outcomes[t] = two
     for t in scanned:
@@ -695,7 +803,7 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
         sens, *best = (np.concatenate(c) for c in zip(*candidates[t]))
         j = int(np.argmin(sens))
         outcomes[t] = tuple(float(y[j]) for y in best)
-    return zetas, evaluated(outcomes), refined
+    return zetas, *evaluated(outcomes), refined
 
 
 def constrained_min_sensitivity(
@@ -732,10 +840,11 @@ def constrained_min_sensitivity(
     its whole grid.  A target that is not a finite number in [0, 1] raises
     InvalidParameterError.
     """
-    _, (outcome,), _ = _constrained_minima(pair, [zeta], norm, n_boundaries)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    _, columns, (refusal,), _ = _constrained_minima(pair, [zeta], norm, n_boundaries)
+    if refusal is not None:
+        raise refusal
+    (a,), (s,), (bounds,), (first,), (target,) = (c.tolist() for c in columns)
+    return TradeoffPoint(a, s, tuple(bounds), _ORIENTATION[first], "constrained", target)
 
 
 def general_curve(
@@ -757,18 +866,17 @@ def general_curve(
     _check_boundary_count(n_boundaries)
     if zeta_grid is None:
         zeta_grid = default_zeta_grid(pair, n_boundaries)
-    zetas, outcomes, refined = _constrained_minima(pair, zeta_grid, norm, n_boundaries)
+    zetas, columns, refusals, refined = _constrained_minima(pair, zeta_grid, norm, n_boundaries)
+    # highest target first; the sort is stable, so equal targets keep their order
+    order = np.argsort(-zetas, kind="stable").tolist()
     metadata = {
         "zeta_points": int(zetas.size),
         "n_boundaries": n_boundaries,
-        "failed_zetas": [],
+        "failed_zetas": [
+            {"zeta": zetas[t].item(), "error": str(refusals[t])} for t in order if refusals[t] is not None
+        ],
         "refined_minima": refined,
     }
-    points: list[TradeoffPoint] = []
-    # highest target first; the sort is stable, so equal targets keep their order
-    for zeta, outcome in sorted(zip(zetas.tolist(), outcomes), key=lambda z: -z[0]):
-        if isinstance(outcome, TradeoffPoint):
-            points.append(outcome)
-        else:
-            metadata["failed_zetas"].append({"zeta": zeta, "error": str(outcome)})
-    return _assemble(points, norm, "general", pair, metadata)
+    solved = np.asarray([t for t in order if refusals[t] is None], dtype=np.intp)
+    counts = np.full(solved.size, n_boundaries, dtype=np.intp)
+    return _assemble(tuple(c[solved] for c in columns), counts, norm, "general", pair, metadata)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from accsens import boundary_solver
+from accsens._records import plain
 from accsens.boundary_solver import (
     _newton,
     _saturation_points,
@@ -39,8 +41,9 @@ from accsens.errors import InfeasibleTargetError, InvalidParameterError, SolverF
 from accsens import tradeoff
 from accsens.tradeoff import (
     SCAN_RTOL,
-    _assemble,
     TradeoffCurve,
+    TradeoffPoint,
+    _assemble,
     constrained_min_sensitivity,
     default_zeta_grid,
     general_curve,
@@ -373,6 +376,35 @@ class TestRecordedCurves:
         assert json.dumps(curve.to_dict()) == json.dumps(record["curve"])
 
 
+RECORDED_SWEEPS = json.loads((Path(__file__).parent / "data" / "sweep_curves.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def skewed_pair() -> HypothesisPair:
+    """N(0, 1) against N(0.5, 3) at p0 0.3: its ratio classifiers fall below
+    chance at 72 default thresholds, and its single boundaries tie in
+    accuracy at 803 default grid points."""
+    return HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(0.5, 3.0), 0.3)
+
+
+class TestRecordedSweeps:
+    """The ratio-classifier and single-boundary sweeps on their default
+    grids, both norms, as SHA-256 digests of their JSON text (key order as
+    written) and of their CSV text, with their metadata in full."""
+
+    @pytest.mark.parametrize(
+        "record", RECORDED_SWEEPS, ids=lambda r: f"{r['pair']}-{r['kind']}-{r['norm']}"
+    )
+    def test_sweep_is_unchanged(self, record, request):
+        pair = request.getfixturevalue(f"{record['pair']}_pair")
+        sweep = {"ml": ml_curve, "linear": linear_curve}[record["kind"]]
+        curve = sweep(pair, norm=Norm(record["norm"]))
+        assert curve.metadata == record["metadata"]
+        assert len(curve.accuracies) == record["points"]
+        assert hashlib.sha256(json.dumps(curve.to_dict()).encode()).hexdigest() == record["json_sha256"]
+        assert hashlib.sha256(curve.to_csv_text().encode()).hexdigest() == record["csv_sha256"]
+
+
 @pytest.fixture(scope="module")
 def chance_pair() -> HypothesisPair:
     """Its two-boundary minimum at target 0.5 read an accuracy of
@@ -394,10 +426,178 @@ class TestChanceTarget:
     def test_a_point_meeting_chance_one_rounding_below_is_kept(self, chance_pair):
         # a constrained point is judged by its target, not its accuracy
         point = replace(constrained_min_sensitivity(chance_pair, 0.5), accuracy=0.49999999999999994)
-        curve = _assemble([point], Norm.INF, "general", chance_pair, {})
+        curve = _assemble_points([point], Norm.INF, "general", chance_pair, {})
         assert curve.points == (point,) and curve.metadata["dropped_below_chance"] == 0
         below = replace(point, parameter=0.49999999999999994)
-        assert _assemble([below], Norm.INF, "general", chance_pair, {}).points == ()
+        assert _assemble_points([below], Norm.INF, "general", chance_pair, {}).points == ()
+
+
+def _reference_assemble(points, metadata):
+    """``_assemble``'s rules applied point by point: the reference the array
+    version is checked against.  Returns the points and the metadata of the
+    curve."""
+    kept = [p for p in points if (p.parameter if p.kind == "constrained" else p.accuracy) >= 0.5]
+    metadata = dict(metadata)
+    metadata["dropped_below_chance"] = len(points) - len(kept)
+    if kept:
+        counts = {}
+        for p in kept:
+            counts[len(p.boundaries)] = counts.get(len(p.boundaries), 0) + 1
+        modal = max(sorted(counts), key=lambda k: counts[k])
+        metadata["dropped_boundary_count"] = sum(1 for p in kept if len(p.boundaries) != modal)
+        kept = [p for p in kept if len(p.boundaries) == modal]
+    kept.sort(key=lambda p: (p.accuracy, p.sensitivity))
+    collapsed = []
+    for p in kept:
+        if collapsed and abs(p.accuracy - collapsed[-1].accuracy) <= 1e-13:
+            continue  # same accuracy: the sort already put the lower sensitivity first
+        collapsed.append(p)
+    metadata["collapsed_ties"] = len(kept) - len(collapsed)
+    return tuple(collapsed), metadata
+
+
+def _assemble_points(points, norm, kind, pair, metadata) -> TradeoffCurve:
+    """``_assemble`` on the columns of ``points``, the boundary rows padded
+    with NaN past each point's count."""
+    counts = np.asarray([len(p.boundaries) for p in points], dtype=np.intp)
+    bounds = np.full((len(points), counts.max(initial=0)), np.nan)
+    for row, p in zip(bounds, points):
+        row[: len(p.boundaries)] = p.boundaries
+    columns = (
+        np.asarray([p.accuracy for p in points], dtype=float),
+        np.asarray([p.sensitivity for p in points], dtype=float),
+        bounds,
+        np.asarray([p.orientation is Orientation.H0_FIRST for p in points], dtype=bool),
+        np.asarray([p.parameter for p in points], dtype=float),
+    )
+    return _assemble(columns, counts, norm, kind, pair, metadata)
+
+
+HALF_ULP_BELOW = float(np.nextafter(0.5, 0.0))
+
+
+@st.composite
+def assembly_inputs(draw):
+    """A curve kind and its points in clusters: each cluster starts at
+    chance, one ulp below it or anywhere in [0.3, 1], and climbs by steps of
+    at most 1e-13 (0 for an exact tie), so a cluster of several steps can
+    span more than 1e-13.  Boundary counts 1 to 3 are mixed; a constrained
+    point's target is its accuracy, chance, one ulp below chance or anything."""
+    kind = draw(st.sampled_from(["ml", "linear", "general"]))
+    point_kind = {"ml": "ml", "linear": "linear", "general": "constrained"}[kind]
+    points = []
+    for _ in range(draw(st.integers(0, 6))):
+        acc = draw(st.sampled_from([0.5, HALF_ULP_BELOW]) | st.floats(0.3, 1.0))
+        for step in draw(st.lists(st.sampled_from([0.0, 1e-13]) | st.floats(0.0, 1e-13), max_size=8)):
+            acc += step
+            sens = draw(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 1.0))
+            bounds = tuple(draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3)))
+            orientation = draw(st.sampled_from(list(Orientation)))
+            if kind == "general":
+                parameter = draw(st.sampled_from([acc, 0.5, HALF_ULP_BELOW]) | st.floats(0.0, 1.0))
+            else:
+                parameter = draw(st.floats(-10.0, 10.0))
+            points.append(TradeoffPoint(acc, sens, bounds, orientation, point_kind, parameter))
+    return kind, draw(st.permutations(points))
+
+
+class TestAssemble:
+    """The array ``_assemble`` against the per-point reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(assembly_inputs())
+    def test_same_points_and_metadata_as_the_reference(self, table1_pair, inputs):
+        kind, points = inputs
+        curve = _assemble_points(points, Norm.TWO, kind, table1_pair, {"first": 1})
+        expected, metadata = _reference_assemble(points, {"first": 1})
+        assert curve.points == expected
+        assert list(curve.metadata.items()) == list(metadata.items())
+
+    def test_a_chain_of_near_ties_keeps_every_point_past_1e_13_from_the_last_kept(self, table1_pair):
+        # steps of 0.6e-13: each is a tie with the point before, but the
+        # third point lies 1.2e-13 from the first, so it is kept
+        accs = [0.7 + k * 0.6e-13 for k in range(5)]
+        points = [TradeoffPoint(a, 1.0 - a, (0.0,), Orientation.H0_FIRST, "linear", a) for a in accs]
+        curve = _assemble_points(points, Norm.INF, "linear", table1_pair, {})
+        assert curve.accuracies.tolist() == [accs[0], accs[2], accs[4]]
+        assert curve.metadata["collapsed_ties"] == 2
+        assert curve.points == _reference_assemble(points, {})[0]
+
+    def test_a_count_tie_keeps_the_smallest_count(self, table1_pair):
+        points = [
+            TradeoffPoint(0.6 + 0.01 * k, 0.1, (0.0,) * n, Orientation.H1_FIRST, "ml", 1.0)
+            for k, n in enumerate([3, 2, 3, 2])
+        ]
+        curve = _assemble_points(points, Norm.INF, "ml", table1_pair, {})
+        assert curve.boundaries.shape == (2, 2)
+        assert curve.metadata["dropped_boundary_count"] == 2
+
+    def test_empty_input(self, table1_pair):
+        curve = _assemble_points([], Norm.INF, "ml", table1_pair, {"eta_points": 3})
+        assert curve.points == () and curve.boundaries.shape == (0, 0)
+        assert list(curve.metadata.items()) == [("eta_points", 3), ("dropped_below_chance", 0), ("collapsed_ties", 0)]
+        assert curve.to_csv_text() == "accuracy,sensitivity,provenance\n"
+        assert json.dumps(curve.to_dict()) == json.dumps(
+            {
+                "points": [],
+                "norm": "inf",
+                "kind": "ml",
+                "pair_digest": table1_pair.digest(),
+                "metadata": {"eta_points": 3, "dropped_below_chance": 0, "collapsed_ties": 0},
+            }
+        )
+
+
+class TestCurveColumns:
+    """A curve's columns are read-only, and its points, its JSON form and
+    its CSV text all show the same points."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[("ml", Norm.INF), ("linear", Norm.TWO), ("general", Norm.INF)],
+        ids=lambda p: f"{p[0]}-{p[1].value}",
+    )
+    def curve(self, request, table1_pair):
+        kind, norm = request.param
+        if kind == "general":
+            return general_curve(table1_pair, default_zeta_grid(table1_pair, 2, 8), 2, norm)
+        return {"ml": ml_curve, "linear": linear_curve}[kind](table1_pair, norm=norm)
+
+    @pytest.mark.parametrize("column", ["accuracies", "sensitivities", "boundaries", "h0_first", "parameters"])
+    def test_a_column_cannot_be_written(self, curve, column):
+        values = getattr(curve, column)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[-1]
+
+    def test_points_match_the_columns(self, curve):
+        assert len(curve.points) == curve.accuracies.size > 0
+        assert curve.points is curve.points  # built once
+        point_kind = {"ml": "ml", "linear": "linear", "general": "constrained"}[curve.kind]
+        for i, p in enumerate(curve.points):
+            assert p.accuracy == curve.accuracies[i] and type(p.accuracy) is float
+            assert p.sensitivity == curve.sensitivities[i]
+            assert p.boundaries == tuple(curve.boundaries[i].tolist())
+            assert (p.orientation is Orientation.H0_FIRST) == curve.h0_first[i]
+            assert p.kind == point_kind and p.parameter == curve.parameters[i]
+
+    def test_json_form_is_the_points_form(self, curve):
+        form = curve.to_dict()
+        expected = {
+            "points": [plain(p) for p in curve.points],
+            "norm": curve.norm.value,
+            "kind": curve.kind,
+            "pair_digest": curve.pair_digest,
+            "metadata": curve.metadata,
+        }
+        assert form == expected
+        assert json.dumps(form) == json.dumps(expected)  # key for key, in order
+
+    def test_csv_rows_are_the_points(self, curve):
+        header, *rows = curve.to_csv_text().splitlines()
+        assert header.split(",")[2:-1] == [f"y{i + 1}" for i in range(curve.boundaries.shape[1])]
+        assert len(rows) == len(curve.points)
+        for row, p in zip(rows, curve.points):
+            assert row == ",".join([repr(p.accuracy), repr(p.sensitivity), *map(repr, p.boundaries), p.provenance])
 
 
 class TestTargetValidation:
