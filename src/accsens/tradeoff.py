@@ -51,8 +51,19 @@ boundary count reaches in that orientation: the ratio classifier's, or for
 one boundary against two or more ratio roots, the best of a single root
 and the two saturation points (where the accuracy is a prior).
 
+The frontier solver keeps each target as one row of its columns from
+start to end.  Targets with closed answers are boolean masks over the
+target array: above the top accuracy (by more than 1e-9) refused, at or
+above it the top point padded with H* (where its boundaries are known), at
+the chance accuracy coincident boundaries with sensitivity 0.  The scan,
+zoom and (for three boundaries) two-boundary candidates of the other
+targets are flat arrays of (target, sensitivity, boundaries), and each
+target keeps its first lowest candidate.  A target is refused, with one
+exception per target, when it has no candidate, when its point misses it,
+or, for three boundaries, when the two-boundary solve refuses it.
+
 Every point on a returned curve satisfies its accuracy target to 1e-6;
-points whose refinement misses the target are dropped and counted in the
+points whose refinement misses the target are dropped and listed in the
 curve metadata, never silently interpolated.  Curve points are ordered by
 accuracy; below-chance points are discarded (the swapped orientation covers
 them), a frontier point by its target.
@@ -266,6 +277,27 @@ def _assemble(columns, counts, norm: Norm, kind: str, pair: HypothesisPair, meta
     return TradeoffCurve(acc, sens, bounds, h0_first, parameters, norm, kind, pair.digest(), metadata)
 
 
+def _check_grid(values, grid: str, item: str, span: tuple[float, float] | None = None) -> np.ndarray:
+    """A sweep's grid (``grid`` names it, ``item`` one of its values) as a
+    one-dimensional, non-empty float array of numbers; with a ``span``
+    (lo, hi), every value finite and in [lo, hi] as well."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{item}s must be numbers, got {values!r}") from None
+    if values.ndim != 1:
+        raise InvalidParameterError(f"{grid} must be one-dimensional, got shape {values.shape}")
+    if values.size == 0:
+        raise InvalidParameterError(f"{grid} is empty")
+    if span is not None:
+        lo, hi = span
+        bad = ~(np.isfinite(values) & (values >= lo) & (values <= hi))
+        if bad.any():
+            within = f" in [{lo:g}, {hi:g}]" if hi - lo < math.inf else ""
+            raise InvalidParameterError(f"{item} {float(values[bad][0])!r} is not a finite number{within}")
+    return values
+
+
 def default_eta_grid() -> np.ndarray:
     lo, hi, n = DEFAULT_ETA_GRID
     return np.unique(np.append(np.geomspace(lo, hi, n), 1.0))
@@ -281,9 +313,7 @@ def ml_curve(
     The roots are grouped by their count, and each group is stacked and
     evaluated in one array call.
     """
-    grid = default_eta_grid() if eta_grid is None else np.asarray(eta_grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidParameterError("eta grid is empty")
+    grid = _check_grid(default_eta_grid() if eta_grid is None else eta_grid, "eta grid", "threshold")
     _, etas, roots, h0_first, warnings, _ = _ml_solve_many(pair, grid)
     solved = [i for i, rs in enumerate(roots) if rs]
     roots = [roots[i] for i in solved]
@@ -322,9 +352,8 @@ def linear_curve(
 ) -> TradeoffCurve:
     """Single-boundary sweep; for each position the orientation with accuracy
     at or above chance is kept."""
-    grid = default_y_grid(pair) if y_grid is None else np.asarray(y_grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidParameterError("boundary grid is empty")
+    y_grid = default_y_grid(pair) if y_grid is None else y_grid
+    grid = _check_grid(y_grid, "boundary grid", "boundary position", (-math.inf, math.inf))
     # both orientations of every boundary in one call
     both = _accuracies(pair, np.tile(grid, 2)[None, :], np.arange(2 * grid.size) < grid.size)
     h0_first = both[: grid.size] >= 0.5
@@ -567,10 +596,12 @@ def _zoom(solve, ys, idx, free, seg):
     return tuple(np.take_along_axis(v, j, axis=1)[:, 0] for v in (s, *bounds))
 
 
-def _check_boundary_count(n_boundaries: int) -> None:
-    if not 1 <= n_boundaries <= 3:
+def _check_boundary_count(n_boundaries) -> None:
+    """Refuse a boundary count that is not an integer in [1, 3]; a boolean is not one."""
+    count = isinstance(n_boundaries, (int, np.integer)) and not isinstance(n_boundaries, bool)
+    if not (count and 1 <= n_boundaries <= 3):
         raise InvalidParameterError(
-            f"n_boundaries must be >= 1 and <= 3, got {n_boundaries}"
+            f"n_boundaries must be >= 1 and <= 3 and an integer, got {n_boundaries}"
         )
 
 
@@ -602,44 +633,16 @@ def default_zeta_grid(
     return np.linspace(0.5, top, steps)
 
 
-def _check_targets(zetas) -> np.ndarray:
-    """The accuracy targets as a one-dimensional float array of numbers in [0, 1]."""
-    try:
-        zetas = np.asarray(zetas, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"accuracy targets must be numbers, got {zetas!r}") from None
-    if zetas.ndim != 1:
-        raise InvalidParameterError(f"zeta grid must be one-dimensional, got shape {zetas.shape}")
-    if zetas.size == 0:
-        raise InvalidParameterError("zeta grid is empty")
-    bad = ~((zetas >= 0.0) & (zetas <= 1.0))  # NaN and +-inf included
-    if bad.any():
-        raise InvalidParameterError(
-            f"accuracy target {float(zetas[bad][0])!r} is not a finite number in [0, 1]"
-        )
-    return zetas
-
-
-class _ChancePoint:
-    """The point of a target at the accuracy of the class that owns the
-    rightmost region: these boundaries, sensitivity 0."""
-
-    __slots__ = ("boundaries",)
-
-    def __init__(self, boundaries: tuple[float, ...]):
-        self.boundaries = boundaries
-
-
-def _attempt(fn, *args):
-    """fn(*args), or the error that refuses one target."""
-    try:
-        return fn(*args)
-    except (SolverFailureError, InfeasibleTargetError) as exc:
-        return exc
-
-
 def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: int):
     """Solve every accuracy target of ``zetas`` (see constrained_min_sensitivity).
+
+    Each target is one row of the result columns from start to end.  The
+    closed answers are boolean masks over the targets: a target above the
+    top accuracy by more than 1e-9 is refused; one at or above it, where
+    the top boundaries are known, gets them, padded with H*; the chance
+    target (the base accuracy, of the class that owns the rightmost region)
+    gets coincident boundaries, the base accuracy and sensitivity 0.  The
+    other targets are scanned.
 
     The pair's set-up (the ratio roots, the saturation points, the top
     accuracy, the boundary grid, G on it, its segments and the scan's
@@ -648,162 +651,145 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
     (``_scan``): it solves only the brackets on which G crosses its level,
     so the scan's arrays do not grow with the target count.  Then the
     branch minima of all targets are refined by one zoom, each minimum with
-    its own accuracy offset.  For three boundaries the two-boundary
-    candidates come from one call for all scanned targets.
+    its own accuracy offset.  For three boundaries the two-boundary minima
+    of all scanned targets come from one call; a target that call refuses
+    is refused with its error.  The candidates are flat arrays of (target,
+    sensitivity, boundaries): the scan's (one boundary), the zoom's, then
+    the two-boundary ones padded with H*.  Each target keeps its first
+    lowest candidate (one stable sort by target and sensitivity), and a
+    target with none is refused.  The top points and the kept candidates
+    are evaluated in one call, and a point that misses its target by more
+    than ACCURACY_TOL, or an accuracy outside [0, 1], refuses its target.
 
     Returns the validated targets; the columns of their points (see
     ``_assemble``: accuracy, sensitivity, boundaries, orientation and the
-    target), NaN at a refused target; one refusal per target (None, or the
-    SolverFailureError or InfeasibleTargetError that refuses it); and the
-    number of branch minima the zoom refined, the two-boundary candidates'
-    included.
+    target), accuracy and sensitivity NaN at a refused target; one refusal
+    per target (None, or the SolverFailureError or InfeasibleTargetError
+    that refuses it); and the number of branch minima the zoom refined,
+    the two-boundary candidates' included.
     """
     _check_boundary_count(n_boundaries)
-    zetas = _check_targets(zetas)
+    zetas = _check_grid(zetas, "zeta grid", "accuracy target", (0.0, 1.0))
     base = _resolved(ml_boundaries(pair, 1.0))
     lo, hi = default_search_interval(pair)
     l_sat, h_sat = _saturation_points(pair, lo, hi)
     h0_first = base.orientation is Orientation.H0_FIRST
-    columns = (
-        np.full(zetas.size, np.nan),
-        np.full(zetas.size, np.nan),
-        np.full((zetas.size, n_boundaries), np.nan),
-        np.full(zetas.size, h0_first),
-        zetas,
-    )
+    acc, sens = np.full(zetas.size, np.nan), np.full(zetas.size, np.nan)
+    bounds = np.full((zetas.size, n_boundaries), np.nan)
+    columns = (acc, sens, bounds, np.full(zetas.size, h0_first), zetas)
     try:
         top, top_bounds = _top(pair, base, n_boundaries, (l_sat, h_sat))
     except SolverFailureError as exc:  # an accuracy outside [0, 1] refuses every target
         return zetas, columns, [exc] * zetas.size, 0
     base_acc = pair.p0 if h0_first == (n_boundaries % 2 == 0) else pair.p1
-
-    def evaluated(outcomes: list):
-        """The columns and refusals of the outcomes: each boundary set chosen
-        for a target is evaluated, all in one call, and a chance point is
-        written as it is; a point that misses its target by more than
-        ACCURACY_TOL, or an accuracy outside [0, 1], refuses it.
-
-        A boundary where both cdfs read exactly 1 is reported at H*, and one
-        where both read exactly 0 at L*: G is flat there, so the solver may
-        leave it anywhere in the run, and the pinned set is the same
-        classifier.  The boundaries stay in order."""
-        acc, sens, bounds = columns[:3]
-        for t, outcome in enumerate(outcomes):
-            if isinstance(outcome, _ChancePoint):
-                acc[t], sens[t], bounds[t] = base_acc, 0.0, outcome.boundaries
-        chosen = [t for t, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
-        ys = np.asarray([outcomes[t] for t in chosen]).reshape(-1, n_boundaries).T
-        f0, f1 = np.asarray(pair.h0.cdf(ys)), np.asarray(pair.h1.cdf(ys))
-        ys = np.where((f0 == 1.0) & (f1 == 1.0), h_sat, np.where((f0 == 0.0) & (f1 == 0.0), l_sat, ys))
-        refusals = [outcome if isinstance(outcome, Exception) else None for outcome in outcomes]
-        try:
-            accs = _accuracies(pair, ys, h0_first)
-        except SolverFailureError as exc:
-            for t in chosen:
-                refusals[t] = exc
-            return columns, refusals
-        acc[chosen], sens[chosen], bounds[chosen] = accs, _norms(_gradients(pair, ys, h0_first), norm), ys.T
-        for t, a in zip(chosen, accs.tolist()):
-            zeta = targets[t]
-            if abs(a - zeta) > ACCURACY_TOL:
-                acc[t] = sens[t] = np.nan
-                refusals[t] = SolverFailureError(
-                    f"refined point misses accuracy target: |{a!r} - {zeta!r}| > {ACCURACY_TOL}"
-                )
-        return columns, refusals
-
-    def closed(zeta: float) -> _ChancePoint | tuple[float, ...] | None:
-        """The answer of a target that needs no scan: a chance point, or the
-        boundary set to evaluate; None for a target to scan.
-
-        Saturated targets have exact closed answers: at or above the top
-        accuracy of n boundaries (within the feasibility slack), the top
-        point itself, padded with H* (a boundary there adds no mass); at the
-        accuracy of the class that owns the rightmost region, coincident
-        pairs (and L* for an odd count) whose gradients cancel identically.
-        Just below the maximum the level set is a small loop whose minimum
-        moves like the square root of the accuracy gap, so those targets are
-        solved.
-        """
-        if zeta > top + 1e-9:
-            raise InfeasibleTargetError(
-                f"accuracy target {zeta!r} exceeds the attainable maximum {top!r}"
-            )
-        if top_bounds is not None and zeta >= top:
-            return top_bounds + (h_sat,) * (n_boundaries - len(top_bounds))
-        if abs(zeta - base_acc) <= 1e-12:
-            mid = 0.5 * (lo + hi)
-            bounds = (l_sat,) * (n_boundaries % 2) + (mid,) * (n_boundaries - n_boundaries % 2)
-            return _ChancePoint(bounds)
-        return None
-
     targets = zetas.tolist()
-    outcomes = [_attempt(closed, zeta) for zeta in targets]
-    scanned = [t for t, outcome in enumerate(outcomes) if outcome is None]
-    if not scanned:
-        return zetas, *evaluated(outcomes), 0
+    refusals = [None] * zetas.size
 
-    points = _y_grid(lo, hi, base.roots)
-    ys = np.unique(np.concatenate([points[(points > l_sat) & (points < h_sat)], [l_sat, h_sat]]))
-    cuts = np.searchsorted(ys, [l_sat, *(r for r in base.roots if l_sat < r < h_sat), h_sat])
-    # one array of grid indices per fixed boundary
-    if n_boundaries == 3:
-        keep = np.unique(np.concatenate([np.arange(0, ys.size, PAIR_STRIDE), cuts]))
-        ys, cuts = ys[keep], np.searchsorted(keep, cuts)
-        scan = np.triu_indices(ys.size)
-    else:
-        scan = (np.arange(ys.size),) * (n_boundaries - 1)
-    grid = (ys, _gap(pair, ys), cuts)
-
-    # the scan only ranks the grid points that a zoom refines
-    eps_tol = 2.0 * np.finfo(float).eps * (hi - lo)
-    scan_tol = SCAN_RTOL * (hi - lo) if scan else eps_tol
-    # the last boundary is the first one solved: the row order decides ties
-    # between equal minima
-    free = np.arange(n_boundaries)[::-1]
-    sign = 1.0 if h0_first else -1.0
-    candidates = {t: [] for t in scanned}
-    minima = []  # per target: (target, offset d, free boundary row, grid point or pair, segment)
-    brackets = _brackets(grid, scan, free)
-    for t in scanned:
-        d = (targets[t] - base_acc) * sign
-        r, i, k, s, bounds = _scan(pair, grid, brackets, d, scan_tol, norm, scan, free)
-        if r.size and scan:
-            minima.append((np.full(r.size, t), np.full(r.size, d), r, i, k))
-        elif r.size:  # one boundary: the scan is exact and final
-            candidates[t].append((s, *bounds))
-    refined = 0
-    if minima:
-        owner, d, r, i, k = (np.concatenate(column) for column in zip(*minima))
-        solve = partial(_level_set, pair, grid, d[:, None], eps_tol, norm)
-        zoomed = _zoom(solve, ys, tuple(j[i] for j in scan), free[r], k)
-        refined = int(owner.size)
-        for t in np.unique(owner).tolist():
-            candidates[t].append(tuple(v[owner == t] for v in zoomed))
-    if n_boundaries == 3:
-        # a two-boundary set followed by H* is a three-boundary set with the
-        # same accuracy, so the two-boundary minimum is a candidate too
-        _, (_, two_sens, two_bounds, _, _), twos, two_refined = _constrained_minima(
-            pair, zetas[scanned], norm, 2
+    # Saturated targets have exact closed answers: the top point (a boundary
+    # at H* adds no mass), and at the base accuracy coincident pairs (and L*
+    # for an odd count) whose gradients cancel identically.  Just below the
+    # top the level set is a small loop whose minimum moves like the square
+    # root of the accuracy gap, so those targets are scanned.
+    above = zetas > top + 1e-9
+    for t in np.flatnonzero(above).tolist():
+        refusals[t] = InfeasibleTargetError(
+            f"accuracy target {targets[t]!r} exceeds the attainable maximum {top!r}"
         )
-        refined += two_refined
-        for j, (t, two) in enumerate(zip(scanned, twos)):
-            if two is None:
-                candidates[t].append((two_sens[j : j + 1], *([y] for y in two_bounds[j].tolist() + [h_sat])))
-            else:
-                outcomes[t] = two
-    for t in scanned:
-        if outcomes[t] is not None:
-            continue
-        if not candidates[t]:
-            outcomes[t] = SolverFailureError(
-                f"no point of the accuracy level set found for target {targets[t]!r}"
+    at_top = np.zeros(zetas.size, dtype=bool)
+    if top_bounds is not None:
+        at_top = ~above & (zetas >= top)
+        bounds[at_top] = top_bounds + (h_sat,) * (n_boundaries - len(top_bounds))
+    chance = ~above & ~at_top & (np.abs(zetas - base_acc) <= 1e-12)
+    acc[chance], sens[chance] = base_acc, 0.0
+    bounds[chance] = (l_sat,) * (n_boundaries % 2) + (0.5 * (lo + hi),) * (n_boundaries - n_boundaries % 2)
+    scanned = np.flatnonzero(~(above | at_top | chance))
+
+    # the candidates: one row each of owner target, sensitivity, boundaries
+    owner, cand_sens, cand_bounds = np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, n_boundaries))
+    refined = 0
+    if scanned.size:
+        points = _y_grid(lo, hi, base.roots)
+        ys = np.unique(np.concatenate([points[(points > l_sat) & (points < h_sat)], [l_sat, h_sat]]))
+        cuts = np.searchsorted(ys, [l_sat, *(r for r in base.roots if l_sat < r < h_sat), h_sat])
+        # one array of grid indices per fixed boundary
+        if n_boundaries == 3:
+            keep = np.unique(np.concatenate([np.arange(0, ys.size, PAIR_STRIDE), cuts]))
+            ys, cuts = ys[keep], np.searchsorted(keep, cuts)
+            scan = np.triu_indices(ys.size)
+        else:
+            scan = (np.arange(ys.size),) * (n_boundaries - 1)
+        grid = (ys, _gap(pair, ys), cuts)
+
+        # the scan only ranks the grid points that a zoom refines
+        eps_tol = 2.0 * np.finfo(float).eps * (hi - lo)
+        scan_tol = SCAN_RTOL * (hi - lo) if scan else eps_tol
+        # the last boundary is the first one solved: the row order decides ties
+        # between equal minima
+        free = np.arange(n_boundaries)[::-1]
+        offsets = (zetas[scanned] - base_acc) * (1.0 if h0_first else -1.0)
+        brackets = _brackets(grid, scan, free)
+        found = [_scan(pair, grid, brackets, d, scan_tol, norm, scan, free) for d in offsets.tolist()]
+        sizes = [f[0].size for f in found]
+        owner = np.repeat(scanned, sizes)
+        # per branch minimum: free boundary row, grid point or pair, segment;
+        # one boundary has no zoom, its scan is exact and final
+        r, i, k, cand_sens = (np.concatenate(v) for v in zip(*(f[:4] for f in found)))
+        cand_bounds = np.column_stack([np.concatenate(v) for v in zip(*(f[4] for f in found))])
+        if scan and owner.size:
+            solve = partial(_level_set, pair, grid, np.repeat(offsets, sizes)[:, None], eps_tol, norm)
+            cand_sens, *zoomed = _zoom(solve, ys, tuple(j[i] for j in scan), free[r], k)
+            cand_bounds = np.column_stack(zoomed)
+            refined = int(owner.size)
+        if n_boundaries == 3:
+            # a two-boundary set followed by H* is a three-boundary set with the
+            # same accuracy, so the two-boundary minimum is a candidate too; a
+            # target the two-boundary call refuses is refused, its rows dropped
+            _, (_, two_sens, two_bounds, _, _), twos, two_refined = _constrained_minima(
+                pair, zetas[scanned], norm, 2
             )
-            continue
-        sens, *best = (np.concatenate(c) for c in zip(*candidates[t]))
-        j = int(np.argmin(sens))
-        outcomes[t] = tuple(float(y[j]) for y in best)
-    return zetas, *evaluated(outcomes), refined
+            refined += two_refined
+            for t, two in zip(scanned.tolist(), twos):
+                refusals[t] = two
+            owner = np.concatenate([owner, scanned])
+            cand_sens = np.concatenate([cand_sens, two_sens])
+            padded = np.column_stack([two_bounds, np.full(scanned.size, h_sat)])
+            cand_bounds = np.concatenate([cand_bounds, padded])
+
+    # each target that is not refused keeps its first lowest candidate: the
+    # sort is stable
+    live = np.asarray([refusal is None for refusal in refusals], dtype=bool)
+    order = np.lexsort((cand_sens, owner))
+    order = order[live[owner[order]]]
+    first = order[np.diff(owner[order], prepend=-1) != 0]
+    bounds[owner[first]] = cand_bounds[first]
+    chosen = at_top.copy()
+    chosen[owner[first]] = True
+    for t in scanned.tolist():
+        if live[t] and not chosen[t]:
+            refusals[t] = SolverFailureError(f"no point of the accuracy level set found for target {targets[t]!r}")
+
+    # A boundary where both cdfs read exactly 1 is reported at H*, and one
+    # where both read exactly 0 at L*: G is flat there, so the solver may
+    # leave it anywhere in the run, and the pinned set is the same
+    # classifier.  The boundaries stay in order.
+    rows = np.flatnonzero(chosen)
+    ys = bounds[rows].T
+    f0, f1 = np.asarray(pair.h0.cdf(ys)), np.asarray(pair.h1.cdf(ys))
+    ys = np.where((f0 == 1.0) & (f1 == 1.0), h_sat, np.where((f0 == 0.0) & (f1 == 0.0), l_sat, ys))
+    try:
+        accs = _accuracies(pair, ys, h0_first)
+    except SolverFailureError as exc:
+        for t in rows.tolist():
+            refusals[t] = exc
+        return zetas, columns, refusals, refined
+    acc[rows], sens[rows], bounds[rows] = accs, _norms(_gradients(pair, ys, h0_first), norm), ys.T
+    miss = np.abs(accs - zetas[rows]) > ACCURACY_TOL
+    for t, a in zip(rows[miss].tolist(), accs[miss].tolist()):
+        refusals[t] = SolverFailureError(
+            f"refined point misses accuracy target: |{a!r} - {targets[t]!r}| > {ACCURACY_TOL}"
+        )
+    acc[rows[miss]] = sens[rows[miss]] = np.nan
+    return zetas, columns, refusals, refined
 
 
 def constrained_min_sensitivity(
@@ -813,8 +799,10 @@ def constrained_min_sensitivity(
 
     The orientation is that of the maximum-accuracy classifier; a target
     above the best accuracy n boundaries reach in it (the top of
-    ``default_zeta_grid``) is infeasible, and one at it returns that
-    classifier.  One boundary:
+    ``default_zeta_grid``) by more than 1e-9 is infeasible, one at or above
+    it returns that classifier (padded with H*) where its boundaries are
+    known, and the chance target returns coincident boundaries with
+    sensitivity 0.  One boundary:
     the level set is the finite set of roots of acc(y) = zeta, at most one per
     segment of G, and the best root is exact.  Two: the level set is solved
     on every branch at every grid point, in both parametrizations (each
@@ -827,17 +815,20 @@ def constrained_min_sensitivity(
     segments where the level set crosses between its fixed neighbours,
     which G on the grid shows without a solve.  The zoom is a local search:
     at an inf-norm minimum on a long ridge where two gradient components tie
-    it can stop above the true minimum.  The best zoom result is kept; the
-    zoom's first round solves each grid minimum itself again, so the scan,
-    which only ranks the grid points, never gives the answer.  Three boundaries also take the
-    two-boundary minimum as a candidate.  Every level-set point, in the scan
+    it can stop above the true minimum.  The best zoom result is kept, the
+    first of equal ones; the zoom's first round solves each grid minimum
+    itself again, so the scan, which only ranks the grid points, never gives
+    the answer.  Three boundaries also take the two-boundary minimum as a
+    candidate, after the zoom's, and a target the two-boundary solve refuses
+    is refused with its error.  Every level-set point, in the scan
     and in every zoom round, is solved by safeguarded Newton steps from one
     grid cell: the cell of its segment where the accuracy crosses the
     target.  A boundary where both cdfs read exactly 1 (or 0), in the flat
     tail where the solver may leave it anywhere, is reported at H* (or L*).
 
     This is the one-target case of the solver that ``general_curve`` runs on
-    its whole grid.  A target that is not a finite number in [0, 1] raises
+    its whole grid.  A target that is not a finite number in [0, 1], or a
+    boundary count that is not an integer in [1, 3], raises
     InvalidParameterError.
     """
     _, columns, (refusal,), _ = _constrained_minima(pair, [zeta], norm, n_boundaries)
@@ -871,7 +862,7 @@ def general_curve(
     order = np.argsort(-zetas, kind="stable").tolist()
     metadata = {
         "zeta_points": int(zetas.size),
-        "n_boundaries": n_boundaries,
+        "n_boundaries": int(n_boundaries),
         "failed_zetas": [
             {"zeta": zetas[t].item(), "error": str(refusals[t])} for t in order if refusals[t] is not None
         ],

@@ -617,6 +617,44 @@ class TestTargetValidation:
         with pytest.raises(InvalidParameterError, match="empty"):
             general_curve(table1_pair, np.asarray([]))
 
+    @pytest.mark.parametrize("count", [2.0, 2.5, True])
+    def test_boundary_count_not_an_integer(self, table1_pair, count):
+        calls = (
+            partial(constrained_min_sensitivity, table1_pair, 0.6, n_boundaries=count),
+            partial(general_curve, table1_pair, [0.6], n_boundaries=count),
+            partial(default_zeta_grid, table1_pair, count),
+        )
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="n_boundaries must be >= 1 and <= 3 and an integer"):
+                call()
+
+    def test_numpy_integer_boundary_count(self, table1_pair):
+        # a numpy integer is a count; the curve's written form holds a plain int
+        curve = general_curve(table1_pair, [0.6], n_boundaries=np.int64(2))
+        assert json.dumps(curve.to_dict()) == json.dumps(general_curve(table1_pair, [0.6]).to_dict())
+
+
+class TestSweepGrids:
+    # the ratio and single-boundary sweeps take their grids through the
+    # frontier's target check: one-dimensional, non-empty numbers, finite
+    # boundary positions
+    @pytest.mark.parametrize(
+        "sweep, grid, message",
+        [
+            (ml_curve, [[0.5, 2.0]], "eta grid must be one-dimensional"),
+            (ml_curve, [], "eta grid is empty"),
+            (ml_curve, ["a"], "thresholds must be numbers"),
+            (linear_curve, [[0.0, 1.0]], "boundary grid must be one-dimensional"),
+            (linear_curve, [], "boundary grid is empty"),
+            (linear_curve, [math.inf, 1.0], "boundary position inf is not a finite number"),
+            (linear_curve, [1.0, -math.inf], "boundary position -inf is not a finite number"),
+            (linear_curve, [math.nan, 1.0], "boundary position nan is not a finite number"),
+        ],
+    )
+    def test_bad_grid_is_refused(self, table1_pair, sweep, grid, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            sweep(table1_pair, grid)
+
 
 @pytest.fixture(scope="module")
 def steep_exp_pair() -> HypothesisPair:
@@ -676,6 +714,29 @@ class TestBoundaryCounts:
         s1, s2, s3 = (solved(name, zeta, norm, n).sensitivity for n in (1, 2, 3))
         assert s3 <= s2 * (1.0 + 1e-12)
         assert s2 <= s1 * (1.0 + 1e-12)
+
+    def test_three_boundaries_keep_the_two_boundary_refusals(self, table1_pair):
+        # a target that the inner two-boundary solve refuses is refused for
+        # three boundaries with the same error, whatever the three-boundary
+        # scan found; the other targets keep their points
+        grid = np.asarray([0.6, 0.6734, 0.75])
+        solve = tradeoff._constrained_minima
+        refusal = SolverFailureError("two-boundary refusal")
+
+        def refusing(pair, zetas, norm, n_boundaries):
+            zetas, columns, refusals, refined = solve(pair, zetas, norm, n_boundaries)
+            if n_boundaries == 2:
+                refusals = [refusal if z == 0.6734 else r for z, r in zip(zetas.tolist(), refusals)]
+            return zetas, columns, refusals, refined
+
+        expected = general_curve(table1_pair, grid, 3)
+        with mock.patch.object(tradeoff, "_constrained_minima", refusing):
+            curve = general_curve(table1_pair, grid, 3)
+        assert curve.metadata["failed_zetas"] == [{"zeta": 0.6734, "error": "two-boundary refusal"}]
+        assert curve.parameters.tolist() == [0.6, 0.75]
+        kept = expected.parameters != 0.6734
+        np.testing.assert_array_equal(curve.sensitivities, expected.sensitivities[kept])
+        np.testing.assert_array_equal(curve.boundaries, expected.boundaries[kept])
 
     def test_three_boundary_curve_is_deterministic(self, table1_pair):
         a, b = (general_curve(table1_pair, np.asarray([0.6734]), 3).to_csv_text() for _ in range(2))
