@@ -9,7 +9,10 @@ class's own regions (one comparison count per boundary); no observation is
 labelled.  The score is the count of correct decisions over ``n_obs``.
 Trial t uses its own generator seeded with ``base_seed + t``, so a report is
 a pure function of its inputs, bit-identical across runs, and trials are
-embarrassingly parallel with an index-ordered reduction.
+embarrassingly parallel with an index-ordered reduction.  The labels and
+each class's samples are drawn and counted in blocks of ``_LABEL_BLOCK``,
+which consume the generator's stream exactly as whole draws do: a trial
+holds at most one block of samples, whatever ``n_obs``.
 
 Trials of at least one label block (``n_obs >= 2**16``) run on a thread pool
 sized to the CPUs this process may use (numpy's generator fills and counts
@@ -42,9 +45,9 @@ from .errors import InvalidParameterError, InvalidPerturbationError
 DEFAULT_N_OBS = 10_000
 DEFAULT_N_TRIALS = 100
 
-#: The class-label uniforms of a trial are drawn in blocks of this many, so a
-#: trial never holds a full ``n_obs`` array of them; trials that draw at least
-#: one whole block are worth a thread.
+#: The class-label uniforms and the samples of a trial are drawn in blocks of
+#: this many, so a trial never holds a full ``n_obs`` array of either; trials
+#: that draw at least one whole block are worth a thread.
 _LABEL_BLOCK = 2**16
 
 
@@ -120,21 +123,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _blocks(n: int):
+    """The sizes of the blocks of ``n`` draws: whole blocks, then the rest."""
+    return (min(_LABEL_BLOCK, n - start) for start in range(0, n, _LABEL_BLOCK))
+
+
 def _run_trial(bset: BoundarySet, perturbed: HypothesisPair, n_obs: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    # ``Generator.random`` takes one double per element and buffers nothing,
-    # so the blocks consume the stream exactly as one ``random(n_obs)`` would.
-    n1 = sum(
-        int(np.count_nonzero(rng.random(min(_LABEL_BLOCK, n_obs - start)) < perturbed.p1))
-        for start in range(0, n_obs, _LABEL_BLOCK)
-    )
+    # The generator keeps no state between calls (``random`` takes one double
+    # per value, ``normal`` draws each value on its own), so the blocks
+    # consume the stream exactly as one draw of the whole size would.
+    n1 = sum(int(np.count_nonzero(rng.random(size) < perturbed.p1)) for size in _blocks(n_obs))
     n0 = n_obs - n1
-    correct = 0
-    if n0:
-        correct += count_h0_labels(bset, perturbed.h0.sample(rng, n0))
-    if n1:
-        correct += n1 - count_h0_labels(bset, perturbed.h1.sample(rng, n1))
-    return correct / n_obs
+    h0_labels = sum(count_h0_labels(bset, perturbed.h0.sample(rng, size)) for size in _blocks(n0))
+    h1_labels = sum(count_h0_labels(bset, perturbed.h1.sample(rng, size)) for size in _blocks(n1))
+    return (h0_labels + n1 - h1_labels) / n_obs
 
 
 def run_experiment(

@@ -22,7 +22,9 @@ warning is for a ratio undefined on the whole interval.
 ``_ml_solve_many`` is the one front door: it checks the thresholds
 (positive and finite), answers a zero prior with no root, and checks the
 roots of all thresholds in one ``_check_residuals`` call, for all three
-families.  ``_ml_boundaries_many`` makes its reports, and ``ml_boundaries``,
+families.  It also takes one parameter row per threshold, so that the
+assumption audit's re-solves at perturbed parameters are one closed-form
+call.  ``_ml_boundaries_many`` makes its reports, and ``ml_boundaries``,
 ``ml_boundaries_gaussian`` and ``ml_boundaries_generic`` are its
 one-threshold calls; ``tradeoff.ml_curve`` reads the roots unreported.
 The family solvers return only roots, orientations and warnings: the
@@ -47,7 +49,7 @@ import numpy as np
 
 from ._records import plain
 from .classifier import BoundarySet, Orientation, _accuracies
-from .densities import Family, HypothesisPair
+from .densities import Family, HypothesisPair, _pdf, _pdf_dx
 from .errors import (
     EmptyIntervalError,
     InvalidParameterError,
@@ -112,22 +114,45 @@ def log_ratio_gap(pair: HypothesisPair, eta: float, x):
     return out if out.ndim else float(out)
 
 
-def _check_residuals(pair, etas, roots) -> list[tuple[float, ...]]:
+def _columns(pair: HypothesisPair, thetas):
+    """The parameters of h0 and of h1, one entry per parameter: the pair's
+    own, or one column of the parameter rows ``thetas`` each."""
+    if thetas is None:
+        return pair.h0.params, pair.h1.params
+    k = pair.split
+    return tuple(thetas[:, :k].T), tuple(thetas[:, k:].T)
+
+
+def _density(model, params, x, slope: bool = False) -> np.ndarray:
+    """The pdf of ``model`` at x, or with ``slope`` its derivative: at the
+    model's own parameters where ``params`` is None, otherwise (a built-in
+    family) at ``params`` broadcast against x."""
+    if params is None:
+        return np.asarray(model.pdf_dx(x) if slope else model.pdf(x))
+    return (_pdf_dx if slope else _pdf)(model.family, x, params)
+
+
+def _check_residuals(pair, etas, roots, thetas=None) -> list[tuple[float, ...]]:
     """|p1 f1(r) - eta p0 f0(r)| at the roots ``roots[k]`` of every ``etas[k]``,
-    one pdf call (and, where a root needs it, one pdf_dx call) per density,
-    checked against RESIDUAL_RTOL of the larger weighted density or, where
-    larger and finite, the defect's change over one ulp of the root.  A jump
-    of the ratio at a support edge, a NaN root and a density past the float
-    range are refused."""
+    with the densities at the parameter row ``thetas[k]`` where rows are
+    given (a closed-form family), one pdf call (and, where a root needs it,
+    one pdf_dx call) per density, checked against RESIDUAL_RTOL of the
+    larger weighted density or, where larger and finite, the defect's
+    change over one ulp of the root.  A jump of the ratio at a support edge,
+    a NaN root and a density past the float range are refused."""
+    counts = [len(rs) for rs in roots]
     x = np.asarray([r for rs in roots for r in rs], dtype=float)
-    eta = np.repeat(np.asarray(etas, dtype=float), [len(rs) for rs in roots])
-    f0, f1 = np.asarray(pair.h0.pdf(x)), np.asarray(pair.h1.pdf(x))
+    eta = np.repeat(np.asarray(etas, dtype=float), counts)
+    params0 = params1 = None
+    if thetas is not None:
+        params0, params1 = _columns(pair, np.repeat(thetas, counts, axis=0))
+    f0, f1 = _density(pair.h0, params0, x), _density(pair.h1, params1, x)
     with np.errstate(all="ignore"):
         res = np.abs(pair.p1 * f1 - eta * pair.p0 * f0)
         bound = RESIDUAL_RTOL * np.maximum(np.maximum(pair.p0 * f0, pair.p1 * f1), _RESIDUAL_FLOOR)
         bad = ~((res <= bound) & (bound < math.inf))
         if bad.any():  # the slopes, needed only here; one past the float range does not count
-            df0, df1 = np.asarray(pair.h0.pdf_dx(x)), np.asarray(pair.h1.pdf_dx(x))
+            df0, df1 = _density(pair.h0, params0, x, True), _density(pair.h1, params1, x, True)
             ulp = np.spacing(np.abs(x)) * np.abs(pair.p1 * df1 - eta * pair.p0 * df0)
             bound = np.maximum(bound, np.where(ulp < math.inf, ulp, 0.0))
             bad = ~((res <= bound) & (bound < math.inf))
@@ -227,7 +252,8 @@ def _gaussian_roots(d, r, level):
 def _gaussian_pair_roots(mu0, sig0, mu1, sig1, log_k):
     """The boundaries of N(mu0, sig0) against N(mu1, sig1), lo <= hi with a
     missing root +inf, and whether H0 wins left of lo (everywhere, with no
-    root), at every log_k of an array.
+    root), on broadcast arrays of all five arguments, one pair and log_k
+    per entry.
 
     ``_gaussian_roots`` solves the shape d = (mu1 - mu0) / sig0,
     r = sig1 / sig0, on float64 so that no shape or root raises on
@@ -240,29 +266,28 @@ def _gaussian_pair_roots(mu0, sig0, mu1, sig1, log_k):
     widths with a separation so near 0 that the one root d / 2 - level / d
     passes the float range, while mu0 + sig0 y may not, are solved for
     y / t on level / t, t a power of two near |level / d| / 2^1000 (d^2
-    underflows there, so the root scales with the level).  A root
-    below the float range is dropped: H0 then wins left of the first root
-    kept where it wins inside the pair.
+    underflows there, so the root scales with the level).  Each rescale
+    is chosen entry by entry.  A root below the float range is dropped: H0
+    then wins left of the first root kept where it wins inside the pair.
     """
     with np.errstate(all="ignore"):
-        mu0, sig0, mu1, sig1 = map(np.float64, (mu0, sig0, mu1, sig1))
+        mu0, sig0, mu1, sig1, log_k = map(np.float64, (mu0, sig0, mu1, sig1, log_k))
         big = 2.0**500  # squares of shapes past it leave the float range
-        swap = bool(sig1 < sig0 / big)
-        if swap:
-            mu0, sig0, mu1, sig1, log_k = mu1, sig1, mu0, sig0, -np.asarray(log_k)
+        swap = sig1 < sig0 / big
+        mu0, sig0, mu1, sig1, log_k = (
+            np.where(swap, b, a) for a, b in ((mu0, mu1), (sig0, sig1), (mu1, mu0), (sig1, sig0), (log_k, -log_k))
+        )
         r, d = sig1 / sig0, (mu1 - mu0) / sig0
-        level = log_k - (np.log(r) if r < np.inf else np.log(sig1) - np.log(sig0))
-        if r > big:
-            r, d = big, (mu1 - mu0) / sig1 * big
-        s = np.ldexp(1.0, max(np.frexp(abs(d) / min(r, 1.0))[1] - 1, 0))
-        t = 1.0
-        if r == 1.0:  # the one root d / 2 - level / d, for y / t
-            far = np.frexp(level)[1] - np.frexp(d)[1] - 1000
-            t = np.ldexp(1.0, np.where(level == 0.0, 0, np.maximum(far, 0)))
+        level = log_k - np.where(r < np.inf, np.log(r), np.log(sig1) - np.log(sig0))
+        wide = r > big
+        r, d = np.where(wide, big, r), np.where(wide, (mu1 - mu0) / sig1 * big, d)
+        s = np.ldexp(1.0, np.maximum(np.frexp(np.abs(d) / np.minimum(r, 1.0))[1] - 1, 0))
+        # at equal widths the one root d / 2 - level / d, for y / t
+        far = np.frexp(level)[1] - np.frexp(d)[1] - 1000
+        t = np.where(r == 1.0, np.ldexp(1.0, np.where(level == 0.0, 0, np.maximum(far, 0))), 1.0)
         lo, hi, h0_outside = _gaussian_roots(d / s, r, level / (s * s) / t)
         lo, hi = mu0 + sig0 * s * t * lo, mu0 + sig0 * s * t * hi
-        if swap:
-            h0_outside = ~h0_outside
+        h0_outside = h0_outside != swap
     below_lo, below_hi = lo == -np.inf, hi == -np.inf
     return (
         np.where(below_lo, np.where(below_hi, np.inf, hi), lo),
@@ -281,11 +306,13 @@ def _no_crossing(pair: HypothesisPair, etas):
     return [()] * len(etas), [not pair.p1 > eta * pair.p0 for eta in etas], [()] * len(etas)
 
 
-def _gaussian_solve(pair: HypothesisPair, etas):
+def _gaussian_solve(pair: HypothesisPair, etas, thetas):
     """Closed-form roots and orientations at every threshold of ``etas``,
-    from one call of ``_gaussian_pair_roots`` on the array of their log_k."""
+    each at its parameter row of ``thetas`` where rows are given, from one
+    call of ``_gaussian_pair_roots`` on the array of their log_k."""
     log_k = np.asarray([_log_k(pair, eta) for eta in etas])
-    lo, hi, h0_first = _gaussian_pair_roots(*pair.h0.params, *pair.h1.params, log_k)
+    (mu0, sig0), (mu1, sig1) = _columns(pair, thetas)
+    lo, hi, h0_first = _gaussian_pair_roots(mu0, sig0, mu1, sig1, log_k)
     roots = [tuple(y for y in ends if y != math.inf) for ends in zip(lo.tolist(), hi.tolist())]
     return roots, h0_first.tolist(), [()] * len(etas)
 
@@ -309,24 +336,29 @@ def _log_rate_ratio(l0: float, l1: float) -> float:
     return math.log(l1) - math.log(l0)
 
 
-def _exponential_solve(pair: HypothesisPair, etas):
+def _exponential_solve(pair: HypothesisPair, etas, thetas):
     """Closed-form roots and orientations of an exponential pair at every
-    threshold of ``etas``.
+    threshold of ``etas``, each at its parameter row of ``thetas`` where
+    rows are given.
 
     On the support x >= 0 the log ratio gap of rates l0 against l1 is linear,
     c + (l0 - l1) x with c = log(p1 l1 / (eta p0 l0)), so each threshold has
     the one root -c / (l0 - l1), reported where it lies in (0, inf).  H0 wins
     left of it (everywhere, with no root) where the gap just right of 0 is
     negative: where c < 0, or at c = 0 where the slope is.  Equal rates
-    leave a constant gap (``_no_crossing``).
+    leave a constant gap, with no root, won by H1 where p1 > eta p0 (as in
+    ``_no_crossing``).
     """
-    (l0,), (l1,) = pair.h0.params, pair.h1.params
-    if l0 == l1:
-        return _no_crossing(pair, etas)
-    slope = l0 - l1
-    c = np.asarray([_log_k(pair, eta) for eta in etas]) + _log_rate_ratio(l0, l1)
-    roots = [(x,) if 0.0 < x < math.inf else () for x in (-c / slope).tolist()]
-    return roots, np.where(c != 0.0, c < 0.0, slope < 0.0).tolist(), [()] * len(etas)
+    (l0,), (l1,) = _columns(pair, thetas)
+    slope = np.subtract(l0, l1)
+    log_ratio = [_log_rate_ratio(*rates) for rates in zip(np.atleast_1d(l0).tolist(), np.atleast_1d(l1).tolist())]
+    c = np.asarray([_log_k(pair, eta) for eta in etas]) + log_ratio
+    with np.errstate(divide="ignore", invalid="ignore"):  # equal rates: no root
+        roots = [(x,) if 0.0 < x < math.inf else () for x in (-c / slope).tolist()]
+    h0_first = np.where(c != 0.0, c < 0.0, slope < 0.0)
+    if np.any(slope == 0.0):
+        h0_first = np.where(slope == 0.0, [not pair.p1 > eta * pair.p0 for eta in etas], h0_first)
+    return roots, h0_first.tolist(), [()] * len(etas)
 
 
 def _falsi(lo, hi, r_lo, r_hi):
@@ -525,7 +557,11 @@ def ml_boundaries_generic(
 
 
 def _ml_solve_many(
-    pair: HypothesisPair, etas, interval: tuple[float, float] | None = None, grid: int | None = None
+    pair: HypothesisPair,
+    etas,
+    interval: tuple[float, float] | None = None,
+    grid: int | None = None,
+    thetas=None,
 ):
     """What the reports of ``_ml_boundaries_many`` hold, before they are
     made: the root method, the thresholds as floats, and for each threshold
@@ -537,26 +573,46 @@ def _ml_solve_many(
     on that grid over ``interval``.  The thresholds are checked, a zero
     prior is answered without a solve, and the roots of all thresholds pass
     one ``_check_residuals`` call.
+
+    With ``thetas``, a stack of parameter rows, one per threshold, each
+    threshold is solved for ``pair.with_theta`` of its row, which checks
+    the row: the closed forms still in one call, on the columns of the
+    rows, and any other pair by one grid solve, with its own residual
+    check, per row.  The first row that fails, by its parameters or its
+    roots, raises, as it would with one solve per row in turn.
     """
     etas = [float(eta) for eta in etas]
     for eta in etas:
         if not 0.0 < eta < math.inf:
             raise InvalidParameterError(f"eta must be positive and finite, got {eta}")
+    if thetas is not None:
+        thetas, pairs = np.asarray(thetas, dtype=float), []
+        try:
+            pairs.extend(pair.with_theta(theta) for theta in thetas)
+        except InvalidParameterError:
+            # the rows before the refused one are solved and checked first,
+            # as one solve per row would
+            _ml_solve_many(pair, etas[: len(pairs)], interval, grid, thetas[: len(pairs)])
+            raise
     families = {pair.h0.family, pair.h1.family}
     if grid is None and families == {Family.GAUSSIAN}:
-        method, solve, args = RootMethod.GAUSSIAN_QUADRATIC, _gaussian_solve, ()
+        method, solve, args = RootMethod.GAUSSIAN_QUADRATIC, _gaussian_solve, (thetas,)
     elif grid is None and families == {Family.EXPONENTIAL}:
-        method, solve, args = RootMethod.EXPONENTIAL_LINEAR, _exponential_solve, ()
+        method, solve, args = RootMethod.EXPONENTIAL_LINEAR, _exponential_solve, (thetas,)
     else:
         grid = DEFAULT_GRID if grid is None else grid
         if grid < 2:
             raise InvalidParameterError(f"grid resolution must be >= 2, got {grid}")
         method, solve, args = RootMethod.GRID_BISECTION, _grid_solve, (interval, grid)
+        if thetas is not None:  # one grid solve, and one residual check, per row
+            rows = [_ml_solve_many(p, [eta], interval, grid) for p, eta in zip(pairs, etas)]
+            roots, h0_first, warnings, residuals = ([row[k][0] for row in rows] for k in range(2, 6))
+            return method, etas, roots, h0_first, warnings, residuals
     if pair.p0 in (0.0, 1.0):  # one hypothesis left: a single region at any threshold
         roots, h0_first, warnings = [()] * len(etas), [pair.p0 == 1.0] * len(etas), [()] * len(etas)
     else:
         roots, h0_first, warnings = solve(pair, etas, *args)
-    return method, etas, roots, h0_first, warnings, _check_residuals(pair, etas, roots)
+    return method, etas, roots, h0_first, warnings, _check_residuals(pair, etas, roots, thetas)
 
 
 def _ml_boundaries_many(

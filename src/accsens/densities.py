@@ -5,8 +5,9 @@ with respect to the distribution parameters, the pdf derivative in x, and an
 exact seeded sampler.  Built-in families (Gaussian, Exponential) carry analytic
 gradients; custom families register callables, and any parameter gradient a
 custom family does not supply is taken by central finite differences.  The
-built-in cdf and its parameter gradient also take arrays of parameters
-(``_cdf``, ``_grad_cdf``), so that boundary sets can be scored at many.
+built-in pdf, its slope, the cdf and its parameter gradient also take arrays
+of parameters (``_pdf``, ``_pdf_dx``, ``_cdf``, ``_grad_cdf``), so that
+boundary sets can be scored, and roots checked, at many.
 
 All values are immutable and all operations are pure functions of their
 inputs, so models can be shared freely across threads.  Samplers take an
@@ -100,6 +101,40 @@ def _cdf(family: Family, x: np.ndarray, params) -> np.ndarray:
             return ndtr((x - mu) / sigma)
     (lam,) = params
     return np.where(x >= 0.0, -np.expm1(-lam * np.where(x >= 0.0, x, 0.0)), 0.0)
+
+
+def _log_each(v):
+    """``math.log`` of a float, or of each entry of an array: ``np.log`` may
+    differ from it in the last bit, and a density at an array of parameters
+    must read what it reads at each one alone."""
+    if isinstance(v, float):
+        return math.log(v)
+    return np.reshape([math.log(t) for t in np.ravel(v).tolist()], np.shape(v))
+
+
+def _pdf(family: Family, x: np.ndarray, params) -> np.ndarray:
+    """The density of a built-in family at x, zero outside the support, with
+    ``params`` broadcast against x as in ``_cdf``."""
+    with np.errstate(over="ignore"):
+        if family is Family.GAUSSIAN:
+            return _gaussian_score(x, *params)[1]
+        (lam,) = params
+        # in the log domain, so that lam exp(-lam x) does not underflow where
+        # exp(-lam x) alone would
+        return np.where(x >= 0.0, np.exp(_log_each(lam) - lam * np.where(x >= 0.0, x, 0.0)), 0.0)
+
+
+def _pdf_dx(family: Family, x: np.ndarray, params) -> np.ndarray:
+    """d pdf / dx of a built-in family, as ``_pdf`` broadcasts it; the
+    exponential family's right-derivative at its support edge x = 0."""
+    f = _pdf(family, x, params)
+    if family is Family.GAUSSIAN:
+        mu, sigma = params
+        with np.errstate(over="ignore"):  # a width past 1e154 squares to inf: slope 0
+            out = -((x - mu) / np.float64(sigma) ** 2) * f
+        return np.where(np.isinf(x), 0.0, out)
+    (lam,) = params
+    return np.where(x >= 0.0, -lam * f, 0.0)
 
 
 def _grad_cdf(family: Family, x: np.ndarray, params) -> np.ndarray:
@@ -201,19 +236,12 @@ class DensityModel:
     def pdf(self, x):
         """Density at ``x``; zero outside the support."""
         x = np.asarray(x, dtype=float)
-        if self.family is Family.GAUSSIAN:
-            with np.errstate(over="ignore"):
-                out = _gaussian_score(x, *self.params)[1]
-        elif self.family is Family.EXPONENTIAL:
-            lam = self.params[0]
-            # in the log domain, so that lam exp(-lam x) does not underflow
-            # where exp(-lam x) alone would
-            with np.errstate(over="ignore"):
-                out = np.where(x >= 0.0, np.exp(math.log(lam) - lam * np.where(x >= 0.0, x, 0.0)), 0.0)
-        else:
+        if self.family is Family.CUSTOM:
             out = np.asarray(self.custom.pdf(x, np.asarray(self.params)), dtype=float)
             lo, hi = self.custom.support
             out = np.where((x >= lo) & (x <= hi), out, 0.0)
+        else:
+            out = _pdf(self.family, x, self.params)
         return out if out.ndim else float(out)
 
     def log_pdf(self, x):
@@ -247,20 +275,13 @@ class DensityModel:
         """d pdf / dx.  For the exponential family the right-derivative is
         used at the support edge x = 0."""
         x = np.asarray(x, dtype=float)
-        if self.family is Family.GAUSSIAN:
-            mu, sigma = self.params
-            with np.errstate(over="ignore"):  # a width past 1e154 squares to inf: slope 0
-                out = -((x - mu) / np.float64(sigma) ** 2) * self.pdf(x)
-            out = np.where(np.isinf(x), 0.0, out)
-        elif self.family is Family.EXPONENTIAL:
-            lam = self.params[0]
-            out = np.where(x >= 0.0, -lam * np.asarray(self.pdf(x)), 0.0)
+        if self.family is not Family.CUSTOM:
+            out = _pdf_dx(self.family, x, self.params)
+        elif self.custom.pdf_dx is not None:
+            out = np.asarray(self.custom.pdf_dx(x, np.asarray(self.params)), dtype=float)
         else:
-            if self.custom.pdf_dx is not None:
-                out = np.asarray(self.custom.pdf_dx(x, np.asarray(self.params)), dtype=float)
-            else:
-                h = 1e-6
-                out = (np.asarray(self.pdf(x + h)) - np.asarray(self.pdf(x - h))) / (2 * h)
+            h = 1e-6
+            out = (np.asarray(self.pdf(x + h)) - np.asarray(self.pdf(x - h))) / (2 * h)
         out = np.asarray(out)
         return out if out.ndim else float(out)
 

@@ -34,7 +34,13 @@ from enum import Enum
 import numpy as np
 
 from ._records import plain
-from .boundary_solver import LikelihoodRootReport, _ml_boundaries_many, _resolved, ml_boundaries
+from .boundary_solver import (
+    LikelihoodRootReport,
+    _ml_boundaries_many,
+    _ml_solve_many,
+    _resolved,
+    ml_boundaries,
+)
 from .classifier import (
     Norm,
     Orientation,
@@ -88,21 +94,26 @@ def _check_a1(grad: np.ndarray) -> A1Result:
     return A1Result(holds, gap, int(order[0]), not holds, tuple(grad))
 
 
-def _theta_response(
-    pair: HypothesisPair, base: LikelihoodRootReport, j: int
-) -> tuple[np.ndarray, tuple[LikelihoodRootReport, ...]]:
-    """d y_i*/d theta_j by re-solving the boundary equation at theta + h e_j
-    and then at theta - h e_j, h = ``THETA_FD_STEP``; returns the response
-    row and the two re-solves.
+def _theta_responses(
+    pair: HypothesisPair, base: LikelihoodRootReport, components=None
+) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """d y_i*/d theta_j for every component j of ``components`` (by default
+    all m), one row each, by re-solving the boundary equation at
+    theta + h e_j and at theta - h e_j, h = ``THETA_FD_STEP``.  All the
+    re-solves are one ``_ml_solve_many`` call on a stack of parameter rows,
+    in the order of the components with + before -, so that the first
+    failing re-solve is the one a solve per row meets first.  Returns the
+    response rows and the re-solves' warnings, in that order.
 
     Roots are matched to the unperturbed ones by proximity; a root that
     survives on one side only falls back to a one-sided difference.
     """
-    reports = []
-    for sign in (+1.0, -1.0):
-        shifted = pair.theta.copy()
-        shifted[j] += sign * THETA_FD_STEP
-        reports.append(ml_boundaries(pair.with_theta(shifted), 1.0))
+    components = list(range(pair.theta.size) if components is None else components)
+    k = np.arange(len(components))
+    thetas = np.repeat(pair.theta[None, :], 2 * k.size, axis=0)
+    thetas[2 * k, components] += THETA_FD_STEP
+    thetas[2 * k + 1, components] -= THETA_FD_STEP
+    _, _, roots, _, warnings, _ = _ml_solve_many(pair, [1.0] * (2 * k.size), thetas=thetas)
 
     def nearest(roots: tuple[float, ...], r: float) -> float | None:
         if not roots:
@@ -111,21 +122,21 @@ def _theta_response(
         window = max(1.0, abs(r)) * 0.5
         return cand if abs(cand - r) < window else None
 
-    out = np.empty(len(base.roots))
-    for i, r in enumerate(base.roots):
-        r_plus = nearest(reports[0].roots, r)
-        r_minus = nearest(reports[1].roots, r)
-        if r_plus is not None and r_minus is not None:
-            out[i] = (r_plus - r_minus) / (2.0 * THETA_FD_STEP)
-        elif r_plus is not None:
-            out[i] = (r_plus - r) / THETA_FD_STEP
-        elif r_minus is not None:
-            out[i] = (r - r_minus) / THETA_FD_STEP
-        else:
-            raise SolverFailureError(
-                f"boundary {r!r} vanished under both theta perturbations of component {j}"
-            )
-    return out, tuple(reports)
+    out = np.empty((k.size, len(base.roots)))
+    for row, (j, plus, minus) in enumerate(zip(components, roots[::2], roots[1::2])):
+        for i, r in enumerate(base.roots):
+            r_plus, r_minus = nearest(plus, r), nearest(minus, r)
+            if r_plus is not None and r_minus is not None:
+                out[row, i] = (r_plus - r_minus) / (2.0 * THETA_FD_STEP)
+            elif r_plus is not None:
+                out[row, i] = (r_plus - r) / THETA_FD_STEP
+            elif r_minus is not None:
+                out[row, i] = (r - r_minus) / THETA_FD_STEP
+            else:
+                raise SolverFailureError(
+                    f"boundary {r!r} vanished under both theta perturbations of component {j}"
+                )
+    return out, warnings
 
 
 def curvature_weights(
@@ -159,7 +170,7 @@ def check_a2(pair: HypothesisPair, j: int | None = None) -> A2Result:
     if j is None:
         j = _check_a1(region_accuracy_gradient(pair, base.roots, base.orientation)).index
     w = curvature_weights(pair, base.roots, base.orientation)
-    return _check_a2(w, j, _theta_response(pair, base, j)[0])
+    return _check_a2(w, j, _theta_responses(pair, base, [j])[0][0])
 
 
 def _check_a2(w: np.ndarray, j: int, dy: np.ndarray) -> A2Result:
@@ -291,7 +302,7 @@ def sensitivity_slope_witness(pair: HypothesisPair, norm: Norm = Norm.INF) -> Wi
     differentiable at a tied maximum.
     """
     base = _resolved(ml_boundaries(pair, 1.0))
-    dy = [_theta_response(pair, base, j)[0] for j in range(pair.theta.size)]
+    dy, _ = _theta_responses(pair, base)
     grad = region_accuracy_gradient(pair, base.roots, base.orientation)
     jac = _boundary_jacobian(pair, base)
     w = curvature_weights(pair, base.roots, base.orientation)
@@ -373,16 +384,20 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
 
     Each boundary problem is solved once and shared: the base solve, the
     theta re-solves (A2 and the identity audit) and the eta stencil (A3),
-    1 + 2m + 2 solves for m distribution parameters.  The base and the eta
-    stencil come from one ``_ml_boundaries_many`` call: one closed-form call
-    for a Gaussian or exponential pair, or one grid scan otherwise, for all
-    three thresholds.  The boundary derivatives are evaluated once each at
+    1 + 2m + 2 solves for m distribution parameters, in two front-door
+    calls.  The base and the eta stencil come from one
+    ``_ml_boundaries_many`` call: one closed-form call for a Gaussian or
+    exponential pair, or one grid scan otherwise, for all three thresholds.
+    The 2m theta re-solves come from one ``_ml_solve_many`` call on their
+    parameter rows (``_theta_responses``): one closed-form call for a
+    Gaussian or exponential pair, one grid scan per row otherwise.  The
+    boundary derivatives are evaluated once each at
     the base: the accuracy gradient g (A1), the curvature weights w (A2 and
     the identity) and the Jacobian J = dg/dy (the identity, and with g the
     sensitivity slope of A3 and the witness).
     """
     base, stencil = _eta_stencil(pair)
-    dy, theta_solves = zip(*(_theta_response(pair, base, j) for j in range(pair.theta.size)))
+    dy, theta_warnings = _theta_responses(pair, base)
     grad = region_accuracy_gradient(pair, base.roots, base.orientation)
     jac = _boundary_jacobian(pair, base)
     weights = curvature_weights(pair, base.roots, base.orientation)
@@ -391,7 +406,7 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
     a2 = _check_a2(weights, a1.index, dy[a1.index])
     a3 = _check_a3(base, stencil, slope)
     witness = _witness(pair, base, a1, slope, _identity_defect(jac, weights, dy), norm)
-    solves = (base, *(report for both in theta_solves for report in both), *stencil)
+    solves = (base.warnings, *theta_warnings, *(report.warnings for report in stencil))
     return AssumptionReport(
         a1,
         a2,
@@ -405,5 +420,5 @@ def run_all_checks(pair: HypothesisPair, norm: Norm = Norm.INF) -> AssumptionRep
             "witness": WITNESS_TOL,
             "identity": IDENTITY_TOL,
         },
-        warnings=tuple(dict.fromkeys(w for report in solves for w in report.warnings)),
+        warnings=tuple(dict.fromkeys(w for warnings in solves for w in warnings)),
     )

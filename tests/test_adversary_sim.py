@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,21 @@ class TestCountingMatchesLabelling:
         assert len(threads) <= workers
         if workers == 1:
             assert threads == {threading.get_ident()}
+
+
+class TestBlocks:
+    def test_trial_holds_one_block_of_samples(self, table1_pair):
+        # 10^6 observations draw 8 MB of samples at once; in blocks of 2^16
+        # a trial holds at most 0.5 MB of them
+        bset = resolve(MLSpec(1.0), table1_pair)
+        shifted = SCENARIOS["s2"].apply(table1_pair)
+        tracemalloc.start()
+        try:
+            adversary_sim._run_trial(bset, shifted, 10**6, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestThreadedFailure:

@@ -13,11 +13,13 @@ import accsens.boundary_solver as boundary_solver
 from accsens.boundary_solver import (
     _gaussian_pair_roots,
     _ml_boundaries_many,
+    _ml_solve_many,
     _newton,
     BISECTION_STEPS,
     BISECTION_WIDTH,
     DEFAULT_GRID,
     RESIDUAL_RTOL,
+    LikelihoodRootReport,
     RootMethod,
     default_search_interval,
     log_ratio_gap,
@@ -941,3 +943,123 @@ class TestSearchInterval:
         lo, hi = default_search_interval(exp_pair)
         assert lo == 0.0
         assert hi == pytest.approx(9.0)
+
+
+def _one_row_at_a_time(pair, etas, thetas):
+    """The reports of ``ml_boundaries`` at each threshold and parameter row
+    in turn, up to the first row it refuses, and that refusal (or None)."""
+    reports = []
+    for eta, theta in zip(etas, thetas):
+        try:
+            reports.append(ml_boundaries(pair.with_theta(theta), eta))
+        except InvalidParameterError as refusal:
+            return reports, refusal
+    return reports, None
+
+
+def _assert_rows_match(pair, etas, thetas):
+    """The front door at the rows ``thetas`` holds, row by row, what the
+    reports of one ``ml_boundaries`` call per row hold, or raises what the
+    first row refused raises."""
+    reports, refusal = _one_row_at_a_time(pair, etas, thetas)
+    if refusal is not None:
+        with pytest.raises(InvalidParameterError) as raised:
+            _ml_solve_many(pair, etas, thetas=thetas)
+        assert str(raised.value) == str(refusal)
+        return
+    method, floats, *rows = _ml_solve_many(pair, etas, thetas=thetas)
+    stacked = tuple(
+        LikelihoodRootReport(rs, method, Orientation.H0_FIRST if h0 else Orientation.H1_FIRST, res, eta, w)
+        for eta, rs, h0, w, res in zip(floats, *rows)
+    )
+    assert stacked == tuple(reports)
+    assert repr(stacked) == repr(tuple(reports))
+
+
+@st.composite
+def gaussian_theta_rows(draw):
+    """(mu0, s0, mu1, s1) rows that reach every rescale of
+    ``_gaussian_pair_roots``: width ratios below 2^-500 and above 2^500,
+    equal widths with a root past the float range of the shape, and plain
+    shapes."""
+    kind = draw(st.sampled_from(["narrow", "wide", "equal_far", "plain"]))
+    if kind == "equal_far":
+        # N(0, 2^k) against N(+-2^e, 2^k): the root -level 2^(2k - e) is in
+        # range, its shape -level 2^(k - e) is not
+        e = draw(st.integers(-1074, -1032))
+        s0 = math.ldexp(1.0, draw(st.integers(1025 + e, (1023 + e) // 2 - 1)))
+        return (0.0, s0, math.ldexp(draw(st.sampled_from([-1.0, 1.0])), e), s0)
+    s0 = math.ldexp(draw(st.floats(1.0, 2.0)), draw(st.integers(-30, 30)))
+    mu0 = draw(st.floats(-10.0, 10.0)) * s0
+    mu1 = mu0 + draw(st.floats(-20.0, 20.0)) * s0
+    if kind == "narrow":
+        s1 = math.ldexp(s0, draw(st.integers(-560, -501)))
+    elif kind == "wide":
+        s1 = math.ldexp(s0, draw(st.integers(501, 560)))
+    else:
+        s1 = s0 * draw(st.floats(0.2, 5.0) | st.just(1.0))
+    return (mu0, s0, mu1, s1)
+
+
+@st.composite
+def exponential_theta_rows(draw):
+    """(rate0, rate1) rows on both sides of ``_log_rate_ratio``: within a
+    factor 2 of each other, equal, or further apart."""
+    rate0 = math.ldexp(draw(st.floats(1.0, 2.0)), draw(st.integers(-20, 20)))
+    factor = draw(
+        st.floats(0.5, 2.0)
+        | st.just(1.0)
+        | st.integers(2, 60).map(lambda k: 2.0**k)
+        | st.integers(2, 60).map(lambda k: 2.0**-k)
+    )
+    return (rate0, rate0 * factor * draw(st.floats(1.0, 1.5)))
+
+
+class TestThetaRows:
+    """The front door at a stack of parameter rows, one per threshold,
+    answers each row as ``ml_boundaries`` at ``pair.with_theta`` of it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(gaussian_theta_rows(), min_size=1, max_size=6),
+        st.floats(0.05, 0.95) | st.just(0.5),
+        st.lists(st.floats(-3.0, 3.0).map(math.exp) | st.just(1.0), min_size=6, max_size=6),
+    )
+    def test_gaussian_rows_match_one_solve_per_row(self, rows, p0, etas):
+        pair = HypothesisPair(DensityModel.gaussian(*rows[0][:2]), DensityModel.gaussian(*rows[0][2:]), p0)
+        _assert_rows_match(pair, etas[: len(rows)], np.array(rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(exponential_theta_rows(), min_size=1, max_size=6),
+        st.floats(0.05, 0.95) | st.just(0.5),
+        st.lists(st.floats(-3.0, 3.0).map(math.exp) | st.just(1.0), min_size=6, max_size=6),
+    )
+    def test_exponential_rows_match_one_solve_per_row(self, rows, p0, etas):
+        pair = HypothesisPair(DensityModel.exponential(rows[0][0]), DensityModel.exponential(rows[0][1]), p0)
+        _assert_rows_match(pair, etas[: len(rows)], np.array(rows))
+
+    @pytest.mark.parametrize("name", ["custom_exp_pair", "fig2c_pair"])
+    def test_grid_rows_match_one_solve_per_row(self, name, request):
+        pair = request.getfixturevalue(name)
+        thetas = pair.theta * np.array([[1.0], [1.1], [0.9]])
+        _assert_rows_match(pair, [1.0, 0.5, 2.0], thetas)
+        method, *_ = _ml_solve_many(pair, [1.0, 0.5], grid=DEFAULT_GRID, thetas=thetas[:2])
+        assert method is RootMethod.GRID_BISECTION
+
+    def test_first_refused_row_wins(self):
+        # N(0, 1) against N(0.5, 1e-6) at the assumption audit's rows: the
+        # mu0 + h row's root misses the residual bound before the s1 - h
+        # row's negative width is refused
+        pair = HypothesisPair(DensityModel.gaussian(0.0, 1.0), DensityModel.gaussian(0.5, 1e-6), 0.5)
+        thetas = np.repeat(pair.theta[None, :], 8, axis=0)
+        thetas[[0, 2, 4, 6], range(4)] += 1e-5
+        thetas[[1, 3, 5, 7], range(4)] -= 1e-5
+        reports, refusal = _one_row_at_a_time(pair, [1.0] * 8, thetas)
+        assert "fails the residual bound" in str(refusal)
+        _assert_rows_match(pair, [1.0] * 8, thetas)
+        # the refused width after a row that passes, and before one that fails
+        _assert_rows_match(pair, [1.0] * 2, thetas[[1, 7]])
+        _assert_rows_match(pair, [1.0] * 2, thetas[[7, 0]])
+        with pytest.raises(InvalidParameterError, match="sigma must be > 0"):
+            _ml_solve_many(pair, [1.0], thetas=thetas[[7]])

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -12,7 +11,7 @@ import accsens.theory_checks as theory_checks
 from accsens.classifier import Norm, apply_norm, region_accuracy, region_accuracy_gradient
 from accsens.boundary_solver import ml_boundaries
 from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair
-from accsens.errors import AccsensError
+from accsens.errors import AccsensError, UnresolvedClassifierError
 from accsens.theory_checks import (
     Verdict,
     check_a1,
@@ -280,6 +279,48 @@ class TestSolveOnce:
         assert len(scans) == (0 if closed_form else 1 + 2 * m)
 
 
+class TestThetaRowsInOneCall:
+    """The audit's 2m theta re-solves are one front-door call on a stack of
+    parameter rows, after the one call for the base and the eta stencil."""
+
+    @staticmethod
+    def _count_front_door(monkeypatch):
+        calls = []
+        solve = boundary_solver._ml_solve_many
+
+        def counted(*args, **kwargs):
+            calls.append("thetas" in kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(boundary_solver, "_ml_solve_many", counted)
+        monkeypatch.setattr(theory_checks, "_ml_solve_many", counted)
+        return calls
+
+    @pytest.mark.parametrize("fixture", ["table1_pair", "exp_pair"])
+    def test_at_most_two_front_door_calls(self, request, monkeypatch, fixture):
+        calls = self._count_front_door(monkeypatch)
+        run_all_checks(request.getfixturevalue(fixture))
+        # the stencil's call, then the theta rows' (9 and 5 calls with one
+        # call per re-solve)
+        assert calls == [False, True]
+
+    @pytest.mark.parametrize("fixture", ["table1_pair", "fig2c_pair", "exp_pair", "custom_exp_pair"])
+    def test_single_checks_equal_the_report(self, request, fixture):
+        pair = request.getfixturevalue(fixture)
+        report = run_all_checks(pair)
+        assert check_a2(pair) == report.a2
+        assert sensitivity_slope_witness(pair) == report.witness
+
+    def test_unresolved_base_raises_before_any_theta_row(self, monkeypatch):
+        # the ratio of exp(1) against exp(2) at p0 = 0.99 never crosses 1
+        pair = HypothesisPair(DensityModel.exponential(1.0), DensityModel.exponential(2.0), 0.99)
+        calls = self._count_front_door(monkeypatch)
+        for audit in (run_all_checks, check_a2, sensitivity_slope_witness):
+            with pytest.raises(UnresolvedClassifierError):
+                audit(pair)
+        assert True not in calls
+
+
 class TestSolverWarnings:
     def test_stencil_warning_reaches_the_report(self, table1_pair, monkeypatch):
         warning = "log ratio undefined on the whole interval"
@@ -289,10 +330,12 @@ class TestSolverWarnings:
         assert report.to_dict()["warnings"] == [warning]
 
     def test_warnings_are_deduplicated(self, table1_pair, monkeypatch):
-        solve, warning = theory_checks.ml_boundaries, "log ratio undefined on the whole interval"
+        # every solve behind the audit warns alike: the eta stencil's and
+        # the theta re-solves'
+        solve, warning = boundary_solver._gaussian_solve, "log ratio undefined on the whole interval"
         monkeypatch.setattr(
-            theory_checks, "ml_boundaries",
-            lambda *a, **k: dataclasses.replace(solve(*a, **k), warnings=(warning,)),
+            boundary_solver, "_gaussian_solve",
+            lambda pair, etas, *a: (*solve(pair, etas, *a)[:2], [(warning,)] * len(etas)),
         )
         assert run_all_checks(table1_pair).warnings == (warning,)
 
