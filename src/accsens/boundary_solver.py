@@ -34,7 +34,11 @@ sign changes together in one Newton call.
 That safeguarded Newton solver (``_newton``) is the one bracketed root
 solver of the library: the grid's ratio roots, the frontier's level sets and
 the design's separation roots share it, many brackets at once, each from its
-regula falsi point, with a residual slope supplied by the caller.
+regula falsi point, with a residual slope supplied by the caller.  A caller
+that also supplies the residual's curvature (the frontier's level sets, whose
+G' -> 0 beside a ratio root) gets a second-order step wherever Newton's
+Kantorovich condition |r G''| <= G'^2 / 2 fails: the step to the root of the
+local quadratic on the bracket's side, or to its vertex where it has none.
 """
 
 from __future__ import annotations
@@ -369,6 +373,29 @@ def _falsi(lo, hi, r_lo, r_hi):
     return np.where((z >= lo) & (z <= hi), z, 0.5 * (lo + hi))
 
 
+def _fold_steps(step, z, r, slope, curvature, right) -> None:
+    """Replace in ``step`` the Newton point of every bracket where Newton's
+    Kantorovich condition |r G''| <= G'^2 / 2 fails (r the residual at z, G'
+    its slope and G'' its curvature) by z + h, h the root of the local
+    quadratic r + G' h + G'' h^2 / 2 = 0 on the side of z where the root
+    lies (``right``), or its vertex -G' / G'' where it has no real root.
+    Where the condition fails, the quadratic has either no real root
+    (r G'' > 0) or one on each side of z (r G'' < 0).  A NaN curvature
+    keeps the Newton point."""
+    excess = r * curvature
+    np.abs(excess, out=excess)
+    excess *= 2.0
+    fold = excess > slope * slope
+    if not fold.any():
+        return
+    r, slope, curvature, right = r[fold], slope[fold], curvature[fold], right[fold]
+    disc = slope * slope - 2.0 * r * curvature
+    q = -0.5 * (slope + np.copysign(np.sqrt(np.maximum(disc, 0.0)), slope))
+    far, near = 2.0 * q / curvature, r / q  # the two roots, q / a and c / q
+    h = np.where(disc < 0.0, -slope / curvature, np.where((far > 0.0) == right, far, near))
+    step[fold] = z[fold] + h
+
+
 def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
     """Solve fn(x, *args) = 0 on every bracket [lo, hi] at once by
     safeguarded Newton steps; the residual is monotone on each bracket, and
@@ -377,12 +404,16 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
     design's separation roots.
 
     ``fn`` returns the residual, its slope and its rounding scale at x, and
-    acts on x and ``args`` elementwise.  ``lo``, ``hi``, ``r_lo``, ``r_hi``
-    and ``args`` are one-dimensional, one entry per bracket.  The first
-    point is the bracket's regula falsi point, and each point evaluated
-    replaces the bracket end on its side of 0.  The Newton step
-    x - residual / slope is taken when it lands inside the open bracket;
-    otherwise (the slope is 0 or NaN, or the step leaves the bracket) the
+    optionally a fourth value, its curvature; it acts on x and ``args``
+    elementwise.  ``lo``, ``hi``, ``r_lo``, ``r_hi`` and ``args`` are
+    one-dimensional, one entry per bracket.  The first point is the
+    bracket's regula falsi point, and each point evaluated replaces the
+    bracket end on its side of 0.  The Newton step x - residual / slope,
+    or, given a curvature, a second-order step where Newton's Kantorovich
+    condition |residual * curvature| <= slope^2 / 2 fails (``_fold_steps``:
+    next to a root where the slope tends to 0, as beside a double root,
+    Newton converges only linearly), is taken when it lands inside the open
+    bracket; otherwise (the slope is 0 or NaN, or the step leaves the bracket) the
     next point is the bracket's regula falsi point, or its midpoint once a
     fallback point has kept more than half of its bracket, until a Newton
     step lands again: a bracket that regula falsi shrinks from one side,
@@ -418,7 +449,7 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
     for _ in range(BISECTION_STEPS):
         if not live.size:
             return x
-        r, slope, scale = fn(z, *args)
+        r, slope, scale, *curvature = fn(z, *args)
         right = (r >= 0.0) != rising  # the root lies right of z
         half = 0.5 * (hi - lo)
         np.copyto(lo, z, where=right)
@@ -427,6 +458,8 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
         np.copyto(r_hi, r, where=~right)
         with np.errstate(all="ignore"):
             step = z - r / slope
+            if curvature:
+                _fold_steps(step, z, r, slope, curvature[0], right)
         newton = (step > lo) & (step < hi)  # NaN fails
         hit = np.abs(r) <= band * scale
         short = (step >= lo) & (step <= hi) & (np.abs(step - z) < tol)

@@ -137,6 +137,46 @@ def _pdf_dx(family: Family, x: np.ndarray, params) -> np.ndarray:
     return np.where(x >= 0.0, -lam * f, 0.0)
 
 
+def _cdf_pdf_dx(model: "DensityModel", x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cdf, pdf and d pdf / dx of ``model`` at the array x, from one
+    standardized argument.  The cdf and pdf of a built-in family carry the
+    operation order of ``_cdf`` and ``_pdf``, so they read what those read;
+    the slope is -(z / sigma) f for a Gaussian and -lam f for an
+    exponential.  A custom family's values come from its public methods.
+    The three arrays are new, for the caller to work on in place, as the
+    arithmetic here does where it can: a level-set solve calls this on
+    arrays far larger than the cache, where every temporary costs a pass
+    through memory."""
+    if model.family is Family.CUSTOM:
+        return tuple(np.array(v(x), dtype=float) for v in (model.cdf, model.pdf, model.pdf_dx))
+    if model.family is Family.GAUSSIAN:
+        mu, sigma = model.params
+        with np.errstate(over="ignore", invalid="ignore"):  # far out z is +-inf: cdf 0 or 1, slope NaN
+            z = x - mu
+            z /= sigma
+            f = -0.5 * z
+            f *= z
+            np.exp(f, out=f)
+            f /= sigma * _SQRT_2PI
+            dx = z / sigma
+            np.negative(dx, out=dx)
+            dx *= f
+            return ndtr(z), f, dx
+    (lam,) = model.params
+    outside = ~(x >= 0.0)  # NaN too, as in ``_cdf`` and ``_pdf``
+    with np.errstate(over="ignore"):  # a rate past about 1e154: slope -inf
+        t = np.where(outside, 0.0, x)
+        t *= lam
+        f = math.log(lam) - t
+        np.exp(f, out=f)
+        np.copyto(f, 0.0, where=outside)
+        np.negative(t, out=t)
+        np.expm1(t, out=t)
+        np.negative(t, out=t)
+        np.copyto(t, 0.0, where=outside)
+        return t, f, f * -lam
+
+
 def _grad_cdf(family: Family, x: np.ndarray, params) -> np.ndarray:
     """d cdf / d theta of a built-in family, as ``_cdf`` broadcasts it, with
     the parameters on a new first axis; 0 at the +-inf sentinels."""
@@ -390,13 +430,12 @@ class HypothesisPair:
 
     def with_theta(self, theta) -> "HypothesisPair":
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (len(self.theta),):
-            raise InvalidParameterError(
-                f"theta must have shape ({len(self.theta)},), got {theta.shape}"
-            )
-        k = self.split
+        size = len(self.h0.params) + len(self.h1.params)
+        if theta.shape != (size,):
+            raise InvalidParameterError(f"theta must have shape ({size},), got {theta.shape}")
+        k, values = self.split, theta.tolist()
         return HypothesisPair(
-            self.h0.with_params(theta[:k]), self.h1.with_params(theta[k:]), self.p0
+            self.h0.with_params(values[:k]), self.h1.with_params(values[k:]), self.p0
         )
 
     def digest(self) -> str:

@@ -33,7 +33,9 @@ back to the free boundary's whole bracket on the segment, so no level-set
 point is lost.  From the cell's regula falsi point, safeguarded Newton steps
 on G, whose slope G' = p0 f0 - p1 f1 is the accuracy's boundary gradient,
 solve every bracket of a call at once (``boundary_solver._newton``, the
-solver the grid's ratio roots and the design's separation roots share); a
+solver the grid's ratio roots and the design's separation roots share).
+The residual also carries G's curvature G'' = p0 f0' - p1 f1', so that
+beside a ratio root, where G' -> 0, the step is second order; a
 step that leaves its bracket falls back to regula falsi, and to midpoints
 once a regula falsi point keeps more than half of its bracket.  The scan only
 ranks grid points for the zoom, which solves the grid point itself again,
@@ -98,12 +100,11 @@ from .classifier import (
     Orientation,
     _accuracies,
     _gap,
-    _gap_slope,
     _gradients,
     _norms,
     region_accuracy,
 )
-from .densities import HypothesisPair
+from .densities import HypothesisPair, _cdf_pdf_dx
 from .errors import InfeasibleTargetError, InvalidParameterError, SolverFailureError
 
 ACCURACY_TOL = 1e-6
@@ -393,10 +394,25 @@ def _cells(grid, seg, target):
 
 
 def _level_residual(pair, z, target):
-    """G(z) - target, its slope G' = p0 f0 - p1 f1 and its rounding scale
-    p0 F0 + p1 F1 + |target|: the residual ``_newton`` solves on a level set."""
-    f0, f1 = pair.p0 * np.asarray(pair.h0.cdf(z)), pair.p1 * np.asarray(pair.h1.cdf(z))
-    return f0 - f1 - target, _gap_slope(pair, z), f0 + f1 + np.abs(target)
+    """G(z) - target, its slope G' = p0 f0 - p1 f1, its rounding scale
+    p0 F0 + p1 F1 + |target| and its curvature G'' = p0 f0' - p1 f1': the
+    residual ``_newton`` solves on a level set, from one density kernel call
+    per density."""
+    p0, p1 = pair.p0, pair.p1
+    f0, slope, curvature = _cdf_pdf_dx(pair.h0, z)
+    f1, pdf1, dx1 = _cdf_pdf_dx(pair.h1, z)
+    # in place, to the floats p0 * F0 - p1 * F1 - target and the like read:
+    # the arrays are large, and each temporary costs a pass through memory
+    for a, b in ((f0, f1), (slope, pdf1), (curvature, dx1)):
+        a *= p0
+        b *= p1
+    r = f0 - f1
+    r -= target
+    slope -= pdf1
+    curvature -= dx1
+    f0 += f1
+    f0 += np.abs(target)
+    return r, slope, f0, curvature
 
 
 def _crossing(lo, hi, g_lo, g_hi, target):

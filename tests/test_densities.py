@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from accsens.classifier import BoundarySet, GeneralSpec, MLSpec, sensitivity
-from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair
+from accsens.densities import CustomDensity, DensityModel, Family, HypothesisPair, _cdf_pdf_dx
 from accsens.errors import InvalidParameterError, SchemaError
 
 
@@ -189,6 +190,25 @@ class TestParameterGradients:
         exp = DensityModel.exponential(1.5)
         assert exp.pdf_dx(1.0) == pytest.approx(-1.5 * exp.pdf(1.0), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DensityModel.gaussian(2.0, 3.0),
+            DensityModel.gaussian(-1e3, 1e-3),
+            DensityModel.exponential(1.5),
+            DensityModel.exponential(1e-3),
+        ],
+    )
+    def test_one_kernel_reads_the_public_values(self, model):
+        # the frontier's level-set residual reads cdf and pdf from the one
+        # kernel: they must be the public floats, the slope their pdf_dx to
+        # rounding, out to the tails where both underflow
+        x = np.concatenate([np.linspace(-50.0, 50.0, 1001), [-1e300, -1e3, -0.0, 0.0, 1e-300, 1e3, 1e300, np.nan]])
+        cdf, pdf, pdf_dx = _cdf_pdf_dx(model, x)
+        assert cdf.tobytes() == np.asarray(model.cdf(x)).tobytes()
+        assert pdf.tobytes() == np.asarray(model.pdf(x)).tobytes()
+        np.testing.assert_allclose(pdf_dx, model.pdf_dx(x), rtol=1e-14, atol=0.0)
+
 
 class TestSampling:
     def test_exponential_mean_lln(self):
@@ -278,6 +298,18 @@ def _uniform_custom() -> CustomDensity:
 
 
 class TestCustomDensities:
+    def test_one_kernel_returns_new_arrays(self):
+        # the level-set residual scales the kernel's arrays in place, so a
+        # custom family's own arrays must come back as copies
+        cached = np.linspace(-1.0, 1.0, 5)
+        model = DensityModel.from_custom(replace(_uniform_custom(), pdf_dx=lambda x, p: cached), (0.0, 2.0))
+        x = np.linspace(-0.5, 2.5, 5)
+        publics = (model.cdf(x), model.pdf(x), model.pdf_dx(x))
+        for value, public in zip(_cdf_pdf_dx(model, x), publics):
+            assert value.tobytes() == np.asarray(public).tobytes()
+            value *= 3.0
+        assert cached.tolist() == np.linspace(-1.0, 1.0, 5).tolist()
+
     def test_fd_gradient_fallback(self):
         model = DensityModel.from_custom(_uniform_custom(), (0.0, 2.0))
         # interior point: d cdf / da = (x - b) / (b - a)^2, d cdf / db = -(x - a)/(b - a)^2
