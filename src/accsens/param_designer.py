@@ -12,11 +12,13 @@ even in d, and nondecreasing in |d|.  Every sensitivity component scales as
 the root of A(|d|, r) = gamma, the best design of that shape takes the
 largest sigma0 the box allows (a closed-form linear program in
 (mu0, sigma0)), and the design is a one-dimensional minimization over r: a
-geometric scan of r polished by an array zoom.  Both run on arrays over r:
-one safeguarded Newton solve (``boundary_solver._newton``, shared with the
-frontier) finds the separation roots of all ratios of a scan or zoom round
-together, with the slope dA/dd that the envelope theorem gives at the
-fixed roots, and one kernel gives the accuracy and sensitivity of every
+geometric scan of r polished by the frontier's zoom (``tradeoff._zoom``).
+Both run on arrays over r: one safeguarded Newton solve
+(``boundary_solver._newton``, shared with the frontier) finds the
+separation roots of all ratios of a scan or zoom round together, a zoom
+round's from the roots beside the last best ratio (``near``), with the
+slope dA/dd that the envelope theorem gives at the fixed roots, and one
+kernel gives the accuracy and sensitivity of every
 shape: the classifier's ``_accuracies`` and ``_gradients``, at the
 parameter vector (0, 1, d, r) of each shape's column.  The shapes' roots
 come from the closed form of ``ml_boundaries``
@@ -44,17 +46,13 @@ from .boundary_solver import _gaussian_pair_roots, _gaussian_roots, _log_k, _new
 from .classifier import Norm, Orientation, _accuracies, _alternating, _evaluate, _gradients, _norms
 from .densities import DensityModel, HypothesisPair, _gaussian_score
 from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError, SolverFailureError
-from .tradeoff import ACCURACY_TOL
+from .tradeoff import ACCURACY_TOL, _zoom
 
 #: Width ratios scanned per design, geometric over the box's range (r = 1 and
 #: the maximum-accuracy ratio are added as exact grid points).
 SCAN_POINTS = 400
 #: Absolute tolerance of the separation root.
 D_XTOL = 1e-13
-#: The zoom that polishes the scan's best ratio: samples per round and rounds.
-#: Each round shrinks the window around the best sample by a factor 32, from
-#: the best grid point's neighbours down to about 1e-9 of a grid cell.
-ZOOM_POINTS, ZOOM_ROUNDS = 65, 6
 #: Box limits.  The solver is scale-free: it sees a box only through the
 #: width ratio r = sigma1 / sigma0 and the separation d = gap / sigma0.
 #: r must lie in [1 / RATIO_LIMIT, RATIO_LIMIT], the range the design solver
@@ -68,8 +66,6 @@ SEPARATION_LIMIT = 1e40
 SCALE_LIMIT = 1e100
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_U = np.linspace(-1.0, 1.0, ZOOM_POINTS)
-_HALF = ZOOM_POINTS // 2
 
 
 # ---- closed-form laws ----
@@ -376,39 +372,32 @@ def _ratio_grid(problem: ParamDesignProblem, extra: tuple[float, ...] = ()) -> n
 
 
 def _scan_min(evaluate, grid: np.ndarray):
-    """Minimum over the ratio grid, polished by an array zoom between the
-    best point's neighbours: (r, columns at r, finite grid values).
+    """Minimum over the ratio grid, polished by the frontier's zoom
+    (``tradeoff._zoom``) on one minimum, the ratio its fixed coordinate:
+    (r, columns at r, finite grid values).
 
     ``evaluate(r, near)`` returns columns over the ratios r, the value to
-    minimize first; ``near`` holds the columns of the samples next to the
-    best one of the last round (of the grid, in round 1), or None for the
-    grid.  Each zoom round samples ZOOM_POINTS ratios, offset 0 at the
-    current best and each half spanning its own window side, and shrinks the
-    window to one sample spacing either side of the best sample.  The
-    minimum can sit on a kink where the binding box constraint switches, so
-    the better of the grid point and the zoomed point is kept.
+    minimize first; ``near`` is None for the grid, and in each zoom round
+    the columns of the last call at its best ratio and either side of it
+    (the grid's, in round 1).  The minimum can sit on a kink where the
+    binding box constraint switches, so the better of the grid point and
+    the zoomed point is kept.
     """
     cols = evaluate(grid, None)
     i = int(np.argmin(cols[0]))
     r_best, best = grid[i], [c[i] for c in cols]
     finite = int(np.count_nonzero(np.isfinite(cols[0])))
     if math.isfinite(best[0]) and grid.size > 1:
-        lo_end, hi_end = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        centre, below, above = grid[i], grid[i] - lo_end, hi_end - grid[i]
-        rs, j = grid, i
-        for _ in range(ZOOM_ROUNDS):
-            near = slice(max(j - 1, 0), j + 2)
-            known = [c[near] for c in cols]
-            rs = np.clip(centre + _U * np.where(_U < 0.0, below, above), lo_end, hi_end)
-            cols = evaluate(rs, known)
-            j = int(np.argmin(cols[0]))
-            centre = rs[j]
-            below, above = (
-                (below if j <= _HALF else above) / _HALF,
-                (above if j >= _HALF else below) / _HALF,
-            )
-        if cols[0][j] < best[0]:
-            r_best, best = rs[j], [c[j] for c in cols]
+
+        def solve(fixed):
+            nonlocal cols
+            j = int(cols[0].argmin())
+            cols = evaluate(fixed[0, 0], [c[max(j - 1, 0) : j + 2] for c in cols])
+            return cols[0][None], [*[c[None] for c in cols[1:]], fixed[0]]
+
+        *zoomed, r = (v[0] for v in _zoom(solve, grid, (np.array([i]),)))
+        if zoomed[0] < best[0]:
+            r_best, best = r, zoomed
     return float(r_best), [float(v) for v in best], finite
 
 

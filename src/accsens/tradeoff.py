@@ -470,18 +470,17 @@ def _with_free(x, fixed, free):
 
 def _level_set(pair, grid, d, tol, norm, fixed, free, seg):
     """The zoom's level-set points G(y_1) - G(y_2) + G(y_3) - ... = d, one
-    boundary free.
-
-    ``fixed`` holds the other n - 1 boundaries in order, samples off the
-    grid; boundary ``free`` (counted from 0) is solved to ``tol`` between
-    its fixed neighbours on the segment ``seg`` of ``grid`` (see
-    ``_level_root``).  The accuracy offset ``d`` is a column of per-minimum
-    offsets: the zoom refines the minima of several targets at once.  The
-    array arguments broadcast together; G is evaluated on them unbroadcast,
-    so the bracket check costs one evaluation per fixed value.
-    Returns the sensitivity and the n boundaries.  The sensitivity reads inf
-    where the segment holds no level-set point or the fixed boundaries are
-    out of order.
+    boundary free: the frontier's ``solve`` for ``_zoom``, all but ``fixed``
+    bound.  ``fixed`` holds the other n - 1 boundaries in order, samples off
+    the grid; boundary ``free`` (counted from 0) is solved to ``tol``
+    between its fixed neighbours on the segment ``seg`` of ``grid``, in the
+    cell where its level set crosses (see ``_level_root``).  ``d``, ``free``
+    and ``seg`` are columns, one entry per minimum.  The array arguments
+    broadcast together; G is evaluated on them unbroadcast, so the bracket
+    check costs one evaluation per fixed value.  Returns the sensitivity
+    and the n boundaries.  The sensitivity reads inf where the segment holds
+    no level-set point (so a branch that ends inside a cell is refined up
+    to its end) or the fixed boundaries are out of order.
     """
     points, g_points, cuts = grid
     seg_lo, seg_hi = points[cuts[seg]], points[cuts[seg + 1]]
@@ -568,48 +567,53 @@ def _scan(pair, grid, brackets, d, tol, norm, scan, free):
     return r[best], p[best], k[best], s[best], [y[best] for y in bounds]
 
 
-def _zoom(solve, ys, idx, free, seg):
+def _zoom_samples(points, dims):
+    """A zoom's samples over ``dims`` coordinates: their offsets in [-1, 1],
+    0 at the middle sample of each axis, and whether the window's new below
+    and above sides come from its above side when a sample is the best (the
+    second: whether the above side scales the sample's offset)."""
+    k = np.indices((points,) * dims).reshape(dims, -1)
+    return np.linspace(-1.0, 1.0, points)[k], np.stack([k > points // 2, k >= points // 2], axis=-1)
+
+
+_ZOOM_SAMPLES = {dims: _zoom_samples(points, dims) for dims, (points, _, _) in ZOOM.items()}
+
+
+def _zoom(solve, ys, idx):
     """Refine the minima found at the grid points ys[idx], all at once.
 
-    ``idx`` holds one array of grid indices per fixed boundary, and ``free``
-    and ``seg`` the free boundary and the segment of each minimum.  Each
-    round samples every minimum on a grid of offsets of its fixed
-    boundaries, offset 0 at the current best point and each half spanning
-    its own window side (the grid is not uniform where ratio roots are
-    inserted), and ``solve`` solves each sample's free boundary in the grid
-    cell where its level set crosses (see ``_level_root``).  The window
-    starts at the neighbouring grid points and then shrinks around the best
-    sample (see ZOOM), never past the starting window.  A sample whose free
-    boundary leaves the segment reads inf, so a branch that ends inside a
-    cell is refined up to its end.  Returns the sensitivity and the
-    boundaries of each minimum's best sample.
+    ``idx`` holds one array of grid indices per fixed coordinate, one entry
+    per minimum.  Each round samples every minimum on a grid of offsets of
+    its fixed coordinates, offset 0 at the current best point and each half
+    spanning its own window side (the grid need not be uniform).
+    ``solve(fixed)`` takes the samples, shape (coordinate, minimum, sample),
+    and returns their values and a list of columns to report, each of shape
+    (minimum, sample).  The window starts at the neighbouring grid points
+    and then shrinks around the best sample, the first on a tie (see ZOOM),
+    never past the starting window, so no result exceeds the value at its
+    starting grid point.  Returns the value and the columns of each
+    minimum's best sample.
     """
     points, keep, rounds = ZOOM[len(idx)]
-    shape = (points,) * len(idx)
-    u = np.linspace(-1.0, 1.0, points)
-    offsets = [u[k] for k in np.indices(shape).reshape(len(idx), -1)]
-    half = points // 2
-    lo_end = [ys[np.maximum(i - 1, 0)][:, None] for i in idx]
-    hi_end = [ys[np.minimum(i + 1, ys.size - 1)][:, None] for i in idx]
-    centre = [ys[i][:, None] for i in idx]
-    below = [c - e for c, e in zip(centre, lo_end)]
-    above = [e - c for c, e in zip(centre, hi_end)]
-    free, seg = free[:, None], seg[:, None]
+    offsets, sides = _ZOOM_SAMPLES[len(idx)]
+    step = keep / (points // 2)
+    idx = np.array(idx)
+    rows = np.arange(idx.shape[1])
+    lo_end, hi_end = ys[np.maximum(idx - 1, 0)][:, :, None], ys[np.minimum(idx + 1, ys.size - 1)][:, :, None]
+    centre = ys[idx][:, :, None]
+    # (coordinate, minimum, side): the window's below and above sides
+    window = np.concatenate([centre - lo_end, hi_end - centre], axis=-1)
+    offsets, up = offsets[:, None], sides[:, None, :, 1]
     for _ in range(rounds):
-        fixed = tuple(
-            np.clip(c + o * np.where(o < 0.0, b, a), e0, e1)
-            for c, o, b, a, e0, e1 in zip(centre, offsets, below, above, lo_end, hi_end)
-        )
-        s, bounds = solve(fixed, free, seg)
-        j = np.argmin(s, axis=1, keepdims=True)
-        centre = [np.take_along_axis(f, j, axis=1) for f in fixed]
-        # `keep` sample spacings on either side of the best sample
-        pos = np.unravel_index(j, shape)
-        below, above = (
-            [np.where(p <= half, b, a) * (keep / half) for p, b, a in zip(pos, below, above)],
-            [np.where(p >= half, a, b) * (keep / half) for p, b, a in zip(pos, below, above)],
-        )
-    return tuple(np.take_along_axis(v, j, axis=1)[:, 0] for v in (s, *bounds))
+        below, above = window[..., :1], window[..., 1:]
+        fixed = centre + offsets * np.where(up, above, below)
+        np.maximum(fixed, lo_end, out=fixed)
+        np.minimum(fixed, hi_end, out=fixed)
+        s, cols = solve(fixed)
+        j = s.argmin(axis=1)
+        centre = fixed[:, rows, j, None]
+        window = np.where(sides[:, j], above, below) * step
+    return tuple(v[rows, j] for v in (s, *cols))
 
 
 def _check_boundary_count(n_boundaries) -> None:
@@ -752,8 +756,9 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
         r, i, k, cand_sens = (np.concatenate(v) for v in zip(*(f[:4] for f in found)))
         cand_bounds = np.column_stack([np.concatenate(v) for v in zip(*(f[4] for f in found))])
         if scan and owner.size:
-            solve = partial(_level_set, pair, grid, np.repeat(offsets, sizes)[:, None], eps_tol, norm)
-            cand_sens, *zoomed = _zoom(solve, ys, tuple(j[i] for j in scan), free[r], k)
+            d = np.repeat(offsets, sizes)[:, None]
+            solve = partial(_level_set, pair, grid, d, eps_tol, norm, free=free[r][:, None], seg=k[:, None])
+            cand_sens, *zoomed = _zoom(solve, ys, tuple(j[i] for j in scan))
             cand_bounds = np.column_stack(zoomed)
             refined = int(owner.size)
         if n_boundaries == 3:

@@ -209,6 +209,16 @@ class TestParameterGradients:
         assert pdf.tobytes() == np.asarray(model.pdf(x)).tobytes()
         np.testing.assert_allclose(pdf_dx, model.pdf_dx(x), rtol=1e-14, atol=0.0)
 
+    def test_steep_exponential_slope_reads_minus_inf(self):
+        # lam f = lam^2 at the support edge overflows past a rate of about
+        # 1e154: the slope reads -inf, with no overflow warning, in the
+        # public method and in the kernel alike
+        model = DensityModel.exponential(1e300)
+        assert model.pdf_dx(0.0) == -math.inf
+        x = np.array([0.0, 1e-310, -1.0])
+        assert model.pdf_dx(x).tolist() == [-math.inf, -math.inf, 0.0]
+        assert _cdf_pdf_dx(model, x)[2].tolist() == [-math.inf, -math.inf, 0.0]
+
 
 class TestSampling:
     def test_exponential_mean_lln(self):

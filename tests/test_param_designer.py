@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -558,6 +559,18 @@ def test_fig3_designs_match_the_record():
         # a design reports the floats of the public functions at its pair
         assert result.accuracy == accuracy(MLSpec(1.0), result.pair)
         assert result.sensitivity == sensitivity(MLSpec(1.0), result.pair, result.norm)
+
+
+#: SHA-256 digests of the CSV text of the fig3 sweep (``linspace`` of the
+#: recorded gammas) in both norms.
+FIG3_SWEEPS = json.loads((Path(__file__).parent / "data" / "fig3_sweep_digests.json").read_text())
+
+
+@pytest.mark.parametrize("record", FIG3_SWEEPS, ids=lambda r: r["norm"])
+def test_fig3_sweep_is_unchanged(record):
+    start, stop, num = record["gammas"]
+    results = gamma_sweep(fig3_box(start, Norm(record["norm"])), np.linspace(start, stop, num))
+    assert hashlib.sha256(sweep_csv_text(results).encode()).hexdigest() == record["csv_sha256"]
 
 
 def _mp_accuracy(d, r, p0):

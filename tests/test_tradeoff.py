@@ -1112,6 +1112,89 @@ class TestCompactedScan:
             assert list(zip(*(v.tolist() for v in columns))) == _broadcast_scan(*args)
 
 
+
+#: Synthetic objectives of the zoom, by name: the number of coordinates and
+#: the value at the samples' offsets h from their minimum's minimiser;
+#: smooth and V-shaped in one coordinate, and separable in two.
+ZOOM_OBJECTIVES = {
+    "smooth": (1, lambda h: h[0] ** 2),
+    "v-shaped": (1, lambda h: np.abs(h[0])),
+    "separable": (2, lambda h: h[0] ** 2 + 3.0 * h[1] ** 2),
+}
+#: A non-uniform grid, so that the two sides of a window differ.
+ZOOM_GRID = np.geomspace(0.5, 20.0, 40)
+
+
+def _zoom_case(name, positions, seed):
+    """A zoom over the objective ``name``, one minimum per entry of
+    ``positions`` (each minimiser at that fraction of the span between its
+    starting point's neighbours): the starting indices, one array per
+    coordinate; the minimisers, (coordinate, minimum); and ``solve``."""
+    dims = ZOOM_OBJECTIVES[name][0]
+    rng = np.random.default_rng(seed)
+    idx = tuple(rng.integers(1, ZOOM_GRID.size - 1, len(positions)) for _ in range(dims))
+    # the grid's ends, with minimisers at least half a first-round sample
+    # spacing inside: the samples past an end all sit at the end, and a
+    # tie of them with the end point shrinks the window to nothing
+    idx[0][:2] = 0, ZOOM_GRID.size - 1
+    lo = ZOOM_GRID[np.maximum(np.array(idx) - 1, 0)]
+    hi = ZOOM_GRID[np.minimum(np.array(idx) + 1, ZOOM_GRID.size - 1)]
+    minimisers = lo + np.array(positions) * (hi - lo)
+    return idx, minimisers, _zoom_solve(name, minimisers)
+
+
+def _zoom_solve(name, minimisers):
+    def solve(fixed):
+        return ZOOM_OBJECTIVES[name][1](fixed - minimisers[:, :, None]), list(fixed)
+
+    return solve
+
+
+class TestZoom:
+    """The one zoom that polishes the frontier's minima (many at once) and
+    the design's best ratio (one), on synthetic objectives."""
+
+    POSITIONS = [0.5, 0.3, 0.0, 1.0, 0.77, 0.01, 0.5, 0.999]
+
+    @pytest.mark.parametrize("name", list(ZOOM_OBJECTIVES))
+    @pytest.mark.parametrize("spread", [1.0, 6.0])
+    def test_many_minima_as_one_minimum_each(self, name, spread):
+        positions = [spread * (p - 0.5) + 0.5 for p in self.POSITIONS]
+        idx, minimisers, solve = _zoom_case(name, positions, 3)
+        batch = tradeoff._zoom(solve, ZOOM_GRID, idx)
+        for k in range(len(positions)):
+            one_solve = _zoom_solve(name, minimisers[:, k : k + 1])
+            one = tradeoff._zoom(one_solve, ZOOM_GRID, tuple(i[k : k + 1] for i in idx))
+            assert [v.tobytes() for v in one] == [v[k : k + 1].tobytes() for v in batch]
+
+    @pytest.mark.parametrize("name", list(ZOOM_OBJECTIVES))
+    def test_never_above_the_starting_grid_point(self, name):
+        # minimisers out to three cells past either neighbour
+        positions = np.linspace(-3.0, 4.0, 15)
+        idx, minimisers, solve = _zoom_case(name, positions, 5)
+        value, *cols = tradeoff._zoom(solve, ZOOM_GRID, idx)
+        objective = ZOOM_OBJECTIVES[name][1]
+        assert np.all(value <= objective(ZOOM_GRID[np.array(idx)] - minimisers))
+        # the value is the one of the reported sample
+        assert value.tolist() == objective(np.array(cols) - minimisers).tolist()
+
+    @pytest.mark.parametrize("name", list(ZOOM_OBJECTIVES))
+    def test_finds_a_minimiser_between_the_neighbours(self, name):
+        idx, minimisers, solve = _zoom_case(name, self.POSITIONS, 7)
+        _, *cols = tradeoff._zoom(solve, ZOOM_GRID, idx)
+        points, keep, rounds = tradeoff.ZOOM[len(idx)]
+        half = points // 2
+        centre = ZOOM_GRID[np.array(idx)]
+        side = np.maximum(
+            centre - ZOOM_GRID[np.maximum(np.array(idx) - 1, 0)],
+            ZOOM_GRID[np.minimum(np.array(idx) + 1, ZOOM_GRID.size - 1)] - centre,
+        )
+        # the last round's sample spacing: the window side shrinks by
+        # keep / half per round, and each side holds half sample spacings
+        spacing = side * (keep / half) ** (rounds - 1) / half
+        assert np.all(np.abs(np.array(cols) - minimisers) <= spacing)
+
+
 def _rounding_band(pair, x, target):
     """G's rounding band at x: 4 eps (p0 F0 (1 + z0^2) + p1 F1 (1 + z1^2) +
     |target|), z the distance of x from each density's mean in its scales.
