@@ -423,29 +423,16 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
     Newton point of a step shorter than ``tol`` that stays in the bracket;
     or at its midpoint once it is narrower than ``tol`` or has taken
     BISECTION_STEPS points.
-    The state of the brackets is one stacked array, one row per quantity
-    (the ends, their residuals, the next point, the bracket's place in the
-    result, its direction and its fallback flags, and ``args``) and one
-    column per bracket.  A stopped bracket is masked out of the result; once
-    half of the columns have stopped they leave the array by one index, so
-    a root does not depend on the other brackets.  A NaN residual counts as
-    below 0.
+    Stopped brackets leave the arrays once half have stopped, so a root does
+    not depend on the other brackets.  A NaN residual counts as below 0.
     """
     band = 4.0 * np.finfo(float).eps
     x = np.empty(lo.shape)
-
-    def rows(state):
-        """The rows of the state, views but for the flags; every column live."""
-        lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, *args = state
-        flags = (rising > 0.0, fell_back > 0.0, halve > 0.0)
-        return lo, hi, r_lo, r_hi, z, at.astype(np.intp), *flags, args, np.ones(at.shape, dtype=bool)
-
+    lo, hi, r_lo, r_hi = (np.array(v, dtype=float) for v in (lo, hi, r_lo, r_hi))
+    z, at, rising = _falsi(lo, hi, r_lo, r_hi), np.arange(lo.size), r_hi >= r_lo
     # fell_back: z is a fallback point; halve: the next fallback is the midpoint
-    zeros = np.zeros(lo.shape)
-    state = np.array(
-        [lo, hi, r_lo, r_hi, _falsi(lo, hi, r_lo, r_hi), np.arange(lo.size), r_hi >= r_lo, zeros, zeros, *args]
-    )
-    lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, args, live = rows(state)
+    fell_back = halve = np.zeros(lo.shape, dtype=bool)
+    live = np.ones(lo.shape, dtype=bool)
     for _ in range(BISECTION_STEPS):
         if not live.size:
             return x
@@ -471,14 +458,15 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
             live &= ~done
         halve = (halve | fell_back & (width > half)) & ~newton
         fell_back = ~newton
-        z[...] = np.where(newton, step, mid)
+        z = np.where(newton, step, mid)
         falsi = fell_back & ~halve & live
         if falsi.any():
             z[falsi] = _falsi(lo[falsi], hi[falsi], r_lo[falsi], r_hi[falsi])
         if 2 * np.count_nonzero(live) <= live.size:
-            state[7], state[8] = fell_back, halve
-            state = state[:, live]
-            lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, args, live = rows(state)
+            lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, *args = (
+                v[live] for v in (lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, *args)
+            )
+            live = live[live]
     x[at[live]] = 0.5 * (lo + hi)[live]
     return x
 
@@ -492,30 +480,19 @@ def _search_grid(
     return np.linspace(lo, hi, grid)
 
 
-@dataclass(frozen=True)
-class _GridScan:
-    """Sign pattern of one threshold's log ratio gap on the search grid:
-    the brackets of its sign changes, with the gap at both ends, and the
-    first sign."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    f_lo: np.ndarray
-    f_hi: np.ndarray
-    first_sign: float
-
-
-def _scan(xs: np.ndarray, gap: np.ndarray) -> _GridScan | None:
-    """Scan one gap row; None when the ratio is undefined on the whole grid.
-    A NaN or an exact 0 carries no sign, and each pair of consecutive signed
-    points of opposite signs brackets one root: a 0 where the gap keeps its
-    sign (a touch), or at the end of the grid, is no root."""
+def _scan(xs: np.ndarray, gap: np.ndarray):
+    """Scan one gap row: the brackets of its sign changes and the gap at
+    both ends, with the first sign, as ``(lo, hi, f_lo, f_hi, first_sign)``;
+    None when the ratio is undefined on the whole grid.  A NaN or an exact 0
+    carries no sign, and each pair of consecutive signed points of opposite
+    signs brackets one root: a 0 where the gap keeps its sign (a touch), or
+    at the end of the grid, is no root."""
     if np.isnan(gap).all():
         return None
     signed = (gap < 0.0) | (gap > 0.0)
     xs_s, gap_s = xs[signed], gap[signed]
     i = np.nonzero((gap_s[:-1] < 0.0) != (gap_s[1:] < 0.0))[0]
-    return _GridScan(xs_s[i], xs_s[i + 1], gap_s[i], gap_s[i + 1], gap_s[0] if gap_s.size else -1.0)
+    return xs_s[i], xs_s[i + 1], gap_s[i], gap_s[i + 1], gap_s[0] if gap_s.size else -1.0
 
 
 def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None, grid: int):
@@ -545,11 +522,8 @@ def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None
         scans = [_scan(xs, head - log_eta - log_p0 - log_f0) for log_eta in log_etas]
 
     found = [s for s in scans if s is not None]
-    lo, hi, f_lo, f_hi = (
-        np.concatenate([np.zeros(0)] + [getattr(s, f) for s in found])
-        for f in ("lo", "hi", "f_lo", "f_hi")
-    )
-    bracket_log_eta = np.repeat(log_etas, [0 if s is None else s.lo.size for s in scans])
+    lo, hi, f_lo, f_hi = (np.concatenate([np.zeros(0)] + [s[k] for s in found]) for k in range(4))
+    bracket_log_eta = np.repeat(log_etas, [0 if s is None else s[0].size for s in scans])
 
     def residual(x: np.ndarray, log_eta: np.ndarray):
         with np.errstate(all="ignore"):
@@ -567,8 +541,8 @@ def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None
             h0_first.append(True)
             warnings.append(("log ratio undefined on the whole interval",))
             continue
-        roots.append(tuple(islice(solved, scan.lo.size)))
-        h0_first.append(scan.first_sign < 0)
+        roots.append(tuple(islice(solved, scan[0].size)))
+        h0_first.append(scan[4] < 0)
         warnings.append(())
     return roots, h0_first, warnings
 

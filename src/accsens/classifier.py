@@ -206,18 +206,20 @@ def _norms(grads: np.ndarray, norm: Norm) -> np.ndarray:
     return two
 
 
-def _evaluate(pair: HypothesisPair, sets, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
-    """Accuracy and sensitivity of every (boundaries, orientation) of
-    ``sets``, with one array call per boundary count."""
-    counts = np.asarray([len(b) for b, _ in sets], dtype=int)
+def _evaluate(pair: HypothesisPair, roots, h0_first: np.ndarray, norm: Norm):
+    """Accuracy, sensitivity and boundaries of every boundary set ``roots[i]``
+    (a tuple) in its orientation ``h0_first[i]``, with one array call per
+    boundary count; the boundaries are one row per set, padded with NaN."""
+    counts = np.asarray([len(rs) for rs in roots], dtype=np.intp)
     acc, sens = np.empty(counts.size), np.empty(counts.size)
+    bounds = np.full((counts.size, counts.max(initial=0)), np.nan)
     for n in np.unique(counts).tolist():
         (k,) = np.nonzero(counts == n)
-        ys = np.asarray([sets[i][0] for i in k], dtype=float).reshape(k.size, n).T
-        h0_first = np.asarray([sets[i][1] is Orientation.H0_FIRST for i in k])
-        acc[k] = _accuracies(pair, ys, h0_first)
-        sens[k] = _norms(_gradients(pair, ys, h0_first), norm)
-    return acc, sens
+        ys = np.asarray([roots[i] for i in k.tolist()], dtype=float).reshape(k.size, n)
+        bounds[k, :n] = ys
+        acc[k] = _accuracies(pair, ys.T, h0_first[k])
+        sens[k] = _norms(_gradients(pair, ys.T, h0_first[k]), norm)
+    return acc, sens, bounds
 
 
 def region_accuracy(pair: HypothesisPair, boundaries: Sequence[float], orientation: Orientation) -> float:

@@ -383,7 +383,8 @@ def _marker_points(pair: HypothesisPair, norm: Norm) -> list[dict]:
     if not base.roots:  # no best single boundary either
         return []
     lin = optimal_linear_boundary(pair)
-    acc, sens = _evaluate(pair, [(base.roots, base.orientation), ((lin.y,), lin.orientation)], norm)
+    h0_first = np.asarray([o is Orientation.H0_FIRST for o in (base.orientation, lin.orientation)])
+    acc, sens, _ = _evaluate(pair, [base.roots, (lin.y,)], h0_first, norm)
     styles = (("red", "max accuracy"), ("#b30000", "best linear"))
     return [
         {"x": x, "y": y, "color": color, "name": name}

@@ -172,8 +172,7 @@ def _design_eval(theta, p0: float, norm: Norm) -> tuple[float, float, tuple[floa
     pair = HypothesisPair(DensityModel.gaussian(*theta[:2]), DensityModel.gaussian(*theta[2:]), p0)
     lo, hi, h0_first = _gaussian_pair_roots(*theta, _log_k(pair, 1.0))
     roots = tuple(float(y) for y in (lo, hi) if y != math.inf)
-    orientation = Orientation.H0_FIRST if h0_first else Orientation.H1_FIRST
-    (acc,), (sens,) = _evaluate(pair, [(roots, orientation)], norm)
+    (acc,), (sens,), _ = _evaluate(pair, [roots], np.atleast_1d(h0_first), norm)
     return float(acc), float(sens), roots
 
 

@@ -99,6 +99,7 @@ from .classifier import (
     Norm,
     Orientation,
     _accuracies,
+    _evaluate,
     _gap,
     _gradients,
     _norms,
@@ -311,23 +312,16 @@ def ml_curve(
 
     Thresholds the ratio never crosses yield single-region classifiers with
     no representable boundary set; those grid points are dropped and counted.
-    The roots are grouped by their count, and each group is stacked and
-    evaluated in one array call.
+    The roots are evaluated by ``classifier._evaluate``, one array call per
+    boundary count.
     """
     grid = _check_grid(default_eta_grid() if eta_grid is None else eta_grid, "eta grid", "threshold")
     _, etas, roots, h0_first, warnings, _ = _ml_solve_many(pair, grid)
     solved = [i for i, rs in enumerate(roots) if rs]
     roots = [roots[i] for i in solved]
-    counts = np.asarray([len(rs) for rs in roots], dtype=np.intp)
     h0_first = np.asarray(h0_first, dtype=bool)[solved]
-    acc, sens = np.empty(counts.size), np.empty(counts.size)
-    bounds = np.full((counts.size, counts.max(initial=0)), np.nan)
-    for n in np.unique(counts).tolist():
-        (k,) = np.nonzero(counts == n)
-        rows = np.asarray([y for i in k.tolist() for y in roots[i]], dtype=float).reshape(k.size, n)
-        bounds[k, :n] = rows
-        acc[k] = _accuracies(pair, rows.T, h0_first[k])
-        sens[k] = _norms(_gradients(pair, rows.T, h0_first[k]), norm)
+    acc, sens, bounds = _evaluate(pair, roots, h0_first, norm)
+    counts = np.asarray([len(rs) for rs in roots], dtype=np.intp)
     metadata = {"eta_points": int(grid.size), "degenerate_etas": len(etas) - len(solved)}
     warnings = list(dict.fromkeys(w for ws in warnings for w in ws))
     if warnings:
@@ -611,8 +605,11 @@ def _zoom(solve, ys, idx):
         np.minimum(fixed, hi_end, out=fixed)
         s, cols = solve(fixed)
         j = s.argmin(axis=1)
-        centre = fixed[:, rows, j, None]
-        window = np.where(sides[:, j], above, below) * step
+        # a coordinate that stays at the centre (its samples clipped onto it
+        # at a grid end) keeps both its sides
+        best = fixed[:, rows, j, None]
+        window = np.where(np.where(best == centre, [False, True], sides[:, j]), above, below) * step
+        centre = best
     return tuple(v[rows, j] for v in (s, *cols))
 
 

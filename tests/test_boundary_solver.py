@@ -809,6 +809,29 @@ class TestNewtonFallback:
         assert len(points) < BISECTION_STEPS
 
 
+class TestNewtonInputs:
+    def test_the_caller_arrays_are_not_written(self):
+        # linear residuals stop at their first Newton point, cubic ones only
+        # after many, so the batch shrinks while the state is updated in place
+        root = np.asarray([0.3, 1.7, -2.0, 0.9, 5.0, -0.4])
+        power = np.asarray([1.0, 3.0, 1.0, 3.0, 1.0, 1.0])
+        lo, hi = root - np.asarray([1.0, 2.0, 0.5, 3.0, 0.25, 4.0]), root + np.asarray([2.0, 0.5, 1.0, 1.0, 3.0, 0.1])
+        r_lo, r_hi = -((root - lo) ** power), (hi - root) ** power
+        given = [v.copy() for v in (lo, hi, r_lo, r_hi, root, power)]
+        sizes = []
+
+        def fn(x, c, k):
+            sizes.append(x.size)
+            d = x - c
+            return d * np.abs(d) ** (k - 1.0), k * np.abs(d) ** (k - 1.0), np.zeros_like(x)
+
+        x = _newton(fn, lo, hi, r_lo, r_hi, 1e-9, root, power)
+        assert len(set(sizes)) > 2  # stopped at different points, and compacted
+        for v, w in zip((lo, hi, r_lo, r_hi, root, power), given):
+            assert v.tobytes() == w.tobytes()
+        assert np.all(np.abs(x - root) <= 1e-6)
+
+
 class TestResidualCheck:
     @pytest.mark.parametrize("name", ["table1_pair", "exp_pair"])
     def test_one_pdf_call_per_density_per_solve(self, name, request, monkeypatch):

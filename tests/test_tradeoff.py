@@ -1133,9 +1133,7 @@ def _zoom_case(name, positions, seed):
     dims = ZOOM_OBJECTIVES[name][0]
     rng = np.random.default_rng(seed)
     idx = tuple(rng.integers(1, ZOOM_GRID.size - 1, len(positions)) for _ in range(dims))
-    # the grid's ends, with minimisers at least half a first-round sample
-    # spacing inside: the samples past an end all sit at the end, and a
-    # tie of them with the end point shrinks the window to nothing
+    # the grid's ends: the samples past an end all sit at the end
     idx[0][:2] = 0, ZOOM_GRID.size - 1
     lo = ZOOM_GRID[np.maximum(np.array(idx) - 1, 0)]
     hi = ZOOM_GRID[np.minimum(np.array(idx) + 1, ZOOM_GRID.size - 1)]
@@ -1179,8 +1177,11 @@ class TestZoom:
         assert value.tolist() == objective(np.array(cols) - minimisers).tolist()
 
     @pytest.mark.parametrize("name", list(ZOOM_OBJECTIVES))
-    def test_finds_a_minimiser_between_the_neighbours(self, name):
-        idx, minimisers, solve = _zoom_case(name, self.POSITIONS, 7)
+    @pytest.mark.parametrize("ends", [(0.5, 0.3), (0.01, 0.999)])
+    def test_finds_a_minimiser_between_the_neighbours(self, name, ends):
+        # the minima at the grid's ends, at (0.01, 0.999) within a first-round
+        # sample spacing of the end point, which all the samples past it tie with
+        idx, minimisers, solve = _zoom_case(name, [*ends, *self.POSITIONS[2:]], 7)
         _, *cols = tradeoff._zoom(solve, ZOOM_GRID, idx)
         points, keep, rounds = tradeoff.ZOOM[len(idx)]
         half = points // 2
