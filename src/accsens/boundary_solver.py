@@ -39,6 +39,11 @@ that also supplies the residual's curvature (the frontier's level sets, whose
 G' -> 0 beside a ratio root) gets a second-order step wherever Newton's
 Kantorovich condition |r G''| <= G'^2 / 2 fails: the step to the root of the
 local quadratic on the bracket's side, or to its vertex where it has none.
+Where the condition holds, a Newton step h = r / G' whose error estimate
+(|G''| h^2 / 2 + |c h^3|) / |G'| is within half the bracket's tolerance is
+certified and taken as the root unevaluated, c the cubic term that fits the
+residual at the bracket's far end: G'' alone reads nearly 0 at an inflection
+point, where the step's error is cubic.
 """
 
 from __future__ import annotations
@@ -373,7 +378,7 @@ def _falsi(lo, hi, r_lo, r_hi):
     return np.where((z >= lo) & (z <= hi), z, 0.5 * (lo + hi))
 
 
-def _fold_steps(step, z, r, slope, curvature, right) -> None:
+def _fold_steps(step, z, r, slope, curvature, right) -> np.ndarray:
     """Replace in ``step`` the Newton point of every bracket where Newton's
     Kantorovich condition |r G''| <= G'^2 / 2 fails (r the residual at z, G'
     its slope and G'' its curvature) by z + h, h the root of the local
@@ -381,19 +386,20 @@ def _fold_steps(step, z, r, slope, curvature, right) -> None:
     lies (``right``), or its vertex -G' / G'' where it has no real root.
     Where the condition fails, the quadratic has either no real root
     (r G'' > 0) or one on each side of z (r G'' < 0).  A NaN curvature
-    keeps the Newton point."""
+    keeps the Newton point.  Returns where the condition fails."""
     excess = r * curvature
     np.abs(excess, out=excess)
     excess *= 2.0
     fold = excess > slope * slope
     if not fold.any():
-        return
+        return fold
     r, slope, curvature, right = r[fold], slope[fold], curvature[fold], right[fold]
     disc = slope * slope - 2.0 * r * curvature
     q = -0.5 * (slope + np.copysign(np.sqrt(np.maximum(disc, 0.0)), slope))
     far, near = 2.0 * q / curvature, r / q  # the two roots, q / a and c / q
     h = np.where(disc < 0.0, -slope / curvature, np.where((far > 0.0) == right, far, near))
     step[fold] = z[fold] + h
+    return fold
 
 
 def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
@@ -418,13 +424,26 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
     fallback point has kept more than half of its bracket, until a Newton
     step lands again: a bracket that regula falsi shrinks from one side,
     such as one whose far end is flat, halves at every later fallback point.
-    A bracket stops at the point whose |residual| lies within its rounding
-    band, 4 eps times the scale, where no float is a better root; at the
-    Newton point of a step shorter than ``tol`` that stays in the bracket;
-    or at its midpoint once it is narrower than ``tol`` or has taken
-    BISECTION_STEPS points.
-    Stopped brackets leave the arrays once half have stopped, so a root does
-    not depend on the other brackets.  A NaN residual counts as below 0.
+    A bracket stops by one of four rules, tested at each point evaluated
+    before the next point is made:
+
+    * at the point, where its |residual| lies within its rounding band, 4 eps
+      times the scale, and no float is a better root;
+    * at the Newton point of a step shorter than ``tol`` that stays in the
+      bracket;
+    * given a curvature, at the Newton point of a certified step: a plain
+      Newton step h = residual / slope (Kantorovich's condition holds, so
+      ``_fold_steps`` kept it) that lands inside the open bracket and whose
+      error estimate (|curvature| h^2 / 2 + |c h^3|) / |slope| is within
+      ``tol`` / 2, c the cubic term of the local model that meets the
+      residual at the bracket's far end, so the point that would confirm it
+      is never evaluated; a NaN or infinite curvature certifies no step;
+    * at its midpoint once it is narrower than ``tol``, or once it has taken
+      BISECTION_STEPS points.
+
+    Stopped brackets leave the arrays once half have stopped, before the
+    next points are made, so a root does not depend on the other brackets.
+    A NaN residual counts as below 0.
     """
     band = 4.0 * np.finfo(float).eps
     x = np.empty(lo.shape)
@@ -444,29 +463,40 @@ def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
         np.copyto(hi, z, where=~right)
         np.copyto(r_hi, r, where=~right)
         with np.errstate(all="ignore"):
-            step = z - r / slope
+            h = r / slope
+            step = z - h
             if curvature:
-                _fold_steps(step, z, r, slope, curvature[0], right)
+                g2 = curvature[0]
+                fold = _fold_steps(step, z, r, slope, g2, right)
+                # a plain step whose error estimate (|G''| h^2 / 2 + |c h^3|) / |G'|
+                # is within tol / 2, c the cubic term that fits the residual at
+                # the bracket's far end; a NaN or infinite curvature fails
+                d = np.where(right, hi, lo) - z
+                c = (np.where(right, r_hi, r_lo) - r - d * (slope + 0.5 * d * g2)) / (d * d * d)
+                error = (0.5 * np.abs(g2) + np.abs(c * h)) * h * h
+                certified = ~fold & (2.0 * error <= tol * np.abs(slope))
         newton = (step > lo) & (step < hi)  # NaN fails
         hit = np.abs(r) <= band * scale
         short = (step >= lo) & (step <= hi) & (np.abs(step - z) < tol)
+        if curvature:
+            short |= newton & certified
         width = hi - lo
         done = (hit | short | (width < tol)) & live
-        mid = 0.5 * (lo + hi)
         if done.any():
-            x[at[done]] = np.where(hit, z, np.where(short, step, mid))[done]
+            x[at[done]] = np.where(hit, z, np.where(short, step, 0.5 * (lo + hi)))[done]
             live &= ~done
+            if 2 * np.count_nonzero(live) <= live.size:
+                lo, hi, r_lo, r_hi, step, newton, width, half, at, rising, fell_back, halve, *args = (
+                    v[live]
+                    for v in (lo, hi, r_lo, r_hi, step, newton, width, half, at, rising, fell_back, halve, *args)
+                )
+                live = live[live]
         halve = (halve | fell_back & (width > half)) & ~newton
         fell_back = ~newton
-        z = np.where(newton, step, mid)
+        z = np.where(newton, step, 0.5 * (lo + hi))
         falsi = fell_back & ~halve & live
         if falsi.any():
             z[falsi] = _falsi(lo[falsi], hi[falsi], r_lo[falsi], r_hi[falsi])
-        if 2 * np.count_nonzero(live) <= live.size:
-            lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, *args = (
-                v[live] for v in (lo, hi, r_lo, r_hi, z, at, rising, fell_back, halve, *args)
-            )
-            live = live[live]
     x[at[live]] = 0.5 * (lo + hi)[live]
     return x
 

@@ -35,9 +35,14 @@ on G, whose slope G' = p0 f0 - p1 f1 is the accuracy's boundary gradient,
 solve every bracket of a call at once (``boundary_solver._newton``, the
 solver the grid's ratio roots and the design's separation roots share).
 The residual also carries G's curvature G'' = p0 f0' - p1 f1', so that
-beside a ratio root, where G' -> 0, the step is second order; a
-step that leaves its bracket falls back to regula falsi, and to midpoints
-once a regula falsi point keeps more than half of its bracket.  The scan only
+beside a ratio root, where G' -> 0, the step is second order, and
+elsewhere a Newton step h = r / G' whose error estimate, its curvature
+term |G''| h^2 / (2 |G'|) and a cubic term fitted at the bracket's far end,
+is within half the tolerance is the root, unevaluated (``_newton``'s
+certified step); a step that leaves its bracket falls back to regula
+falsi, and to midpoints once a regula falsi point keeps more than half of
+its bracket.
+The scan only
 ranks grid points for the zoom, which solves the grid point itself again,
 so it stops at a ranking tolerance (SCAN_RTOL); one boundary has no zoom
 and is scanned to full precision.  A reported boundary where both cdfs
@@ -370,20 +375,35 @@ def linear_curve(
 # rank sensitivities in H0_FIRST.
 
 
+def _segments(g_ys, cuts):
+    """The rows that ``_cells`` searches, one per segment k of the grid, from
+    ys[cuts[k]] to ys[cuts[k + 1]]: the index a of its first point, its
+    number of cells, its direction (1.0 where G rises on it, -1.0 where G
+    falls) and G on its points times the direction, which rises."""
+    segments = []
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        direction = 1.0 if g_ys[b] >= g_ys[a] else -1.0
+        segments.append((a, b - a, direction, direction * g_ys[a:b + 1]))
+    return segments
+
+
 def _cells(grid, seg, target):
     """The grid cell [ys[c - 1], ys[c]] of segment ``seg`` in which G crosses
     each target, and G at its ends.
 
-    ``grid`` is (ys, G(ys), cuts): segment k runs from ys[cuts[k]] to
-    ys[cuts[k + 1]], and G is monotone on it.  A target that G does not
-    reach on its segment gets the segment's end cell on its side.
+    ``grid`` is (ys, G(ys), cuts, segments): segment k runs from
+    ys[cuts[k]] to ys[cuts[k + 1]], G is monotone on it, and ``segments[k]``
+    holds its row of G signed to rise (see ``_segments``).  A target that G
+    does not reach on its segment gets the segment's end cell on its side.
     """
-    ys, g_ys, cuts = grid
+    ys, g_ys, _, segments = grid
     c = np.empty(target.shape, dtype=np.intp)
-    for k, (a, b) in enumerate(zip(cuts[:-1].tolist(), cuts[1:].tolist())):
+    for k, (a, cells, direction, row) in enumerate(segments):
         on = seg == k
-        direction = 1.0 if g_ys[b] >= g_ys[a] else -1.0
-        c[on] = a + np.searchsorted(direction * g_ys[a:b + 1], direction * target[on]).clip(1, b - a)
+        i = np.searchsorted(row, direction * target[on])
+        np.maximum(i, 1, out=i)
+        np.minimum(i, cells, out=i)
+        c[on] = a + i
     return ys[c - 1], ys[c], g_ys[c - 1], g_ys[c]
 
 
@@ -476,7 +496,7 @@ def _level_set(pair, grid, d, tol, norm, fixed, free, seg):
     no level-set point (so a branch that ends inside a cell is refined up
     to its end) or the fixed boundaries are out of order.
     """
-    points, g_points, cuts = grid
+    points, g_points, cuts, _ = grid
     seg_lo, seg_hi = points[cuts[seg]], points[cuts[seg + 1]]
     g_fixed = [_gap(pair, y) for y in fixed]
     lower, upper, g_lower, g_upper = -math.inf, math.inf, 0.0, 0.0
@@ -514,7 +534,7 @@ def _brackets(grid, scan, free):
     ends, the signed sum of the fixed terms (see ``_fixed_sum``) and whether
     the free boundary is even.
     """
-    ys, g_ys, cuts = grid
+    ys, g_ys, cuts, _ = grid
     n = len(free)
     rows = []
     for r, f in enumerate(free.tolist()):
@@ -735,7 +755,8 @@ def _constrained_minima(pair: HypothesisPair, zetas, norm: Norm, n_boundaries: i
             scan = np.triu_indices(ys.size)
         else:
             scan = (np.arange(ys.size),) * (n_boundaries - 1)
-        grid = (ys, _gap(pair, ys), cuts)
+        g_ys = _gap(pair, ys)
+        grid = (ys, g_ys, cuts, _segments(g_ys, cuts))
 
         # the scan only ranks the grid points that a zoom refines
         eps_tol = 2.0 * np.finfo(float).eps * (hi - lo)

@@ -832,6 +832,49 @@ class TestNewtonInputs:
         assert np.all(np.abs(x - root) <= 1e-6)
 
 
+class TestNewtonCertifiedStep:
+    """Given a curvature, ``_newton`` stops at a plain Newton step whose error
+    estimate (|G''| h^2 / 2 + |c h^3|) / |G'|, c the cubic term fitted at the
+    bracket's far end, is within ``tol`` / 2, without evaluating it: a step
+    longer than the ``tol`` of a short stop; a NaN curvature certifies no
+    step."""
+
+    TARGETS = np.asarray([1.5, 3.0, 6.0])
+    TOL = 1e-12
+
+    def _solve(self, curvature=None):
+        """exp(x) = t on [0, 2], whose slope and curvature are exp(x), with the
+        curvature ``curvature(exp(x))`` or none: the roots, the number of
+        residual calls and the points evaluated for each target.  The
+        rounding scale 0 leaves no stop within rounding."""
+        calls, points = [], {t: [] for t in self.TARGETS.tolist()}
+
+        def fn(x, t):
+            calls.append(x.size)
+            for z, target in zip(x.tolist(), t.tolist()):
+                points[target].append(z)
+            e = np.exp(x)
+            return (e - t, e, np.zeros_like(x)) + (() if curvature is None else (curvature(e),))
+
+        t = self.TARGETS
+        x = _newton(fn, np.zeros(t.size), np.full(t.size, 2.0), 1.0 - t, math.exp(2.0) - t, self.TOL, t)
+        return x, len(calls), [points[target] for target in t.tolist()]
+
+    def test_a_certified_step_saves_the_confirming_point(self):
+        x, calls, points = self._solve(lambda e: e)
+        _, plain_calls, _ = self._solve()
+        assert np.all(np.abs(x - np.log(self.TARGETS)) <= self.TOL)
+        assert calls < plain_calls
+        # a short stop is within tol of its last point
+        assert all(min(abs(root - z) for z in zs) > self.TOL for root, zs in zip(x.tolist(), points))
+
+    def test_a_nan_curvature_certifies_nothing(self):
+        x, calls, _ = self._solve(lambda e: np.full_like(e, np.nan))
+        plain, plain_calls, _ = self._solve()
+        assert x.tobytes() == plain.tobytes()
+        assert calls == plain_calls
+
+
 class TestResidualCheck:
     @pytest.mark.parametrize("name", ["table1_pair", "exp_pair"])
     def test_one_pdf_call_per_density_per_solve(self, name, request, monkeypatch):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -1062,7 +1062,7 @@ def _broadcast_scan(pair, grid, brackets, d, tol, norm, scan, free):
     segment) entry, G evaluated at the fixed grid points, and a loop over
     the runs of each row and segment.  Rows of (row, index, segment,
     sensitivity, boundaries...)."""
-    ys, _, cuts = grid
+    ys, _, cuts, _ = grid
     fixed = tuple(ys[i][:, None] for i in scan)
     s, bounds = tradeoff._level_set(
         pair, grid, d, tol, norm, fixed, free[:, None, None], np.arange(cuts.size - 1)
@@ -1217,6 +1217,19 @@ def _level_newton(pair, lo, hi, g_lo, g_hi, target, tol):
     return _newton(partial(tradeoff._level_residual, pair), lo, hi, g_lo - target, g_hi - target, tol, target)
 
 
+def _inflections(pair, a, b):
+    """The inflection points of G in (a, b): the sign changes of its
+    curvature G'' = p0 f0' - p1 f1' on 257 points, each solved by brentq."""
+
+    def curvature(y):
+        return float(pair.p0 * pair.h0.pdf_dx(y) - pair.p1 * pair.h1.pdf_dx(y))
+
+    ys = np.linspace(a, b, 257)
+    c = np.asarray([curvature(y) for y in ys])
+    changes = np.flatnonzero(((c[:-1] < 0.0) & (c[1:] > 0.0)) | ((c[:-1] > 0.0) & (c[1:] < 0.0)))
+    return [brentq(curvature, ys[i], ys[i + 1], xtol=1e-15) for i in changes.tolist()]
+
+
 @st.composite
 def level_brackets(draw):
     """A pair and 1 to 8 brackets, each a piece of a segment of the search
@@ -1224,16 +1237,26 @@ def level_brackets(draw):
 
     Some brackets end at a ratio root, where G has its extreme and G' -> 0,
     with a target within 1e-14 to 1e-2 (of G's rise on the bracket) of that
-    extreme: the root lies close to where Newton converges only linearly."""
+    extreme: the root lies close to where Newton converges only linearly.
+    Some hold an inflection point of G (p0 f0' = p1 f1', so G'' = 0), where
+    the curvature term |G''| h^2 / (2 |G'|) of a Newton step's error reads
+    0, with a target anywhere on the bracket or at G there.  Some end at a
+    saturation point, in the flat tail where both cdfs read exactly 0 or 1
+    and G', G'' underflow, with a target within 1e-16 to 1 (of G's rise) of
+    the flat value."""
     pair = draw(st.one_of(two_root_gaussian_pairs(), exponential_pairs()))
     lo, hi = default_search_interval(pair)
+    l_sat, h_sat = _saturation_points(pair, lo, hi)
     ends = [lo, *(r for r in ml_boundaries(pair, 1.0).roots if lo < r < hi), hi]
+    inflections = [(k, c) for k in range(len(ends) - 1) for c in _inflections(pair, ends[k], ends[k + 1])]
+    kinds = ["piece", "root", "tail"] + ["inflection"] * bool(inflections)
     brackets = []
     for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(kinds))
         k = draw(st.integers(0, len(ends) - 2))
         width = (ends[k + 1] - ends[k]) * 10.0 ** -draw(st.floats(0.0, 5.0))
         at_root = [e for e in (k, k + 1) if 0 < e < len(ends) - 1]
-        if at_root and draw(st.booleans()):
+        if kind == "root" and at_root:
             e = draw(st.sampled_from(at_root))
             if e == k:
                 a, b = ends[k], min(ends[k] + width, ends[k + 1])
@@ -1242,6 +1265,26 @@ def level_brackets(draw):
             g_a, g_b = float(_gap(pair, a)), float(_gap(pair, b))
             g_root, g_far = (g_a, g_b) if e == k else (g_b, g_a)
             target = g_root + 10.0 ** -draw(st.floats(2.0, 14.0)) * (g_far - g_root)
+        elif kind == "inflection":
+            k, c = draw(st.sampled_from(inflections))
+            width = (ends[k + 1] - ends[k]) * 10.0 ** -draw(st.floats(0.0, 5.0))
+            u = draw(st.floats(0.05, 0.95))
+            a, b = max(c - u * width, ends[k]), min(c + (1.0 - u) * width, ends[k + 1])
+            g_a, g_b = float(_gap(pair, a)), float(_gap(pair, b))
+            v = draw(st.one_of(st.floats(0.0, 1.0), st.none()))
+            target = float(_gap(pair, c)) if v is None else g_a + v * (g_b - g_a)
+        elif kind == "tail":
+            u = draw(st.floats(0.0, 1.0))
+            if draw(st.booleans()):
+                a, b = ends[-2] + u * (ends[-1] - ends[-2]), h_sat
+                g_far, g_flat = float(_gap(pair, a)), float(_gap(pair, b))
+                g_a, g_b = g_far, g_flat
+            else:
+                a, b = l_sat, ends[0] + u * (ends[1] - ends[0])
+                g_flat, g_far = float(_gap(pair, a)), float(_gap(pair, b))
+                g_a, g_b = g_flat, g_far
+            assume(a < b)
+            target = g_flat + 10.0 ** -draw(st.floats(0.0, 16.0)) * (g_far - g_flat)
         else:
             a = ends[k] + draw(st.floats(0.0, 1.0)) * (ends[k + 1] - ends[k] - width)
             b = min(a + width, ends[k + 1])
@@ -1252,9 +1295,50 @@ def level_brackets(draw):
     return pair, *(np.asarray(v) for v in zip(*brackets))
 
 
+def _example_brackets(h0, h1, p0, lo, hi, target):
+    return HypothesisPair(h0, h1, p0), *(np.asarray(v, dtype=float) for v in (lo, hi, target))
+
+
 class TestNewtonLevelSet:
     @settings(max_examples=60, deadline=None)
     @given(level_brackets(), st.sampled_from([SCAN_RTOL, 2.0 * np.finfo(float).eps]))
+    # the first point lands on G's inflection point ln 4, where G'' reads
+    # 2.8e-17 and the Newton step's error, 1.5e-7, is cubic
+    @example(
+        _example_brackets(
+            DensityModel.exponential(1.0), DensityModel.exponential(2.0), 0.5,
+            [0.9709517201478879], [1.8016370020918933], [-0.0932714637308569],
+        ),
+        SCAN_RTOL,
+    )
+    # a step whose estimate |G''| h^2 / (2 |G'|) is 0.9994 tol, and whose
+    # error is 1.0003 tol
+    @example(
+        _example_brackets(
+            DensityModel.gaussian(0.1, 1.2013521706569459), DensityModel.gaussian(0.0, 5.278088302635863),
+            0.3721124919084896, [1.8124295747280972], [42.22470642108691], [-0.056854473272948514],
+        ),
+        SCAN_RTOL,
+    )
+    # in the lower tail at tol = 2 eps (hi - lo): a step whose estimate is
+    # 0.93 tol, where the rounding of G spans about tol
+    @example(
+        _example_brackets(
+            DensityModel.gaussian(0.0, 1.109375), DensityModel.gaussian(-0.68359375, 0.5), 0.40625,
+            [-62.125, -8.875, -8.875, -8.875], [-7.769532187675045] + [-1.8000060011202863] * 3,
+            [2.1198556235214462e-14] + [2.5272652332978948e-16] * 3,
+        ),
+        2.0 * np.finfo(float).eps,
+    )
+    # a root 4e-20 (in G) from the end of a bracket reaching into the flat
+    # tail, where brentq takes 103 iterations
+    @example(
+        _example_brackets(
+            DensityModel.exponential(1.0), DensityModel.exponential(2.0), 0.5,
+            [0.0, 0.0, 9.0], [0.6931471805599453, 0.6931471805599453, 72.0], [0.0, 0.0, -6.169728705346374e-05],
+        ),
+        SCAN_RTOL,
+    )
     def test_roots_agree_with_brentq(self, brackets, rtol):
         pair, lo, hi, target = brackets
         search_lo, search_hi = default_search_interval(pair)
@@ -1262,7 +1346,7 @@ class TestNewtonLevelSet:
         g_lo, g_hi = _gap(pair, lo), _gap(pair, hi)
         x = _level_newton(pair, lo, hi, g_lo, g_hi, target, tol)
         reference = np.asarray([
-            brentq(lambda y: float(_gap(pair, y)) - t, a, b, xtol=1e-15, rtol=1e-15)
+            brentq(lambda y: float(_gap(pair, y)) - t, a, b, xtol=1e-15, rtol=1e-15, maxiter=400)
             for a, b, t in zip(lo, hi, target)
         ])
         assert np.all((x >= lo) & (x <= hi))
@@ -1350,27 +1434,51 @@ class TestNewtonLevelSet:
                 target = g_root + fraction * (g_far - g_root)
                 assert self._steps(table1_pair, lo, hi, target) <= self.RATIO_ROOT_STEPS
 
-    #: Residual points (calls of ``_level_residual``) of whole n = 3 inf
-    #: curves on the default grids.  exp(1)/exp(2): 1,677 when the fallback
-    #: alternated regula falsi and midpoints, 1,498 when it halves once a
-    #: fallback point keeps most of its bracket, 1,350 with the second-order
-    #: step beside ratio roots.  table1: 1,026 with Newton steps alone, 582
-    #: with the second-order step.
-    CURVE_POINTS = {"exp": 1350, "table1": 582}
+    #: Residual calls of ``_level_residual`` and residual points (the array
+    #: elements passed to it) of whole inf curves on the default grids, by
+    #: pair and boundary count.  exp(1)/exp(2), n = 3: 1,677 calls when the
+    #: fallback alternated regula falsi and midpoints, 1,498 when it halves
+    #: once a fallback point keeps most of its bracket, 1,350 calls and
+    #: 16,675,660 points with the second-order step beside ratio roots, 1,230
+    #: and 12,298,837 with the certified step.  table1, n = 3: 1,026 calls
+    #: with Newton steps alone, 582 calls and 16,951,113 points with the
+    #: second-order step, 452 and 12,861,156 with the certified step.  n = 2,
+    #: second-order step -> certified step: exp 338 -> 276 calls and 606,333
+    #: -> 340,432 points; table1 205 -> 143 calls and 547,858 -> 346,125
+    #: points.
+    CURVE_POINTS = {
+        ("exp", 3): (1230, 12_298_837),
+        ("table1", 3): (452, 12_861_156),
+        ("exp", 2): (276, 340_432),
+        ("table1", 2): (143, 346_125),
+    }
 
     @staticmethod
-    def _curve_points(pair, monkeypatch):
-        count, newton = [], tradeoff._newton
+    def _curve_points(pair, n_boundaries, monkeypatch):
+        """The residual calls and points of the default inf curve of ``pair``."""
+        sizes, newton = [], tradeoff._newton
 
         def counting(fn, *args):
-            return newton(lambda z, *a: count.append(1) or fn(z, *a), *args)
+            return newton(lambda z, *a: sizes.append(z.size) or fn(z, *a), *args)
 
         monkeypatch.setattr(tradeoff, "_newton", counting)
-        general_curve(pair, n_boundaries=3, norm=Norm.INF)
-        return len(count)
+        general_curve(pair, n_boundaries=n_boundaries, norm=Norm.INF)
+        return len(sizes), sum(sizes)
+
+    def _check_curve_points(self, pair, name, n_boundaries, monkeypatch):
+        calls, points = self._curve_points(pair, n_boundaries, monkeypatch)
+        max_calls, max_points = self.CURVE_POINTS[name, n_boundaries]
+        assert 0 < calls <= max_calls
+        assert 0 < points <= max_points
 
     def test_exponential_curve_points(self, exp_pair, monkeypatch):
-        assert 0 < self._curve_points(exp_pair, monkeypatch) <= self.CURVE_POINTS["exp"]
+        self._check_curve_points(exp_pair, "exp", 3, monkeypatch)
 
     def test_table1_curve_points(self, table1_pair, monkeypatch):
-        assert 0 < self._curve_points(table1_pair, monkeypatch) <= self.CURVE_POINTS["table1"]
+        self._check_curve_points(table1_pair, "table1", 3, monkeypatch)
+
+    def test_exponential_two_boundary_curve_points(self, exp_pair, monkeypatch):
+        self._check_curve_points(exp_pair, "exp", 2, monkeypatch)
+
+    def test_table1_two_boundary_curve_points(self, table1_pair, monkeypatch):
+        self._check_curve_points(table1_pair, "table1", 2, monkeypatch)
