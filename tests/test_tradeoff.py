@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from accsens import boundary_solver
+from accsens import boundary_solver, fig3_box, gamma_sweep
 from accsens._records import plain
 from accsens.boundary_solver import (
     _newton,
@@ -354,6 +354,40 @@ class TestRecordedMinima:
         assert [p.parameter for p in curve.points] == record["zetas"]
         for p, recorded in zip(curve.points, record["sensitivities"]):
             assert p.sensitivity <= recorded * (1.0 + 1e-6)
+
+
+#: Sensitivities as the zoom gave them with six sampling rounds and no
+#: interpolation step: the default 60-target two-boundary curves of table1,
+#: fig2c and exp(1)/exp(2), and the 20-gamma fig3 designs, both norms.
+CEILINGS = json.loads((Path(__file__).parent / "data" / "sensitivity_ceilings.json").read_text())
+
+
+class TestSensitivityCeilings:
+    """No zoomed minimum rises above its recorded value by more than 1e-9
+    relative, and every recorded target is still solved."""
+
+    @pytest.mark.parametrize(
+        "record", [r for r in CEILINGS if "pair" in r], ids=lambda r: f"{r['pair']}-{r['norm']}"
+    )
+    def test_curve(self, record, request):
+        pair = request.getfixturevalue(f"{record['pair']}_pair")
+        n = record["n_boundaries"]
+        zetas = default_zeta_grid(pair, n)
+        assert zetas.tolist() == record["zetas"]
+        curve = general_curve(pair, zetas, n, Norm(record["norm"]))
+        points = sorted(curve.points, key=lambda p: p.parameter)
+        assert [p.parameter for p in points] == record["zetas"]
+        for p, recorded in zip(points, record["sensitivities"]):
+            assert p.sensitivity <= recorded * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("record", [r for r in CEILINGS if "box" in r], ids=lambda r: f"fig3-{r['norm']}")
+    def test_design(self, record):
+        gammas = record["gammas"]
+        assert gammas == np.linspace(0.55, 0.99, 20).tolist()
+        results = gamma_sweep(fig3_box(gammas[0], Norm(record["norm"])), gammas)
+        assert [r.gamma for r in results] == gammas
+        for result, recorded in zip(results, record["sensitivities"]):
+            assert result.sensitivity <= recorded * (1.0 + 1e-9)
 
 
 RECORDED_CURVES = json.loads((Path(__file__).parent / "data" / "frontier_curves.json").read_text())
