@@ -385,14 +385,16 @@ def _fold_steps(step, z, r, slope, curvature, right) -> np.ndarray:
     quadratic r + G' h + G'' h^2 / 2 = 0 on the side of z where the root
     lies (``right``), or its vertex -G' / G'' where it has no real root.
     Where the condition fails, the quadratic has either no real root
-    (r G'' > 0) or one on each side of z (r G'' < 0).  A NaN curvature
-    keeps the Newton point.  Returns where the condition fails."""
+    (r G'' > 0) or one on each side of z (r G'' < 0).  A curvature that
+    is not finite keeps the Newton point: the quadratic's step would be 0
+    or NaN.  Returns where the condition fails for a finite curvature."""
     excess = r * curvature
     np.abs(excess, out=excess)
     excess *= 2.0
     fold = excess > slope * slope
     if not fold.any():
         return fold
+    fold &= np.isfinite(curvature)
     r, slope, curvature, right = r[fold], slope[fold], curvature[fold], right[fold]
     disc = slope * slope - 2.0 * r * curvature
     q = -0.5 * (slope + np.copysign(np.sqrt(np.maximum(disc, 0.0)), slope))

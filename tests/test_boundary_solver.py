@@ -836,8 +836,8 @@ class TestNewtonCertifiedStep:
     """Given a curvature, ``_newton`` stops at a plain Newton step whose error
     estimate (|G''| h^2 / 2 + |c h^3|) / |G'|, c the cubic term fitted at the
     bracket's far end, is within ``tol`` / 2, without evaluating it: a step
-    longer than the ``tol`` of a short stop; a NaN curvature certifies no
-    step."""
+    longer than the ``tol`` of a short stop; a curvature that is not finite
+    certifies no step and keeps the Newton step."""
 
     TARGETS = np.asarray([1.5, 3.0, 6.0])
     TOL = 1e-12
@@ -868,9 +868,13 @@ class TestNewtonCertifiedStep:
         # a short stop is within tol of its last point
         assert all(min(abs(root - z) for z in zs) > self.TOL for root, zs in zip(x.tolist(), points))
 
-    def test_a_nan_curvature_certifies_nothing(self):
-        x, calls, _ = self._solve(lambda e: np.full_like(e, np.nan))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_curvature_that_is_not_finite_keeps_the_newton_step(self, value):
+        # an infinite curvature once folded the step onto the point itself,
+        # which the short-step rule took as the root: 0.157 for log 1.5
+        x, calls, _ = self._solve(lambda e: np.full_like(e, value))
         plain, plain_calls, _ = self._solve()
+        assert np.all(np.abs(x - np.log(self.TARGETS)) <= self.TOL)
         assert x.tobytes() == plain.tobytes()
         assert calls == plain_calls
 
