@@ -12,7 +12,9 @@ even in d, and nondecreasing in |d|.  Every sensitivity component scales as
 the root of A(|d|, r) = gamma, the best design of that shape takes the
 largest sigma0 the box allows (a closed-form linear program in
 (mu0, sigma0)), and the design is a one-dimensional minimization over r: a
-geometric scan of r polished by the frontier's zoom (``tradeoff._zoom``).
+geometric scan of r polished by the frontier's zoom (``tradeoff._zoom``:
+4 sampling rounds, then one interpolation step that evaluates the
+parabolas' vertices and the secant lines' crossings beside the best ratio).
 Both run on arrays over r: one safeguarded Newton solve
 (``boundary_solver._newton``, shared with the frontier) finds the
 separation roots of all ratios of a scan or zoom round together, a zoom
@@ -373,7 +375,8 @@ def _ratio_grid(problem: ParamDesignProblem, extra: tuple[float, ...] = ()) -> n
 def _scan_min(evaluate, grid: np.ndarray):
     """Minimum over the ratio grid, polished by the frontier's zoom
     (``tradeoff._zoom``) on one minimum, the ratio its fixed coordinate:
-    (r, columns at r, finite grid values).
+    (r, columns at r, finite grid values).  The zoom's 4 rounds and its
+    interpolation step each make one ``evaluate`` call.
 
     ``evaluate(r, near)`` returns columns over the ratios r, the value to
     minimize first; ``near`` is None for the grid, and in each zoom round

@@ -120,11 +120,14 @@ DEFAULT_ZETA_POINTS = 60
 #: Branch zoom, by the number of fixed boundaries: samples per fixed
 #: boundary, sample spacings kept on either side of the best sample, rounds.
 #: One fixed boundary: each round shrinks the window by a factor 32, from the
-#: two grid cells beside the grid minimum down to about 1e-9 of a cell.  Two:
-#: a factor 8/3 per round, down to about 2e-11 of a cell; a window of one
-#: spacing either side loses the inf-norm minima that lie on a ridge where two
-#: gradient components tie and the ridge crosses the sample grid diagonally.
-ZOOM = {1: (65, 1, 6), 2: (17, 3, 25)}
+#: two grid cells beside the grid minimum down to about 1e-6 of a cell, and
+#: one interpolation step then ends the zoom (see ``_interpolation_points``):
+#: a parabola's vertex finds a smooth minimum and two secant lines an
+#: inf-norm kink far below that spacing.  Two: a factor 8/3 per round, down
+#: to about 2e-11 of a cell; a window of one spacing either side loses the
+#: inf-norm minima that lie on a ridge where two gradient components tie and
+#: the ridge crosses the sample grid diagonally.
+ZOOM = {1: (65, 1, 4), 2: (17, 3, 25)}
 #: Three boundaries: the two fixed boundaries run over all sorted pairs of
 #: every PAIR_STRIDE-th grid point.
 PAIR_STRIDE = 8
@@ -593,6 +596,47 @@ def _zoom_samples(points, dims):
 _ZOOM_SAMPLES = {dims: _zoom_samples(points, dims) for dims, (points, _, _) in ZOOM.items()}
 
 
+def _interpolation_points(x, s, j):
+    """The interpolation step of a one-coordinate zoom: five points for each
+    row of the samples x (minimum, sample), which read s and are best at j.
+
+    The stencil is j and two samples on either side of it, its centre j
+    clipped to [2, samples - 3]; with the stencil's samples numbered 0 to 4,
+    the points are the vertices of the parabolas through samples 1, 2 and 3
+    of s and of s squared (Brent's parabolic step, for a smooth minimum; the
+    square is smooth also where a two-norm bottoms out near zero and s
+    turns like a hyperbola, sharper than any parabola of s at this
+    spacing), and where the secant line through samples 0 and 1, or 1 and
+    2, crosses the one through samples 3 and 4, or 2 and 3 (for a kink,
+    where the lines of its two sides cross), but not the pair (1, 2) and
+    (2, 3), whose crossing is sample 2.  A point that is not finite
+    (samples that tie or coincide, an infinite value) is the centre x_2,
+    and each point is clipped to [x_1, x_3].  Returns the points, shape
+    (minimum, 5).
+    """
+    at = np.clip(j, 2, x.shape[1] - 3)[:, None] + np.arange(-2, 3)
+    (x0, x1, x2, x3, x4), (f0, f1, f2, f3, f4) = (np.take_along_axis(v, at, axis=1).T for v in (x, s))
+
+    def vertex(g1, g2, g3):
+        p, q = (x2 - x1) * (g2 - g3), (x2 - x3) * (g2 - g1)
+        return x2 - 0.5 * ((x2 - x1) * p - (x2 - x3) * q) / (p - q)
+
+    with np.errstate(all="ignore"):
+        m01, m12, m23, m34 = (f1 - f0) / (x1 - x0), (f2 - f1) / (x2 - x1), (f3 - f2) / (x3 - x2), (f4 - f3) / (x4 - x3)
+        points = np.stack(
+            [
+                vertex(f1, f2, f3),
+                vertex(f1 * f1, f2 * f2, f3 * f3),
+                x1 + (f3 - f1 - m34 * (x3 - x1)) / (m01 - m34),
+                x2 + (f3 - f2 - m34 * (x3 - x2)) / (m12 - m34),
+                x1 + (f2 - f1 - m23 * (x2 - x1)) / (m01 - m23),
+            ],
+            axis=-1,
+        )
+    points = np.where(np.isfinite(points), points, x2[:, None])
+    return np.minimum(np.maximum(points, x1[:, None]), x3[:, None])
+
+
 def _zoom(solve, ys, idx):
     """Refine the minima found at the grid points ys[idx], all at once.
 
@@ -605,8 +649,12 @@ def _zoom(solve, ys, idx):
     (minimum, sample).  The window starts at the neighbouring grid points
     and then shrinks around the best sample, the first on a tie (see ZOOM),
     never past the starting window, so no result exceeds the value at its
-    starting grid point.  Returns the value and the columns of each
-    minimum's best sample.
+    starting grid point.  One coordinate ends with an interpolation step:
+    the five points of ``_interpolation_points`` around the last round's
+    best sample, all minima in one more ``solve`` call, and the lowest of
+    them, the first on a tie, replaces that sample only where it is strictly
+    lower.  Returns the value and the columns of each minimum's best
+    sample.
     """
     points, keep, rounds = ZOOM[len(idx)]
     offsets, sides = _ZOOM_SAMPLES[len(idx)]
@@ -630,7 +678,14 @@ def _zoom(solve, ys, idx):
         best = fixed[:, rows, j, None]
         window = np.where(np.where(best == centre, [False, True], sides[:, j]), above, below) * step
         centre = best
-    return tuple(v[rows, j] for v in (s, *cols))
+    best = [v[rows, j] for v in (s, *cols)]
+    if len(idx) == 1:
+        points = _interpolation_points(fixed[0], s, j)
+        s, cols = solve(points[None])
+        k = s.argmin(axis=1)
+        lower = s[rows, k] < best[0]
+        best = [np.where(lower, v[rows, k], b) for v, b in zip((s, *cols), best)]
+    return tuple(best)
 
 
 def _check_boundary_count(n_boundaries) -> None:
@@ -850,9 +905,14 @@ def constrained_min_sensitivity(
     solved with the other two on all sorted pairs of every PAIR_STRIDE-th grid
     point (the ratio roots and saturation points among them), and the best
     point of each free boundary and segment is refined by the zoom over both
-    fixed boundaries.  The scan solves a grid point or pair only on the
-    segments where the level set crosses between its fixed neighbours,
-    which G on the grid shows without a solve.  The zoom is a local search:
+    fixed boundaries.  The one-coordinate zoom runs 4 rounds of 65 samples
+    and ends with one interpolation step: the vertices of the parabolas of
+    the sensitivity and its square through the best sample and its
+    neighbours, and the crossings of the secant lines on either side of it,
+    each kept only where it is lower than the best sample.  The scan solves
+    a grid point or pair only on the segments where the level set crosses
+    between its fixed neighbours, which G on the grid shows without a
+    solve.  The zoom is a local search:
     at an inf-norm minimum on a long ridge where two gradient components tie
     it can stop above the true minimum.  The best zoom result is kept, the
     first of equal ones; the zoom's first round solves each grid minimum

@@ -1225,9 +1225,43 @@ class TestZoom:
             ZOOM_GRID[np.minimum(np.array(idx) + 1, ZOOM_GRID.size - 1)] - centre,
         )
         # the last round's sample spacing: the window side shrinks by
-        # keep / half per round, and each side holds half sample spacings
+        # keep / half per round, and each side holds half sample spacings;
+        # one coordinate's interpolation step stays within a spacing of
+        # that round's best sample
         spacing = side * (keep / half) ** (rounds - 1) / half
         assert np.all(np.abs(np.array(cols) - minimisers) <= spacing)
+
+    @pytest.mark.parametrize("name", ["smooth", "v-shaped"])
+    def test_interpolation_step_finds_the_minimiser_to_a_few_ulps(self, name):
+        # away from the grid's ends: the parabola's vertex of a smooth
+        # minimum and the secant lines' crossing of a kink land on the
+        # minimiser, far below the last round's spacing of about 1e-6 cells
+        idx, minimisers, solve = _zoom_case(name, np.linspace(0.02, 0.98, 25), 11)
+        _, *cols = tradeoff._zoom(solve, ZOOM_GRID, idx)
+        start = np.array(idx)
+        cells = ZOOM_GRID[np.minimum(start + 1, ZOOM_GRID.size - 1)] - ZOOM_GRID[np.maximum(start - 1, 0)]
+        inside = (start > 0) & (start < ZOOM_GRID.size - 1)
+        error = np.abs(np.array(cols) - minimisers)[inside]
+        assert np.all(error <= 4.0 * np.finfo(float).eps * cells[inside])
+
+    @pytest.mark.parametrize("name", ["smooth", "v-shaped"])
+    @pytest.mark.parametrize("spread", [1.0, 6.0])
+    def test_interpolation_step_is_never_above_the_last_rounds_best(self, name, spread):
+        positions = [spread * (p - 0.5) + 0.5 for p in self.POSITIONS]
+        idx, minimisers, solve = _zoom_case(name, positions, 13)
+        calls = []
+
+        def recorded(fixed):
+            value, cols = solve(fixed)
+            calls.append(value)
+            return value, cols
+
+        value, *cols = tradeoff._zoom(recorded, ZOOM_GRID, idx)
+        rounds = tradeoff.ZOOM[1][2]
+        # the rounds, then one call for the step's five points of every minimum
+        assert len(calls) == rounds + 1 and calls[-1].shape == (len(positions), 5)
+        assert np.all(value <= calls[rounds - 1].min(axis=1))
+        assert value.tolist() == ZOOM_OBJECTIVES[name][1](np.array(cols) - minimisers).tolist()
 
 
 def _rounding_band(pair, x, target):
