@@ -609,10 +609,12 @@ def _interpolation_points(x, s, j):
     spacing), and where the secant line through samples 0 and 1, or 1 and
     2, crosses the one through samples 3 and 4, or 2 and 3 (for a kink,
     where the lines of its two sides cross), but not the pair (1, 2) and
-    (2, 3), whose crossing is sample 2.  A point that is not finite
-    (samples that tie or coincide, an infinite value) is the centre x_2,
-    and each point is clipped to [x_1, x_3].  Returns the points, shape
-    (minimum, 5).
+    (2, 3), whose crossing is sample 2.  The crossings with a line through
+    sample 2 find the kinks near a grid end, where the samples past it,
+    clipped onto it, leave sample 0 on sample 1 (or 4 on 3).  A point that
+    is not finite (samples that tie or coincide, an infinite value) is the
+    centre x_2, and each point is clipped to [x_1, x_3].  Returns the
+    points, shape (minimum, 5).
     """
     at = np.clip(j, 2, x.shape[1] - 3)[:, None] + np.arange(-2, 3)
     (x0, x1, x2, x3, x4), (f0, f1, f2, f3, f4) = (np.take_along_axis(v, at, axis=1).T for v in (x, s))
