@@ -29,21 +29,7 @@ call.  ``_ml_boundaries_many`` makes its reports, and ``ml_boundaries``,
 one-threshold calls; ``tradeoff.ml_curve`` reads the roots unreported.
 The family solvers return only roots, orientations and warnings: the
 closed forms in one call for all thresholds, the grid by solving all their
-sign changes together in one Newton call.
-
-That safeguarded Newton solver (``_newton``) is the one bracketed root
-solver of the library: the grid's ratio roots, the frontier's level sets and
-the design's separation roots share it, many brackets at once, each from its
-regula falsi point, with a residual slope supplied by the caller.  A caller
-that also supplies the residual's curvature (the frontier's level sets, whose
-G' -> 0 beside a ratio root) gets a second-order step wherever Newton's
-Kantorovich condition |r G''| <= G'^2 / 2 fails: the step to the root of the
-local quadratic on the bracket's side, or to its vertex where it has none.
-Where the condition holds, a Newton step h = r / G' whose error estimate
-(|G''| h^2 / 2 + |c h^3|) / |G'| is within half the bracket's tolerance is
-certified and taken as the root unevaluated, c the cubic term that fits the
-residual at the bracket's far end: G'' alone reads nearly 0 at an inflection
-point, where the step's error is cubic.
+sign changes together in one call of the shared solver, ``_roots._newton``.
 """
 
 from __future__ import annotations
@@ -57,6 +43,7 @@ from itertools import islice
 import numpy as np
 
 from ._records import plain
+from ._roots import _newton
 from .classifier import BoundarySet, Orientation, _accuracies
 from .densities import Family, HypothesisPair, _pdf, _pdf_dx
 from .errors import (
@@ -72,8 +59,8 @@ _RESIDUAL_FLOOR = 1e-300
 
 DEFAULT_GRID = 4096
 SCALE_SPAN = 8.0
-BISECTION_WIDTH = 1e-12
-BISECTION_STEPS = 200
+#: Bracket width at which ``_newton`` stops a grid ratio root.
+GRID_ROOT_TOL = 1e-12
 #: Doubling steps of the outward walk to the saturation points.
 SATURATION_STEPS = 64
 
@@ -370,139 +357,6 @@ def _exponential_solve(pair: HypothesisPair, etas, thetas):
     return roots, h0_first.tolist(), [()] * len(etas)
 
 
-def _falsi(lo, hi, r_lo, r_hi):
-    """The regula falsi point of each bracket [lo, hi] whose ends read r_lo
-    and r_hi, or its midpoint where that point is not in the bracket."""
-    with np.errstate(all="ignore"):
-        z = lo - r_lo * ((hi - lo) / (r_hi - r_lo))
-    return np.where((z >= lo) & (z <= hi), z, 0.5 * (lo + hi))
-
-
-def _fold_steps(step, z, r, slope, curvature, right) -> np.ndarray:
-    """Replace in ``step`` the Newton point of every bracket where Newton's
-    Kantorovich condition |r G''| <= G'^2 / 2 fails (r the residual at z, G'
-    its slope and G'' its curvature) by z + h, h the root of the local
-    quadratic r + G' h + G'' h^2 / 2 = 0 on the side of z where the root
-    lies (``right``), or its vertex -G' / G'' where it has no real root.
-    Where the condition fails, the quadratic has either no real root
-    (r G'' > 0) or one on each side of z (r G'' < 0).  A curvature that
-    is not finite keeps the Newton point: the quadratic's step would be 0
-    or NaN.  Returns where the condition fails for a finite curvature."""
-    excess = r * curvature
-    np.abs(excess, out=excess)
-    excess *= 2.0
-    fold = excess > slope * slope
-    if not fold.any():
-        return fold
-    fold &= np.isfinite(curvature)
-    r, slope, curvature, right = r[fold], slope[fold], curvature[fold], right[fold]
-    disc = slope * slope - 2.0 * r * curvature
-    q = -0.5 * (slope + np.copysign(np.sqrt(np.maximum(disc, 0.0)), slope))
-    far, near = 2.0 * q / curvature, r / q  # the two roots, q / a and c / q
-    h = np.where(disc < 0.0, -slope / curvature, np.where((far > 0.0) == right, far, near))
-    step[fold] = z[fold] + h
-    return fold
-
-
-def _newton(fn, lo, hi, r_lo, r_hi, tol: float, *args) -> np.ndarray:
-    """Solve fn(x, *args) = 0 on every bracket [lo, hi] at once by
-    safeguarded Newton steps; the residual is monotone on each bracket, and
-    its end values r_lo and r_hi lie on either side of 0.  It solves the
-    grid's ratio roots (``_grid_solve``), the frontier's level sets and the
-    design's separation roots.
-
-    ``fn`` returns the residual, its slope and its rounding scale at x, and
-    optionally a fourth value, its curvature; it acts on x and ``args``
-    elementwise.  ``lo``, ``hi``, ``r_lo``, ``r_hi`` and ``args`` are
-    one-dimensional, one entry per bracket.  The first point is the
-    bracket's regula falsi point, and each point evaluated replaces the
-    bracket end on its side of 0.  The Newton step x - residual / slope,
-    or, given a curvature, a second-order step where Newton's Kantorovich
-    condition |residual * curvature| <= slope^2 / 2 fails (``_fold_steps``:
-    next to a root where the slope tends to 0, as beside a double root,
-    Newton converges only linearly), is taken when it lands inside the open
-    bracket; otherwise (the slope is 0 or NaN, or the step leaves the bracket) the
-    next point is the bracket's regula falsi point, or its midpoint once a
-    fallback point has kept more than half of its bracket, until a Newton
-    step lands again: a bracket that regula falsi shrinks from one side,
-    such as one whose far end is flat, halves at every later fallback point.
-    A bracket stops by one of four rules, tested at each point evaluated
-    before the next point is made:
-
-    * at the point, where its |residual| lies within its rounding band, 4 eps
-      times the scale, and no float is a better root;
-    * at the Newton point of a step shorter than ``tol`` that stays in the
-      bracket;
-    * given a curvature, at the Newton point of a certified step: a plain
-      Newton step h = residual / slope (Kantorovich's condition holds, so
-      ``_fold_steps`` kept it) that lands inside the open bracket and whose
-      error estimate (|curvature| h^2 / 2 + |c h^3|) / |slope| is within
-      ``tol`` / 2, c the cubic term of the local model that meets the
-      residual at the bracket's far end, so the point that would confirm it
-      is never evaluated; a NaN or infinite curvature certifies no step;
-    * at its midpoint once it is narrower than ``tol``, or once it has taken
-      BISECTION_STEPS points.
-
-    Stopped brackets leave the arrays once half have stopped, before the
-    next points are made, so a root does not depend on the other brackets.
-    A NaN residual counts as below 0.
-    """
-    band = 4.0 * np.finfo(float).eps
-    x = np.empty(lo.shape)
-    lo, hi, r_lo, r_hi = (np.array(v, dtype=float) for v in (lo, hi, r_lo, r_hi))
-    z, at, rising = _falsi(lo, hi, r_lo, r_hi), np.arange(lo.size), r_hi >= r_lo
-    # fell_back: z is a fallback point; halve: the next fallback is the midpoint
-    fell_back = halve = np.zeros(lo.shape, dtype=bool)
-    live = np.ones(lo.shape, dtype=bool)
-    for _ in range(BISECTION_STEPS):
-        if not live.size:
-            return x
-        r, slope, scale, *curvature = fn(z, *args)
-        right = (r >= 0.0) != rising  # the root lies right of z
-        half = 0.5 * (hi - lo)
-        np.copyto(lo, z, where=right)
-        np.copyto(r_lo, r, where=right)
-        np.copyto(hi, z, where=~right)
-        np.copyto(r_hi, r, where=~right)
-        with np.errstate(all="ignore"):
-            h = r / slope
-            step = z - h
-            if curvature:
-                g2 = curvature[0]
-                fold = _fold_steps(step, z, r, slope, g2, right)
-                # a plain step whose error estimate (|G''| h^2 / 2 + |c h^3|) / |G'|
-                # is within tol / 2, c the cubic term that fits the residual at
-                # the bracket's far end; a NaN or infinite curvature fails
-                d = np.where(right, hi, lo) - z
-                c = (np.where(right, r_hi, r_lo) - r - d * (slope + 0.5 * d * g2)) / (d * d * d)
-                error = (0.5 * np.abs(g2) + np.abs(c * h)) * h * h
-                certified = ~fold & (2.0 * error <= tol * np.abs(slope))
-        newton = (step > lo) & (step < hi)  # NaN fails
-        hit = np.abs(r) <= band * scale
-        short = (step >= lo) & (step <= hi) & (np.abs(step - z) < tol)
-        if curvature:
-            short |= newton & certified
-        width = hi - lo
-        done = (hit | short | (width < tol)) & live
-        if done.any():
-            x[at[done]] = np.where(hit, z, np.where(short, step, 0.5 * (lo + hi)))[done]
-            live &= ~done
-            if 2 * np.count_nonzero(live) <= live.size:
-                lo, hi, r_lo, r_hi, step, newton, width, half, at, rising, fell_back, halve, *args = (
-                    v[live]
-                    for v in (lo, hi, r_lo, r_hi, step, newton, width, half, at, rising, fell_back, halve, *args)
-                )
-                live = live[live]
-        halve = (halve | fell_back & (width > half)) & ~newton
-        fell_back = ~newton
-        z = np.where(newton, step, 0.5 * (lo + hi))
-        falsi = fell_back & ~halve & live
-        if falsi.any():
-            z[falsi] = _falsi(lo[falsi], hi[falsi], r_lo[falsi], r_hi[falsi])
-    x[at[live]] = 0.5 * (lo + hi)[live]
-    return x
-
-
 def _search_grid(
     pair: HypothesisPair, interval: tuple[float, float] | None, grid: int
 ) -> np.ndarray:
@@ -512,7 +366,7 @@ def _search_grid(
     return np.linspace(lo, hi, grid)
 
 
-def _scan(xs: np.ndarray, gap: np.ndarray):
+def _sign_changes(xs: np.ndarray, gap: np.ndarray):
     """Scan one gap row: the brackets of its sign changes and the gap at
     both ends, with the first sign, as ``(lo, hi, f_lo, f_hi, first_sign)``;
     None when the ratio is undefined on the whole grid.  A NaN or an exact 0
@@ -533,7 +387,7 @@ def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None
 
     Both log densities are evaluated on the grid once, each threshold's gap
     row is formed with the operation order of ``log_ratio_gap`` and scanned
-    (``_scan``: a root is a change of sign, the rule of the closed forms),
+    (``_sign_changes``: a root is a change of sign, the rule of the closed forms),
     and the sign changes of all thresholds are solved together by one
     ``_newton`` call, from the gap at both ends of their brackets.  Its
     residual is the log ratio gap, its slope f1'/f1 - f0'/f0 and its
@@ -551,7 +405,7 @@ def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None
     with np.errstate(divide="ignore", invalid="ignore"):
         head = log_p1 + np.asarray(pair.h1.log_pdf(xs))
         log_f0 = np.asarray(pair.h0.log_pdf(xs))
-        scans = [_scan(xs, head - log_eta - log_p0 - log_f0) for log_eta in log_etas]
+        scans = [_sign_changes(xs, head - log_eta - log_p0 - log_f0) for log_eta in log_etas]
 
     found = [s for s in scans if s is not None]
     lo, hi, f_lo, f_hi = (np.concatenate([np.zeros(0)] + [s[k] for s in found]) for k in range(4))
@@ -565,7 +419,7 @@ def _grid_solve(pair: HypothesisPair, etas, interval: tuple[float, float] | None
             scale = abs(log_p1) + np.abs(log_f1) + np.abs(log_eta) + abs(log_p0) + np.abs(log_f0)
         return gap, slope, np.where(np.isfinite(gap), scale, 0.0)
 
-    solved = iter(_newton(residual, lo, hi, f_lo, f_hi, BISECTION_WIDTH, bracket_log_eta).tolist())
+    solved = iter(_newton(residual, lo, hi, f_lo, f_hi, GRID_ROOT_TOL, bracket_log_eta).tolist())
     roots, h0_first, warnings = [], [], []
     for scan in scans:
         if scan is None:

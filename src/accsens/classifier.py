@@ -37,6 +37,9 @@ from ._records import plain
 from .densities import HypothesisPair, _cdf, _grad_cdf
 from .errors import InvalidParameterError, SolverFailureError, UnresolvedClassifierError
 
+#: How far the accuracy of a solved frontier point or design may miss its target.
+ACCURACY_TOL = 1e-6
+
 
 class Label(IntEnum):
     H0 = 0

@@ -12,11 +12,8 @@ even in d, and nondecreasing in |d|.  Every sensitivity component scales as
 the root of A(|d|, r) = gamma, the best design of that shape takes the
 largest sigma0 the box allows (a closed-form linear program in
 (mu0, sigma0)), and the design is a one-dimensional minimization over r: a
-geometric scan of r polished by the frontier's zoom (``tradeoff._zoom``:
-4 sampling rounds, then one interpolation step that evaluates the
-parabolas' vertices and the secant lines' crossings beside the best ratio).
-Both run on arrays over r: one safeguarded Newton solve
-(``boundary_solver._newton``, shared with the frontier) finds the
+geometric scan of r polished by the shared zoom (``_roots._zoom``).  Both
+run on arrays over r: one call of the shared ``_roots._newton`` finds the
 separation roots of all ratios of a scan or zoom round together, a zoom
 round's from the roots beside the last best ratio (``near``), with the
 slope dA/dd that the envelope theorem gives at the fixed roots, and one
@@ -44,11 +41,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._records import plain, read_number, read_object
-from .boundary_solver import _gaussian_pair_roots, _gaussian_roots, _log_k, _newton
-from .classifier import Norm, Orientation, _accuracies, _alternating, _evaluate, _gradients, _norms
+from ._roots import _newton, _zoom
+from .boundary_solver import _gaussian_pair_roots, _gaussian_roots, _log_k
+from .classifier import ACCURACY_TOL, Norm, Orientation, _accuracies, _alternating, _evaluate, _gradients, _norms
 from .densities import DensityModel, HypothesisPair, _gaussian_score
 from .errors import InfeasibleTargetError, InvalidParameterError, SchemaError, SolverFailureError
-from .tradeoff import ACCURACY_TOL, _zoom
 
 #: Width ratios scanned per design, geometric over the box's range (r = 1 and
 #: the maximum-accuracy ratio are added as exact grid points).
@@ -373,10 +370,9 @@ def _ratio_grid(problem: ParamDesignProblem, extra: tuple[float, ...] = ()) -> n
 
 
 def _scan_min(evaluate, grid: np.ndarray):
-    """Minimum over the ratio grid, polished by the frontier's zoom
-    (``tradeoff._zoom``) on one minimum, the ratio its fixed coordinate:
-    (r, columns at r, finite grid values).  The zoom's 4 rounds and its
-    interpolation step each make one ``evaluate`` call.
+    """Minimum over the ratio grid, polished by ``_roots._zoom`` on one
+    minimum, the ratio its fixed coordinate: (r, columns at r, finite grid
+    values).  Each ``solve`` call of the zoom makes one ``evaluate`` call.
 
     ``evaluate(r, near)`` returns columns over the ratios r, the value to
     minimize first; ``near`` is None for the grid, and in each zoom round

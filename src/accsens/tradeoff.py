@@ -18,10 +18,11 @@ orientation of the maximum-accuracy classifier it is found by a deterministic
 scan of the accuracy level set (see ``constrained_min_sensitivity``): with all
 boundaries but one fixed on a grid, the free one is solved on each segment
 where the accuracy is monotone in it, and the grid minima are refined
-together by an array zoom.  A curve makes the pair's set-up (ratio roots,
-saturation points, top accuracy, grid, G = p0 F0 - p1 F1 on the grid and
-the scan's brackets) once, scans each target on its own, refines the minima
-of every target in one zoom and evaluates every target's point in one call.
+together by the shared zoom (``_roots._zoom``).  A curve makes the pair's
+set-up (ratio roots, saturation points, top accuracy, grid, G = p0 F0 - p1 F1
+on the grid and the scan's brackets) once, scans each target on its own,
+refines the minima of every target in one zoom and evaluates every target's
+point in one call.
 The scan's brackets run between grid points, so G at their ends and at the
 fixed boundaries is read from the grid by index; a target solves only the
 brackets on which G crosses its level, and array operations pick each
@@ -30,20 +31,9 @@ level-set solve, in the scan and in every zoom round, starts from one
 bracket rule: the grid cell of its segment where G crosses the level, found
 by a search of G on the grid.  A cell that misses (a rounding of G) falls
 back to the free boundary's whole bracket on the segment, so no level-set
-point is lost.  From the cell's regula falsi point, safeguarded Newton steps
-on G, whose slope G' = p0 f0 - p1 f1 is the accuracy's boundary gradient,
-solve every bracket of a call at once (``boundary_solver._newton``, the
-solver the grid's ratio roots and the design's separation roots share).
-The residual also carries G's curvature G'' = p0 f0' - p1 f1', so that
-beside a ratio root, where G' -> 0, the step is second order, and
-elsewhere a Newton step h = r / G' whose error estimate, its curvature
-term |G''| h^2 / (2 |G'|) and a cubic term fitted at the bracket's far end,
-is within half the tolerance is the root, unevaluated (``_newton``'s
-certified step); a step that leaves its bracket falls back to regula
-falsi, and to midpoints once a regula falsi point keeps more than half of
-its bracket.
-The scan only
-ranks grid points for the zoom, which solves the grid point itself again,
+point is lost.  The shared ``_roots._newton`` solves every bracket of a call
+at once on G, its slope G' = p0 f0 - p1 f1 and its curvature G''.  The scan
+only ranks grid points for the zoom, which solves the grid point itself again,
 so it stops at a ranking tolerance (SCAN_RTOL); one boundary has no zoom
 and is scanned to full precision.  A reported boundary where both cdfs
 read exactly 1 (or 0) lies at H* (or L*).  The grid
@@ -92,15 +82,16 @@ from functools import cached_property, partial
 import numpy as np
 
 from ._records import _plain, plain
+from ._roots import _newton, _zoom
 from .boundary_solver import (
     _ml_solve_many,
-    _newton,
     _resolved,
     _saturation_points,
     default_search_interval,
     ml_boundaries,
 )
 from .classifier import (
+    ACCURACY_TOL,
     Norm,
     Orientation,
     _accuracies,
@@ -113,21 +104,9 @@ from .classifier import (
 from .densities import HypothesisPair, _cdf_pdf_dx
 from .errors import InfeasibleTargetError, InvalidParameterError, SolverFailureError
 
-ACCURACY_TOL = 1e-6
 DEFAULT_ETA_GRID = (1e-3, 1e3, 400)
 DEFAULT_Y_POINTS = 2001
 DEFAULT_ZETA_POINTS = 60
-#: Branch zoom, by the number of fixed boundaries: samples per fixed
-#: boundary, sample spacings kept on either side of the best sample, rounds.
-#: One fixed boundary: each round shrinks the window by a factor 32, from the
-#: two grid cells beside the grid minimum down to about 1e-6 of a cell, and
-#: one interpolation step then ends the zoom (see ``_interpolation_points``):
-#: a parabola's vertex finds a smooth minimum and two secant lines an
-#: inf-norm kink far below that spacing.  Two: a factor 8/3 per round, down
-#: to about 2e-11 of a cell; a window of one spacing either side loses the
-#: inf-norm minima that lie on a ridge where two gradient components tie and
-#: the ridge crosses the sample grid diagonally.
-ZOOM = {1: (65, 1, 4), 2: (17, 3, 25)}
 #: Three boundaries: the two fixed boundaries run over all sorted pairs of
 #: every PAIR_STRIDE-th grid point.
 PAIR_STRIDE = 8
@@ -584,112 +563,6 @@ def _scan(pair, grid, brackets, d, tol, norm, scan, free):
     return r[best], p[best], k[best], s[best], [y[best] for y in bounds]
 
 
-def _zoom_samples(points, dims):
-    """A zoom's samples over ``dims`` coordinates: their offsets in [-1, 1],
-    0 at the middle sample of each axis, and whether the window's new below
-    and above sides come from its above side when a sample is the best (the
-    second: whether the above side scales the sample's offset)."""
-    k = np.indices((points,) * dims).reshape(dims, -1)
-    return np.linspace(-1.0, 1.0, points)[k], np.stack([k > points // 2, k >= points // 2], axis=-1)
-
-
-_ZOOM_SAMPLES = {dims: _zoom_samples(points, dims) for dims, (points, _, _) in ZOOM.items()}
-
-
-def _interpolation_points(x, s, j):
-    """The interpolation step of a one-coordinate zoom: five points for each
-    row of the samples x (minimum, sample), which read s and are best at j.
-
-    The stencil is j and two samples on either side of it, its centre j
-    clipped to [2, samples - 3]; with the stencil's samples numbered 0 to 4,
-    the points are the vertices of the parabolas through samples 1, 2 and 3
-    of s and of s squared (Brent's parabolic step, for a smooth minimum; the
-    square is smooth also where a two-norm bottoms out near zero and s
-    turns like a hyperbola, sharper than any parabola of s at this
-    spacing), and where the secant line through samples 0 and 1, or 1 and
-    2, crosses the one through samples 3 and 4, or 2 and 3 (for a kink,
-    where the lines of its two sides cross), but not the pair (1, 2) and
-    (2, 3), whose crossing is sample 2.  The crossings with a line through
-    sample 2 find the kinks near a grid end, where the samples past it,
-    clipped onto it, leave sample 0 on sample 1 (or 4 on 3).  A point that
-    is not finite (samples that tie or coincide, an infinite value) is the
-    centre x_2, and each point is clipped to [x_1, x_3].  Returns the
-    points, shape (minimum, 5).
-    """
-    at = np.clip(j, 2, x.shape[1] - 3)[:, None] + np.arange(-2, 3)
-    (x0, x1, x2, x3, x4), (f0, f1, f2, f3, f4) = (np.take_along_axis(v, at, axis=1).T for v in (x, s))
-
-    def vertex(g1, g2, g3):
-        p, q = (x2 - x1) * (g2 - g3), (x2 - x3) * (g2 - g1)
-        return x2 - 0.5 * ((x2 - x1) * p - (x2 - x3) * q) / (p - q)
-
-    with np.errstate(all="ignore"):
-        m01, m12, m23, m34 = (f1 - f0) / (x1 - x0), (f2 - f1) / (x2 - x1), (f3 - f2) / (x3 - x2), (f4 - f3) / (x4 - x3)
-        points = np.stack(
-            [
-                vertex(f1, f2, f3),
-                vertex(f1 * f1, f2 * f2, f3 * f3),
-                x1 + (f3 - f1 - m34 * (x3 - x1)) / (m01 - m34),
-                x2 + (f3 - f2 - m34 * (x3 - x2)) / (m12 - m34),
-                x1 + (f2 - f1 - m23 * (x2 - x1)) / (m01 - m23),
-            ],
-            axis=-1,
-        )
-    points = np.where(np.isfinite(points), points, x2[:, None])
-    return np.minimum(np.maximum(points, x1[:, None]), x3[:, None])
-
-
-def _zoom(solve, ys, idx):
-    """Refine the minima found at the grid points ys[idx], all at once.
-
-    ``idx`` holds one array of grid indices per fixed coordinate, one entry
-    per minimum.  Each round samples every minimum on a grid of offsets of
-    its fixed coordinates, offset 0 at the current best point and each half
-    spanning its own window side (the grid need not be uniform).
-    ``solve(fixed)`` takes the samples, shape (coordinate, minimum, sample),
-    and returns their values and a list of columns to report, each of shape
-    (minimum, sample).  The window starts at the neighbouring grid points
-    and then shrinks around the best sample, the first on a tie (see ZOOM),
-    never past the starting window, so no result exceeds the value at its
-    starting grid point.  One coordinate ends with an interpolation step:
-    the five points of ``_interpolation_points`` around the last round's
-    best sample, all minima in one more ``solve`` call, and the lowest of
-    them, the first on a tie, replaces that sample only where it is strictly
-    lower.  Returns the value and the columns of each minimum's best
-    sample.
-    """
-    points, keep, rounds = ZOOM[len(idx)]
-    offsets, sides = _ZOOM_SAMPLES[len(idx)]
-    step = keep / (points // 2)
-    idx = np.array(idx)
-    rows = np.arange(idx.shape[1])
-    lo_end, hi_end = ys[np.maximum(idx - 1, 0)][:, :, None], ys[np.minimum(idx + 1, ys.size - 1)][:, :, None]
-    centre = ys[idx][:, :, None]
-    # (coordinate, minimum, side): the window's below and above sides
-    window = np.concatenate([centre - lo_end, hi_end - centre], axis=-1)
-    offsets, up = offsets[:, None], sides[:, None, :, 1]
-    for _ in range(rounds):
-        below, above = window[..., :1], window[..., 1:]
-        fixed = centre + offsets * np.where(up, above, below)
-        np.maximum(fixed, lo_end, out=fixed)
-        np.minimum(fixed, hi_end, out=fixed)
-        s, cols = solve(fixed)
-        j = s.argmin(axis=1)
-        # a coordinate that stays at the centre (its samples clipped onto it
-        # at a grid end) keeps both its sides
-        best = fixed[:, rows, j, None]
-        window = np.where(np.where(best == centre, [False, True], sides[:, j]), above, below) * step
-        centre = best
-    best = [v[rows, j] for v in (s, *cols)]
-    if len(idx) == 1:
-        points = _interpolation_points(fixed[0], s, j)
-        s, cols = solve(points[None])
-        k = s.argmin(axis=1)
-        lower = s[rows, k] < best[0]
-        best = [np.where(lower, v[rows, k], b) for v, b in zip((s, *cols), best)]
-    return tuple(best)
-
-
 def _check_boundary_count(n_boundaries) -> None:
     """Refuse a boundary count that is not an integer in [1, 3]; a boolean is not one."""
     count = isinstance(n_boundaries, (int, np.integer)) and not isinstance(n_boundaries, bool)
@@ -907,14 +780,10 @@ def constrained_min_sensitivity(
     solved with the other two on all sorted pairs of every PAIR_STRIDE-th grid
     point (the ratio roots and saturation points among them), and the best
     point of each free boundary and segment is refined by the zoom over both
-    fixed boundaries.  The one-coordinate zoom runs 4 rounds of 65 samples
-    and ends with one interpolation step: the vertices of the parabolas of
-    the sensitivity and its square through the best sample and its
-    neighbours, and the crossings of the secant lines on either side of it,
-    each kept only where it is lower than the best sample.  The scan solves
-    a grid point or pair only on the segments where the level set crosses
-    between its fixed neighbours, which G on the grid shows without a
-    solve.  The zoom is a local search:
+    fixed boundaries.  The zoom is ``_roots._zoom``, on its schedule ``ZOOM``.
+    The scan solves a grid point or pair only on the segments where the level
+    set crosses between its fixed neighbours, which G on the grid shows
+    without a solve.  The zoom is a local search:
     at an inf-norm minimum on a long ridge where two gradient components tie
     it can stop above the true minimum.  The best zoom result is kept, the
     first of equal ones; the zoom's first round solves each grid minimum

@@ -14,10 +14,8 @@ from accsens.boundary_solver import (
     _gaussian_pair_roots,
     _ml_boundaries_many,
     _ml_solve_many,
-    _newton,
-    BISECTION_STEPS,
-    BISECTION_WIDTH,
     DEFAULT_GRID,
+    GRID_ROOT_TOL,
     RESIDUAL_RTOL,
     LikelihoodRootReport,
     RootMethod,
@@ -28,6 +26,7 @@ from accsens.boundary_solver import (
     ml_boundaries_generic,
     optimal_linear_boundary,
 )
+from accsens._roots import NEWTON_STEPS, _newton
 from accsens.classifier import GeneralSpec, LinearSpec, MLSpec, Orientation, accuracy, region_accuracy
 from accsens.densities import CustomDensity, DensityModel, HypothesisPair
 from accsens.errors import EmptyIntervalError, InvalidParameterError, NoRootError
@@ -371,18 +370,18 @@ def _brentq_reference(pair, eta, interval=None):
 
 
 def _root_tolerance(pair, eta, r):
-    """BISECTION_WIDTH relative to the root, plus how far the rounding noise
+    """GRID_ROOT_TOL relative to the root, plus how far the rounding noise
     of the log gap (4 eps of its largest term) moves a crossing of its slope:
     where two rates nearly agree the crossing is flat, and any point of the
     noisy stretch is as good a root as another.  At a support edge the gap
     jumps, and the bisection width alone applies."""
     terms = [math.log(pair.p1), pair.h1.log_pdf(r), math.log(eta), math.log(pair.p0), pair.h0.log_pdf(r)]
     if not all(map(math.isfinite, terms)):
-        return BISECTION_WIDTH * max(1.0, abs(r))
+        return GRID_ROOT_TOL * max(1.0, abs(r))
     h = 1e-6 * max(1.0, abs(r))
     slope = abs(log_ratio_gap(pair, eta, r + h) - log_ratio_gap(pair, eta, r)) / h
     noise = 4.0 * np.finfo(float).eps * max(abs(t) for t in terms)
-    return BISECTION_WIDTH * max(1.0, abs(r)) + noise / slope
+    return GRID_ROOT_TOL * max(1.0, abs(r)) + noise / slope
 
 
 def _assert_matches_reference(report, pair, eta, interval=None):
@@ -405,7 +404,7 @@ class TestManyThresholds:
 
     def test_wide_interval_roots_below_the_float_spacing(self):
         # near the roots (about 5e5) floats lie about 1.2e-10 apart, wider
-        # than BISECTION_WIDTH: the bisection must stop after its fixed
+        # than GRID_ROOT_TOL: the bisection must stop after its fixed
         # count of halvings and still return residual-bounded roots
         pair = HypothesisPair(DensityModel.exponential(1e-6), DensityModel.exponential(3e-6))
         interval = (0.0, 9e6)
@@ -795,8 +794,8 @@ class TestNewtonFallback:
         # the residual rises from -1000 to its root at 1 and stays at 1 past
         # 1.001: each regula falsi point keeps 99.9 % of the bracket, so
         # alternating it with midpoints halves the width once per two points
-        # and leaves this one about 2^50 tol wide after BISECTION_STEPS
-        tol = BISECTION_WIDTH
+        # and leaves this one about 2^50 tol wide after NEWTON_STEPS
+        tol = GRID_ROOT_TOL
         lo, hi = np.asarray([0.0]), np.asarray([2.0**150 * tol])
         points = []
 
@@ -806,7 +805,7 @@ class TestNewtonFallback:
 
         x = _newton(fn, lo, hi, np.asarray([-1000.0]), np.asarray([1.0]), tol)
         assert abs(x[0] - 1.0) <= tol
-        assert len(points) < BISECTION_STEPS
+        assert len(points) < NEWTON_STEPS
 
 
 class TestNewtonInputs:

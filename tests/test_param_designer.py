@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from accsens import boundary_solver, param_designer
-from accsens.boundary_solver import _gaussian_roots, _newton, ml_boundaries
+from accsens._roots import _newton
+from accsens.boundary_solver import _gaussian_roots, ml_boundaries
 from accsens.classifier import (
     GeneralSpec,
     BoundarySet,

@@ -15,6 +15,7 @@ dead.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import accsens
@@ -92,3 +93,26 @@ def test_every_allowed_name_is_still_defined_and_unused():
     # an allow-list entry whose name gained a caller, or lost its definition,
     # is stale
     assert sorted(ALLOWED) == sorted(name for name in _unused() if name in ALLOWED)
+
+
+def _imported(module: str) -> set[str]:
+    """The dotted paths that module ``module`` of ``src/accsens`` imports,
+    a relative import read as one from ``accsens``; ``from p import a`` gives
+    ``p.a``, which may name a module."""
+    paths = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            paths.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(filter(None, ["accsens" if node.level else "", node.module]))
+            paths.update(f"{package}.{alias.name}" for alias in node.names)
+    return paths
+
+
+def test_the_shared_numerics_import_no_library_module_and_the_design_not_the_frontier():
+    # _roots sits below every solver that uses it, and the design solver
+    # needs nothing of the frontier's
+    roots = {path.split(".")[0] for path in _imported("_roots")}
+    assert roots <= {"numpy", *sys.stdlib_module_names}, f"_roots imports {sorted(roots)}"
+    frontier = sorted(p for p in _imported("param_designer") if (p + ".").startswith("accsens.tradeoff."))
+    assert not frontier, f"param_designer imports {frontier}"

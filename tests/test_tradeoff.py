@@ -12,10 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from accsens import boundary_solver, fig3_box, gamma_sweep
+from accsens import boundary_solver, fig3_box, gamma_sweep, param_designer
 from accsens._records import plain
+from accsens._roots import ZOOM, _newton, _zoom
 from accsens.boundary_solver import (
-    _newton,
     _saturation_points,
     default_search_interval,
     ml_boundaries,
@@ -801,8 +801,10 @@ class TestLevelSetBrackets:
         # whole segment
         pair = request.getfixturevalue(name)
         grids, brackets = [], []
-        level, newton = tradeoff._level_root, boundary_solver._newton
-        assert tradeoff._newton is newton  # the frontier runs the shared solver
+        level, newton = tradeoff._level_root, _newton
+        # the ratio roots, the frontier and the design run the shared solver and zoom
+        shared = (boundary_solver._newton, tradeoff._newton, param_designer._newton, tradeoff._zoom, param_designer._zoom)
+        assert shared == (_newton,) * 3 + (_zoom,) * 2
 
         def recording_level(pair, grid, *args):
             grids.append(grid[0])
@@ -1212,10 +1214,10 @@ class TestZoom:
     def test_many_minima_as_one_minimum_each(self, name, spread):
         positions = [spread * (p - 0.5) + 0.5 for p in self.POSITIONS]
         idx, minimisers, solve = _zoom_case(name, positions, 3)
-        batch = tradeoff._zoom(solve, ZOOM_GRID, idx)
+        batch = _zoom(solve, ZOOM_GRID, idx)
         for k in range(len(positions)):
             one_solve = _zoom_solve(name, minimisers[:, k : k + 1])
-            one = tradeoff._zoom(one_solve, ZOOM_GRID, tuple(i[k : k + 1] for i in idx))
+            one = _zoom(one_solve, ZOOM_GRID, tuple(i[k : k + 1] for i in idx))
             assert [v.tobytes() for v in one] == [v[k : k + 1].tobytes() for v in batch]
 
     @pytest.mark.parametrize("name", list(ZOOM_OBJECTIVES))
@@ -1223,7 +1225,7 @@ class TestZoom:
         # minimisers out to three cells past either neighbour
         positions = np.linspace(-3.0, 4.0, 15)
         idx, minimisers, solve = _zoom_case(name, positions, 5)
-        value, *cols = tradeoff._zoom(solve, ZOOM_GRID, idx)
+        value, *cols = _zoom(solve, ZOOM_GRID, idx)
         objective = ZOOM_OBJECTIVES[name][1]
         assert np.all(value <= objective(ZOOM_GRID[np.array(idx)] - minimisers))
         # the value is the one of the reported sample
@@ -1238,8 +1240,8 @@ class TestZoom:
         # only the end lies on the minimiser's near side and the interpolation
         # step cannot better that spacing
         idx, minimisers, solve = _zoom_case(name, [*ends, *self.POSITIONS[2:]], 7)
-        _, *cols = tradeoff._zoom(solve, ZOOM_GRID, idx)
-        points, keep, rounds = tradeoff.ZOOM[len(idx)]
+        _, *cols = _zoom(solve, ZOOM_GRID, idx)
+        points, keep, rounds = ZOOM[len(idx)]
         half = points // 2
         centre = ZOOM_GRID[np.array(idx)]
         side = np.maximum(
@@ -1263,11 +1265,11 @@ class TestZoom:
         # samples past it all tie at it, and 1.5 last-round spacings from
         # it, where only the end and one sample lie on the minimiser's near
         # side
-        points, keep, rounds = tradeoff.ZOOM[1]
+        points, keep, rounds = ZOOM[1]
         from_end = 0.01 if near_end == "first round" else 1.5 * (keep / (points // 2)) ** rounds
         positions = [from_end, 1.0 - from_end, *np.linspace(0.02, 0.98, 25)]
         idx, minimisers, solve = _zoom_case(name, positions, 11)
-        _, *cols = tradeoff._zoom(solve, ZOOM_GRID, idx)
+        _, *cols = _zoom(solve, ZOOM_GRID, idx)
         start = np.array(idx)
         cells = ZOOM_GRID[np.minimum(start + 1, ZOOM_GRID.size - 1)] - ZOOM_GRID[np.maximum(start - 1, 0)]
         assert np.all(np.abs(np.array(cols) - minimisers) <= 4.0 * np.finfo(float).eps * cells)
@@ -1284,8 +1286,8 @@ class TestZoom:
             calls.append(value)
             return value, cols
 
-        value, *cols = tradeoff._zoom(recorded, ZOOM_GRID, idx)
-        rounds = tradeoff.ZOOM[1][2]
+        value, *cols = _zoom(recorded, ZOOM_GRID, idx)
+        rounds = ZOOM[1][2]
         # the rounds, then one call for the step's five points of every minimum
         assert len(calls) == rounds + 1 and calls[-1].shape == (len(positions), 5)
         assert np.all(value <= calls[rounds - 1].min(axis=1))
